@@ -13,7 +13,7 @@ from .comm import (RateReport, SocInstance, equal_rate_power, f2_and_grad,
                    max_min_zf_rate, rates, soc_assemble, soc_project, zf_precoder)
 from .config import (ExperimentConfig, build_options, build_scenario,
                      default_config, dump_config, load_config, parse_config)
-from .crlb import FisherState, coupling_matrices, fisher_matrix, grad_f1
+from .crlb import Coupling, FisherState, coupling_matrices, fisher_matrix, grad_f1
 from .design import (DesignResult, MODES, initial_point, rate_target, run,
                      solve_sp1, solve_sp2)
 from .errors import ConfigError, InfeasibleError, NumericalError

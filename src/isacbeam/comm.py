@@ -1,11 +1,13 @@
 """Communication side: rates, precoding, and the rate-feasibility cone.
 
-The per-user minimum-rate constraint rewrites as membership of a stacked
-vector x_k(W) = H_k vec(W) + z in a second-order cone: the head of x_k
-collects every beam seen by user k plus the noise standard deviation,
-the tail carries sqrt(Gamma_k) times the user's own beam, and the
-constraint is head-norm <= tail-modulus. f2 sums the squared distances
-to the cones; driving it to zero restores all rate targets.
+With P = H^H W (K x N), user k's minimum-rate constraint is membership
+of its cone vector x_k = [P[k, :], sigma, sqrt(Gamma_k) P[k, k]] in a
+second-order cone: the head collects every beam seen by user k plus the
+noise standard deviation, the tail carries sqrt(Gamma_k) times the
+user's own beam, and the constraint is head-norm <= tail-modulus. f2
+sums the squared distances to the cones; driving it to zero restores
+all rate targets. Both f2 and its gradient are evaluated from P for all
+users at once.
 
 Also here: zero-forcing directions, the equal-rate power allocation
 (all users exactly at the target rate given sensing interference), and
@@ -30,14 +32,20 @@ class RateReport:
 
 @dataclass(frozen=True)
 class SocInstance:
-    matrix: np.ndarray      # H_k, (K+M_T+2) x M_T(K+M_T)
-    offset: np.ndarray      # z, sigma in the second-to-last slot
+    matrix: np.ndarray      # h_k^H, the user's row of H^H, shape (M_T,)
+    sigma: float            # noise standard deviation, the head's last slot
+    num_streams: int        # N, the beamformer column count
     gamma: float            # SINR target 2^r_min - 1
     big_gamma: float        # 1 + 1/gamma
     user: int
 
     def x_of(self, w):
-        return self.matrix @ np.reshape(w, -1, order="F") + self.offset
+        """Cone vector [h_k^H W, sigma, sqrt(Gamma_k) h_k^H w_k]."""
+        w = np.asarray(w)
+        if w.shape[1] != self.num_streams:
+            raise ValueError("cone instance does not match beamformer size")
+        p = self.matrix @ w
+        return np.concatenate([p, [self.sigma, np.sqrt(self.big_gamma) * p[self.user]]])
 
 
 def rates(w, channels, noise_power):
@@ -176,26 +184,20 @@ def soc_assemble(channels, r_min, noise_power, num_streams=None):
     r = np.broadcast_to(np.asarray(r_min, dtype=float), (k,))
     if np.any(r <= 0):
         raise ValueError("rate targets must be positive for cone assembly")
-    sigma = np.sqrt(noise_power)
+    sigma = float(np.sqrt(noise_power))
     out = []
     for j in range(k):
         gamma = 2.0 ** r[j] - 1.0
-        big_gamma = 1.0 + 1.0 / gamma
-        head = np.kron(np.eye(n), h[:, j].conj()[None, :])
-        tail = np.zeros((1, mt * n), dtype=complex)
-        tail[0, j * mt:(j + 1) * mt] = np.sqrt(big_gamma) * h[:, j].conj()
-        mat = np.vstack([head, np.zeros((1, mt * n)), tail])
-        z = np.zeros(n + 2, dtype=complex)
-        z[n] = sigma
-        out.append(SocInstance(matrix=mat, offset=z, gamma=float(gamma),
-                               big_gamma=float(big_gamma), user=j))
+        out.append(SocInstance(matrix=h[:, j].conj(), sigma=sigma, num_streams=n,
+                               gamma=float(gamma), big_gamma=float(1.0 + 1.0 / gamma),
+                               user=j))
     return out
 
 
 def soc_project(x):
     """Closed-form projection onto the cone {||head|| <= |tail|}.
 
-    Three cases on (||head||, |tail|); the boundary-exterior case
+    Two cases on (||head||, |tail|); outside the cone the projection
     averages the two and keeps both the head direction and the tail
     phase (phase factor 1 when the tail is exactly zero).
     """
@@ -207,8 +209,6 @@ def soc_project(x):
     tm = abs(tail)
     if hn <= tm:
         return x.copy()
-    if hn <= -tm:
-        return np.zeros_like(x)
     mid = 0.5 * (hn + tm)
     phase = tail / tm if tm > 0 else 1.0
     y = np.empty_like(x)
@@ -221,18 +221,26 @@ def f2_and_grad(w, instances):
     """Sum of squared cone distances and its Euclidean gradient.
 
     f2(W) = sum_k ||x_k(W) - proj(x_k(W))||^2, zero exactly when every
-    user meets its rate target; grad = 2 unvec(sum_k H_k^H residual_k).
+    user meets its rate target. Outside its cone user k's residual has
+    head part P[k, :] (hn - tm) / (2 hn) and tail part -phase (hn - tm) / 2,
+    so f2 = sum_k (hn - tm)^2 / 2 and grad = 2 H R, where R holds the
+    head residuals with sqrt(Gamma_k) times the tail residual added at
+    (k, k).
     """
     w = np.asarray(w)
-    vec = np.reshape(w, -1, order="F")
-    total = 0.0
-    acc = np.zeros(vec.size, dtype=complex)
-    for inst in instances:
-        if inst.matrix.shape[1] != vec.size:
-            raise ValueError("cone instance does not match beamformer size")
-        x = inst.matrix @ vec + inst.offset
-        resid = x - soc_project(x)
-        total += float(np.vdot(resid, resid).real)
-        acc += inst.matrix.conj().T @ resid
-    grad = 2.0 * np.reshape(acc, w.shape, order="F")
-    return total, grad
+    rows = np.array([inst.matrix for inst in instances])        # H^H restricted to the users
+    if any(inst.num_streams != w.shape[1] for inst in instances) or rows.shape[1] != w.shape[0]:
+        raise ValueError("cone instance does not match beamformer size")
+    users = np.array([inst.user for inst in instances])
+    sigma = np.array([inst.sigma for inst in instances])
+    root_gamma = np.sqrt([inst.big_gamma for inst in instances])
+    idx = np.arange(users.size)
+    p = rows @ w
+    hn = np.sqrt((np.abs(p) ** 2).sum(axis=1) + sigma ** 2)
+    tail = root_gamma * p[idx, users]
+    tm = np.abs(tail)
+    excess = np.where(hn > tm, hn - tm, 0.0)
+    phase = np.divide(tail, tm, out=np.ones_like(tail), where=tm > 0)
+    resid = p * (0.5 * excess / hn)[:, None]
+    resid[idx, users] -= root_gamma * phase * (0.5 * excess)
+    return float(0.5 * (excess @ excess)), 2.0 * rows.conj().T @ resid

@@ -148,6 +148,13 @@ def build_scenario(cfg, seed=None, power_budget_dbm=None, overload=None):
         overload = s["overload"]
     if len(s["target_angles_deg"]) != len(s["target_ranges_m"]):
         raise ConfigError("target_angles_deg and target_ranges_m lengths differ")
+    # the probe needs one snapshot per stream, MUSIC one spare receive antenna
+    if s["snapshots"] < s["num_users"] + s["num_tx"]:
+        raise ConfigError(f"snapshots = {s['snapshots']} is below num_users + num_tx "
+                          f"= {s['num_users'] + s['num_tx']}")
+    if s["num_rx"] <= len(s["target_angles_deg"]):
+        raise ConfigError(f"num_rx = {s['num_rx']} must exceed the number of targets "
+                          f"({len(s['target_angles_deg'])})")
     try:
         return make_scenario(
             num_tx=s["num_tx"], num_rx=s["num_rx"], num_users=s["num_users"],

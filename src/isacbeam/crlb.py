@@ -6,11 +6,15 @@ entries F_ij = Re tr(W^H A_ij W) where
 
     A_ij = (2 L / sigma^2) conj(alpha_i) alpha_j Gdot(theta_i)^H Gdot(theta_j)
 
-and Gdot is the angle derivative of the round-trip channel. The design
-objective is f1 = tr(F^-1), the sum of the per-target CRLBs; its
-Euclidean gradient is 2 Omega W with Omega assembled per target from
-Cramer's rule, the restricted inverses coming from a rank-1 downdate of
-F^-1 rather than cofactor expansions.
+and Gdot is the angle derivative of the round-trip channel. Each Gdot
+has rank 2, Gdot_i = R_i B_i with R_i = [da_r, a_r] and
+B_i = [a_t^H; da_t^H], so A_ij = B_i^H Q_ij B_j with a 2 x 2 receive
+coupling Q_ij. With V = B W (2T x N) and C = V V^H, F is the real part
+of the 2 x 2 block sums of Q o C^T; no M_T x M_T matrix is formed.
+
+The design objective is f1 = tr(F^-1), the sum of the per-target CRLBs.
+Its Euclidean gradient is -2 sum_ij [F^-2]_ij A_ij W, which in factored
+form is 2 B^H (M V) with M the blocks of Q scaled by -F^-2.
 """
 
 from dataclasses import dataclass
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .arrays import target_channel_derivative
+from .arrays import steering, steering_derivative
 from .errors import NumericalError
 
 COND_LIMIT = 1e12   # beyond this the target geometry is unresolvable
@@ -35,31 +39,45 @@ class FisherState:
         return np.diag(self.inverse).copy()
 
 
+@dataclass(frozen=True)
+class Coupling:
+    """Factored A_ij = B_i^H Q_ij B_j of every target pair."""
+
+    b: np.ndarray           # (2T, M_T): rows a_t^H, da_t^H per target
+    q: np.ndarray           # (2T, 2T): (2L/sigma^2) conj(alpha_i) alpha_j R_i^H R_j
+
+    @property
+    def nbytes(self):
+        return self.b.nbytes + self.q.nbytes
+
+
 def coupling_matrices(scenario):
-    """Precompute the A_ij grid, shape (T, T, M_T, M_T)."""
+    """Transmit factors B and receive coupling Q of every target."""
     angles = scenario.target_angles()
     t = angles.size
     if np.min(np.abs(angles[:, None] - angles[None, :]) + np.eye(t)) < 1e-9:
         raise NumericalError("duplicate target angles make the Fisher matrix singular")
+    cfg = scenario.array
+    b = np.empty((2 * t, cfg.num_tx), dtype=complex)
+    r = np.empty((cfg.num_rx, 2 * t), dtype=complex)
+    for i, tg in enumerate(scenario.targets):
+        b[2 * i] = steering(tg.angle, cfg.num_tx).conj()
+        b[2 * i + 1] = steering_derivative(tg.angle, cfg.num_tx).conj()
+        r[:, 2 * i] = tg.rcs * steering_derivative(tg.angle, cfg.num_rx)
+        r[:, 2 * i + 1] = tg.rcs * steering(tg.angle, cfg.num_rx)
     scale = 2.0 * scenario.snapshots / scenario.noise_power
-    gdots = [target_channel_derivative(tg.angle, scenario.array) for tg in scenario.targets]
-    alphas = np.array([tg.rcs for tg in scenario.targets])
-    mt = scenario.array.num_tx
-    a = np.empty((t, t, mt, mt), dtype=complex)
-    for i in range(t):
-        for j in range(t):
-            a[i, j] = scale * np.conj(alphas[i]) * alphas[j] * (gdots[i].conj().T @ gdots[j])
-    return a
+    return Coupling(b=b, q=scale * (r.conj().T @ r))
 
 
 def fisher_matrix(w, coupling):
     """Evaluate F, F^-1 and the sum-CRLB at a beamformer W."""
     w = np.asarray(w)
-    t = coupling.shape[0]
-    if w.shape[0] != coupling.shape[2]:
+    if w.shape[0] != coupling.b.shape[1]:
         raise ValueError("beamformer row count does not match the array")
-    aw = np.einsum("ijmn,nc->ijmc", coupling, w)
-    f = np.einsum("mc,ijmc->ij", w.conj(), aw).real
+    v = coupling.b @ w
+    t = v.shape[0] // 2
+    # F_ij sums the 2 x 2 block (i, j) of Q o C^T with C = V V^H
+    f = (coupling.q * (v @ v.conj().T).T).reshape(t, 2, t, 2).sum(axis=(1, 3)).real
     asym = np.abs(f - f.T).max()
     if asym > 1e-9 * max(np.abs(f).max(), 1e-300):
         raise NumericalError("Fisher matrix lost symmetry")
@@ -74,28 +92,16 @@ def fisher_matrix(w, coupling):
     return FisherState(matrix=f, inverse=inv, objective=float(np.trace(inv)))
 
 
-def _omega(state, coupling):
-    """Auxiliary matrix with grad f1 = 2 Omega W.
-
-    Per-target Cramer assembly: the derivative of [F^-1]_tt combines the
-    inverse of F with row and column t removed (obtained by rank-1
-    downdating F^-1) against the full inverse.
-    """
-    m = state.inverse
-    t = m.shape[0]
-    weights = np.zeros((t, t))
-    for k in range(t):
-        down = m - np.outer(m[:, k], m[k, :]) / m[k, k]
-        # rows/columns k of the downdate vanish, leaving the restricted inverse
-        weights += m[k, k] * (down - m)
-    return np.einsum("ij,jimn->mn", weights, coupling)
-
-
 def grad_f1(w, coupling, state=None):
     """Euclidean gradient of tr(F^-1) at W.
 
     Scaled so that f1(W + D) - f1(W) ~ Re tr(grad^H D) to first order.
     """
+    w = np.asarray(w)
     if state is None:
         state = fisher_matrix(w, coupling)
-    return 2.0 * _omega(state, coupling) @ np.asarray(w)
+    m = state.inverse
+    weights = -(m @ m)      # d tr(F^-1) / dF_ij
+    t = m.shape[0]
+    blocks = (coupling.q.reshape(t, 2, t, 2) * weights.T[:, None, :, None]).reshape(2 * t, 2 * t)
+    return 2.0 * coupling.b.conj().T @ (blocks @ (coupling.b @ w))

@@ -25,6 +25,7 @@ from .errors import ConfigError, InfeasibleError, NumericalError
 from .scenario import substream
 
 MODES = ("sgcdf", "sensing_only", "no_dedicated_stream", "omnidirectional")
+FLOORLESS_MODES = ("sensing_only", "omnidirectional")   # no rate floor enforced
 RATE_SLACK = 1e-6      # absorbs rounding at the rate boundary
 _SP2_EPS = 0.0         # rate guard, not gradient tolerance, ends stage II
 SP2_STEP_FRACTION = 0.02   # stage-II step cap relative to ||W||_F
@@ -107,10 +108,12 @@ def initial_point(scenario, r_min, zero_sensing=False):
     w = np.concatenate([w_c, _sensing_block(p_s, mt)], axis=1).astype(complex)
     dead = manifold.row_norms(w) == 0.0
     if np.any(dead):
-        # zero rows cannot be retracted; nudge them with unit phases
+        # zero rows cannot be retracted; nudge them with unit phases,
+        # leaving pinned-zero sensing columns untouched
+        cols = k if zero_sensing else w.shape[1]
         rng = substream(scenario.seed, "init")
-        phases = np.exp(2j * np.pi * rng.uniform(size=(int(dead.sum()), w.shape[1])))
-        w[dead] += 1e-12 * scenario.row_radius * phases
+        phases = np.exp(2j * np.pi * rng.uniform(size=(int(dead.sum()), cols)))
+        w[dead, :cols] += 1e-12 * scenario.row_radius * phases
     return manifold.retract(w, scenario.row_radius), tuple(flags)
 
 
@@ -225,7 +228,13 @@ def run(scenario, mode="sgcdf", opts=None, r_min=None):
     opts = opts or rcg.RcgOptions()
     t_start = time.perf_counter()
     if r_min is None:
-        r_min = rate_target(scenario)
+        try:
+            r_min = rate_target(scenario)
+        except NumericalError:
+            if mode not in FLOORLESS_MODES:
+                raise
+            # no ZF design exists to set a floor; these modes need none
+            r_min = 0.0
 
     mt = scenario.array.num_tx
     coupling = crlb.coupling_matrices(scenario)

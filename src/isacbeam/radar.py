@@ -10,6 +10,7 @@ covariance, grid pseudospectrum, tallest local maxima, one parabolic
 refinement per peak.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,6 @@ from .arrays import steering_matrix, target_channel
 from .scenario import substream
 
 MUSIC_GRID_DEG = 0.02
-
-_grid_cache = {}
 
 
 @dataclass(frozen=True)
@@ -73,13 +72,14 @@ def synthesize_echo(scenario, x, rng):
                      noise_power=scenario.noise_power)
 
 
+@functools.lru_cache(maxsize=4)
 def _grid(num_rx, grid_deg):
-    key = (num_rx, float(grid_deg))
-    if key not in _grid_cache:
-        points = int(round(180.0 / grid_deg)) + 1
-        theta_deg = np.linspace(-90.0, 90.0, points)
-        _grid_cache[key] = (theta_deg, steering_matrix(np.deg2rad(theta_deg), num_rx))
-    return _grid_cache[key]
+    points = int(round(180.0 / grid_deg)) + 1
+    theta_deg = np.linspace(-90.0, 90.0, points)
+    a = steering_matrix(np.deg2rad(theta_deg), num_rx)
+    # every caller shares the cached arrays
+    theta_deg.flags.writeable = a.flags.writeable = False
+    return theta_deg, a
 
 
 def music_estimate(echo, num_targets, grid_deg=MUSIC_GRID_DEG):

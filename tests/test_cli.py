@@ -88,6 +88,17 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert cli.main(["design", "--config", str(tmp_path / "nope.ini")]) == 2
 
 
+def test_unusable_sizes_exit_2(tmp_path, capsys):
+    # too few snapshots for the probe, too few receive antennas for MUSIC
+    for old, new in (("snapshots = 64", "snapshots = 9"),
+                     ("num_rx = 8", "num_rx = 2")):
+        ini = tmp_path / "sizes.ini"
+        ini.write_text(SMALL_INI.replace(old, new), encoding="utf-8")
+        assert cli.main(["sweep-power", "--config", str(ini),
+                         "--out", str(tmp_path / "out.csv")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 def test_degenerate_targets_exit_4(tmp_path, capsys):
     ini = tmp_path / "dup.ini"
     ini.write_text(SMALL_INI.replace("target_angles_deg = -40.0, 25.0",

@@ -186,6 +186,34 @@ def test_max_min_bracket_exhaustion():
 
 # ------------------------------------------------------------------ cone
 
+def _dense_cone(h, inst):
+    """Reference cone map H_k, (N+2) x M_T N, acting on vec(W)."""
+    mt, n = h.shape[0], inst.num_streams
+    head = np.kron(np.eye(n), h[:, inst.user].conj()[None, :])
+    tail = np.zeros((1, mt * n), dtype=complex)
+    tail[0, inst.user * mt:(inst.user + 1) * mt] = \
+        np.sqrt(inst.big_gamma) * h[:, inst.user].conj()
+    return np.vstack([head, np.zeros((1, mt * n)), tail])
+
+
+def _dense_offset(inst):
+    z = np.zeros(inst.num_streams + 2, dtype=complex)
+    z[inst.num_streams] = inst.sigma
+    return z
+
+
+def _dense_f2_and_grad(w, h, instances):
+    vec = np.reshape(w, -1, order="F")
+    total, acc = 0.0, np.zeros(vec.size, dtype=complex)
+    for inst in instances:
+        mat = _dense_cone(h, inst)
+        x = mat @ vec + _dense_offset(inst)
+        resid = x - soc_project(x)
+        total += float(np.vdot(resid, resid).real)
+        acc += mat.conj().T @ resid
+    return total, 2.0 * np.reshape(acc, w.shape, order="F")
+
+
 def test_soc_assemble_stacks_expected_entries():
     rng = np.random.default_rng(7)
     h = _cgauss(rng, (4, 2))
@@ -199,8 +227,11 @@ def test_soc_assemble_stacks_expected_entries():
         assert inst.user == k
         assert inst.gamma == pytest.approx(gamma, rel=1e-14)
         assert inst.big_gamma == pytest.approx(1.0 + 1.0 / gamma, rel=1e-14)
-        assert inst.matrix.shape == (n + 2, 4 * n)
+        assert np.array_equal(inst.matrix, h[:, k].conj())
+        assert inst.num_streams == n
         x = inst.x_of(w)
+        assert np.allclose(x, _dense_cone(h, inst) @ np.reshape(w, -1, order="F")
+                           + _dense_offset(inst), rtol=1e-12, atol=1e-12)
         assert np.allclose(x[:n], h[:, k].conj() @ w, atol=1e-12)
         assert x[n] == pytest.approx(np.sqrt(noise), rel=1e-14)
         tail = np.sqrt(inst.big_gamma) * np.vdot(h[:, k], w[:, k])
@@ -296,6 +327,22 @@ def test_f2_gradient_matches_finite_differences():
         fd = (up - dn) / (2.0 * step)
         analytic = np.vdot(grad, d).real
         assert fd == pytest.approx(analytic, rel=1e-5, abs=1e-10)
+
+
+def test_f2_and_gradient_match_dense_reference():
+    rng = np.random.default_rng(12)
+    for mt, k, n in ((8, 3, 11), (32, 6, 38), (128, 4, 10)):
+        h = _cgauss(rng, (mt, k)) / np.sqrt(2.0)
+        instances = soc_assemble(h, 1.5, 0.3, num_streams=n)
+        for scale in (0.3, 1.0):
+            w = _cgauss(rng, (mt, n), scale=scale)
+            w[:, 0] = 3.0 * h[:, 0]           # user 0 inside its cone
+            assert rates(w, h, 0.3).sinr[0] > instances[0].gamma
+            value, grad = f2_and_grad(w, instances)
+            ref_value, ref_grad = _dense_f2_and_grad(w, h, instances)
+            assert ref_value > 0
+            assert value == pytest.approx(ref_value, rel=1e-12)
+            assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
 
 
 def test_f2_decreases_as_the_serving_beam_grows():

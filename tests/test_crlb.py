@@ -1,6 +1,7 @@
 """Fisher information, sum-CRLB objective, and its gradient."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -21,25 +22,51 @@ def _toy_scenario(angles_deg=(30.0, -30.0), snapshots=16, num_tx=4):
                     rician_k=0.0, overload=0.0, seed=0)
 
 
+def _dense_coupling(s):
+    """Reference A_ij grid, shape (T, T, M_T, M_T), from the full Gdot."""
+    gdots = [target_channel_derivative(tg.angle, s.array) for tg in s.targets]
+    scale = 2.0 * s.snapshots / s.noise_power
+    return np.array([[scale * np.conj(ti.rcs) * tj.rcs * (gi.conj().T @ gj)
+                      for tj, gj in zip(s.targets, gdots)]
+                     for ti, gi in zip(s.targets, gdots)])
+
+
+def _dense_fisher(w, a):
+    return np.einsum("mc,ijmn,nc->ij", w.conj(), a, w).real
+
+
+def _dense_grad(w, a):
+    # d tr(F^-1) = -tr(F^-2 dF) and dF_ij = Re tr(dW^H (A_ij + A_ji) W)
+    m = np.linalg.inv(_dense_fisher(w, a))
+    return -2.0 * np.einsum("ij,ijmn->mn", m @ m, a) @ w
+
+
+def _rel(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+ANGLE_SETS = {1: (30.0,), 2: (30.0, -30.0), 3: (-45.0, 10.0, 60.0)}
+
+
 def test_coupling_matches_direct_formula():
-    s = _toy_scenario()
-    a = coupling_matrices(s)
-    assert a.shape == (2, 2, 4, 4)
-    for i in range(2):
-        for j in range(2):
-            gi = target_channel_derivative(s.targets[i].angle, s.array)
-            gj = target_channel_derivative(s.targets[j].angle, s.array)
-            direct = (2.0 * s.snapshots / s.noise_power) \
-                * np.conj(s.targets[i].rcs) * s.targets[j].rcs \
-                * (gi.conj().T @ gj)
-            assert np.allclose(a[i, j], direct, rtol=1e-12, atol=1e-9)
+    for num_targets, num_tx in itertools.product((1, 2, 3), (4, 32)):
+        s = _toy_scenario(angles_deg=ANGLE_SETS[num_targets], num_tx=num_tx)
+        c = coupling_matrices(s)
+        assert c.b.shape == (2 * num_targets, num_tx)
+        assert c.q.shape == (2 * num_targets, 2 * num_targets)
+        assert c.nbytes == c.b.nbytes + c.q.nbytes
+        dense = _dense_coupling(s)
+        for i, j in itertools.product(range(num_targets), repeat=2):
+            bi, bj = c.b[2 * i:2 * i + 2], c.b[2 * j:2 * j + 2]
+            a_ij = bi.conj().T @ c.q[2 * i:2 * i + 2, 2 * j:2 * j + 2] @ bj
+            assert _rel(a_ij, dense[i, j]) <= 1e-12
 
 
 def test_coupling_diagonal_blocks_hermitian_psd():
-    a = coupling_matrices(_toy_scenario())
-    for k in range(2):
-        blk = a[k, k]
-        assert np.abs(blk - blk.conj().T).max() <= 1e-9 * np.abs(blk).max()
+    c = coupling_matrices(_toy_scenario(angles_deg=ANGLE_SETS[3], num_tx=8))
+    # Q is a scaled Gram matrix, so it and its diagonal blocks are PSD
+    assert np.abs(c.q - c.q.conj().T).max() <= 1e-12 * np.abs(c.q).max()
+    for blk in [c.q] + [c.q[2 * k:2 * k + 2, 2 * k:2 * k + 2] for k in range(3)]:
         eigs = np.linalg.eigvalsh(0.5 * (blk + blk.conj().T))
         assert eigs.min() >= -1e-9 * eigs.max()
 
@@ -47,8 +74,9 @@ def test_coupling_diagonal_blocks_hermitian_psd():
 def test_coupling_scales_linearly_with_snapshots():
     s = _toy_scenario(snapshots=16)
     s2 = dataclasses.replace(s, snapshots=32)
-    assert np.allclose(coupling_matrices(s2), 2.0 * coupling_matrices(s),
-                       rtol=1e-12)
+    c, c2 = coupling_matrices(s), coupling_matrices(s2)
+    assert np.array_equal(c2.b, c.b)
+    assert np.allclose(c2.q, 2.0 * c.q, rtol=1e-12)
 
 
 def test_coupling_rejects_duplicate_angles():
@@ -58,9 +86,9 @@ def test_coupling_rejects_duplicate_angles():
 
 def test_fisher_matches_entrywise_double_loop():
     s = _toy_scenario()
-    a = coupling_matrices(s)
+    a = _dense_coupling(s)
     w = 0.5 * np.eye(4, dtype=complex)
-    state = fisher_matrix(w, a)
+    state = fisher_matrix(w, coupling_matrices(s))
     direct = np.zeros((2, 2))
     for i in range(2):
         for j in range(2):
@@ -72,6 +100,18 @@ def test_fisher_matches_entrywise_double_loop():
                        rtol=1e-10, atol=1e-10 * np.abs(direct).max())
     assert state.objective == pytest.approx(
         np.trace(np.linalg.inv(direct)), rel=1e-10)
+
+
+def test_fisher_and_gradient_match_dense_reference():
+    for num_targets, num_tx in itertools.product((1, 2, 3), (8, 32, 128)):
+        s = _toy_scenario(angles_deg=ANGLE_SETS[num_targets], num_tx=num_tx)
+        c, a = coupling_matrices(s), _dense_coupling(s)
+        rng = np.random.default_rng(num_tx + num_targets)
+        for _ in range(3):
+            w = random_point(num_tx, num_tx + 3, 1.0, rng)
+            state = fisher_matrix(w, c)
+            assert _rel(state.matrix, _dense_fisher(w, a)) <= 1e-12
+            assert _rel(grad_f1(w, c, state), _dense_grad(w, a)) <= 1e-12
 
 
 def test_fisher_symmetric_for_random_beamformers():
@@ -101,26 +141,30 @@ def test_crlb_per_target_positive_and_sums_to_objective():
 
 
 def test_grad_matches_directional_differences():
-    a = coupling_matrices(_toy_scenario())
-    rng = np.random.default_rng(3)
-    w = random_point(4, 6, 1.0, rng)
-    g = grad_f1(w, a)
-    h = 1e-6
-    for _ in range(20):
-        d = rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape)
-        d /= np.linalg.norm(d)
-        fd = (fisher_matrix(w + h * d, a).objective
-              - fisher_matrix(w - h * d, a).objective) / (2.0 * h)
-        assert abs(inner(g, d) - fd) <= 1e-5 * abs(fd)
+    # two targets, then three
+    for s, num_cols, seed in ((_toy_scenario(), 6, 3),
+                              (_toy_scenario(ANGLE_SETS[3], num_tx=8), 10, 4)):
+        a = coupling_matrices(s)
+        rng = np.random.default_rng(seed)
+        w = random_point(s.array.num_tx, num_cols, 1.0, rng)
+        g = grad_f1(w, a)
+        h = 1e-6
+        for _ in range(20):
+            d = rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape)
+            d /= np.linalg.norm(d)
+            fd = (fisher_matrix(w + h * d, a).objective
+                  - fisher_matrix(w - h * d, a).objective) / (2.0 * h)
+            assert abs(inner(g, d) - fd) <= 1e-5 * abs(fd)
 
 
 def test_single_target_gradient_reduction():
     # with one target the weight collapses to -A11 / F^2
-    a = coupling_matrices(_toy_scenario(angles_deg=(30.0,)))
+    s = _toy_scenario(angles_deg=(30.0,))
+    a = coupling_matrices(s)
     w = random_point(4, 5, 1.0, np.random.default_rng(10))
     state = fisher_matrix(w, a)
     f = state.matrix[0, 0]
-    expected = -2.0 * (a[0, 0] @ w) / f ** 2
+    expected = -2.0 * (_dense_coupling(s)[0, 0] @ w) / f ** 2
     assert np.allclose(grad_f1(w, a, state), expected, rtol=1e-10, atol=0.0)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from isacbeam import comm, design, manifold
 from isacbeam.arrays import beampattern_trace
-from isacbeam.errors import ConfigError, InfeasibleError
+from isacbeam.errors import ConfigError, InfeasibleError, NumericalError
 from isacbeam.rcg import RcgOptions
 from isacbeam.scenario import make_scenario
 
@@ -63,6 +63,16 @@ def test_initial_point_falls_back_when_zf_impossible():
     assert manifold.is_on_manifold(w0, s.row_radius)
 
 
+def test_initial_point_fallback_keeps_sensing_columns_zero():
+    # ZF impossible (K > M_T): the dead-row nudge must stay in the
+    # communication columns
+    s = make_scenario(num_tx=4, num_rx=8, num_users=6)
+    w0, flags = design.initial_point(s, 0.5, zero_sensing=True)
+    assert flags == ("zf_infeasible_fallback",)
+    assert np.array_equal(w0[:, 6:], np.zeros((4, 4)))
+    assert manifold.is_on_manifold(w0, s.row_radius)
+
+
 def test_initial_point_zero_sensing_block(small):
     w0, flags = design.initial_point(small, 0.5, zero_sensing=True)
     assert flags == ()
@@ -75,6 +85,19 @@ def test_initial_point_zero_sensing_block(small):
 def test_run_rejects_unknown_mode(small):
     with pytest.raises(ConfigError):
         design.run(small, "bogus")
+
+
+def test_floorless_modes_run_when_zf_impossible():
+    s = make_scenario(num_tx=4, num_rx=8, num_users=6)
+    with pytest.raises(NumericalError, match="ZF impossible"):
+        design.rate_target(s)
+    for mode in design.FLOORLESS_MODES:
+        res = design.run(s, mode)
+        assert res.r_min == 0.0
+        assert manifold.is_on_manifold(res.w, s.row_radius)
+        assert np.isfinite(res.sum_crlb) and res.sum_crlb > 0
+    with pytest.raises(NumericalError, match="ZF impossible"):
+        design.run(s, "sgcdf")
 
 
 def test_omnidirectional_covariance_is_scaled_identity(small, small_results):
