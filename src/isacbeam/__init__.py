@@ -19,8 +19,9 @@ from .design import (DesignResult, MODES, initial_point, rate_target, run,
 from .errors import ConfigError, InfeasibleError, NumericalError
 from .manifold import (inner, is_on_manifold, project_tangent, random_point,
                        random_tangent, retract, row_norms, transport)
-from .radar import (EchoBatch, EstimationReport, monte_carlo, music_estimate,
-                    synthesize_echo, synthesize_probe, synthesize_waveform)
+from .radar import (EchoBatch, EstimationReport, echo_channel, echo_covariance,
+                    monte_carlo, music_estimate, synthesize_echo, synthesize_probe,
+                    synthesize_waveform)
 from .rcg import (IterRecord, LineSearchResult, RcgOptions, SolverTrace,
                   fletcher_reeves_beta, minimize, wolfe_linesearch)
 from .scenario import (Scenario, Target, UserChannel, dbm_to_watts, make_scenario,

@@ -24,8 +24,10 @@ from .config import build_options, build_scenario, load_config
 from .errors import ConfigError, InfeasibleError, NumericalError
 
 SWEEP_POWER_HEADER = ["p_max_dbm", "mode", "sum_beampattern_gain_db",
-                      "sum_crlb", "rcrlb_deg", "rmse_deg", "min_rate"]
-SWEEP_DELTA_HEADER = ["delta", "mode", "sum_crlb", "rmse_deg", "min_rate", "r_min"]
+                      "sum_crlb", "rcrlb_deg", "rmse_deg", "min_rate",
+                      "degraded_trials"]
+SWEEP_DELTA_HEADER = ["delta", "mode", "sum_crlb", "rmse_deg", "min_rate", "r_min",
+                      "degraded_trials"]
 BEAMPATTERN_HEADER = ["theta_deg", "mode", "gain_db"]
 TIMING_HEADER = ["mode", "stage", "mean_s", "stddev_s", "runs"]
 DESIGN_HEADER = ["mode", "sum_crlb", "rcrlb_deg", "min_rate", "wall_time_s",
@@ -85,6 +87,17 @@ def _iters(trace):
     return trace.iterations if trace is not None else ""
 
 
+def _monte_carlo_settings(cfg):
+    """(trials, MUSIC grid step in degrees) of the sweeps, validated."""
+    trials = cfg.get("experiment", "trials")
+    music_grid = cfg.get("experiment", "music_grid_deg")
+    if trials < 1:
+        raise ConfigError("sweeps need at least one Monte-Carlo trial (experiment trials)")
+    if not music_grid > 0:
+        raise ConfigError("MUSIC grid resolution must be positive (experiment music_grid_deg)")
+    return trials, music_grid
+
+
 def _run_one(cfg, mode, seed=None, power_budget_dbm=None, overload=None):
     scenario = build_scenario(cfg, seed=seed, power_budget_dbm=power_budget_dbm,
                               overload=overload)
@@ -123,8 +136,7 @@ def cmd_sweep_power(args):
     grid = cfg.get("experiment", "power_grid_dbm")
     if not grid:
         raise ConfigError("empty power grid")
-    trials = cfg.get("experiment", "trials")
-    music_grid = cfg.get("experiment", "music_grid_deg")
+    trials, music_grid = _monte_carlo_settings(cfg)
     rows = []
     for p_dbm in grid:
         for mode in modes:
@@ -134,7 +146,8 @@ def cmd_sweep_power(args):
             gain = sum(beampattern_gain(res.r_x, t.angle) for t in scenario.targets)
             rows.append([p_dbm, mode, 10.0 * np.log10(max(gain, 1e-300)),
                          res.sum_crlb, float(np.rad2deg(res.rcrlb)),
-                         float(np.rad2deg(report.rmse)), res.rates.min_rate])
+                         float(np.rad2deg(report.rmse)), res.rates.min_rate,
+                         report.degraded_trials])
     write_csv(SWEEP_POWER_HEADER, rows, out_path=args.out)
     return 0
 
@@ -147,8 +160,7 @@ def cmd_sweep_delta(args):
         raise ConfigError("empty delta grid")
     if min(grid) < 0.0 or max(grid) > 1.0:
         raise ConfigError("delta grid values must lie in [0, 1]")
-    trials = cfg.get("experiment", "trials")
-    music_grid = cfg.get("experiment", "music_grid_deg")
+    trials, music_grid = _monte_carlo_settings(cfg)
     rows = []
     for delta in grid:
         for mode in modes:
@@ -156,7 +168,7 @@ def cmd_sweep_delta(args):
             report = radar.monte_carlo(scenario, res, trials, grid_deg=music_grid)
             rows.append([delta, mode, res.sum_crlb,
                          float(np.rad2deg(report.rmse)),
-                         res.rates.min_rate, res.r_min])
+                         res.rates.min_rate, res.r_min, report.degraded_trials])
     write_csv(SWEEP_DELTA_HEADER, rows, out_path=args.out)
     return 0
 

@@ -11,9 +11,10 @@ users at once.
 
 Also here: zero-forcing directions, the equal-rate power allocation
 (all users exactly at the target rate given sensing interference), and
-the max-min ZF rate found by bisection on the power budget.
+the max-min ZF rate in closed form.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,34 +137,22 @@ def equal_rate_power(channels, directions, w_sensing, noise_power, r_min):
     return p
 
 
-def max_min_zf_rate(channels, noise_power, p_max, tol=1e-6, bracket=(0.0, 40.0)):
+def max_min_zf_rate(channels, noise_power, p_max):
     """Largest common rate a ZF design can give every user under p_max.
 
-    Bisection on the rate until the equal-rate allocation consumes the
-    whole budget (relative residual below ``tol``). No sensing block.
+    Zero forcing removes every cross gain, so along the unit-norm ZF
+    direction v_k user k needs power gamma sigma^2 / |h_k^H v_k|^2 for
+    SINR gamma, and the budget is used up at
+    gamma = p_max / (sigma^2 sum_k 1 / |h_k^H v_k|^2). No sensing block.
     """
-    v = zf_precoder(channels)
-
-    def total(rate):
-        return equal_rate_power(channels, v, None, noise_power, rate).sum()
-
-    lo, hi = bracket
-    while total(hi) < p_max:
-        hi *= 2.0
-        if hi > 512.0:
-            raise NumericalError("max-min rate bisection bracket exhausted")
-    best = lo
-    while hi - lo > 1e-13 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        t = total(mid)
-        if abs(t - p_max) <= tol * p_max:
-            return mid
-        if t > p_max:
-            hi = mid
-        else:
-            lo = mid
-            best = mid
-    return best
+    h = np.asarray(channels)
+    own = np.abs((h.conj() * zf_precoder(h)).sum(axis=0)) ** 2   # |h_k^H v_k|^2
+    denom = noise_power * float(np.sum(1.0 / own))
+    gamma = p_max / denom if denom > 0 else math.inf
+    if not 0.0 <= gamma < math.inf:
+        raise NumericalError(f"max-min ZF SINR {gamma} is not a finite nonnegative "
+                             "number: noise power or budget out of range")
+    return math.log2(1.0 + gamma)
 
 
 def soc_assemble(channels, r_min, noise_power, num_streams=None):

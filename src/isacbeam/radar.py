@@ -2,24 +2,38 @@
 
 The transmitted frame is X = W Xt with a probe matrix Xt whose rows are
 exactly orthogonal, (1/L) Xt Xt^H = I, so the sample covariance of X
-equals W W^H without estimation error. The receiver sees the sum of the
-rank-1 target channels applied to X plus white complex Gaussian noise,
-and estimates the angles with classical MUSIC (no forward-backward
-averaging, no diagonal loading): noise subspace of the echo sample
-covariance, grid pseudospectrum, tallest local maxima, one parabolic
-refinement per peak.
+equals W W^H without estimation error. The receiver sees Y = G X + N,
+the sum of the rank-1 target channels G applied to X plus white complex
+Gaussian noise, and estimates the angles with classical MUSIC (no
+forward-backward averaging, no diagonal loading) from the sample
+covariance Y Y^H / L: signal subspace of that covariance, grid
+pseudospectrum, tallest local maxima, one parabolic refinement per peak.
+
+The Monte-Carlo trials never form the L-column frame. With the probe
+drawn as Xt = sqrt(L) Q^H from the QR factors Z = Q R of a Gaussian
+L x N matrix, Q = Z R^-1 and
+
+    Y Y^H / L = GW GW^H + (C + C^H + N N^H) / L,
+    C = sqrt(L) GW (N Z R^-1)^H,
+
+so ``echo_covariance`` needs only the R factor and two M_R x N / M_R x L
+products. It consumes the same draws, in the same order, as
+``synthesize_waveform`` followed by ``synthesize_echo``, which remain as
+the explicit-frame reference.
 """
 
 import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.signal import find_peaks
 
 from .arrays import steering_matrix, target_channel
 from .scenario import substream
 
 MUSIC_GRID_DEG = 0.02
+CANCEL_TOL = 1e-6   # relative signal-subspace denominator below which MUSIC re-evaluates
 
 
 @dataclass(frozen=True)
@@ -27,6 +41,12 @@ class EchoBatch:
     received: np.ndarray     # M_R x L
     transmitted: np.ndarray  # M_T x L
     noise_power: float
+
+    @property
+    def covariance(self):
+        """Sample covariance Y Y^H / L of the received block."""
+        y = self.received
+        return y @ y.conj().T / y.shape[1]
 
 
 @dataclass(frozen=True)
@@ -40,14 +60,38 @@ class EstimationReport:
     degraded_trials: int           # trials with fewer resolved peaks than targets
 
 
-def synthesize_probe(num_streams, snapshots, rng):
-    """Probe matrix Xt, shape (num_streams, L), with (1/L) Xt Xt^H = I."""
+def _cgauss(rng, shape, scale=1.0):
+    """scale * (real draw + 1j * imaginary draw), real part drawn first;
+    written into the parts of one array, with no complex temporaries."""
+    out = np.empty(shape, dtype=complex)
+    out.real = scale * rng.standard_normal(shape)
+    out.imag = scale * rng.standard_normal(shape)
+    return out
+
+
+def _probe_draw(num_streams, snapshots, rng):
     if snapshots < num_streams:
         raise ValueError("need at least as many snapshots as streams "
                          f"({snapshots} < {num_streams})")
-    z = rng.standard_normal((snapshots, num_streams)) \
-        + 1j * rng.standard_normal((snapshots, num_streams))
-    q, _ = np.linalg.qr(z)
+    return _cgauss(rng, (snapshots, num_streams))
+
+
+def _noise_draw(scenario, snapshots, rng):
+    return _cgauss(rng, (scenario.array.num_rx, snapshots),
+                   np.sqrt(scenario.noise_power / 2.0))
+
+
+def echo_channel(scenario):
+    """Summed target channel G = sum_t alpha_t a_r(theta_t) a_t(theta_t)^H."""
+    channel = np.zeros((scenario.array.num_rx, scenario.array.num_tx), dtype=complex)
+    for tg in scenario.targets:
+        channel += tg.rcs * target_channel(tg.angle, scenario.array)
+    return channel
+
+
+def synthesize_probe(num_streams, snapshots, rng):
+    """Probe matrix Xt, shape (num_streams, L), with (1/L) Xt Xt^H = I."""
+    q, _ = np.linalg.qr(_probe_draw(num_streams, snapshots, rng))
     return np.sqrt(snapshots) * q.conj().T
 
 
@@ -62,42 +106,74 @@ def synthesize_echo(scenario, x, rng):
     x = np.asarray(x)
     if x.shape[0] != scenario.array.num_tx:
         raise ValueError("waveform row count does not match the transmit array")
-    channel = np.zeros((scenario.array.num_rx, scenario.array.num_tx), dtype=complex)
-    for tg in scenario.targets:
-        channel += tg.rcs * target_channel(tg.angle, scenario.array)
-    sigma = np.sqrt(scenario.noise_power / 2.0)
-    noise = sigma * (rng.standard_normal((scenario.array.num_rx, x.shape[1]))
-                     + 1j * rng.standard_normal((scenario.array.num_rx, x.shape[1])))
-    return EchoBatch(received=channel @ x + noise, transmitted=x,
+    noise = _noise_draw(scenario, x.shape[1], rng)
+    return EchoBatch(received=echo_channel(scenario) @ x + noise, transmitted=x,
                      noise_power=scenario.noise_power)
+
+
+def echo_covariance(scenario, gw, rng):
+    """Sample covariance Y Y^H / L of one echo, without forming X or Y.
+
+    ``gw`` is G W (M_R x N). Consumes the same draws as
+    ``synthesize_echo(scenario, synthesize_waveform(w, L, rng), rng)``
+    and agrees with that echo's ``covariance`` to rounding.
+    """
+    gw = np.asarray(gw)
+    if gw.shape[0] != scenario.array.num_rx:
+        raise ValueError("G W row count does not match the receive array")
+    snapshots = scenario.snapshots
+    z = _probe_draw(gw.shape[1], snapshots, rng)
+    r = np.linalg.qr(z, mode="r")
+    noise = _noise_draw(scenario, snapshots, rng)
+    # R^-H (N Z)^H = (N Z R^-1)^H, the noise seen through Q
+    nq_h = solve_triangular(r, (noise @ z).conj().T, trans="C")
+    cross = np.sqrt(snapshots) * (gw @ nq_h)
+    return gw @ gw.conj().T + (cross + cross.conj().T + noise @ noise.conj().T) / snapshots
 
 
 @functools.lru_cache(maxsize=4)
 def _grid(num_rx, grid_deg):
+    if not grid_deg > 0:
+        raise ValueError(f"MUSIC grid step must be positive, got {grid_deg}")
     points = int(round(180.0 / grid_deg)) + 1
     theta_deg = np.linspace(-90.0, 90.0, points)
     a = steering_matrix(np.deg2rad(theta_deg), num_rx)
+    a_norm2 = (a.real ** 2 + a.imag ** 2).sum(axis=0)
     # every caller shares the cached arrays
-    theta_deg.flags.writeable = a.flags.writeable = False
-    return theta_deg, a
+    theta_deg.flags.writeable = a.flags.writeable = a_norm2.flags.writeable = False
+    return theta_deg, a, a_norm2
 
 
-def music_estimate(echo, num_targets, grid_deg=MUSIC_GRID_DEG):
-    """MUSIC angle estimates from one echo batch.
+def _subspace_power(basis, a):
+    p = basis.conj().T @ a
+    return (p.real ** 2 + p.imag ** 2).sum(axis=0)
 
-    Returns (angles, degraded): exactly ``num_targets`` sorted radians.
-    When the pseudospectrum shows fewer separated peaks, the strongest
-    is repeated to fill and ``degraded`` is True.
+
+def _music_denominator(cov, num_targets, grid_deg):
+    """(grid in degrees, ||E_n^H a||^2 on it) for an M_R x M_R covariance.
+
+    Evaluated as ||a||^2 - ||E_s^H a||^2 on the T-column signal subspace
+    E_s; columns where that difference falls below CANCEL_TOL * M_R
+    (near-total cancellation at a noiseless target) are re-evaluated on
+    the noise subspace E_n, so the result is never negative there.
     """
-    y = echo.received
-    m = y.shape[0]
+    cov = np.asarray(cov)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ValueError("MUSIC needs a square M_R x M_R sample covariance")
+    m = cov.shape[0]
     if num_targets >= m:
         raise ValueError("need more receive antennas than targets")
-    cov = y @ y.conj().T / y.shape[1]
     _, vecs = np.linalg.eigh(cov)
-    noise_basis = vecs[:, : m - num_targets]
-    theta_deg, a = _grid(m, grid_deg)
-    denom = (np.abs(noise_basis.conj().T @ a) ** 2).sum(axis=0)
+    theta_deg, a, a_norm2 = _grid(m, grid_deg)
+    denom = a_norm2 - _subspace_power(vecs[:, m - num_targets:], a)
+    close = np.flatnonzero(denom < CANCEL_TOL * m)
+    if close.size:
+        denom[close] = _subspace_power(vecs[:, : m - num_targets], a[:, close])
+    return theta_deg, denom
+
+
+def _pick_peaks(theta_deg, denom, num_targets):
+    """Tallest pseudospectrum peaks, one parabolic refinement each."""
     pseudo = 1.0 / denom
     idx, props = find_peaks(pseudo, height=0.0)
     degraded = idx.size < num_targets
@@ -120,16 +196,30 @@ def music_estimate(echo, num_targets, grid_deg=MUSIC_GRID_DEG):
     return np.sort(np.deg2rad(out)), degraded
 
 
+def music_estimate(cov, num_targets, grid_deg=MUSIC_GRID_DEG):
+    """MUSIC angle estimates from one echo sample covariance (M_R x M_R).
+
+    Returns (angles, degraded): exactly ``num_targets`` sorted radians.
+    When the pseudospectrum shows fewer separated peaks, the strongest
+    is repeated to fill and ``degraded`` is True.
+    """
+    theta_deg, denom = _music_denominator(cov, num_targets, grid_deg)
+    return _pick_peaks(theta_deg, denom, num_targets)
+
+
 def monte_carlo(scenario, result, trials, grid_deg=MUSIC_GRID_DEG):
     """Repeated-echo estimation study of one design.
 
     Each trial draws its probe matrix and noise from a substream keyed
     by the trial index, so the aggregate is reproducible bit for bit.
-    RMSE aggregates the per-trial summed squared angle error, matching
-    the stacked-parameter convention of the reported RCRLB.
+    Trials run in the covariance domain (``echo_covariance``), one at a
+    time, so memory stays flat in the trial count. RMSE aggregates the
+    per-trial summed squared angle error, matching the stacked-parameter
+    convention of the reported RCRLB.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    gw = echo_channel(scenario) @ np.asarray(result.w)
     truth = np.sort(scenario.target_angles())
     t = truth.size
     sq_sums = np.zeros(trials)
@@ -138,9 +228,8 @@ def monte_carlo(scenario, result, trials, grid_deg=MUSIC_GRID_DEG):
     degraded = 0
     for i in range(trials):
         rng = substream(scenario.seed, "trial", i)
-        x = synthesize_waveform(result.w, scenario.snapshots, rng)
-        echo = synthesize_echo(scenario, x, rng)
-        est, bad = music_estimate(echo, t, grid_deg=grid_deg)
+        cov = echo_covariance(scenario, gw, rng)
+        est, bad = music_estimate(cov, t, grid_deg=grid_deg)
         degraded += bad
         err = est - truth
         estimates[i] = est

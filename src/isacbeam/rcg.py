@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .manifold import check_on_manifold, inner, project_tangent, retract, transport
+from .manifold import check_on_manifold, inner, project_tangent, retract
 
 _TINY = 1e-300
 
@@ -92,7 +92,8 @@ class _Eval:
     value: float
     egrad: np.ndarray
     rgrad: np.ndarray
-    dslope: float       # <rgrad, transported direction>
+    moved: np.ndarray   # search direction transported (projected) to point
+    dslope: float       # <rgrad, moved>
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,8 @@ def _probe(fg, w, d, alpha, radius):
     if not math.isfinite(value):
         raise NumericalError(f"objective returned non-finite value {value}")
     rgrad = project_tangent(point, egrad, radius)
-    dslope = inner(rgrad, project_tangent(point, d, radius))
-    return _Eval(alpha, point, value, egrad, rgrad, dslope)
+    moved = project_tangent(point, d, radius)
+    return _Eval(alpha, point, value, egrad, rgrad, moved, inner(rgrad, moved))
 
 
 def wolfe_linesearch(fg, w, d, f0, slope0, radius, opts):
@@ -255,7 +256,7 @@ def minimize(fg, w0, radius, opts=None, stop_when=None):
             beta = 0.0
         else:
             beta = gnorm2_new / gnorm2
-        d_new = -ev.rgrad + beta * transport(ev.point, d, radius)
+        d_new = -ev.rgrad + beta * ev.moved
         if inner(ev.rgrad, d_new) >= 0.0:
             d_new = -ev.rgrad
             beta = 0.0

@@ -136,6 +136,7 @@ def test_sweep_power_schema_and_trends(cfg_path, tmp_path, capsys):
         low, high = by_mode[("10.0", mode)], by_mode[("20.0", mode)]
         assert float(high[2]) > float(low[2])          # gain grows with power
         assert float(high[3]) < float(low[3])          # sum-CRLB shrinks
+    assert all(0 <= int(r[-1]) <= 3 for r in rows)     # degraded trials of 3
 
 
 def test_sweep_delta_schema_and_zero_delta(cfg_path, tmp_path):
@@ -148,6 +149,7 @@ def test_sweep_delta_schema_and_zero_delta(cfg_path, tmp_path):
     for row in rows:
         assert float(row[4]) >= float(row[5]) - 1e-6   # min_rate vs r_min
     assert float(rows[0][5]) == 0.0
+    assert all(0 <= int(r[-1]) <= 3 for r in rows)     # degraded trials of 3
     assert float(rows[1][2]) >= float(rows[0][2]) * (1.0 - 1e-12)
     # delta = 0 removes the rate constraint entirely
     cfg = load_config(cfg_path)
@@ -162,6 +164,19 @@ def test_sweep_delta_rejects_out_of_range_grid(tmp_path, capsys):
                                      "delta_grid = 0.5, 1.5"),
                    encoding="utf-8")
     assert cli.main(["sweep-delta", "--config", str(ini)]) == 2
+
+
+@pytest.mark.parametrize("command", ["sweep-power", "sweep-delta"])
+@pytest.mark.parametrize("old, new", [
+    ("music_grid_deg = 0.5", "music_grid_deg = 0"),
+    ("music_grid_deg = 0.5", "music_grid_deg = -0.5"),
+    ("trials = 3", "trials = 0"),
+])
+def test_sweeps_reject_unusable_monte_carlo_settings(command, old, new, tmp_path, capsys):
+    ini = tmp_path / "mc.ini"
+    ini.write_text(SMALL_INI.replace(old, new), encoding="utf-8")
+    assert cli.main([command, "--config", str(ini), "--mode", "omnidirectional"]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_beampattern_grid_and_metadata(cfg_path, tmp_path):

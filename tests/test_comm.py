@@ -175,13 +175,21 @@ def test_max_min_monotone_and_consumes_budget():
     assert r2 > r1 > 0
     v = zf_precoder(h)
     used = equal_rate_power(h, v, None, noise, r1).sum()
-    assert abs(used - 1.0) <= 2e-6
+    assert abs(used - 1.0) <= 1e-9
 
 
-def test_max_min_bracket_exhaustion():
+def test_max_min_high_snr_closed_form():
+    # far beyond any bisection bracket: SINR 1e200, about 664 b/s/Hz
     h = np.array([[1.0], [0.0]], dtype=complex)
-    with pytest.raises(NumericalError):
-        max_min_zf_rate(h, 1e-200, 1.0)
+    assert max_min_zf_rate(h, 1e-200, 1.0) == pytest.approx(np.log2(1.0 + 1e200),
+                                                            rel=1e-15)
+
+
+def test_max_min_rejects_unbounded_or_negative_sinr():
+    h = np.array([[1.0], [0.0]], dtype=complex)
+    for noise, p_max in ((0.0, 1.0), (1e-320, 1.0), (0.1, -1.0)):
+        with pytest.raises(NumericalError):
+            max_min_zf_rate(h, noise, p_max)
 
 
 # ------------------------------------------------------------------ cone

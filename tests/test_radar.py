@@ -5,10 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from isacbeam import design
+from isacbeam import design, radar
 from isacbeam.arrays import steering, target_channel
 from isacbeam.radar import (
     EchoBatch,
+    echo_channel,
+    echo_covariance,
     monte_carlo,
     music_estimate,
     synthesize_echo,
@@ -38,6 +40,15 @@ def test_probe_rows_are_exactly_orthogonal():
     assert np.allclose(gram, np.eye(6), atol=1e-10)
     with pytest.raises(ValueError):
         synthesize_probe(10, 9, rng)
+
+
+def test_probe_draws_real_part_then_imaginary_part():
+    # pins the realisation: Z = real draw + 1j * imaginary draw, L x N
+    xt = synthesize_probe(6, 64, substream(3, "trial", 1))
+    twin = substream(3, "trial", 1)
+    z = twin.standard_normal((64, 6)) + 1j * twin.standard_normal((64, 6))
+    q, _ = np.linalg.qr(z)
+    assert np.array_equal(xt, np.sqrt(64) * q.conj().T)
 
 
 def test_waveform_sample_covariance_equals_w_cov():
@@ -108,7 +119,7 @@ def test_music_noiseless_single_target():
     x = synthesize_waveform(_identity_beamformer(s), s.snapshots,
                             np.random.default_rng(2))
     echo = synthesize_echo(s, x, np.random.default_rng(2))
-    est, degraded = music_estimate(echo, 1)
+    est, degraded = music_estimate(echo.covariance, 1)
     assert not degraded
     assert est.shape == (1,)
     assert abs(np.rad2deg(est[0]) - 20.0) <= 0.05
@@ -121,7 +132,7 @@ def test_music_resolves_three_targets_from_a_design_echo():
     rng = substream(1, "trial", 0)
     x = synthesize_waveform(res.w, s.snapshots, rng)
     echo = synthesize_echo(s, x, rng)
-    est, degraded = music_estimate(echo, 3)
+    est, degraded = music_estimate(echo.covariance, 3)
     assert not degraded
     truth = np.sort(s.target_angles())
     assert np.max(np.abs(np.rad2deg(est - truth))) <= 1.0
@@ -133,7 +144,7 @@ def test_music_repeats_strongest_peak_when_short():
     # two requested targets, so the strongest is repeated and flagged
     y = np.tile(2.0 * steering(np.deg2rad(90.0), 4)[:, None], (1, 8))
     echo = EchoBatch(received=y, transmitted=np.zeros((4, 8)), noise_power=1.0)
-    est, degraded = music_estimate(echo, 2, grid_deg=45.0)
+    est, degraded = music_estimate(echo.covariance, 2, grid_deg=45.0)
     assert degraded
     assert est.shape == (2,)
     assert est[0] == est[1]
@@ -143,8 +154,69 @@ def test_music_repeats_strongest_peak_when_short():
 def test_music_rejects_too_many_targets():
     echo = EchoBatch(received=np.eye(4, dtype=complex),
                      transmitted=np.eye(4, dtype=complex), noise_power=1.0)
+    with pytest.raises(ValueError, match="more receive antennas"):
+        music_estimate(echo.covariance, 4)
+
+
+def test_music_rejects_non_covariance_input():
+    echo = EchoBatch(received=np.eye(4, 8, dtype=complex),
+                     transmitted=np.eye(4, 8, dtype=complex), noise_power=1.0)
+    for bad in (echo, echo.received, np.ones(4)):
+        with pytest.raises(ValueError, match="square"):
+            music_estimate(bad, 1)
+
+
+def test_music_noiseless_on_grid_target_keeps_denominator_nonnegative():
+    # at a noiseless target exactly on the grid, ||a||^2 - ||E_s^H a||^2
+    # cancels to rounding (on this draw it rounds to -3.6e-15); those
+    # columns fall back to the noise subspace
+    s = _sensing_scenario(-300.0)
+    gw = echo_channel(s) @ _identity_beamformer(s)
+    cov = echo_covariance(s, gw, substream(0, "trial", 1))
+    theta_deg, denom = radar._music_denominator(cov, 1, radar.MUSIC_GRID_DEG)
+    i = int(np.argmin(np.abs(theta_deg - 20.0)))
+    assert theta_deg[i] == pytest.approx(20.0, abs=1e-9)
+    _, a, a_norm2 = radar._grid(8, radar.MUSIC_GRID_DEG)
+    _, vecs = np.linalg.eigh(cov)
+    signal_form = a_norm2[i] - np.linalg.norm(vecs[:, -1:].conj().T @ a[:, i]) ** 2
+    assert abs(signal_form) < radar.CANCEL_TOL * 8
+    assert np.all(denom >= 0.0)
+    assert np.argmin(denom) == i
+    est, degraded = music_estimate(cov, 1)
+    assert not degraded
+    assert abs(np.rad2deg(est[0]) - 20.0) <= radar.MUSIC_GRID_DEG
+
+
+# ------------------------------------------------- covariance-domain echo
+
+def _random_beamformer(scenario, rng):
+    mt = scenario.array.num_tx
+    n = scenario.num_users + mt
+    w = rng.standard_normal((mt, n)) + 1j * rng.standard_normal((mt, n))
+    return w * np.sqrt(scenario.power_budget / mt) / np.linalg.norm(w, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("noise_dbm", [-96.0, -300.0])
+@pytest.mark.parametrize("mt, mr, k, snapshots", [
+    (8, 8, 0, 64), (8, 8, 2, 10), (32, 32, 6, 1024)])
+def test_echo_covariance_matches_explicit_frame(mt, mr, k, snapshots, noise_dbm):
+    s = make_scenario(num_tx=mt, num_rx=mr, num_users=k, snapshots=snapshots,
+                      noise_power_dbm=noise_dbm, seed=4)
+    w = _random_beamformer(s, np.random.default_rng(mt + k))
+    twin = substream(4, "trial", 2)
+    x = synthesize_waveform(w, snapshots, twin)
+    ref = synthesize_echo(s, x, twin).covariance
+    cov = echo_covariance(s, echo_channel(s) @ w, substream(4, "trial", 2))
+    assert cov.shape == (mr, mr)
+    assert np.linalg.norm(cov - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_echo_covariance_rejects_bad_sizes():
+    s = _sensing_scenario(-96.0, snapshots=6)
     with pytest.raises(ValueError):
-        music_estimate(echo, 4)
+        echo_covariance(s, np.ones((5, 8)), np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        echo_covariance(s, np.ones((8, 8)), np.random.default_rng(0))
 
 
 # ----------------------------------------------------------- monte carlo
@@ -197,6 +269,54 @@ def test_monte_carlo_noise_hurts(mc_scenario, mc_design):
     quiet_rep = monte_carlo(quiet, mc_design, 3, grid_deg=0.1)
     loud_rep = monte_carlo(loud, mc_design, 3, grid_deg=0.1)
     assert loud_rep.rmse >= quiet_rep.rmse
+
+
+def _reference_trial(scenario, w, num_targets, grid_deg, rng):
+    """Explicit frame, then MUSIC on the noise-subspace denominator."""
+    cov = synthesize_echo(scenario, synthesize_waveform(w, scenario.snapshots, rng),
+                          rng).covariance
+    m = cov.shape[0]
+    _, vecs = np.linalg.eigh(cov)
+    theta_deg = np.linspace(-90.0, 90.0, int(round(180.0 / grid_deg)) + 1)
+    a = np.exp(1j * np.pi * np.outer(np.arange(m), np.sin(np.deg2rad(theta_deg))))
+    denom = (np.abs(vecs[:, : m - num_targets].conj().T @ a) ** 2).sum(axis=0)
+    return radar._pick_peaks(theta_deg, denom, num_targets)
+
+
+@pytest.fixture(scope="module")
+def three_target_design():
+    s = make_scenario(num_tx=16, num_rx=16, num_users=4, snapshots=256, seed=1)
+    return s, design.run(s, "sgcdf")
+
+
+@pytest.mark.parametrize("case, grid_deg", [("two_targets", 0.1),
+                                            ("three_targets", radar.MUSIC_GRID_DEG)])
+def test_monte_carlo_matches_explicit_frame_reference(case, grid_deg, mc_scenario,
+                                                      mc_design, three_target_design,
+                                                      monkeypatch):
+    s, res = ((mc_scenario, mc_design) if case == "two_targets"
+              else three_target_design)
+    seen = []
+
+    def recording(cov, num_targets, grid_deg):
+        out = music_estimate(cov, num_targets, grid_deg)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(radar, "music_estimate", recording)
+    trials = 6
+    rep = monte_carlo(s, res, trials, grid_deg=grid_deg)
+    t = len(s.targets)
+    ref = [_reference_trial(s, res.w, t, grid_deg, substream(s.seed, "trial", i))
+           for i in range(trials)]
+    assert len(seen) == trials
+    for (est, bad), (ref_est, ref_bad) in zip(seen, ref):
+        assert bad == ref_bad
+        assert np.max(np.abs(est - ref_est)) <= 1e-12
+    assert rep.degraded_trials == sum(bad for _, bad in ref)
+    truth = np.sort(s.target_angles())
+    sq = [float((est - truth) @ (est - truth)) for est, _ in ref]
+    assert rep.rmse == pytest.approx(np.sqrt(np.mean(sq)), rel=1e-9)
 
 
 def test_monte_carlo_rejects_zero_trials(mc_scenario, mc_design):
