@@ -87,6 +87,10 @@ def _iters(trace):
     return trace.iterations if trace is not None else ""
 
 
+def _termination(trace):
+    return trace.termination if trace is not None else ""
+
+
 def _monte_carlo_settings(cfg):
     """(trials, MUSIC grid step in degrees) of the sweeps, validated."""
     trials = cfg.get("experiment", "trials")
@@ -108,6 +112,11 @@ def cmd_design(args):
     cfg = load_config(args.config)
     mode = _modes(args.mode)[0]
     scenario, res = _run_one(cfg, mode, seed=args.seed)
+    status = [
+        ("sp1_termination", _termination(res.traces["sp1"])),
+        ("sp2_termination", _termination(res.traces["sp2"])),
+        ("flags", ";".join(res.flags)),
+    ]
     record = [
         ("mode", res.mode),
         ("sum_crlb", _fmt(res.sum_crlb)),
@@ -118,7 +127,7 @@ def cmd_design(args):
         ("sp1_iterations", _iters(res.traces["sp1"])),
         ("sp2_iterations", _iters(res.traces["sp2"])),
         ("rates", ";".join(_fmt(r) for r in res.rates.rate)),
-    ]
+    ] + status
     for key, value in record:
         print(f"{key}={value}")
     if args.out:
@@ -126,7 +135,7 @@ def cmd_design(args):
                res.rates.min_rate, res.wall_time,
                _iters(res.traces["sp1"]), _iters(res.traces["sp2"]),
                ";".join(_fmt(r) for r in res.rates.rate)]
-        write_csv(DESIGN_HEADER, [row], out_path=args.out)
+        write_csv(DESIGN_HEADER, [row], out_path=args.out, metadata=status)
     return 0
 
 

@@ -13,14 +13,16 @@ coupling Q_ij. With V = B W (2T x N) and C = V V^H, F is the real part
 of the 2 x 2 block sums of Q o C^T; no M_T x M_T matrix is formed.
 
 The design objective is f1 = tr(F^-1), the sum of the per-target CRLBs.
-Its Euclidean gradient is -2 sum_ij [F^-2]_ij A_ij W, which in factored
-form is 2 B^H (M V) with M the blocks of Q scaled by -F^-2.
+One symmetric eigendecomposition F = U diag(lam) U^T serves both the
+positivity and condition checks (on lam) and the inverse,
+F^-1 = (U / lam) U^T. The Euclidean gradient of f1 is
+-2 sum_ij [F^-2]_ij A_ij W, which in factored form is 2 B^H (M V) with
+M the blocks of Q scaled by -F^-2.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .arrays import steering, steering_derivative
 from .errors import NumericalError
@@ -70,7 +72,11 @@ def coupling_matrices(scenario):
 
 
 def fisher_matrix(w, coupling):
-    """Evaluate F, F^-1 and the sum-CRLB at a beamformer W."""
+    """Evaluate F, F^-1 and the sum-CRLB at a beamformer W.
+
+    Raises NumericalError when F is not positive definite or its
+    eigenvalue ratio exceeds COND_LIMIT.
+    """
     w = np.asarray(w)
     if w.shape[0] != coupling.b.shape[1]:
         raise ValueError("beamformer row count does not match the array")
@@ -82,12 +88,11 @@ def fisher_matrix(w, coupling):
     if asym > 1e-9 * max(np.abs(f).max(), 1e-300):
         raise NumericalError("Fisher matrix lost symmetry")
     f = 0.5 * (f + f.T)
-    eigs = np.linalg.eigvalsh(f)
+    eigs, vecs = np.linalg.eigh(f)
     if eigs[0] <= 0 or eigs[-1] / eigs[0] > COND_LIMIT:
         raise NumericalError("Fisher matrix singular or near-singular: "
                              "targets not resolvable with this beamformer")
-    chol = cho_factor(f, lower=True)
-    inv = cho_solve(chol, np.eye(t))
+    inv = (vecs / eigs) @ vecs.T
     inv = 0.5 * (inv + inv.T)
     return FisherState(matrix=f, inverse=inv, objective=float(np.trace(inv)))
 

@@ -58,13 +58,18 @@ def initial_point(scenario, r_min, zero_sensing=False):
     is sqrt(p_s/M_T) I with p_s the leftover budget, solved jointly with
     the powers since the sensing block interferes with the users. With
     ``zero_sensing`` the sensing block is identically zero and the
-    communication columns keep their ZF powers.
+    communication columns keep their ZF powers. Raises ConfigError for
+    ``zero_sensing`` without users, where every column would be zero and
+    no point of the manifold exists.
     """
     mt = scenario.array.num_tx
     k = scenario.num_users
     p_max = scenario.power_budget
     flags = []
     if k == 0:
+        if zero_sensing:
+            raise ConfigError("no_dedicated_stream needs at least one user: "
+                              "without users and sensing streams the beamformer is zero")
         w = np.sqrt(p_max / mt) * np.eye(mt, dtype=complex)
         return w, tuple(flags)
 

@@ -16,11 +16,9 @@ ROW_TOL = 1e-10   # relative row-norm tolerance for manifold membership
 
 def inner(a, b):
     """Real trace inner product Re tr(A B^H)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
+    if np.shape(a) != np.shape(b):
         raise ValueError("shape mismatch in inner product")
-    return float(np.sum(a.real * b.real + a.imag * b.imag))
+    return float(np.vdot(a, b).real)
 
 
 def row_norms(w):

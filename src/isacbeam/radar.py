@@ -26,8 +26,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.signal import find_peaks
 
 from .arrays import steering_matrix, target_channel
 from .scenario import substream
@@ -126,7 +124,7 @@ def echo_covariance(scenario, gw, rng):
     r = np.linalg.qr(z, mode="r")
     noise = _noise_draw(scenario, snapshots, rng)
     # R^-H (N Z)^H = (N Z R^-1)^H, the noise seen through Q
-    nq_h = solve_triangular(r, (noise @ z).conj().T, trans="C")
+    nq_h = np.linalg.solve(r.conj().T, (noise @ z).conj().T)
     cross = np.sqrt(snapshots) * (gw @ nq_h)
     return gw @ gw.conj().T + (cross + cross.conj().T + noise @ noise.conj().T) / snapshots
 
@@ -172,14 +170,36 @@ def _music_denominator(cov, num_targets, grid_deg):
     return theta_deg, denom
 
 
+def _local_maxima(x):
+    """Indices of the local maxima of a 1-D array, in ascending order.
+
+    A maximum is a run of equal samples (one sample or a flat top) with
+    a strictly smaller neighbour on each side; a flat top reports its
+    middle index, (left + right) // 2, and edge samples never qualify.
+    Neighbours are compared, never subtracted, so runs of inf are flat
+    tops and NaN is no maximum. Same indices as
+    ``scipy.signal.find_peaks(x)``.
+    """
+    x = np.asarray(x)
+    if x.size < 3:
+        return np.empty(0, dtype=np.intp)
+    starts = np.concatenate(([0], np.flatnonzero(x[1:] != x[:-1]) + 1))
+    level = x[starts]
+    # run i is a maximum when runs i - 1 and i + 1 both lie below it;
+    # it ends where run i + 1 starts
+    top = (level[:-2] < level[1:-1]) & (level[2:] < level[1:-1])
+    return (starts[1:-1][top] + starts[2:][top] - 1) // 2
+
+
 def _pick_peaks(theta_deg, denom, num_targets):
     """Tallest pseudospectrum peaks, one parabolic refinement each."""
     pseudo = 1.0 / denom
-    idx, props = find_peaks(pseudo, height=0.0)
+    idx = _local_maxima(pseudo)
+    idx = idx[pseudo[idx] >= 0.0]
     degraded = idx.size < num_targets
     if idx.size == 0:
         return np.full(num_targets, np.deg2rad(theta_deg[int(np.argmax(pseudo))])), True
-    order = np.argsort(props["peak_heights"])[::-1]
+    order = np.argsort(pseudo[idx])[::-1]
     picked = list(idx[order[:num_targets]])
     while len(picked) < num_targets:
         picked.append(picked[0])

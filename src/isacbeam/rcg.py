@@ -48,6 +48,7 @@ class IterRecord:
     step: float
     beta: float
     wolfe_ok: bool
+    evals: int          # line-search probes of this step
 
 
 @dataclass
@@ -70,10 +71,10 @@ class SolverTrace:
 
     def to_csv(self, stream):
         writer = csv.writer(stream)
-        writer.writerow(["iter", "f", "gnorm", "step", "beta"])
+        writer.writerow(["iter", "f", "gnorm", "step", "beta", "wolfe_ok", "evals"])
         for r in self.records:
             writer.writerow([r.iteration, repr(r.objective), repr(r.grad_norm),
-                             repr(r.step), repr(r.beta)])
+                             repr(r.step), repr(r.beta), int(r.wolfe_ok), r.evals])
 
 
 def fletcher_reeves_beta(grad_new, grad_old):
@@ -261,7 +262,7 @@ def minimize(fg, w0, radius, opts=None, stop_when=None):
             d_new = -ev.rgrad
             beta = 0.0
         trace.records.append(IterRecord(it, ev.value, math.sqrt(gnorm2_new),
-                                        ls.step, beta, ls.wolfe_ok))
+                                        ls.step, beta, ls.wolfe_ok, ls.evals))
         df = abs(f - ev.value)
         w, f, rgrad, d, gnorm2 = ev.point, ev.value, ev.rgrad, d_new, gnorm2_new
         if df < opts.eps:

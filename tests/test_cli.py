@@ -1,5 +1,10 @@
 """End-to-end command-line behavior and CSV schemas."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -44,12 +49,16 @@ def test_design_prints_key_value_record(cfg_path, capsys):
     rec = _record(capsys)
     assert list(rec) == ["mode", "sum_crlb", "rcrlb_deg", "min_rate", "r_min",
                         "wall_time_s", "sp1_iterations", "sp2_iterations",
-                        "rates"]
+                        "rates", "sp1_termination", "sp2_termination", "flags"]
     assert rec["mode"] == "sgcdf"
     assert float(rec["sum_crlb"]) > 0
     assert float(rec["min_rate"]) >= float(rec["r_min"]) - 1e-6
     assert int(rec["sp1_iterations"]) >= 0
     assert len(rec["rates"].split(";")) == 2
+    assert rec["sp1_termination"] in ("grad_tol", "obj_tol", "max_iters",
+                                      "linesearch_fail")
+    assert rec["sp2_termination"] == "target_met"
+    assert rec["flags"] == ""
 
 
 def test_design_sensing_only_leaves_sp2_blank(cfg_path, capsys):
@@ -57,6 +66,7 @@ def test_design_sensing_only_leaves_sp2_blank(cfg_path, capsys):
                      "--mode", "sensing_only"]) == 0
     rec = _record(capsys)
     assert rec["sp2_iterations"] == ""
+    assert rec["sp2_termination"] == ""
     assert int(rec["sp1_iterations"]) >= 1
 
 
@@ -66,11 +76,40 @@ def test_design_writes_single_row_csv(cfg_path, tmp_path, capsys):
                      "--out", str(out)]) == 0
     rec = _record(capsys)
     meta, header, rows = cli.read_csv(out.read_text(encoding="utf-8"))
-    assert meta == []
+    assert meta == [(key, rec[key]) for key in
+                    ("sp1_termination", "sp2_termination", "flags")]
     assert header == cli.DESIGN_HEADER
     assert len(rows) == 1
     assert rows[0][0] == "sgcdf"
     assert float(rows[0][1]) == float(rec["sum_crlb"])
+
+
+def test_design_reports_init_flags(tmp_path, capsys):
+    # four antennas cannot zero-force six users: the warm start falls back
+    path = tmp_path / "overloaded.ini"
+    path.write_text(SMALL_INI.replace("num_tx = 8", "num_tx = 4")
+                    .replace("num_users = 2", "num_users = 6"), encoding="utf-8")
+    assert cli.main(["design", "--config", str(path), "--mode", "sensing_only"]) == 0
+    assert _record(capsys)["flags"] == "zf_infeasible_fallback"
+
+
+def test_no_dedicated_stream_without_users_exits_2(tmp_path, capsys):
+    path = tmp_path / "no_users.ini"
+    path.write_text("[scenario]\nnum_users = 0\nnum_tx = 8\nnum_rx = 8\n"
+                    "snapshots = 64\n", encoding="utf-8")
+    assert cli.main(["design", "--config", str(path),
+                     "--mode", "no_dedicated_stream"]) == 2
+    assert "needs at least one user" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, isacbeam.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(isacbeam.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_unknown_mode_exits_2(cfg_path, capsys):

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isacbeam import comm, design, manifold
 from isacbeam.arrays import beampattern_trace
+from isacbeam.config import build_scenario, parse_config
 from isacbeam.errors import ConfigError, InfeasibleError, NumericalError
 from isacbeam.rcg import RcgOptions
 from isacbeam.scenario import make_scenario
@@ -98,6 +101,52 @@ def test_floorless_modes_run_when_zf_impossible():
         assert np.isfinite(res.sum_crlb) and res.sum_crlb > 0
     with pytest.raises(NumericalError, match="ZF impossible"):
         design.run(s, "sgcdf")
+
+
+def test_no_dedicated_stream_needs_a_user():
+    s = make_scenario(num_tx=8, num_rx=8, num_users=0, snapshots=64)
+    with pytest.raises(ConfigError, match="at least one user"):
+        design.run(s, "no_dedicated_stream")
+    for mode in ("sgcdf", "sensing_only", "omnidirectional"):
+        assert manifold.is_on_manifold(design.run(s, mode).w, s.row_radius)
+
+
+_INI = """
+[scenario]
+num_tx = {mt}
+num_rx = {mr}
+num_users = {k}
+target_angles_deg = {angles}
+target_ranges_m = {ranges}
+power_budget_dbm = {power!r}
+overload = {overload!r}
+snapshots = {snapshots}
+seed = {seed}
+"""
+
+
+@settings(max_examples=40, deadline=None)
+@given(mt=st.integers(2, 12), mr=st.integers(2, 12), k=st.integers(0, 8),
+       angles=st.lists(st.floats(-85.0, 85.0), min_size=1, max_size=3, unique=True),
+       power=st.floats(0.0, 40.0), overload=st.floats(0.0, 1.0),
+       slack=st.integers(0, 32), seed=st.integers(0, 1000),
+       mode=st.sampled_from(design.MODES))
+def test_every_mode_keeps_its_invariants_or_raises_typed_error(
+        mt, mr, k, angles, power, overload, slack, seed, mode):
+    text = _INI.format(mt=mt, mr=mr, k=k, angles=", ".join(map(repr, angles)),
+                       ranges=", ".join("50.0" for _ in angles), power=power,
+                       overload=overload, snapshots=k + mt + slack, seed=seed)
+    try:
+        s = build_scenario(parse_config(text))
+        res = design.run(s, mode)
+    except (ConfigError, InfeasibleError, NumericalError):
+        return
+    assert manifold.is_on_manifold(res.w, s.row_radius)
+    assert np.isfinite(res.sum_crlb) and res.sum_crlb > 0
+    if mode in ("sgcdf", "no_dedicated_stream"):
+        assert res.rates.min_rate >= res.r_min - design.RATE_SLACK
+    if mode == "no_dedicated_stream":
+        assert not np.any(res.w[:, k:])
 
 
 def test_omnidirectional_covariance_is_scaled_identity(small, small_results):

@@ -187,6 +187,17 @@ def test_inner_matches_elementwise_sum():
     assert inner(a, b) == pytest.approx(direct, rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (32, 38)])
+def test_inner_matches_trace_product(shape):
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    b = a + 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    assert inner(a, b) == pytest.approx(np.trace(a @ b.conj().T).real, rel=1e-14)
+    # equal sizes, different shapes: still no inner product
+    with pytest.raises(ValueError):
+        inner(a, b.T)
+
+
 def test_is_on_manifold_checks():
     rng = np.random.default_rng(5)
     w = random_point(3, 4, 1.0, rng)

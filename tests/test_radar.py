@@ -4,6 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from isacbeam import design, radar
 from isacbeam.arrays import steering, target_channel
@@ -149,6 +152,19 @@ def test_music_repeats_strongest_peak_when_short():
     assert est.shape == (2,)
     assert est[0] == est[1]
     assert abs(est[0]) <= np.deg2rad(1e-6)
+
+
+# samples from a few levels, so flat tops, edge runs and runs of inf occur often
+_levels = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0, np.inf, -np.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(st.one_of(_levels, st.floats(allow_nan=False)), max_size=40))
+def test_local_maxima_match_scipy_find_peaks(x):
+    x = np.array(x, dtype=float)
+    idx = radar._local_maxima(x)
+    assert np.array_equal(idx, find_peaks(x)[0])
+    assert np.array_equal(idx[x[idx] >= 0.0], find_peaks(x, height=0.0)[0])
 
 
 def test_music_rejects_too_many_targets():

@@ -208,7 +208,12 @@ def test_trace_to_csv_layout():
     buf = io.StringIO()
     trace.to_csv(buf)
     lines = buf.getvalue().strip().splitlines()
-    assert lines[0].split(",") == ["iter", "f", "gnorm", "step", "beta"]
+    assert lines[0].split(",") == ["iter", "f", "gnorm", "step", "beta",
+                                   "wolfe_ok", "evals"]
     assert len(lines) == 1 + trace.iterations
 
     assert float(lines[1].split(",")[1]) == trace.records[0].objective
+    for line, rec in zip(lines[1:], trace.records):
+        cells = line.split(",")
+        assert cells[5] == str(int(rec.wolfe_ok))
+        assert int(cells[6]) == rec.evals >= 1
