@@ -18,7 +18,7 @@ from .design import (DesignResult, MODES, initial_point, rate_target, run,
                      solve_sp1, solve_sp2)
 from .errors import ConfigError, InfeasibleError, NumericalError
 from .manifold import (inner, is_on_manifold, project_tangent, random_point,
-                       random_tangent, retract, row_norms, transport)
+                       random_tangent, retract, row_norms)
 from .radar import (EchoBatch, EstimationReport, echo_channel, echo_covariance,
                     monte_carlo, music_estimate, synthesize_echo, synthesize_probe,
                     synthesize_waveform)

@@ -15,17 +15,14 @@ HALF_PLANE = (-np.pi / 2, np.pi / 2)
 
 @dataclass(frozen=True)
 class ArrayConfig:
-    """Co-located transmit/receive ULA sizes, spacing in wavelengths."""
+    """Co-located transmit/receive half-wavelength ULA sizes."""
 
     num_tx: int
     num_rx: int
-    spacing: float = 0.5
 
     def __post_init__(self):
         if self.num_tx < 1 or self.num_rx < 1:
             raise ValueError("array needs at least one element per side")
-        if self.spacing <= 0:
-            raise ValueError("element spacing must be positive")
 
 
 def _check_angle(theta):

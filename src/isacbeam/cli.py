@@ -1,6 +1,6 @@
 """Command-line entry points and CSV emission.
 
-Subcommands: design, sweep-power, sweep-delta, beampattern, timing.
+Subcommands: design, sweep-power, sweep-delta, beampattern.
 Each reads an optional INI config (defaults mirror the standard
 simulation table), applies --seed/--mode/--out overrides, and emits CSV
 with a fixed column schema. Rows are ordered by (grid index, mode) and
@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 configuration error, 3 infeasible design,
 import argparse
 import csv
 import io
-import statistics
 import sys
 
 import numpy as np
@@ -29,7 +28,6 @@ SWEEP_POWER_HEADER = ["p_max_dbm", "mode", "sum_beampattern_gain_db",
 SWEEP_DELTA_HEADER = ["delta", "mode", "sum_crlb", "rmse_deg", "min_rate", "r_min",
                       "degraded_trials"]
 BEAMPATTERN_HEADER = ["theta_deg", "mode", "gain_db"]
-TIMING_HEADER = ["mode", "stage", "mean_s", "stddev_s", "runs"]
 DESIGN_HEADER = ["mode", "sum_crlb", "rcrlb_deg", "min_rate", "wall_time_s",
                  "sp1_iterations", "sp2_iterations", "rates"]
 
@@ -186,7 +184,7 @@ def cmd_beampattern(args):
     cfg = load_config(args.config)
     modes = _modes(args.mode)
     step = cfg.get("experiment", "grid_deg")
-    if step <= 0:
+    if not step > 0:
         raise ConfigError("beampattern grid resolution must be positive")
     points = int(round(180.0 / step)) + 1
     theta_deg = np.linspace(-90.0, 90.0, points)
@@ -208,30 +206,6 @@ def cmd_beampattern(args):
     return 0
 
 
-def cmd_timing(args):
-    cfg = load_config(args.config)
-    modes = _modes(args.mode)
-    runs = cfg.get("experiment", "trials")
-    if runs < 3:
-        raise ConfigError("timing needs at least 3 runs (experiment trials)")
-    rows = []
-    for mode in modes:
-        stages = {}
-        totals = []
-        for _ in range(runs):
-            _, res = _run_one(cfg, mode, seed=args.seed)
-            totals.append(res.wall_time)
-            for stage, seconds in res.stage_times.items():
-                stages.setdefault(stage, []).append(seconds)
-        for stage in sorted(stages):
-            rows.append([mode, stage, statistics.mean(stages[stage]),
-                         statistics.stdev(stages[stage]), runs])
-        rows.append([mode, "total", statistics.mean(totals),
-                     statistics.stdev(totals), runs])
-    write_csv(TIMING_HEADER, rows, out_path=args.out)
-    return 0
-
-
 def _parser():
     parser = argparse.ArgumentParser(
         prog="isacbeam",
@@ -242,7 +216,6 @@ def _parser():
         ("sweep-power", cmd_sweep_power, "design and evaluate over a power grid"),
         ("sweep-delta", cmd_sweep_delta, "design and evaluate over overload factors"),
         ("beampattern", cmd_beampattern, "emit beampattern traces per mode"),
-        ("timing", cmd_timing, "repeat designs and report stage timings"),
     ]
     for name, func, help_text in specs:
         p = sub.add_parser(name, help=help_text)

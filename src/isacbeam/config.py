@@ -11,9 +11,9 @@ import configparser
 import io
 from dataclasses import dataclass
 
+from . import scenario as sc
 from .errors import ConfigError
 from .rcg import RcgOptions
-from .scenario import make_scenario
 
 
 def _float_list(text):
@@ -25,24 +25,24 @@ def _float_list(text):
 
 _SCHEMA = {
     "scenario": {
-        "num_tx": (int, 32),
-        "num_rx": (int, 32),
-        "num_users": (int, 6),
-        "target_angles_deg": (_float_list, (-45.0, 30.0, 60.0)),
-        "target_ranges_m": (_float_list, (50.0, 60.0, 70.0)),
-        "noise_power_dbm": (float, -96.0),
-        "power_budget_dbm": (float, 20.0),
-        "snapshots": (int, 1024),
-        "rician_k": (float, 0.1),
-        "overload": (float, 0.7),
-        "seed": (int, 1),
-        "user_range_min_m": (float, 50.0),
-        "user_range_max_m": (float, 55.0),
-        "user_angle_min_deg": (float, -25.0),
-        "user_angle_max_deg": (float, 25.0),
-        "pathloss_exponent": (float, 2.2),
-        "pathloss_ref_db": (float, -30.0),
-        "pathloss_ref_m": (float, 1.0),
+        "num_tx": (int, sc.DEFAULT_NUM_TX),
+        "num_rx": (int, sc.DEFAULT_NUM_RX),
+        "num_users": (int, sc.DEFAULT_NUM_USERS),
+        "target_angles_deg": (_float_list, sc.DEFAULT_TARGET_ANGLES_DEG),
+        "target_ranges_m": (_float_list, sc.DEFAULT_TARGET_RANGES_M),
+        "noise_power_dbm": (float, sc.DEFAULT_NOISE_POWER_DBM),
+        "power_budget_dbm": (float, sc.DEFAULT_POWER_BUDGET_DBM),
+        "snapshots": (int, sc.DEFAULT_SNAPSHOTS),
+        "rician_k": (float, sc.DEFAULT_RICIAN_K),
+        "overload": (float, sc.DEFAULT_OVERLOAD),
+        "seed": (int, sc.DEFAULT_SEED),
+        "user_range_min_m": (float, sc.DEFAULT_USER_RANGE_M[0]),
+        "user_range_max_m": (float, sc.DEFAULT_USER_RANGE_M[1]),
+        "user_angle_min_deg": (float, sc.DEFAULT_USER_SECTOR_DEG[0]),
+        "user_angle_max_deg": (float, sc.DEFAULT_USER_SECTOR_DEG[1]),
+        "pathloss_exponent": (float, sc.DEFAULT_PATHLOSS_EXPONENT),
+        "pathloss_ref_db": (float, sc.DEFAULT_PATHLOSS_REF_DB),
+        "pathloss_ref_m": (float, sc.DEFAULT_PATHLOSS_REF_M),
     },
     "solver": {
         "c1": (float, 1e-4),
@@ -58,8 +58,6 @@ _SCHEMA = {
         "trials": (int, 30),
         "grid_deg": (float, 0.1),        # beampattern trace resolution
         "music_grid_deg": (float, 0.02),
-        "seed": (int, 0),                # 0 means use the scenario seed
-        "out": (str, ""),
     },
 }
 
@@ -141,7 +139,7 @@ def build_scenario(cfg, seed=None, power_budget_dbm=None, overload=None):
     """Scenario from the config's scenario section, with overrides."""
     s = cfg.section("scenario")
     if seed is None:
-        seed = cfg.get("experiment", "seed") or s["seed"]
+        seed = s["seed"]
     if power_budget_dbm is None:
         power_budget_dbm = s["power_budget_dbm"]
     if overload is None:
@@ -156,7 +154,7 @@ def build_scenario(cfg, seed=None, power_budget_dbm=None, overload=None):
         raise ConfigError(f"num_rx = {s['num_rx']} must exceed the number of targets "
                           f"({len(s['target_angles_deg'])})")
     try:
-        return make_scenario(
+        return sc.make_scenario(
             num_tx=s["num_tx"], num_rx=s["num_rx"], num_users=s["num_users"],
             target_angles_deg=s["target_angles_deg"],
             target_ranges_m=s["target_ranges_m"],

@@ -129,8 +129,8 @@ def _normalized(value_grad, base):
     return fg
 
 
-def solve_sp1(scenario, opts=None, w0=None, r_min=0.0, coupling=None):
-    """Stage I: minimize the sum-CRLB over the manifold.
+def solve_sp1(scenario, w0, opts=None, coupling=None):
+    """Stage I: minimize the sum-CRLB over the manifold from ``w0``.
 
     Returns (w, trace). On a singular Fisher matrix at the start the
     sensing column phases are re-randomized once before giving up.
@@ -138,8 +138,6 @@ def solve_sp1(scenario, opts=None, w0=None, r_min=0.0, coupling=None):
     opts = opts or rcg.RcgOptions()
     if coupling is None:
         coupling = crlb.coupling_matrices(scenario)
-    if w0 is None:
-        w0, _ = initial_point(scenario, r_min)
 
     def value_grad(w):
         state = crlb.fisher_matrix(w, coupling)
@@ -226,20 +224,19 @@ def rate_target(scenario):
         scenario.channel_matrix(), scenario.noise_power, scenario.power_budget)
 
 
-def run(scenario, mode="sgcdf", opts=None, r_min=None):
+def run(scenario, mode="sgcdf", opts=None):
     """Full design pipeline for one scenario and mode."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode '{mode}' (choose from {', '.join(MODES)})")
     opts = opts or rcg.RcgOptions()
     t_start = time.perf_counter()
-    if r_min is None:
-        try:
-            r_min = rate_target(scenario)
-        except NumericalError:
-            if mode not in FLOORLESS_MODES:
-                raise
-            # no ZF design exists to set a floor; these modes need none
-            r_min = 0.0
+    try:
+        r_min = rate_target(scenario)
+    except NumericalError:
+        if mode not in FLOORLESS_MODES:
+            raise
+        # no ZF design exists to set a floor; these modes need none
+        r_min = 0.0
 
     mt = scenario.array.num_tx
     coupling = crlb.coupling_matrices(scenario)
@@ -253,7 +250,7 @@ def run(scenario, mode="sgcdf", opts=None, r_min=None):
         w0, flags = initial_point(scenario, r_min,
                                   zero_sensing=(mode == "no_dedicated_stream"))
         t0 = time.perf_counter()
-        w, traces["sp1"] = solve_sp1(scenario, opts, w0=w0, coupling=coupling)
+        w, traces["sp1"] = solve_sp1(scenario, w0, opts, coupling=coupling)
         stage_times["sp1"] = time.perf_counter() - t0
         if mode in ("sgcdf", "no_dedicated_stream"):
             t0 = time.perf_counter()

@@ -2,9 +2,9 @@
 
 The beamformer W (M_T x (K+M_T)) lives on the manifold where every row
 has Euclidean norm rho = sqrt(P_max/M_T), so each antenna transmits at
-exactly its power share. Tangent projection, row-renormalizing
-retraction, and projection-based vector transport are the three
-operators the conjugate-gradient solver needs.
+exactly its power share. Tangent projection (which also serves as the
+vector transport) and row-renormalizing retraction are the operators
+the conjugate-gradient solver needs.
 """
 
 import numpy as np
@@ -53,11 +53,6 @@ def retract(y, radius):
     if np.any(norms == 0.0):
         raise NumericalError("retraction of a zero row is undefined")
     return y * (radius / norms)[:, None]
-
-
-def transport(w_new, d, radius):
-    """Move a tangent vector to the tangent space at w_new (by projection)."""
-    return project_tangent(w_new, d, radius)
 
 
 def random_point(num_rows, num_cols, radius, rng):

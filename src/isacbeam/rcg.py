@@ -34,6 +34,9 @@ class RcgOptions:
         # descent of every FR direction needs c2 < 1/2
         if not (0.0 < self.c1 < self.c2 < 0.5):
             raise ValueError("need 0 < c1 < c2 < 1/2")
+        # eps = 0 is valid: stage II stops on its rate guard instead
+        if not (0.0 <= self.eps < math.inf):
+            raise ValueError("eps must be finite and nonnegative")
         if self.max_iters < 1 or self.max_linesearch_evals < 1:
             raise ValueError("iteration budgets must be positive")
         if self.max_step_norm is not None and self.max_step_norm <= 0:
@@ -91,7 +94,6 @@ class _Eval:
     step: float
     point: np.ndarray
     value: float
-    egrad: np.ndarray
     rgrad: np.ndarray
     moved: np.ndarray   # search direction transported (projected) to point
     dslope: float       # <rgrad, moved>
@@ -112,7 +114,7 @@ def _probe(fg, w, d, alpha, radius):
         raise NumericalError(f"objective returned non-finite value {value}")
     rgrad = project_tangent(point, egrad, radius)
     moved = project_tangent(point, d, radius)
-    return _Eval(alpha, point, value, egrad, rgrad, moved, inner(rgrad, moved))
+    return _Eval(alpha, point, value, rgrad, moved, inner(rgrad, moved))
 
 
 def wolfe_linesearch(fg, w, d, f0, slope0, radius, opts):

@@ -9,13 +9,22 @@ and reproducibly.
 """
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arrays import ArrayConfig, steering
 
-# Default deployment geometry, reused by the CLI defaults.
+# Default deployment; make_scenario and the config defaults both read these.
+DEFAULT_NUM_TX = 32
+DEFAULT_NUM_RX = 32
+DEFAULT_NUM_USERS = 6
+DEFAULT_NOISE_POWER_DBM = -96.0
+DEFAULT_POWER_BUDGET_DBM = 20.0
+DEFAULT_SNAPSHOTS = 1024
+DEFAULT_RICIAN_K = 0.1
+DEFAULT_OVERLOAD = 0.7
+DEFAULT_SEED = 1
 DEFAULT_TARGET_ANGLES_DEG = (-45.0, 30.0, 60.0)
 DEFAULT_TARGET_RANGES_M = (50.0, 60.0, 70.0)
 DEFAULT_USER_RANGE_M = (50.0, 55.0)
@@ -96,13 +105,12 @@ class Scenario:
     rician_k: float
     overload: float       # delta in [0, 1]
     seed: int
-    flags: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         if len(self.targets) < 1:
             raise ValueError("need at least one target")
-        if self.noise_power <= 0 or self.power_budget <= 0:
-            raise ValueError("noise power and power budget must be positive")
+        if not (0.0 < self.noise_power < np.inf and 0.0 < self.power_budget < np.inf):
+            raise ValueError("noise power and power budget must be positive and finite")
         if self.snapshots < 1:
             raise ValueError("need at least one snapshot")
         if not (0.0 <= self.overload <= 1.0):
@@ -183,11 +191,14 @@ def make_user_channels(num_users, num_tx, rician_k, rng,
     return users
 
 
-def make_scenario(num_tx=32, num_rx=32, num_users=6,
+def make_scenario(num_tx=DEFAULT_NUM_TX, num_rx=DEFAULT_NUM_RX,
+                  num_users=DEFAULT_NUM_USERS,
                   target_angles_deg=DEFAULT_TARGET_ANGLES_DEG,
                   target_ranges_m=DEFAULT_TARGET_RANGES_M,
-                  noise_power_dbm=-96.0, power_budget_dbm=20.0,
-                  snapshots=1024, rician_k=0.1, overload=0.7, seed=1,
+                  noise_power_dbm=DEFAULT_NOISE_POWER_DBM,
+                  power_budget_dbm=DEFAULT_POWER_BUDGET_DBM,
+                  snapshots=DEFAULT_SNAPSHOTS, rician_k=DEFAULT_RICIAN_K,
+                  overload=DEFAULT_OVERLOAD, seed=DEFAULT_SEED,
                   user_range_m=DEFAULT_USER_RANGE_M,
                   user_sector_deg=DEFAULT_USER_SECTOR_DEG,
                   pathloss_exponent=DEFAULT_PATHLOSS_EXPONENT,

@@ -164,5 +164,3 @@ def test_steering_matrix_stacks_columns():
 def test_array_config_validation():
     with pytest.raises(ValueError):
         ArrayConfig(num_tx=0, num_rx=4)
-    with pytest.raises(ValueError):
-        ArrayConfig(num_tx=4, num_rx=4, spacing=0.0)

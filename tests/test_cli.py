@@ -10,7 +10,8 @@ import pytest
 
 import isacbeam.design
 from isacbeam import cli, design
-from isacbeam.config import build_options, build_scenario, load_config
+from isacbeam.config import (_SCHEMA, ExperimentConfig, build_options, build_scenario,
+                             load_config)
 from isacbeam.errors import InfeasibleError
 
 SMALL_INI = """
@@ -236,22 +237,73 @@ def test_beampattern_grid_and_metadata(cfg_path, tmp_path):
     assert all(np.isfinite(float(r[2])) for r in rows)
 
 
-def test_timing_reports_stage_means(cfg_path, tmp_path):
-    out = tmp_path / "t.csv"
-    assert cli.main(["timing", "--config", cfg_path,
-                     "--mode", "sensing_only", "--out", str(out)]) == 0
-    _, header, rows = cli.read_csv(out.read_text(encoding="utf-8"))
-    assert header == cli.TIMING_HEADER
-    assert [(r[0], r[1]) for r in rows] == [("sensing_only", "sp1"),
-                                            ("sensing_only", "total")]
-    sp1, total = rows
-    assert all(r[4] == "3" for r in rows)
-    assert 0.0 <= float(sp1[2]) <= float(total[2])
-    assert float(sp1[3]) >= 0.0
-
-
-def test_timing_needs_three_runs(tmp_path, capsys):
-    ini = tmp_path / "short.ini"
-    ini.write_text(SMALL_INI.replace("trials = 3", "trials = 2"),
+@pytest.mark.parametrize("mode", design.MODES)
+@pytest.mark.parametrize("key", ["power_budget_dbm", "noise_power_dbm"])
+def test_non_finite_powers_exit_2(key, mode, tmp_path, capsys):
+    ini = tmp_path / "power.ini"
+    ini.write_text(SMALL_INI.replace("seed = 3", f"seed = 3\n{key} = nan"),
                    encoding="utf-8")
-    assert cli.main(["timing", "--config", str(ini)]) == 2
+    assert cli.main(["design", "--config", str(ini), "--mode", mode]) == 2
+    assert "config error: invalid scenario" in capsys.readouterr().err
+
+
+def test_non_finite_power_grid_exits_2(tmp_path, capsys):
+    ini = tmp_path / "grid.ini"
+    ini.write_text(SMALL_INI.replace("power_grid_dbm = 10.0, 20.0",
+                                     "power_grid_dbm = 10.0, nan"),
+                   encoding="utf-8")
+    assert cli.main(["sweep-power", "--config", str(ini), "--mode", "omnidirectional",
+                     "--out", str(tmp_path / "out.csv")]) == 2
+    assert "config error: invalid scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+def test_bad_solver_tolerance_exits_2(eps, tmp_path, capsys):
+    ini = tmp_path / "eps.ini"
+    ini.write_text(SMALL_INI + f"\n[solver]\neps = {eps}\n", encoding="utf-8")
+    assert cli.main(["design", "--config", str(ini)]) == 2
+    assert "config error: invalid solver options: eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["0", "-1", "nan"])
+def test_beampattern_rejects_unusable_grid(step, tmp_path, capsys):
+    ini = tmp_path / "bp.ini"
+    ini.write_text(SMALL_INI.replace("\ngrid_deg = 5.0", f"\ngrid_deg = {step}"),
+                   encoding="utf-8")
+    assert cli.main(["beampattern", "--config", str(ini), "--mode", "omnidirectional",
+                     "--out", str(tmp_path / "bp.csv")]) == 2
+    assert "config error: beampattern grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["out = x.csv", "seed = 7"])
+def test_removed_experiment_keys_exit_2(line, tmp_path, capsys):
+    ini = tmp_path / "old.ini"
+    ini.write_text(SMALL_INI + line + "\n", encoding="utf-8")
+    assert cli.main(["design", "--config", str(ini)]) == 2
+    assert "unknown key" in capsys.readouterr().err
+
+
+def test_every_config_key_is_read(tmp_path, monkeypatch):
+    read = set()
+
+    class Recording(dict):
+        def __init__(self, name, items):
+            super().__init__(items)
+            self.name = name
+
+        def __getitem__(self, key):
+            read.add((self.name, key))
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(ExperimentConfig, "section",
+                        lambda cfg, name: Recording(name, getattr(cfg, name)))
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(SMALL_INI.replace("trials = 3", "trials = 1")
+                   .replace("power_grid_dbm = 10.0, 20.0", "power_grid_dbm = 10.0")
+                   .replace("delta_grid = 0.0, 0.7", "delta_grid = 0.7"),
+                   encoding="utf-8")
+    out = str(tmp_path / "out.csv")
+    for command in ("design", "sweep-power", "sweep-delta", "beampattern"):
+        assert cli.main([command, "--config", str(ini), "--out", out]) == 0
+    schema = {(section, key) for section, keys in _SCHEMA.items() for key in keys}
+    assert schema - read == set()

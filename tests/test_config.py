@@ -1,5 +1,6 @@
 """INI configuration parsing, dumping, and scenario/solver building."""
 
+import numpy as np
 import pytest
 
 from isacbeam.config import (
@@ -11,6 +12,7 @@ from isacbeam.config import (
     parse_config,
 )
 from isacbeam.errors import ConfigError
+from isacbeam.scenario import make_scenario
 
 SMALL = """
 [scenario]
@@ -34,7 +36,6 @@ def test_default_config_values():
     assert cfg.get("solver", "restart_period") == 0
     assert cfg.get("experiment", "trials") == 30
     assert cfg.get("experiment", "power_grid_dbm") == (10.0, 15.0, 20.0)
-    assert cfg.get("experiment", "out") == ""
 
 
 def test_dump_and_parse_roundtrip_default():
@@ -51,14 +52,12 @@ max_iters = 500
 [experiment]
 trials = 5
 delta_grid = 0.0, 0.25, 0.9
-out = results.csv
 """
     cfg = parse_config(text)
     assert cfg.get("scenario", "num_tx") == 8
     assert cfg.get("scenario", "target_angles_deg") == (-40.0, 25.0)
     assert cfg.get("solver", "eps") == 1e-5
     assert cfg.get("experiment", "delta_grid") == (0.0, 0.25, 0.9)
-    assert cfg.get("experiment", "out") == "results.csv"
     assert parse_config(dump_config(cfg)) == cfg
     # untouched keys keep their defaults
     assert cfg.get("scenario", "rician_k") == 0.1
@@ -98,10 +97,18 @@ def test_load_config_paths(tmp_path):
 
 def test_build_scenario_seed_precedence():
     cfg = parse_config(SMALL)
-    assert build_scenario(cfg).seed == 3          # experiment seed 0 defers
-    cfg2 = parse_config(SMALL + "\n[experiment]\nseed = 7\n")
-    assert build_scenario(cfg2).seed == 7
-    assert build_scenario(cfg2, seed=11).seed == 11
+    assert build_scenario(cfg).seed == 3
+    assert build_scenario(cfg, seed=11).seed == 11
+
+
+def test_default_config_builds_the_default_scenario():
+    built = build_scenario(default_config())
+    ref = make_scenario()
+    assert (built.array, built.targets) == (ref.array, ref.targets)
+    assert np.array_equal(built.channel_matrix(), ref.channel_matrix())
+    assert (built.noise_power, built.power_budget) == (ref.noise_power, ref.power_budget)
+    assert (built.snapshots, built.overload, built.seed) == \
+        (ref.snapshots, ref.overload, ref.seed)
 
 
 def test_build_scenario_applies_overrides():
@@ -139,3 +146,7 @@ def test_build_options_wraps_validation_errors():
     cfg = parse_config("[solver]\nc2 = 0.6\n")
     with pytest.raises(ConfigError, match="invalid solver"):
         build_options(cfg)
+
+
+def test_build_options_accepts_zero_tolerance():
+    assert build_options(parse_config("[solver]\neps = 0\n")).eps == 0.0

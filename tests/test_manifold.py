@@ -1,4 +1,4 @@
-"""Fixed-row-norm manifold geometry: projection, retraction, transport."""
+"""Fixed-row-norm manifold geometry: projection (also the transport), retraction."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from isacbeam.manifold import (
     random_tangent,
     retract,
     row_norms,
-    transport,
 )
 
 _ELEMS = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False, width=64)
@@ -142,30 +141,30 @@ def test_retraction_gap_is_second_order_in_the_step():
     assert 1.9 <= slope <= 2.1
 
 
-def test_transport_lands_in_the_new_tangent_space():
+def test_projection_moves_a_tangent_vector_into_the_new_tangent_space():
     rng = np.random.default_rng(12)
     w = random_point(3, 5, 2.0, rng)
     d = random_tangent(w, 2.0, rng)
     w2 = random_point(3, 5, 2.0, rng)
-    moved = transport(w2, d, 2.0)
+    moved = project_tangent(w2, d, 2.0)
     assert np.linalg.norm(project_tangent(w2, moved, 2.0) - moved) \
         <= 1e-12 * (1.0 + np.linalg.norm(moved))
 
 
-def test_transport_is_identity_on_its_own_tangent_space():
+def test_projection_is_identity_on_its_own_tangent_space():
     rng = np.random.default_rng(13)
     w = random_point(4, 4, 1.0, rng)
     d = random_tangent(w, 1.0, rng)
-    assert np.linalg.norm(transport(w, d, 1.0) - d) <= 1e-12 * np.linalg.norm(d)
+    assert np.linalg.norm(project_tangent(w, d, 1.0) - d) <= 1e-12 * np.linalg.norm(d)
 
 
-def test_transport_never_grows_the_norm():
+def test_projection_to_a_new_point_never_grows_the_norm():
     rng = np.random.default_rng(14)
     for _ in range(100):
         w = random_point(3, 6, 1.0, rng)
         w2 = random_point(3, 6, 1.0, rng)
         d = random_tangent(w, 1.0, rng)
-        assert np.linalg.norm(transport(w2, d, 1.0)) \
+        assert np.linalg.norm(project_tangent(w2, d, 1.0)) \
             <= np.linalg.norm(d) * (1.0 + 1e-12)
 
 

@@ -138,6 +138,10 @@ def test_scenario_validation():
         make_scenario(num_tx=4, num_rx=4, num_users=1, overload=1.5)
     with pytest.raises(ValueError):
         make_scenario(num_tx=4, num_rx=4, num_users=1, snapshots=0)
+    for key in ("noise_power_dbm", "power_budget_dbm"):
+        for dbm in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                make_scenario(num_tx=4, num_rx=4, num_users=1, **{key: dbm})
     with pytest.raises(ValueError):
         Target(angle=0.1, range_m=50.0, rcs=0.0)
     with pytest.raises(ValueError):
