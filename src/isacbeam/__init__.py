@@ -22,8 +22,8 @@ from .manifold import (inner, is_on_manifold, project_tangent, random_point,
 from .radar import (EchoBatch, EstimationReport, echo_channel, echo_covariance,
                     monte_carlo, music_estimate, synthesize_echo, synthesize_probe,
                     synthesize_waveform)
-from .rcg import (IterRecord, LineSearchResult, RcgOptions, SolverTrace,
-                  fletcher_reeves_beta, minimize, wolfe_linesearch)
+from .rcg import (IterRecord, LineSearchResult, RcgOptions, SolverTrace, minimize,
+                  wolfe_linesearch)
 from .scenario import (Scenario, Target, UserChannel, dbm_to_watts, make_scenario,
                        make_targets, make_user_channels, pathloss, substream,
                        watts_to_dbm)

@@ -89,17 +89,6 @@ def _termination(trace):
     return trace.termination if trace is not None else ""
 
 
-def _monte_carlo_settings(cfg):
-    """(trials, MUSIC grid step in degrees) of the sweeps, validated."""
-    trials = cfg.get("experiment", "trials")
-    music_grid = cfg.get("experiment", "music_grid_deg")
-    if trials < 1:
-        raise ConfigError("sweeps need at least one Monte-Carlo trial (experiment trials)")
-    if not music_grid > 0:
-        raise ConfigError("MUSIC grid resolution must be positive (experiment music_grid_deg)")
-    return trials, music_grid
-
-
 def _run_one(cfg, mode, seed=None, power_budget_dbm=None, overload=None):
     scenario = build_scenario(cfg, seed=seed, power_budget_dbm=power_budget_dbm,
                               overload=overload)
@@ -110,82 +99,76 @@ def cmd_design(args):
     cfg = load_config(args.config)
     mode = _modes(args.mode)[0]
     scenario, res = _run_one(cfg, mode, seed=args.seed)
-    status = [
-        ("sp1_termination", _termination(res.traces["sp1"])),
-        ("sp2_termination", _termination(res.traces["sp2"])),
-        ("flags", ";".join(res.flags)),
-    ]
-    record = [
-        ("mode", res.mode),
-        ("sum_crlb", _fmt(res.sum_crlb)),
-        ("rcrlb_deg", _fmt(float(np.rad2deg(res.rcrlb)))),
-        ("min_rate", _fmt(res.rates.min_rate)),
-        ("r_min", _fmt(res.r_min)),
-        ("wall_time_s", _fmt(res.wall_time)),
-        ("sp1_iterations", _iters(res.traces["sp1"])),
-        ("sp2_iterations", _iters(res.traces["sp2"])),
-        ("rates", ";".join(_fmt(r) for r in res.rates.rate)),
-    ] + status
-    for key, value in record:
+    record = {
+        "mode": res.mode,
+        "sum_crlb": _fmt(res.sum_crlb),
+        "rcrlb_deg": _fmt(float(np.rad2deg(res.rcrlb))),
+        "min_rate": _fmt(res.rates.min_rate),
+        "r_min": _fmt(res.r_min),
+        "wall_time_s": _fmt(res.wall_time),
+        "sp1_iterations": _iters(res.traces["sp1"]),
+        "sp2_iterations": _iters(res.traces["sp2"]),
+        "rates": ";".join(_fmt(r) for r in res.rates.rate),
+        "sp1_termination": _termination(res.traces["sp1"]),
+        "sp2_termination": _termination(res.traces["sp2"]),
+        "flags": ";".join(res.flags),
+    }
+    for key, value in record.items():
         print(f"{key}={value}")
     if args.out:
-        row = [res.mode, res.sum_crlb, float(np.rad2deg(res.rcrlb)),
-               res.rates.min_rate, res.wall_time,
-               _iters(res.traces["sp1"]), _iters(res.traces["sp2"]),
-               ";".join(_fmt(r) for r in res.rates.rate)]
-        write_csv(DESIGN_HEADER, [row], out_path=args.out, metadata=status)
+        status = [(key, record[key])
+                  for key in ("sp1_termination", "sp2_termination", "flags")]
+        write_csv(DESIGN_HEADER, [[record[key] for key in DESIGN_HEADER]],
+                  out_path=args.out, metadata=status)
     return 0
+
+
+def _sweep(args, grid_key, override, header, row):
+    """Design and Monte-Carlo evaluate every (grid value, mode); one CSV row each.
+
+    ``override`` names the build_scenario argument that takes the grid
+    value; ``row(value, mode, scenario, result, report)`` builds the row.
+    """
+    cfg = load_config(args.config)
+    modes = _modes(args.mode)
+    exp = cfg.section("experiment")
+    rows = []
+    for value in exp[grid_key]:
+        for mode in modes:
+            scenario, res = _run_one(cfg, mode, seed=args.seed, **{override: value})
+            report = radar.monte_carlo(scenario, res, exp["trials"],
+                                       grid_deg=exp["music_grid_deg"])
+            rows.append(row(value, mode, scenario, res, report))
+    write_csv(header, rows, out_path=args.out)
+    return 0
+
+
+def _power_row(p_dbm, mode, scenario, res, report):
+    gain = sum(beampattern_gain(res.r_x, t.angle) for t in scenario.targets)
+    return [p_dbm, mode, 10.0 * np.log10(max(gain, 1e-300)),
+            res.sum_crlb, float(np.rad2deg(res.rcrlb)),
+            float(np.rad2deg(report.rmse)), res.rates.min_rate,
+            report.degraded_trials]
+
+
+def _delta_row(delta, mode, scenario, res, report):
+    return [delta, mode, res.sum_crlb, float(np.rad2deg(report.rmse)),
+            res.rates.min_rate, res.r_min, report.degraded_trials]
 
 
 def cmd_sweep_power(args):
-    cfg = load_config(args.config)
-    modes = _modes(args.mode)
-    grid = cfg.get("experiment", "power_grid_dbm")
-    if not grid:
-        raise ConfigError("empty power grid")
-    trials, music_grid = _monte_carlo_settings(cfg)
-    rows = []
-    for p_dbm in grid:
-        for mode in modes:
-            scenario, res = _run_one(cfg, mode, seed=args.seed,
-                                     power_budget_dbm=p_dbm)
-            report = radar.monte_carlo(scenario, res, trials, grid_deg=music_grid)
-            gain = sum(beampattern_gain(res.r_x, t.angle) for t in scenario.targets)
-            rows.append([p_dbm, mode, 10.0 * np.log10(max(gain, 1e-300)),
-                         res.sum_crlb, float(np.rad2deg(res.rcrlb)),
-                         float(np.rad2deg(report.rmse)), res.rates.min_rate,
-                         report.degraded_trials])
-    write_csv(SWEEP_POWER_HEADER, rows, out_path=args.out)
-    return 0
+    return _sweep(args, "power_grid_dbm", "power_budget_dbm", SWEEP_POWER_HEADER,
+                  _power_row)
 
 
 def cmd_sweep_delta(args):
-    cfg = load_config(args.config)
-    modes = _modes(args.mode)
-    grid = cfg.get("experiment", "delta_grid")
-    if not grid:
-        raise ConfigError("empty delta grid")
-    if min(grid) < 0.0 or max(grid) > 1.0:
-        raise ConfigError("delta grid values must lie in [0, 1]")
-    trials, music_grid = _monte_carlo_settings(cfg)
-    rows = []
-    for delta in grid:
-        for mode in modes:
-            scenario, res = _run_one(cfg, mode, seed=args.seed, overload=delta)
-            report = radar.monte_carlo(scenario, res, trials, grid_deg=music_grid)
-            rows.append([delta, mode, res.sum_crlb,
-                         float(np.rad2deg(report.rmse)),
-                         res.rates.min_rate, res.r_min, report.degraded_trials])
-    write_csv(SWEEP_DELTA_HEADER, rows, out_path=args.out)
-    return 0
+    return _sweep(args, "delta_grid", "overload", SWEEP_DELTA_HEADER, _delta_row)
 
 
 def cmd_beampattern(args):
     cfg = load_config(args.config)
     modes = _modes(args.mode)
     step = cfg.get("experiment", "grid_deg")
-    if not step > 0:
-        raise ConfigError("beampattern grid resolution must be positive")
     points = int(round(180.0 / step)) + 1
     theta_deg = np.linspace(-90.0, 90.0, points)
     traces = {}

@@ -3,12 +3,14 @@
 Powers are dBm and angles are degrees in config files; conversion to
 watts and radians happens exactly once, when the scenario is built.
 Parsing is strict: unknown sections or keys are rejected with their
-location, and a parsed config dumps back to text that re-parses to an
-identical structure.
+location, each value's cast checks that it is finite and in range, and
+a parsed config dumps back to text that re-parses to an identical
+structure.
 """
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 
 from . import scenario as sc
@@ -16,11 +18,31 @@ from .errors import ConfigError
 from .rcg import RcgOptions
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _float_list(text):
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
         raise ValueError("empty list")
-    return tuple(float(part) for part in items)
+    return tuple(_finite(part) for part in items)
+
+
+def _checked(cast, ok, rule):
+    """Cast that also rejects parsed values failing ``ok``, stating ``rule``."""
+    def parse(text):
+        value = cast(text)
+        if not ok(value):
+            raise ValueError(rule)
+        return value
+    return parse
+
+
+_positive = _checked(_finite, lambda x: x > 0, "must be positive")
 
 
 _SCHEMA = {
@@ -30,34 +52,35 @@ _SCHEMA = {
         "num_users": (int, sc.DEFAULT_NUM_USERS),
         "target_angles_deg": (_float_list, sc.DEFAULT_TARGET_ANGLES_DEG),
         "target_ranges_m": (_float_list, sc.DEFAULT_TARGET_RANGES_M),
-        "noise_power_dbm": (float, sc.DEFAULT_NOISE_POWER_DBM),
-        "power_budget_dbm": (float, sc.DEFAULT_POWER_BUDGET_DBM),
+        "noise_power_dbm": (_finite, sc.DEFAULT_NOISE_POWER_DBM),
+        "power_budget_dbm": (_finite, sc.DEFAULT_POWER_BUDGET_DBM),
         "snapshots": (int, sc.DEFAULT_SNAPSHOTS),
-        "rician_k": (float, sc.DEFAULT_RICIAN_K),
-        "overload": (float, sc.DEFAULT_OVERLOAD),
+        "rician_k": (_finite, sc.DEFAULT_RICIAN_K),
+        "overload": (_finite, sc.DEFAULT_OVERLOAD),
         "seed": (int, sc.DEFAULT_SEED),
-        "user_range_min_m": (float, sc.DEFAULT_USER_RANGE_M[0]),
-        "user_range_max_m": (float, sc.DEFAULT_USER_RANGE_M[1]),
-        "user_angle_min_deg": (float, sc.DEFAULT_USER_SECTOR_DEG[0]),
-        "user_angle_max_deg": (float, sc.DEFAULT_USER_SECTOR_DEG[1]),
-        "pathloss_exponent": (float, sc.DEFAULT_PATHLOSS_EXPONENT),
-        "pathloss_ref_db": (float, sc.DEFAULT_PATHLOSS_REF_DB),
-        "pathloss_ref_m": (float, sc.DEFAULT_PATHLOSS_REF_M),
+        "user_range_min_m": (_finite, sc.DEFAULT_USER_RANGE_M[0]),
+        "user_range_max_m": (_finite, sc.DEFAULT_USER_RANGE_M[1]),
+        "user_angle_min_deg": (_finite, sc.DEFAULT_USER_SECTOR_DEG[0]),
+        "user_angle_max_deg": (_finite, sc.DEFAULT_USER_SECTOR_DEG[1]),
+        "pathloss_exponent": (_finite, sc.DEFAULT_PATHLOSS_EXPONENT),
+        "pathloss_ref_db": (_finite, sc.DEFAULT_PATHLOSS_REF_DB),
+        "pathloss_ref_m": (_finite, sc.DEFAULT_PATHLOSS_REF_M),
     },
     "solver": {
-        "c1": (float, 1e-4),
-        "c2": (float, 0.4),
-        "eps": (float, 1e-3),
+        "c1": (_finite, 1e-4),
+        "c2": (_finite, 0.4),
+        "eps": (_checked(_finite, lambda x: x >= 0, "must be nonnegative"), 1e-3),
         "max_iters": (int, 2000),
         "max_linesearch_evals": (int, 30),
         "restart_period": (int, 0),      # 0 means automatic (column count)
     },
     "experiment": {
         "power_grid_dbm": (_float_list, (10.0, 15.0, 20.0)),
-        "delta_grid": (_float_list, (0.3, 0.5, 0.7)),
-        "trials": (int, 30),
-        "grid_deg": (float, 0.1),        # beampattern trace resolution
-        "music_grid_deg": (float, 0.02),
+        "delta_grid": (_checked(_float_list, lambda xs: all(0 <= x <= 1 for x in xs),
+                                "entries must lie in [0, 1]"), (0.3, 0.5, 0.7)),
+        "trials": (_checked(int, lambda n: n >= 1, "must be at least 1"), 30),
+        "grid_deg": (_positive, 0.1),    # beampattern trace resolution
+        "music_grid_deg": (_positive, 0.02),
     },
 }
 
@@ -167,7 +190,8 @@ def build_scenario(cfg, seed=None, power_budget_dbm=None, overload=None):
             pathloss_exponent=s["pathloss_exponent"],
             pathloss_ref_db=s["pathloss_ref_db"],
             pathloss_ref_m=s["pathloss_ref_m"])
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: finite dB values or user ranges too large for a float
         raise ConfigError(f"invalid scenario: {exc}") from exc
 
 

@@ -79,29 +79,21 @@ def initial_point(scenario, r_min, zero_sensing=False):
     try:
         v = comm.zf_precoder(h)
         if r_min > 0:
-            if zero_sensing:
-                p = comm.equal_rate_power(h, v, None, scenario.noise_power, r_min)
-                if p.sum() > p_max:
-                    p *= 0.9 * p_max / p.sum()
-                    flags.append("comm_power_clipped")
-            else:
+            p = comm.equal_rate_power(h, v, None, scenario.noise_power, r_min)
+            if p.sum() > p_max:
+                p *= 0.9 * p_max / p.sum()
+                p_s = 0.0 if zero_sensing else 0.1 * p_max
+                flags.append("comm_power_clipped")
+            elif not zero_sensing:
                 # the required comm power is affine in the sensing power,
                 # so the leftover-budget split solves in closed form
-                p0 = comm.equal_rate_power(h, v, None, scenario.noise_power, r_min)
-                if p0.sum() > p_max:
-                    p = p0 * (0.9 * p_max / p0.sum())
-                    p_s = 0.1 * p_max
-                    flags.append("comm_power_clipped")
-                else:
-                    p1 = comm.equal_rate_power(h, v, _sensing_block(p_max, mt),
-                                               scenario.noise_power, r_min)
-                    slope = (p1.sum() - p0.sum()) / p_max
-                    p_s = (p_max - p0.sum()) / (1.0 + slope)
-                    p = comm.equal_rate_power(h, v, _sensing_block(p_s, mt),
-                                              scenario.noise_power, r_min)
-                    p_s = max(p_max - p.sum(), 0.0)
-        else:
-            p_s = 0.0 if zero_sensing else p_max
+                p1 = comm.equal_rate_power(h, v, _sensing_block(p_max, mt),
+                                           scenario.noise_power, r_min)
+                slope = (p1.sum() - p.sum()) / p_max
+                p_s = (p_max - p.sum()) / (1.0 + slope)
+                p = comm.equal_rate_power(h, v, _sensing_block(p_s, mt),
+                                          scenario.noise_power, r_min)
+                p_s = max(p_max - p.sum(), 0.0)
     except (NumericalError, InfeasibleError):
         # cannot place the users: start from pure sensing
         flags.append("zf_infeasible_fallback")

@@ -39,6 +39,8 @@ class RcgOptions:
             raise ValueError("eps must be finite and nonnegative")
         if self.max_iters < 1 or self.max_linesearch_evals < 1:
             raise ValueError("iteration budgets must be positive")
+        if self.restart_period is not None and self.restart_period < 1:
+            raise ValueError("restart period must be at least 1")
         if self.max_step_norm is not None and self.max_step_norm <= 0:
             raise ValueError("step cap must be positive")
 
@@ -78,14 +80,6 @@ class SolverTrace:
         for r in self.records:
             writer.writerow([r.iteration, repr(r.objective), repr(r.grad_norm),
                              repr(r.step), repr(r.beta), int(r.wolfe_ok), r.evals])
-
-
-def fletcher_reeves_beta(grad_new, grad_old):
-    """beta = ||grad_new||_F^2 / ||grad_old||_F^2."""
-    denom = inner(grad_old, grad_old)
-    if denom == 0.0:
-        raise ValueError("zero previous gradient: already converged")
-    return inner(grad_new, grad_new) / denom
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, steering
+from .arrays import HALF_PLANE, ArrayConfig, steering
 
 # Default deployment; make_scenario and the config defaults both read these.
 DEFAULT_NUM_TX = 32
@@ -75,10 +75,12 @@ class Target:
     rcs: complex          # includes round-trip path loss
 
     def __post_init__(self):
-        if self.range_m <= 0:
+        if not HALF_PLANE[0] <= self.angle <= HALF_PLANE[1]:
+            raise ValueError(f"target angle {self.angle} rad outside [-pi/2, pi/2]")
+        if not self.range_m > 0:
             raise ValueError("target range must be positive")
-        if abs(self.rcs) <= 0:
-            raise ValueError("target reflection coefficient must be nonzero")
+        if not 0 < abs(self.rcs) < np.inf:
+            raise ValueError("target reflection coefficient must be finite and nonzero")
 
 
 @dataclass(frozen=True)
@@ -178,6 +180,8 @@ def make_user_channels(num_users, num_tx, rician_k, rng,
     h_k = sqrt(beta_k kappa/(kappa+1)) a_T(theta_k)
         + sqrt(beta_k/(kappa+1)) g_k,  g_k ~ CN(0, I).
     """
+    if num_users < 0 or rician_k < 0:
+        raise ValueError("user count and Rician factor must be nonnegative")
     users = []
     for _ in range(num_users):
         theta = np.deg2rad(rng.uniform(*sector_deg))

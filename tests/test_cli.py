@@ -1,12 +1,17 @@
 """End-to-end command-line behavior and CSV schemas."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isacbeam.design
 from isacbeam import cli, design
@@ -244,7 +249,7 @@ def test_non_finite_powers_exit_2(key, mode, tmp_path, capsys):
     ini.write_text(SMALL_INI.replace("seed = 3", f"seed = 3\n{key} = nan"),
                    encoding="utf-8")
     assert cli.main(["design", "--config", str(ini), "--mode", mode]) == 2
-    assert "config error: invalid scenario" in capsys.readouterr().err
+    assert f"bad value for '{key}'" in capsys.readouterr().err
 
 
 def test_non_finite_power_grid_exits_2(tmp_path, capsys):
@@ -254,7 +259,7 @@ def test_non_finite_power_grid_exits_2(tmp_path, capsys):
                    encoding="utf-8")
     assert cli.main(["sweep-power", "--config", str(ini), "--mode", "omnidirectional",
                      "--out", str(tmp_path / "out.csv")]) == 2
-    assert "config error: invalid scenario" in capsys.readouterr().err
+    assert "bad value for 'power_grid_dbm'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
@@ -262,7 +267,7 @@ def test_bad_solver_tolerance_exits_2(eps, tmp_path, capsys):
     ini = tmp_path / "eps.ini"
     ini.write_text(SMALL_INI + f"\n[solver]\neps = {eps}\n", encoding="utf-8")
     assert cli.main(["design", "--config", str(ini)]) == 2
-    assert "config error: invalid solver options: eps" in capsys.readouterr().err
+    assert "bad value for 'eps'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("step", ["0", "-1", "nan"])
@@ -272,7 +277,7 @@ def test_beampattern_rejects_unusable_grid(step, tmp_path, capsys):
                    encoding="utf-8")
     assert cli.main(["beampattern", "--config", str(ini), "--mode", "omnidirectional",
                      "--out", str(tmp_path / "bp.csv")]) == 2
-    assert "config error: beampattern grid" in capsys.readouterr().err
+    assert "bad value for 'grid_deg'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["out = x.csv", "seed = 7"])
@@ -307,3 +312,73 @@ def test_every_config_key_is_read(tmp_path, monkeypatch):
         assert cli.main([command, "--config", str(ini), "--out", out]) == 0
     schema = {(section, key) for section, keys in _SCHEMA.items() for key in keys}
     assert schema - read == set()
+
+
+@pytest.mark.parametrize("command, old, new", [
+    ("sweep-power", "target_ranges_m = 50.0, 60.0", "target_ranges_m = 50.0, nan"),
+    ("sweep-power", "music_grid_deg = 0.5", "music_grid_deg = inf"),
+    ("design", "target_angles_deg = -40.0, 25.0", "target_angles_deg = -40.0, 100.0"),
+    ("design", "seed = 3", "seed = 3\nuser_range_max_m = inf"),
+    ("design", "seed = 3", "seed = 3\npower_budget_dbm = 4000"),
+    ("design", "seed = 3", "seed = 3\npathloss_ref_db = 5000"),
+    ("design", "num_users = 2", "num_users = -1"),
+    ("design", "delta_grid = 0.0, 0.7", "delta_grid = 0.0, 0.7\n[solver]\nrestart_period = -3"),
+    # a config is invalid whichever subcommand reads it
+    ("design", "music_grid_deg = 0.5", "music_grid_deg = 0"),
+])
+def test_bad_config_values_exit_2_without_traceback(command, old, new, tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(SMALL_INI.replace(old, new), encoding="utf-8")
+    assert cli.main([command, "--config", str(ini), "--mode", "omnidirectional",
+                     "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+_TINY = {
+    "scenario": {"num_tx": 4, "num_rx": 4, "num_users": 1, "snapshots": 16, "seed": 3,
+                 "target_angles_deg": (-40.0, 25.0), "target_ranges_m": (50.0, 60.0)},
+    "experiment": {"trials": 1, "grid_deg": 5.0, "music_grid_deg": 0.5,
+                   "power_grid_dbm": (20.0,)},
+}
+_FLOAT_KEYS = [(section, key) for section, keys in _SCHEMA.items()
+               for key, (_, default) in keys.items() if isinstance(default, (float, tuple))]
+_EXTREMES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "-1e300", "1e300", "1e10",
+                     "400", "95", "-135", "180"]),
+    st.floats(-1e3, -1e-3).map(repr))
+
+
+def _ini_text(values):
+    def text(v):
+        return ", ".join(map(str, v)) if isinstance(v, tuple) else str(v)
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {text(v)}\n" for k, v in keys.items())
+                   for name, keys in values.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(slot=st.sampled_from(_FLOAT_KEYS), index=st.integers(0, 1), value=_EXTREMES,
+       mode=st.sampled_from(design.MODES))
+def test_any_float_value_runs_or_exits_with_a_typed_error(slot, index, value, mode):
+    # one float key, or one entry of a float list, set to an extreme value
+    section, key = slot
+    values = {name: {k: d for k, (_, d) in keys.items()} for name, keys in _SCHEMA.items()}
+    for name, overrides in _TINY.items():
+        values[name].update(overrides)
+    entries = values[section][key]
+    if isinstance(entries, tuple):
+        i = min(index, len(entries) - 1)
+        values[section][key] = entries[:i] + (value,) + entries[i + 1:]
+    else:
+        values[section][key] = value
+    text = _ini_text(values)
+    with tempfile.TemporaryDirectory() as tmp:
+        ini = os.path.join(tmp, "tiny.ini")
+        with open(ini, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in ("design", "sweep-power", "beampattern"):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([command, "--config", ini, "--mode", mode,
+                                 "--out", os.path.join(tmp, "out.csv")])
+            assert code in (0, 2, 3, 4), (command, text)

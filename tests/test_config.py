@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from isacbeam.config import (
+    _SCHEMA,
     build_options,
     build_scenario,
     default_config,
@@ -150,3 +151,55 @@ def test_build_options_wraps_validation_errors():
 
 def test_build_options_accepts_zero_tolerance():
     assert build_options(parse_config("[solver]\neps = 0\n")).eps == 0.0
+
+
+_FLOAT_KEYS = [(section, key) for section, keys in _SCHEMA.items()
+               for key, (_, default) in keys.items() if isinstance(default, (float, tuple))]
+
+
+@pytest.mark.parametrize("section, key", _FLOAT_KEYS)
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_every_float_value_must_be_finite(section, key, bad):
+    default = _SCHEMA[section][key][1]
+    texts = [bad]
+    if isinstance(default, tuple):
+        texts.append(f"{default[0]!r}, {bad}")     # one bad entry of a list
+    for text in texts:
+        with pytest.raises(ConfigError, match=f"bad value for '{key}' in \\[{section}\\]"):
+            parse_config(f"[{section}]\n{key} = {text}\n")
+
+
+@pytest.mark.parametrize("section, key, text", [
+    ("experiment", "trials", "0"),
+    ("experiment", "grid_deg", "0"),
+    ("experiment", "grid_deg", "-0.5"),
+    ("experiment", "music_grid_deg", "0"),
+    ("experiment", "delta_grid", "0.5, 1.5"),
+    ("experiment", "delta_grid", "-0.1"),
+    ("solver", "eps", "-1e-9"),
+])
+def test_parse_rejects_out_of_range_values(section, key, text):
+    with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+        parse_config(f"[{section}]\n{key} = {text}\n")
+
+
+def test_parse_accepts_range_edges():
+    cfg = parse_config("[experiment]\ntrials = 1\ndelta_grid = 0, 1\n"
+                       "[solver]\neps = 0\n")
+    assert cfg.get("experiment", "trials") == 1
+    assert cfg.get("experiment", "delta_grid") == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("seed = 3", "seed = 3\npower_budget_dbm = 4000"),
+    ("seed = 3", "seed = 3\npathloss_ref_db = 5000"),
+    ("num_users = 2", "num_users = -1"),
+])
+def test_build_scenario_maps_overflow_and_negative_counts(old, new):
+    with pytest.raises(ConfigError, match="invalid scenario"):
+        build_scenario(parse_config(SMALL.replace(old, new)))
+
+
+def test_build_options_rejects_negative_restart_period():
+    with pytest.raises(ConfigError, match="restart period"):
+        build_options(parse_config("[solver]\nrestart_period = -3\n"))

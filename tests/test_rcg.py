@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from isacbeam.manifold import inner, project_tangent, random_point, retract
-from isacbeam.rcg import (
-    RcgOptions,
-    fletcher_reeves_beta,
-    minimize,
-    wolfe_linesearch,
-)
+from isacbeam.rcg import RcgOptions, minimize, wolfe_linesearch
 
 
 def _quadratic(target):
@@ -118,13 +113,17 @@ def test_wolfe_loose_constants_accept_quickly():
     assert res.wolfe_ok and res.evals <= 10
 
 
-def test_fletcher_reeves_values():
-    ones = np.ones((2, 2), dtype=complex)
-    assert fletcher_reeves_beta(ones, ones) == pytest.approx(1.0, rel=1e-15)
-    assert fletcher_reeves_beta(np.zeros_like(ones), ones) == 0.0
-    assert fletcher_reeves_beta(1.5 * ones, ones) == pytest.approx(2.25, rel=1e-15)
-    with pytest.raises(ValueError):
-        fletcher_reeves_beta(ones, np.zeros_like(ones))
+def test_traced_beta_is_fletcher_reeves():
+    rng = np.random.default_rng(5)
+    target = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+    w0 = random_point(4, 6, 1.0, rng)
+    _, trace = minimize(_quadratic(target), w0, 1.0, RcgOptions(eps=1e-10))
+    recs = trace.records
+    conjugate = [i for i in range(1, len(recs)) if recs[i].beta != 0.0]
+    assert len(conjugate) >= 5
+    for i in conjugate:
+        ratio = (recs[i].grad_norm / recs[i - 1].grad_norm) ** 2
+        assert recs[i].beta == pytest.approx(ratio, rel=1e-12)
 
 
 def test_zoutendijk_increments_finite_with_vanishing_tail():
@@ -198,6 +197,13 @@ def test_options_validation():
         RcgOptions(max_linesearch_evals=0)
     with pytest.raises(ValueError):
         RcgOptions(max_step_norm=0.0)
+
+
+@pytest.mark.parametrize("period", [0, -3])
+def test_options_reject_restart_period_below_one(period):
+    with pytest.raises(ValueError, match="restart period"):
+        RcgOptions(restart_period=period)
+    assert RcgOptions(restart_period=1).restart_period == 1
 
 
 def test_trace_to_csv_layout():

@@ -146,3 +146,23 @@ def test_scenario_validation():
         Target(angle=0.1, range_m=50.0, rcs=0.0)
     with pytest.raises(ValueError):
         Target(angle=0.1, range_m=-2.0, rcs=1.0)
+
+
+@pytest.mark.parametrize("angle, range_m, rcs", [
+    (np.deg2rad(100.0), 50.0, 1.0), (-np.pi / 2 - 1e-9, 50.0, 1.0), (np.nan, 50.0, 1.0),
+    (0.1, np.nan, 1.0), (0.1, 0.0, 1.0), (0.1, 50.0, np.inf), (0.1, 50.0, complex(np.nan)),
+])
+def test_target_rejects_angle_outside_half_plane_or_bad_range(angle, range_m, rcs):
+    with pytest.raises(ValueError):
+        Target(angle=angle, range_m=range_m, rcs=rcs)
+
+
+def test_target_accepts_endfire():
+    assert Target(angle=np.pi / 2, range_m=50.0, rcs=1.0).angle == np.pi / 2
+    assert Target(angle=np.deg2rad(-90.0), range_m=50.0, rcs=1.0).range_m == 50.0
+
+
+@pytest.mark.parametrize("num_users, rician_k", [(-1, 0.1), (2, -1.0)])
+def test_user_channels_reject_negative_count_or_rician_factor(num_users, rician_k):
+    with pytest.raises(ValueError, match="nonnegative"):
+        make_user_channels(num_users, 4, rician_k, substream(1, "channels"))
