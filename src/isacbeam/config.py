@@ -42,7 +42,8 @@ def _checked(cast, ok, rule):
     return parse
 
 
-_positive = _checked(_finite, lambda x: x > 0, "must be positive")
+# angle grid step: 0.001 deg gives at most 180,001 grid points
+_grid_step = _checked(_finite, lambda x: x >= 1e-3, "must be at least 0.001 deg")
 
 
 _SCHEMA = {
@@ -79,8 +80,8 @@ _SCHEMA = {
         "delta_grid": (_checked(_float_list, lambda xs: all(0 <= x <= 1 for x in xs),
                                 "entries must lie in [0, 1]"), (0.3, 0.5, 0.7)),
         "trials": (_checked(int, lambda n: n >= 1, "must be at least 1"), 30),
-        "grid_deg": (_positive, 0.1),    # beampattern trace resolution
-        "music_grid_deg": (_positive, 0.02),
+        "grid_deg": (_grid_step, 0.1),    # beampattern trace resolution
+        "music_grid_deg": (_grid_step, 0.02),
     },
 }
 

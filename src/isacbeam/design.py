@@ -27,7 +27,6 @@ from .scenario import substream
 MODES = ("sgcdf", "sensing_only", "no_dedicated_stream", "omnidirectional")
 FLOORLESS_MODES = ("sensing_only", "omnidirectional")   # no rate floor enforced
 RATE_SLACK = 1e-6      # absorbs rounding at the rate boundary
-_SP2_EPS = 0.0         # rate guard, not gradient tolerance, ends stage II
 SP2_STEP_FRACTION = 0.02   # stage-II step cap relative to ||W||_F
 
 
@@ -169,7 +168,8 @@ def solve_sp2(scenario, w_start, r_min, opts=None):
     # projection flow, so the guard fires near the feasibility boundary
     # instead of deep inside the feasible set.
     cap = SP2_STEP_FRACTION * float(np.linalg.norm(w_start))
-    opts = replace(opts, eps=min(opts.eps, _SP2_EPS), max_step_norm=cap,
+    # eps = 0: the rate guard, not a gradient tolerance, ends stage II.
+    opts = replace(opts, eps=0.0, max_step_norm=cap,
                    max_iters=max(opts.max_iters, 4000))
     last_infeasible = w_start
 

@@ -1,11 +1,14 @@
 """Riemannian conjugate gradient on the oblique manifold.
 
-Fletcher-Reeves directions, strong Wolfe line search with curvature
-measured against the transported direction, retraction after every
-update, projection-based transport. The solver is objective-agnostic:
-it takes a callback returning (value, Euclidean gradient) and applies
-the dual stopping rule (gradient norm below eps*(1+|f|), or objective
-change below eps) to whatever scale the callback reports.
+Fletcher-Reeves directions, retraction after every update,
+projection-based transport. Each step runs one bracketing strong Wolfe
+search (curvature measured against the transported direction); when no
+probe meets both conditions it takes the best probe that met sufficient
+decrease, and the solver stops with 'linesearch_fail' when none did.
+The solver is objective-agnostic: it takes a callback returning (value,
+Euclidean gradient) and applies the dual stopping rule (gradient norm
+below eps*(1+|f|), or objective change below eps) to whatever scale the
+callback reports.
 """
 
 import csv
@@ -116,83 +119,43 @@ def wolfe_linesearch(fg, w, d, f0, slope0, radius, opts):
 
     Sufficient decrease: f(R(w + a d)) <= f0 + c1 a slope0.
     Curvature: |<grad f at the new point, transported d>| <= c2 |slope0|.
-    Bracketing with doubling, then bisection zoom. If the budget runs
-    out, falls back to the best probe satisfying sufficient decrease
-    (wolfe_ok False); returns None only if no decrease was found at all.
+    One bracketing search over [a_lo, a_hi]: the trial step doubles (up
+    to the step cap) until an upper end is found, then bisects. It makes
+    at most ``max_linesearch_evals`` probes. If none meets both
+    conditions, returns the best probe that met sufficient decrease
+    (wolfe_ok False), or None if no probe decreased enough.
     """
     if slope0 >= 0.0:
         raise ValueError(f"line search needs a descent direction, got slope {slope0}")
-    budget = opts.max_linesearch_evals
-    evals = 0
-    best = None
-
-    def armijo(ev):
-        return ev.value <= f0 + opts.c1 * ev.step * slope0
-
-    def curvature(ev):
-        return abs(ev.dslope) <= -opts.c2 * slope0
-
-    def consider(ev):
-        nonlocal best
-        if armijo(ev) and (best is None or ev.value < best.value):
-            best = ev
-
     d_norm = math.sqrt(inner(d, d))
-    a_cap = None if opts.max_step_norm is None else opts.max_step_norm / d_norm
-    a = 1.0 / d_norm if a_cap is None else min(1.0 / d_norm, a_cap)
-    a_prev, f_prev = 0.0, f0
-    bracket = None
-    accepted = None
-    while evals < budget:
+    a_cap = math.inf if opts.max_step_norm is None else opts.max_step_norm / d_norm
+    a = min(1.0 / d_norm, a_cap)
+    a_lo, f_lo, a_hi = 0.0, f0, None
+    best = None
+    evals = 0
+    while evals < opts.max_linesearch_evals:
         ev = _probe(fg, w, d, a, radius)
         evals += 1
-        consider(ev)
-        if not armijo(ev) or (evals > 1 and ev.value >= f_prev):
-            bracket = (a_prev, f_prev, a)
-            break
-        if curvature(ev):
-            accepted = ev
-            break
-        if ev.dslope >= 0.0:
-            bracket = (a, ev.value, a_prev)
-            break
-        if a_cap is not None and a >= a_cap:
-            # capped step already satisfies sufficient decrease; stop here
-            break
-        a_prev, f_prev = a, ev.value
-        a = 2.0 * a if a_cap is None else min(2.0 * a, a_cap)
-
-    if accepted is None and bracket is not None:
-        a_lo, f_lo, a_hi = bracket
-        while evals < budget:
-            if abs(a_hi - a_lo) <= 1e-14 * max(1.0, abs(a_lo)):
-                break
-            a = 0.5 * (a_lo + a_hi)
-            ev = _probe(fg, w, d, a, radius)
-            evals += 1
-            consider(ev)
-            if not armijo(ev) or ev.value >= f_lo:
-                a_hi = a
-                continue
-            if curvature(ev):
-                accepted = ev
-                break
-            if ev.dslope * (a_hi - a_lo) >= 0.0:
+        armijo = ev.value <= f0 + opts.c1 * a * slope0
+        if armijo and (best is None or ev.value < best.value):
+            best = ev
+        if not armijo or (evals > 1 and ev.value >= f_lo):
+            a_hi = a
+        elif abs(ev.dslope) <= -opts.c2 * slope0:
+            return LineSearchResult(a, evals, True, ev)
+        else:
+            # with no upper end yet the interval counts as positive
+            if ev.dslope * (1.0 if a_hi is None else a_hi - a_lo) >= 0.0:
                 a_hi = a_lo
             a_lo, f_lo = a, ev.value
-
-    if accepted is not None:
-        return LineSearchResult(accepted.step, evals, True, accepted)
-    if best is None:
-        # plain backtracking as a last resort
-        a = 1.0 / d_norm if a_cap is None else min(1.0 / d_norm, a_cap)
-        while evals < 2 * budget:
-            a *= 0.5
-            ev = _probe(fg, w, d, a, radius)
-            evals += 1
-            consider(ev)
-            if best is not None:
-                break
+            if a_hi is None and a >= a_cap:
+                break  # the capped step already decreases enough
+        if a_hi is None:
+            a = min(2.0 * a, a_cap)
+        elif abs(a_hi - a_lo) <= 1e-14 * max(1.0, abs(a_lo)):
+            break
+        else:
+            a = 0.5 * (a_lo + a_hi)
     if best is None:
         return None
     return LineSearchResult(best.step, evals, False, best)
@@ -238,10 +201,6 @@ def minimize(fg, w0, radius, opts=None, stop_when=None):
             trace.termination = "grad_tol"
             return w, trace
         slope = inner(rgrad, d)
-        if slope >= 0.0:
-            # stale conjugate direction; restart along steepest descent
-            d = -rgrad
-            slope = -gnorm2
         ls = wolfe_linesearch(fg, w, d, f, slope, radius, opts)
         if ls is None:
             trace.termination = "linesearch_fail"
@@ -249,7 +208,7 @@ def minimize(fg, w0, radius, opts=None, stop_when=None):
         ev = ls.at
         trace.zoutendijk.append(slope * slope / max(inner(d, d), _TINY))
         gnorm2_new = inner(ev.rgrad, ev.rgrad)
-        if (it + 1) % period == 0 or gnorm2 == 0.0:
+        if (it + 1) % period == 0:
             beta = 0.0
         else:
             beta = gnorm2_new / gnorm2

@@ -60,12 +60,16 @@ def substream(seed, label, index=None):
 
 def pathloss(distance, exponent=DEFAULT_PATHLOSS_EXPONENT,
              c0_db=DEFAULT_PATHLOSS_REF_DB, d0=DEFAULT_PATHLOSS_REF_M):
-    """Distance path loss 10^(c0_db/10) * (d0/distance)^exponent, linear."""
+    """Distance path loss 10^(c0_db/10) * (d0/distance)^exponent, linear.
+
+    Computed in Python floats, so a power that overflows raises
+    OverflowError for Python and numpy scalars alike.
+    """
     if d0 <= 0:
         raise ValueError("reference distance must be positive")
     if distance < d0:
         raise ValueError(f"distance {distance} m below reference {d0} m")
-    return 10.0 ** (c0_db / 10.0) * (d0 / distance) ** exponent
+    return 10.0 ** (float(c0_db) / 10.0) * (float(d0) / float(distance)) ** float(exponent)
 
 
 @dataclass(frozen=True)

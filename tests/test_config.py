@@ -174,6 +174,10 @@ def test_every_float_value_must_be_finite(section, key, bad):
     ("experiment", "grid_deg", "0"),
     ("experiment", "grid_deg", "-0.5"),
     ("experiment", "music_grid_deg", "0"),
+    ("experiment", "grid_deg", "0.0005"),
+    ("experiment", "grid_deg", "1e-9"),
+    ("experiment", "music_grid_deg", "0.0005"),
+    ("experiment", "music_grid_deg", "1e-9"),
     ("experiment", "delta_grid", "0.5, 1.5"),
     ("experiment", "delta_grid", "-0.1"),
     ("solver", "eps", "-1e-9"),
@@ -185,9 +189,12 @@ def test_parse_rejects_out_of_range_values(section, key, text):
 
 def test_parse_accepts_range_edges():
     cfg = parse_config("[experiment]\ntrials = 1\ndelta_grid = 0, 1\n"
+                       "grid_deg = 0.001\nmusic_grid_deg = 0.001\n"
                        "[solver]\neps = 0\n")
     assert cfg.get("experiment", "trials") == 1
     assert cfg.get("experiment", "delta_grid") == (0.0, 1.0)
+    assert cfg.get("experiment", "grid_deg") == 0.001
+    assert cfg.get("experiment", "music_grid_deg") == 0.001
 
 
 @pytest.mark.parametrize("old, new", [

@@ -101,6 +101,25 @@ def test_wolfe_linesearch_requires_descent_direction():
         wolfe_linesearch(fg, w, g, f0, inner(g, g), 1.0, RcgOptions())
 
 
+@pytest.mark.parametrize("budget", [1, 7, 30])
+def test_linesearch_budget_bounds_objective_evaluations(budget):
+    # every probe lies above f0, so none meets sufficient decrease; with
+    # ||d|| = 1 the bisection stays far above its 1e-14 interval floor
+    calls = []
+
+    def fg(w):
+        calls.append(w)
+        return 1.0, np.zeros_like(w)
+
+    rng = np.random.default_rng(8)
+    w = random_point(3, 5, 1.0, rng)
+    d = project_tangent(w, rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)), 1.0)
+    d /= np.sqrt(inner(d, d))
+    opts = RcgOptions(max_linesearch_evals=budget)
+    assert wolfe_linesearch(fg, w, d, 0.0, -1.0, 1.0, opts) is None
+    assert len(calls) == budget
+
+
 def test_wolfe_loose_constants_accept_quickly():
     rng = np.random.default_rng(8)
     target = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))

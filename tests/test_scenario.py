@@ -35,6 +35,12 @@ def test_pathloss_rejects_distances_below_reference():
         pathloss(10.0, d0=0.0)
 
 
+@pytest.mark.parametrize("distance", [50.0, np.float64(50.0)], ids=["float", "float64"])
+def test_pathloss_overflow_raises_for_every_input_type(distance):
+    with pytest.raises(OverflowError):
+        pathloss(distance, exponent=-300)
+
+
 def test_dbm_watts_conversions():
     assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-12)
     assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-12)
