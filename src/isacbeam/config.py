@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from . import scenario as sc
 from .errors import ConfigError
+from .radar import MUSIC_GRID_DEG
 from .rcg import RcgOptions
 
 
@@ -68,12 +69,8 @@ _SCHEMA = {
         "pathloss_ref_m": (_finite, sc.DEFAULT_PATHLOSS_REF_M),
     },
     "solver": {
-        "c1": (_finite, 1e-4),
-        "c2": (_finite, 0.4),
-        "eps": (_checked(_finite, lambda x: x >= 0, "must be nonnegative"), 1e-3),
-        "max_iters": (int, 2000),
-        "max_linesearch_evals": (int, 30),
-        "restart_period": (int, 0),      # 0 means automatic (column count)
+        "eps": (_checked(_finite, lambda x: x >= 0, "must be nonnegative"), RcgOptions.eps),
+        "max_iters": (int, RcgOptions.max_iters),
     },
     "experiment": {
         "power_grid_dbm": (_float_list, (10.0, 15.0, 20.0)),
@@ -81,7 +78,7 @@ _SCHEMA = {
                                 "entries must lie in [0, 1]"), (0.3, 0.5, 0.7)),
         "trials": (_checked(int, lambda n: n >= 1, "must be at least 1"), 30),
         "grid_deg": (_grid_step, 0.1),    # beampattern trace resolution
-        "music_grid_deg": (_grid_step, 0.02),
+        "music_grid_deg": (_grid_step, MUSIC_GRID_DEG),
     },
 }
 
@@ -199,9 +196,6 @@ def build_scenario(cfg, seed=None, power_budget_dbm=None, overload=None):
 def build_options(cfg):
     s = cfg.section("solver")
     try:
-        return RcgOptions(
-            c1=s["c1"], c2=s["c2"], eps=s["eps"], max_iters=s["max_iters"],
-            max_linesearch_evals=s["max_linesearch_evals"],
-            restart_period=s["restart_period"] or None)
+        return RcgOptions(eps=s["eps"], max_iters=s["max_iters"])
     except ValueError as exc:
         raise ConfigError(f"invalid solver options: {exc}") from exc

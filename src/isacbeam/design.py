@@ -189,7 +189,7 @@ def solve_sp2(scenario, w_start, r_min, opts=None):
     return _first_crossing(last_infeasible, w, scenario.row_radius, feasible), trace
 
 
-def _first_crossing(w_bad, w_good, radius, feasible, tol=1e-6):
+def _first_crossing(w_bad, w_good, radius, feasible):
     """Pull the accepted stage-II point back to the rate boundary.
 
     The last solver step can jump deep into the feasible region; bisect
@@ -199,7 +199,7 @@ def _first_crossing(w_bad, w_good, radius, feasible, tol=1e-6):
     if w_bad is w_good:
         return w_good
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > 1e-6:     # as a fraction of the segment
         mid = 0.5 * (lo + hi)
         if feasible(manifold.retract((1.0 - mid) * w_bad + mid * w_good, radius)):
             hi = mid

@@ -29,9 +29,9 @@ def is_on_manifold(w, radius, tol=ROW_TOL):
     return bool(np.all(np.abs(row_norms(w) - radius) <= tol * radius))
 
 
-def check_on_manifold(w, radius, tol=1e-8):
+def check_on_manifold(w, radius):
     # loose guard on hot paths; retraction keeps iterates far tighter
-    if not is_on_manifold(w, radius, tol=tol):
+    if not is_on_manifold(w, radius, tol=1e-8):
         gap = np.abs(row_norms(w) - radius).max() / radius
         raise ValueError(f"point off manifold (relative row-norm gap {gap:.2e})")
 

@@ -1,14 +1,16 @@
 """Riemannian conjugate gradient on the oblique manifold.
 
 Fletcher-Reeves directions, retraction after every update,
-projection-based transport. Each step runs one bracketing strong Wolfe
-search (curvature measured against the transported direction); when no
-probe meets both conditions it takes the best probe that met sufficient
-decrease, and the solver stops with 'linesearch_fail' when none did.
-The solver is objective-agnostic: it takes a callback returning (value,
-Euclidean gradient) and applies the dual stopping rule (gradient norm
-below eps*(1+|f|), or objective change below eps) to whatever scale the
-callback reports.
+projection-based transport, and a steepest-descent restart every
+column-count iterations. Each step runs one bracketing strong Wolfe
+search with the fixed constants C1 and C2 (curvature measured against
+the transported direction) and at most MAX_LINESEARCH_EVALS probes;
+when no probe meets both conditions it takes the best probe that met
+sufficient decrease, and the solver stops with 'linesearch_fail' when
+none did. The solver is objective-agnostic: it takes a callback
+returning (value, Euclidean gradient) and applies the dual stopping
+rule (gradient norm below eps*(1+|f|), or objective change below eps)
+to whatever scale the callback reports.
 """
 
 import csv
@@ -22,28 +24,26 @@ from .manifold import check_on_manifold, inner, project_tangent, retract
 
 _TINY = 1e-300
 
+# Strong Wolfe constants; 0 < C1 < C2 < 1/2 keeps every Fletcher-Reeves
+# direction a descent direction (Al-Baali 1985; Nocedal & Wright, 5.2).
+C1 = 1e-4
+C2 = 0.4
+MAX_LINESEARCH_EVALS = 30   # probes per line search, that is per step
+
 
 @dataclass
 class RcgOptions:
-    c1: float = 1e-4
-    c2: float = 0.4
+    """Stopping rule and step cap; the line search and restarts are fixed."""
     eps: float = 1e-3
     max_iters: int = 2000
-    max_linesearch_evals: int = 30
-    restart_period: int | None = None   # defaults to the column count
     max_step_norm: float | None = None  # ambient cap on ||step||_F per iterate
 
     def __post_init__(self):
-        # descent of every FR direction needs c2 < 1/2
-        if not (0.0 < self.c1 < self.c2 < 0.5):
-            raise ValueError("need 0 < c1 < c2 < 1/2")
         # eps = 0 is valid: stage II stops on its rate guard instead
         if not (0.0 <= self.eps < math.inf):
             raise ValueError("eps must be finite and nonnegative")
-        if self.max_iters < 1 or self.max_linesearch_evals < 1:
-            raise ValueError("iteration budgets must be positive")
-        if self.restart_period is not None and self.restart_period < 1:
-            raise ValueError("restart period must be at least 1")
+        if self.max_iters < 1:
+            raise ValueError("iteration budget must be positive")
         if self.max_step_norm is not None and self.max_step_norm <= 0:
             raise ValueError("step cap must be positive")
 
@@ -117,11 +117,11 @@ def _probe(fg, w, d, alpha, radius):
 def wolfe_linesearch(fg, w, d, f0, slope0, radius, opts):
     """Strong Wolfe step along d from w.
 
-    Sufficient decrease: f(R(w + a d)) <= f0 + c1 a slope0.
-    Curvature: |<grad f at the new point, transported d>| <= c2 |slope0|.
+    Sufficient decrease: f(R(w + a d)) <= f0 + C1 a slope0.
+    Curvature: |<grad f at the new point, transported d>| <= C2 |slope0|.
     One bracketing search over [a_lo, a_hi]: the trial step doubles (up
     to the step cap) until an upper end is found, then bisects. It makes
-    at most ``max_linesearch_evals`` probes. If none meets both
+    at most MAX_LINESEARCH_EVALS probes. If none meets both
     conditions, returns the best probe that met sufficient decrease
     (wolfe_ok False), or None if no probe decreased enough.
     """
@@ -133,15 +133,15 @@ def wolfe_linesearch(fg, w, d, f0, slope0, radius, opts):
     a_lo, f_lo, a_hi = 0.0, f0, None
     best = None
     evals = 0
-    while evals < opts.max_linesearch_evals:
+    while evals < MAX_LINESEARCH_EVALS:
         ev = _probe(fg, w, d, a, radius)
         evals += 1
-        armijo = ev.value <= f0 + opts.c1 * a * slope0
+        armijo = ev.value <= f0 + C1 * a * slope0
         if armijo and (best is None or ev.value < best.value):
             best = ev
         if not armijo or (evals > 1 and ev.value >= f_lo):
             a_hi = a
-        elif abs(ev.dslope) <= -opts.c2 * slope0:
+        elif abs(ev.dslope) <= -C2 * slope0:
             return LineSearchResult(a, evals, True, ev)
         else:
             # with no upper end yet the interval counts as positive
@@ -152,7 +152,7 @@ def wolfe_linesearch(fg, w, d, f0, slope0, radius, opts):
                 break  # the capped step already decreases enough
         if a_hi is None:
             a = min(2.0 * a, a_cap)
-        elif abs(a_hi - a_lo) <= 1e-14 * max(1.0, abs(a_lo)):
+        elif abs(a_hi - a_lo) <= 1e-14 * max(abs(a_hi), abs(a_lo)):
             break
         else:
             a = 0.5 * (a_lo + a_hi)
@@ -190,7 +190,6 @@ def minimize(fg, w0, radius, opts=None, stop_when=None):
     rgrad = project_tangent(w, egrad, radius)
     gnorm2 = inner(rgrad, rgrad)
     d = -rgrad
-    period = opts.restart_period or w.shape[1]
     trace = SolverTrace(initial_objective=f)
 
     for it in range(opts.max_iters):
@@ -208,7 +207,7 @@ def minimize(fg, w0, radius, opts=None, stop_when=None):
         ev = ls.at
         trace.zoutendijk.append(slope * slope / max(inner(d, d), _TINY))
         gnorm2_new = inner(ev.rgrad, ev.rgrad)
-        if (it + 1) % period == 0:
+        if (it + 1) % w.shape[1] == 0:
             beta = 0.0
         else:
             beta = gnorm2_new / gnorm2

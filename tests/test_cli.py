@@ -125,7 +125,7 @@ def test_unknown_mode_exits_2(cfg_path, capsys):
 
 def test_bad_config_value_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
-    bad.write_text("[solver]\nc1 = fast\n", encoding="utf-8")
+    bad.write_text("[solver]\neps = fast\n", encoding="utf-8")
     assert cli.main(["design", "--config", str(bad)]) == 2
 
 
@@ -280,7 +280,9 @@ def test_beampattern_rejects_unusable_grid(step, tmp_path, capsys):
     assert "bad value for 'grid_deg'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["out = x.csv", "seed = 7"])
+@pytest.mark.parametrize("line", ["out = x.csv", "seed = 7"] + [
+    pytest.param(f"[solver]\n{key} = 1", id=f"solver-{key}")
+    for key in ("c1", "c2", "max_linesearch_evals", "restart_period")])
 def test_removed_experiment_keys_exit_2(line, tmp_path, capsys):
     ini = tmp_path / "old.ini"
     ini.write_text(SMALL_INI + line + "\n", encoding="utf-8")
@@ -324,7 +326,7 @@ def test_every_config_key_is_read(tmp_path, monkeypatch):
     # (d0/50 m)^270 overflows; pyproject turns a RuntimeWarning into a failure
     ("design", "seed = 3", "seed = 3\npathloss_exponent = -135"),
     ("design", "num_users = 2", "num_users = -1"),
-    ("design", "delta_grid = 0.0, 0.7", "delta_grid = 0.0, 0.7\n[solver]\nrestart_period = -3"),
+    ("design", "delta_grid = 0.0, 0.7", "delta_grid = 0.0, 0.7\n[solver]\nmax_iters = 0"),
     # a config is invalid whichever subcommand reads it
     ("design", "music_grid_deg = 0.5", "music_grid_deg = 0"),
 ])

@@ -13,6 +13,7 @@ from isacbeam.config import (
     parse_config,
 )
 from isacbeam.errors import ConfigError
+from isacbeam.rcg import RcgOptions
 from isacbeam.scenario import make_scenario
 
 SMALL = """
@@ -34,7 +35,8 @@ def test_default_config_values():
     assert cfg.get("scenario", "target_angles_deg") == (-45.0, 30.0, 60.0)
     assert cfg.get("scenario", "overload") == 0.7
     assert cfg.get("solver", "eps") == 1e-3
-    assert cfg.get("solver", "restart_period") == 0
+    assert set(cfg.section("solver")) == {"eps", "max_iters"}
+    assert build_options(cfg) == RcgOptions()
     assert cfg.get("experiment", "trials") == 30
     assert cfg.get("experiment", "power_grid_dbm") == (10.0, 15.0, 20.0)
 
@@ -75,8 +77,8 @@ def test_parse_rejects_unknown_key_with_location():
 
 
 def test_parse_rejects_bad_value():
-    with pytest.raises(ConfigError, match="'c1'"):
-        parse_config("[solver]\nc1 = fast\n")
+    with pytest.raises(ConfigError, match="'eps'"):
+        parse_config("[solver]\neps = fast\n")
     with pytest.raises(ConfigError, match="'target_angles_deg'"):
         parse_config("[scenario]\ntarget_angles_deg =\n")
 
@@ -138,13 +140,10 @@ def test_build_options_defaults_and_restart():
     opts = build_options(default_config())
     assert opts.eps == 1e-3
     assert opts.max_iters == 2000
-    assert opts.restart_period is None            # 0 means automatic
-    cfg = parse_config("[solver]\nrestart_period = 5\n")
-    assert build_options(cfg).restart_period == 5
 
 
 def test_build_options_wraps_validation_errors():
-    cfg = parse_config("[solver]\nc2 = 0.6\n")
+    cfg = parse_config("[solver]\nmax_iters = 0\n")
     with pytest.raises(ConfigError, match="invalid solver"):
         build_options(cfg)
 
@@ -205,8 +204,3 @@ def test_parse_accepts_range_edges():
 def test_build_scenario_maps_overflow_and_negative_counts(old, new):
     with pytest.raises(ConfigError, match="invalid scenario"):
         build_scenario(parse_config(SMALL.replace(old, new)))
-
-
-def test_build_options_rejects_negative_restart_period():
-    with pytest.raises(ConfigError, match="restart period"):
-        build_options(parse_config("[solver]\nrestart_period = -3\n"))
