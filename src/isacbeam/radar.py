@@ -10,16 +10,18 @@ covariance Y Y^H / L: signal subspace of that covariance, grid
 pseudospectrum, tallest local maxima, one parabolic refinement per peak.
 
 The Monte-Carlo trials never form the L-column frame. With the probe
-drawn as Xt = sqrt(L) Q^H from the QR factors Z = Q R of a Gaussian
-L x N matrix, Q = Z R^-1 and
+Xt = sqrt(L) Q^H (Q an L x N orthonormal basis) and P_perp = I - Q Q^H,
 
-    Y Y^H / L = GW GW^H + (C + C^H + N N^H) / L,
-    C = sqrt(L) GW (N Z R^-1)^H,
+    Y Y^H = (sqrt(L) GW + N Q)(sqrt(L) GW + N Q)^H + N P_perp N^H,
 
-so ``echo_covariance`` needs only the R factor and two M_R x N / M_R x L
-products. It consumes the same draws, in the same order, as
+where N Q is an M_R x N matrix of iid CN(0, sigma^2) entries and, given
+Q, N P_perp N^H is an independent complex Wishart matrix with L - N
+degrees of freedom and scale sigma^2 I. ``echo_covariance`` draws both
+terms directly, the Wishart one as sigma^2 T T^H with the Bartlett
+factor T (Goodman, Ann. Math. Stat. 34, 1963), so a trial costs the
+same at any L. It has the same law as the sample covariance of
 ``synthesize_waveform`` followed by ``synthesize_echo``, which remain as
-the explicit-frame reference.
+the explicit-frame reference, but not the same realisation.
 """
 
 import functools
@@ -67,16 +69,10 @@ def _cgauss(rng, shape, scale=1.0):
     return out
 
 
-def _probe_draw(num_streams, snapshots, rng):
+def _check_snapshots(num_streams, snapshots):
     if snapshots < num_streams:
         raise ValueError("need at least as many snapshots as streams "
                          f"({snapshots} < {num_streams})")
-    return _cgauss(rng, (snapshots, num_streams))
-
-
-def _noise_draw(scenario, snapshots, rng):
-    return _cgauss(rng, (scenario.array.num_rx, snapshots),
-                   np.sqrt(scenario.noise_power / 2.0))
 
 
 def echo_channel(scenario):
@@ -89,7 +85,8 @@ def echo_channel(scenario):
 
 def synthesize_probe(num_streams, snapshots, rng):
     """Probe matrix Xt, shape (num_streams, L), with (1/L) Xt Xt^H = I."""
-    q, _ = np.linalg.qr(_probe_draw(num_streams, snapshots, rng))
+    _check_snapshots(num_streams, snapshots)
+    q, _ = np.linalg.qr(_cgauss(rng, (snapshots, num_streams)))
     return np.sqrt(snapshots) * q.conj().T
 
 
@@ -104,7 +101,8 @@ def synthesize_echo(scenario, x, rng):
     x = np.asarray(x)
     if x.shape[0] != scenario.array.num_tx:
         raise ValueError("waveform row count does not match the transmit array")
-    noise = _noise_draw(scenario, x.shape[1], rng)
+    noise = _cgauss(rng, (scenario.array.num_rx, x.shape[1]),
+                    np.sqrt(scenario.noise_power / 2.0))
     return EchoBatch(received=echo_channel(scenario) @ x + noise, transmitted=x,
                      noise_power=scenario.noise_power)
 
@@ -112,21 +110,27 @@ def synthesize_echo(scenario, x, rng):
 def echo_covariance(scenario, gw, rng):
     """Sample covariance Y Y^H / L of one echo, without forming X or Y.
 
-    ``gw`` is G W (M_R x N). Consumes the same draws as
-    ``synthesize_echo(scenario, synthesize_waveform(w, L, rng), rng)``
-    and agrees with that echo's ``covariance`` to rounding.
+    ``gw`` is G W (M_R x N). Returns (S S^H + sigma^2 T T^H) / L with
+    S = sqrt(L) GW + N Q and the M_R x min(M_R, L - N) lower-trapezoidal
+    Bartlett factor T of the complex Wishart term: CN(0, 1) below the
+    diagonal, sqrt(Gamma(L - N - i)) on it. Draws, in order, N Q, the
+    full M_R x min(M_R, L - N) block whose strictly lower part feeds T,
+    then the diagonal. Same law as the explicit frame's ``covariance``
+    (see the module docstring), independent of L in cost.
     """
     gw = np.asarray(gw)
     if gw.shape[0] != scenario.array.num_rx:
         raise ValueError("G W row count does not match the receive array")
     snapshots = scenario.snapshots
-    z = _probe_draw(gw.shape[1], snapshots, rng)
-    r = np.linalg.qr(z, mode="r")
-    noise = _noise_draw(scenario, snapshots, rng)
-    # R^-H (N Z)^H = (N Z R^-1)^H, the noise seen through Q
-    nq_h = np.linalg.solve(r.conj().T, (noise @ z).conj().T)
-    cross = np.sqrt(snapshots) * (gw @ nq_h)
-    return gw @ gw.conj().T + (cross + cross.conj().T + noise @ noise.conj().T) / snapshots
+    m_r, num_streams = gw.shape
+    _check_snapshots(num_streams, snapshots)
+    dof = snapshots - num_streams
+    m = min(m_r, dof)
+    s = np.sqrt(snapshots) * gw + _cgauss(rng, (m_r, num_streams),
+                                          np.sqrt(scenario.noise_power / 2.0))
+    t = np.tril(_cgauss(rng, (m_r, m), np.sqrt(0.5)), k=-1)
+    np.fill_diagonal(t, np.sqrt(rng.gamma(dof - np.arange(m))))
+    return (s @ s.conj().T + scenario.noise_power * (t @ t.conj().T)) / snapshots
 
 
 @functools.lru_cache(maxsize=4)
@@ -230,10 +234,12 @@ def music_estimate(cov, num_targets, grid_deg=MUSIC_GRID_DEG):
 def monte_carlo(scenario, result, trials, grid_deg=MUSIC_GRID_DEG):
     """Repeated-echo estimation study of one design.
 
-    Each trial draws its probe matrix and noise from a substream keyed
-    by the trial index, so the aggregate is reproducible bit for bit.
-    Trials run in the covariance domain (``echo_covariance``), one at a
-    time, so memory stays flat in the trial count. RMSE aggregates the
+    Each trial draws its echo covariance from a substream keyed by the
+    trial index, so the aggregate is reproducible bit for bit. Trials
+    run in the covariance domain (``echo_covariance``: Gaussian N Q
+    term plus a Bartlett-drawn complex Wishart term, Goodman 1963), one
+    at a time, so time and memory per trial do not depend on L and
+    memory stays flat in the trial count. RMSE aggregates the
     per-trial summed squared angle error, matching the stacked-parameter
     convention of the reported RCRLB.
     """

@@ -1,6 +1,8 @@
 """Echo synthesis, MUSIC estimation, and the Monte-Carlo harness."""
 
 import dataclasses
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,8 +186,8 @@ def test_music_rejects_non_covariance_input():
 
 def test_music_noiseless_on_grid_target_keeps_denominator_nonnegative():
     # at a noiseless target exactly on the grid, ||a||^2 - ||E_s^H a||^2
-    # cancels to rounding (on this draw it rounds to -3.6e-15); those
-    # columns fall back to the noise subspace
+    # cancels to rounding (on this draw to 1.8e-15; on others it can fall
+    # below zero); those columns fall back to the noise subspace
     s = _sensing_scenario(-300.0)
     gw = echo_channel(s) @ _identity_beamformer(s)
     cov = echo_covariance(s, gw, substream(0, "trial", 1))
@@ -212,19 +214,56 @@ def _random_beamformer(scenario, rng):
     return w * np.sqrt(scenario.power_budget / mt) / np.linalg.norm(w, axis=1)[:, None]
 
 
-@pytest.mark.parametrize("noise_dbm", [-96.0, -300.0])
-@pytest.mark.parametrize("mt, mr, k, snapshots", [
-    (8, 8, 0, 64), (8, 8, 2, 10), (32, 32, 6, 1024)])
-def test_echo_covariance_matches_explicit_frame(mt, mr, k, snapshots, noise_dbm):
-    s = make_scenario(num_tx=mt, num_rx=mr, num_users=k, snapshots=snapshots,
-                      noise_power_dbm=noise_dbm, seed=4)
-    w = _random_beamformer(s, np.random.default_rng(mt + k))
-    twin = substream(4, "trial", 2)
-    x = synthesize_waveform(w, snapshots, twin)
-    ref = synthesize_echo(s, x, twin).covariance
-    cov = echo_covariance(s, echo_channel(s) @ w, substream(4, "trial", 2))
-    assert cov.shape == (mr, mr)
+# (M_T = M_R, K, L) with N = M_T + K streams: L - N = 0, 0 < L - N < M_R
+# and L - N >= M_R, the three shapes of the Bartlett factor
+_WISHART_REGIMES = [(8, 2, 10), (8, 0, 12), (8, 2, 64)]
+
+
+@pytest.mark.parametrize("m, k, snapshots", _WISHART_REGIMES)
+def test_echo_covariance_moments_match_explicit_frame(m, k, snapshots):
+    # -75 dBm puts the noise ~6x above the per-antenna echo, so the
+    # Wishart term shapes both moments; with 4000 trials per side the
+    # tolerances are about five standard errors of each comparison
+    s = make_scenario(num_tx=m, num_rx=m, num_users=k, snapshots=snapshots,
+                      noise_power_dbm=-75.0, seed=4)
+    w = _random_beamformer(s, np.random.default_rng(m + k))
+    gw = echo_channel(s) @ w
+    trials = 4000
+    rng = np.random.default_rng(1)
+    cov = np.array([echo_covariance(s, gw, rng) for _ in range(trials)])
+    rng = np.random.default_rng(2)
+    ref = np.array([synthesize_echo(s, synthesize_waveform(w, snapshots, rng), rng).covariance
+                    for _ in range(trials)])
+    assert cov.shape == ref.shape == (trials, m, m)
+    mean, ref_mean = cov.mean(axis=0), ref.mean(axis=0)
+    assert np.linalg.norm(mean - ref_mean) <= 0.04 * np.linalg.norm(ref_mean)
+    assert np.max(np.abs(cov.var(axis=0) / ref.var(axis=0) - 1.0)) <= 0.15
+
+
+@pytest.mark.parametrize("m, k, snapshots", _WISHART_REGIMES)
+def test_echo_covariance_noiseless_limit(m, k, snapshots):
+    # the noise enters to first order, about sigma / (sqrt(L) |GW|):
+    # 1e-11 at the default 20 dBm budget, 1e-13 at 60 dBm
+    s = make_scenario(num_tx=m, num_rx=m, num_users=k, snapshots=snapshots,
+                      noise_power_dbm=-300.0, power_budget_dbm=60.0, seed=4)
+    gw = echo_channel(s) @ _random_beamformer(s, np.random.default_rng(m + k))
+    ref = gw @ gw.conj().T
+    cov = echo_covariance(s, gw, substream(4, "trial", 2))
     assert np.linalg.norm(cov - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_echo_covariance_memory_is_free_of_snapshots():
+    # at L = 2**16 every M x L complex block of the explicit frame is 8 MiB
+    s = _sensing_scenario(-96.0, snapshots=2**16)
+    gw = echo_channel(s) @ _identity_beamformer(s)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        echo_covariance(s, gw, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_echo_covariance_rejects_bad_sizes():
@@ -287,16 +326,27 @@ def test_monte_carlo_noise_hurts(mc_scenario, mc_design):
     assert loud_rep.rmse >= quiet_rep.rmse
 
 
-def _reference_trial(scenario, w, num_targets, grid_deg, rng):
-    """Explicit frame, then MUSIC on the noise-subspace denominator."""
-    cov = synthesize_echo(scenario, synthesize_waveform(w, scenario.snapshots, rng),
-                          rng).covariance
-    m = cov.shape[0]
-    _, vecs = np.linalg.eigh(cov)
+@functools.lru_cache(maxsize=2)
+def _reference_grid(m, grid_deg):
     theta_deg = np.linspace(-90.0, 90.0, int(round(180.0 / grid_deg)) + 1)
     a = np.exp(1j * np.pi * np.outer(np.arange(m), np.sin(np.deg2rad(theta_deg))))
+    return theta_deg, a
+
+
+def _reference_music(cov, num_targets, grid_deg):
+    """MUSIC on the noise-subspace denominator ||E_n^H a||^2."""
+    m = cov.shape[0]
+    _, vecs = np.linalg.eigh(cov)
+    theta_deg, a = _reference_grid(m, grid_deg)
     denom = (np.abs(vecs[:, : m - num_targets].conj().T @ a) ** 2).sum(axis=0)
     return radar._pick_peaks(theta_deg, denom, num_targets)
+
+
+def _reference_trial(scenario, w, num_targets, grid_deg, rng):
+    """Explicit frame, then the noise-subspace MUSIC reference."""
+    cov = synthesize_echo(scenario, synthesize_waveform(w, scenario.snapshots, rng),
+                          rng).covariance
+    return _reference_music(cov, num_targets, grid_deg)
 
 
 @pytest.fixture(scope="module")
@@ -307,32 +357,47 @@ def three_target_design():
 
 @pytest.mark.parametrize("case, grid_deg", [("two_targets", 0.1),
                                             ("three_targets", radar.MUSIC_GRID_DEG)])
-def test_monte_carlo_matches_explicit_frame_reference(case, grid_deg, mc_scenario,
-                                                      mc_design, three_target_design,
-                                                      monkeypatch):
+def test_monte_carlo_music_matches_noise_subspace_reference(case, grid_deg, mc_scenario,
+                                                            mc_design, three_target_design,
+                                                            monkeypatch):
     s, res = ((mc_scenario, mc_design) if case == "two_targets"
               else three_target_design)
     seen = []
 
     def recording(cov, num_targets, grid_deg):
         out = music_estimate(cov, num_targets, grid_deg)
-        seen.append(out)
+        seen.append((cov, out))
         return out
 
     monkeypatch.setattr(radar, "music_estimate", recording)
     trials = 6
     rep = monte_carlo(s, res, trials, grid_deg=grid_deg)
     t = len(s.targets)
-    ref = [_reference_trial(s, res.w, t, grid_deg, substream(s.seed, "trial", i))
-           for i in range(trials)]
     assert len(seen) == trials
-    for (est, bad), (ref_est, ref_bad) in zip(seen, ref):
+    ref = [_reference_music(cov, t, grid_deg) for cov, _ in seen]
+    for (_, (est, bad)), (ref_est, ref_bad) in zip(seen, ref):
         assert bad == ref_bad
         assert np.max(np.abs(est - ref_est)) <= 1e-12
     assert rep.degraded_trials == sum(bad for _, bad in ref)
     truth = np.sort(s.target_angles())
     sq = [float((est - truth) @ (est - truth)) for est, _ in ref]
     assert rep.rmse == pytest.approx(np.sqrt(np.mean(sq)), rel=1e-9)
+
+
+def test_monte_carlo_rmse_matches_explicit_frame(mc_scenario, mc_design):
+    # same law, different draws: with 1000 trials per side the RMSE ratio
+    # has a standard error of about 2%, so 10% is ~4.5 of them
+    trials, grid_deg = 1000, 0.1
+    rep = monte_carlo(mc_scenario, mc_design, trials, grid_deg=grid_deg)
+    truth = np.sort(mc_scenario.target_angles())
+    sq, degraded = [], 0
+    for i in range(trials):
+        est, bad = _reference_trial(mc_scenario, mc_design.w, truth.size, grid_deg,
+                                    substream(mc_scenario.seed, "reference", i))
+        sq.append(float((est - truth) @ (est - truth)))
+        degraded += bad
+    assert rep.degraded_trials == degraded == 0
+    assert rep.rmse == pytest.approx(np.sqrt(np.mean(sq)), rel=0.1)
 
 
 def test_monte_carlo_rejects_zero_trials(mc_scenario, mc_design):
