@@ -159,12 +159,10 @@ def dump_config(cfg):
 def build_scenario(cfg, seed=None, power_budget_dbm=None, overload=None):
     """Scenario from the config's scenario section, with overrides."""
     s = cfg.section("scenario")
-    if seed is None:
-        seed = s["seed"]
-    if power_budget_dbm is None:
-        power_budget_dbm = s["power_budget_dbm"]
-    if overload is None:
-        overload = s["overload"]
+    for key, value in (("seed", seed), ("power_budget_dbm", power_budget_dbm),
+                       ("overload", overload)):
+        if value is not None:
+            s[key] = value
     if len(s["target_angles_deg"]) != len(s["target_ranges_m"]):
         raise ConfigError("target_angles_deg and target_ranges_m lengths differ")
     # the probe needs one snapshot per stream, MUSIC one spare receive antenna
@@ -175,19 +173,7 @@ def build_scenario(cfg, seed=None, power_budget_dbm=None, overload=None):
         raise ConfigError(f"num_rx = {s['num_rx']} must exceed the number of targets "
                           f"({len(s['target_angles_deg'])})")
     try:
-        return sc.make_scenario(
-            num_tx=s["num_tx"], num_rx=s["num_rx"], num_users=s["num_users"],
-            target_angles_deg=s["target_angles_deg"],
-            target_ranges_m=s["target_ranges_m"],
-            noise_power_dbm=s["noise_power_dbm"],
-            power_budget_dbm=power_budget_dbm,
-            snapshots=s["snapshots"], rician_k=s["rician_k"],
-            overload=overload, seed=seed,
-            user_range_m=(s["user_range_min_m"], s["user_range_max_m"]),
-            user_sector_deg=(s["user_angle_min_deg"], s["user_angle_max_deg"]),
-            pathloss_exponent=s["pathloss_exponent"],
-            pathloss_ref_db=s["pathloss_ref_db"],
-            pathloss_ref_m=s["pathloss_ref_m"])
+        return sc.make_scenario(**s)
     except (ValueError, OverflowError) as exc:
         # OverflowError: finite dB values or user ranges too large for a float
         raise ConfigError(f"invalid scenario: {exc}") from exc

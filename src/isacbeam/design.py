@@ -123,8 +123,7 @@ def _normalized(value_grad, base):
 def solve_sp1(scenario, w0, opts=None, coupling=None):
     """Stage I: minimize the sum-CRLB over the manifold from ``w0``.
 
-    Returns (w, trace). On a singular Fisher matrix at the start the
-    sensing column phases are re-randomized once before giving up.
+    Returns (w, trace).
     """
     opts = opts or rcg.RcgOptions()
     if coupling is None:
@@ -134,14 +133,7 @@ def solve_sp1(scenario, w0, opts=None, coupling=None):
         state = crlb.fisher_matrix(w, coupling)
         return state.objective, crlb.grad_f1(w, coupling, state)
 
-    try:
-        base = crlb.fisher_matrix(w0, coupling).objective
-    except NumericalError:
-        rng = substream(scenario.seed, "sp1-restart")
-        k = scenario.num_users
-        w0 = w0.copy()
-        w0[:, k:] *= np.exp(2j * np.pi * rng.uniform(size=w0.shape[1] - k))[None, :]
-        base = crlb.fisher_matrix(w0, coupling).objective
+    base = crlb.fisher_matrix(w0, coupling).objective
     return rcg.minimize(_normalized(value_grad, base), w0,
                         scenario.row_radius, opts)
 
@@ -196,8 +188,6 @@ def _first_crossing(w_bad, w_good, radius, feasible):
     the retracted segment between the last infeasible iterate and the
     accepted one down to the first point that still passes the guard.
     """
-    if w_bad is w_good:
-        return w_good
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-6:     # as a fraction of the segment
         mid = 0.5 * (lo + hi)
@@ -244,7 +234,7 @@ def run(scenario, mode="sgcdf", opts=None):
         t0 = time.perf_counter()
         w, traces["sp1"] = solve_sp1(scenario, w0, opts, coupling=coupling)
         stage_times["sp1"] = time.perf_counter() - t0
-        if mode in ("sgcdf", "no_dedicated_stream"):
+        if mode not in FLOORLESS_MODES:
             t0 = time.perf_counter()
             w, traces["sp2"] = solve_sp2(scenario, w, r_min, opts)
             stage_times["sp2"] = time.perf_counter() - t0

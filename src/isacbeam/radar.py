@@ -6,8 +6,9 @@ equals W W^H without estimation error. The receiver sees Y = G X + N,
 the sum of the rank-1 target channels G applied to X plus white complex
 Gaussian noise, and estimates the angles with classical MUSIC (no
 forward-backward averaging, no diagonal loading) from the sample
-covariance Y Y^H / L: signal subspace of that covariance, grid
-pseudospectrum, tallest local maxima, one parabolic refinement per peak.
+covariance Y Y^H / L: signal subspace of that covariance, the
+denominator ||E_n^H a||^2 of the pseudospectrum on a grid, its deepest
+interior minima as the peaks, one parabolic refinement per peak.
 
 The Monte-Carlo trials never form the L-column frame. With the probe
 Xt = sqrt(L) Q^H (Q an L x N orthonormal basis) and P_perp = I - Q Q^H,
@@ -196,26 +197,22 @@ def _local_maxima(x):
 
 
 def _pick_peaks(theta_deg, denom, num_targets):
-    """Tallest pseudospectrum peaks, one parabolic refinement each."""
-    pseudo = 1.0 / denom
-    idx = _local_maxima(pseudo)
-    idx = idx[pseudo[idx] >= 0.0]
+    """Peaks of the pseudospectrum 1 / denom, taken as the deepest interior
+    minima of ``denom`` without dividing; one parabolic refinement each."""
+    idx = _local_maxima(-denom)
     degraded = idx.size < num_targets
     if idx.size == 0:
-        return np.full(num_targets, np.deg2rad(theta_deg[int(np.argmax(pseudo))])), True
-    order = np.argsort(pseudo[idx])[::-1]
+        return np.full(num_targets, np.deg2rad(theta_deg[int(np.argmin(denom))])), True
+    order = np.argsort(denom[idx])
     picked = list(idx[order[:num_targets]])
     while len(picked) < num_targets:
         picked.append(picked[0])
     step = theta_deg[1] - theta_deg[0]
     out = []
     for i in picked:
-        if 0 < i < denom.size - 1:
-            curv = denom[i - 1] - 2.0 * denom[i] + denom[i + 1]
-            shift = 0.5 * (denom[i - 1] - denom[i + 1]) / curv if curv > 0 else 0.0
-            shift = float(np.clip(shift, -1.0, 1.0))
-        else:
-            shift = 0.0
+        curv = denom[i - 1] - 2.0 * denom[i] + denom[i + 1]
+        shift = 0.5 * (denom[i - 1] - denom[i + 1]) / curv if curv > 0 else 0.0
+        shift = float(np.clip(shift, -1.0, 1.0))
         out.append(theta_deg[i] + shift * step)
     return np.sort(np.deg2rad(out)), degraded
 

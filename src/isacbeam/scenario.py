@@ -207,8 +207,10 @@ def make_scenario(num_tx=DEFAULT_NUM_TX, num_rx=DEFAULT_NUM_RX,
                   power_budget_dbm=DEFAULT_POWER_BUDGET_DBM,
                   snapshots=DEFAULT_SNAPSHOTS, rician_k=DEFAULT_RICIAN_K,
                   overload=DEFAULT_OVERLOAD, seed=DEFAULT_SEED,
-                  user_range_m=DEFAULT_USER_RANGE_M,
-                  user_sector_deg=DEFAULT_USER_SECTOR_DEG,
+                  user_range_min_m=DEFAULT_USER_RANGE_M[0],
+                  user_range_max_m=DEFAULT_USER_RANGE_M[1],
+                  user_angle_min_deg=DEFAULT_USER_SECTOR_DEG[0],
+                  user_angle_max_deg=DEFAULT_USER_SECTOR_DEG[1],
                   pathloss_exponent=DEFAULT_PATHLOSS_EXPONENT,
                   pathloss_ref_db=DEFAULT_PATHLOSS_REF_DB,
                   pathloss_ref_m=DEFAULT_PATHLOSS_REF_M):
@@ -224,7 +226,8 @@ def make_scenario(num_tx=DEFAULT_NUM_TX, num_rx=DEFAULT_NUM_RX,
                            c0_db=pathloss_ref_db, d0=pathloss_ref_m)
     users = make_user_channels(num_users, num_tx, rician_k,
                                substream(seed, "channels"),
-                               range_m=user_range_m, sector_deg=user_sector_deg,
+                               range_m=(user_range_min_m, user_range_max_m),
+                               sector_deg=(user_angle_min_deg, user_angle_max_deg),
                                exponent=pathloss_exponent,
                                c0_db=pathloss_ref_db, d0=pathloss_ref_m)
     return Scenario(array=array, targets=tuple(targets), users=tuple(users),

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isacbeam.design
-from isacbeam import cli, design
+from isacbeam import cli, config, design
 from isacbeam.config import (_SCHEMA, ExperimentConfig, build_options, build_scenario,
                              load_config)
 from isacbeam.errors import InfeasibleError
@@ -76,6 +76,15 @@ def test_design_sensing_only_leaves_sp2_blank(cfg_path, capsys):
     assert int(rec["sp1_iterations"]) >= 1
 
 
+def test_design_reports_max_iters_termination(tmp_path, capsys):
+    ini = tmp_path / "one_iter.ini"
+    ini.write_text(SMALL_INI + "[solver]\neps = 0.0\nmax_iters = 1\n", encoding="utf-8")
+    assert cli.main(["design", "--config", str(ini), "--mode", "sensing_only"]) == 0
+    rec = _record(capsys)
+    assert rec["sp1_iterations"] == "1"
+    assert rec["sp1_termination"] == "max_iters"
+
+
 def test_design_writes_single_row_csv(cfg_path, tmp_path, capsys):
     out = tmp_path / "design.csv"
     assert cli.main(["design", "--config", cfg_path, "--mode", "sgcdf",
@@ -119,8 +128,9 @@ def test_import_loads_no_scipy():
 
 
 def test_unknown_mode_exits_2(cfg_path, capsys):
-    assert cli.main(["design", "--config", cfg_path, "--mode", "bogus"]) == 2
-    assert "config error" in capsys.readouterr().err
+    for mode, message in (("bogus", "unknown mode 'bogus'"), (",", "no mode given")):
+        assert cli.main(["design", "--config", cfg_path, "--mode", mode]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_bad_config_value_exits_2(tmp_path, capsys):
@@ -224,12 +234,15 @@ def test_sweeps_reject_unusable_monte_carlo_settings(command, old, new, tmp_path
     assert "config error" in capsys.readouterr().err
 
 
-def test_beampattern_grid_and_metadata(cfg_path, tmp_path):
+def test_beampattern_grid_and_metadata(cfg_path, tmp_path, capsys):
     out = tmp_path / "bp.csv"
-    assert cli.main(["beampattern", "--config", cfg_path,
-                     "--mode", "omnidirectional,sensing_only",
-                     "--out", str(out)]) == 0
-    meta, header, rows = cli.read_csv(out.read_text(encoding="utf-8"))
+    args = ["beampattern", "--config", cfg_path, "--mode", "omnidirectional,sensing_only"]
+    assert cli.main(args + ["--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert cli.main(args) == 0
+    # without --out the same bytes go to stdout
+    assert capsys.readouterr().out == text
+    meta, header, rows = cli.read_csv(text)
     assert header == cli.BEAMPATTERN_HEADER
     assert dict(meta)["target_angles_deg"] == "-40.0;25.0"
     assert len(dict(meta)["user_angles_deg"].split(";")) == 2
@@ -304,6 +317,14 @@ def test_every_config_key_is_read(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ExperimentConfig, "section",
                         lambda cfg, name: Recording(name, getattr(cfg, name)))
+    make_scenario = config.sc.make_scenario
+
+    def recording_make_scenario(**kwargs):
+        # build_scenario passes the section as **kwargs, past __getitem__
+        read.update(("scenario", key) for key in kwargs)
+        return make_scenario(**kwargs)
+
+    monkeypatch.setattr(config.sc, "make_scenario", recording_make_scenario)
     ini = tmp_path / "tiny.ini"
     ini.write_text(SMALL_INI.replace("trials = 3", "trials = 1")
                    .replace("power_grid_dbm = 10.0, 20.0", "power_grid_dbm = 10.0")

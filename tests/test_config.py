@@ -1,5 +1,7 @@
 """INI configuration parsing, dumping, and scenario/solver building."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,10 @@ def test_build_scenario_seed_precedence():
 
 
 def test_default_config_builds_the_default_scenario():
+    # build_scenario passes the [scenario] section to make_scenario as keywords
+    params = inspect.signature(make_scenario).parameters
+    assert {key: p.default for key, p in params.items()} == \
+        {key: default for key, (_, default) in _SCHEMA["scenario"].items()}
     built = build_scenario(default_config())
     ref = make_scenario()
     assert (built.array, built.targets) == (ref.array, ref.targets)

@@ -173,6 +173,12 @@ def test_gradient_phase_equivariance():
     w = random_point(4, 6, 1.0, np.random.default_rng(11))
     phase = np.exp(0.7j)
     assert np.allclose(grad_f1(phase * w, a), phase * grad_f1(w, a), rtol=1e-9)
+    # per-column phases, W diag(d), leave W W^H, hence the Fisher matrix, unchanged,
+    # so re-phasing columns can never repair a singular Fisher matrix
+    d = np.exp(2j * np.pi * np.random.default_rng(12).uniform(size=w.shape[1]))
+    f = fisher_matrix(w, a).matrix
+    assert np.linalg.norm(fisher_matrix(w * d, a).matrix - f) <= 1e-12 * np.linalg.norm(f)
+    assert np.allclose(grad_f1(w * d, a), grad_f1(w, a) * d, rtol=1e-9)
 
 
 def test_inverse_diagonal_matches_determinant_ratio():

@@ -156,6 +156,20 @@ def test_music_repeats_strongest_peak_when_short():
     assert abs(est[0]) <= np.deg2rad(1e-6)
 
 
+@pytest.mark.parametrize("cov, angle, degraded", [
+    # exact broadside source on the grid: the denominator is exactly 0 there
+    (np.ones((2, 2)), 0.0, False),
+    # signal eigenvector a(+-90 deg): the denominator's only minima are the
+    # two grid edges, so there is no interior peak and the fallback takes
+    # the global minimum
+    (np.array([[1.5, -0.5], [-0.5, 1.5]]), -np.pi / 2, True),
+])
+def test_music_on_exact_two_antenna_covariances(cov, angle, degraded):
+    est, bad = music_estimate(cov, 1, grid_deg=0.5)
+    assert est.tolist() == [angle]
+    assert bad is degraded
+
+
 # samples from a few levels, so flat tops, edge runs and runs of inf occur often
 _levels = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0, np.inf, -np.inf])
 
