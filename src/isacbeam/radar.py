@@ -23,6 +23,27 @@ factor T (Goodman, Ann. Math. Stat. 34, 1963), so a trial costs the
 same at any L. It has the same law as the sample covariance of
 ``synthesize_waveform`` followed by ``synthesize_echo``, which remain as
 the explicit-frame reference, but not the same realisation.
+
+MUSIC scans the grid on two levels. The denominator d(theta) is first
+evaluated on every w-th grid column, w the largest multiple of 8 steps
+within 1 / (4 M_R) rad (16 steps at 32 elements and 0.02 deg). From the
+absolute entries of the signal eigenvectors, |d''| <= C, so
+min(ends) - h^2 C / 8 bounds d on each coarse interval of h rad; the
+fine grid is evaluated only on the intervals whose bound does not rule
+out the T deepest minima (on average 425 of 9001 columns per trial in
+the benchmark's 32-element sweep). The peaks are those of the full
+scan, bit for bit: each fine product covers a multiple of 8 grid
+columns, because OpenBLAS computes the last (count mod 4) columns of a
+product on another path. That holds with single-threaded BLAS; threaded
+OpenBLAS splits a one-target product (a gemv) mid-grid, so there the
+full scan's own last bits depend on the thread count. The full scan
+runs instead when w < 8, when the coarse values show fewer than T
+interior minima (every degraded trial ends there), when the kept
+intervals reach the grid's last column, when the signal-subspace form
+of d cancels below CANCEL_TOL (a noiseless target on the grid), or when
+the T-th and (T+1)-th deepest minima are equal (a real-valued
+covariance gives mirror-image nulls), because the full scan's sort
+decides which of them it keeps.
 """
 
 import functools
@@ -152,27 +173,37 @@ def _subspace_power(basis, a):
     return (p.real ** 2 + p.imag ** 2).sum(axis=0)
 
 
-def _music_denominator(cov, num_targets, grid_deg):
-    """(grid in degrees, ||E_n^H a||^2 on it) for an M_R x M_R covariance.
+def _eigenvectors(cov, num_targets):
+    """Eigenvectors of an M_R x M_R covariance, ascending eigenvalues."""
+    cov = np.asarray(cov)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ValueError("MUSIC needs a square M_R x M_R sample covariance")
+    if num_targets >= cov.shape[0]:
+        raise ValueError("need more receive antennas than targets")
+    return np.linalg.eigh(cov)[1]
+
+
+def _denominator(vecs, num_targets, a, a_norm2):
+    """||E_n^H a||^2 on every column of ``a``.
 
     Evaluated as ||a||^2 - ||E_s^H a||^2 on the T-column signal subspace
     E_s; columns where that difference falls below CANCEL_TOL * M_R
     (near-total cancellation at a noiseless target) are re-evaluated on
     the noise subspace E_n, so the result is never negative there.
     """
-    cov = np.asarray(cov)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError("MUSIC needs a square M_R x M_R sample covariance")
-    m = cov.shape[0]
-    if num_targets >= m:
-        raise ValueError("need more receive antennas than targets")
-    _, vecs = np.linalg.eigh(cov)
-    theta_deg, a, a_norm2 = _grid(m, grid_deg)
+    m = vecs.shape[0]
     denom = a_norm2 - _subspace_power(vecs[:, m - num_targets:], a)
     close = np.flatnonzero(denom < CANCEL_TOL * m)
     if close.size:
         denom[close] = _subspace_power(vecs[:, : m - num_targets], a[:, close])
-    return theta_deg, denom
+    return denom
+
+
+def _music_denominator(cov, num_targets, grid_deg):
+    """(grid in degrees, ||E_n^H a||^2 on it) for an M_R x M_R covariance."""
+    vecs = _eigenvectors(cov, num_targets)
+    theta_deg, a, a_norm2 = _grid(vecs.shape[0], grid_deg)
+    return theta_deg, _denominator(vecs, num_targets, a, a_norm2)
 
 
 def _local_maxima(x):
@@ -207,14 +238,114 @@ def _pick_peaks(theta_deg, denom, num_targets):
     picked = list(idx[order[:num_targets]])
     while len(picked) < num_targets:
         picked.append(picked[0])
-    step = theta_deg[1] - theta_deg[0]
+    return _refined(theta_deg, denom, picked, theta_deg[1] - theta_deg[0]), degraded
+
+
+def _refined(theta_deg, denom, picked, step):
+    """Sorted radians of the minima ``picked``, each moved to the vertex of
+    the parabola through it and its two neighbours, by at most one step."""
     out = []
     for i in picked:
         curv = denom[i - 1] - 2.0 * denom[i] + denom[i + 1]
         shift = 0.5 * (denom[i - 1] - denom[i + 1]) / curv if curv > 0 else 0.0
         shift = float(np.clip(shift, -1.0, 1.0))
         out.append(theta_deg[i] + shift * step)
-    return np.sort(np.deg2rad(out)), degraded
+    return np.sort(np.deg2rad(out))
+
+
+def _interval_floors(basis, ends, h):
+    """Lower bounds of d = ||a||^2 - ||E_s^H a||^2 on consecutive intervals.
+
+    ``ends`` holds d at the interval ends, at most h rad apart. With
+    a_m = exp(j pi m sin theta) and g_i = e_i^H a, |g_i| <= P_i,
+    |g_i'| <= pi D1_i and |g_i''| <= pi^2 D2_i + pi D1_i, where P_i, D1_i
+    and D2_i sum |e_im| weighted by 1, m and m^2. As
+    (|g_i|^2)'' = 2 Re(g_i'' conj(g_i)) + 2 |g_i'|^2,
+    |d''| <= C = 2 pi^2 sum_i (D1_i^2 + P_i D2_i) + 2 pi sum_i P_i D1_i,
+    and d >= min(ends) - h^2 C / 8 on each interval.
+    """
+    mag = np.abs(basis)
+    m = np.arange(mag.shape[0])
+    p, d1, d2 = mag.sum(axis=0), m @ mag, (m * m) @ mag
+    curv = 2.0 * np.pi**2 * np.sum(d1 * d1 + p * d2) + 2.0 * np.pi * np.sum(p * d1)
+    return np.minimum(ends[:-1], ends[1:]) - h * h * curv / 8.0
+
+
+def _coarse_stride(num_rx, points):
+    """Largest multiple of 8 steps of a grid of ``points`` over 180 deg
+    that spans at most 1 / (4 M_R) rad."""
+    return 8 * int(np.rad2deg(0.25 / num_rx) * (points - 1) / (8 * 180.0))
+
+
+@functools.lru_cache(maxsize=4)
+def _coarse_grid(num_rx, grid_deg, stride):
+    """Every ``stride``-th column of the MUSIC grid and its last column:
+    (steering vectors, padded with zero columns to a multiple of 8, and
+    their ||a||^2). OpenBLAS computes the last (count mod 4) columns of a
+    product on another path; with the padding every coarse value but the
+    last has the bits of the same column of the full scan."""
+    _, a, a_norm2 = _grid(num_rx, grid_deg)
+    cols = np.append(np.arange(0, a.shape[1] - 1, stride), a.shape[1] - 1)
+    a_coarse = np.zeros((num_rx, -(-cols.size // 8) * 8), dtype=complex)
+    a_coarse[:, : cols.size] = a[:, cols]
+    norm2 = a_norm2[cols]
+    a_coarse.flags.writeable = norm2.flags.writeable = False
+    return a_coarse, norm2
+
+
+def _two_level_scan(vecs, num_targets, grid_deg):
+    """The full scan's (angles, False) from part of the grid, or None when
+    the full scan must run.
+
+    Let v be the T-th smallest interior minimum of the coarse values c.
+    Each coarse minimum has a fine minimum at or below it between its
+    coarse neighbours, so the T deepest fine minima lie at or below v.
+    An interval whose ``_interval_floors`` bound exceeds v + 1e-9 M_R (a
+    margin for rounding) holds no fine value at or below v. The others
+    are evaluated, widened by 8 columns on each side so that every
+    minimum there has both neighbours; a minimum found at the end of a
+    span lies above v and is never among the T deepest. Every value
+    has the full scan's bits except c at the last column, which bounds
+    only the last interval, and a kept last interval falls back.
+    """
+    m = vecs.shape[0]
+    theta_deg, a, a_norm2 = _grid(m, grid_deg)
+    w = _coarse_stride(m, theta_deg.size)
+    if w < 8:
+        return None
+    step = theta_deg[1] - theta_deg[0]
+    basis = vecs[:, m - num_targets:]
+    a_coarse, norm2 = _coarse_grid(m, grid_deg, w)
+    c = norm2 - _subspace_power(basis, a_coarse)[: norm2.size]
+    minima = c[_local_maxima(-c)]
+    if minima.size < num_targets:
+        return None
+    level = np.partition(minima, num_targets - 1)[num_targets - 1]
+    keep = _interval_floors(basis, c, np.deg2rad(w * step)) <= level + 1e-9 * m
+    # 8-column groups of the kept intervals, and one more on each side
+    groups = np.repeat(keep, w // 8)
+    groups[1:] |= groups[:-1]
+    groups[:-1] |= groups[1:]
+    spans = 8 * np.flatnonzero(np.diff(np.concatenate(([0], groups, [0])))).reshape(-1, 2)
+    if spans[-1, 1] >= theta_deg.size - 1:
+        return None
+    d = np.concatenate([a_norm2[lo:hi] - _subspace_power(basis, a[:, lo:hi])
+                        for lo, hi in spans])
+    if d.min() < CANCEL_TOL * m:
+        return None
+    idx = _local_maxima(-d)
+    idx = idx[np.argsort(d[idx])]
+    # which of two equal minima the full scan keeps depends on its sort
+    if idx.size > num_targets and d[idx[num_targets - 1]] == d[idx[num_targets]]:
+        return None
+    theta = np.concatenate([theta_deg[lo:hi] for lo, hi in spans])
+    return _refined(theta, d, idx[:num_targets], step), False
+
+
+def _full_scan(vecs, num_targets, grid_deg):
+    """``_pick_peaks`` on the denominator at every grid column."""
+    theta_deg, a, a_norm2 = _grid(vecs.shape[0], grid_deg)
+    return _pick_peaks(theta_deg, _denominator(vecs, num_targets, a, a_norm2), num_targets)
 
 
 def music_estimate(cov, num_targets, grid_deg=MUSIC_GRID_DEG):
@@ -222,10 +353,14 @@ def music_estimate(cov, num_targets, grid_deg=MUSIC_GRID_DEG):
 
     Returns (angles, degraded): exactly ``num_targets`` sorted radians.
     When the pseudospectrum shows fewer separated peaks, the strongest
-    is repeated to fill and ``degraded`` is True.
+    is repeated to fill and ``degraded`` is True. The grid is scanned on
+    two levels where a curvature bound certifies which cells can hold
+    the deepest minima, and in full otherwise (see the module
+    docstring); both give the same bits.
     """
-    theta_deg, denom = _music_denominator(cov, num_targets, grid_deg)
-    return _pick_peaks(theta_deg, denom, num_targets)
+    vecs = _eigenvectors(cov, num_targets)
+    found = _two_level_scan(vecs, num_targets, grid_deg)
+    return found if found is not None else _full_scan(vecs, num_targets, grid_deg)
 
 
 def monte_carlo(scenario, result, trials, grid_deg=MUSIC_GRID_DEG):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from isacbeam import design, radar
-from isacbeam.arrays import steering, target_channel
+from isacbeam.arrays import steering, steering_matrix, target_channel
 from isacbeam.radar import (
     EchoBatch,
     echo_channel,
@@ -417,3 +417,165 @@ def test_monte_carlo_rmse_matches_explicit_frame(mc_scenario, mc_design):
 def test_monte_carlo_rejects_zero_trials(mc_scenario, mc_design):
     with pytest.raises(ValueError):
         monte_carlo(mc_scenario, mc_design, 0)
+
+
+# ---------------------------------------------------- two-level MUSIC scan
+
+def _full_scan_estimate(cov, num_targets, grid_deg):
+    """The full scan that the two-level scan falls back to: every grid
+    column, then the peak picker."""
+    theta_deg, denom = radar._music_denominator(cov, num_targets, grid_deg)
+    return radar._pick_peaks(theta_deg, denom, num_targets)
+
+
+def _trial_covariances(scenario, mode, trials):
+    gw = echo_channel(scenario) @ np.asarray(design.run(scenario, mode).w)
+    return [echo_covariance(scenario, gw, substream(scenario.seed, "trial", i))
+            for i in range(trials)]
+
+
+def _cancellation_covariance():
+    # noiseless, one target exactly on the 0.02 deg grid (see
+    # test_music_noiseless_on_grid_target_keeps_denominator_nonnegative)
+    s = _sensing_scenario(-300.0)
+    gw = echo_channel(s) @ _identity_beamformer(s)
+    return echo_covariance(s, gw, substream(0, "trial", 1))
+
+
+@pytest.fixture(scope="module")
+def scan_corpus():
+    """(label, eigenvectors, targets) of 209 seeded echo covariances."""
+    corpus = []
+
+    def add(label, scenario, mode, trials):
+        t = len(scenario.targets)
+        corpus.extend((label, radar._eigenvectors(cov, t), t)
+                      for cov in _trial_covariances(scenario, mode, trials))
+
+    # the benchmark's sweep: default 32 x 32 geometry, K = 6, three targets
+    for p_dbm in (0.0, 10.0, 20.0):
+        for mode in ("sgcdf", "omnidirectional"):
+            add(f"paper {p_dbm} dBm {mode}", make_scenario(power_budget_dbm=p_dbm), mode, 16)
+    # low power: 4 x 4 trials degrade, 32 x 32 ones flatten the spectrum
+    add("paper -40 dBm", make_scenario(power_budget_dbm=-40.0), "omnidirectional", 16)
+    add("4x4 -40 dBm", make_scenario(num_tx=4, num_rx=4, num_users=0,
+                                     power_budget_dbm=-40.0), "omnidirectional", 16)
+    for m in (4, 8, 64):
+        add(f"{m}x{m}", make_scenario(num_tx=m, num_rx=m, num_users=2), "omnidirectional", 16)
+    add("one target", _sensing_scenario(-96.0), "omnidirectional", 16)
+    add("two targets", make_scenario(num_tx=8, num_rx=8, num_users=0,
+                                     target_angles_deg=(-40.0, 25.0),
+                                     target_ranges_m=(50.0, 60.0), snapshots=128),
+        "omnidirectional", 16)
+    vecs = radar._eigenvectors(_cancellation_covariance(), 1)
+    corpus.append(("noiseless on-grid target", vecs, 1))
+    return corpus
+
+
+# 0.07 deg gives 2573 points, a step of 180 / 2572 deg; at 0.5 deg every
+# array here has a coarse stride below 8 grid steps
+@pytest.mark.parametrize("grid_deg, fast_share", [(radar.MUSIC_GRID_DEG, 0.75), (0.07, 0.2),
+                                                  (0.5, 0.0)])
+def test_music_scan_matches_full_scan_bitwise(grid_deg, fast_share, scan_corpus):
+    # music_estimate returns the two-level scan's result when there is one,
+    # else the full scan's; both share the eigendecomposition
+    moved, fast, degraded = [], 0, 0
+    for label, vecs, t in scan_corpus:
+        est, bad = radar._full_scan(vecs, t, grid_deg)
+        found = radar._two_level_scan(vecs, t, grid_deg)
+        if found is not None:
+            fast += 1
+            if not (np.array_equal(found[0], est) and found[1] == bad):
+                moved.append(label)
+        degraded += bad
+    assert moved == []
+    assert len(scan_corpus) == 209
+    assert fast >= fast_share * len(scan_corpus)
+    assert degraded > 0
+
+
+def _counting_full_scan(monkeypatch):
+    calls = []
+    full_scan = radar._full_scan
+
+    def counting(*args):
+        calls.append(args)
+        return full_scan(*args)
+
+    monkeypatch.setattr(radar, "_full_scan", counting)
+    return calls
+
+
+def test_music_takes_the_two_level_scan_on_the_paper_geometry(monkeypatch):
+    # a silent return to the full scan would keep every bit and lose the time
+    calls = _counting_full_scan(monkeypatch)
+    for p_dbm in (0.0, 10.0, 20.0):
+        s = make_scenario(power_budget_dbm=p_dbm)
+        rep = monte_carlo(s, design.run(s, "sgcdf"), 8)
+        assert rep.degraded_trials == 0
+    assert calls == []
+
+
+def _fallback_case(case):
+    """(covariance, targets, grid step) that sends MUSIC to the full scan."""
+    if case == "coarse grid":
+        # 32 elements: 1 / (4 M_R) rad is 0.45 deg, under 8 steps of 0.5 deg
+        s = make_scenario(power_budget_dbm=10.0)
+        return _trial_covariances(s, "omnidirectional", 1)[0], 3, 0.5
+    if case == "one-point grid":
+        # a step above 360 deg leaves the single point -90 deg
+        return np.eye(4), 1, 400.0
+    if case == "degraded":
+        # fewer than T coarse minima: 4 elements, three targets, -40 dBm
+        s = make_scenario(num_tx=4, num_rx=4, num_users=0, power_budget_dbm=-40.0)
+        covs = _trial_covariances(s, "omnidirectional", 16)
+        cov = next(c for c in covs if _full_scan_estimate(c, 3, radar.MUSIC_GRID_DEG)[1])
+        return cov, 3, radar.MUSIC_GRID_DEG
+    if case == "grid end":
+        # the kept intervals reach the grid's last column (+90 deg)
+        s = make_scenario(num_users=0, target_angles_deg=(89.9,), target_ranges_m=(50.0,))
+        return _trial_covariances(s, "omnidirectional", 1)[0], 1, radar.MUSIC_GRID_DEG
+    if case == "tied minima":
+        # sources at +-20 deg with conjugate amplitudes: a real covariance,
+        # whose nulls at +-20 deg are equal to the last bit
+        a = steering(np.deg2rad(20.0), 32)
+        cov = np.outer(a, a.conj())
+        return cov + cov.conj() + 0.01 * np.eye(32), 1, radar.MUSIC_GRID_DEG
+    # the signal-subspace form cancels, and the full scan re-evaluates it
+    return _cancellation_covariance(), 1, radar.MUSIC_GRID_DEG
+
+
+@pytest.mark.parametrize("case", ["coarse grid", "one-point grid", "degraded", "grid end",
+                                  "cancellation", "tied minima"])
+def test_music_falls_back_to_the_full_scan(case, monkeypatch):
+    cov, t, grid_deg = _fallback_case(case)
+    ref_est, ref_bad = _full_scan_estimate(cov, t, grid_deg)
+    calls = _counting_full_scan(monkeypatch)
+    est, bad = music_estimate(cov, t, grid_deg)
+    assert len(calls) == 1
+    assert np.array_equal(est, ref_est) and bad == ref_bad
+    assert bad == (case in ("one-point grid", "degraded"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 64), data=st.data())
+def test_interval_floors_bound_the_fine_denominator(m, data):
+    # random orthonormal signal bases, or orthonormalised steering vectors
+    # (a noiseless echo's subspace); the bound is loose: over 300 such bases
+    # the deepest dip below an interval's lower end used 14% of h^2 C / 8,
+    # so this catches a curvature bound several times too small
+    t = data.draw(st.integers(1, min(m - 1, 6)), label="targets")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="steered"):
+        z = steering_matrix(rng.uniform(-np.pi / 2, np.pi / 2, t), m)
+    else:
+        z = rng.standard_normal((m, t)) + 1j * rng.standard_normal((m, t))
+    basis = np.linalg.qr(z)[0]
+    theta_deg, a, a_norm2 = radar._grid(m, radar.MUSIC_GRID_DEG)
+    step = theta_deg[1] - theta_deg[0]
+    w = radar._coarse_stride(m, theta_deg.size)
+    d = a_norm2 - radar._subspace_power(basis, a)
+    ends = np.append(np.arange(0, d.size - 1, w), d.size - 1)
+    floors = radar._interval_floors(basis, d[ends], np.deg2rad(w * step))
+    # fine minimum over [ends[j], ends[j + 1]); each right end is an end too
+    assert np.all(np.minimum.reduceat(d, ends[:-1]) >= floors - 1e-9 * m)
