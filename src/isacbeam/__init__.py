@@ -7,25 +7,21 @@ distances; evaluate with MUSIC-based Monte-Carlo angle estimation.
 """
 
 from .arrays import (ArrayConfig, beampattern_gain, beampattern_trace, steering,
-                     steering_derivative, steering_matrix, target_channel,
-                     target_channel_derivative)
+                     steering_derivative, steering_matrix, target_channel)
 from .comm import (RateReport, SocInstance, equal_rate_power, f2_and_grad,
-                   max_min_zf_rate, rates, soc_assemble, soc_project, zf_precoder)
+                   max_min_zf_rate, rates, soc_assemble, zf_precoder)
 from .config import (ExperimentConfig, build_options, build_scenario,
                      default_config, dump_config, load_config, parse_config)
 from .crlb import Coupling, FisherState, coupling_matrices, fisher_matrix, grad_f1
 from .design import (DesignResult, MODES, initial_point, rate_target, run,
                      solve_sp1, solve_sp2)
 from .errors import ConfigError, InfeasibleError, NumericalError
-from .manifold import (inner, is_on_manifold, project_tangent, random_point,
-                       random_tangent, retract, row_norms)
+from .manifold import inner, is_on_manifold, project_tangent, retract, row_norms
 from .radar import (EchoBatch, EstimationReport, echo_channel, echo_covariance,
-                    monte_carlo, music_estimate, synthesize_echo, synthesize_probe,
-                    synthesize_waveform)
+                    monte_carlo, music_estimate, synthesize_echo, synthesize_probe)
 from .rcg import (IterRecord, LineSearchResult, RcgOptions, SolverTrace, minimize,
                   wolfe_linesearch)
 from .scenario import (Scenario, Target, UserChannel, dbm_to_watts, make_scenario,
-                       make_targets, make_user_channels, pathloss, substream,
-                       watts_to_dbm)
+                       make_targets, make_user_channels, pathloss, substream)
 
 __version__ = "0.1.0"

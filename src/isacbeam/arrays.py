@@ -79,15 +79,6 @@ def target_channel(theta, cfg):
     return np.outer(a_r, a_t.conj())
 
 
-def target_channel_derivative(theta, cfg):
-    """Angle derivative of ``target_channel`` (product rule)."""
-    a_r = steering(theta, cfg.num_rx)
-    a_t = steering(theta, cfg.num_tx)
-    da_r = steering_derivative(theta, cfg.num_rx)
-    da_t = steering_derivative(theta, cfg.num_tx)
-    return np.outer(da_r, a_t.conj()) + np.outer(a_r, da_t.conj())
-
-
 def beampattern_gain(r_x, theta):
     """Transmit beampattern gain a^H R_X a at one angle, linear power.
 

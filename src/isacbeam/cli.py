@@ -4,7 +4,10 @@ Subcommands: design, sweep-power, sweep-delta, beampattern.
 Each reads an optional INI config (defaults mirror the standard
 simulation table), applies --seed/--mode/--out overrides, and emits CSV
 with a fixed column schema. Rows are ordered by (grid index, mode) and
-float cells use repr, so output for a fixed seed is byte-stable.
+float cells use repr, so output for a fixed seed is byte-stable at a
+fixed BLAS thread count: with one target, threaded OpenBLAS splits
+MUSIC's grid product (a gemv) mid-grid, so the last bits of an
+estimate can change with the thread count.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible design,
 4 numerical failure.

@@ -40,14 +40,6 @@ class SocInstance:
     big_gamma: float        # 1 + 1/gamma
     user: int
 
-    def x_of(self, w):
-        """Cone vector [h_k^H W, sigma, sqrt(Gamma_k) h_k^H w_k]."""
-        w = np.asarray(w)
-        if w.shape[1] != self.num_streams:
-            raise ValueError("cone instance does not match beamformer size")
-        p = self.matrix @ w
-        return np.concatenate([p, [self.sigma, np.sqrt(self.big_gamma) * p[self.user]]])
-
 
 def rates(w, channels, noise_power):
     """SINR and rate of every user under beamformer W.
@@ -181,29 +173,6 @@ def soc_assemble(channels, r_min, noise_power, num_streams=None):
                                gamma=float(gamma), big_gamma=float(1.0 + 1.0 / gamma),
                                user=j))
     return out
-
-
-def soc_project(x):
-    """Closed-form projection onto the cone {||head|| <= |tail|}.
-
-    Two cases on (||head||, |tail|); outside the cone the projection
-    averages the two and keeps both the head direction and the tail
-    phase (phase factor 1 when the tail is exactly zero).
-    """
-    x = np.asarray(x)
-    if x.size < 2:
-        raise ValueError("cone vectors have at least two entries")
-    head, tail = x[:-1], x[-1]
-    hn = np.linalg.norm(head)
-    tm = abs(tail)
-    if hn <= tm:
-        return x.copy()
-    mid = 0.5 * (hn + tm)
-    phase = tail / tm if tm > 0 else 1.0
-    y = np.empty_like(x)
-    y[:-1] = mid * head / hn
-    y[-1] = mid * phase
-    return y
 
 
 def f2_and_grad(w, instances):

@@ -5,6 +5,12 @@ has Euclidean norm rho = sqrt(P_max/M_T), so each antenna transmits at
 exactly its power share. Tangent projection (which also serves as the
 vector transport) and row-renormalizing retraction are the operators
 the conjugate-gradient solver needs.
+
+Membership is one rule, ``is_on_manifold`` at relative tolerance
+ROW_TOL, applied once where a point enters the solver
+(``rcg.minimize``). Every later point is a ``retract`` output and so on
+the manifold by construction; the projection is a plain linear map that
+trusts its base point.
 """
 
 import numpy as np
@@ -25,24 +31,17 @@ def row_norms(w):
     return np.linalg.norm(w, axis=1)
 
 
-def is_on_manifold(w, radius, tol=ROW_TOL):
-    return bool(np.all(np.abs(row_norms(w) - radius) <= tol * radius))
-
-
-def check_on_manifold(w, radius):
-    # loose guard on hot paths; retraction keeps iterates far tighter
-    if not is_on_manifold(w, radius, tol=1e-8):
-        gap = np.abs(row_norms(w) - radius).max() / radius
-        raise ValueError(f"point off manifold (relative row-norm gap {gap:.2e})")
+def is_on_manifold(w, radius):
+    return bool(np.all(np.abs(row_norms(w) - radius) <= ROW_TOL * radius))
 
 
 def project_tangent(w, x, radius):
     """Project X onto the tangent space at W.
 
     Removes from each row of X its component along the same row of W:
-    Pi(X) = X - (1/rho^2) Re{(W X^H) o I} W.
+    Pi(X) = X - (1/rho^2) Re{(W X^H) o I} W. Precondition, not checked:
+    every row of W has norm ``radius``.
     """
-    check_on_manifold(w, radius)
     coef = np.sum(w.real * x.real + w.imag * x.imag, axis=1) / radius**2
     return x - coef[:, None] * w
 
@@ -54,14 +53,3 @@ def retract(y, radius):
         raise NumericalError("retraction of a zero row is undefined")
     return y * (radius / norms)[:, None]
 
-
-def random_point(num_rows, num_cols, radius, rng):
-    """Random manifold point (rows of a complex Gaussian, renormalized)."""
-    z = rng.standard_normal((num_rows, num_cols)) \
-        + 1j * rng.standard_normal((num_rows, num_cols))
-    return retract(z, radius)
-
-
-def random_tangent(w, radius, rng):
-    z = rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape)
-    return project_tangent(w, z, radius)

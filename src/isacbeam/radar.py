@@ -20,9 +20,10 @@ Q, N P_perp N^H is an independent complex Wishart matrix with L - N
 degrees of freedom and scale sigma^2 I. ``echo_covariance`` draws both
 terms directly, the Wishart one as sigma^2 T T^H with the Bartlett
 factor T (Goodman, Ann. Math. Stat. 34, 1963), so a trial costs the
-same at any L. It has the same law as the sample covariance of
-``synthesize_waveform`` followed by ``synthesize_echo``, which remain as
-the explicit-frame reference, but not the same realisation.
+same at any L. It has the same law as the sample covariance of the
+explicit frame W Xt (``synthesize_probe``) passed through
+``synthesize_echo``, which remain as the reference, but not the same
+realisation.
 
 MUSIC scans the grid on two levels. The denominator d(theta) is first
 evaluated on every w-th grid column, w the largest multiple of 8 steps
@@ -112,12 +113,6 @@ def synthesize_probe(num_streams, snapshots, rng):
     return np.sqrt(snapshots) * q.conj().T
 
 
-def synthesize_waveform(w, snapshots, rng):
-    """Transmit frame X = W Xt; its sample covariance is exactly W W^H."""
-    w = np.asarray(w)
-    return w @ synthesize_probe(w.shape[1], snapshots, rng)
-
-
 def synthesize_echo(scenario, x, rng):
     """Receive-side echo: summed target reflections of X plus noise."""
     x = np.asarray(x)
@@ -197,13 +192,6 @@ def _denominator(vecs, num_targets, a, a_norm2):
     if close.size:
         denom[close] = _subspace_power(vecs[:, : m - num_targets], a[:, close])
     return denom
-
-
-def _music_denominator(cov, num_targets, grid_deg):
-    """(grid in degrees, ||E_n^H a||^2 on it) for an M_R x M_R covariance."""
-    vecs = _eigenvectors(cov, num_targets)
-    theta_deg, a, a_norm2 = _grid(vecs.shape[0], grid_deg)
-    return theta_deg, _denominator(vecs, num_targets, a, a_norm2)
 
 
 def _local_maxima(x):

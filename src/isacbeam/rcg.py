@@ -10,7 +10,9 @@ sufficient decrease, and the solver stops with 'linesearch_fail' when
 none did. The solver is objective-agnostic: it takes a callback
 returning (value, Euclidean gradient) and applies the dual stopping
 rule (gradient norm below eps*(1+|f|), or objective change below eps)
-to whatever scale the callback reports.
+to whatever scale the callback reports. The start is the one point a
+caller hands the solver, so it alone is checked for manifold
+membership; every later point is a retraction output.
 """
 
 import csv
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .manifold import check_on_manifold, inner, project_tangent, retract
+from .manifold import inner, is_on_manifold, project_tangent, retract, row_norms
 
 _TINY = 1e-300
 
@@ -169,7 +171,9 @@ def minimize(fg, w0, radius, opts=None, stop_when=None):
     fg : callable
         w -> (objective value, Euclidean gradient matrix).
     w0 : ndarray
-        Starting point, rows of norm ``radius``.
+        Starting point, rows of norm ``radius`` within relative
+        ``manifold.ROW_TOL``; ValueError otherwise. The retraction keeps
+        every later point on the manifold, so nothing is checked again.
     radius : float
         Row radius of the manifold.
     opts : RcgOptions
@@ -183,7 +187,9 @@ def minimize(fg, w0, radius, opts=None, stop_when=None):
     """
     opts = opts or RcgOptions()
     w = np.asarray(w0)
-    check_on_manifold(w, radius)
+    if not is_on_manifold(w, radius):
+        gap = np.abs(row_norms(w) - radius).max() / radius
+        raise ValueError(f"start off manifold (relative row-norm gap {gap:.2e})")
     f, egrad = fg(w)
     if not math.isfinite(f):
         raise NumericalError("objective non-finite at the starting point")

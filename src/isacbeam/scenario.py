@@ -38,12 +38,6 @@ def dbm_to_watts(p_dbm):
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(p_w):
-    if p_w <= 0:
-        raise ValueError("power must be positive")
-    return 10.0 * np.log10(p_w) + 30.0
-
-
 def substream(seed, label, index=None):
     """Named counter-based generator derived from the scenario seed.
 

@@ -9,7 +9,7 @@ _ACCEPTANCE_LABELS = {
     "test_gradients_match_finite_differences":
         "analytic gradients match central differences (rel 1e-5, 20 points)",
     "test_iterates_stay_on_manifold_and_projection_laws":
-        "per-antenna power held at every iterate; projection laws at 1e-10",
+        "per-antenna power held at every probe of both stages; projection laws at 1e-10",
     "test_line_search_wolfe_and_monotone_descent":
         "strong Wolfe on every accepted step; monotone descent (10 instances)",
     "test_soc_membership_matches_sinr_constraints":

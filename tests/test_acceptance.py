@@ -24,6 +24,7 @@ from isacbeam.scenario import (
     make_scenario,
     substream,
 )
+from reference import random_point, soc_project, x_of
 
 
 def _hand_scenario():
@@ -50,7 +51,7 @@ def test_gradients_match_finite_differences():
     step = 1e-6
     checked_f2 = 0
     for _ in range(20):
-        w = manifold.random_point(8, s.num_streams, s.row_radius, rng)
+        w = random_point(8, s.num_streams, s.row_radius, rng)
         d = rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape)
         d /= np.linalg.norm(d)
 
@@ -71,36 +72,46 @@ def test_gradients_match_finite_differences():
     assert time.perf_counter() - t0 < 10.0
 
 
-def test_iterates_stay_on_manifold_and_projection_laws():
+def test_iterates_stay_on_manifold_and_projection_laws(monkeypatch):
     t0 = time.perf_counter()
     s = make_scenario(num_tx=8, num_rx=8, num_users=2,
                       target_angles_deg=(-40.0, 25.0),
                       target_ranges_m=(50.0, 60.0), snapshots=64, seed=2)
     coupling = crlb.coupling_matrices(s)
+    # every point an objective is evaluated at: each line-search probe,
+    # not only the accepted iterates
+    seen = {"sp1": [], "sp2": []}
+
+    def recording(stage, func):
+        def wrapped(w, *args, **kwargs):
+            seen[stage].append(w)
+            return func(w, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(crlb, "fisher_matrix", recording("sp1", crlb.fisher_matrix))
+    monkeypatch.setattr(comm, "f2_and_grad", recording("sp2", comm.f2_and_grad))
 
     def fg(w):
         state = crlb.fisher_matrix(w, coupling)
         return state.objective, crlb.grad_f1(w, coupling, state)
 
     w0, _ = design.initial_point(s, 0.0)
-    seen = []
-
-    def observe(w, f):
-        seen.append(w)
-        return False
-
-    w_final, _ = minimize(fg, w0, s.row_radius, RcgOptions(eps=1e-4),
-                          stop_when=observe)
-    seen.append(w_final)
-    assert len(seen) >= 2
+    minimize(fg, w0, s.row_radius, RcgOptions(eps=1e-4))
+    # both stages of the pipeline, stage II with its step cap
+    for mode in ("sgcdf", "no_dedicated_stream"):
+        before = len(seen["sp2"])
+        trace = design.run(s, mode).traces["sp2"]
+        # the normalizing base and the start (both w_start), then every probe
+        assert len(seen["sp2"]) - before == 2 + sum(r.evals for r in trace.records) > 2
+    assert len(seen["sp1"]) >= 2
     rho2 = s.row_radius ** 2
-    for w in seen:
+    for w in seen["sp1"] + seen["sp2"]:
         gap = np.abs(manifold.row_norms(w) ** 2 - rho2).max()
-        assert gap <= 1e-10 * rho2
+        assert gap <= manifold.ROW_TOL * rho2
 
     rng = np.random.default_rng(0)
     for _ in range(1000):
-        w = manifold.random_point(3, 5, 1.4, rng)
+        w = random_point(3, 5, 1.4, rng)
         x = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
         y = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
         px = manifold.project_tangent(w, x, 1.4)
@@ -117,8 +128,8 @@ def test_line_search_wolfe_and_monotone_descent():
     for i in range(10):
         s = make_scenario(num_tx=8, num_rx=8, num_users=3,
                           snapshots=64, seed=100 + i)
-        w0 = manifold.random_point(8, s.num_streams, s.row_radius,
-                                   substream(s.seed, "w0"))
+        w0 = random_point(8, s.num_streams, s.row_radius,
+                          substream(s.seed, "w0"))
         _, trace = design.solve_sp1(s, w0=w0)
         assert trace.iterations >= 1
         assert all(r.wolfe_ok for r in trace.records)
@@ -142,8 +153,8 @@ def test_soc_membership_matches_sinr_constraints():
                       + 1j * rng.standard_normal((8, n)))
         rep = comm.rates(w, h, noise)
         for inst in instances:
-            x = inst.x_of(w)
-            member = np.linalg.norm(x - comm.soc_project(x)) <= 1e-9
+            x = x_of(inst, w)
+            member = np.linalg.norm(x - soc_project(x)) <= 1e-9
             sinr = rep.sinr[inst.user]
             if abs(sinr - gamma) <= 1e-9 * gamma:
                 continue

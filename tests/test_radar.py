@@ -20,9 +20,9 @@ from isacbeam.radar import (
     music_estimate,
     synthesize_echo,
     synthesize_probe,
-    synthesize_waveform,
 )
 from isacbeam.scenario import make_scenario, substream
+from reference import music_denominator, synthesize_waveform
 
 
 def _sensing_scenario(noise_dbm, angles=(20.0,), ranges=(50.0,), snapshots=256):
@@ -205,7 +205,7 @@ def test_music_noiseless_on_grid_target_keeps_denominator_nonnegative():
     s = _sensing_scenario(-300.0)
     gw = echo_channel(s) @ _identity_beamformer(s)
     cov = echo_covariance(s, gw, substream(0, "trial", 1))
-    theta_deg, denom = radar._music_denominator(cov, 1, radar.MUSIC_GRID_DEG)
+    theta_deg, denom = music_denominator(cov, 1, radar.MUSIC_GRID_DEG)
     i = int(np.argmin(np.abs(theta_deg - 20.0)))
     assert theta_deg[i] == pytest.approx(20.0, abs=1e-9)
     _, a, a_norm2 = radar._grid(8, radar.MUSIC_GRID_DEG)
@@ -424,7 +424,7 @@ def test_monte_carlo_rejects_zero_trials(mc_scenario, mc_design):
 def _full_scan_estimate(cov, num_targets, grid_deg):
     """The full scan that the two-level scan falls back to: every grid
     column, then the peak picker."""
-    theta_deg, denom = radar._music_denominator(cov, num_targets, grid_deg)
+    theta_deg, denom = music_denominator(cov, num_targets, grid_deg)
     return radar._pick_peaks(theta_deg, denom, num_targets)
 
 

@@ -5,8 +5,9 @@ import io
 import numpy as np
 import pytest
 
-from isacbeam.manifold import inner, project_tangent, random_point, retract
+from isacbeam.manifold import inner, project_tangent, retract
 from isacbeam.rcg import C1, C2, MAX_LINESEARCH_EVALS, RcgOptions, minimize, wolfe_linesearch
+from reference import random_point
 
 
 def _quadratic(target):
@@ -208,6 +209,25 @@ def test_stop_when_fires_at_the_start():
     assert trace.termination == "target_met"
     assert trace.iterations == 0
     assert np.array_equal(w, w0)
+
+
+def test_minimize_rejects_an_off_manifold_start():
+    w0 = random_point(3, 4, 1.0, np.random.default_rng(13))
+    nudged = w0.copy()
+    nudged[1] *= 1.0 + 1e-9     # inside a 1e-8 tolerance, outside ROW_TOL
+    quadratic = _quadratic(np.ones((3, 4), dtype=complex))
+    calls = []
+
+    def fg(w):
+        calls.append(w)
+        return quadratic(w)
+
+    for start in (2.0 * w0, nudged):
+        with pytest.raises(ValueError, match="row-norm gap"):
+            minimize(fg, start, 1.0, RcgOptions())
+    assert calls == []
+    _, trace = minimize(fg, w0, 1.0, RcgOptions())
+    assert trace.iterations >= 1
 
 
 def test_options_validation():

@@ -14,8 +14,8 @@ from isacbeam.scenario import (
     make_user_channels,
     pathloss,
     substream,
-    watts_to_dbm,
 )
+from reference import watts_to_dbm
 
 
 def test_pathloss_reference_values():
