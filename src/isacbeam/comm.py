@@ -7,7 +7,7 @@ noise standard deviation, the tail carries sqrt(Gamma_k) times the
 user's own beam, and the constraint is head-norm <= tail-modulus. f2
 sums the squared distances to the cones; driving it to zero restores
 all rate targets. Both f2 and its gradient are evaluated from P for all
-users at once.
+users at once, the gradient only when the solver asks for it.
 
 Also here: zero-forcing directions, the equal-rate power allocation
 (all users exactly at the target rate given sensing interference), and
@@ -39,6 +39,24 @@ class SocInstance:
     gamma: float            # SINR target 2^r_min - 1
     big_gamma: float        # 1 + 1/gamma
     user: int
+
+
+class SocCones(tuple):
+    """The ``SocInstance``s of one rate target, one per user, with their
+    data stacked once for ``f2_and_grad``: the users' rows of H^H and
+    their conjugate transpose, the user indices, sigma^2 and
+    sqrt(Gamma_k), and the beamformer shape (M_T, N) they fit."""
+
+    def __new__(cls, instances):
+        self = super().__new__(cls, instances)
+        self.rows = np.array([inst.matrix for inst in self])
+        self.rows_h = self.rows.conj().T
+        self.users = np.array([inst.user for inst in self])
+        self.idx = np.arange(self.users.size)
+        self.sigma2 = np.array([inst.sigma for inst in self]) ** 2
+        self.root_gamma = np.sqrt([inst.big_gamma for inst in self])
+        self.w_shape = (self.rows.shape[1], self[0].num_streams)
+        return self
 
 
 def rates(w, channels, noise_power):
@@ -148,7 +166,7 @@ def max_min_zf_rate(channels, noise_power, p_max):
 
 
 def soc_assemble(channels, r_min, noise_power, num_streams=None):
-    """Per-user cone data for the feasibility objective.
+    """Per-user cone data for the feasibility objective, as ``SocCones``.
 
     x_k(W) stacks [h_k^H w_1, ..., h_k^H w_N, sigma,
     sqrt(Gamma_k) h_k^H w_k]; the rate constraint of user k is
@@ -172,33 +190,34 @@ def soc_assemble(channels, r_min, noise_power, num_streams=None):
         out.append(SocInstance(matrix=h[:, j].conj(), sigma=sigma, num_streams=n,
                                gamma=float(gamma), big_gamma=float(1.0 + 1.0 / gamma),
                                user=j))
-    return out
+    return SocCones(out)
 
 
-def f2_and_grad(w, instances):
-    """Sum of squared cone distances and its Euclidean gradient.
+def f2_and_grad(w, cones):
+    """Sum of squared cone distances and a thunk for its Euclidean gradient.
 
-    f2(W) = sum_k ||x_k(W) - proj(x_k(W))||^2, zero exactly when every
-    user meets its rate target. Outside its cone user k's residual has
-    head part P[k, :] (hn - tm) / (2 hn) and tail part -phase (hn - tm) / 2,
-    so f2 = sum_k (hn - tm)^2 / 2 and grad = 2 H R, where R holds the
-    head residuals with sqrt(Gamma_k) times the tail residual added at
-    (k, k).
+    ``cones`` is what ``soc_assemble`` returns. f2(W) = sum_k
+    ||x_k(W) - proj(x_k(W))||^2, zero exactly when every user meets its
+    rate target. Outside its cone user k's residual has head part
+    P[k, :] (hn - tm) / (2 hn) and tail part -phase (hn - tm) / 2, so
+    f2 = sum_k (hn - tm)^2 / 2 and grad = 2 H R, where R holds the head
+    residuals with sqrt(Gamma_k) times the tail residual added at
+    (k, k). Returns (f2, grad) with ``grad()`` the gradient at W; the
+    gradient-only work runs when it is called.
     """
     w = np.asarray(w)
-    rows = np.array([inst.matrix for inst in instances])        # H^H restricted to the users
-    if any(inst.num_streams != w.shape[1] for inst in instances) or rows.shape[1] != w.shape[0]:
+    if w.shape != cones.w_shape:
         raise ValueError("cone instance does not match beamformer size")
-    users = np.array([inst.user for inst in instances])
-    sigma = np.array([inst.sigma for inst in instances])
-    root_gamma = np.sqrt([inst.big_gamma for inst in instances])
-    idx = np.arange(users.size)
-    p = rows @ w
-    hn = np.sqrt((np.abs(p) ** 2).sum(axis=1) + sigma ** 2)
-    tail = root_gamma * p[idx, users]
+    p = cones.rows @ w
+    hn = np.sqrt((np.abs(p) ** 2).sum(axis=1) + cones.sigma2)
+    tail = cones.root_gamma * p[cones.idx, cones.users]
     tm = np.abs(tail)
     excess = np.where(hn > tm, hn - tm, 0.0)
-    phase = np.divide(tail, tm, out=np.ones_like(tail), where=tm > 0)
-    resid = p * (0.5 * excess / hn)[:, None]
-    resid[idx, users] -= root_gamma * phase * (0.5 * excess)
-    return float(0.5 * (excess @ excess)), 2.0 * rows.conj().T @ resid
+
+    def grad():
+        phase = np.divide(tail, tm, out=np.ones_like(tail), where=tm > 0)
+        resid = p * (0.5 * excess / hn)[:, None]
+        resid[cones.idx, cones.users] -= cones.root_gamma * phase * (0.5 * excess)
+        return 2.0 * cones.rows_h @ resid
+
+    return float(0.5 * (excess @ excess)), grad

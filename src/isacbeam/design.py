@@ -115,8 +115,8 @@ def initial_point(scenario, r_min, zero_sensing=False):
 
 def _normalized(value_grad, base):
     def fg(w):
-        f, g = value_grad(w)
-        return f / base, g / base
+        f, egrad = value_grad(w)
+        return f / base, lambda: egrad() / base
     return fg
 
 
@@ -131,7 +131,7 @@ def solve_sp1(scenario, w0, opts=None, coupling=None):
 
     def value_grad(w):
         state = crlb.fisher_matrix(w, coupling)
-        return state.objective, crlb.grad_f1(w, coupling, state)
+        return state.objective, lambda: crlb.grad_f1(w, coupling, state)
 
     base = crlb.fisher_matrix(w0, coupling).objective
     return rcg.minimize(_normalized(value_grad, base), w0,

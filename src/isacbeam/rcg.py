@@ -7,12 +7,25 @@ search with the fixed constants C1 and C2 (curvature measured against
 the transported direction) and at most MAX_LINESEARCH_EVALS probes;
 when no probe meets both conditions it takes the best probe that met
 sufficient decrease, and the solver stops with 'linesearch_fail' when
-none did. The solver is objective-agnostic: it takes a callback
-returning (value, Euclidean gradient) and applies the dual stopping
-rule (gradient norm below eps*(1+|f|), or objective change below eps)
-to whatever scale the callback reports. The start is the one point a
-caller hands the solver, so it alone is checked for manifold
+none did. The solver is objective-agnostic and applies the dual
+stopping rule (gradient norm below eps*(1+|f|), or objective change
+below eps) to whatever scale the callback reports. The start is the one
+point a caller hands the solver, so it alone is checked for manifold
 membership; every later point is a retraction output.
+
+The callback ``fg(w)`` returns ``(value, egrad)``: the objective value
+at w and a zero-argument callable that returns the Euclidean gradient
+there. ``minimize`` calls ``egrad`` at the start point; a line search
+calls it only on the first read of a probe's gradient, which happens
+at the probes that pass both the sufficient-decrease test and the
+bracket's low end (for the curvature and bracket-sign tests) and at
+the probe it returns. A probe that fails either test costs one
+objective value and no gradient.
+
+The slope along d at a probe is ``inner(rgrad, d)``: the tangent
+projection P is self-adjoint and ``rgrad`` is tangent, so this equals
+``inner(rgrad, P d)``, and d is transported only for the accepted step
+of a conjugate (beta != 0) update.
 """
 
 import csv
@@ -59,6 +72,7 @@ class IterRecord:
     beta: float
     wolfe_ok: bool
     evals: int          # line-search probes of this step
+    grads: int          # gradients those probes computed, at most evals
 
 
 @dataclass
@@ -81,29 +95,30 @@ class SolverTrace:
 
     def to_csv(self, stream):
         writer = csv.writer(stream)
-        writer.writerow(["iter", "f", "gnorm", "step", "beta", "wolfe_ok", "evals"])
+        writer.writerow(["iter", "f", "gnorm", "step", "beta", "wolfe_ok", "evals", "grads"])
         for r in self.records:
             writer.writerow([r.iteration, repr(r.objective), repr(r.grad_norm),
-                             repr(r.step), repr(r.beta), int(r.wolfe_ok), r.evals])
+                             repr(r.step), repr(r.beta), int(r.wolfe_ok), r.evals, r.grads])
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Eval:
-    """One line-search probe: retracted point and everything at it."""
+    """One line-search probe: retracted point, value, and the Riemannian
+    gradient once it has been read."""
     step: float
     point: np.ndarray
     value: float
-    rgrad: np.ndarray
-    moved: np.ndarray   # search direction transported (projected) to point
-    dslope: float       # <rgrad, moved>
+    egrad: object                   # () -> Euclidean gradient at point
+    rgrad: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class LineSearchResult:
     step: float
     evals: int
+    grads: int          # probes whose gradient was computed
     wolfe_ok: bool
-    at: _Eval
+    at: _Eval           # its rgrad is set
 
 
 def _probe(fg, w, d, alpha, radius):
@@ -111,9 +126,7 @@ def _probe(fg, w, d, alpha, radius):
     value, egrad = fg(point)
     if not math.isfinite(value):
         raise NumericalError(f"objective returned non-finite value {value}")
-    rgrad = project_tangent(point, egrad, radius)
-    moved = project_tangent(point, d, radius)
-    return _Eval(alpha, point, value, rgrad, moved, inner(rgrad, moved))
+    return _Eval(alpha, point, value, egrad)
 
 
 def wolfe_linesearch(fg, w, d, f0, slope0, radius, opts):
@@ -125,7 +138,8 @@ def wolfe_linesearch(fg, w, d, f0, slope0, radius, opts):
     to the step cap) until an upper end is found, then bisects. It makes
     at most MAX_LINESEARCH_EVALS probes. If none meets both
     conditions, returns the best probe that met sufficient decrease
-    (wolfe_ok False), or None if no probe decreased enough.
+    (wolfe_ok False), or None if no probe decreased enough. A probe's
+    gradient is computed on its first read (module docstring).
     """
     if slope0 >= 0.0:
         raise ValueError(f"line search needs a descent direction, got slope {slope0}")
@@ -134,7 +148,15 @@ def wolfe_linesearch(fg, w, d, f0, slope0, radius, opts):
     a = min(1.0 / d_norm, a_cap)
     a_lo, f_lo, a_hi = 0.0, f0, None
     best = None
-    evals = 0
+    evals = grads = 0
+
+    def gradient(ev):
+        nonlocal grads
+        if ev.rgrad is None:
+            ev.rgrad = project_tangent(ev.point, ev.egrad(), radius)
+            grads += 1
+        return ev.rgrad
+
     while evals < MAX_LINESEARCH_EVALS:
         ev = _probe(fg, w, d, a, radius)
         evals += 1
@@ -143,11 +165,12 @@ def wolfe_linesearch(fg, w, d, f0, slope0, radius, opts):
             best = ev
         if not armijo or (evals > 1 and ev.value >= f_lo):
             a_hi = a
-        elif abs(ev.dslope) <= -C2 * slope0:
-            return LineSearchResult(a, evals, True, ev)
         else:
+            dslope = inner(gradient(ev), d)
+            if abs(dslope) <= -C2 * slope0:
+                return LineSearchResult(a, evals, grads, True, ev)
             # with no upper end yet the interval counts as positive
-            if ev.dslope * (1.0 if a_hi is None else a_hi - a_lo) >= 0.0:
+            if dslope * (1.0 if a_hi is None else a_hi - a_lo) >= 0.0:
                 a_hi = a_lo
             a_lo, f_lo = a, ev.value
             if a_hi is None and a >= a_cap:
@@ -160,7 +183,8 @@ def wolfe_linesearch(fg, w, d, f0, slope0, radius, opts):
             a = 0.5 * (a_lo + a_hi)
     if best is None:
         return None
-    return LineSearchResult(best.step, evals, False, best)
+    gradient(best)
+    return LineSearchResult(best.step, evals, grads, False, best)
 
 
 def minimize(fg, w0, radius, opts=None, stop_when=None):
@@ -169,7 +193,8 @@ def minimize(fg, w0, radius, opts=None, stop_when=None):
     Parameters
     ----------
     fg : callable
-        w -> (objective value, Euclidean gradient matrix).
+        w -> (objective value, zero-argument callable returning the
+        Euclidean gradient matrix at w).
     w0 : ndarray
         Starting point, rows of norm ``radius`` within relative
         ``manifold.ROW_TOL``; ValueError otherwise. The retraction keeps
@@ -193,7 +218,7 @@ def minimize(fg, w0, radius, opts=None, stop_when=None):
     f, egrad = fg(w)
     if not math.isfinite(f):
         raise NumericalError("objective non-finite at the starting point")
-    rgrad = project_tangent(w, egrad, radius)
+    rgrad = project_tangent(w, egrad(), radius)
     gnorm2 = inner(rgrad, rgrad)
     d = -rgrad
     trace = SolverTrace(initial_objective=f)
@@ -217,12 +242,14 @@ def minimize(fg, w0, radius, opts=None, stop_when=None):
             beta = 0.0
         else:
             beta = gnorm2_new / gnorm2
-        d_new = -ev.rgrad + beta * ev.moved
-        if inner(ev.rgrad, d_new) >= 0.0:
-            d_new = -ev.rgrad
-            beta = 0.0
+        d_new = -ev.rgrad
+        if beta != 0.0:
+            d_new = d_new + beta * project_tangent(ev.point, d, radius)
+            if inner(ev.rgrad, d_new) >= 0.0:
+                d_new = -ev.rgrad
+                beta = 0.0
         trace.records.append(IterRecord(it, ev.value, math.sqrt(gnorm2_new),
-                                        ls.step, beta, ls.wolfe_ok, ls.evals))
+                                        ls.step, beta, ls.wolfe_ok, ls.evals, ls.grads))
         df = abs(f - ev.value)
         w, f, rgrad, d, gnorm2 = ev.point, ev.value, ev.rgrad, d_new, gnorm2_new
         if df < opts.eps:

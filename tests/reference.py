@@ -3,15 +3,29 @@
 Each is a direct, unoptimised form of something the library computes
 another way (the explicit transmit frame, the per-user cone vector and
 its projection, the dense channel derivative, the full MUSIC
-denominator on the grid), or a generator of test inputs on the
-manifold.
+denominator on the grid, the solver with every probe's gradient
+computed at once), or a generator of test inputs on the manifold.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from isacbeam import radar
 from isacbeam.arrays import steering, steering_derivative
-from isacbeam.manifold import project_tangent, retract
+from isacbeam.manifold import inner, project_tangent, retract
+from isacbeam.rcg import (C1, C2, MAX_LINESEARCH_EVALS, IterRecord, LineSearchResult,
+                          SolverTrace)
+
+
+def deferred(value_grad):
+    """Solver callback form of an eager objective: w -> (value, grad)
+    becomes w -> (value, zero-argument callable returning grad)."""
+    def fg(w):
+        value, grad = value_grad(w)
+        return value, lambda: grad
+    return fg
 
 
 def random_point(num_rows, num_cols, radius, rng):
@@ -86,3 +100,107 @@ def music_denominator(cov, num_targets, grid_deg):
     vecs = radar._eigenvectors(cov, num_targets)
     theta_deg, a, a_norm2 = radar._grid(vecs.shape[0], grid_deg)
     return theta_deg, radar._denominator(vecs, num_targets, a, a_norm2)
+
+
+@dataclass(frozen=True)
+class EagerProbe:
+    index: int              # 0-based position among the search's probes
+    step: float
+    point: np.ndarray
+    value: float
+    rgrad: np.ndarray
+    moved: np.ndarray       # search direction projected to point
+
+
+def _eager_probe(fg, w, d, alpha, radius, index):
+    point = retract(w + alpha * d, radius)
+    value, egrad = fg(point)
+    return EagerProbe(index, alpha, point, value, project_tangent(point, egrad(), radius),
+                      project_tangent(point, d, radius))
+
+
+def eager_wolfe_linesearch(fg, w, d, f0, slope0, radius, opts):
+    """``rcg.wolfe_linesearch`` with every probe's gradient and projected
+    direction computed as the probe is made, and the same slope
+    ``inner(rgrad, d)``.
+
+    Returns (result, read): a ``rcg.LineSearchResult`` (None when no probe
+    decreased enough) whose ``at`` is an ``EagerProbe`` and whose
+    ``grads`` counts the probes whose gradient the search read, and the
+    indices of those probes, the returned one included.
+    """
+    d_norm = math.sqrt(inner(d, d))
+    a_cap = math.inf if opts.max_step_norm is None else opts.max_step_norm / d_norm
+    a = min(1.0 / d_norm, a_cap)
+    a_lo, f_lo, a_hi = 0.0, f0, None
+    best = None
+    read = []
+    for evals in range(1, MAX_LINESEARCH_EVALS + 1):
+        ev = _eager_probe(fg, w, d, a, radius, evals - 1)
+        armijo = ev.value <= f0 + C1 * a * slope0
+        if armijo and (best is None or ev.value < best.value):
+            best = ev
+        if not armijo or (evals > 1 and ev.value >= f_lo):
+            a_hi = a
+        else:
+            read.append(ev.index)
+            dslope = inner(ev.rgrad, d)
+            if abs(dslope) <= -C2 * slope0:
+                return LineSearchResult(a, evals, len(read), True, ev), read
+            if dslope * (1.0 if a_hi is None else a_hi - a_lo) >= 0.0:
+                a_hi = a_lo
+            a_lo, f_lo = a, ev.value
+            if a_hi is None and a >= a_cap:
+                break
+        if a_hi is None:
+            a = min(2.0 * a, a_cap)
+        elif abs(a_hi - a_lo) <= 1e-14 * max(abs(a_hi), abs(a_lo)):
+            break
+        else:
+            a = 0.5 * (a_lo + a_hi)
+    if best is None:
+        return None, read
+    if best.index not in read:
+        read.append(best.index)
+    return LineSearchResult(best.step, evals, len(read), False, best), read
+
+
+def eager_minimize(fg, w0, radius, opts, stop_when=None):
+    """``rcg.minimize`` on ``eager_wolfe_linesearch``, transporting the
+    direction as ``-rgrad + beta * moved`` on every step, beta = 0
+    included. The start is not checked for manifold membership."""
+    w = np.asarray(w0)
+    f, egrad = fg(w)
+    rgrad = project_tangent(w, egrad(), radius)
+    gnorm2 = inner(rgrad, rgrad)
+    d = -rgrad
+    trace = SolverTrace(initial_objective=f)
+    for it in range(opts.max_iters):
+        if stop_when is not None and stop_when(w, f):
+            trace.termination = "target_met"
+            return w, trace
+        if math.sqrt(gnorm2) <= opts.eps * (1.0 + abs(f)):
+            trace.termination = "grad_tol"
+            return w, trace
+        slope = inner(rgrad, d)
+        ls, _ = eager_wolfe_linesearch(fg, w, d, f, slope, radius, opts)
+        if ls is None:
+            trace.termination = "linesearch_fail"
+            return w, trace
+        ev = ls.at
+        trace.zoutendijk.append(slope * slope / max(inner(d, d), 1e-300))
+        gnorm2_new = inner(ev.rgrad, ev.rgrad)
+        beta = 0.0 if (it + 1) % w.shape[1] == 0 else gnorm2_new / gnorm2
+        d_new = -ev.rgrad + beta * ev.moved
+        if inner(ev.rgrad, d_new) >= 0.0:
+            d_new = -ev.rgrad
+            beta = 0.0
+        trace.records.append(IterRecord(it, ev.value, math.sqrt(gnorm2_new), ls.step,
+                                        beta, ls.wolfe_ok, ls.evals, ls.grads))
+        df = abs(f - ev.value)
+        w, f, rgrad, d, gnorm2 = ev.point, ev.value, ev.rgrad, d_new, gnorm2_new
+        if df < opts.eps:
+            trace.termination = "obj_tol"
+            return w, trace
+    trace.termination = "max_iters"
+    return w, trace

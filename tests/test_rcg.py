@@ -1,13 +1,16 @@
 """Conjugate-gradient solver on the fixed-row-norm manifold."""
 
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
+from isacbeam import design, rcg
 from isacbeam.manifold import inner, project_tangent, retract
 from isacbeam.rcg import C1, C2, MAX_LINESEARCH_EVALS, RcgOptions, minimize, wolfe_linesearch
-from reference import random_point
+from isacbeam.scenario import make_scenario
+from reference import deferred, eager_minimize, eager_wolfe_linesearch, random_point
 
 
 def _quadratic(target):
@@ -23,7 +26,7 @@ def test_minimize_reaches_row_projected_optimum():
     target = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     w0 = random_point(4, 6, 1.0, rng)
     fg = _quadratic(target)
-    w, trace = minimize(fg, w0, 1.0, RcgOptions(eps=1e-9, max_iters=200))
+    w, trace = minimize(deferred(fg), w0, 1.0, RcgOptions(eps=1e-9, max_iters=200))
     # the constrained minimizer renormalizes each row of the target
     best = retract(target, 1.0)
     f_best = float(np.sum(np.abs(best - target) ** 2))
@@ -37,7 +40,7 @@ def test_minimize_reaches_row_projected_optimum():
 def test_minimize_stops_at_critical_start():
     w0 = random_point(3, 4, 1.0, np.random.default_rng(1))
     # the Euclidean gradient at w0 is normal to the manifold there
-    w, trace = minimize(_quadratic(2.0 * w0), w0, 1.0, RcgOptions(eps=1e-8))
+    w, trace = minimize(deferred(_quadratic(2.0 * w0)), w0, 1.0, RcgOptions(eps=1e-8))
     assert trace.termination == "grad_tol"
     assert trace.iterations == 0
     assert np.array_equal(w, w0)
@@ -47,7 +50,7 @@ def test_objective_trace_weakly_decreasing_and_wolfe_flagged():
     rng = np.random.default_rng(2)
     target = 3.0 * (rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7)))
     w0 = random_point(5, 7, 1.0, rng)
-    _, trace = minimize(_quadratic(target), w0, 1.0, RcgOptions(eps=1e-8))
+    _, trace = minimize(deferred(_quadratic(target)), w0, 1.0, RcgOptions(eps=1e-8))
     objectives = trace.objectives()
     assert objectives[0] == trace.initial_objective
     assert np.all(np.diff(objectives) <= 0.0)
@@ -64,7 +67,7 @@ def test_wolfe_linesearch_satisfies_both_inequalities():
     g = project_tangent(w, egrad, 1.0)
     d = -g
     slope0 = inner(g, d)
-    res = wolfe_linesearch(fg, w, d, f0, slope0, 1.0, RcgOptions())
+    res = wolfe_linesearch(deferred(fg), w, d, f0, slope0, 1.0, RcgOptions())
     assert res is not None and res.wolfe_ok
     # recompute both conditions from scratch at the accepted step
     point = retract(w + res.step * d, 1.0)
@@ -83,7 +86,7 @@ def test_wolfe_step_lands_near_the_line_minimum():
     f0, egrad = fg(w)
     g = project_tangent(w, egrad, 1.0)
     d = -g
-    res = wolfe_linesearch(fg, w, d, f0, inner(g, d), 1.0, RcgOptions())
+    res = wolfe_linesearch(deferred(fg), w, d, f0, inner(g, d), 1.0, RcgOptions())
     grid = np.linspace(1e-6, 4.0 * res.step, 400)
     values = [fg(retract(w + a * d, 1.0))[0] for a in grid]
     f_min = min(values)
@@ -132,7 +135,7 @@ def test_linesearch_is_invariant_to_the_direction_scale():
     moves, probes = [], []
     for scale in (1.0, 1e8, 1e16):
         d = scale * unit
-        res = wolfe_linesearch(fg, w, d, f0, inner(g, d), 1.0, RcgOptions())
+        res = wolfe_linesearch(deferred(fg), w, d, f0, inner(g, d), 1.0, RcgOptions())
         assert res is not None and res.wolfe_ok
         moves.append(res.step * np.sqrt(inner(d, d)))
         probes.append(res.evals)
@@ -144,7 +147,7 @@ def test_traced_beta_is_fletcher_reeves():
     rng = np.random.default_rng(5)
     target = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     w0 = random_point(4, 6, 1.0, rng)
-    _, trace = minimize(_quadratic(target), w0, 1.0, RcgOptions(eps=1e-10))
+    _, trace = minimize(deferred(_quadratic(target)), w0, 1.0, RcgOptions(eps=1e-10))
     recs = trace.records
     conjugate = [i for i in range(1, len(recs)) if recs[i].beta != 0.0]
     assert len(conjugate) >= 5
@@ -158,7 +161,7 @@ def test_zoutendijk_increments_finite_with_vanishing_tail():
     target = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     w0 = random_point(4, 6, 1.0, rng)
     fg = _quadratic(target)
-    w, trace = minimize(fg, w0, 1.0, RcgOptions(eps=1e-13, max_iters=300))
+    w, trace = minimize(deferred(fg), w0, 1.0, RcgOptions(eps=1e-13, max_iters=300))
     z = np.array(trace.zoutendijk)
     assert z.size == trace.iterations
     assert np.isfinite(z).all() and np.all(z >= 0.0)
@@ -171,8 +174,8 @@ def test_minimize_is_deterministic():
     rng = np.random.default_rng(9)
     target = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
     w0 = random_point(4, 5, 1.0, rng)
-    w1, t1 = minimize(_quadratic(target), w0, 1.0, RcgOptions(eps=1e-8))
-    w2, t2 = minimize(_quadratic(target), w0, 1.0, RcgOptions(eps=1e-8))
+    w1, t1 = minimize(deferred(_quadratic(target)), w0, 1.0, RcgOptions(eps=1e-8))
+    w2, t2 = minimize(deferred(_quadratic(target)), w0, 1.0, RcgOptions(eps=1e-8))
     assert np.array_equal(w1, w2)
     assert t1.records == t2.records
     assert t1.termination == t2.termination
@@ -191,7 +194,7 @@ def test_step_cap_bounds_iterate_moves():
             seen.append(w)
             return False
 
-        minimize(fg, w0, 1.0, opts, stop_when=observer)
+        minimize(deferred(fg), w0, 1.0, opts, stop_when=observer)
         return [np.linalg.norm(b - a) for a, b in zip(seen, seen[1:])
                 if b is not a]
 
@@ -204,7 +207,7 @@ def test_step_cap_bounds_iterate_moves():
 def test_stop_when_fires_at_the_start():
     w0 = random_point(2, 3, 1.0, np.random.default_rng(10))
     target = np.ones((2, 3), dtype=complex)
-    w, trace = minimize(_quadratic(target), w0, 1.0, RcgOptions(),
+    w, trace = minimize(deferred(_quadratic(target)), w0, 1.0, RcgOptions(),
                         stop_when=lambda w, f: True)
     assert trace.termination == "target_met"
     assert trace.iterations == 0
@@ -215,7 +218,7 @@ def test_minimize_rejects_an_off_manifold_start():
     w0 = random_point(3, 4, 1.0, np.random.default_rng(13))
     nudged = w0.copy()
     nudged[1] *= 1.0 + 1e-9     # inside a 1e-8 tolerance, outside ROW_TOL
-    quadratic = _quadratic(np.ones((3, 4), dtype=complex))
+    quadratic = deferred(_quadratic(np.ones((3, 4), dtype=complex)))
     calls = []
 
     def fg(w):
@@ -241,12 +244,12 @@ def test_trace_to_csv_layout():
     rng = np.random.default_rng(12)
     target = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     w0 = random_point(3, 4, 1.0, rng)
-    _, trace = minimize(_quadratic(target), w0, 1.0, RcgOptions(eps=1e-6))
+    _, trace = minimize(deferred(_quadratic(target)), w0, 1.0, RcgOptions(eps=1e-6))
     buf = io.StringIO()
     trace.to_csv(buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0].split(",") == ["iter", "f", "gnorm", "step", "beta",
-                                   "wolfe_ok", "evals"]
+                                   "wolfe_ok", "evals", "grads"]
     assert len(lines) == 1 + trace.iterations
 
     assert float(lines[1].split(",")[1]) == trace.records[0].objective
@@ -254,3 +257,155 @@ def test_trace_to_csv_layout():
         cells = line.split(",")
         assert cells[5] == str(int(rec.wolfe_ok))
         assert int(cells[6]) == rec.evals >= 1
+        assert int(cells[7]) == rec.grads
+        assert 1 <= rec.grads <= rec.evals
+
+
+def _counting(fg):
+    """fg whose gradient thunks log, when called, the index of their probe
+    (the order of fg calls)."""
+    grads = []
+    calls = 0
+
+    def wrapped(w):
+        nonlocal calls
+        index = calls
+        calls += 1
+        value, egrad = fg(w)
+
+        def counted():
+            grads.append(index)
+            return egrad()
+        return value, counted
+
+    return wrapped, grads
+
+
+def _assert_same_search(fg, w, radius, opts, d=None, f0=None, slope0=None):
+    """One search from w, by default along -rgrad: the library and the
+    eager reference agree bit for bit, and gradients are computed exactly
+    at the probes whose gradient the reference reads."""
+    if d is None:
+        f0, egrad = fg(w)
+        g = project_tangent(w, egrad(), radius)
+        d = -g
+        slope0 = inner(g, d)
+    counted, grads = _counting(fg)
+    res = wolfe_linesearch(counted, w, d, f0, slope0, radius, opts)
+    ref, read = eager_wolfe_linesearch(fg, w, d, f0, slope0, radius, opts)
+    assert sorted(grads) == sorted(read)
+    assert res is not None and ref is not None
+    assert (res.step, res.evals, res.grads, res.wolfe_ok) \
+        == (ref.step, ref.evals, ref.grads, ref.wolfe_ok)
+    assert res.grads == len(grads)
+    assert res.at.point.tobytes() == ref.at.point.tobytes()
+    assert res.at.value == ref.at.value
+    assert res.at.rgrad.tobytes() == ref.at.rgrad.tobytes()
+    return res
+
+
+def _assert_same_solve(fg, w0, radius, opts, stop_when=None):
+    counted, grads = _counting(fg)
+    w, trace = minimize(counted, w0, radius, opts, stop_when)
+    w_ref, ref = eager_minimize(fg, w0, radius, opts, stop_when)
+    assert w.tobytes() == w_ref.tobytes()
+    assert trace.records == ref.records
+    assert trace.termination == ref.termination
+    assert trace.zoutendijk == ref.zoutendijk
+    # the start, then every gradient a search read
+    assert len(grads) == 1 + sum(r.grads for r in trace.records)
+    return trace
+
+
+def _stage_problems(monkeypatch):
+    """(fg, w0, radius, opts, stop_when) of stages I and II of an sgcdf
+    design on the small acceptance scenario, as ``design`` builds them."""
+    s = make_scenario(num_tx=8, num_rx=8, num_users=2,
+                      target_angles_deg=(-40.0, 25.0),
+                      target_ranges_m=(50.0, 60.0), snapshots=64, seed=2)
+    problems = []
+    solve = rcg.minimize
+
+    def capture(fg, w0, radius, opts=None, stop_when=None):
+        problems.append((fg, w0, radius, opts, stop_when))
+        return solve(fg, w0, radius, opts, stop_when)
+
+    monkeypatch.setattr(rcg, "minimize", capture)
+    design.run(s, "sgcdf")
+    monkeypatch.undo()
+    assert len(problems) == 2
+    return problems
+
+
+def test_deferred_gradients_match_eager_search_on_quadratic():
+    rng = np.random.default_rng(14)
+    target = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    w = random_point(3, 5, 1.0, rng)
+    for opts in (RcgOptions(), RcgOptions(max_step_norm=0.05)):
+        _assert_same_search(deferred(_quadratic(target)), w, 1.0, opts)
+    # the first trial step overshoots the minimizer 0.01 away a hundred-fold
+    t = project_tangent(w, rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)), 1.0)
+    near = deferred(_quadratic(w + 0.01 * t / np.sqrt(inner(t, t))))
+    res = _assert_same_search(near, w, 1.0, RcgOptions())
+    assert res.wolfe_ok and 1 <= res.grads < res.evals
+
+
+def test_fallback_probe_gets_its_gradient_though_no_test_read_it():
+    # C1 a slope0 vanishes next to f0 = 1, so the probes at value 1 meet
+    # sufficient decrease without beating the bracket's low end: no test
+    # reads a gradient, yet the first of them is returned as the fallback
+    rng = np.random.default_rng(16)
+    w = random_point(3, 5, 1.0, rng)
+    d = project_tangent(w, rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)), 1.0)
+    g = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+
+    def fg(x):
+        # the first probe moves w by about 1, the bisected ones by at most 0.5
+        return (2.0 if np.linalg.norm(x - w) > 0.75 else 1.0), lambda: g
+
+    res = _assert_same_search(fg, w, 1.0, RcgOptions(), d=d, f0=1.0, slope0=-1e-300)
+    assert (res.evals, res.grads, res.wolfe_ok) == (MAX_LINESEARCH_EVALS, 1, False)
+    assert res.at.value == 1.0 and res.at.step == 0.5 * (1.0 / np.sqrt(inner(d, d)))
+
+
+def test_deferred_gradients_match_eager_solver_on_quadratic():
+    rng = np.random.default_rng(15)
+    target = 3.0 * (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)))
+    w0 = random_point(4, 6, 1.0, rng)
+    fg = deferred(_quadratic(target))
+    for opts in (RcgOptions(eps=1e-10), RcgOptions(eps=1e-8, max_step_norm=0.05)):
+        trace = _assert_same_solve(fg, w0, 1.0, opts)
+        betas = [r.beta for r in trace.records]
+        assert 0.0 in betas and any(b != 0.0 for b in betas)
+        assert sum(r.grads for r in trace.records) < sum(r.evals for r in trace.records)
+
+
+def test_deferred_gradients_match_eager_solver_on_both_stages(monkeypatch):
+    (fg1, w1, radius, opts1, _), (fg2, w2, _, opts2, guard) = _stage_problems(monkeypatch)
+    assert opts2.max_step_norm is not None
+    _assert_same_search(fg1, w1, radius, opts1)
+    _assert_same_solve(fg1, w1, radius, opts1)
+    for opts in (opts2, dataclasses.replace(opts2, max_step_norm=None)):
+        _assert_same_search(fg2, w2, radius, opts)
+        trace = _assert_same_solve(fg2, w2, radius, opts, stop_when=guard)
+        assert trace.termination == "target_met" and trace.iterations >= 1
+
+
+def test_deferred_gradients_match_eager_solver_through_a_descent_reset():
+    # f = s* - s below a kink and 3 (s - s*) past it, s = Re<w, u>: no probe
+    # meets the curvature condition, and a fallback step past the kink
+    # turns the Fletcher-Reeves direction uphill, so it resets to -rgrad
+    rng = np.random.default_rng(1)
+    w0 = random_point(3, 5, 1.0, rng)
+    u = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    s_star = inner(u, w0) + 0.3
+
+    def fg(w):
+        s = inner(u, w)
+        if s < s_star:
+            return s_star - s, lambda: -u
+        return 3.0 * (s - s_star), lambda: 3.0 * u
+
+    trace = _assert_same_solve(fg, w0, 1.0, RcgOptions(eps=1e-8, max_iters=40))
+    first = trace.records[0]
+    assert not first.wolfe_ok and first.beta == 0.0 and first.grad_norm > 0.0
