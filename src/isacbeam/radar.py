@@ -45,6 +45,17 @@ of d cancels below CANCEL_TOL (a noiseless target on the grid), or when
 the T-th and (T+1)-th deepest minima are equal (a real-valued
 covariance gives mirror-image nulls), because the full scan's sort
 decides which of them it keeps.
+
+``monte_carlo`` runs its trials in blocks of as many as BLOCK_BYTES of
+working memory holds (at least one), so memory stays flat in the trial
+count. Each trial still draws from its own substream, in the order
+``echo_covariance`` draws; a block then forms all of its covariances
+with one stacked product, eigendecomposes them with one stacked
+``eigh``, and evaluates the coarse level and the interval floors of all
+of its trials at once. Only the level, the fine spans, the peak pick and
+the full-scan fallbacks run per trial. ``echo_covariance`` and
+``music_estimate`` are stacks of one over the same code, so with
+single-threaded BLAS every trial's estimate is theirs bit for bit.
 """
 
 import functools
@@ -57,6 +68,7 @@ from .scenario import substream
 
 MUSIC_GRID_DEG = 0.02
 CANCEL_TOL = 1e-6   # relative signal-subspace denominator below which MUSIC re-evaluates
+BLOCK_BYTES = 2**22  # working memory of one block of Monte-Carlo trials
 
 
 @dataclass(frozen=True)
@@ -135,6 +147,17 @@ def echo_covariance(scenario, gw, rng):
     then the diagonal. Same law as the explicit frame's ``covariance``
     (see the module docstring), independent of L in cost.
     """
+    return _echo_covariances(scenario, gw, [rng])[0]
+
+
+def _echo_covariances(scenario, gw, rngs):
+    """``echo_covariance`` of each generator in ``rngs``, stacked.
+
+    Each generator makes one standard-normal draw holding, in order, the
+    real and imaginary parts of N Q and of the Bartlett block (Philox
+    normals do not depend on how a draw is split into calls), then one
+    gamma draw; the products run once over the stack.
+    """
     gw = np.asarray(gw)
     if gw.shape[0] != scenario.array.num_rx:
         raise ValueError("G W row count does not match the receive array")
@@ -143,11 +166,30 @@ def echo_covariance(scenario, gw, rng):
     _check_snapshots(num_streams, snapshots)
     dof = snapshots - num_streams
     m = min(m_r, dof)
-    s = np.sqrt(snapshots) * gw + _cgauss(rng, (m_r, num_streams),
-                                          np.sqrt(scenario.noise_power / 2.0))
-    t = np.tril(_cgauss(rng, (m_r, m), np.sqrt(0.5)), k=-1)
-    np.fill_diagonal(t, np.sqrt(rng.gamma(dof - np.arange(m))))
-    return (s @ s.conj().T + scenario.noise_power * (t @ t.conj().T)) / snapshots
+    n_s, n_t = m_r * num_streams, m_r * m
+    shapes = dof - np.arange(m)
+    z = np.empty((len(rngs), 2 * (n_s + n_t)))
+    roots = np.empty((len(rngs), m))
+    for row, root, rng in zip(z, roots, rngs):
+        rng.standard_normal(out=row)
+        root[:] = rng.gamma(shapes)
+    parts = np.split(z, np.cumsum([n_s, n_s, n_t]), axis=1)
+    s = np.empty((len(rngs), m_r, num_streams), dtype=complex)
+    scale = np.sqrt(scenario.noise_power / 2.0)
+    s.real = scale * parts[0].reshape(s.shape)
+    s.imag = scale * parts[1].reshape(s.shape)
+    s += np.sqrt(snapshots) * gw
+    t = np.empty((len(rngs), m_r, m), dtype=complex)
+    t.real = np.sqrt(0.5) * parts[2].reshape(t.shape)
+    t.imag = np.sqrt(0.5) * parts[3].reshape(t.shape)
+    t[:, ~np.tri(m_r, m, -1, dtype=bool)] = 0.0
+    t[:, np.arange(m), np.arange(m)] = np.sqrt(roots)
+    return (s @ _hermitian(s) + scenario.noise_power * (t @ _hermitian(t))) / snapshots
+
+
+def _hermitian(x):
+    """Conjugate transpose of each matrix of a stack."""
+    return x.conj().swapaxes(-1, -2)
 
 
 @functools.lru_cache(maxsize=4)
@@ -164,18 +206,9 @@ def _grid(num_rx, grid_deg):
 
 
 def _subspace_power(basis, a):
-    p = basis.conj().T @ a
-    return (p.real ** 2 + p.imag ** 2).sum(axis=0)
-
-
-def _eigenvectors(cov, num_targets):
-    """Eigenvectors of an M_R x M_R covariance, ascending eigenvalues."""
-    cov = np.asarray(cov)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError("MUSIC needs a square M_R x M_R sample covariance")
-    if num_targets >= cov.shape[0]:
-        raise ValueError("need more receive antennas than targets")
-    return np.linalg.eigh(cov)[1]
+    """||basis^H a||^2 on every column of ``a``, for one basis or a stack."""
+    p = _hermitian(basis) @ a
+    return (p.real ** 2 + p.imag ** 2).sum(axis=-2)
 
 
 def _denominator(vecs, num_targets, a, a_norm2):
@@ -232,13 +265,12 @@ def _pick_peaks(theta_deg, denom, num_targets):
 def _refined(theta_deg, denom, picked, step):
     """Sorted radians of the minima ``picked``, each moved to the vertex of
     the parabola through it and its two neighbours, by at most one step."""
-    out = []
-    for i in picked:
-        curv = denom[i - 1] - 2.0 * denom[i] + denom[i + 1]
-        shift = 0.5 * (denom[i - 1] - denom[i + 1]) / curv if curv > 0 else 0.0
-        shift = float(np.clip(shift, -1.0, 1.0))
-        out.append(theta_deg[i] + shift * step)
-    return np.sort(np.deg2rad(out))
+    i = np.asarray(picked)
+    left, right = denom[i - 1], denom[i + 1]
+    curv = left - 2.0 * denom[i] + right
+    shift = np.zeros(i.size)
+    np.divide(0.5 * (left - right), curv, out=shift, where=curv > 0)
+    return np.sort(np.deg2rad(theta_deg[i] + np.clip(shift, -1.0, 1.0) * step))
 
 
 def _interval_floors(basis, ends, h):
@@ -250,13 +282,15 @@ def _interval_floors(basis, ends, h):
     and D2_i sum |e_im| weighted by 1, m and m^2. As
     (|g_i|^2)'' = 2 Re(g_i'' conj(g_i)) + 2 |g_i'|^2,
     |d''| <= C = 2 pi^2 sum_i (D1_i^2 + P_i D2_i) + 2 pi sum_i P_i D1_i,
-    and d >= min(ends) - h^2 C / 8 on each interval.
+    and d >= min(ends) - h^2 C / 8 on each interval. Takes one basis and
+    its ``ends`` or a stack of each.
     """
     mag = np.abs(basis)
-    m = np.arange(mag.shape[0])
-    p, d1, d2 = mag.sum(axis=0), m @ mag, (m * m) @ mag
-    curv = 2.0 * np.pi**2 * np.sum(d1 * d1 + p * d2) + 2.0 * np.pi * np.sum(p * d1)
-    return np.minimum(ends[:-1], ends[1:]) - h * h * curv / 8.0
+    m = np.arange(mag.shape[-2])
+    p, d1, d2 = mag.sum(axis=-2), m @ mag, (m * m) @ mag
+    curv = (2.0 * np.pi**2 * np.sum(d1 * d1 + p * d2, axis=-1)
+            + 2.0 * np.pi * np.sum(p * d1, axis=-1))
+    return np.minimum(ends[..., :-1], ends[..., 1:]) - h * h * curv[..., None] / 8.0
 
 
 def _coarse_stride(num_rx, points):
@@ -282,8 +316,9 @@ def _coarse_grid(num_rx, grid_deg, stride):
 
 
 def _two_level_scan(vecs, num_targets, grid_deg):
-    """The full scan's (angles, False) from part of the grid, or None when
-    the full scan must run.
+    """Per matrix of a stack of eigenvector matrices: the full scan's
+    (angles, False) from part of the grid, or None when the full scan
+    must run.
 
     Let v be the T-th smallest interior minimum of the coarse values c.
     Each coarse minimum has a fine minimum at or below it between its
@@ -294,22 +329,31 @@ def _two_level_scan(vecs, num_targets, grid_deg):
     minimum there has both neighbours; a minimum found at the end of a
     span lies above v and is never among the T deepest. Every value
     has the full scan's bits except c at the last column, which bounds
-    only the last interval, and a kept last interval falls back.
+    only the last interval, and a kept last interval falls back. The
+    coarse values and their floors are computed once for the stack.
     """
-    m = vecs.shape[0]
-    theta_deg, a, a_norm2 = _grid(m, grid_deg)
+    m = vecs.shape[-1]
+    theta_deg = _grid(m, grid_deg)[0]
     w = _coarse_stride(m, theta_deg.size)
     if w < 8:
-        return None
-    step = theta_deg[1] - theta_deg[0]
-    basis = vecs[:, m - num_targets:]
+        return [None] * len(vecs)
+    basis = vecs[..., m - num_targets:]
     a_coarse, norm2 = _coarse_grid(m, grid_deg, w)
-    c = norm2 - _subspace_power(basis, a_coarse)[: norm2.size]
+    coarse = norm2 - _subspace_power(basis, a_coarse)[..., : norm2.size]
+    floors = _interval_floors(basis, coarse, np.deg2rad(w * (theta_deg[1] - theta_deg[0])))
+    return [_fine_scan(*trial, grid_deg, w) for trial in zip(basis, coarse, floors)]
+
+
+def _fine_scan(basis, c, floors, grid_deg, w):
+    """``_two_level_scan`` of one signal basis from its coarse values c
+    and their interval floors."""
+    m, num_targets = basis.shape
+    theta_deg, a, a_norm2 = _grid(m, grid_deg)
     minima = c[_local_maxima(-c)]
     if minima.size < num_targets:
         return None
     level = np.partition(minima, num_targets - 1)[num_targets - 1]
-    keep = _interval_floors(basis, c, np.deg2rad(w * step)) <= level + 1e-9 * m
+    keep = floors <= level + 1e-9 * m
     # 8-column groups of the kept intervals, and one more on each side
     groups = np.repeat(keep, w // 8)
     groups[1:] |= groups[:-1]
@@ -327,7 +371,7 @@ def _two_level_scan(vecs, num_targets, grid_deg):
     if idx.size > num_targets and d[idx[num_targets - 1]] == d[idx[num_targets]]:
         return None
     theta = np.concatenate([theta_deg[lo:hi] for lo, hi in spans])
-    return _refined(theta, d, idx[:num_targets], step), False
+    return _refined(theta, d, idx[:num_targets], theta_deg[1] - theta_deg[0]), False
 
 
 def _full_scan(vecs, num_targets, grid_deg):
@@ -346,9 +390,37 @@ def music_estimate(cov, num_targets, grid_deg=MUSIC_GRID_DEG):
     the deepest minima, and in full otherwise (see the module
     docstring); both give the same bits.
     """
-    vecs = _eigenvectors(cov, num_targets)
-    found = _two_level_scan(vecs, num_targets, grid_deg)
-    return found if found is not None else _full_scan(vecs, num_targets, grid_deg)
+    angles, degraded = _music(np.asarray(cov)[None], num_targets, grid_deg)
+    return angles[0], bool(degraded[0])
+
+
+def _music(covs, num_targets, grid_deg):
+    """``music_estimate`` of each covariance of a stack (B x M_R x M_R):
+    (B x T angles, B degraded flags), from one stacked ``eigh``."""
+    if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
+        raise ValueError("MUSIC needs a square M_R x M_R sample covariance")
+    if num_targets >= covs.shape[1]:
+        raise ValueError("need more receive antennas than targets")
+    vecs = np.linalg.eigh(covs)[1]
+    angles = np.empty((len(vecs), num_targets))
+    degraded = np.empty(len(vecs), dtype=bool)
+    for i, found in enumerate(_two_level_scan(vecs, num_targets, grid_deg)):
+        angles[i], degraded[i] = (found if found is not None
+                                  else _full_scan(vecs[i], num_targets, grid_deg))
+    return angles, degraded
+
+
+def _block_trials(m_r, num_streams, num_targets, grid_deg):
+    """Monte-Carlo trials per block: as many as BLOCK_BYTES holds, at
+    least one. A trial's working set is counted in complex entries: its
+    draws, S and T and their conjugates (3 M_R (N + M_R) at most), five
+    M_R x M_R products, covariances and eigenvectors, and two T-row
+    arrays on the coarse grid."""
+    points = _grid(m_r, grid_deg)[0].size
+    w = _coarse_stride(m_r, points)
+    coarse = points // w + 8 if w >= 8 else 0
+    entries = 3 * m_r * (num_streams + m_r) + 5 * m_r * m_r + 2 * num_targets * coarse
+    return max(1, BLOCK_BYTES // (16 * entries))
 
 
 def monte_carlo(scenario, result, trials, grid_deg=MUSIC_GRID_DEG):
@@ -357,35 +429,34 @@ def monte_carlo(scenario, result, trials, grid_deg=MUSIC_GRID_DEG):
     Each trial draws its echo covariance from a substream keyed by the
     trial index, so the aggregate is reproducible bit for bit. Trials
     run in the covariance domain (``echo_covariance``: Gaussian N Q
-    term plus a Bartlett-drawn complex Wishart term, Goodman 1963), one
-    at a time, so time and memory per trial do not depend on L and
-    memory stays flat in the trial count. RMSE aggregates the
-    per-trial summed squared angle error, matching the stacked-parameter
-    convention of the reported RCRLB.
+    term plus a Bartlett-drawn complex Wishart term, Goodman 1963), so
+    their cost does not depend on L, and in blocks whose working memory
+    stays within BLOCK_BYTES (or one trial, if that is more), so memory
+    stays flat in the trial count. With single-threaded BLAS every
+    trial's estimate equals ``music_estimate`` of its ``echo_covariance``
+    bit for bit (module docstring). RMSE aggregates the per-trial summed
+    squared angle error, matching the stacked-parameter convention of
+    the reported RCRLB.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     gw = echo_channel(scenario) @ np.asarray(result.w)
     truth = np.sort(scenario.target_angles())
-    t = truth.size
-    sq_sums = np.zeros(trials)
-    per_target = np.zeros((trials, t))
-    estimates = np.zeros((trials, t))
-    degraded = 0
-    for i in range(trials):
-        rng = substream(scenario.seed, "trial", i)
-        cov = echo_covariance(scenario, gw, rng)
-        est, bad = music_estimate(cov, t, grid_deg=grid_deg)
-        degraded += bad
-        err = est - truth
-        estimates[i] = est
-        per_target[i] = err**2
-        sq_sums[i] = float(err @ err)
+    estimates = np.empty((trials, truth.size))
+    degraded = np.empty(trials, dtype=bool)
+    block = _block_trials(*gw.shape, truth.size, grid_deg)
+    for lo in range(0, trials, block):
+        hi = min(lo + block, trials)
+        rngs = [substream(scenario.seed, "trial", i) for i in range(lo, hi)]
+        covs = _echo_covariances(scenario, gw, rngs)
+        estimates[lo:hi], degraded[lo:hi] = _music(covs, truth.size, grid_deg)
+    err = estimates - truth
+    sq_sums = np.array([float(e @ e) for e in err])
     return EstimationReport(
         true_angles=truth,
         mean_estimates=estimates.mean(axis=0),
-        per_target_mse=per_target.mean(axis=0),
+        per_target_mse=(err**2).mean(axis=0),
         rmse=float(np.sqrt(sq_sums.mean())),
         rcrlb=float(result.rcrlb),
         trials=trials,
-        degraded_trials=int(degraded))
+        degraded_trials=int(degraded.sum()))

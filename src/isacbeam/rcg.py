@@ -81,6 +81,9 @@ class SolverTrace:
     records: list = field(default_factory=list)
     termination: str = "max_iters"
     zoutendijk: list = field(default_factory=list)
+    initial_grad_norm: float = math.nan  # Riemannian gradient norm at the start
+    objective_evals: int = 0    # objective values computed, the start's included
+    gradient_evals: int = 0     # gradients computed, the start's included
 
     @property
     def iterations(self):
@@ -89,6 +92,10 @@ class SolverTrace:
     @property
     def final_objective(self):
         return self.records[-1].objective if self.records else self.initial_objective
+
+    @property
+    def final_grad_norm(self):
+        return self.records[-1].grad_norm if self.records else self.initial_grad_norm
 
     def objectives(self):
         return np.array([self.initial_objective] + [r.objective for r in self.records])
@@ -187,6 +194,20 @@ def wolfe_linesearch(fg, w, d, f0, slope0, radius, opts):
     return LineSearchResult(best.step, evals, grads, False, best)
 
 
+def _counting(fg, trace):
+    """``fg`` that adds each objective value and gradient it computes to
+    the trace's totals."""
+    def counted(w):
+        trace.objective_evals += 1
+        value, egrad = fg(w)
+
+        def gradient():
+            trace.gradient_evals += 1
+            return egrad()
+        return value, gradient
+    return counted
+
+
 def minimize(fg, w0, radius, opts=None, stop_when=None):
     """Minimize fg over the fixed-row-norm manifold starting at w0.
 
@@ -209,19 +230,23 @@ def minimize(fg, w0, radius, opts=None, stop_when=None):
     Returns
     -------
     (ndarray, SolverTrace)
+        The trace counts every objective value and gradient computed,
+        those of a failed line search too.
     """
     opts = opts or RcgOptions()
     w = np.asarray(w0)
     if not is_on_manifold(w, radius):
         gap = np.abs(row_norms(w) - radius).max() / radius
         raise ValueError(f"start off manifold (relative row-norm gap {gap:.2e})")
+    trace = SolverTrace(initial_objective=math.nan)
+    fg = _counting(fg, trace)
     f, egrad = fg(w)
     if not math.isfinite(f):
         raise NumericalError("objective non-finite at the starting point")
     rgrad = project_tangent(w, egrad(), radius)
     gnorm2 = inner(rgrad, rgrad)
     d = -rgrad
-    trace = SolverTrace(initial_objective=f)
+    trace.initial_objective, trace.initial_grad_norm = f, math.sqrt(gnorm2)
 
     for it in range(opts.max_iters):
         if stop_when is not None and stop_when(w, f):

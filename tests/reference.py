@@ -4,7 +4,8 @@ Each is a direct, unoptimised form of something the library computes
 another way (the explicit transmit frame, the per-user cone vector and
 its projection, the dense channel derivative, the full MUSIC
 denominator on the grid, the solver with every probe's gradient
-computed at once), or a generator of test inputs on the manifold.
+computed at once, the Monte-Carlo trials one at a time), or a
+generator of test inputs on the manifold.
 """
 
 import math
@@ -17,6 +18,7 @@ from isacbeam.arrays import steering, steering_derivative
 from isacbeam.manifold import inner, project_tangent, retract
 from isacbeam.rcg import (C1, C2, MAX_LINESEARCH_EVALS, IterRecord, LineSearchResult,
                           SolverTrace)
+from isacbeam.scenario import substream
 
 
 def deferred(value_grad):
@@ -97,9 +99,51 @@ def synthesize_waveform(w, snapshots, rng):
 def music_denominator(cov, num_targets, grid_deg):
     """(grid in degrees, ||E_n^H a||^2 on it) for an M_R x M_R covariance,
     evaluated on every grid column."""
-    vecs = radar._eigenvectors(cov, num_targets)
+    vecs = np.linalg.eigh(cov)[1]
     theta_deg, a, a_norm2 = radar._grid(vecs.shape[0], grid_deg)
     return theta_deg, radar._denominator(vecs, num_targets, a, a_norm2)
+
+
+def one_trial_echo_covariance(scenario, gw, rng):
+    """``radar.echo_covariance`` drawn part by part: N Q (real, then
+    imaginary), the Bartlett block (real, then imaginary), its diagonal."""
+    snapshots = scenario.snapshots
+    m_r, num_streams = gw.shape
+    dof = snapshots - num_streams
+    m = min(m_r, dof)
+    s = np.sqrt(snapshots) * gw + radar._cgauss(rng, (m_r, num_streams),
+                                                np.sqrt(scenario.noise_power / 2.0))
+    t = np.tril(radar._cgauss(rng, (m_r, m), np.sqrt(0.5)), k=-1)
+    np.fill_diagonal(t, np.sqrt(rng.gamma(dof - np.arange(m))))
+    return (s @ s.conj().T + scenario.noise_power * (t @ t.conj().T)) / snapshots
+
+
+def one_trial_music(cov, num_targets, grid_deg):
+    """``radar.music_estimate`` of one covariance, its eigenvectors and
+    the coarse level of the two-level scan computed for it alone."""
+    vecs = np.linalg.eigh(cov)[1]
+    m = vecs.shape[0]
+    theta_deg = radar._grid(m, grid_deg)[0]
+    w = radar._coarse_stride(m, theta_deg.size)
+    found = None
+    if w >= 8:
+        basis = vecs[:, m - num_targets:]
+        a_coarse, norm2 = radar._coarse_grid(m, grid_deg, w)
+        c = norm2 - radar._subspace_power(basis, a_coarse)[: norm2.size]
+        floors = radar._interval_floors(basis, c, np.deg2rad(w * (theta_deg[1] - theta_deg[0])))
+        found = radar._fine_scan(basis, c, floors, grid_deg, w)
+    return found if found is not None else radar._full_scan(vecs, num_targets, grid_deg)
+
+
+def one_trial_monte_carlo(scenario, result, trials, grid_deg):
+    """(estimates, degraded flags) of the trials of ``radar.monte_carlo``,
+    one trial at a time."""
+    gw = radar.echo_channel(scenario) @ np.asarray(result.w)
+    out = [one_trial_music(one_trial_echo_covariance(scenario, gw,
+                                                     substream(scenario.seed, "trial", i)),
+                           len(scenario.targets), grid_deg)
+           for i in range(trials)]
+    return np.array([est for est, _ in out]), np.array([bad for _, bad in out])
 
 
 @dataclass(frozen=True)

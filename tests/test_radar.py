@@ -22,7 +22,7 @@ from isacbeam.radar import (
     synthesize_probe,
 )
 from isacbeam.scenario import make_scenario, substream
-from reference import music_denominator, synthesize_waveform
+from reference import music_denominator, one_trial_monte_carlo, synthesize_waveform
 
 
 def _sensing_scenario(noise_dbm, angles=(20.0,), ranges=(50.0,), snapshots=256):
@@ -340,6 +340,23 @@ def test_monte_carlo_noise_hurts(mc_scenario, mc_design):
     assert loud_rep.rmse >= quiet_rep.rmse
 
 
+def _recorded_monte_carlo(monkeypatch, scenario, result, trials, grid_deg):
+    """``monte_carlo``'s report and, per block, the (covariances,
+    estimates, degraded flags) that reach its stacked MUSIC entry point."""
+    blocks = []
+    music = radar._music
+
+    def recording(covs, num_targets, grid_deg):
+        out = music(covs, num_targets, grid_deg)
+        blocks.append((covs, *out))
+        return out
+
+    monkeypatch.setattr(radar, "_music", recording)
+    rep = monte_carlo(scenario, result, trials, grid_deg=grid_deg)
+    monkeypatch.setattr(radar, "_music", music)
+    return rep, blocks
+
+
 @functools.lru_cache(maxsize=2)
 def _reference_grid(m, grid_deg):
     theta_deg = np.linspace(-90.0, 90.0, int(round(180.0 / grid_deg)) + 1)
@@ -376,16 +393,10 @@ def test_monte_carlo_music_matches_noise_subspace_reference(case, grid_deg, mc_s
                                                             monkeypatch):
     s, res = ((mc_scenario, mc_design) if case == "two_targets"
               else three_target_design)
-    seen = []
-
-    def recording(cov, num_targets, grid_deg):
-        out = music_estimate(cov, num_targets, grid_deg)
-        seen.append((cov, out))
-        return out
-
-    monkeypatch.setattr(radar, "music_estimate", recording)
     trials = 6
-    rep = monte_carlo(s, res, trials, grid_deg=grid_deg)
+    rep, blocks = _recorded_monte_carlo(monkeypatch, s, res, trials, grid_deg)
+    seen = [(cov, (est, bad)) for covs, ests, bads in blocks
+            for cov, est, bad in zip(covs, ests, bads)]
     t = len(s.targets)
     assert len(seen) == trials
     ref = [_reference_music(cov, t, grid_deg) for cov, _ in seen]
@@ -419,6 +430,83 @@ def test_monte_carlo_rejects_zero_trials(mc_scenario, mc_design):
         monte_carlo(mc_scenario, mc_design, 0)
 
 
+def _stacking_case(case):
+    """(scenario, mode, trials) of a Monte-Carlo run that must equal the
+    one-trial-at-a-time reference."""
+    if case.startswith("paper"):
+        # the benchmark's sweep: 40 trials, the last block shorter (17, 17, 6)
+        p_dbm, mode = case.split()[1:]
+        return make_scenario(power_budget_dbm=float(p_dbm)), mode, 40
+    return {
+        "one target": (_sensing_scenario(-96.0), "omnidirectional", 9),
+        # degraded trials fall back to the full scan inside a block
+        "4x4 -40 dBm": (make_scenario(num_tx=4, num_rx=4, num_users=0, power_budget_dbm=-40.0),
+                        "omnidirectional", 16),
+        "64x64": (make_scenario(num_tx=64, num_rx=64, num_users=2), "omnidirectional", 11),
+        # L = N: the Bartlett block has no columns
+        "snapshots == streams": (make_scenario(num_tx=8, num_rx=8, num_users=2, snapshots=10),
+                                 "omnidirectional", 5),
+        "one trial": (make_scenario(power_budget_dbm=10.0), "omnidirectional", 1),
+    }[case]
+
+
+@pytest.mark.parametrize("case", [f"paper {p} {mode}" for p in (0, 10, 20)
+                                  for mode in ("sgcdf", "omnidirectional")]
+                         + ["one target", "4x4 -40 dBm", "64x64", "snapshots == streams",
+                            "one trial"])
+def test_monte_carlo_blocks_match_one_trial_at_a_time(case, monkeypatch):
+    s, mode, trials = _stacking_case(case)
+    res = design.run(s, mode)
+    rep, blocks = _recorded_monte_carlo(monkeypatch, s, res, trials, radar.MUSIC_GRID_DEG)
+    est = np.concatenate([ests for _, ests, _ in blocks])
+    bad = np.concatenate([bads for _, _, bads in blocks])
+    ref_est, ref_bad = one_trial_monte_carlo(s, res, trials, radar.MUSIC_GRID_DEG)
+    assert np.array_equal(est, ref_est) and np.array_equal(bad, ref_bad)
+    sizes = [len(covs) for covs, _, _ in blocks]
+    block = radar._block_trials(s.array.num_rx, np.shape(res.w)[1], len(s.targets),
+                                radar.MUSIC_GRID_DEG)
+    assert sum(sizes) == trials and set(sizes[:-1]) <= {block} and sizes[-1] <= block
+    if case.startswith("paper"):
+        assert len(sizes) > 1 and sizes[-1] < block
+    if case == "4x4 -40 dBm":
+        assert len(sizes) == 1 and 0 < bad.sum() < trials
+    truth = np.sort(s.target_angles())
+    assert rep.degraded_trials == ref_bad.sum()
+    assert rep.rmse == np.sqrt(np.mean([float(e @ e) for e in ref_est - truth]))
+
+
+def test_monte_carlo_blocks_of_one_trial(mc_scenario, mc_design, monkeypatch):
+    # a cap below one trial's working set still runs one trial per block
+    monkeypatch.setattr(radar, "BLOCK_BYTES", 1)
+    rep, blocks = _recorded_monte_carlo(monkeypatch, mc_scenario, mc_design, 3, 0.1)
+    assert [len(covs) for covs, _, _ in blocks] == [1, 1, 1]
+    est, bad = one_trial_monte_carlo(mc_scenario, mc_design, 3, 0.1)
+    assert np.array_equal(np.concatenate([e for _, e, _ in blocks]), est)
+    assert rep.degraded_trials == bad.sum() == 0
+
+
+def test_monte_carlo_memory_is_flat_in_trials():
+    # a trial of the 32-element sweep works in about 120 kB (its draws, S,
+    # T, their products and eigenvectors), so 1000 trials stacked at once
+    # would need over 100 MB; in blocks the peak grows by the results
+    # (estimates, errors and their squares, flags, squared sums: under
+    # 128 B a trial at three targets) and at most one block's BLOCK_BYTES
+    s = make_scenario(power_budget_dbm=10.0)
+    res = design.run(s, "omnidirectional")
+    monte_carlo(s, res, 1)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            monte_carlo(s, res, trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(10), peak(1000)
+    assert large - small <= 1000 * 128 + radar.BLOCK_BYTES
+
+
 # ---------------------------------------------------- two-level MUSIC scan
 
 def _full_scan_estimate(cov, num_targets, grid_deg):
@@ -449,7 +537,7 @@ def scan_corpus():
 
     def add(label, scenario, mode, trials):
         t = len(scenario.targets)
-        corpus.extend((label, radar._eigenvectors(cov, t), t)
+        corpus.extend((label, np.linalg.eigh(cov)[1], t)
                       for cov in _trial_covariances(scenario, mode, trials))
 
     # the benchmark's sweep: default 32 x 32 geometry, K = 6, three targets
@@ -467,7 +555,7 @@ def scan_corpus():
                                      target_angles_deg=(-40.0, 25.0),
                                      target_ranges_m=(50.0, 60.0), snapshots=128),
         "omnidirectional", 16)
-    vecs = radar._eigenvectors(_cancellation_covariance(), 1)
+    vecs = np.linalg.eigh(_cancellation_covariance())[1]
     corpus.append(("noiseless on-grid target", vecs, 1))
     return corpus
 
@@ -482,7 +570,7 @@ def test_music_scan_matches_full_scan_bitwise(grid_deg, fast_share, scan_corpus)
     moved, fast, degraded = [], 0, 0
     for label, vecs, t in scan_corpus:
         est, bad = radar._full_scan(vecs, t, grid_deg)
-        found = radar._two_level_scan(vecs, t, grid_deg)
+        found = radar._two_level_scan(vecs[None], t, grid_deg)[0]
         if found is not None:
             fast += 1
             if not (np.array_equal(found[0], est) and found[1] == bad):

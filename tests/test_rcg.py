@@ -261,6 +261,37 @@ def test_trace_to_csv_layout():
         assert 1 <= rec.grads <= rec.evals
 
 
+def test_trace_totals_count_the_start_point():
+    rng = np.random.default_rng(17)
+    target = 3.0 * (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)))
+    w0 = random_point(4, 6, 1.0, rng)
+    fg = deferred(_quadratic(target))
+    w, trace = minimize(fg, w0, 1.0, RcgOptions(eps=1e-8))
+    assert trace.iterations >= 2
+    assert trace.objective_evals == 1 + sum(r.evals for r in trace.records)
+    assert trace.gradient_evals == 1 + sum(r.grads for r in trace.records)
+    g = project_tangent(w, fg(w)[1](), 1.0)
+    assert trace.final_grad_norm == trace.records[-1].grad_norm == np.sqrt(inner(g, g))
+    g0 = project_tangent(w0, fg(w0)[1](), 1.0)
+    assert trace.initial_grad_norm == np.sqrt(inner(g0, g0))
+
+
+def test_trace_totals_without_a_step():
+    rng = np.random.default_rng(18)
+    w0 = random_point(3, 4, 1.0, rng)
+    # a critical start: no step, and the final norm is the start's
+    _, trace = minimize(deferred(_quadratic(2.0 * w0)), w0, 1.0, RcgOptions(eps=1e-8))
+    assert (trace.termination, trace.iterations) == ("grad_tol", 0)
+    assert (trace.objective_evals, trace.gradient_evals) == (1, 1)
+    assert trace.final_grad_norm == trace.initial_grad_norm < 1e-8
+    # a failed line search: its probes count, though no record holds them
+    g = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    _, trace = minimize(lambda w: (1.0, lambda: g), w0, 1.0)
+    assert (trace.termination, trace.iterations) == ("linesearch_fail", 0)
+    assert (trace.objective_evals, trace.gradient_evals) == (1 + MAX_LINESEARCH_EVALS, 1)
+    assert trace.final_grad_norm == trace.initial_grad_norm > 0.0
+
+
 def _counting(fg):
     """fg whose gradient thunks log, when called, the index of their probe
     (the order of fg calls)."""
