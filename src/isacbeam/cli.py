@@ -131,18 +131,21 @@ def _sweep(args, grid_key, override, header, row):
 
     ``override`` names the build_scenario argument that takes the grid
     value; ``row(value, mode, scenario, result, report)`` builds the row.
+    Every design runs before any Monte-Carlo trial, so a typed error
+    from any of them ends the command with no trial run and no CSV. The
+    trials of all designs then run in one ``radar.monte_carlo_sweep``
+    call: designs of one command share the seed, noise power and sizes,
+    so every one sees the same trial noise (common random numbers).
     """
     cfg = load_config(args.config)
     modes = _modes(args.mode)
     exp = cfg.section("experiment")
-    rows = []
-    for value in exp[grid_key]:
-        for mode in modes:
-            scenario, res = _run_one(cfg, mode, seed=args.seed, **{override: value})
-            report = radar.monte_carlo(scenario, res, exp["trials"],
-                                       grid_deg=exp["music_grid_deg"])
-            rows.append(row(value, mode, scenario, res, report))
-    write_csv(header, rows, out_path=args.out)
+    cells = [(value, mode, *_run_one(cfg, mode, seed=args.seed, **{override: value}))
+             for value in exp[grid_key] for mode in modes]
+    reports = radar.monte_carlo_sweep([(scenario, res) for _, _, scenario, res in cells],
+                                      exp["trials"], grid_deg=exp["music_grid_deg"])
+    write_csv(header, [row(*cell, report) for cell, report in zip(cells, reports)],
+              out_path=args.out)
     return 0
 
 

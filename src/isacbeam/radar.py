@@ -46,14 +46,21 @@ the T-th and (T+1)-th deepest minima are equal (a real-valued
 covariance gives mirror-image nulls), because the full scan's sort
 decides which of them it keeps.
 
-``monte_carlo`` runs its trials in blocks of as many as BLOCK_BYTES of
-working memory holds (at least one), so memory stays flat in the trial
-count. Each trial still draws from its own substream, in the order
-``echo_covariance`` draws; a block then forms all of its covariances
-with one stacked product, eigendecomposes them with one stacked
-``eigh``, and evaluates the coarse level and the interval floors of all
-of its trials at once. Only the level, the fine spans, the peak pick and
-the full-scan fallbacks run per trial. ``echo_covariance`` and
+``monte_carlo_sweep`` runs the trials of several designs in blocks of
+as many as BLOCK_BYTES of working memory holds (at least one), so memory
+stays flat in the trial count; ``monte_carlo`` is its call with one
+design. Each trial draws from its own substream, in the order
+``echo_covariance`` draws, and those draws depend only on the noise key:
+the scenario seed, M_R, N = K + M_T, L and the noise power. Every design
+of one sweep command shares that key, so every design sees the same
+trial noise (common random numbers) and the differences in RMSE between
+modes and powers are paired. Blocks run on the outside and designs on
+the inside: a block draws its noise, N Q and sigma^2 T T^H, once per key,
+and each design of the key then forms its covariances with one stacked
+product, eigendecomposes them with one stacked ``eigh``, and evaluates
+the coarse level, the interval floors, the levels and the fine spans of
+all of its trials at once. Only the fine products, the peak pick and the
+full-scan fallbacks run per trial. ``echo_covariance`` and
 ``music_estimate`` are stacks of one over the same code, so with
 single-threaded BLAS every trial's estimate is theirs bit for bit.
 """
@@ -93,6 +100,7 @@ class EstimationReport:
     rcrlb: float                   # sqrt(sum-CRLB), radians
     trials: int
     degraded_trials: int           # trials with fewer resolved peaks than targets
+    full_scans: int                # trials whose MUSIC fell back to the full grid scan
 
 
 def _cgauss(rng, shape, scale=1.0):
@@ -147,22 +155,22 @@ def echo_covariance(scenario, gw, rng):
     then the diagonal. Same law as the explicit frame's ``covariance``
     (see the module docstring), independent of L in cost.
     """
-    return _echo_covariances(scenario, gw, [rng])[0]
+    gw = np.asarray(gw)
+    if gw.shape[0] != scenario.array.num_rx:
+        raise ValueError("G W row count does not match the receive array")
+    noise, wishart = _trial_noise(*gw.shape, scenario.snapshots, scenario.noise_power, [rng])
+    return _covariances(gw, scenario.snapshots, noise, wishart)[0]
 
 
-def _echo_covariances(scenario, gw, rngs):
-    """``echo_covariance`` of each generator in ``rngs``, stacked.
+def _trial_noise(m_r, num_streams, snapshots, noise_power, rngs):
+    """The noise of ``echo_covariance`` for each generator in ``rngs``,
+    stacked: (N Q, sigma^2 T T^H).
 
     Each generator makes one standard-normal draw holding, in order, the
     real and imaginary parts of N Q and of the Bartlett block (Philox
     normals do not depend on how a draw is split into calls), then one
-    gamma draw; the products run once over the stack.
+    gamma draw; the product T T^H runs once over the stack.
     """
-    gw = np.asarray(gw)
-    if gw.shape[0] != scenario.array.num_rx:
-        raise ValueError("G W row count does not match the receive array")
-    snapshots = scenario.snapshots
-    m_r, num_streams = gw.shape
     _check_snapshots(num_streams, snapshots)
     dof = snapshots - num_streams
     m = min(m_r, dof)
@@ -174,17 +182,23 @@ def _echo_covariances(scenario, gw, rngs):
         rng.standard_normal(out=row)
         root[:] = rng.gamma(shapes)
     parts = np.split(z, np.cumsum([n_s, n_s, n_t]), axis=1)
-    s = np.empty((len(rngs), m_r, num_streams), dtype=complex)
-    scale = np.sqrt(scenario.noise_power / 2.0)
-    s.real = scale * parts[0].reshape(s.shape)
-    s.imag = scale * parts[1].reshape(s.shape)
-    s += np.sqrt(snapshots) * gw
+    noise = np.empty((len(rngs), m_r, num_streams), dtype=complex)
+    scale = np.sqrt(noise_power / 2.0)
+    noise.real = scale * parts[0].reshape(noise.shape)
+    noise.imag = scale * parts[1].reshape(noise.shape)
     t = np.empty((len(rngs), m_r, m), dtype=complex)
     t.real = np.sqrt(0.5) * parts[2].reshape(t.shape)
     t.imag = np.sqrt(0.5) * parts[3].reshape(t.shape)
     t[:, ~np.tri(m_r, m, -1, dtype=bool)] = 0.0
     t[:, np.arange(m), np.arange(m)] = np.sqrt(roots)
-    return (s @ _hermitian(s) + scenario.noise_power * (t @ _hermitian(t))) / snapshots
+    return noise, noise_power * (t @ _hermitian(t))
+
+
+def _covariances(gw, snapshots, noise, wishart):
+    """(S S^H + sigma^2 T T^H) / L for each trial of a ``_trial_noise``
+    stack, with S = N Q + sqrt(L) GW."""
+    s = noise + np.sqrt(snapshots) * gw
+    return (s @ _hermitian(s) + wishart) / snapshots
 
 
 def _hermitian(x):
@@ -330,7 +344,10 @@ def _two_level_scan(vecs, num_targets, grid_deg):
     span lies above v and is never among the T deepest. Every value
     has the full scan's bits except c at the last column, which bounds
     only the last interval, and a kept last interval falls back. The
-    coarse values and their floors are computed once for the stack.
+    coarse values, their floors, the levels and the fine spans are
+    computed once for the stack; the coarse rows are searched for minima
+    as one array with a NaN column after each row, which ends every run
+    and is never a maximum, so each row gets the indices it would alone.
     """
     m = vecs.shape[-1]
     theta_deg = _grid(m, grid_deg)[0]
@@ -341,26 +358,29 @@ def _two_level_scan(vecs, num_targets, grid_deg):
     a_coarse, norm2 = _coarse_grid(m, grid_deg, w)
     coarse = norm2 - _subspace_power(basis, a_coarse)[..., : norm2.size]
     floors = _interval_floors(basis, coarse, np.deg2rad(w * (theta_deg[1] - theta_deg[0])))
-    return [_fine_scan(*trial, grid_deg, w) for trial in zip(basis, coarse, floors)]
+    flat = np.pad(-coarse, ((0, 0), (0, 1)), constant_values=np.nan).ravel()
+    rows, cols = np.divmod(_local_maxima(flat), norm2.size + 1)
+    minima = np.full(coarse.shape, np.inf)
+    minima[rows, cols] = coarse[rows, cols]
+    level = np.partition(minima, num_targets - 1, axis=1)[:, num_targets - 1]
+    keep = floors <= level[:, None] + 1e-9 * m
+    # 8-column groups of the kept intervals, and one more on each side
+    groups = np.repeat(keep, w // 8, axis=1)
+    groups[:, 1:] |= groups[:, :-1]
+    groups[:, :-1] |= groups[:, 1:]
+    # the edges of each False-padded row come in (start, end) pairs, row by row
+    span_rows, edges = np.nonzero(np.diff(np.pad(groups, ((0, 0), (1, 1))), axis=1))
+    counts = np.bincount(span_rows[::2], minlength=len(vecs))
+    spans = np.split(8 * edges.reshape(-1, 2), np.cumsum(counts)[:-1])
+    enough = np.bincount(rows, minlength=len(vecs)) >= num_targets
+    return [_scan_spans(b, sp, grid_deg) if ok and sp[-1, 1] < theta_deg.size - 1 else None
+            for b, sp, ok in zip(basis, spans, enough)]
 
 
-def _fine_scan(basis, c, floors, grid_deg, w):
-    """``_two_level_scan`` of one signal basis from its coarse values c
-    and their interval floors."""
+def _scan_spans(basis, spans, grid_deg):
+    """``_two_level_scan`` of one signal basis on its fine column spans."""
     m, num_targets = basis.shape
     theta_deg, a, a_norm2 = _grid(m, grid_deg)
-    minima = c[_local_maxima(-c)]
-    if minima.size < num_targets:
-        return None
-    level = np.partition(minima, num_targets - 1)[num_targets - 1]
-    keep = floors <= level + 1e-9 * m
-    # 8-column groups of the kept intervals, and one more on each side
-    groups = np.repeat(keep, w // 8)
-    groups[1:] |= groups[:-1]
-    groups[:-1] |= groups[1:]
-    spans = 8 * np.flatnonzero(np.diff(np.concatenate(([0], groups, [0])))).reshape(-1, 2)
-    if spans[-1, 1] >= theta_deg.size - 1:
-        return None
     d = np.concatenate([a_norm2[lo:hi] - _subspace_power(basis, a[:, lo:hi])
                         for lo, hi in spans])
     if d.min() < CANCEL_TOL * m:
@@ -390,13 +410,14 @@ def music_estimate(cov, num_targets, grid_deg=MUSIC_GRID_DEG):
     the deepest minima, and in full otherwise (see the module
     docstring); both give the same bits.
     """
-    angles, degraded = _music(np.asarray(cov)[None], num_targets, grid_deg)
+    angles, degraded, _ = _music(np.asarray(cov)[None], num_targets, grid_deg)
     return angles[0], bool(degraded[0])
 
 
 def _music(covs, num_targets, grid_deg):
     """``music_estimate`` of each covariance of a stack (B x M_R x M_R):
-    (B x T angles, B degraded flags), from one stacked ``eigh``."""
+    (B x T angles, B degraded flags, B flags of the trials that fell back
+    to the full scan), from one stacked ``eigh``."""
     if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
         raise ValueError("MUSIC needs a square M_R x M_R sample covariance")
     if num_targets >= covs.shape[1]:
@@ -404,22 +425,25 @@ def _music(covs, num_targets, grid_deg):
     vecs = np.linalg.eigh(covs)[1]
     angles = np.empty((len(vecs), num_targets))
     degraded = np.empty(len(vecs), dtype=bool)
+    full = np.empty(len(vecs), dtype=bool)
     for i, found in enumerate(_two_level_scan(vecs, num_targets, grid_deg)):
-        angles[i], degraded[i] = (found if found is not None
-                                  else _full_scan(vecs[i], num_targets, grid_deg))
-    return angles, degraded
+        full[i] = found is None
+        angles[i], degraded[i] = (_full_scan(vecs[i], num_targets, grid_deg) if full[i]
+                                  else found)
+    return angles, degraded, full
 
 
 def _block_trials(m_r, num_streams, num_targets, grid_deg):
     """Monte-Carlo trials per block: as many as BLOCK_BYTES holds, at
     least one. A trial's working set is counted in complex entries: its
-    draws, S and T and their conjugates (3 M_R (N + M_R) at most), five
-    M_R x M_R products, covariances and eigenvectors, and two T-row
-    arrays on the coarse grid."""
+    draws, N Q, T and their conjugates or S and S^H (3 M_R (N + M_R) at
+    most), N Q and sigma^2 T T^H, which stay while each design of the
+    noise key runs (M_R (N + M_R)), five M_R x M_R products, covariances
+    and eigenvectors, and two T-row arrays on the coarse grid."""
     points = _grid(m_r, grid_deg)[0].size
     w = _coarse_stride(m_r, points)
     coarse = points // w + 8 if w >= 8 else 0
-    entries = 3 * m_r * (num_streams + m_r) + 5 * m_r * m_r + 2 * num_targets * coarse
+    entries = 4 * m_r * (num_streams + m_r) + 5 * m_r * m_r + 2 * num_targets * coarse
     return max(1, BLOCK_BYTES // (16 * entries))
 
 
@@ -436,20 +460,65 @@ def monte_carlo(scenario, result, trials, grid_deg=MUSIC_GRID_DEG):
     trial's estimate equals ``music_estimate`` of its ``echo_covariance``
     bit for bit (module docstring). RMSE aggregates the per-trial summed
     squared angle error, matching the stacked-parameter convention of
-    the reported RCRLB.
+    the reported RCRLB. The trial noise depends only on the scenario's
+    seed, M_R, N = K + M_T, L and noise power, not on the design, so
+    designs that share those see the same noise in every trial (common
+    random numbers) and their RMSE differences are paired;
+    ``monte_carlo_sweep`` runs several such designs and draws that noise
+    once.
+    """
+    return monte_carlo_sweep([(scenario, result)], trials, grid_deg)[0]
+
+
+def monte_carlo_sweep(designs, trials, grid_deg=MUSIC_GRID_DEG):
+    """``monte_carlo`` of each (scenario, result) pair of ``designs``: one
+    EstimationReport per pair, each equal to that pair's own call.
+
+    Blocks of trials run on the outside and designs on the inside. The
+    designs that share a noise key (seed, M_R, N, L, noise power) draw
+    each block's noise once, as one design would; each then forms only
+    its S = N Q + sqrt(L) GW and covariances, and runs its own ``eigh``
+    and scan. The block size is the smallest that any design asks for,
+    and only one key's draws are held at a time, so memory stays flat in
+    the trial count and in the number of designs.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    gw = echo_channel(scenario) @ np.asarray(result.w)
-    truth = np.sort(scenario.target_angles())
-    estimates = np.empty((trials, truth.size))
-    degraded = np.empty(trials, dtype=bool)
-    block = _block_trials(*gw.shape, truth.size, grid_deg)
+    gws = [echo_channel(scenario) @ np.asarray(result.w) for scenario, result in designs]
+    targets = [len(scenario.targets) for scenario, _ in designs]
+    keys = {}
+    for i, ((scenario, _), gw) in enumerate(zip(designs, gws)):
+        keys.setdefault((scenario.seed, *gw.shape, scenario.snapshots, scenario.noise_power),
+                        []).append(i)
+    found = [(np.empty((trials, t)), np.empty(trials, dtype=bool), np.empty(trials, dtype=bool))
+             for t in targets]
+    block = min((_block_trials(*gw.shape, t, grid_deg) for gw, t in zip(gws, targets)),
+                default=trials)
     for lo in range(0, trials, block):
         hi = min(lo + block, trials)
-        rngs = [substream(scenario.seed, "trial", i) for i in range(lo, hi)]
-        covs = _echo_covariances(scenario, gw, rngs)
-        estimates[lo:hi], degraded[lo:hi] = _music(covs, truth.size, grid_deg)
+        for key, members in keys.items():
+            parts = _key_block(key, [(gws[i], targets[i]) for i in members], lo, hi, grid_deg)
+            for i, part in zip(members, parts):
+                for whole, values in zip(found[i], part):
+                    whole[lo:hi] = values
+    return [_report(scenario, result, *out) for (scenario, result), out in zip(designs, found)]
+
+
+def _key_block(key, runs, lo, hi, grid_deg):
+    """``_music`` of trials lo..hi-1 of each (G W, T) of ``runs``, whose
+    designs share the noise ``key``: the block's noise is drawn once, and
+    released when the call returns."""
+    seed, m_r, num_streams, snapshots, noise_power = key
+    noise, wishart = _trial_noise(m_r, num_streams, snapshots, noise_power,
+                                  [substream(seed, "trial", i) for i in range(lo, hi)])
+    return [_music(_covariances(gw, snapshots, noise, wishart), t, grid_deg)
+            for gw, t in runs]
+
+
+def _report(scenario, result, estimates, degraded, full):
+    """EstimationReport of one design from its per-trial estimates,
+    degraded flags and full-scan flags."""
+    truth = np.sort(scenario.target_angles())
     err = estimates - truth
     sq_sums = np.array([float(e @ e) for e in err])
     return EstimationReport(
@@ -458,5 +527,6 @@ def monte_carlo(scenario, result, trials, grid_deg=MUSIC_GRID_DEG):
         per_target_mse=(err**2).mean(axis=0),
         rmse=float(np.sqrt(sq_sums.mean())),
         rcrlb=float(result.rcrlb),
-        trials=trials,
-        degraded_trials=int(degraded.sum()))
+        trials=len(estimates),
+        degraded_trials=int(degraded.sum()),
+        full_scans=int(full.sum()))

@@ -119,8 +119,9 @@ def one_trial_echo_covariance(scenario, gw, rng):
 
 
 def one_trial_music(cov, num_targets, grid_deg):
-    """``radar.music_estimate`` of one covariance, its eigenvectors and
-    the coarse level of the two-level scan computed for it alone."""
+    """``radar.music_estimate`` of one covariance, its eigenvectors, the
+    coarse level of the two-level scan and its fine spans computed for it
+    alone."""
     vecs = np.linalg.eigh(cov)[1]
     m = vecs.shape[0]
     theta_deg = radar._grid(m, grid_deg)[0]
@@ -131,8 +132,39 @@ def one_trial_music(cov, num_targets, grid_deg):
         a_coarse, norm2 = radar._coarse_grid(m, grid_deg, w)
         c = norm2 - radar._subspace_power(basis, a_coarse)[: norm2.size]
         floors = radar._interval_floors(basis, c, np.deg2rad(w * (theta_deg[1] - theta_deg[0])))
-        found = radar._fine_scan(basis, c, floors, grid_deg, w)
+        found = fine_scan(basis, c, floors, grid_deg, w)
     return found if found is not None else radar._full_scan(vecs, num_targets, grid_deg)
+
+
+def fine_scan(basis, c, floors, grid_deg, w):
+    """``radar._two_level_scan`` of one signal basis from its coarse values
+    c and their interval floors: its level, kept intervals and fine spans
+    selected for it alone."""
+    m, num_targets = basis.shape
+    theta_deg, a, a_norm2 = radar._grid(m, grid_deg)
+    minima = c[radar._local_maxima(-c)]
+    if minima.size < num_targets:
+        return None
+    level = np.partition(minima, num_targets - 1)[num_targets - 1]
+    keep = floors <= level + 1e-9 * m
+    # 8-column groups of the kept intervals, and one more on each side
+    groups = np.repeat(keep, w // 8)
+    groups[1:] |= groups[:-1]
+    groups[:-1] |= groups[1:]
+    spans = 8 * np.flatnonzero(np.diff(np.concatenate(([0], groups, [0])))).reshape(-1, 2)
+    if spans[-1, 1] >= theta_deg.size - 1:
+        return None
+    d = np.concatenate([a_norm2[lo:hi] - radar._subspace_power(basis, a[:, lo:hi])
+                        for lo, hi in spans])
+    if d.min() < radar.CANCEL_TOL * m:
+        return None
+    idx = radar._local_maxima(-d)
+    idx = idx[np.argsort(d[idx])]
+    # which of two equal minima the full scan keeps depends on its sort
+    if idx.size > num_targets and d[idx[num_targets - 1]] == d[idx[num_targets]]:
+        return None
+    theta = np.concatenate([theta_deg[lo:hi] for lo, hi in spans])
+    return radar._refined(theta, d, idx[:num_targets], theta_deg[1] - theta_deg[0]), False
 
 
 def one_trial_monte_carlo(scenario, result, trials, grid_deg):

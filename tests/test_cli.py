@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isacbeam.design
-from isacbeam import cli, config, design
+from isacbeam import cli, config, design, radar
 from isacbeam.config import (_SCHEMA, ExperimentConfig, build_options, build_scenario,
                              load_config)
 from isacbeam.errors import InfeasibleError
@@ -170,6 +170,32 @@ def test_infeasible_design_exits_3(cfg_path, capsys, monkeypatch):
     monkeypatch.setattr(isacbeam.design, "run", refuse)
     assert cli.main(["design", "--config", cfg_path]) == 3
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_sweep_runs_no_trial_when_its_last_design_fails(cfg_path, tmp_path, capsys,
+                                                       monkeypatch):
+    # every design runs before any Monte-Carlo trial: a typed error from
+    # the last one leaves no CSV and no trial spent
+    designs, trials = [], []
+    run, substream = isacbeam.design.run, radar.substream
+
+    def last_refuses(scenario, mode, **kwargs):
+        designs.append(mode)
+        if len(designs) == 4:
+            raise InfeasibleError("forced failure", detail={"gap": 1.0})
+        return run(scenario, mode, **kwargs)
+
+    def counting(*args):
+        trials.append(args)
+        return substream(*args)
+
+    monkeypatch.setattr(isacbeam.design, "run", last_refuses)
+    monkeypatch.setattr(radar, "substream", counting)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep-power", "--config", cfg_path, "--mode", "sgcdf,omnidirectional",
+                     "--out", str(out)]) == 3
+    assert "infeasible" in capsys.readouterr().err
+    assert len(designs) == 4 and trials == [] and not out.exists()
 
 
 def test_sweep_power_schema_and_trends(cfg_path, tmp_path, capsys):

@@ -17,6 +17,7 @@ from isacbeam.radar import (
     echo_channel,
     echo_covariance,
     monte_carlo,
+    monte_carlo_sweep,
     music_estimate,
     synthesize_echo,
     synthesize_probe,
@@ -343,18 +344,29 @@ def test_monte_carlo_noise_hurts(mc_scenario, mc_design):
 def _recorded_monte_carlo(monkeypatch, scenario, result, trials, grid_deg):
     """``monte_carlo``'s report and, per block, the (covariances,
     estimates, degraded flags) that reach its stacked MUSIC entry point."""
+    reps, blocks = _recorded_sweep(monkeypatch, [(scenario, result)], trials, grid_deg)
+    return reps[0], blocks
+
+
+def _recorded_sweep(monkeypatch, designs, trials, grid_deg):
+    """``monte_carlo_sweep``'s reports and the (covariances, estimates,
+    degraded flags) of every call of the stacked MUSIC entry point, in
+    call order."""
     blocks = []
     music = radar._music
 
     def recording(covs, num_targets, grid_deg):
         out = music(covs, num_targets, grid_deg)
-        blocks.append((covs, *out))
+        blocks.append((covs, *out[:2]))
         return out
 
     monkeypatch.setattr(radar, "_music", recording)
-    rep = monte_carlo(scenario, result, trials, grid_deg=grid_deg)
+    if len(designs) == 1:
+        reps = [monte_carlo(*designs[0], trials, grid_deg=grid_deg)]
+    else:
+        reps = monte_carlo_sweep(designs, trials, grid_deg=grid_deg)
     monkeypatch.setattr(radar, "_music", music)
-    return rep, blocks
+    return reps, blocks
 
 
 @functools.lru_cache(maxsize=2)
@@ -431,48 +443,98 @@ def test_monte_carlo_rejects_zero_trials(mc_scenario, mc_design):
 
 
 def _stacking_case(case):
-    """(scenario, mode, trials) of a Monte-Carlo run that must equal the
-    one-trial-at-a-time reference."""
+    """([(scenario, mode), ...], trials) of a Monte-Carlo run that must
+    equal the one-trial-at-a-time reference; a case of one design runs
+    ``monte_carlo``, one of several ``monte_carlo_sweep``."""
+    paper = [(make_scenario(power_budget_dbm=p_dbm), mode) for p_dbm in (0.0, 10.0, 20.0)
+             for mode in ("sgcdf", "omnidirectional")]
+    four = make_scenario(num_tx=4, num_rx=4, num_users=0, power_budget_dbm=-40.0)
     if case.startswith("paper"):
-        # the benchmark's sweep: 40 trials, the last block shorter (17, 17, 6)
+        # the benchmark's sweep: 40 trials, the last block shorter (14, 14, 12)
         p_dbm, mode = case.split()[1:]
-        return make_scenario(power_budget_dbm=float(p_dbm)), mode, 40
+        return [(make_scenario(power_budget_dbm=float(p_dbm)), mode)], 40
     return {
-        "one target": (_sensing_scenario(-96.0), "omnidirectional", 9),
+        "one target": ([(_sensing_scenario(-96.0), "omnidirectional")], 9),
         # degraded trials fall back to the full scan inside a block
-        "4x4 -40 dBm": (make_scenario(num_tx=4, num_rx=4, num_users=0, power_budget_dbm=-40.0),
-                        "omnidirectional", 16),
-        "64x64": (make_scenario(num_tx=64, num_rx=64, num_users=2), "omnidirectional", 11),
+        "4x4 -40 dBm": ([(four, "omnidirectional")], 16),
+        "64x64": ([(make_scenario(num_tx=64, num_rx=64, num_users=2), "omnidirectional")], 11),
         # L = N: the Bartlett block has no columns
-        "snapshots == streams": (make_scenario(num_tx=8, num_rx=8, num_users=2, snapshots=10),
-                                 "omnidirectional", 5),
-        "one trial": (make_scenario(power_budget_dbm=10.0), "omnidirectional", 1),
+        "snapshots == streams": ([(make_scenario(num_tx=8, num_rx=8, num_users=2, snapshots=10),
+                                   "omnidirectional")], 5),
+        "one trial": ([(make_scenario(power_budget_dbm=10.0), "omnidirectional")], 1),
+        # the benchmark's sweep command in one call: one noise key
+        "sweep paper": (paper, 40),
+        # three noise keys (two seeds, two noise powers), interleaved
+        "sweep two seeds, two noise powers": (
+            [(make_scenario(seed=seed, noise_power_dbm=noise, power_budget_dbm=10.0), mode)
+             for mode in ("sgcdf", "omnidirectional")
+             for seed, noise in ((1, -96.0), (2, -96.0), (1, -90.0))], 40),
+        "sweep one trial": (paper[2:4], 1),
+        "sweep one target": ([(_sensing_scenario(-96.0), "omnidirectional"),
+                              (_sensing_scenario(-96.0), "sensing_only")], 9),
+        "sweep 4x4 -40 dBm": ([(four, "omnidirectional"), (four, "sensing_only")], 16),
     }[case]
+
+
+def _noise_keys(designs):
+    """Indices of ``designs`` grouped by the noise they share, in the
+    order ``monte_carlo_sweep`` runs them within a block."""
+    keys = {}
+    for i, (s, res) in enumerate(designs):
+        keys.setdefault((s.seed, s.array.num_rx, np.shape(res.w)[1], s.snapshots,
+                         s.noise_power), []).append(i)
+    return list(keys.values())
 
 
 @pytest.mark.parametrize("case", [f"paper {p} {mode}" for p in (0, 10, 20)
                                   for mode in ("sgcdf", "omnidirectional")]
                          + ["one target", "4x4 -40 dBm", "64x64", "snapshots == streams",
-                            "one trial"])
+                            "one trial", "sweep paper", "sweep two seeds, two noise powers",
+                            "sweep one trial", "sweep one target", "sweep 4x4 -40 dBm"])
 def test_monte_carlo_blocks_match_one_trial_at_a_time(case, monkeypatch):
-    s, mode, trials = _stacking_case(case)
-    res = design.run(s, mode)
-    rep, blocks = _recorded_monte_carlo(monkeypatch, s, res, trials, radar.MUSIC_GRID_DEG)
-    est = np.concatenate([ests for _, ests, _ in blocks])
-    bad = np.concatenate([bads for _, _, bads in blocks])
-    ref_est, ref_bad = one_trial_monte_carlo(s, res, trials, radar.MUSIC_GRID_DEG)
-    assert np.array_equal(est, ref_est) and np.array_equal(bad, ref_bad)
-    sizes = [len(covs) for covs, _, _ in blocks]
-    block = radar._block_trials(s.array.num_rx, np.shape(res.w)[1], len(s.targets),
-                                radar.MUSIC_GRID_DEG)
+    specs, trials = _stacking_case(case)
+    designs = [(s, design.run(s, mode)) for s, mode in specs]
+    draws = []
+    trial_noise = radar._trial_noise
+    monkeypatch.setattr(radar, "_trial_noise",
+                        lambda *args: draws.append(len(args[-1])) or trial_noise(*args))
+    reps, blocks = _recorded_sweep(monkeypatch, designs, trials, radar.MUSIC_GRID_DEG)
+    # blocks outside, noise keys inside, the designs of a key innermost
+    keys = _noise_keys(designs)
+    order = [i for members in keys for i in members]
+    assert len(blocks) % len(designs) == 0
+    per_design = [[] for _ in designs]
+    for n, block in enumerate(blocks):
+        per_design[order[n % len(designs)]].append(block)
+    sizes = [len(covs) for covs, _, _ in per_design[0]]
+    # one draw of each key's noise per block, shared by the key's designs
+    assert draws == [size for size in sizes for _ in keys]
+    block = min(radar._block_trials(s.array.num_rx, np.shape(res.w)[1], len(s.targets),
+                                    radar.MUSIC_GRID_DEG) for s, res in designs)
     assert sum(sizes) == trials and set(sizes[:-1]) <= {block} and sizes[-1] <= block
-    if case.startswith("paper"):
+    if "paper" in case or "two seeds" in case:
         assert len(sizes) > 1 and sizes[-1] < block
-    if case == "4x4 -40 dBm":
-        assert len(sizes) == 1 and 0 < bad.sum() < trials
-    truth = np.sort(s.target_angles())
-    assert rep.degraded_trials == ref_bad.sum()
-    assert rep.rmse == np.sqrt(np.mean([float(e @ e) for e in ref_est - truth]))
+    for (s, res), rep, seen in zip(designs, reps, per_design):
+        assert [len(covs) for covs, _, _ in seen] == sizes
+        est = np.concatenate([ests for _, ests, _ in seen])
+        bad = np.concatenate([bads for _, _, bads in seen])
+        ref_est, ref_bad = one_trial_monte_carlo(s, res, trials, radar.MUSIC_GRID_DEG)
+        assert np.array_equal(est, ref_est) and np.array_equal(bad, ref_bad)
+        if "4x4" in case:
+            assert len(sizes) == 1 and 0 < bad.sum() < trials
+            assert rep.full_scans >= rep.degraded_trials > 0
+        truth = np.sort(s.target_angles())
+        assert rep.degraded_trials == ref_bad.sum()
+        assert rep.rmse == np.sqrt(np.mean([float(e @ e) for e in ref_est - truth]))
+    if len(designs) > 1:
+        assert len(keys) == (3 if "two seeds" in case else 1)
+        # each report is the one its design gets from its own call
+        for (s, res), rep in zip(designs, reps):
+            assert _report_fields(monte_carlo(s, res, trials)) == _report_fields(rep)
+
+
+def _report_fields(rep):
+    return [np.asarray(value).tolist() for value in dataclasses.astuple(rep)]
 
 
 def test_monte_carlo_blocks_of_one_trial(mc_scenario, mc_design, monkeypatch):
@@ -486,25 +548,33 @@ def test_monte_carlo_blocks_of_one_trial(mc_scenario, mc_design, monkeypatch):
 
 
 def test_monte_carlo_memory_is_flat_in_trials():
-    # a trial of the 32-element sweep works in about 120 kB (its draws, S,
+    # a trial of the 32-element sweep works in about 140 kB (its draws, S,
     # T, their products and eigenvectors), so 1000 trials stacked at once
     # would need over 100 MB; in blocks the peak grows by the results
     # (estimates, errors and their squares, flags, squared sums: under
-    # 128 B a trial at three targets) and at most one block's BLOCK_BYTES
-    s = make_scenario(power_budget_dbm=10.0)
-    res = design.run(s, "omnidirectional")
-    monte_carlo(s, res, 1)
+    # 128 B a trial at three targets) and at most one block's BLOCK_BYTES.
+    # A sweep keeps every design's results to the end, and one noise
+    # key's draws at a time: holding a key's draws for every block would
+    # add over 70 kB a trial.
+    single = make_scenario(power_budget_dbm=10.0)
+    designs = [(s, design.run(s, mode))
+               for s in (make_scenario(power_budget_dbm=p) for p in (0.0, 10.0, 20.0))
+               for mode in ("sgcdf", "omnidirectional")]
+    monte_carlo_sweep(designs, 1)
 
-    def peak(trials):
+    def peak(run, trials):
         tracemalloc.start()
         try:
-            monte_carlo(s, res, trials)
+            run(trials)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    small, large = peak(10), peak(1000)
-    assert large - small <= 1000 * 128 + radar.BLOCK_BYTES
+    res = design.run(single, "omnidirectional")
+    for run, count in ((functools.partial(monte_carlo, single, res), 1),
+                       (functools.partial(monte_carlo_sweep, designs), len(designs))):
+        small, large = peak(run, 10), peak(run, 1000)
+        assert large - small <= count * 1000 * 128 + radar.BLOCK_BYTES
 
 
 # ---------------------------------------------------- two-level MUSIC scan
@@ -600,8 +670,12 @@ def test_music_takes_the_two_level_scan_on_the_paper_geometry(monkeypatch):
     for p_dbm in (0.0, 10.0, 20.0):
         s = make_scenario(power_budget_dbm=p_dbm)
         rep = monte_carlo(s, design.run(s, "sgcdf"), 8)
-        assert rep.degraded_trials == 0
+        assert rep.degraded_trials == rep.full_scans == 0
     assert calls == []
+    # the report counts the fallbacks: every degraded trial is one
+    s = make_scenario(num_tx=4, num_rx=4, num_users=0, power_budget_dbm=-40.0)
+    rep = monte_carlo(s, design.run(s, "omnidirectional"), 16)
+    assert rep.full_scans == len(calls) >= rep.degraded_trials > 0
 
 
 def _fallback_case(case):
