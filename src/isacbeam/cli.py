@@ -84,12 +84,10 @@ def _modes(arg):
     return modes
 
 
-def _iters(trace):
-    return trace.iterations if trace is not None else ""
-
-
-def _termination(trace):
-    return trace.termination if trace is not None else ""
+def _stage(trace, name):
+    """Attribute ``name`` of a stage's SolverTrace as a record cell; blank
+    for a stage that did not run."""
+    return "" if trace is None else _fmt(getattr(trace, name))
 
 
 def _run_one(cfg, mode, seed=None, power_budget_dbm=None, overload=None):
@@ -109,13 +107,16 @@ def cmd_design(args):
         "min_rate": _fmt(res.rates.min_rate),
         "r_min": _fmt(res.r_min),
         "wall_time_s": _fmt(res.wall_time),
-        "sp1_iterations": _iters(res.traces["sp1"]),
-        "sp2_iterations": _iters(res.traces["sp2"]),
+        "sp1_iterations": _stage(res.traces["sp1"], "iterations"),
+        "sp2_iterations": _stage(res.traces["sp2"], "iterations"),
         "rates": ";".join(_fmt(r) for r in res.rates.rate),
-        "sp1_termination": _termination(res.traces["sp1"]),
-        "sp2_termination": _termination(res.traces["sp2"]),
+        "sp1_termination": _stage(res.traces["sp1"], "termination"),
+        "sp2_termination": _stage(res.traces["sp2"], "termination"),
         "flags": ";".join(res.flags),
     }
+    record.update((f"{stage}_{name}", _stage(res.traces[stage], name))
+                  for stage in ("sp1", "sp2")
+                  for name in ("objective_evals", "gradient_evals", "final_grad_norm"))
     for key, value in record.items():
         print(f"{key}={value}")
     if args.out:
@@ -135,7 +136,9 @@ def _sweep(args, grid_key, override, header, row):
     from any of them ends the command with no trial run and no CSV. The
     trials of all designs then run in one ``radar.monte_carlo_sweep``
     call: designs of one command share the seed, noise power and sizes,
-    so every one sees the same trial noise (common random numbers).
+    so every one sees the same trial noise (common random numbers). The
+    ``# full_scans=`` metadata line holds each row's count of trials whose
+    MUSIC fell back to the full grid scan, ``;``-joined in row order.
     """
     cfg = load_config(args.config)
     modes = _modes(args.mode)
@@ -145,7 +148,8 @@ def _sweep(args, grid_key, override, header, row):
     reports = radar.monte_carlo_sweep([(scenario, res) for _, _, scenario, res in cells],
                                       exp["trials"], grid_deg=exp["music_grid_deg"])
     write_csv(header, [row(*cell, report) for cell, report in zip(cells, reports)],
-              out_path=args.out)
+              out_path=args.out,
+              metadata=[("full_scans", ";".join(str(r.full_scans) for r in reports))])
     return 0
 
 

@@ -31,13 +31,15 @@ within 1 / (4 M_R) rad (16 steps at 32 elements and 0.02 deg). From the
 absolute entries of the signal eigenvectors, |d''| <= C, so
 min(ends) - h^2 C / 8 bounds d on each coarse interval of h rad; the
 fine grid is evaluated only on the intervals whose bound does not rule
-out the T deepest minima (on average 425 of 9001 columns per trial in
-the benchmark's 32-element sweep). The peaks are those of the full
-scan, bit for bit: each fine product covers a multiple of 8 grid
-columns, because OpenBLAS computes the last (count mod 4) columns of a
-product on another path. That holds with single-threaded BLAS; threaded
-OpenBLAS splits a one-target product (a gemv) mid-grid, so there the
-full scan's own last bits depend on the thread count. The full scan
+out the T deepest minima. In the benchmark's 32-element sweep a trial
+keeps 425 of the 9001 columns on average, and the 12 or 14 trials of a
+block keep 416-512 together, which the fine level evaluates once for
+all of them. The peaks are those of the full scan, bit for bit: each
+fine product covers a multiple of 8 grid columns, because OpenBLAS
+computes the last (count mod 4) columns of a product on another path.
+That holds with single-threaded BLAS; threaded OpenBLAS splits a
+one-target product (a gemv) mid-grid, so there the full scan's own
+last bits depend on the thread count. The full scan
 runs instead when w < 8, when the coarse values show fewer than T
 interior minima (every degraded trial ends there), when the kept
 intervals reach the grid's last column, when the signal-subspace form
@@ -58,9 +60,11 @@ modes and powers are paired. Blocks run on the outside and designs on
 the inside: a block draws its noise, N Q and sigma^2 T T^H, once per key,
 and each design of the key then forms its covariances with one stacked
 product, eigendecomposes them with one stacked ``eigh``, and evaluates
-the coarse level, the interval floors, the levels and the fine spans of
-all of its trials at once. Only the fine products, the peak pick and the
-full-scan fallbacks run per trial. ``echo_covariance`` and
+the coarse level, the interval floors and the levels of all of its
+trials at once, then the fine level, the peak pick and the refinement
+once per stack of the trials that stay on the two-level scan (one stack
+per block in the benchmark's sweep). Only the full-scan fallbacks run
+per trial. ``echo_covariance`` and
 ``music_estimate`` are stacks of one over the same code, so with
 single-threaded BLAS every trial's estimate is theirs bit for bit.
 """
@@ -273,18 +277,20 @@ def _pick_peaks(theta_deg, denom, num_targets):
     picked = list(idx[order[:num_targets]])
     while len(picked) < num_targets:
         picked.append(picked[0])
-    return _refined(theta_deg, denom, picked, theta_deg[1] - theta_deg[0]), degraded
+    step = theta_deg[1] - theta_deg[0]
+    return _refined(theta_deg, denom[None], np.array([picked]), step)[0], degraded
 
 
 def _refined(theta_deg, denom, picked, step):
-    """Sorted radians of the minima ``picked``, each moved to the vertex of
-    the parabola through it and its two neighbours, by at most one step."""
-    i = np.asarray(picked)
-    left, right = denom[i - 1], denom[i + 1]
-    curv = left - 2.0 * denom[i] + right
-    shift = np.zeros(i.size)
+    """Sorted radians of the minima ``picked`` (a row of column indices
+    per row of ``denom``), each moved to the vertex of the parabola
+    through it and its two neighbours, by at most one step."""
+    rows = np.arange(len(picked))[:, None]
+    left, mid, right = (denom[rows, picked + k] for k in (-1, 0, 1))
+    curv = left - 2.0 * mid + right
+    shift = np.zeros(picked.shape)
     np.divide(0.5 * (left - right), curv, out=shift, where=curv > 0)
-    return np.sort(np.deg2rad(theta_deg[i] + np.clip(shift, -1.0, 1.0) * step))
+    return np.sort(np.deg2rad(theta_deg[picked] + np.clip(shift, -1.0, 1.0) * step), axis=1)
 
 
 def _interval_floors(basis, ends, h):
@@ -329,10 +335,24 @@ def _coarse_grid(num_rx, grid_deg, stride):
     return a_coarse, norm2
 
 
+def _row_minima(x):
+    """x at the interior local minima of each row of x, +inf elsewhere.
+
+    The rows are searched as one array with a NaN column after each row,
+    which ends every run and is never a maximum, so each row gets the
+    minima it would alone."""
+    flat = np.full((len(x), x.shape[1] + 1), np.nan)
+    np.negative(x, out=flat[:, :-1])
+    rows, cols = np.divmod(_local_maxima(flat.ravel()), x.shape[1] + 1)
+    minima = np.full(x.shape, np.inf)
+    minima[rows, cols] = x[rows, cols]
+    return minima
+
+
 def _two_level_scan(vecs, num_targets, grid_deg):
-    """Per matrix of a stack of eigenvector matrices: the full scan's
-    (angles, False) from part of the grid, or None when the full scan
-    must run.
+    """The full scan's angles of each matrix of a stack of eigenvector
+    matrices, from part of the grid: (B x T angles, B flags). Where a
+    flag is False the full scan must run, and that row of angles is unset.
 
     Let v be the T-th smallest interior minimum of the coarse values c.
     Each coarse minimum has a fine minimum at or below it between its
@@ -344,54 +364,73 @@ def _two_level_scan(vecs, num_targets, grid_deg):
     span lies above v and is never among the T deepest. Every value
     has the full scan's bits except c at the last column, which bounds
     only the last interval, and a kept last interval falls back. The
-    coarse values, their floors, the levels and the fine spans are
-    computed once for the stack; the coarse rows are searched for minima
-    as one array with a NaN column after each row, which ends every run
-    and is never a maximum, so each row gets the indices it would alone.
+    coarse values, their floors, the levels and the kept groups are
+    computed once for the stack, and the fine level once per
+    ``_fine_level`` stack of the trials that stay on it.
     """
-    m = vecs.shape[-1]
+    b, m = len(vecs), vecs.shape[-1]
+    angles = np.empty((b, num_targets))
+    found = np.zeros(b, dtype=bool)
     theta_deg = _grid(m, grid_deg)[0]
     w = _coarse_stride(m, theta_deg.size)
     if w < 8:
-        return [None] * len(vecs)
+        return angles, found
     basis = vecs[..., m - num_targets:]
     a_coarse, norm2 = _coarse_grid(m, grid_deg, w)
     coarse = norm2 - _subspace_power(basis, a_coarse)[..., : norm2.size]
     floors = _interval_floors(basis, coarse, np.deg2rad(w * (theta_deg[1] - theta_deg[0])))
-    flat = np.pad(-coarse, ((0, 0), (0, 1)), constant_values=np.nan).ravel()
-    rows, cols = np.divmod(_local_maxima(flat), norm2.size + 1)
-    minima = np.full(coarse.shape, np.inf)
-    minima[rows, cols] = coarse[rows, cols]
-    level = np.partition(minima, num_targets - 1, axis=1)[:, num_targets - 1]
+    level = np.partition(_row_minima(coarse), num_targets - 1, axis=1)[:, num_targets - 1]
     keep = floors <= level[:, None] + 1e-9 * m
     # 8-column groups of the kept intervals, and one more on each side
     groups = np.repeat(keep, w // 8, axis=1)
     groups[:, 1:] |= groups[:, :-1]
     groups[:, :-1] |= groups[:, 1:]
-    # the edges of each False-padded row come in (start, end) pairs, row by row
-    span_rows, edges = np.nonzero(np.diff(np.pad(groups, ((0, 0), (1, 1))), axis=1))
-    counts = np.bincount(span_rows[::2], minlength=len(vecs))
-    spans = np.split(8 * edges.reshape(-1, 2), np.cumsum(counts)[:-1])
-    enough = np.bincount(rows, minlength=len(vecs)) >= num_targets
-    return [_scan_spans(b, sp, grid_deg) if ok and sp[-1, 1] < theta_deg.size - 1 else None
-            for b, sp, ok in zip(basis, spans, enough)]
+    # enough coarse minima, and no group reaching the grid's last column
+    rest = np.flatnonzero(np.isfinite(level) & ~groups[:, (theta_deg.size - 2) // 8:].any(axis=1))
+    # stacks of trials whose count times union width stays within the
+    # coarse product's columns; the running union only grows
+    cap = b * a_coarse.shape[1]
+    while rest.size:
+        width = 8 * np.logical_or.accumulate(groups[rest]).sum(axis=1)
+        sel = rest[: max(1, np.count_nonzero(width * np.arange(1, rest.size + 1) <= cap))]
+        rest = rest[sel.size:]
+        values, ok = _fine_level(basis[sel], groups[sel], grid_deg, cap // sel.size)
+        angles[sel[ok]] = values
+        found[sel] = ok
+    return angles, found
 
 
-def _scan_spans(basis, spans, grid_deg):
-    """``_two_level_scan`` of one signal basis on its fine column spans."""
-    m, num_targets = basis.shape
+def _fine_level(basis, groups, grid_deg, piece):
+    """The fine level of ``_two_level_scan`` for a stack of signal bases
+    and their kept 8-column groups: (angles of the flagged rows, flags).
+
+    d is evaluated on the union of the groups, one stacked product per
+    span of at most ``piece`` columns (a multiple of 8). Each product
+    reads a slice of the cached grid: a gathered copy of the columns
+    changes the bits of a one-target product (a gemv). Each row's
+    columns outside its own groups are set to +inf, so its smallest
+    value and its minima come from its own columns only.
+    A row falls back when the signal-subspace form cancels below
+    CANCEL_TOL, or when its T-th and (T+1)-th deepest minima are equal,
+    because the full scan's sort decides which of them it keeps.
+    """
+    m, num_targets = basis.shape[1:]
     theta_deg, a, a_norm2 = _grid(m, grid_deg)
+    padded = np.zeros(groups.shape[1] + 2, dtype=bool)
+    union = padded[1:-1]
+    np.any(groups, axis=0, out=union)
+    edges = 8 * np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2)
+    piece = max(8, piece // 8 * 8)
+    cuts = [(lo, min(lo + piece, end)) for start, end in edges for lo in range(start, end, piece)]
     d = np.concatenate([a_norm2[lo:hi] - _subspace_power(basis, a[:, lo:hi])
-                        for lo, hi in spans])
-    if d.min() < CANCEL_TOL * m:
-        return None
-    idx = _local_maxima(-d)
-    idx = idx[np.argsort(d[idx])]
-    # which of two equal minima the full scan keeps depends on its sort
-    if idx.size > num_targets and d[idx[num_targets - 1]] == d[idx[num_targets]]:
-        return None
-    theta = np.concatenate([theta_deg[lo:hi] for lo, hi in spans])
-    return _refined(theta, d, idx[:num_targets], theta_deg[1] - theta_deg[0]), False
+                        for lo, hi in cuts], axis=1)
+    d[~np.repeat(groups[:, union], 8, axis=1)] = np.inf
+    minima = _row_minima(d)
+    deepest = np.argpartition(minima, num_targets, axis=1)[:, : num_targets + 1]
+    depth = np.take_along_axis(minima, deepest, axis=1)
+    ok = (d.min(axis=1) >= CANCEL_TOL * m) & (depth[:, :-1].max(axis=1) < depth[:, -1])
+    cols = (8 * np.flatnonzero(union)[:, None] + np.arange(8)).ravel()
+    return _refined(theta_deg[cols], d[ok], deepest[ok, :-1], theta_deg[1] - theta_deg[0]), ok
 
 
 def _full_scan(vecs, num_targets, grid_deg):
@@ -423,14 +462,11 @@ def _music(covs, num_targets, grid_deg):
     if num_targets >= covs.shape[1]:
         raise ValueError("need more receive antennas than targets")
     vecs = np.linalg.eigh(covs)[1]
-    angles = np.empty((len(vecs), num_targets))
-    degraded = np.empty(len(vecs), dtype=bool)
-    full = np.empty(len(vecs), dtype=bool)
-    for i, found in enumerate(_two_level_scan(vecs, num_targets, grid_deg)):
-        full[i] = found is None
-        angles[i], degraded[i] = (_full_scan(vecs[i], num_targets, grid_deg) if full[i]
-                                  else found)
-    return angles, degraded, full
+    angles, found = _two_level_scan(vecs, num_targets, grid_deg)
+    degraded = np.zeros(len(vecs), dtype=bool)
+    for i in np.flatnonzero(~found):
+        angles[i], degraded[i] = _full_scan(vecs[i], num_targets, grid_deg)
+    return angles, degraded, ~found
 
 
 def _block_trials(m_r, num_streams, num_targets, grid_deg):
@@ -439,7 +475,11 @@ def _block_trials(m_r, num_streams, num_targets, grid_deg):
     draws, N Q, T and their conjugates or S and S^H (3 M_R (N + M_R) at
     most), N Q and sigma^2 T T^H, which stay while each design of the
     noise key runs (M_R (N + M_R)), five M_R x M_R products, covariances
-    and eigenvectors, and two T-row arrays on the coarse grid."""
+    and eigenvectors, and two T-row arrays on the coarse grid. The fine
+    level adds nothing: it runs after the coarse arrays are released,
+    and ``_two_level_scan`` caps each of its stacks at the trials times
+    columns of the coarse product, so its T-row arrays fit where the
+    coarse ones were."""
     points = _grid(m_r, grid_deg)[0].size
     w = _coarse_stride(m_r, points)
     coarse = points // w + 8 if w >= 8 else 0

@@ -119,9 +119,10 @@ def one_trial_echo_covariance(scenario, gw, rng):
 
 
 def one_trial_music(cov, num_targets, grid_deg):
-    """``radar.music_estimate`` of one covariance, its eigenvectors, the
-    coarse level of the two-level scan and its fine spans computed for it
-    alone."""
+    """``radar.music_estimate`` of one covariance and its full-scan flag,
+    (angles, degraded, full): its eigenvectors, the coarse level of the
+    two-level scan and its fine spans computed for it alone, or the full
+    scan where ``fine_scan`` finds no result."""
     vecs = np.linalg.eigh(cov)[1]
     m = vecs.shape[0]
     theta_deg = radar._grid(m, grid_deg)[0]
@@ -133,7 +134,9 @@ def one_trial_music(cov, num_targets, grid_deg):
         c = norm2 - radar._subspace_power(basis, a_coarse)[: norm2.size]
         floors = radar._interval_floors(basis, c, np.deg2rad(w * (theta_deg[1] - theta_deg[0])))
         found = fine_scan(basis, c, floors, grid_deg, w)
-    return found if found is not None else radar._full_scan(vecs, num_targets, grid_deg)
+    if found is None:
+        return (*radar._full_scan(vecs, num_targets, grid_deg), True)
+    return (*found, False)
 
 
 def fine_scan(basis, c, floors, grid_deg, w):
@@ -164,18 +167,19 @@ def fine_scan(basis, c, floors, grid_deg, w):
     if idx.size > num_targets and d[idx[num_targets - 1]] == d[idx[num_targets]]:
         return None
     theta = np.concatenate([theta_deg[lo:hi] for lo, hi in spans])
-    return radar._refined(theta, d, idx[:num_targets], theta_deg[1] - theta_deg[0]), False
+    step = theta_deg[1] - theta_deg[0]
+    return radar._refined(theta, d[None], idx[None, :num_targets], step)[0], False
 
 
 def one_trial_monte_carlo(scenario, result, trials, grid_deg):
-    """(estimates, degraded flags) of the trials of ``radar.monte_carlo``,
-    one trial at a time."""
+    """(estimates, degraded flags, full-scan flags) of the trials of
+    ``radar.monte_carlo``, one trial at a time."""
     gw = radar.echo_channel(scenario) @ np.asarray(result.w)
     out = [one_trial_music(one_trial_echo_covariance(scenario, gw,
                                                      substream(scenario.seed, "trial", i)),
                            len(scenario.targets), grid_deg)
            for i in range(trials)]
-    return np.array([est for est, _ in out]), np.array([bad for _, bad in out])
+    return tuple(np.array(column) for column in zip(*out))
 
 
 @dataclass(frozen=True)

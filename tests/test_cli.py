@@ -55,7 +55,9 @@ def test_design_prints_key_value_record(cfg_path, capsys):
     rec = _record(capsys)
     assert list(rec) == ["mode", "sum_crlb", "rcrlb_deg", "min_rate", "r_min",
                         "wall_time_s", "sp1_iterations", "sp2_iterations",
-                        "rates", "sp1_termination", "sp2_termination", "flags"]
+                        "rates", "sp1_termination", "sp2_termination", "flags",
+                        "sp1_objective_evals", "sp1_gradient_evals", "sp1_final_grad_norm",
+                        "sp2_objective_evals", "sp2_gradient_evals", "sp2_final_grad_norm"]
     assert rec["mode"] == "sgcdf"
     assert float(rec["sum_crlb"]) > 0
     assert float(rec["min_rate"]) >= float(rec["r_min"]) - 1e-6
@@ -74,6 +76,23 @@ def test_design_sensing_only_leaves_sp2_blank(cfg_path, capsys):
     assert rec["sp2_iterations"] == ""
     assert rec["sp2_termination"] == ""
     assert int(rec["sp1_iterations"]) >= 1
+    for name in ("objective_evals", "gradient_evals", "final_grad_norm"):
+        assert rec[f"sp2_{name}"] == ""
+        assert rec[f"sp1_{name}"] != ""
+
+
+def test_design_record_prints_each_stage_solver_totals(cfg_path, capsys):
+    assert cli.main(["design", "--config", cfg_path, "--mode", "sgcdf"]) == 0
+    rec = _record(capsys)
+    cfg = load_config(cfg_path)
+    res = design.run(build_scenario(cfg), "sgcdf", opts=build_options(cfg))
+    for stage in ("sp1", "sp2"):
+        trace = res.traces[stage]
+        evals = int(rec[f"{stage}_objective_evals"])
+        # the start point and at least one probe per iteration
+        assert evals == trace.objective_evals >= trace.iterations + 1
+        assert int(rec[f"{stage}_gradient_evals"]) == trace.gradient_evals <= evals
+        assert rec[f"{stage}_final_grad_norm"] == repr(trace.final_grad_norm)
 
 
 def test_design_reports_max_iters_termination(tmp_path, capsys):
@@ -237,6 +256,37 @@ def test_sweep_delta_schema_and_zero_delta(cfg_path, tmp_path):
     unconstrained = design.run(build_scenario(cfg, overload=0.0),
                                "sensing_only", opts=build_options(cfg))
     assert float(rows[0][2]) == unconstrained.sum_crlb
+
+
+@pytest.mark.parametrize("command", ["sweep-power", "sweep-delta"])
+@pytest.mark.parametrize("music_grid", ["0.5", "0.02"])
+def test_sweeps_declare_full_scans_in_row_order(command, music_grid, tmp_path):
+    # one count of full-scan trials per row, ahead of the header; at
+    # 0.5 deg the 8-element grid has no coarse level, so all 3 trials
+    # of every row scan in full
+    ini = tmp_path / "grid.ini"
+    ini.write_text(SMALL_INI.replace("music_grid_deg = 0.5", f"music_grid_deg = {music_grid}"),
+                   encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+    argv = [command, "--config", str(ini), "--mode", "sgcdf,omnidirectional"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    meta, _, rows = cli.read_csv(text)
+    cfg = load_config(str(ini))
+    exp = cfg.section("experiment")
+    grid_key, override, header = {
+        "sweep-power": ("power_grid_dbm", "power_budget_dbm", cli.SWEEP_POWER_HEADER),
+        "sweep-delta": ("delta_grid", "overload", cli.SWEEP_DELTA_HEADER)}[command]
+    designs = [(s, design.run(s, mode, opts=build_options(cfg)))
+               for s in (build_scenario(cfg, **{override: value}) for value in exp[grid_key])
+               for mode in ("sgcdf", "omnidirectional")]
+    counts = [r.full_scans for r in radar.monte_carlo_sweep(designs, exp["trials"],
+                                                            grid_deg=exp["music_grid_deg"])]
+    assert meta == [("full_scans", ";".join(map(str, counts)))] and len(counts) == len(rows)
+    # the metadata line is the only addition ahead of the header row
+    assert text.startswith(f"# full_scans={meta[0][1]}\n{','.join(header)}\n")
+    if music_grid == "0.5":
+        assert counts == [3] * len(rows)
 
 
 def test_sweep_delta_rejects_out_of_range_grid(tmp_path, capsys):

@@ -23,7 +23,8 @@ from isacbeam.radar import (
     synthesize_probe,
 )
 from isacbeam.scenario import make_scenario, substream
-from reference import music_denominator, one_trial_monte_carlo, synthesize_waveform
+from reference import (music_denominator, one_trial_monte_carlo, one_trial_music,
+                       synthesize_waveform)
 
 
 def _sensing_scenario(noise_dbm, angles=(20.0,), ranges=(50.0,), snapshots=256):
@@ -518,8 +519,9 @@ def test_monte_carlo_blocks_match_one_trial_at_a_time(case, monkeypatch):
         assert [len(covs) for covs, _, _ in seen] == sizes
         est = np.concatenate([ests for _, ests, _ in seen])
         bad = np.concatenate([bads for _, _, bads in seen])
-        ref_est, ref_bad = one_trial_monte_carlo(s, res, trials, radar.MUSIC_GRID_DEG)
+        ref_est, ref_bad, ref_full = one_trial_monte_carlo(s, res, trials, radar.MUSIC_GRID_DEG)
         assert np.array_equal(est, ref_est) and np.array_equal(bad, ref_bad)
+        assert rep.full_scans == ref_full.sum()
         if "4x4" in case:
             assert len(sizes) == 1 and 0 < bad.sum() < trials
             assert rep.full_scans >= rep.degraded_trials > 0
@@ -542,7 +544,7 @@ def test_monte_carlo_blocks_of_one_trial(mc_scenario, mc_design, monkeypatch):
     monkeypatch.setattr(radar, "BLOCK_BYTES", 1)
     rep, blocks = _recorded_monte_carlo(monkeypatch, mc_scenario, mc_design, 3, 0.1)
     assert [len(covs) for covs, _, _ in blocks] == [1, 1, 1]
-    est, bad = one_trial_monte_carlo(mc_scenario, mc_design, 3, 0.1)
+    est, bad, _ = one_trial_monte_carlo(mc_scenario, mc_design, 3, 0.1)
     assert np.array_equal(np.concatenate([e for _, e, _ in blocks]), est)
     assert rep.degraded_trials == bad.sum() == 0
 
@@ -602,13 +604,12 @@ def _cancellation_covariance():
 
 @pytest.fixture(scope="module")
 def scan_corpus():
-    """(label, eigenvectors, targets) of 209 seeded echo covariances."""
+    """(label, covariance, targets) of 209 seeded echoes."""
     corpus = []
 
     def add(label, scenario, mode, trials):
         t = len(scenario.targets)
-        corpus.extend((label, np.linalg.eigh(cov)[1], t)
-                      for cov in _trial_covariances(scenario, mode, trials))
+        corpus.extend((label, cov, t) for cov in _trial_covariances(scenario, mode, trials))
 
     # the benchmark's sweep: default 32 x 32 geometry, K = 6, three targets
     for p_dbm in (0.0, 10.0, 20.0):
@@ -625,8 +626,7 @@ def scan_corpus():
                                      target_angles_deg=(-40.0, 25.0),
                                      target_ranges_m=(50.0, 60.0), snapshots=128),
         "omnidirectional", 16)
-    vecs = np.linalg.eigh(_cancellation_covariance())[1]
-    corpus.append(("noiseless on-grid target", vecs, 1))
+    corpus.append(("noiseless on-grid target", _cancellation_covariance(), 1))
     return corpus
 
 
@@ -638,12 +638,13 @@ def test_music_scan_matches_full_scan_bitwise(grid_deg, fast_share, scan_corpus)
     # music_estimate returns the two-level scan's result when there is one,
     # else the full scan's; both share the eigendecomposition
     moved, fast, degraded = [], 0, 0
-    for label, vecs, t in scan_corpus:
+    for label, cov, t in scan_corpus:
+        vecs = np.linalg.eigh(cov)[1]
         est, bad = radar._full_scan(vecs, t, grid_deg)
-        found = radar._two_level_scan(vecs[None], t, grid_deg)[0]
-        if found is not None:
+        angles, found = radar._two_level_scan(vecs[None], t, grid_deg)
+        if found[0]:
             fast += 1
-            if not (np.array_equal(found[0], est) and found[1] == bad):
+            if not (np.array_equal(angles[0], est) and not bad):
                 moved.append(label)
         degraded += bad
     assert moved == []
@@ -717,6 +718,103 @@ def test_music_falls_back_to_the_full_scan(case, monkeypatch):
     assert len(calls) == 1
     assert np.array_equal(est, ref_est) and bad == ref_bad
     assert bad == (case in ("one-point grid", "degraded"))
+
+
+def _assert_stack_matches_one_trial(covs, t, grid_deg):
+    """``radar._music`` of a stack against each covariance alone: the
+    same angles, degraded flags and full-scan flags, bit for bit.
+    Returns the full-scan flags."""
+    angles, degraded, full = radar._music(np.stack(covs), t, grid_deg)
+    for i, cov in enumerate(covs):
+        ref_angles, ref_bad, ref_full = one_trial_music(cov, t, grid_deg)
+        assert np.array_equal(angles[i], ref_angles), i
+        assert (degraded[i], full[i]) == (ref_bad, ref_full), i
+    return full
+
+
+@pytest.mark.parametrize("grid_deg", [radar.MUSIC_GRID_DEG, 0.07])
+def test_music_stacks_match_one_trial_bitwise(grid_deg, scan_corpus):
+    # the corpus in stacks of up to 14 trials of one (M_R, T), the block
+    # size of the benchmark's sweep; each stack shares one fine level
+    by_shape = {}
+    for _, cov, t in scan_corpus:
+        by_shape.setdefault((len(cov), t), []).append(cov)
+    full = []
+    for (_, t), covs in by_shape.items():
+        for lo in range(0, len(covs), 14):
+            full.extend(_assert_stack_matches_one_trial(covs[lo:lo + 14], t, grid_deg))
+    assert 0 < sum(full) < len(full)
+
+
+@pytest.mark.parametrize("case, normal", [
+    ("degraded", "4x4 -40 dBm"), ("grid end", "32x32 one target"),
+    ("tied minima", "32x32 one target"), ("cancellation", "8x8 one target")])
+def test_music_stacks_with_fallbacks_match_one_trial_bitwise(case, normal):
+    # a trial that falls back among trials that stay on the two-level
+    # scan: the union of the stack's columns changes no trial's result
+    cov, t, grid_deg = _fallback_case(case)
+    scenario = {"4x4 -40 dBm": make_scenario(num_tx=4, num_rx=4, num_users=0,
+                                             power_budget_dbm=-40.0),
+                "32x32 one target": make_scenario(num_users=0, target_angles_deg=(10.0,),
+                                                  target_ranges_m=(50.0,)),
+                "8x8 one target": _sensing_scenario(-96.0)}[normal]
+    # six trials that stay on the two-level scan alone
+    covs = [c for c in _trial_covariances(scenario, "omnidirectional", 80)
+            if not one_trial_music(c, t, grid_deg)[2]][:6]
+    assert len(covs) == 6
+    full = _assert_stack_matches_one_trial(covs[:3] + [cov] + covs[3:], t, grid_deg)
+    assert full.tolist() == [False] * 3 + [True] + [False] * 3
+
+
+def test_music_fine_level_runs_once_per_block_on_the_paper_geometry(monkeypatch):
+    # a silent return to per-trial fine products would keep every bit and
+    # lose the time: each block makes one coarse product and one stacked
+    # fine product per union span, far fewer than its trials
+    calls, per_block = [], []
+    power, music = radar._subspace_power, radar._music
+
+    def counting_power(basis, a):
+        calls.append(len(basis))
+        return power(basis, a)
+
+    def counting_music(covs, num_targets, grid_deg):
+        del calls[:]
+        out = music(covs, num_targets, grid_deg)
+        per_block.append((len(covs), list(calls)))
+        return out
+
+    monkeypatch.setattr(radar, "_subspace_power", counting_power)
+    monkeypatch.setattr(radar, "_music", counting_music)
+    designs = [(s, design.run(s, mode))
+               for s in (make_scenario(power_budget_dbm=p) for p in (0.0, 10.0, 20.0))
+               for mode in ("sgcdf", "omnidirectional")]
+    reps = monte_carlo_sweep(designs, 40)
+    assert all(rep.full_scans == 0 for rep in reps)
+    assert [size for size, _ in per_block] == [14] * 6 + [14] * 6 + [12] * 6
+    for size, stacks in per_block:
+        # the coarse product, then each union span with every trial stacked
+        assert stacks[0] == size and set(stacks[1:]) == {size}
+        assert len(stacks) - 1 < size
+
+
+def test_music_fine_level_memory_stays_within_a_block():
+    # at -30 dBm, omnidirectional, the kept groups of a block's trials
+    # cover 8,300-8,600 of the 9,001 columns; one stack over that union
+    # peaks at about 6.3 MB, so the fine level runs in stacks of trials
+    # whose count times union width fits the coarse product
+    s = make_scenario(power_budget_dbm=-30.0)
+    res = design.run(s, "omnidirectional")
+    block = radar._block_trials(s.array.num_rx, np.shape(res.w)[1], len(s.targets),
+                                radar.MUSIC_GRID_DEG)
+    monte_carlo(s, res, 1)
+    tracemalloc.start()
+    try:
+        rep = monte_carlo(s, res, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.full_scans < block
+    assert peak <= radar.BLOCK_BYTES
 
 
 @settings(max_examples=60, deadline=None)
