@@ -137,8 +137,8 @@ def _sweep(args, grid_key, override, header, row):
     trials of all designs then run in one ``radar.monte_carlo_sweep``
     call: designs of one command share the seed, noise power and sizes,
     so every one sees the same trial noise (common random numbers). The
-    ``# full_scans=`` metadata line holds each row's count of trials whose
-    MUSIC fell back to the full grid scan, ``;``-joined in row order.
+    ``# full_scans=`` metadata line holds each row's count of trials that
+    the coarse MUSIC level could not certify, ``;``-joined in row order.
     """
     cfg = load_config(args.config)
     modes = _modes(args.mode)

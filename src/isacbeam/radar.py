@@ -25,28 +25,26 @@ explicit frame W Xt (``synthesize_probe``) passed through
 ``synthesize_echo``, which remain as the reference, but not the same
 realisation.
 
-MUSIC scans the grid on two levels. The denominator d(theta) is first
-evaluated on every w-th grid column, w the largest multiple of 8 steps
-within 1 / (4 M_R) rad (16 steps at 32 elements and 0.02 deg). From the
-absolute entries of the signal eigenvectors, |d''| <= C, so
-min(ends) - h^2 C / 8 bounds d on each coarse interval of h rad; the
-fine grid is evaluated only on the intervals whose bound does not rule
-out the T deepest minima. In the benchmark's 32-element sweep a trial
-keeps 425 of the 9001 columns on average, and the 12 or 14 trials of a
-block keep 416-512 together, which the fine level evaluates once for
-all of them. The peaks are those of the full scan, bit for bit: each
-fine product covers a multiple of 8 grid columns, because OpenBLAS
-computes the last (count mod 4) columns of a product on another path.
-That holds with single-threaded BLAS; threaded OpenBLAS splits a
-one-target product (a gemv) mid-grid, so there the full scan's own
-last bits depend on the thread count. The full scan
-runs instead when w < 8, when the coarse values show fewer than T
-interior minima (every degraded trial ends there), when the kept
-intervals reach the grid's last column, when the signal-subspace form
-of d cancels below CANCEL_TOL (a noiseless target on the grid), or when
-the T-th and (T+1)-th deepest minima are equal (a real-valued
-covariance gives mirror-image nulls), because the full scan's sort
-decides which of them it keeps.
+MUSIC scans the grid on two levels. The grid's steering vectors are
+padded with zero columns to whole 8-column groups, and ||a||^2 with NaN,
+so d(theta) = ||E_n^H a||^2 is NaN at a pad and never a minimum there.
+d is first evaluated on every w-th grid column, w the largest multiple
+of 8 steps within 1 / (4 M_R) rad (16 steps at 32 elements and
+0.02 deg). From the absolute entries of the signal eigenvectors,
+|d''| <= C, so min(ends) - h^2 C / 8 bounds d on each coarse interval
+of h rad; the fine level evaluates only the 8-column groups of the
+intervals whose bound does not rule out the T deepest minima. A trial
+that the coarse level cannot certify (w < 8, or fewer than T interior
+coarse minima, which every degraded trial has) keeps every group. In
+the benchmark's 32-element sweep a trial keeps 425 of the 9001 columns
+on average, and the 10 or 15 trials of a block keep 416-512 together,
+which the fine level evaluates once for all of them. Each fine product
+covers whole 8-column groups, because OpenBLAS computes the last
+(count mod 4) columns of a product on another path, so every value has
+the bits of one product over the whole padded grid, whatever the stack
+and its union. That holds with single-threaded BLAS; threaded OpenBLAS
+splits a one-target product (a gemv) mid-grid, so there the last bits
+depend on the thread count.
 
 ``monte_carlo_sweep`` runs the trials of several designs in blocks of
 as many as BLOCK_BYTES of working memory holds (at least one), so memory
@@ -62,11 +60,10 @@ and each design of the key then forms its covariances with one stacked
 product, eigendecomposes them with one stacked ``eigh``, and evaluates
 the coarse level, the interval floors and the levels of all of its
 trials at once, then the fine level, the peak pick and the refinement
-once per stack of the trials that stay on the two-level scan (one stack
-per block in the benchmark's sweep). Only the full-scan fallbacks run
-per trial. ``echo_covariance`` and
-``music_estimate`` are stacks of one over the same code, so with
-single-threaded BLAS every trial's estimate is theirs bit for bit.
+once per stack of trials (one stack per block in the benchmark's sweep).
+``echo_covariance`` and ``music_estimate`` are stacks of one over the
+same code, so with single-threaded BLAS every trial's estimate is
+theirs bit for bit.
 """
 
 import functools
@@ -104,7 +101,7 @@ class EstimationReport:
     rcrlb: float                   # sqrt(sum-CRLB), radians
     trials: int
     degraded_trials: int           # trials with fewer resolved peaks than targets
-    full_scans: int                # trials whose MUSIC fell back to the full grid scan
+    full_scans: int                # trials the coarse MUSIC level could not certify
 
 
 def _cgauss(rng, shape, scale=1.0):
@@ -212,12 +209,22 @@ def _hermitian(x):
 
 @functools.lru_cache(maxsize=4)
 def _grid(num_rx, grid_deg):
+    """(grid in degrees, steering vectors, ||a||^2) of the MUSIC grid.
+
+    The steering vectors are padded with zero columns to whole 8-column
+    groups and ||a||^2 with NaN, so the denominator is NaN at a pad and
+    never a minimum. The pads are steered to +90 deg and then zeroed, so
+    the build allocates no second grid-sized array.
+    """
     if not grid_deg > 0:
         raise ValueError(f"MUSIC grid step must be positive, got {grid_deg}")
     points = int(round(180.0 / grid_deg)) + 1
     theta_deg = np.linspace(-90.0, 90.0, points)
-    a = steering_matrix(np.deg2rad(theta_deg), num_rx)
+    a = steering_matrix(np.append(np.deg2rad(theta_deg), np.full(-points % 8, np.pi / 2)),
+                        num_rx)
+    a[:, points:] = 0.0
     a_norm2 = (a.real ** 2 + a.imag ** 2).sum(axis=0)
+    a_norm2[points:] = np.nan
     # every caller shares the cached arrays
     theta_deg.flags.writeable = a.flags.writeable = a_norm2.flags.writeable = False
     return theta_deg, a, a_norm2
@@ -227,22 +234,6 @@ def _subspace_power(basis, a):
     """||basis^H a||^2 on every column of ``a``, for one basis or a stack."""
     p = _hermitian(basis) @ a
     return (p.real ** 2 + p.imag ** 2).sum(axis=-2)
-
-
-def _denominator(vecs, num_targets, a, a_norm2):
-    """||E_n^H a||^2 on every column of ``a``.
-
-    Evaluated as ||a||^2 - ||E_s^H a||^2 on the T-column signal subspace
-    E_s; columns where that difference falls below CANCEL_TOL * M_R
-    (near-total cancellation at a noiseless target) are re-evaluated on
-    the noise subspace E_n, so the result is never negative there.
-    """
-    m = vecs.shape[0]
-    denom = a_norm2 - _subspace_power(vecs[:, m - num_targets:], a)
-    close = np.flatnonzero(denom < CANCEL_TOL * m)
-    if close.size:
-        denom[close] = _subspace_power(vecs[:, : m - num_targets], a[:, close])
-    return denom
 
 
 def _local_maxima(x):
@@ -266,31 +257,18 @@ def _local_maxima(x):
     return (starts[1:-1][top] + starts[2:][top] - 1) // 2
 
 
-def _pick_peaks(theta_deg, denom, num_targets):
-    """Peaks of the pseudospectrum 1 / denom, taken as the deepest interior
-    minima of ``denom`` without dividing; one parabolic refinement each."""
-    idx = _local_maxima(-denom)
-    degraded = idx.size < num_targets
-    if idx.size == 0:
-        return np.full(num_targets, np.deg2rad(theta_deg[int(np.argmin(denom))])), True
-    order = np.argsort(denom[idx])
-    picked = list(idx[order[:num_targets]])
-    while len(picked) < num_targets:
-        picked.append(picked[0])
-    step = theta_deg[1] - theta_deg[0]
-    return _refined(theta_deg, denom[None], np.array([picked]), step)[0], degraded
-
-
-def _refined(theta_deg, denom, picked, step):
+def _refined(theta_deg, denom, picked, columns):
     """Sorted radians of the minima ``picked`` (a row of column indices
-    per row of ``denom``), each moved to the vertex of the parabola
-    through it and its two neighbours, by at most one step."""
+    per row of ``denom``, at the grid columns ``columns``), each moved to
+    the vertex of the parabola through it and its two neighbours, by at
+    most one step."""
     rows = np.arange(len(picked))[:, None]
     left, mid, right = (denom[rows, picked + k] for k in (-1, 0, 1))
     curv = left - 2.0 * mid + right
     shift = np.zeros(picked.shape)
     np.divide(0.5 * (left - right), curv, out=shift, where=curv > 0)
-    return np.sort(np.deg2rad(theta_deg[picked] + np.clip(shift, -1.0, 1.0) * step), axis=1)
+    step = theta_deg[1] - theta_deg[0]
+    return np.sort(np.deg2rad(theta_deg[columns] + np.clip(shift, -1.0, 1.0) * step), axis=1)
 
 
 def _interval_floors(basis, ends, h):
@@ -322,17 +300,20 @@ def _coarse_stride(num_rx, points):
 @functools.lru_cache(maxsize=4)
 def _coarse_grid(num_rx, grid_deg, stride):
     """Every ``stride``-th column of the MUSIC grid and its last column:
-    (steering vectors, padded with zero columns to a multiple of 8, and
-    their ||a||^2). OpenBLAS computes the last (count mod 4) columns of a
-    product on another path; with the padding every coarse value but the
-    last has the bits of the same column of the full scan."""
-    _, a, a_norm2 = _grid(num_rx, grid_deg)
-    cols = np.append(np.arange(0, a.shape[1] - 1, stride), a.shape[1] - 1)
-    a_coarse = np.zeros((num_rx, -(-cols.size // 8) * 8), dtype=complex)
-    a_coarse[:, : cols.size] = a[:, cols]
-    norm2 = a_norm2[cols]
+    (steering vectors, ||a||^2)."""
+    theta_deg, a, a_norm2 = _grid(num_rx, grid_deg)
+    cols = np.append(np.arange(0, theta_deg.size - 1, stride), theta_deg.size - 1)
+    a_coarse, norm2 = a[:, cols], a_norm2[cols]
     a_coarse.flags.writeable = norm2.flags.writeable = False
     return a_coarse, norm2
+
+
+def _scan_columns(num_rx, grid_deg):
+    """Columns of one trial's share of a block's scan products: the
+    coarse grid's, or the padded grid's when w < 8 leaves no coarse level."""
+    theta_deg, a = _grid(num_rx, grid_deg)[:2]
+    w = _coarse_stride(num_rx, theta_deg.size)
+    return _coarse_grid(num_rx, grid_deg, w)[0].shape[1] if w >= 8 else a.shape[1]
 
 
 def _row_minima(x):
@@ -349,73 +330,61 @@ def _row_minima(x):
     return minima
 
 
-def _two_level_scan(vecs, num_targets, grid_deg):
-    """The full scan's angles of each matrix of a stack of eigenvector
-    matrices, from part of the grid: (B x T angles, B flags). Where a
-    flag is False the full scan must run, and that row of angles is unset.
+def _kept_groups(basis, grid_deg):
+    """The coarse level of the scan for a stack of signal bases: (B x G
+    flags of the padded grid's 8-column groups that the fine level
+    evaluates, B flags of the trials it certified).
 
     Let v be the T-th smallest interior minimum of the coarse values c.
     Each coarse minimum has a fine minimum at or below it between its
     coarse neighbours, so the T deepest fine minima lie at or below v.
     An interval whose ``_interval_floors`` bound exceeds v + 1e-9 M_R (a
-    margin for rounding) holds no fine value at or below v. The others
-    are evaluated, widened by 8 columns on each side so that every
-    minimum there has both neighbours; a minimum found at the end of a
-    span lies above v and is never among the T deepest. Every value
-    has the full scan's bits except c at the last column, which bounds
-    only the last interval, and a kept last interval falls back. The
-    coarse values, their floors, the levels and the kept groups are
-    computed once for the stack, and the fine level once per
-    ``_fine_level`` stack of the trials that stay on it.
+    margin for rounding between the levels) holds no fine value at or
+    below v. The others are kept, widened by one group on each side so
+    that every minimum there has both neighbours; a minimum found at the
+    end of a kept span lies above v and is never among the T deepest. A
+    trial with fewer than T coarse minima has v = +inf and keeps every
+    group, as does every trial when w < 8; the others are certified.
     """
-    b, m = len(vecs), vecs.shape[-1]
-    angles = np.empty((b, num_targets))
-    found = np.zeros(b, dtype=bool)
-    theta_deg = _grid(m, grid_deg)[0]
+    b, m, num_targets = basis.shape
+    theta_deg, a = _grid(m, grid_deg)[:2]
+    groups = np.zeros((b, a.shape[1] // 8), dtype=bool)
     w = _coarse_stride(m, theta_deg.size)
     if w < 8:
-        return angles, found
-    basis = vecs[..., m - num_targets:]
+        groups[:] = True
+        return groups, np.zeros(b, dtype=bool)
     a_coarse, norm2 = _coarse_grid(m, grid_deg, w)
-    coarse = norm2 - _subspace_power(basis, a_coarse)[..., : norm2.size]
+    coarse = norm2 - _subspace_power(basis, a_coarse)
     floors = _interval_floors(basis, coarse, np.deg2rad(w * (theta_deg[1] - theta_deg[0])))
     level = np.partition(_row_minima(coarse), num_targets - 1, axis=1)[:, num_targets - 1]
-    keep = floors <= level[:, None] + 1e-9 * m
-    # 8-column groups of the kept intervals, and one more on each side
-    groups = np.repeat(keep, w // 8, axis=1)
+    # the intervals' groups cover the grid, give or take its last group
+    kept = np.repeat(floors <= level[:, None] + 1e-9 * m, w // 8, axis=1)[:, : groups.shape[1]]
+    groups[:, : kept.shape[1]] = kept
     groups[:, 1:] |= groups[:, :-1]
     groups[:, :-1] |= groups[:, 1:]
-    # enough coarse minima, and no group reaching the grid's last column
-    rest = np.flatnonzero(np.isfinite(level) & ~groups[:, (theta_deg.size - 2) // 8:].any(axis=1))
-    # stacks of trials whose count times union width stays within the
-    # coarse product's columns; the running union only grows
-    cap = b * a_coarse.shape[1]
-    while rest.size:
-        width = 8 * np.logical_or.accumulate(groups[rest]).sum(axis=1)
-        sel = rest[: max(1, np.count_nonzero(width * np.arange(1, rest.size + 1) <= cap))]
-        rest = rest[sel.size:]
-        values, ok = _fine_level(basis[sel], groups[sel], grid_deg, cap // sel.size)
-        angles[sel[ok]] = values
-        found[sel] = ok
-    return angles, found
+    return groups, np.isfinite(level)
 
 
-def _fine_level(basis, groups, grid_deg, piece):
-    """The fine level of ``_two_level_scan`` for a stack of signal bases
-    and their kept 8-column groups: (angles of the flagged rows, flags).
+def _fine_level(vecs, num_targets, groups, grid_deg, piece):
+    """MUSIC's (angles, degraded flags) for a stack of eigenvector
+    matrices, from the denominator d on their kept 8-column groups.
 
     d is evaluated on the union of the groups, one stacked product per
     span of at most ``piece`` columns (a multiple of 8). Each product
     reads a slice of the cached grid: a gathered copy of the columns
-    changes the bits of a one-target product (a gemv). Each row's
-    columns outside its own groups are set to +inf, so its smallest
-    value and its minima come from its own columns only.
-    A row falls back when the signal-subspace form cancels below
-    CANCEL_TOL, or when its T-th and (T+1)-th deepest minima are equal,
-    because the full scan's sort decides which of them it keeps.
+    changes the bits of a one-target product (a gemv). Each row's columns
+    outside its own groups are set to +inf, so its smallest value and its
+    minima come from its own columns only. Where the signal-subspace form
+    ||a||^2 - ||E_s^H a||^2 falls below CANCEL_TOL * M_R (near-total
+    cancellation at a noiseless target), the row's columns there are
+    re-evaluated on the noise subspace E_n, so d is never negative. The T
+    deepest minima of a row, ranked by (depth, column), are refined; a
+    row with fewer repeats its deepest and is degraded, and a row with
+    none takes the grid angle of its smallest value, unrefined.
     """
-    m, num_targets = basis.shape[1:]
+    m = vecs.shape[-1]
     theta_deg, a, a_norm2 = _grid(m, grid_deg)
+    basis = vecs[..., m - num_targets:]
     padded = np.zeros(groups.shape[1] + 2, dtype=bool)
     union = padded[1:-1]
     np.any(groups, axis=0, out=union)
@@ -425,29 +394,33 @@ def _fine_level(basis, groups, grid_deg, piece):
     d = np.concatenate([a_norm2[lo:hi] - _subspace_power(basis, a[:, lo:hi])
                         for lo, hi in cuts], axis=1)
     d[~np.repeat(groups[:, union], 8, axis=1)] = np.inf
-    minima = _row_minima(d)
-    deepest = np.argpartition(minima, num_targets, axis=1)[:, : num_targets + 1]
-    depth = np.take_along_axis(minima, deepest, axis=1)
-    ok = (d.min(axis=1) >= CANCEL_TOL * m) & (depth[:, :-1].max(axis=1) < depth[:, -1])
     cols = (8 * np.flatnonzero(union)[:, None] + np.arange(8)).ravel()
-    return _refined(theta_deg[cols], d[ok], deepest[ok, :-1], theta_deg[1] - theta_deg[0]), ok
-
-
-def _full_scan(vecs, num_targets, grid_deg):
-    """``_pick_peaks`` on the denominator at every grid column."""
-    theta_deg, a, a_norm2 = _grid(vecs.shape[0], grid_deg)
-    return _pick_peaks(theta_deg, _denominator(vecs, num_targets, a, a_norm2), num_targets)
+    for row in np.flatnonzero((d < CANCEL_TOL * m).any(axis=1)):
+        close = np.flatnonzero(d[row] < CANCEL_TOL * m)
+        d[row, close] = _subspace_power(vecs[row, :, : m - num_targets], a[:, cols[close]])
+    minima = _row_minima(d)
+    count = np.count_nonzero(np.isfinite(minima), axis=1)
+    slots = np.where(np.arange(num_targets) < count[:, None], np.arange(num_targets), 0)
+    picked = np.take_along_axis(np.argsort(minima, axis=1, kind="stable"), slots, axis=1)
+    angles = np.empty(picked.shape)
+    found = count > 0
+    if found.any():
+        angles[found] = _refined(theta_deg, d[found], picked[found], cols[picked[found]])
+    if not found.all():
+        angles[~found] = np.deg2rad(theta_deg[cols[np.nanargmin(d[~found], axis=1)]])[:, None]
+    return angles, count < num_targets
 
 
 def music_estimate(cov, num_targets, grid_deg=MUSIC_GRID_DEG):
     """MUSIC angle estimates from one echo sample covariance (M_R x M_R).
 
-    Returns (angles, degraded): exactly ``num_targets`` sorted radians.
-    When the pseudospectrum shows fewer separated peaks, the strongest
-    is repeated to fill and ``degraded`` is True. The grid is scanned on
-    two levels where a curvature bound certifies which cells can hold
-    the deepest minima, and in full otherwise (see the module
-    docstring); both give the same bits.
+    Returns (angles, degraded): exactly ``num_targets`` sorted radians,
+    the deepest interior minima of ||E_n^H a||^2 on the grid, each
+    refined by a parabola. When the pseudospectrum shows fewer separated
+    peaks, the strongest is repeated to fill and ``degraded`` is True.
+    Only the grid cells that a curvature bound cannot rule out are
+    evaluated, and every cell when the bound certifies nothing (see the
+    module docstring); the result is that of a scan of every cell.
     """
     angles, degraded, _ = _music(np.asarray(cov)[None], num_targets, grid_deg)
     return angles[0], bool(degraded[0])
@@ -455,18 +428,33 @@ def music_estimate(cov, num_targets, grid_deg=MUSIC_GRID_DEG):
 
 def _music(covs, num_targets, grid_deg):
     """``music_estimate`` of each covariance of a stack (B x M_R x M_R):
-    (B x T angles, B degraded flags, B flags of the trials that fell back
-    to the full scan), from one stacked ``eigh``."""
+    (B x T angles, B degraded flags, B flags of the trials that the
+    coarse level could not certify), from one stacked ``eigh``.
+
+    The fine level runs on greedy stacks of trials whose count times
+    union width stays within the stack's trials times ``_scan_columns``
+    (the running union only grows), with products at most that wide.
+    """
     if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
         raise ValueError("MUSIC needs a square M_R x M_R sample covariance")
+    if num_targets < 1:
+        raise ValueError(f"MUSIC needs at least one target, got {num_targets}")
     if num_targets >= covs.shape[1]:
         raise ValueError("need more receive antennas than targets")
+    b, m = covs.shape[:2]
     vecs = np.linalg.eigh(covs)[1]
-    angles, found = _two_level_scan(vecs, num_targets, grid_deg)
-    degraded = np.zeros(len(vecs), dtype=bool)
-    for i in np.flatnonzero(~found):
-        angles[i], degraded[i] = _full_scan(vecs[i], num_targets, grid_deg)
-    return angles, degraded, ~found
+    groups, certified = _kept_groups(vecs[..., m - num_targets:], grid_deg)
+    angles = np.empty((b, num_targets))
+    degraded = np.empty(b, dtype=bool)
+    cap = b * _scan_columns(m, grid_deg)
+    rest = np.arange(b)
+    while rest.size:
+        width = 8 * np.logical_or.accumulate(groups[rest]).sum(axis=1)
+        sel = rest[: max(1, np.count_nonzero(width * np.arange(1, rest.size + 1) <= cap))]
+        rest = rest[sel.size:]
+        angles[sel], degraded[sel] = _fine_level(vecs[sel], num_targets, groups[sel], grid_deg,
+                                                 cap // sel.size)
+    return angles, degraded, ~certified
 
 
 def _block_trials(m_r, num_streams, num_targets, grid_deg):
@@ -475,15 +463,12 @@ def _block_trials(m_r, num_streams, num_targets, grid_deg):
     draws, N Q, T and their conjugates or S and S^H (3 M_R (N + M_R) at
     most), N Q and sigma^2 T T^H, which stay while each design of the
     noise key runs (M_R (N + M_R)), five M_R x M_R products, covariances
-    and eigenvectors, and two T-row arrays on the coarse grid. The fine
-    level adds nothing: it runs after the coarse arrays are released,
-    and ``_two_level_scan`` caps each of its stacks at the trials times
-    columns of the coarse product, so its T-row arrays fit where the
-    coarse ones were."""
-    points = _grid(m_r, grid_deg)[0].size
-    w = _coarse_stride(m_r, points)
-    coarse = points // w + 8 if w >= 8 else 0
-    entries = 4 * m_r * (num_streams + m_r) + 5 * m_r * m_r + 2 * num_targets * coarse
+    and eigenvectors, and two T-row arrays of ``_scan_columns`` columns.
+    The fine level adds nothing: it runs after the coarse arrays are
+    released, and ``_music`` caps each of its stacks at the trials times
+    those columns, so its T-row arrays fit where the coarse ones were."""
+    entries = (4 * m_r * (num_streams + m_r) + 5 * m_r * m_r
+               + 2 * num_targets * _scan_columns(m_r, grid_deg))
     return max(1, BLOCK_BYTES // (16 * entries))
 
 

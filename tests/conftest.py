@@ -3,7 +3,17 @@
 The acceptance tests in test_acceptance.py each lock one end-to-end
 requirement; after the run this hook prints a single verdict line per
 criterion so the gate can be read at a glance.
+
+BLAS runs on one thread: the bitwise MUSIC tests compare products of
+different widths, which agree only with single-threaded BLAS (see the
+``radar`` module docstring). OpenBLAS reads these variables when numpy
+is first imported, which happens after this file loads.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 _ACCEPTANCE_LABELS = {
     "test_gradients_match_finite_differences":

@@ -2,10 +2,10 @@
 
 Each is a direct, unoptimised form of something the library computes
 another way (the explicit transmit frame, the per-user cone vector and
-its projection, the dense channel derivative, the full MUSIC
-denominator on the grid, the solver with every probe's gradient
-computed at once, the Monte-Carlo trials one at a time), or a
-generator of test inputs on the manifold.
+its projection, the dense channel derivative, the MUSIC scan of every
+grid column, the solver with every probe's gradient computed at once,
+the Monte-Carlo trials one at a time), or a generator of test inputs on
+the manifold.
 """
 
 import math
@@ -98,10 +98,38 @@ def synthesize_waveform(w, snapshots, rng):
 
 def music_denominator(cov, num_targets, grid_deg):
     """(grid in degrees, ||E_n^H a||^2 on it) for an M_R x M_R covariance,
-    evaluated on every grid column."""
+    from one product over the whole padded grid: ||a||^2 - ||E_s^H a||^2
+    on the T-column signal subspace E_s, re-evaluated on the noise
+    subspace E_n in one product over the columns where it falls below
+    CANCEL_TOL * M_R. The pad columns are cut off."""
     vecs = np.linalg.eigh(cov)[1]
-    theta_deg, a, a_norm2 = radar._grid(vecs.shape[0], grid_deg)
-    return theta_deg, radar._denominator(vecs, num_targets, a, a_norm2)
+    m = vecs.shape[0]
+    theta_deg, a, a_norm2 = radar._grid(m, grid_deg)
+    denom = a_norm2 - radar._subspace_power(vecs[:, m - num_targets:], a)
+    close = np.flatnonzero(denom < radar.CANCEL_TOL * m)
+    if close.size:
+        denom[close] = radar._subspace_power(vecs[:, : m - num_targets], a[:, close])
+    return theta_deg, denom[: theta_deg.size]
+
+
+def pick_peaks(theta_deg, denom, num_targets):
+    """(angles, degraded) of the pseudospectrum 1 / denom on the grid
+    ``theta_deg``: its interior minima ranked by (depth, column), the T
+    deepest refined, the deepest repeated when fewer; with none, the grid
+    angle of the smallest value, unrefined."""
+    idx = radar._local_maxima(-denom)
+    if idx.size == 0:
+        return np.full(num_targets, np.deg2rad(theta_deg[np.argmin(denom)])), True
+    idx = idx[np.argsort(denom[idx], kind="stable")]
+    picked = np.full((1, num_targets), idx[0])
+    picked[0, : idx.size] = idx[:num_targets]
+    return radar._refined(theta_deg, denom[None], picked, picked)[0], idx.size < num_targets
+
+
+def full_scan(cov, num_targets, grid_deg):
+    """``radar.music_estimate`` of one covariance, from the denominator at
+    every grid column: (angles, degraded)."""
+    return pick_peaks(*music_denominator(cov, num_targets, grid_deg), num_targets)
 
 
 def one_trial_echo_covariance(scenario, gw, rng):
@@ -119,60 +147,24 @@ def one_trial_echo_covariance(scenario, gw, rng):
 
 
 def one_trial_music(cov, num_targets, grid_deg):
-    """``radar.music_estimate`` of one covariance and its full-scan flag,
-    (angles, degraded, full): its eigenvectors, the coarse level of the
-    two-level scan and its fine spans computed for it alone, or the full
-    scan where ``fine_scan`` finds no result."""
+    """``radar._music`` of one covariance, (angles, degraded, uncertified):
+    the full scan's angles and flag, and whether the coarse level leaves
+    the trial uncertified, w < 8 or fewer than T interior minima among
+    the coarse values."""
     vecs = np.linalg.eigh(cov)[1]
     m = vecs.shape[0]
-    theta_deg = radar._grid(m, grid_deg)[0]
-    w = radar._coarse_stride(m, theta_deg.size)
-    found = None
-    if w >= 8:
-        basis = vecs[:, m - num_targets:]
+    points = radar._grid(m, grid_deg)[0].size
+    w = radar._coarse_stride(m, points)
+    uncertified = w < 8
+    if not uncertified:
         a_coarse, norm2 = radar._coarse_grid(m, grid_deg, w)
-        c = norm2 - radar._subspace_power(basis, a_coarse)[: norm2.size]
-        floors = radar._interval_floors(basis, c, np.deg2rad(w * (theta_deg[1] - theta_deg[0])))
-        found = fine_scan(basis, c, floors, grid_deg, w)
-    if found is None:
-        return (*radar._full_scan(vecs, num_targets, grid_deg), True)
-    return (*found, False)
-
-
-def fine_scan(basis, c, floors, grid_deg, w):
-    """``radar._two_level_scan`` of one signal basis from its coarse values
-    c and their interval floors: its level, kept intervals and fine spans
-    selected for it alone."""
-    m, num_targets = basis.shape
-    theta_deg, a, a_norm2 = radar._grid(m, grid_deg)
-    minima = c[radar._local_maxima(-c)]
-    if minima.size < num_targets:
-        return None
-    level = np.partition(minima, num_targets - 1)[num_targets - 1]
-    keep = floors <= level + 1e-9 * m
-    # 8-column groups of the kept intervals, and one more on each side
-    groups = np.repeat(keep, w // 8)
-    groups[1:] |= groups[:-1]
-    groups[:-1] |= groups[1:]
-    spans = 8 * np.flatnonzero(np.diff(np.concatenate(([0], groups, [0])))).reshape(-1, 2)
-    if spans[-1, 1] >= theta_deg.size - 1:
-        return None
-    d = np.concatenate([a_norm2[lo:hi] - radar._subspace_power(basis, a[:, lo:hi])
-                        for lo, hi in spans])
-    if d.min() < radar.CANCEL_TOL * m:
-        return None
-    idx = radar._local_maxima(-d)
-    idx = idx[np.argsort(d[idx])]
-    # which of two equal minima the full scan keeps depends on its sort
-    if idx.size > num_targets and d[idx[num_targets - 1]] == d[idx[num_targets]]:
-        return None
-    theta = np.concatenate([theta_deg[lo:hi] for lo, hi in spans])
-    step = theta_deg[1] - theta_deg[0]
-    return radar._refined(theta, d[None], idx[None, :num_targets], step)[0], False
+        c = norm2 - radar._subspace_power(vecs[:, m - num_targets:], a_coarse)
+        uncertified = radar._local_maxima(-c).size < num_targets
+    return (*full_scan(cov, num_targets, grid_deg), uncertified)
 
 
 def one_trial_monte_carlo(scenario, result, trials, grid_deg):
-    """(estimates, degraded flags, full-scan flags) of the trials of
+    """(estimates, degraded flags, uncertified flags) of the trials of
     ``radar.monte_carlo``, one trial at a time."""
     gw = radar.echo_channel(scenario) @ np.asarray(result.w)
     out = [one_trial_music(one_trial_echo_covariance(scenario, gw,

@@ -261,7 +261,7 @@ def test_sweep_delta_schema_and_zero_delta(cfg_path, tmp_path):
 @pytest.mark.parametrize("command", ["sweep-power", "sweep-delta"])
 @pytest.mark.parametrize("music_grid", ["0.5", "0.02"])
 def test_sweeps_declare_full_scans_in_row_order(command, music_grid, tmp_path):
-    # one count of full-scan trials per row, ahead of the header; at
+    # one count of uncertified trials per row, ahead of the header; at
     # 0.5 deg the 8-element grid has no coarse level, so all 3 trials
     # of every row scan in full
     ini = tmp_path / "grid.ini"

@@ -23,8 +23,8 @@ from isacbeam.radar import (
     synthesize_probe,
 )
 from isacbeam.scenario import make_scenario, substream
-from reference import (music_denominator, one_trial_monte_carlo, one_trial_music,
-                       synthesize_waveform)
+from reference import (full_scan, music_denominator, one_trial_monte_carlo, one_trial_music,
+                       pick_peaks, synthesize_waveform)
 
 
 def _sensing_scenario(noise_dbm, angles=(20.0,), ranges=(50.0,), snapshots=256):
@@ -190,6 +190,9 @@ def test_music_rejects_too_many_targets():
                      transmitted=np.eye(4, dtype=complex), noise_power=1.0)
     with pytest.raises(ValueError, match="more receive antennas"):
         music_estimate(echo.covariance, 4)
+    for count in (0, -1):
+        with pytest.raises(ValueError, match=f"at least one target, got {count}"):
+            music_estimate(echo.covariance, count)
 
 
 def test_music_rejects_non_covariance_input():
@@ -383,7 +386,7 @@ def _reference_music(cov, num_targets, grid_deg):
     _, vecs = np.linalg.eigh(cov)
     theta_deg, a = _reference_grid(m, grid_deg)
     denom = (np.abs(vecs[:, : m - num_targets].conj().T @ a) ** 2).sum(axis=0)
-    return radar._pick_peaks(theta_deg, denom, num_targets)
+    return pick_peaks(theta_deg, denom, num_targets)
 
 
 def _reference_trial(scenario, w, num_targets, grid_deg, rng):
@@ -451,7 +454,7 @@ def _stacking_case(case):
              for mode in ("sgcdf", "omnidirectional")]
     four = make_scenario(num_tx=4, num_rx=4, num_users=0, power_budget_dbm=-40.0)
     if case.startswith("paper"):
-        # the benchmark's sweep: 40 trials, the last block shorter (14, 14, 12)
+        # the benchmark's sweep: 40 trials, the last block shorter (15, 15, 10)
         p_dbm, mode = case.split()[1:]
         return [(make_scenario(power_budget_dbm=float(p_dbm)), mode)], 40
     return {
@@ -581,13 +584,6 @@ def test_monte_carlo_memory_is_flat_in_trials():
 
 # ---------------------------------------------------- two-level MUSIC scan
 
-def _full_scan_estimate(cov, num_targets, grid_deg):
-    """The full scan that the two-level scan falls back to: every grid
-    column, then the peak picker."""
-    theta_deg, denom = music_denominator(cov, num_targets, grid_deg)
-    return radar._pick_peaks(theta_deg, denom, num_targets)
-
-
 def _trial_covariances(scenario, mode, trials):
     gw = echo_channel(scenario) @ np.asarray(design.run(scenario, mode).w)
     return [echo_covariance(scenario, gw, substream(scenario.seed, "trial", i))
@@ -635,52 +631,42 @@ def scan_corpus():
 @pytest.mark.parametrize("grid_deg, fast_share", [(radar.MUSIC_GRID_DEG, 0.75), (0.07, 0.2),
                                                   (0.5, 0.0)])
 def test_music_scan_matches_full_scan_bitwise(grid_deg, fast_share, scan_corpus):
-    # music_estimate returns the two-level scan's result when there is one,
-    # else the full scan's; both share the eigendecomposition
-    moved, fast, degraded = [], 0, 0
+    # every trial gets the bits of the scan of every grid column: the ones
+    # the coarse level certifies (at least fast_share of them) and the
+    # ones that keep the whole grid
+    moved, certified, degraded = [], 0, 0
     for label, cov, t in scan_corpus:
-        vecs = np.linalg.eigh(cov)[1]
-        est, bad = radar._full_scan(vecs, t, grid_deg)
-        angles, found = radar._two_level_scan(vecs[None], t, grid_deg)
-        if found[0]:
-            fast += 1
-            if not (np.array_equal(angles[0], est) and not bad):
-                moved.append(label)
+        est, bad = full_scan(cov, t, grid_deg)
+        angles, flags, uncertified = radar._music(cov[None], t, grid_deg)
+        if not (np.array_equal(angles[0], est) and flags[0] == bad):
+            moved.append(label)
+        certified += not uncertified[0]
         degraded += bad
     assert moved == []
     assert len(scan_corpus) == 209
-    assert fast >= fast_share * len(scan_corpus)
+    assert certified >= fast_share * len(scan_corpus)
     assert degraded > 0
 
 
-def _counting_full_scan(monkeypatch):
-    calls = []
-    full_scan = radar._full_scan
-
-    def counting(*args):
-        calls.append(args)
-        return full_scan(*args)
-
-    monkeypatch.setattr(radar, "_full_scan", counting)
-    return calls
-
-
-def test_music_takes_the_two_level_scan_on_the_paper_geometry(monkeypatch):
-    # a silent return to the full scan would keep every bit and lose the time
-    calls = _counting_full_scan(monkeypatch)
+def test_music_takes_the_two_level_scan_on_the_paper_geometry():
+    # leaving every trial uncertified would keep every bit and lose the time
     for p_dbm in (0.0, 10.0, 20.0):
         s = make_scenario(power_budget_dbm=p_dbm)
         rep = monte_carlo(s, design.run(s, "sgcdf"), 8)
         assert rep.degraded_trials == rep.full_scans == 0
-    assert calls == []
-    # the report counts the fallbacks: every degraded trial is one
+    # the report counts the uncertified trials: every degraded trial is one
     s = make_scenario(num_tx=4, num_rx=4, num_users=0, power_budget_dbm=-40.0)
-    rep = monte_carlo(s, design.run(s, "omnidirectional"), 16)
-    assert rep.full_scans == len(calls) >= rep.degraded_trials > 0
+    res = design.run(s, "omnidirectional")
+    rep = monte_carlo(s, res, 16)
+    uncertified = one_trial_monte_carlo(s, res, 16, radar.MUSIC_GRID_DEG)[2]
+    assert rep.full_scans == uncertified.sum() >= rep.degraded_trials > 0
 
 
 def _fallback_case(case):
-    """(covariance, targets, grid step) that sends MUSIC to the full scan."""
+    """(covariance, targets, grid step) of a trial at an edge of the
+    two-level scan: one the coarse level cannot certify (the first three
+    cases), or one whose fine level meets the grid end, tied minima or a
+    cancelled denominator."""
     if case == "coarse grid":
         # 32 elements: 1 / (4 M_R) rad is 0.45 deg, under 8 steps of 0.5 deg
         s = make_scenario(power_budget_dbm=10.0)
@@ -692,7 +678,7 @@ def _fallback_case(case):
         # fewer than T coarse minima: 4 elements, three targets, -40 dBm
         s = make_scenario(num_tx=4, num_rx=4, num_users=0, power_budget_dbm=-40.0)
         covs = _trial_covariances(s, "omnidirectional", 16)
-        cov = next(c for c in covs if _full_scan_estimate(c, 3, radar.MUSIC_GRID_DEG)[1])
+        cov = next(c for c in covs if full_scan(c, 3, radar.MUSIC_GRID_DEG)[1])
         return cov, 3, radar.MUSIC_GRID_DEG
     if case == "grid end":
         # the kept intervals reach the grid's last column (+90 deg)
@@ -704,26 +690,31 @@ def _fallback_case(case):
         a = steering(np.deg2rad(20.0), 32)
         cov = np.outer(a, a.conj())
         return cov + cov.conj() + 0.01 * np.eye(32), 1, radar.MUSIC_GRID_DEG
-    # the signal-subspace form cancels, and the full scan re-evaluates it
+    # the signal-subspace form cancels, and the fine level re-evaluates it
     return _cancellation_covariance(), 1, radar.MUSIC_GRID_DEG
 
 
 @pytest.mark.parametrize("case", ["coarse grid", "one-point grid", "degraded", "grid end",
                                   "cancellation", "tied minima"])
-def test_music_falls_back_to_the_full_scan(case, monkeypatch):
+def test_music_falls_back_to_the_full_scan(case):
+    # an uncertified trial scans every grid column in the fine level, and
+    # the other cases resolve there in place; all get the full scan's bits
     cov, t, grid_deg = _fallback_case(case)
-    ref_est, ref_bad = _full_scan_estimate(cov, t, grid_deg)
-    calls = _counting_full_scan(monkeypatch)
+    ref_est, ref_bad = full_scan(cov, t, grid_deg)
     est, bad = music_estimate(cov, t, grid_deg)
-    assert len(calls) == 1
     assert np.array_equal(est, ref_est) and bad == ref_bad
     assert bad == (case in ("one-point grid", "degraded"))
+    uncertified = radar._music(np.asarray(cov)[None], t, grid_deg)[2]
+    assert uncertified.tolist() == [case in ("coarse grid", "one-point grid", "degraded")]
+    if case == "tied minima":
+        # the lower grid column of the two mirror-image nulls
+        assert est[0] < 0.0
 
 
 def _assert_stack_matches_one_trial(covs, t, grid_deg):
     """``radar._music`` of a stack against each covariance alone: the
-    same angles, degraded flags and full-scan flags, bit for bit.
-    Returns the full-scan flags."""
+    full scan's angles and degraded flags, bit for bit, and the same
+    uncertified flags. Returns the uncertified flags."""
     angles, degraded, full = radar._music(np.stack(covs), t, grid_deg)
     for i, cov in enumerate(covs):
         ref_angles, ref_bad, ref_full = one_trial_music(cov, t, grid_deg)
@@ -732,38 +723,40 @@ def _assert_stack_matches_one_trial(covs, t, grid_deg):
     return full
 
 
-@pytest.mark.parametrize("grid_deg", [radar.MUSIC_GRID_DEG, 0.07])
+@pytest.mark.parametrize("grid_deg", [radar.MUSIC_GRID_DEG, 0.07, 0.5])
 def test_music_stacks_match_one_trial_bitwise(grid_deg, scan_corpus):
-    # the corpus in stacks of up to 14 trials of one (M_R, T), the block
+    # the corpus in stacks of up to 15 trials of one (M_R, T), the block
     # size of the benchmark's sweep; each stack shares one fine level
     by_shape = {}
     for _, cov, t in scan_corpus:
         by_shape.setdefault((len(cov), t), []).append(cov)
     full = []
     for (_, t), covs in by_shape.items():
-        for lo in range(0, len(covs), 14):
-            full.extend(_assert_stack_matches_one_trial(covs[lo:lo + 14], t, grid_deg))
-    assert 0 < sum(full) < len(full)
+        for lo in range(0, len(covs), 15):
+            full.extend(_assert_stack_matches_one_trial(covs[lo:lo + 15], t, grid_deg))
+    # at 0.5 deg no array here has a coarse level, so every trial keeps
+    # the whole grid
+    assert 0 < sum(full) <= len(full) and (sum(full) == len(full)) == (grid_deg == 0.5)
 
 
 @pytest.mark.parametrize("case, normal", [
     ("degraded", "4x4 -40 dBm"), ("grid end", "32x32 one target"),
     ("tied minima", "32x32 one target"), ("cancellation", "8x8 one target")])
 def test_music_stacks_with_fallbacks_match_one_trial_bitwise(case, normal):
-    # a trial that falls back among trials that stay on the two-level
-    # scan: the union of the stack's columns changes no trial's result
+    # an edge case in every position of a stack of six certified trials:
+    # the union of the stack's columns changes no trial's result
     cov, t, grid_deg = _fallback_case(case)
     scenario = {"4x4 -40 dBm": make_scenario(num_tx=4, num_rx=4, num_users=0,
                                              power_budget_dbm=-40.0),
                 "32x32 one target": make_scenario(num_users=0, target_angles_deg=(10.0,),
                                                   target_ranges_m=(50.0,)),
                 "8x8 one target": _sensing_scenario(-96.0)}[normal]
-    # six trials that stay on the two-level scan alone
     covs = [c for c in _trial_covariances(scenario, "omnidirectional", 80)
             if not one_trial_music(c, t, grid_deg)[2]][:6]
     assert len(covs) == 6
-    full = _assert_stack_matches_one_trial(covs[:3] + [cov] + covs[3:], t, grid_deg)
-    assert full.tolist() == [False] * 3 + [True] + [False] * 3
+    for i in range(7):
+        full = _assert_stack_matches_one_trial(covs[:i] + [cov] + covs[i:], t, grid_deg)
+        assert full.tolist() == [False] * i + [case == "degraded"] + [False] * (6 - i)
 
 
 def test_music_fine_level_runs_once_per_block_on_the_paper_geometry(monkeypatch):
@@ -790,7 +783,7 @@ def test_music_fine_level_runs_once_per_block_on_the_paper_geometry(monkeypatch)
                for mode in ("sgcdf", "omnidirectional")]
     reps = monte_carlo_sweep(designs, 40)
     assert all(rep.full_scans == 0 for rep in reps)
-    assert [size for size, _ in per_block] == [14] * 6 + [14] * 6 + [12] * 6
+    assert [size for size, _ in per_block] == [15] * 12 + [10] * 6
     for size, stacks in per_block:
         # the coarse product, then each union span with every trial stacked
         assert stacks[0] == size and set(stacks[1:]) == {size}
@@ -801,20 +794,41 @@ def test_music_fine_level_memory_stays_within_a_block():
     # at -30 dBm, omnidirectional, the kept groups of a block's trials
     # cover 8,300-8,600 of the 9,001 columns; one stack over that union
     # peaks at about 6.3 MB, so the fine level runs in stacks of trials
-    # whose count times union width fits the coarse product
-    s = make_scenario(power_budget_dbm=-30.0)
-    res = design.run(s, "omnidirectional")
-    block = radar._block_trials(s.array.num_rx, np.shape(res.w)[1], len(s.targets),
-                                radar.MUSIC_GRID_DEG)
-    monte_carlo(s, res, 1)
+    # whose count times union width fits the coarse product. At 64
+    # elements and 0.07 deg, w < 8 and every trial keeps the whole grid,
+    # so the stacks are capped by the padded grid's width instead.
+    for s, grid_deg, uncertified in ((make_scenario(power_budget_dbm=-30.0),
+                                      radar.MUSIC_GRID_DEG, False),
+                                     (make_scenario(num_tx=64, num_rx=64, num_users=2), 0.07,
+                                      True)):
+        res = design.run(s, "omnidirectional")
+        block = radar._block_trials(s.array.num_rx, np.shape(res.w)[1], len(s.targets),
+                                    grid_deg)
+        monte_carlo(s, res, 1, grid_deg)
+        tracemalloc.start()
+        try:
+            rep = monte_carlo(s, res, block, grid_deg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.full_scans == (block if uncertified else 0)
+        assert peak <= radar.BLOCK_BYTES
+
+
+def test_music_grid_pads_in_place():
+    # the 32 x 9,008 steering vectors take 4.6 MB and their build about
+    # 9.4 MB at its peak; padding a finished grid into a zeroed one took 14 MB
+    radar._grid.cache_clear()
     tracemalloc.start()
     try:
-        rep = monte_carlo(s, res, block)
+        theta_deg, a, a_norm2 = radar._grid(32, radar.MUSIC_GRID_DEG)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.full_scans < block
-    assert peak <= radar.BLOCK_BYTES
+    assert theta_deg.size == 9001 and a.shape == (32, 9008)
+    assert not a[:, 9001:].any() and np.isnan(a_norm2[9001:]).all()
+    assert np.array_equal(a[:, :9001], steering_matrix(np.deg2rad(theta_deg), 32))
+    assert peak <= 9.4e6
 
 
 @settings(max_examples=60, deadline=None)
@@ -834,7 +848,7 @@ def test_interval_floors_bound_the_fine_denominator(m, data):
     theta_deg, a, a_norm2 = radar._grid(m, radar.MUSIC_GRID_DEG)
     step = theta_deg[1] - theta_deg[0]
     w = radar._coarse_stride(m, theta_deg.size)
-    d = a_norm2 - radar._subspace_power(basis, a)
+    d = (a_norm2 - radar._subspace_power(basis, a))[: theta_deg.size]
     ends = np.append(np.arange(0, d.size - 1, w), d.size - 1)
     floors = radar._interval_floors(basis, d[ends], np.deg2rad(w * step))
     # fine minimum over [ends[j], ends[j + 1]); each right end is an end too
