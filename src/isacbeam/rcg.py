@@ -7,7 +7,10 @@ search with the fixed constants C1 and C2 (curvature measured against
 the transported direction) and at most MAX_LINESEARCH_EVALS probes;
 when no probe meets both conditions it takes the best probe that met
 sufficient decrease, and the solver stops with 'linesearch_fail' when
-none did. The solver is objective-agnostic and applies the dual
+none did. The first search of a solve tries the step 1/||d|| first;
+every later search tries twice the step the previous one accepted
+(Nocedal & Wright, Numerical Optimization, 3.5), both within the step
+cap. The solver is objective-agnostic and applies the dual
 stopping rule (gradient norm below eps*(1+|f|), or objective change
 below eps) to whatever scale the callback reports. The start is the one
 point a caller hands the solver, so it alone is checked for manifold
@@ -49,7 +52,7 @@ MAX_LINESEARCH_EVALS = 30   # probes per line search, that is per step
 @dataclass
 class RcgOptions:
     """Stopping rule and step cap; the line search and restarts are fixed."""
-    eps: float = 1e-3
+    eps: float = 3e-4
     max_iters: int = 2000
     max_step_norm: float | None = None  # ambient cap on ||step||_F per iterate
 
@@ -97,6 +100,11 @@ class SolverTrace:
     def final_grad_norm(self):
         return self.records[-1].grad_norm if self.records else self.initial_grad_norm
 
+    @property
+    def wolfe_fallbacks(self):
+        """Steps that took the best sufficient-decrease probe, not a Wolfe point."""
+        return sum(not r.wolfe_ok for r in self.records)
+
     def objectives(self):
         return np.array([self.initial_objective] + [r.objective for r in self.records])
 
@@ -136,23 +144,25 @@ def _probe(fg, w, d, alpha, radius):
     return _Eval(alpha, point, value, egrad)
 
 
-def wolfe_linesearch(fg, w, d, f0, slope0, radius, opts):
+def wolfe_linesearch(fg, w, d, f0, slope0, radius, opts, first_step=None):
     """Strong Wolfe step along d from w.
 
     Sufficient decrease: f(R(w + a d)) <= f0 + C1 a slope0.
     Curvature: |<grad f at the new point, transported d>| <= C2 |slope0|.
-    One bracketing search over [a_lo, a_hi]: the trial step doubles (up
-    to the step cap) until an upper end is found, then bisects. It makes
-    at most MAX_LINESEARCH_EVALS probes. If none meets both
-    conditions, returns the best probe that met sufficient decrease
-    (wolfe_ok False), or None if no probe decreased enough. A probe's
-    gradient is computed on its first read (module docstring).
+    The first trial step is ``first_step`` (``minimize`` passes twice the
+    previous search's accepted step), or 1/||d|| when it is None, capped
+    at the step cap. One bracketing search over [a_lo, a_hi]: the trial
+    step doubles (up to the step cap) until an upper end is found, then
+    bisects. It makes at most MAX_LINESEARCH_EVALS probes. If none
+    meets both conditions, returns the best probe that met sufficient
+    decrease (wolfe_ok False), or None if no probe decreased enough. A
+    probe's gradient is computed on its first read (module docstring).
     """
     if slope0 >= 0.0:
         raise ValueError(f"line search needs a descent direction, got slope {slope0}")
     d_norm = math.sqrt(inner(d, d))
     a_cap = math.inf if opts.max_step_norm is None else opts.max_step_norm / d_norm
-    a = min(1.0 / d_norm, a_cap)
+    a = min(1.0 / d_norm if first_step is None else first_step, a_cap)
     a_lo, f_lo, a_hi = 0.0, f0, None
     best = None
     evals = grads = 0
@@ -247,6 +257,7 @@ def minimize(fg, w0, radius, opts=None, stop_when=None):
     gnorm2 = inner(rgrad, rgrad)
     d = -rgrad
     trace.initial_objective, trace.initial_grad_norm = f, math.sqrt(gnorm2)
+    first_step = None
 
     for it in range(opts.max_iters):
         if stop_when is not None and stop_when(w, f):
@@ -256,11 +267,12 @@ def minimize(fg, w0, radius, opts=None, stop_when=None):
             trace.termination = "grad_tol"
             return w, trace
         slope = inner(rgrad, d)
-        ls = wolfe_linesearch(fg, w, d, f, slope, radius, opts)
+        ls = wolfe_linesearch(fg, w, d, f, slope, radius, opts, first_step)
         if ls is None:
             trace.termination = "linesearch_fail"
             return w, trace
         ev = ls.at
+        first_step = 2.0 * ls.step
         trace.zoutendijk.append(slope * slope / max(inner(d, d), _TINY))
         gnorm2_new = inner(ev.rgrad, ev.rgrad)
         if (it + 1) % w.shape[1] == 0:

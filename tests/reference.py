@@ -191,10 +191,10 @@ def _eager_probe(fg, w, d, alpha, radius, index):
                       project_tangent(point, d, radius))
 
 
-def eager_wolfe_linesearch(fg, w, d, f0, slope0, radius, opts):
+def eager_wolfe_linesearch(fg, w, d, f0, slope0, radius, opts, first_step=None):
     """``rcg.wolfe_linesearch`` with every probe's gradient and projected
-    direction computed as the probe is made, and the same slope
-    ``inner(rgrad, d)``.
+    direction computed as the probe is made, the same first trial step
+    and the same slope ``inner(rgrad, d)``.
 
     Returns (result, read): a ``rcg.LineSearchResult`` (None when no probe
     decreased enough) whose ``at`` is an ``EagerProbe`` and whose
@@ -203,7 +203,7 @@ def eager_wolfe_linesearch(fg, w, d, f0, slope0, radius, opts):
     """
     d_norm = math.sqrt(inner(d, d))
     a_cap = math.inf if opts.max_step_norm is None else opts.max_step_norm / d_norm
-    a = min(1.0 / d_norm, a_cap)
+    a = min(1.0 / d_norm if first_step is None else first_step, a_cap)
     a_lo, f_lo, a_hi = 0.0, f0, None
     best = None
     read = []
@@ -240,13 +240,16 @@ def eager_wolfe_linesearch(fg, w, d, f0, slope0, radius, opts):
 def eager_minimize(fg, w0, radius, opts, stop_when=None):
     """``rcg.minimize`` on ``eager_wolfe_linesearch``, transporting the
     direction as ``-rgrad + beta * moved`` on every step, beta = 0
-    included. The start is not checked for manifold membership."""
+    included. Every search after the first starts at twice the step the
+    previous one accepted. The start is not checked for manifold
+    membership."""
     w = np.asarray(w0)
     f, egrad = fg(w)
     rgrad = project_tangent(w, egrad(), radius)
     gnorm2 = inner(rgrad, rgrad)
     d = -rgrad
     trace = SolverTrace(initial_objective=f)
+    first_step = None
     for it in range(opts.max_iters):
         if stop_when is not None and stop_when(w, f):
             trace.termination = "target_met"
@@ -255,11 +258,12 @@ def eager_minimize(fg, w0, radius, opts, stop_when=None):
             trace.termination = "grad_tol"
             return w, trace
         slope = inner(rgrad, d)
-        ls, _ = eager_wolfe_linesearch(fg, w, d, f, slope, radius, opts)
+        ls, _ = eager_wolfe_linesearch(fg, w, d, f, slope, radius, opts, first_step)
         if ls is None:
             trace.termination = "linesearch_fail"
             return w, trace
         ev = ls.at
+        first_step = 2.0 * ls.step
         trace.zoutendijk.append(slope * slope / max(inner(d, d), 1e-300))
         gnorm2_new = inner(ev.rgrad, ev.rgrad)
         beta = 0.0 if (it + 1) % w.shape[1] == 0 else gnorm2_new / gnorm2

@@ -57,7 +57,8 @@ def test_design_prints_key_value_record(cfg_path, capsys):
                         "wall_time_s", "sp1_iterations", "sp2_iterations",
                         "rates", "sp1_termination", "sp2_termination", "flags",
                         "sp1_objective_evals", "sp1_gradient_evals", "sp1_final_grad_norm",
-                        "sp2_objective_evals", "sp2_gradient_evals", "sp2_final_grad_norm"]
+                        "sp2_objective_evals", "sp2_gradient_evals", "sp2_final_grad_norm",
+                        "sp1_wolfe_fallbacks", "sp2_wolfe_fallbacks"]
     assert rec["mode"] == "sgcdf"
     assert float(rec["sum_crlb"]) > 0
     assert float(rec["min_rate"]) >= float(rec["r_min"]) - 1e-6
@@ -76,7 +77,7 @@ def test_design_sensing_only_leaves_sp2_blank(cfg_path, capsys):
     assert rec["sp2_iterations"] == ""
     assert rec["sp2_termination"] == ""
     assert int(rec["sp1_iterations"]) >= 1
-    for name in ("objective_evals", "gradient_evals", "final_grad_norm"):
+    for name in ("objective_evals", "gradient_evals", "final_grad_norm", "wolfe_fallbacks"):
         assert rec[f"sp2_{name}"] == ""
         assert rec[f"sp1_{name}"] != ""
 
@@ -93,6 +94,8 @@ def test_design_record_prints_each_stage_solver_totals(cfg_path, capsys):
         assert evals == trace.objective_evals >= trace.iterations + 1
         assert int(rec[f"{stage}_gradient_evals"]) == trace.gradient_evals <= evals
         assert rec[f"{stage}_final_grad_norm"] == repr(trace.final_grad_norm)
+        fallbacks = int(rec[f"{stage}_wolfe_fallbacks"])
+        assert fallbacks == sum(not r.wolfe_ok for r in trace.records) <= trace.iterations
 
 
 def test_design_reports_max_iters_termination(tmp_path, capsys):

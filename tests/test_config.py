@@ -36,7 +36,7 @@ def test_default_config_values():
     assert cfg.get("scenario", "noise_power_dbm") == -96.0
     assert cfg.get("scenario", "target_angles_deg") == (-45.0, 30.0, 60.0)
     assert cfg.get("scenario", "overload") == 0.7
-    assert cfg.get("solver", "eps") == 1e-3
+    assert cfg.get("solver", "eps") == 3e-4
     assert set(cfg.section("solver")) == {"eps", "max_iters"}
     assert build_options(cfg) == RcgOptions()
     assert cfg.get("experiment", "trials") == 30
@@ -144,7 +144,7 @@ def test_build_scenario_wraps_validation_errors():
 
 def test_build_options_defaults_and_restart():
     opts = build_options(default_config())
-    assert opts.eps == 1e-3
+    assert opts.eps == 3e-4
     assert opts.max_iters == 2000
 
 

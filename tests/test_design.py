@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isacbeam import comm, design, manifold
+from isacbeam import comm, design, manifold, rcg
 from isacbeam.arrays import beampattern_trace
 from isacbeam.config import build_scenario, parse_config
 from isacbeam.errors import ConfigError, InfeasibleError, NumericalError
@@ -258,6 +258,32 @@ def test_sp1_normalizes_and_descends(small_results):
     assert trace.initial_objective == pytest.approx(1.0, rel=1e-12)
     assert trace.final_objective <= 1.0
     assert np.all(np.diff(trace.objectives()) <= 0.0)
+
+
+def test_line_searches_start_from_the_last_accepted_step(monkeypatch):
+    # sgcdf on the paper geometry's overload-0.7 scenarios, the fragile
+    # seed 8 included: a search that starts at twice the last accepted
+    # step seldom backtracks. Starting every search at 1/||d|| costs 3.5
+    # probes a step in stage I and 3.4 in stage II here.
+    caps = []
+    search = rcg.wolfe_linesearch
+
+    def capped(fg, w, d, f0, slope0, radius, opts, first_step=None):
+        ls = search(fg, w, d, f0, slope0, radius, opts, first_step)
+        if opts.max_step_norm is not None:
+            caps.append(ls.step * np.sqrt(manifold.inner(d, d)) / opts.max_step_norm)
+        return ls
+
+    monkeypatch.setattr(rcg, "wolfe_linesearch", capped)
+    probes = {"sp1": [], "sp2": []}
+    for seed in (2, 4, 6, 8):
+        res = design.run(make_scenario(seed=seed, overload=0.7), "sgcdf")
+        for stage, evals in probes.items():
+            evals += [r.evals for r in res.traces[stage].records]
+    assert np.mean(probes["sp1"]) <= 2.5
+    assert np.mean(probes["sp2"]) <= 1.5
+    # a doubled step stays within stage II's cap, up to rounding of the ratio
+    assert len(caps) == len(probes["sp2"]) and max(caps) <= 1.0 + 1e-12
 
 
 def test_rate_target_values(small):

@@ -711,6 +711,25 @@ def test_music_falls_back_to_the_full_scan(case):
         assert est[0] < 0.0
 
 
+def test_music_ranks_tied_minima_by_column(monkeypatch):
+    # a denominator with 63 equal minima and one deeper: numpy's default
+    # argsort puts the equal ones out of column order, and the fine level
+    # must take the deepest, then the lowest columns. On a fake 4-element
+    # grid the signal basis (eigenvectors 1-3) sees nothing, so d is
+    # ||a||^2 exactly.
+    theta_deg = np.arange(128.0)
+    a = np.zeros((4, 128), dtype=complex)
+    a[0] = 1.0
+    d = np.ones(128)
+    d[1:127:2] = 0.5
+    d[101] = 0.25
+    monkeypatch.setattr(radar, "_grid", lambda m, grid_deg: (theta_deg, a, d))
+    vecs = np.eye(4, dtype=complex)[None]
+    groups = np.ones((1, 16), dtype=bool)
+    angles, degraded = radar._fine_level(vecs, 3, groups, 1.0, 128)
+    assert np.array_equal(angles[0], np.deg2rad([1.0, 3.0, 101.0])) and not degraded[0]
+
+
 def _assert_stack_matches_one_trial(covs, t, grid_deg):
     """``radar._music`` of a stack against each covariance alone: the
     full scan's angles and degraded flags, bit for bit, and the same
