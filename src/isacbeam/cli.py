@@ -1,13 +1,13 @@
 """Command-line entry points and CSV emission.
 
 Subcommands: design, sweep-power, sweep-delta, beampattern.
-Each reads an optional INI config (defaults mirror the standard
-simulation table), applies --seed/--mode/--out overrides, and emits CSV
-with a fixed column schema. Rows are ordered by (grid index, mode) and
-float cells use repr, so output for a fixed seed is byte-stable at a
-fixed BLAS thread count: with one target, threaded OpenBLAS splits
-MUSIC's grid product (a gemv) mid-grid, so the last bits of an
-estimate can change with the thread count.
+Each reads an optional INI config (an omitted [scenario] key takes its
+make_scenario default), applies --seed/--mode/--out overrides, and
+emits CSV with a fixed column schema. Rows are ordered by (grid index,
+mode) and float cells use repr, so output for a fixed seed is
+byte-stable at a fixed BLAS thread count: with one target, threaded
+OpenBLAS splits MUSIC's grid product (a gemv) mid-grid, so the last
+bits of an estimate can change with the thread count.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible design,
 4 numerical failure.
@@ -90,9 +90,8 @@ def _stage(trace, name):
     return "" if trace is None else _fmt(getattr(trace, name))
 
 
-def _run_one(cfg, mode, seed=None, power_budget_dbm=None, overload=None):
-    scenario = build_scenario(cfg, seed=seed, power_budget_dbm=power_budget_dbm,
-                              overload=overload)
+def _run_one(cfg, mode, **overrides):
+    scenario = build_scenario(cfg, **overrides)
     return scenario, design.run(scenario, mode=mode, opts=build_options(cfg))
 
 
@@ -132,8 +131,8 @@ def cmd_design(args):
 def _sweep(args, grid_key, override, header, row):
     """Design and Monte-Carlo evaluate every (grid value, mode); one CSV row each.
 
-    ``override`` names the build_scenario argument that takes the grid
-    value; ``row(value, mode, scenario, result, report)`` builds the row.
+    ``override`` names the [scenario] key that the grid value replaces;
+    ``row(value, mode, scenario, result, report)`` builds the row.
     Every design runs before any Monte-Carlo trial, so a typed error
     from any of them ends the command with no trial run and no CSV. The
     trials of all designs then run in one ``radar.monte_carlo_sweep``

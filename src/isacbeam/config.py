@@ -1,14 +1,17 @@
 """Flat key-value configuration with scenario/solver/experiment sections.
 
-Powers are dBm and angles are degrees in config files; conversion to
-watts and radians happens exactly once, when the scenario is built.
-Parsing is strict: unknown sections or keys are rejected with their
-location, each value's cast checks that it is finite and in range, and
-a parsed config dumps back to text that re-parses to an identical
-structure.
+The [scenario] keys and their defaults are make_scenario's keywords,
+read from its signature, so a scenario parameter is declared only
+there. Powers are dBm and angles are degrees in config files;
+conversion to watts and radians happens exactly once, when the scenario
+is built. Parsing is strict: unknown sections or keys are rejected with
+their location, each value's cast checks that it is finite and, for the
+solver and experiment keys, in range, and a parsed config dumps back to
+text that re-parses to an identical structure.
 """
 
 import configparser
+import inspect
 import io
 import math
 from dataclasses import dataclass
@@ -27,10 +30,8 @@ def _finite(text):
 
 
 def _float_list(text):
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    if not items:
-        raise ValueError("empty list")
-    return tuple(_finite(part) for part in items)
+    # an empty entry, or an empty value, fails in float
+    return tuple(_finite(part) for part in text.split(","))
 
 
 def _checked(cast, ok, rule):
@@ -45,38 +46,23 @@ def _checked(cast, ok, rule):
 
 # angle grid step: 0.001 deg gives at most 180,001 grid points
 _grid_step = _checked(_finite, lambda x: x >= 1e-3, "must be at least 0.001 deg")
+_count = _checked(int, lambda n: n >= 1, "must be at least 1")
+_CAST_BY_TYPE = {int: int, float: _finite, tuple: _float_list}
 
 
 _SCHEMA = {
-    "scenario": {
-        "num_tx": (int, sc.DEFAULT_NUM_TX),
-        "num_rx": (int, sc.DEFAULT_NUM_RX),
-        "num_users": (int, sc.DEFAULT_NUM_USERS),
-        "target_angles_deg": (_float_list, sc.DEFAULT_TARGET_ANGLES_DEG),
-        "target_ranges_m": (_float_list, sc.DEFAULT_TARGET_RANGES_M),
-        "noise_power_dbm": (_finite, sc.DEFAULT_NOISE_POWER_DBM),
-        "power_budget_dbm": (_finite, sc.DEFAULT_POWER_BUDGET_DBM),
-        "snapshots": (int, sc.DEFAULT_SNAPSHOTS),
-        "rician_k": (_finite, sc.DEFAULT_RICIAN_K),
-        "overload": (_finite, sc.DEFAULT_OVERLOAD),
-        "seed": (int, sc.DEFAULT_SEED),
-        "user_range_min_m": (_finite, sc.DEFAULT_USER_RANGE_M[0]),
-        "user_range_max_m": (_finite, sc.DEFAULT_USER_RANGE_M[1]),
-        "user_angle_min_deg": (_finite, sc.DEFAULT_USER_SECTOR_DEG[0]),
-        "user_angle_max_deg": (_finite, sc.DEFAULT_USER_SECTOR_DEG[1]),
-        "pathloss_exponent": (_finite, sc.DEFAULT_PATHLOSS_EXPONENT),
-        "pathloss_ref_db": (_finite, sc.DEFAULT_PATHLOSS_REF_DB),
-        "pathloss_ref_m": (_finite, sc.DEFAULT_PATHLOSS_REF_M),
-    },
+    # every make_scenario keyword, cast by the type of its default
+    "scenario": {key: (_CAST_BY_TYPE[type(p.default)], p.default)
+                 for key, p in inspect.signature(sc.make_scenario).parameters.items()},
     "solver": {
         "eps": (_checked(_finite, lambda x: x >= 0, "must be nonnegative"), RcgOptions.eps),
-        "max_iters": (int, RcgOptions.max_iters),
+        "max_iters": (_count, RcgOptions.max_iters),
     },
     "experiment": {
         "power_grid_dbm": (_float_list, (10.0, 15.0, 20.0)),
         "delta_grid": (_checked(_float_list, lambda xs: all(0 <= x <= 1 for x in xs),
                                 "entries must lie in [0, 1]"), (0.3, 0.5, 0.7)),
-        "trials": (_checked(int, lambda n: n >= 1, "must be at least 1"), 30),
+        "trials": (_count, 30),
         "grid_deg": (_grid_step, 0.1),    # beampattern trace resolution
         "music_grid_deg": (_grid_step, MUSIC_GRID_DEG),
     },
@@ -156,13 +142,11 @@ def dump_config(cfg):
     return out.getvalue()
 
 
-def build_scenario(cfg, seed=None, power_budget_dbm=None, overload=None):
-    """Scenario from the config's scenario section, with overrides."""
+def build_scenario(cfg, **overrides):
+    """Scenario from the config's scenario section; each override that
+    is not None replaces that key's value."""
     s = cfg.section("scenario")
-    for key, value in (("seed", seed), ("power_budget_dbm", power_budget_dbm),
-                       ("overload", overload)):
-        if value is not None:
-            s[key] = value
+    s.update((key, value) for key, value in overrides.items() if value is not None)
     if len(s["target_angles_deg"]) != len(s["target_ranges_m"]):
         raise ConfigError("target_angles_deg and target_ranges_m lengths differ")
     # the probe needs one snapshot per stream, MUSIC one spare receive antenna
@@ -181,7 +165,4 @@ def build_scenario(cfg, seed=None, power_budget_dbm=None, overload=None):
 
 def build_options(cfg):
     s = cfg.section("solver")
-    try:
-        return RcgOptions(eps=s["eps"], max_iters=s["max_iters"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid solver options: {exc}") from exc
+    return RcgOptions(eps=s["eps"], max_iters=s["max_iters"])

@@ -6,6 +6,10 @@ user channels (Rician fading with a distance path loss), the noise and
 power budget, and a seed. All randomness flows through named Philox
 substreams of the scenario seed so that every module draws independently
 and reproducibly.
+
+The standard deployment is declared once, as make_scenario's keyword
+defaults; the helpers it calls take every geometry and path-loss value
+as a required keyword.
 """
 
 import zlib
@@ -14,24 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import HALF_PLANE, ArrayConfig, steering
-
-# Default deployment; make_scenario and the config defaults both read these.
-DEFAULT_NUM_TX = 32
-DEFAULT_NUM_RX = 32
-DEFAULT_NUM_USERS = 6
-DEFAULT_NOISE_POWER_DBM = -96.0
-DEFAULT_POWER_BUDGET_DBM = 20.0
-DEFAULT_SNAPSHOTS = 1024
-DEFAULT_RICIAN_K = 0.1
-DEFAULT_OVERLOAD = 0.7
-DEFAULT_SEED = 1
-DEFAULT_TARGET_ANGLES_DEG = (-45.0, 30.0, 60.0)
-DEFAULT_TARGET_RANGES_M = (50.0, 60.0, 70.0)
-DEFAULT_USER_RANGE_M = (50.0, 55.0)
-DEFAULT_USER_SECTOR_DEG = (-25.0, 25.0)
-DEFAULT_PATHLOSS_EXPONENT = 2.2
-DEFAULT_PATHLOSS_REF_DB = -30.0
-DEFAULT_PATHLOSS_REF_M = 1.0
 
 
 def dbm_to_watts(p_dbm):
@@ -52,8 +38,7 @@ def substream(seed, label, index=None):
     return np.random.Generator(np.random.Philox(seq))
 
 
-def pathloss(distance, exponent=DEFAULT_PATHLOSS_EXPONENT,
-             c0_db=DEFAULT_PATHLOSS_REF_DB, d0=DEFAULT_PATHLOSS_REF_M):
+def pathloss(distance, *, exponent, c0_db, d0):
     """Distance path loss 10^(c0_db/10) * (d0/distance)^exponent, linear.
 
     Computed in Python floats, so a power that overflows raises
@@ -145,8 +130,7 @@ class Scenario:
         return np.array([t.angle for t in self.targets])
 
 
-def make_targets(angles, ranges, rng, exponent=DEFAULT_PATHLOSS_EXPONENT,
-                 c0_db=DEFAULT_PATHLOSS_REF_DB, d0=DEFAULT_PATHLOSS_REF_M):
+def make_targets(angles, ranges, rng, *, exponent, c0_db, d0):
     """Targets with path-loss-derived reflection amplitudes.
 
     The reflection power |alpha|^2 at range rho is the round-trip path
@@ -167,12 +151,8 @@ def make_targets(angles, ranges, rng, exponent=DEFAULT_PATHLOSS_EXPONENT,
     return out
 
 
-def make_user_channels(num_users, num_tx, rician_k, rng,
-                       range_m=DEFAULT_USER_RANGE_M,
-                       sector_deg=DEFAULT_USER_SECTOR_DEG,
-                       exponent=DEFAULT_PATHLOSS_EXPONENT,
-                       c0_db=DEFAULT_PATHLOSS_REF_DB,
-                       d0=DEFAULT_PATHLOSS_REF_M):
+def make_user_channels(num_users, num_tx, rician_k, rng, *, range_m, sector_deg,
+                       exponent, c0_db, d0):
     """Rician user channels in an annular sector.
 
     h_k = sqrt(beta_k kappa/(kappa+1)) a_T(theta_k)
@@ -193,25 +173,21 @@ def make_user_channels(num_users, num_tx, rician_k, rng,
     return users
 
 
-def make_scenario(num_tx=DEFAULT_NUM_TX, num_rx=DEFAULT_NUM_RX,
-                  num_users=DEFAULT_NUM_USERS,
-                  target_angles_deg=DEFAULT_TARGET_ANGLES_DEG,
-                  target_ranges_m=DEFAULT_TARGET_RANGES_M,
-                  noise_power_dbm=DEFAULT_NOISE_POWER_DBM,
-                  power_budget_dbm=DEFAULT_POWER_BUDGET_DBM,
-                  snapshots=DEFAULT_SNAPSHOTS, rician_k=DEFAULT_RICIAN_K,
-                  overload=DEFAULT_OVERLOAD, seed=DEFAULT_SEED,
-                  user_range_min_m=DEFAULT_USER_RANGE_M[0],
-                  user_range_max_m=DEFAULT_USER_RANGE_M[1],
-                  user_angle_min_deg=DEFAULT_USER_SECTOR_DEG[0],
-                  user_angle_max_deg=DEFAULT_USER_SECTOR_DEG[1],
-                  pathloss_exponent=DEFAULT_PATHLOSS_EXPONENT,
-                  pathloss_ref_db=DEFAULT_PATHLOSS_REF_DB,
-                  pathloss_ref_m=DEFAULT_PATHLOSS_REF_M):
+def make_scenario(num_tx=32, num_rx=32, num_users=6,
+                  target_angles_deg=(-45.0, 30.0, 60.0),
+                  target_ranges_m=(50.0, 60.0, 70.0),
+                  noise_power_dbm=-96.0, power_budget_dbm=20.0,
+                  snapshots=1024, rician_k=0.1, overload=0.7, seed=1,
+                  user_range_min_m=50.0, user_range_max_m=55.0,
+                  user_angle_min_deg=-25.0, user_angle_max_deg=25.0,
+                  pathloss_exponent=2.2, pathloss_ref_db=-30.0, pathloss_ref_m=1.0):
     """Build a full scenario from physical-unit parameters.
 
-    Powers enter in dBm and angles in degrees here (the config
-    boundary); the stored scenario uses watts and radians.
+    These keywords and their defaults are the standard deployment and
+    the one declaration of it: the config's [scenario] section takes
+    exactly these keys, each cast by the type of its default. Powers
+    enter in dBm and angles in degrees here (the config boundary); the
+    stored scenario uses watts and radians.
     """
     array = ArrayConfig(num_tx=num_tx, num_rx=num_rx)
     targets = make_targets(np.deg2rad(target_angles_deg), target_ranges_m,

@@ -122,10 +122,10 @@ def test_default_config_builds_the_default_scenario():
 
 def test_build_scenario_applies_overrides():
     cfg = parse_config(SMALL)
-    s = build_scenario(cfg, power_budget_dbm=10.0, overload=0.0)
+    s = build_scenario(cfg, power_budget_dbm=10.0, overload=0.0, num_users=0)
     assert s.power_budget == pytest.approx(1e-2, rel=1e-12)
     assert s.overload == 0.0
-    assert s.num_users == 2
+    assert s.num_users == 0
     assert s.snapshots == 64
 
 
@@ -148,12 +148,6 @@ def test_build_options_defaults_and_restart():
     assert opts.max_iters == 2000
 
 
-def test_build_options_wraps_validation_errors():
-    cfg = parse_config("[solver]\nmax_iters = 0\n")
-    with pytest.raises(ConfigError, match="invalid solver"):
-        build_options(cfg)
-
-
 def test_build_options_accepts_zero_tolerance():
     assert build_options(parse_config("[solver]\neps = 0\n")).eps == 0.0
 
@@ -174,6 +168,16 @@ def test_every_float_value_must_be_finite(section, key, bad):
             parse_config(f"[{section}]\n{key} = {text}\n")
 
 
+_INT_KEYS = [(section, key) for section, keys in _SCHEMA.items()
+             for key, (_, default) in keys.items() if isinstance(default, int)]
+
+
+@pytest.mark.parametrize("section, key", _INT_KEYS)
+def test_every_int_value_must_be_an_integer(section, key):
+    with pytest.raises(ConfigError, match=f"bad value for '{key}' in \\[{section}\\]"):
+        parse_config(f"[{section}]\n{key} = 2.5\n")
+
+
 @pytest.mark.parametrize("section, key, text", [
     ("experiment", "trials", "0"),
     ("experiment", "grid_deg", "0"),
@@ -186,6 +190,11 @@ def test_every_float_value_must_be_finite(section, key, bad):
     ("experiment", "delta_grid", "0.5, 1.5"),
     ("experiment", "delta_grid", "-0.1"),
     ("solver", "eps", "-1e-9"),
+    ("solver", "max_iters", "0"),
+    # an empty list entry is not skipped
+    ("scenario", "target_angles_deg", "-45.0,,30.0"),
+    ("experiment", "power_grid_dbm", "10.0,"),
+    ("scenario", "target_ranges_m", ", 50"),
 ])
 def test_parse_rejects_out_of_range_values(section, key, text):
     with pytest.raises(ConfigError, match=f"bad value for '{key}'"):

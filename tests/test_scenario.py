@@ -5,7 +5,6 @@ import pytest
 
 from isacbeam.arrays import steering
 from isacbeam.scenario import (
-    DEFAULT_PATHLOSS_EXPONENT,
     Scenario,
     Target,
     dbm_to_watts,
@@ -16,6 +15,11 @@ from isacbeam.scenario import (
     substream,
 )
 from reference import watts_to_dbm
+
+# make_scenario's path-loss and user-geometry defaults, which the helpers
+# take as required keywords
+PATHLOSS = dict(exponent=2.2, c0_db=-30.0, d0=1.0)
+USER_GEOMETRY = dict(range_m=(50.0, 55.0), sector_deg=(-25.0, 25.0), **PATHLOSS)
 
 
 def test_pathloss_reference_values():
@@ -30,15 +34,15 @@ def test_pathloss_reference_values():
 
 def test_pathloss_rejects_distances_below_reference():
     with pytest.raises(ValueError):
-        pathloss(0.5)
+        pathloss(0.5, **PATHLOSS)
     with pytest.raises(ValueError):
-        pathloss(10.0, d0=0.0)
+        pathloss(10.0, **{**PATHLOSS, "d0": 0.0})
 
 
 @pytest.mark.parametrize("distance", [50.0, np.float64(50.0)], ids=["float", "float64"])
 def test_pathloss_overflow_raises_for_every_input_type(distance):
     with pytest.raises(OverflowError):
-        pathloss(distance, exponent=-300)
+        pathloss(distance, **{**PATHLOSS, "exponent": -300})
 
 
 def test_dbm_watts_conversions():
@@ -50,36 +54,38 @@ def test_dbm_watts_conversions():
 
 def test_make_targets_round_trip_power_convention():
     # reflection power at the reference distance equals the reference loss
-    tg, = make_targets([0.3], [1.0], substream(0, "rcs"))
+    tg, = make_targets([0.3], [1.0], substream(0, "rcs"), **PATHLOSS)
     assert abs(tg.rcs) ** 2 == pytest.approx(1e-3, rel=1e-9)
 
 
 def test_make_targets_power_decays_with_doubled_exponent():
-    t1, t2 = make_targets([0.1, 0.2], [50.0, 100.0], substream(0, "rcs"))
+    t1, t2 = make_targets([0.1, 0.2], [50.0, 100.0], substream(0, "rcs"),
+                          **PATHLOSS)
     ratio = abs(t2.rcs) ** 2 / abs(t1.rcs) ** 2
-    assert ratio == pytest.approx(0.5 ** (2 * DEFAULT_PATHLOSS_EXPONENT), rel=1e-9)
+    assert ratio == pytest.approx(0.5 ** (2 * PATHLOSS["exponent"]), rel=1e-9)
 
 
 def test_make_targets_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
-        make_targets([0.1, 0.2], [50.0], substream(0, "rcs"))
+        make_targets([0.1, 0.2], [50.0], substream(0, "rcs"), **PATHLOSS)
 
 
 def test_make_targets_phases_deterministic():
-    a = make_targets([0.1, -0.4], [50.0, 60.0], substream(5, "rcs"))
-    b = make_targets([0.1, -0.4], [50.0, 60.0], substream(5, "rcs"))
+    a = make_targets([0.1, -0.4], [50.0, 60.0], substream(5, "rcs"), **PATHLOSS)
+    b = make_targets([0.1, -0.4], [50.0, 60.0], substream(5, "rcs"), **PATHLOSS)
     assert all(x.rcs == y.rcs for x, y in zip(a, b))
 
 
 def test_user_channels_line_of_sight_limit():
-    users = make_user_channels(3, 16, 1e12, substream(1, "channels"))
+    users = make_user_channels(3, 16, 1e12, substream(1, "channels"), **USER_GEOMETRY)
     for u in users:
         los = np.sqrt(u.pathloss) * steering(u.angle, 16)
         assert np.linalg.norm(u.vector - los) <= 1e-4 * np.linalg.norm(u.vector)
 
 
 def test_user_channels_rayleigh_second_moment():
-    users = make_user_channels(10000, 8, 0.0, substream(2, "channels"))
+    users = make_user_channels(10000, 8, 0.0, substream(2, "channels"),
+                               **USER_GEOMETRY)
     scaled = [np.linalg.norm(u.vector) ** 2 / u.pathloss for u in users]
     assert np.mean(scaled) == pytest.approx(8.0, rel=0.03)
 
@@ -89,7 +95,8 @@ def test_user_channels_los_power_fraction():
     # over the mean channel power estimates kappa / (kappa + 1)
     kappa = 0.5
     users = make_user_channels(20000, 8, kappa, substream(3, "channels"),
-                               range_m=(52.0, 52.0), sector_deg=(10.0, 10.0))
+                               range_m=(52.0, 52.0), sector_deg=(10.0, 10.0),
+                               **PATHLOSS)
     h = np.array([u.vector for u in users])
     frac = np.linalg.norm(h.mean(axis=0)) ** 2 / np.mean(
         np.abs(h) ** 2, axis=0).sum()
@@ -98,7 +105,7 @@ def test_user_channels_los_power_fraction():
 
 def test_user_geometry_stays_in_sector_and_annulus():
     s = make_scenario(num_tx=8, num_rx=8, num_users=40, seed=9)
-    lo, hi = pathloss(55.0), pathloss(50.0)
+    lo, hi = pathloss(55.0, **PATHLOSS), pathloss(50.0, **PATHLOSS)
     for u in s.users:
         assert -np.deg2rad(25.0) - 1e-12 <= u.angle <= np.deg2rad(25.0) + 1e-12
         assert lo - 1e-18 <= u.pathloss <= hi + 1e-18
@@ -171,4 +178,5 @@ def test_target_accepts_endfire():
 @pytest.mark.parametrize("num_users, rician_k", [(-1, 0.1), (2, -1.0)])
 def test_user_channels_reject_negative_count_or_rician_factor(num_users, rician_k):
     with pytest.raises(ValueError, match="nonnegative"):
-        make_user_channels(num_users, 4, rician_k, substream(1, "channels"))
+        make_user_channels(num_users, 4, rician_k, substream(1, "channels"),
+                           **USER_GEOMETRY)
