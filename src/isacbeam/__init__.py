@@ -17,9 +17,8 @@ from .design import (DesignResult, MODES, initial_point, rate_target, run,
                      solve_sp1, solve_sp2)
 from .errors import ConfigError, InfeasibleError, NumericalError
 from .manifold import inner, is_on_manifold, project_tangent, retract, row_norms
-from .radar import (EchoBatch, EstimationReport, echo_channel, echo_covariance,
-                    monte_carlo, monte_carlo_sweep, music_estimate, synthesize_echo,
-                    synthesize_probe)
+from .radar import (EstimationReport, echo_channel, echo_covariance, monte_carlo,
+                    monte_carlo_sweep, music_estimate, synthesize_echo, synthesize_probe)
 from .rcg import (IterRecord, LineSearchResult, RcgOptions, SolverTrace, minimize,
                   wolfe_linesearch)
 from .scenario import (Scenario, Target, UserChannel, dbm_to_watts, make_scenario,

@@ -44,15 +44,15 @@ class SocInstance:
 class SocCones(tuple):
     """The ``SocInstance``s of one rate target, one per user, with their
     data stacked once for ``f2_and_grad``: the users' rows of H^H and
-    their conjugate transpose, the user indices, sigma^2 and
-    sqrt(Gamma_k), and the beamformer shape (M_T, N) they fit."""
+    their conjugate transpose, the user indices 0..K-1 (``soc_assemble``
+    numbers the users in order), sigma^2 and sqrt(Gamma_k), and the
+    beamformer shape (M_T, N) they fit."""
 
     def __new__(cls, instances):
         self = super().__new__(cls, instances)
         self.rows = np.array([inst.matrix for inst in self])
         self.rows_h = self.rows.conj().T
-        self.users = np.array([inst.user for inst in self])
-        self.idx = np.arange(self.users.size)
+        self.idx = np.arange(len(self))
         self.sigma2 = np.array([inst.sigma for inst in self]) ** 2
         self.root_gamma = np.sqrt([inst.big_gamma for inst in self])
         self.w_shape = (self.rows.shape[1], self[0].num_streams)
@@ -210,14 +210,14 @@ def f2_and_grad(w, cones):
         raise ValueError("cone instance does not match beamformer size")
     p = cones.rows @ w
     hn = np.sqrt((np.abs(p) ** 2).sum(axis=1) + cones.sigma2)
-    tail = cones.root_gamma * p[cones.idx, cones.users]
+    tail = cones.root_gamma * p[cones.idx, cones.idx]
     tm = np.abs(tail)
     excess = np.where(hn > tm, hn - tm, 0.0)
 
     def grad():
         phase = np.divide(tail, tm, out=np.ones_like(tail), where=tm > 0)
         resid = p * (0.5 * excess / hn)[:, None]
-        resid[cones.idx, cones.users] -= cones.root_gamma * phase * (0.5 * excess)
+        resid[cones.idx, cones.idx] -= cones.root_gamma * phase * (0.5 * excess)
         return 2.0 * cones.rows_h @ resid
 
     return float(0.5 * (excess @ excess)), grad

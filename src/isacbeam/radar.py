@@ -20,22 +20,24 @@ Q, N P_perp N^H is an independent complex Wishart matrix with L - N
 degrees of freedom and scale sigma^2 I. ``echo_covariance`` draws both
 terms directly, the Wishart one as sigma^2 T T^H with the Bartlett
 factor T (Goodman, Ann. Math. Stat. 34, 1963), so a trial costs the
-same at any L. It has the same law as the sample covariance of the
-explicit frame W Xt (``synthesize_probe``) passed through
-``synthesize_echo``, which remain as the reference, but not the same
+same at any L. It has the same law as Y Y^H / L of the explicit echo
+Y that ``synthesize_echo`` returns for the frame W Xt
+(``synthesize_probe``), which remain as the reference, but not the same
 realisation.
 
-MUSIC scans the grid on two levels. The grid's steering vectors are
-padded with zero columns to whole 8-column groups, and ||a||^2 with NaN,
-so d(theta) = ||E_n^H a||^2 is NaN at a pad and never a minimum there.
-d is first evaluated on every w-th grid column, w the largest multiple
-of 8 steps within 1 / (4 M_R) rad (16 steps at 32 elements and
-0.02 deg). From the absolute entries of the signal eigenvectors,
-|d''| <= C, so min(ends) - h^2 C / 8 bounds d on each coarse interval
-of h rad; the fine level evaluates only the 8-column groups of the
-intervals whose bound does not rule out the T deepest minima. A trial
-that the coarse level cannot certify (w < 8, or fewer than T interior
-coarse minima, which every degraded trial has) keeps every group. In
+MUSIC scans the grid on two levels, by the one cached plan that
+``_grid`` builds for each (M_R, step). The grid's steering vectors are
+padded with zero columns to whole 8-column groups, and ||a||^2 with
+NaN, so d(theta) = ||E_n^H a||^2 is NaN at a pad and never a minimum
+there. d is first evaluated on the plan's coarse columns, every w-th
+grid column and the last, w the largest multiple of 8 steps within
+1 / (4 M_R) rad (16 steps at 32 elements and 0.02 deg). From the
+absolute entries of the signal eigenvectors, |d''| <= C, so
+min(ends) - h^2 C / 8 bounds d on each coarse interval of h rad; the
+fine level evaluates only the 8-column groups of the intervals whose
+bound does not rule out the T deepest minima. A trial that the coarse
+level cannot certify (w < 8, or fewer than T interior coarse minima,
+which every degraded trial has) keeps every group. In
 the benchmark's 32-element sweep a trial keeps 425 of the 9001 columns
 on average, and the 10 or 15 trials of a block keep 416-512 together,
 which the fine level evaluates once for all of them. Each fine product
@@ -77,19 +79,6 @@ from .scenario import substream
 MUSIC_GRID_DEG = 0.02
 CANCEL_TOL = 1e-6   # relative signal-subspace denominator below which MUSIC re-evaluates
 BLOCK_BYTES = 2**22  # working memory of one block of Monte-Carlo trials
-
-
-@dataclass(frozen=True)
-class EchoBatch:
-    received: np.ndarray     # M_R x L
-    transmitted: np.ndarray  # M_T x L
-    noise_power: float
-
-    @property
-    def covariance(self):
-        """Sample covariance Y Y^H / L of the received block."""
-        y = self.received
-        return y @ y.conj().T / y.shape[1]
 
 
 @dataclass(frozen=True)
@@ -135,14 +124,14 @@ def synthesize_probe(num_streams, snapshots, rng):
 
 
 def synthesize_echo(scenario, x, rng):
-    """Receive-side echo: summed target reflections of X plus noise."""
+    """Receive-side echo Y = G X + N (M_R x L): summed target reflections
+    of the frame X plus white noise."""
     x = np.asarray(x)
     if x.shape[0] != scenario.array.num_tx:
         raise ValueError("waveform row count does not match the transmit array")
     noise = _cgauss(rng, (scenario.array.num_rx, x.shape[1]),
                     np.sqrt(scenario.noise_power / 2.0))
-    return EchoBatch(received=echo_channel(scenario) @ x + noise, transmitted=x,
-                     noise_power=scenario.noise_power)
+    return echo_channel(scenario) @ x + noise
 
 
 def echo_covariance(scenario, gw, rng):
@@ -153,7 +142,7 @@ def echo_covariance(scenario, gw, rng):
     Bartlett factor T of the complex Wishart term: CN(0, 1) below the
     diagonal, sqrt(Gamma(L - N - i)) on it. Draws, in order, N Q, the
     full M_R x min(M_R, L - N) block whose strictly lower part feeds T,
-    then the diagonal. Same law as the explicit frame's ``covariance``
+    then the diagonal. Same law as Y Y^H / L of ``synthesize_echo``
     (see the module docstring), independent of L in cost.
     """
     gw = np.asarray(gw)
@@ -207,14 +196,25 @@ def _hermitian(x):
     return x.conj().swapaxes(-1, -2)
 
 
+@dataclass(frozen=True)
+class _ScanPlan:
+    theta_deg: np.ndarray     # grid points, degrees
+    a: np.ndarray             # steering vectors, zero-padded to whole 8-column groups
+    a_norm2: np.ndarray       # ||a||^2, NaN at the pads
+    stride: int               # coarse stride w in grid steps; below 8, no coarse level
+    coarse_a: np.ndarray      # every w-th column of a and the last, or a itself when w < 8
+    coarse_norm2: np.ndarray  # ||a||^2 on those columns
+
+
 @functools.lru_cache(maxsize=4)
 def _grid(num_rx, grid_deg):
-    """(grid in degrees, steering vectors, ||a||^2) of the MUSIC grid.
+    """The read-only ``_ScanPlan`` of the MUSIC grid, shared by every caller.
 
     The steering vectors are padded with zero columns to whole 8-column
     groups and ||a||^2 with NaN, so the denominator is NaN at a pad and
     never a minimum. The pads are steered to +90 deg and then zeroed, so
-    the build allocates no second grid-sized array.
+    the build allocates no second grid-sized array. w is the largest
+    multiple of 8 steps within 1 / (4 M_R) rad.
     """
     if not grid_deg > 0:
         raise ValueError(f"MUSIC grid step must be positive, got {grid_deg}")
@@ -225,9 +225,12 @@ def _grid(num_rx, grid_deg):
     a[:, points:] = 0.0
     a_norm2 = (a.real ** 2 + a.imag ** 2).sum(axis=0)
     a_norm2[points:] = np.nan
-    # every caller shares the cached arrays
-    theta_deg.flags.writeable = a.flags.writeable = a_norm2.flags.writeable = False
-    return theta_deg, a, a_norm2
+    w = 8 * int(np.rad2deg(0.25 / num_rx) * (points - 1) / (8 * 180.0))
+    cols = np.append(np.arange(0, points - 1, w), points - 1) if w >= 8 else slice(None)
+    plan = _ScanPlan(theta_deg, a, a_norm2, w, a[:, cols], a_norm2[cols])
+    for x in (theta_deg, a, a_norm2, plan.coarse_a, plan.coarse_norm2):
+        x.flags.writeable = False
+    return plan
 
 
 def _subspace_power(basis, a):
@@ -291,31 +294,6 @@ def _interval_floors(basis, ends, h):
     return np.minimum(ends[..., :-1], ends[..., 1:]) - h * h * curv[..., None] / 8.0
 
 
-def _coarse_stride(num_rx, points):
-    """Largest multiple of 8 steps of a grid of ``points`` over 180 deg
-    that spans at most 1 / (4 M_R) rad."""
-    return 8 * int(np.rad2deg(0.25 / num_rx) * (points - 1) / (8 * 180.0))
-
-
-@functools.lru_cache(maxsize=4)
-def _coarse_grid(num_rx, grid_deg, stride):
-    """Every ``stride``-th column of the MUSIC grid and its last column:
-    (steering vectors, ||a||^2)."""
-    theta_deg, a, a_norm2 = _grid(num_rx, grid_deg)
-    cols = np.append(np.arange(0, theta_deg.size - 1, stride), theta_deg.size - 1)
-    a_coarse, norm2 = a[:, cols], a_norm2[cols]
-    a_coarse.flags.writeable = norm2.flags.writeable = False
-    return a_coarse, norm2
-
-
-def _scan_columns(num_rx, grid_deg):
-    """Columns of one trial's share of a block's scan products: the
-    coarse grid's, or the padded grid's when w < 8 leaves no coarse level."""
-    theta_deg, a = _grid(num_rx, grid_deg)[:2]
-    w = _coarse_stride(num_rx, theta_deg.size)
-    return _coarse_grid(num_rx, grid_deg, w)[0].shape[1] if w >= 8 else a.shape[1]
-
-
 def _row_minima(x):
     """x at the interior local minima of each row of x, +inf elsewhere.
 
@@ -347,15 +325,15 @@ def _kept_groups(basis, grid_deg):
     group, as does every trial when w < 8; the others are certified.
     """
     b, m, num_targets = basis.shape
-    theta_deg, a = _grid(m, grid_deg)[:2]
-    groups = np.zeros((b, a.shape[1] // 8), dtype=bool)
-    w = _coarse_stride(m, theta_deg.size)
+    plan = _grid(m, grid_deg)
+    w = plan.stride
+    groups = np.zeros((b, plan.a.shape[1] // 8), dtype=bool)
     if w < 8:
         groups[:] = True
         return groups, np.zeros(b, dtype=bool)
-    a_coarse, norm2 = _coarse_grid(m, grid_deg, w)
-    coarse = norm2 - _subspace_power(basis, a_coarse)
-    floors = _interval_floors(basis, coarse, np.deg2rad(w * (theta_deg[1] - theta_deg[0])))
+    coarse = plan.coarse_norm2 - _subspace_power(basis, plan.coarse_a)
+    floors = _interval_floors(basis, coarse,
+                              np.deg2rad(w * (plan.theta_deg[1] - plan.theta_deg[0])))
     level = np.partition(_row_minima(coarse), num_targets - 1, axis=1)[:, num_targets - 1]
     # the intervals' groups cover the grid, give or take its last group
     kept = np.repeat(floors <= level[:, None] + 1e-9 * m, w // 8, axis=1)[:, : groups.shape[1]]
@@ -383,7 +361,7 @@ def _fine_level(vecs, num_targets, groups, grid_deg, piece):
     none takes the grid angle of its smallest value, unrefined.
     """
     m = vecs.shape[-1]
-    theta_deg, a, a_norm2 = _grid(m, grid_deg)
+    plan = _grid(m, grid_deg)
     basis = vecs[..., m - num_targets:]
     padded = np.zeros(groups.shape[1] + 2, dtype=bool)
     union = padded[1:-1]
@@ -391,13 +369,13 @@ def _fine_level(vecs, num_targets, groups, grid_deg, piece):
     edges = 8 * np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2)
     piece = max(8, piece // 8 * 8)
     cuts = [(lo, min(lo + piece, end)) for start, end in edges for lo in range(start, end, piece)]
-    d = np.concatenate([a_norm2[lo:hi] - _subspace_power(basis, a[:, lo:hi])
+    d = np.concatenate([plan.a_norm2[lo:hi] - _subspace_power(basis, plan.a[:, lo:hi])
                         for lo, hi in cuts], axis=1)
     d[~np.repeat(groups[:, union], 8, axis=1)] = np.inf
     cols = (8 * np.flatnonzero(union)[:, None] + np.arange(8)).ravel()
     for row in np.flatnonzero((d < CANCEL_TOL * m).any(axis=1)):
         close = np.flatnonzero(d[row] < CANCEL_TOL * m)
-        d[row, close] = _subspace_power(vecs[row, :, : m - num_targets], a[:, cols[close]])
+        d[row, close] = _subspace_power(vecs[row, :, : m - num_targets], plan.a[:, cols[close]])
     minima = _row_minima(d)
     count = np.count_nonzero(np.isfinite(minima), axis=1)
     slots = np.where(np.arange(num_targets) < count[:, None], np.arange(num_targets), 0)
@@ -405,9 +383,9 @@ def _fine_level(vecs, num_targets, groups, grid_deg, piece):
     angles = np.empty(picked.shape)
     found = count > 0
     if found.any():
-        angles[found] = _refined(theta_deg, d[found], picked[found], cols[picked[found]])
+        angles[found] = _refined(plan.theta_deg, d[found], picked[found], cols[picked[found]])
     if not found.all():
-        angles[~found] = np.deg2rad(theta_deg[cols[np.nanargmin(d[~found], axis=1)]])[:, None]
+        angles[~found] = np.deg2rad(plan.theta_deg[cols[np.nanargmin(d[~found], axis=1)]])[:, None]
     return angles, count < num_targets
 
 
@@ -432,8 +410,9 @@ def _music(covs, num_targets, grid_deg):
     coarse level could not certify), from one stacked ``eigh``.
 
     The fine level runs on greedy stacks of trials whose count times
-    union width stays within the stack's trials times ``_scan_columns``
-    (the running union only grows), with products at most that wide.
+    union width stays within the stack's trials times the width of the
+    plan's coarse columns (the running union only grows), with products
+    at most that wide.
     """
     if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
         raise ValueError("MUSIC needs a square M_R x M_R sample covariance")
@@ -446,7 +425,7 @@ def _music(covs, num_targets, grid_deg):
     groups, certified = _kept_groups(vecs[..., m - num_targets:], grid_deg)
     angles = np.empty((b, num_targets))
     degraded = np.empty(b, dtype=bool)
-    cap = b * _scan_columns(m, grid_deg)
+    cap = b * _grid(m, grid_deg).coarse_a.shape[1]
     rest = np.arange(b)
     while rest.size:
         width = 8 * np.logical_or.accumulate(groups[rest]).sum(axis=1)
@@ -463,12 +442,12 @@ def _block_trials(m_r, num_streams, num_targets, grid_deg):
     draws, N Q, T and their conjugates or S and S^H (3 M_R (N + M_R) at
     most), N Q and sigma^2 T T^H, which stay while each design of the
     noise key runs (M_R (N + M_R)), five M_R x M_R products, covariances
-    and eigenvectors, and two T-row arrays of ``_scan_columns`` columns.
-    The fine level adds nothing: it runs after the coarse arrays are
+    and eigenvectors, and two T-row arrays as wide as the plan's coarse
+    columns. The fine level adds nothing: it runs after the coarse arrays are
     released, and ``_music`` caps each of its stacks at the trials times
     those columns, so its T-row arrays fit where the coarse ones were."""
     entries = (4 * m_r * (num_streams + m_r) + 5 * m_r * m_r
-               + 2 * num_targets * _scan_columns(m_r, grid_deg))
+               + 2 * num_targets * _grid(m_r, grid_deg).coarse_a.shape[1])
     return max(1, BLOCK_BYTES // (16 * entries))
 
 
@@ -510,7 +489,7 @@ def monte_carlo_sweep(designs, trials, grid_deg=MUSIC_GRID_DEG):
     if trials < 1:
         raise ValueError("need at least one trial")
     gws = [echo_channel(scenario) @ np.asarray(result.w) for scenario, result in designs]
-    targets = [len(scenario.targets) for scenario, _ in designs]
+    targets = [scenario.num_targets for scenario, _ in designs]
     keys = {}
     for i, ((scenario, _), gw) in enumerate(zip(designs, gws)):
         keys.setdefault((scenario.seed, *gw.shape, scenario.snapshots, scenario.noise_power),

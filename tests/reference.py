@@ -104,12 +104,12 @@ def music_denominator(cov, num_targets, grid_deg):
     CANCEL_TOL * M_R. The pad columns are cut off."""
     vecs = np.linalg.eigh(cov)[1]
     m = vecs.shape[0]
-    theta_deg, a, a_norm2 = radar._grid(m, grid_deg)
-    denom = a_norm2 - radar._subspace_power(vecs[:, m - num_targets:], a)
+    plan = radar._grid(m, grid_deg)
+    denom = plan.a_norm2 - radar._subspace_power(vecs[:, m - num_targets:], plan.a)
     close = np.flatnonzero(denom < radar.CANCEL_TOL * m)
     if close.size:
-        denom[close] = radar._subspace_power(vecs[:, : m - num_targets], a[:, close])
-    return theta_deg, denom[: theta_deg.size]
+        denom[close] = radar._subspace_power(vecs[:, : m - num_targets], plan.a[:, close])
+    return plan.theta_deg, denom[: plan.theta_deg.size]
 
 
 def pick_peaks(theta_deg, denom, num_targets):
@@ -150,15 +150,13 @@ def one_trial_music(cov, num_targets, grid_deg):
     """``radar._music`` of one covariance, (angles, degraded, uncertified):
     the full scan's angles and flag, and whether the coarse level leaves
     the trial uncertified, w < 8 or fewer than T interior minima among
-    the coarse values."""
+    the values on the plan's coarse columns."""
     vecs = np.linalg.eigh(cov)[1]
     m = vecs.shape[0]
-    points = radar._grid(m, grid_deg)[0].size
-    w = radar._coarse_stride(m, points)
-    uncertified = w < 8
+    plan = radar._grid(m, grid_deg)
+    uncertified = plan.stride < 8
     if not uncertified:
-        a_coarse, norm2 = radar._coarse_grid(m, grid_deg, w)
-        c = norm2 - radar._subspace_power(vecs[:, m - num_targets:], a_coarse)
+        c = plan.coarse_norm2 - radar._subspace_power(vecs[:, m - num_targets:], plan.coarse_a)
         uncertified = radar._local_maxima(-c).size < num_targets
     return (*full_scan(cov, num_targets, grid_deg), uncertified)
 

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from scipy.signal import find_peaks
 from isacbeam import design, radar
 from isacbeam.arrays import steering, steering_matrix, target_channel
 from isacbeam.radar import (
-    EchoBatch,
     echo_channel,
     echo_covariance,
     monte_carlo,
@@ -37,6 +37,11 @@ def _sensing_scenario(noise_dbm, angles=(20.0,), ranges=(50.0,), snapshots=256):
 def _identity_beamformer(scenario):
     mt = scenario.array.num_tx
     return np.sqrt(scenario.power_budget / mt) * np.eye(mt, dtype=complex)
+
+
+def _sample_covariance(y):
+    """Sample covariance Y Y^H / L of an M_R x L echo block."""
+    return y @ y.conj().T / y.shape[1]
 
 
 def test_probe_rows_are_exactly_orthogonal():
@@ -75,11 +80,11 @@ def test_echo_lives_in_the_target_steering_subspace():
     s = _sensing_scenario(-300.0)
     x = synthesize_waveform(_identity_beamformer(s), s.snapshots,
                             np.random.default_rng(0))
-    echo = synthesize_echo(s, x, np.random.default_rng(1))
+    y = synthesize_echo(s, x, np.random.default_rng(1))
     a = steering(s.targets[0].angle, 8)
     proj = np.outer(a, a.conj()) / 8.0
-    resid = echo.received - proj @ echo.received
-    ratio = np.linalg.norm(resid) / np.linalg.norm(echo.received)
+    resid = y - proj @ y
+    ratio = np.linalg.norm(resid) / np.linalg.norm(y)
     assert ratio <= 1e-10
 
 
@@ -93,10 +98,10 @@ def test_echo_noise_second_moment():
     s = _sensing_scenario(-96.0, snapshots=1024)
     x = synthesize_waveform(_identity_beamformer(s), 1024,
                             np.random.default_rng(3))
-    echo = synthesize_echo(s, x, np.random.default_rng(3))
+    y = synthesize_echo(s, x, np.random.default_rng(3))
     channel = sum(tg.rcs * target_channel(tg.angle, s.array)
                   for tg in s.targets)
-    noise = echo.received - channel @ echo.transmitted
+    noise = y - channel @ x
     measured = np.mean(np.abs(noise) ** 2)
     assert measured == pytest.approx(s.noise_power, rel=0.03)
 
@@ -114,7 +119,7 @@ def test_echoes_superpose_over_targets():
                             np.random.default_rng(4))
     rec = {}
     for label, s in (("ab", s_ab), ("a", s_a), ("b", s_b)):
-        rec[label] = synthesize_echo(s, x, np.random.default_rng(5)).received
+        rec[label] = synthesize_echo(s, x, np.random.default_rng(5))
     assert np.allclose(rec["ab"], rec["a"] + rec["b"],
                        rtol=1e-10, atol=1e-20)
 
@@ -125,8 +130,8 @@ def test_music_noiseless_single_target():
     s = _sensing_scenario(-300.0)
     x = synthesize_waveform(_identity_beamformer(s), s.snapshots,
                             np.random.default_rng(2))
-    echo = synthesize_echo(s, x, np.random.default_rng(2))
-    est, degraded = music_estimate(echo.covariance, 1)
+    y = synthesize_echo(s, x, np.random.default_rng(2))
+    est, degraded = music_estimate(_sample_covariance(y), 1)
     assert not degraded
     assert est.shape == (1,)
     assert abs(np.rad2deg(est[0]) - 20.0) <= 0.05
@@ -138,8 +143,8 @@ def test_music_resolves_three_targets_from_a_design_echo():
     res = design.run(s, "sgcdf")
     rng = substream(1, "trial", 0)
     x = synthesize_waveform(res.w, s.snapshots, rng)
-    echo = synthesize_echo(s, x, rng)
-    est, degraded = music_estimate(echo.covariance, 3)
+    y = synthesize_echo(s, x, rng)
+    est, degraded = music_estimate(_sample_covariance(y), 3)
     assert not degraded
     truth = np.sort(s.target_angles())
     assert np.max(np.abs(np.rad2deg(est - truth))) <= 1.0
@@ -150,8 +155,7 @@ def test_music_repeats_strongest_peak_when_short():
     # never count as peaks, leaving one interior peak at broadside for
     # two requested targets, so the strongest is repeated and flagged
     y = np.tile(2.0 * steering(np.deg2rad(90.0), 4)[:, None], (1, 8))
-    echo = EchoBatch(received=y, transmitted=np.zeros((4, 8)), noise_power=1.0)
-    est, degraded = music_estimate(echo.covariance, 2, grid_deg=45.0)
+    est, degraded = music_estimate(_sample_covariance(y), 2, grid_deg=45.0)
     assert degraded
     assert est.shape == (2,)
     assert est[0] == est[1]
@@ -186,19 +190,16 @@ def test_local_maxima_match_scipy_find_peaks(x):
 
 
 def test_music_rejects_too_many_targets():
-    echo = EchoBatch(received=np.eye(4, dtype=complex),
-                     transmitted=np.eye(4, dtype=complex), noise_power=1.0)
+    cov = _sample_covariance(np.eye(4, dtype=complex))
     with pytest.raises(ValueError, match="more receive antennas"):
-        music_estimate(echo.covariance, 4)
+        music_estimate(cov, 4)
     for count in (0, -1):
         with pytest.raises(ValueError, match=f"at least one target, got {count}"):
-            music_estimate(echo.covariance, count)
+            music_estimate(cov, count)
 
 
 def test_music_rejects_non_covariance_input():
-    echo = EchoBatch(received=np.eye(4, 8, dtype=complex),
-                     transmitted=np.eye(4, 8, dtype=complex), noise_power=1.0)
-    for bad in (echo, echo.received, np.ones(4)):
+    for bad in (np.eye(4, 8, dtype=complex), np.ones(4)):
         with pytest.raises(ValueError, match="square"):
             music_estimate(bad, 1)
 
@@ -213,9 +214,9 @@ def test_music_noiseless_on_grid_target_keeps_denominator_nonnegative():
     theta_deg, denom = music_denominator(cov, 1, radar.MUSIC_GRID_DEG)
     i = int(np.argmin(np.abs(theta_deg - 20.0)))
     assert theta_deg[i] == pytest.approx(20.0, abs=1e-9)
-    _, a, a_norm2 = radar._grid(8, radar.MUSIC_GRID_DEG)
+    plan = radar._grid(8, radar.MUSIC_GRID_DEG)
     _, vecs = np.linalg.eigh(cov)
-    signal_form = a_norm2[i] - np.linalg.norm(vecs[:, -1:].conj().T @ a[:, i]) ** 2
+    signal_form = plan.a_norm2[i] - np.linalg.norm(vecs[:, -1:].conj().T @ plan.a[:, i]) ** 2
     assert abs(signal_form) < radar.CANCEL_TOL * 8
     assert np.all(denom >= 0.0)
     assert np.argmin(denom) == i
@@ -251,7 +252,8 @@ def test_echo_covariance_moments_match_explicit_frame(m, k, snapshots):
     rng = np.random.default_rng(1)
     cov = np.array([echo_covariance(s, gw, rng) for _ in range(trials)])
     rng = np.random.default_rng(2)
-    ref = np.array([synthesize_echo(s, synthesize_waveform(w, snapshots, rng), rng).covariance
+    ref = np.array([_sample_covariance(synthesize_echo(s, synthesize_waveform(w, snapshots, rng),
+                                                       rng))
                     for _ in range(trials)])
     assert cov.shape == ref.shape == (trials, m, m)
     mean, ref_mean = cov.mean(axis=0), ref.mean(axis=0)
@@ -391,8 +393,8 @@ def _reference_music(cov, num_targets, grid_deg):
 
 def _reference_trial(scenario, w, num_targets, grid_deg, rng):
     """Explicit frame, then the noise-subspace MUSIC reference."""
-    cov = synthesize_echo(scenario, synthesize_waveform(w, scenario.snapshots, rng),
-                          rng).covariance
+    cov = _sample_covariance(synthesize_echo(
+        scenario, synthesize_waveform(w, scenario.snapshots, rng), rng))
     return _reference_music(cov, num_targets, grid_deg)
 
 
@@ -723,7 +725,8 @@ def test_music_ranks_tied_minima_by_column(monkeypatch):
     d = np.ones(128)
     d[1:127:2] = 0.5
     d[101] = 0.25
-    monkeypatch.setattr(radar, "_grid", lambda m, grid_deg: (theta_deg, a, d))
+    monkeypatch.setattr(radar, "_grid",
+                        lambda m, grid_deg: SimpleNamespace(theta_deg=theta_deg, a=a, a_norm2=d))
     vecs = np.eye(4, dtype=complex)[None]
     groups = np.ones((1, 16), dtype=bool)
     angles, degraded = radar._fine_level(vecs, 3, groups, 1.0, 128)
@@ -835,19 +838,45 @@ def test_music_fine_level_memory_stays_within_a_block():
 
 
 def test_music_grid_pads_in_place():
-    # the 32 x 9,008 steering vectors take 4.6 MB and their build about
-    # 9.4 MB at its peak; padding a finished grid into a zeroed one took 14 MB
+    # the 32 x 9,008 steering vectors take 4.6 MB and the plan's build,
+    # the 564 coarse columns gathered from them included, about 9.4 MB at
+    # its peak; padding a finished grid into a zeroed one took 14 MB
     radar._grid.cache_clear()
     tracemalloc.start()
     try:
-        theta_deg, a, a_norm2 = radar._grid(32, radar.MUSIC_GRID_DEG)
+        plan = radar._grid(32, radar.MUSIC_GRID_DEG)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    theta_deg, a = plan.theta_deg, plan.a
     assert theta_deg.size == 9001 and a.shape == (32, 9008)
-    assert not a[:, 9001:].any() and np.isnan(a_norm2[9001:]).all()
+    assert not a[:, 9001:].any() and np.isnan(plan.a_norm2[9001:]).all()
     assert np.array_equal(a[:, :9001], steering_matrix(np.deg2rad(theta_deg), 32))
     assert peak <= 9.4e6
+
+
+@pytest.mark.parametrize("grid_deg, stride", [(radar.MUSIC_GRID_DEG, 16), (0.1, 0)])
+def test_music_scan_plan_is_one_read_only_record(grid_deg, stride):
+    # 32 elements: 1 / (4 M_R) rad is 0.45 deg, 22 steps of 0.02 deg but
+    # under 8 steps of 0.1 deg, which leaves no coarse level
+    plan = radar._grid(32, grid_deg)
+    points = plan.theta_deg.size
+    assert plan.stride == stride
+    cols = (np.append(np.arange(0, points - 1, stride), points - 1) if stride
+            else np.arange(plan.a.shape[1]))
+    assert np.array_equal(plan.coarse_a, plan.a[:, cols])
+    assert np.array_equal(plan.coarse_norm2, plan.a_norm2[cols], equal_nan=True)
+    for x in (plan.theta_deg, plan.a, plan.a_norm2, plan.coarse_a, plan.coarse_norm2):
+        with pytest.raises(ValueError, match="read-only"):
+            x[..., 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.stride = 8
+    # a noiseless three-target subspace: certified with a coarse level,
+    # and with none every group kept and no trial certified
+    basis = np.linalg.qr(steering_matrix(np.deg2rad([-45.0, 30.0, 60.0]), 32))[0]
+    groups, certified = radar._kept_groups(basis[None], grid_deg)
+    assert groups.shape == (1, plan.a.shape[1] // 8)
+    assert groups.all() == (not stride) and certified.tolist() == [bool(stride)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -864,10 +893,10 @@ def test_interval_floors_bound_the_fine_denominator(m, data):
     else:
         z = rng.standard_normal((m, t)) + 1j * rng.standard_normal((m, t))
     basis = np.linalg.qr(z)[0]
-    theta_deg, a, a_norm2 = radar._grid(m, radar.MUSIC_GRID_DEG)
-    step = theta_deg[1] - theta_deg[0]
-    w = radar._coarse_stride(m, theta_deg.size)
-    d = (a_norm2 - radar._subspace_power(basis, a))[: theta_deg.size]
+    plan = radar._grid(m, radar.MUSIC_GRID_DEG)
+    step = plan.theta_deg[1] - plan.theta_deg[0]
+    w = plan.stride
+    d = (plan.a_norm2 - radar._subspace_power(basis, plan.a))[: plan.theta_deg.size]
     ends = np.append(np.arange(0, d.size - 1, w), d.size - 1)
     floors = radar._interval_floors(basis, d[ends], np.deg2rad(w * step))
     # fine minimum over [ends[j], ends[j + 1]); each right end is an end too
