@@ -11,14 +11,14 @@ from .arrays import (ArrayConfig, beampattern_gain, beampattern_trace, steering,
 from .comm import (RateReport, SocInstance, equal_rate_power, f2_and_grad,
                    max_min_zf_rate, rates, soc_assemble, zf_precoder)
 from .config import (ExperimentConfig, build_options, build_scenario,
-                     default_config, dump_config, load_config, parse_config)
+                     default_config, load_config, parse_config)
 from .crlb import Coupling, FisherState, coupling_matrices, fisher_matrix, grad_f1
 from .design import (DesignResult, MODES, initial_point, rate_target, run,
                      solve_sp1, solve_sp2)
 from .errors import ConfigError, InfeasibleError, NumericalError
 from .manifold import inner, is_on_manifold, project_tangent, retract, row_norms
-from .radar import (EstimationReport, echo_channel, echo_covariance, monte_carlo,
-                    monte_carlo_sweep, music_estimate, synthesize_echo, synthesize_probe)
+from .radar import (EstimationReport, echo_channel, monte_carlo, monte_carlo_sweep,
+                    music_estimate, synthesize_echo, synthesize_probe)
 from .rcg import (IterRecord, LineSearchResult, RcgOptions, SolverTrace, minimize,
                   wolfe_linesearch)
 from .scenario import (Scenario, Target, UserChannel, dbm_to_watts, make_scenario,

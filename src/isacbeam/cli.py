@@ -136,8 +136,9 @@ def _sweep(args, grid_key, override, header, row):
     Every design runs before any Monte-Carlo trial, so a typed error
     from any of them ends the command with no trial run and no CSV. The
     trials of all designs then run in one ``radar.monte_carlo_sweep``
-    call: designs of one command share the seed, noise power and sizes,
-    so every one sees the same trial noise (common random numbers). The
+    call, which takes only designs of one trial-noise key: those of one
+    command share the seed, noise power and sizes, so every one sees the
+    same trial noise (common random numbers). The
     ``# full_scans=`` metadata line holds each row's count of trials that
     the coarse MUSIC level could not certify, ``;``-joined in row order.
     """

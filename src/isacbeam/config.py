@@ -5,14 +5,12 @@ read from its signature, so a scenario parameter is declared only
 there. Powers are dBm and angles are degrees in config files;
 conversion to watts and radians happens exactly once, when the scenario
 is built. Parsing is strict: unknown sections or keys are rejected with
-their location, each value's cast checks that it is finite and, for the
-solver and experiment keys, in range, and a parsed config dumps back to
-text that re-parses to an identical structure.
+their location, and each value's cast checks that it is finite and,
+for the solver and experiment keys, in range.
 """
 
 import configparser
 import inspect
-import io
 import math
 from dataclasses import dataclass
 
@@ -125,21 +123,6 @@ def load_config(path=None):
             return parse_config(fh.read(), source=str(path))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
-
-def dump_config(cfg):
-    """Config as INI text; parse_config(dump_config(c)) == c."""
-    out = io.StringIO()
-    for section in ("scenario", "solver", "experiment"):
-        out.write(f"[{section}]\n")
-        for key, value in getattr(cfg, section):
-            if isinstance(value, tuple):
-                text = ",".join(repr(v) for v in value)
-            else:
-                text = repr(value) if isinstance(value, float) else str(value)
-            out.write(f"{key} = {text}\n")
-        out.write("\n")
-    return out.getvalue()
 
 
 def build_scenario(cfg, **overrides):

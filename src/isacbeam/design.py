@@ -113,9 +113,15 @@ def initial_point(scenario, r_min, zero_sensing=False):
     return manifold.retract(w, scenario.row_radius), tuple(flags)
 
 
-def _normalized(value_grad, base):
+def _normalized(value_grad):
+    """``value_grad`` over its value at the first call, the solver's start."""
+    base = None
+
     def fg(w):
+        nonlocal base
         f, egrad = value_grad(w)
+        if base is None:
+            base = f
         return f / base, lambda: egrad() / base
     return fg
 
@@ -133,9 +139,7 @@ def solve_sp1(scenario, w0, opts=None, coupling=None):
         state = crlb.fisher_matrix(w, coupling)
         return state.objective, lambda: crlb.grad_f1(w, coupling, state)
 
-    base = crlb.fisher_matrix(w0, coupling).objective
-    return rcg.minimize(_normalized(value_grad, base), w0,
-                        scenario.row_radius, opts)
+    return rcg.minimize(_normalized(value_grad), w0, scenario.row_radius, opts)
 
 
 def solve_sp2(scenario, w_start, r_min, opts=None):
@@ -154,8 +158,7 @@ def solve_sp2(scenario, w_start, r_min, opts=None):
 
     instances = comm.soc_assemble(h, r_min, scenario.noise_power,
                                   num_streams=scenario.num_streams)
-    base, _ = comm.f2_and_grad(w_start, instances)
-    fg = _normalized(lambda w: comm.f2_and_grad(w, instances), base)
+    fg = _normalized(lambda w: comm.f2_and_grad(w, instances))
     # Small bounded steps keep the descent path close to the continuous
     # projection flow, so the guard fires near the feasibility boundary
     # instead of deep inside the feasible set.

@@ -17,10 +17,10 @@ Xt = sqrt(L) Q^H (Q an L x N orthonormal basis) and P_perp = I - Q Q^H,
 
 where N Q is an M_R x N matrix of iid CN(0, sigma^2) entries and, given
 Q, N P_perp N^H is an independent complex Wishart matrix with L - N
-degrees of freedom and scale sigma^2 I. ``echo_covariance`` draws both
+degrees of freedom and scale sigma^2 I. ``_trial_noise`` draws both
 terms directly, the Wishart one as sigma^2 T T^H with the Bartlett
 factor T (Goodman, Ann. Math. Stat. 34, 1963), so a trial costs the
-same at any L. It has the same law as Y Y^H / L of the explicit echo
+same at any L. A trial's covariance has the law of Y Y^H / L of the echo
 Y that ``synthesize_echo`` returns for the frame W Xt
 (``synthesize_probe``), which remain as the reference, but not the same
 realisation.
@@ -48,24 +48,23 @@ and its union. That holds with single-threaded BLAS; threaded OpenBLAS
 splits a one-target product (a gemv) mid-grid, so there the last bits
 depend on the thread count.
 
-``monte_carlo_sweep`` runs the trials of several designs in blocks of
-as many as BLOCK_BYTES of working memory holds (at least one), so memory
-stays flat in the trial count; ``monte_carlo`` is its call with one
-design. Each trial draws from its own substream, in the order
-``echo_covariance`` draws, and those draws depend only on the noise key:
-the scenario seed, M_R, N = K + M_T, L and the noise power. Every design
-of one sweep command shares that key, so every design sees the same
-trial noise (common random numbers) and the differences in RMSE between
-modes and powers are paired. Blocks run on the outside and designs on
-the inside: a block draws its noise, N Q and sigma^2 T T^H, once per key,
-and each design of the key then forms its covariances with one stacked
-product, eigendecomposes them with one stacked ``eigh``, and evaluates
-the coarse level, the interval floors and the levels of all of its
-trials at once, then the fine level, the peak pick and the refinement
-once per stack of trials (one stack per block in the benchmark's sweep).
-``echo_covariance`` and ``music_estimate`` are stacks of one over the
-same code, so with single-threaded BLAS every trial's estimate is
-theirs bit for bit.
+``monte_carlo_sweep`` runs the trials of designs that share one noise
+key: the scenario seed, M_R, N = K + M_T, L and the noise power. Every
+design of one sweep command shares it, and any other list raises
+ValueError; ``monte_carlo`` is the call with one design. Trials run in
+blocks of as many as BLOCK_BYTES of working memory holds (at least
+one), so memory stays flat in the trial count. Each trial draws from
+its own substream, so every design sees the same trial noise (common
+random numbers) and the differences in RMSE between modes and powers
+are paired. Each block draws its noise, N Q and sigma^2 T T^H, once;
+each design then forms its covariances with one stacked product,
+eigendecomposes them with one stacked ``eigh``, and evaluates the
+coarse level, the interval floors and the levels of all of its trials
+at once, then the fine level, the peak pick and the refinement once per
+stack of trials (one stack per block in the benchmark's sweep).
+``music_estimate`` and the one-trial covariance of ``tests/reference.py``
+are stacks of one over the same code, so with single-threaded BLAS
+every trial's estimate is theirs bit for bit.
 """
 
 import functools
@@ -134,32 +133,16 @@ def synthesize_echo(scenario, x, rng):
     return echo_channel(scenario) @ x + noise
 
 
-def echo_covariance(scenario, gw, rng):
-    """Sample covariance Y Y^H / L of one echo, without forming X or Y.
-
-    ``gw`` is G W (M_R x N). Returns (S S^H + sigma^2 T T^H) / L with
-    S = sqrt(L) GW + N Q and the M_R x min(M_R, L - N) lower-trapezoidal
-    Bartlett factor T of the complex Wishart term: CN(0, 1) below the
-    diagonal, sqrt(Gamma(L - N - i)) on it. Draws, in order, N Q, the
-    full M_R x min(M_R, L - N) block whose strictly lower part feeds T,
-    then the diagonal. Same law as Y Y^H / L of ``synthesize_echo``
-    (see the module docstring), independent of L in cost.
-    """
-    gw = np.asarray(gw)
-    if gw.shape[0] != scenario.array.num_rx:
-        raise ValueError("G W row count does not match the receive array")
-    noise, wishart = _trial_noise(*gw.shape, scenario.snapshots, scenario.noise_power, [rng])
-    return _covariances(gw, scenario.snapshots, noise, wishart)[0]
-
-
 def _trial_noise(m_r, num_streams, snapshots, noise_power, rngs):
-    """The noise of ``echo_covariance`` for each generator in ``rngs``,
-    stacked: (N Q, sigma^2 T T^H).
+    """(N Q, sigma^2 T T^H) for each generator in ``rngs``, stacked; T is
+    the M_R x min(M_R, L - N) lower-trapezoidal Bartlett factor,
+    CN(0, 1) below the diagonal and sqrt(Gamma(L - N - i)) on it.
 
     Each generator makes one standard-normal draw holding, in order, the
-    real and imaginary parts of N Q and of the Bartlett block (Philox
-    normals do not depend on how a draw is split into calls), then one
-    gamma draw; the product T T^H runs once over the stack.
+    real and imaginary parts of N Q and of the full Bartlett block, whose
+    strictly lower part feeds T (Philox normals do not depend on how a
+    draw is split into calls), then one gamma draw; the product T T^H
+    runs once over the stack.
     """
     _check_snapshots(num_streams, snapshots)
     dof = snapshots - num_streams
@@ -440,9 +423,9 @@ def _block_trials(m_r, num_streams, num_targets, grid_deg):
     """Monte-Carlo trials per block: as many as BLOCK_BYTES holds, at
     least one. A trial's working set is counted in complex entries: its
     draws, N Q, T and their conjugates or S and S^H (3 M_R (N + M_R) at
-    most), N Q and sigma^2 T T^H, which stay while each design of the
-    noise key runs (M_R (N + M_R)), five M_R x M_R products, covariances
-    and eigenvectors, and two T-row arrays as wide as the plan's coarse
+    most), N Q and sigma^2 T T^H, which stay while each design runs
+    (M_R (N + M_R)), five M_R x M_R products, covariances and
+    eigenvectors, and two T-row arrays as wide as the plan's coarse
     columns. The fine level adds nothing: it runs after the coarse arrays are
     released, and ``_music`` caps each of its stacks at the trials times
     those columns, so its T-row arrays fit where the coarse ones were."""
@@ -456,20 +439,19 @@ def monte_carlo(scenario, result, trials, grid_deg=MUSIC_GRID_DEG):
 
     Each trial draws its echo covariance from a substream keyed by the
     trial index, so the aggregate is reproducible bit for bit. Trials
-    run in the covariance domain (``echo_covariance``: Gaussian N Q
-    term plus a Bartlett-drawn complex Wishart term, Goodman 1963), so
-    their cost does not depend on L, and in blocks whose working memory
-    stays within BLOCK_BYTES (or one trial, if that is more), so memory
-    stays flat in the trial count. With single-threaded BLAS every
-    trial's estimate equals ``music_estimate`` of its ``echo_covariance``
-    bit for bit (module docstring). RMSE aggregates the per-trial summed
-    squared angle error, matching the stacked-parameter convention of
-    the reported RCRLB. The trial noise depends only on the scenario's
-    seed, M_R, N = K + M_T, L and noise power, not on the design, so
-    designs that share those see the same noise in every trial (common
-    random numbers) and their RMSE differences are paired;
-    ``monte_carlo_sweep`` runs several such designs and draws that noise
-    once.
+    run in the covariance domain (Gaussian N Q term plus a
+    Bartlett-drawn complex Wishart term, Goodman 1963), so their cost
+    does not depend on L, and in blocks whose working memory stays
+    within BLOCK_BYTES (or one trial, if that is more), so memory stays
+    flat in the trial count. With single-threaded BLAS every trial's
+    estimate is that of ``music_estimate`` bit for bit (module
+    docstring). RMSE aggregates the per-trial summed squared angle
+    error, matching the stacked-parameter convention of the reported
+    RCRLB. The trial noise depends only on the scenario's seed, M_R,
+    N = K + M_T, L and noise power, not on the design, so designs that
+    share those see the same noise in every trial (common random
+    numbers) and their RMSE differences are paired;
+    ``monte_carlo_sweep`` runs several such designs on one noise draw.
     """
     return monte_carlo_sweep([(scenario, result)], trials, grid_deg)[0]
 
@@ -478,45 +460,36 @@ def monte_carlo_sweep(designs, trials, grid_deg=MUSIC_GRID_DEG):
     """``monte_carlo`` of each (scenario, result) pair of ``designs``: one
     EstimationReport per pair, each equal to that pair's own call.
 
-    Blocks of trials run on the outside and designs on the inside. The
-    designs that share a noise key (seed, M_R, N, L, noise power) draw
-    each block's noise once, as one design would; each then forms only
-    its S = N Q + sqrt(L) GW and covariances, and runs its own ``eigh``
-    and scan. The block size is the smallest that any design asks for,
-    and only one key's draws are held at a time, so memory stays flat in
-    the trial count and in the number of designs.
+    The designs must share one noise key (seed, M_R, N, L, noise power),
+    as those of a sweep command do; any other list, the empty one
+    included, raises ValueError before any noise is drawn. Each block of
+    trials draws its noise once; each design then forms its covariances
+    and runs its own ``eigh`` and scan. The block size is the smallest
+    that any design asks for, so memory stays flat in the trial count
+    and in the number of designs.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     gws = [echo_channel(scenario) @ np.asarray(result.w) for scenario, result in designs]
+    keys = {(scenario.seed, *gw.shape, scenario.snapshots, scenario.noise_power)
+            for (scenario, _), gw in zip(designs, gws)}
+    if len(keys) != 1:
+        raise ValueError(f"designs must share one trial-noise key, got {len(keys)} keys")
+    [(seed, m_r, num_streams, snapshots, noise_power)] = keys
     targets = [scenario.num_targets for scenario, _ in designs]
-    keys = {}
-    for i, ((scenario, _), gw) in enumerate(zip(designs, gws)):
-        keys.setdefault((scenario.seed, *gw.shape, scenario.snapshots, scenario.noise_power),
-                        []).append(i)
     found = [(np.empty((trials, t)), np.empty(trials, dtype=bool), np.empty(trials, dtype=bool))
              for t in targets]
-    block = min((_block_trials(*gw.shape, t, grid_deg) for gw, t in zip(gws, targets)),
-                default=trials)
+    block = min(_block_trials(m_r, num_streams, t, grid_deg) for t in targets)
     for lo in range(0, trials, block):
         hi = min(lo + block, trials)
-        for key, members in keys.items():
-            parts = _key_block(key, [(gws[i], targets[i]) for i in members], lo, hi, grid_deg)
-            for i, part in zip(members, parts):
-                for whole, values in zip(found[i], part):
-                    whole[lo:hi] = values
+        noise, wishart = _trial_noise(m_r, num_streams, snapshots, noise_power,
+                                      [substream(seed, "trial", i) for i in range(lo, hi)])
+        for gw, t, out in zip(gws, targets, found):
+            for whole, values in zip(out, _music(_covariances(gw, snapshots, noise, wishart),
+                                                 t, grid_deg)):
+                whole[lo:hi] = values
+        del noise, wishart   # released before the next block draws
     return [_report(scenario, result, *out) for (scenario, result), out in zip(designs, found)]
-
-
-def _key_block(key, runs, lo, hi, grid_deg):
-    """``_music`` of trials lo..hi-1 of each (G W, T) of ``runs``, whose
-    designs share the noise ``key``: the block's noise is drawn once, and
-    released when the call returns."""
-    seed, m_r, num_streams, snapshots, noise_power = key
-    noise, wishart = _trial_noise(m_r, num_streams, snapshots, noise_power,
-                                  [substream(seed, "trial", i) for i in range(lo, hi)])
-    return [_music(_covariances(gw, snapshots, noise, wishart), t, grid_deg)
-            for gw, t in runs]
 
 
 def _report(scenario, result, estimates, degraded, full):

@@ -4,8 +4,8 @@ Each is a direct, unoptimised form of something the library computes
 another way (the explicit transmit frame, the per-user cone vector and
 its projection, the dense channel derivative, the MUSIC scan of every
 grid column, the solver with every probe's gradient computed at once,
-the Monte-Carlo trials one at a time), or a generator of test inputs on
-the manifold.
+the echo covariance and the Monte-Carlo trials one at a time), or a
+generator of test inputs on the manifold.
 """
 
 import math
@@ -132,8 +132,19 @@ def full_scan(cov, num_targets, grid_deg):
     return pick_peaks(*music_denominator(cov, num_targets, grid_deg), num_targets)
 
 
+def echo_covariance(scenario, gw, rng):
+    """Sample covariance Y Y^H / L of one echo, without forming X or Y:
+    the Monte-Carlo trial of ``rng`` as a stack of one over
+    ``radar._trial_noise`` and ``radar._covariances``. ``gw`` is G W
+    (M_R x N). Same law as Y Y^H / L of ``radar.synthesize_echo`` (see
+    the radar module docstring), independent of L in cost."""
+    noise, wishart = radar._trial_noise(*np.shape(gw), scenario.snapshots,
+                                        scenario.noise_power, [rng])
+    return radar._covariances(np.asarray(gw), scenario.snapshots, noise, wishart)[0]
+
+
 def one_trial_echo_covariance(scenario, gw, rng):
-    """``radar.echo_covariance`` drawn part by part: N Q (real, then
+    """``echo_covariance`` drawn part by part: N Q (real, then
     imaginary), the Bartlett block (real, then imaginary), its diagonal."""
     snapshots = scenario.snapshots
     m_r, num_streams = gw.shape

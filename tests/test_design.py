@@ -174,6 +174,20 @@ def test_rate_floor_met_by_constrained_modes(small, small_results):
         assert res.rates.min_rate >= res.r_min - 1e-6
 
 
+@pytest.mark.xfail(strict=True, reason="design.RATE_SLACK is absolute, so a floor below "
+                   "it counts as met however short the design falls (ROADMAP item 3)")
+def test_rate_floor_below_the_slack_is_met_or_raises():
+    # -100 dBm: r_min = 2.77e-7 b/s/Hz, and stage II reports target_met
+    # with min_rate = 5.3e-10
+    s = make_scenario(num_tx=4, num_rx=4, num_users=1, snapshots=64, seed=3,
+                      power_budget_dbm=-100.0)
+    try:
+        res = design.run(s, "sgcdf")
+    except (ConfigError, InfeasibleError, NumericalError):
+        return
+    assert res.rates.min_rate >= res.r_min * (1.0 - 1e-6)
+
+
 def test_no_dedicated_stream_keeps_sensing_columns_zero(small_results):
     res = small_results["no_dedicated_stream"]
     assert np.array_equal(res.w[:, 2:], np.zeros((8, 8)))

@@ -15,7 +15,6 @@ from isacbeam import design, radar
 from isacbeam.arrays import steering, steering_matrix, target_channel
 from isacbeam.radar import (
     echo_channel,
-    echo_covariance,
     monte_carlo,
     monte_carlo_sweep,
     music_estimate,
@@ -23,8 +22,8 @@ from isacbeam.radar import (
     synthesize_probe,
 )
 from isacbeam.scenario import make_scenario, substream
-from reference import (full_scan, music_denominator, one_trial_monte_carlo, one_trial_music,
-                       pick_peaks, synthesize_waveform)
+from reference import (echo_covariance, full_scan, music_denominator, one_trial_monte_carlo,
+                       one_trial_music, pick_peaks, synthesize_waveform)
 
 
 def _sensing_scenario(noise_dbm, angles=(20.0,), ranges=(50.0,), snapshots=256):
@@ -287,15 +286,14 @@ def test_echo_covariance_memory_is_free_of_snapshots():
     assert peak < 2**20
 
 
-def test_echo_covariance_rejects_bad_sizes():
-    s = _sensing_scenario(-96.0, snapshots=6)
-    with pytest.raises(ValueError):
-        echo_covariance(s, np.ones((5, 8)), np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        echo_covariance(s, np.ones((8, 8)), np.random.default_rng(0))
-
-
 # ----------------------------------------------------------- monte carlo
+
+def test_monte_carlo_rejects_fewer_snapshots_than_streams():
+    s = _sensing_scenario(-96.0, snapshots=6)
+    res = SimpleNamespace(w=_identity_beamformer(s), rcrlb=0.0)
+    with pytest.raises(ValueError, match=r"snapshots as streams \(6 < 8\)"):
+        monte_carlo(s, res, 1)
+
 
 @pytest.fixture(scope="module")
 def mc_scenario():
@@ -470,11 +468,6 @@ def _stacking_case(case):
         "one trial": ([(make_scenario(power_budget_dbm=10.0), "omnidirectional")], 1),
         # the benchmark's sweep command in one call: one noise key
         "sweep paper": (paper, 40),
-        # three noise keys (two seeds, two noise powers), interleaved
-        "sweep two seeds, two noise powers": (
-            [(make_scenario(seed=seed, noise_power_dbm=noise, power_budget_dbm=10.0), mode)
-             for mode in ("sgcdf", "omnidirectional")
-             for seed, noise in ((1, -96.0), (2, -96.0), (1, -90.0))], 40),
         "sweep one trial": (paper[2:4], 1),
         "sweep one target": ([(_sensing_scenario(-96.0), "omnidirectional"),
                               (_sensing_scenario(-96.0), "sensing_only")], 9),
@@ -482,21 +475,11 @@ def _stacking_case(case):
     }[case]
 
 
-def _noise_keys(designs):
-    """Indices of ``designs`` grouped by the noise they share, in the
-    order ``monte_carlo_sweep`` runs them within a block."""
-    keys = {}
-    for i, (s, res) in enumerate(designs):
-        keys.setdefault((s.seed, s.array.num_rx, np.shape(res.w)[1], s.snapshots,
-                         s.noise_power), []).append(i)
-    return list(keys.values())
-
-
 @pytest.mark.parametrize("case", [f"paper {p} {mode}" for p in (0, 10, 20)
                                   for mode in ("sgcdf", "omnidirectional")]
                          + ["one target", "4x4 -40 dBm", "64x64", "snapshots == streams",
-                            "one trial", "sweep paper", "sweep two seeds, two noise powers",
-                            "sweep one trial", "sweep one target", "sweep 4x4 -40 dBm"])
+                            "one trial", "sweep paper", "sweep one trial", "sweep one target",
+                            "sweep 4x4 -40 dBm"])
 def test_monte_carlo_blocks_match_one_trial_at_a_time(case, monkeypatch):
     specs, trials = _stacking_case(case)
     designs = [(s, design.run(s, mode)) for s, mode in specs]
@@ -505,20 +488,16 @@ def test_monte_carlo_blocks_match_one_trial_at_a_time(case, monkeypatch):
     monkeypatch.setattr(radar, "_trial_noise",
                         lambda *args: draws.append(len(args[-1])) or trial_noise(*args))
     reps, blocks = _recorded_sweep(monkeypatch, designs, trials, radar.MUSIC_GRID_DEG)
-    # blocks outside, noise keys inside, the designs of a key innermost
-    keys = _noise_keys(designs)
-    order = [i for members in keys for i in members]
+    # blocks outside, designs inside, in list order
     assert len(blocks) % len(designs) == 0
-    per_design = [[] for _ in designs]
-    for n, block in enumerate(blocks):
-        per_design[order[n % len(designs)]].append(block)
+    per_design = [blocks[i::len(designs)] for i in range(len(designs))]
     sizes = [len(covs) for covs, _, _ in per_design[0]]
-    # one draw of each key's noise per block, shared by the key's designs
-    assert draws == [size for size in sizes for _ in keys]
+    # one draw of the noise per block, shared by every design
+    assert draws == sizes
     block = min(radar._block_trials(s.array.num_rx, np.shape(res.w)[1], len(s.targets),
                                     radar.MUSIC_GRID_DEG) for s, res in designs)
     assert sum(sizes) == trials and set(sizes[:-1]) <= {block} and sizes[-1] <= block
-    if "paper" in case or "two seeds" in case:
+    if "paper" in case:
         assert len(sizes) > 1 and sizes[-1] < block
     for (s, res), rep, seen in zip(designs, reps, per_design):
         assert [len(covs) for covs, _, _ in seen] == sizes
@@ -534,7 +513,6 @@ def test_monte_carlo_blocks_match_one_trial_at_a_time(case, monkeypatch):
         assert rep.degraded_trials == ref_bad.sum()
         assert rep.rmse == np.sqrt(np.mean([float(e @ e) for e in ref_est - truth]))
     if len(designs) > 1:
-        assert len(keys) == (3 if "two seeds" in case else 1)
         # each report is the one its design gets from its own call
         for (s, res), rep in zip(designs, reps):
             assert _report_fields(monte_carlo(s, res, trials)) == _report_fields(rep)
@@ -542,6 +520,26 @@ def test_monte_carlo_blocks_match_one_trial_at_a_time(case, monkeypatch):
 
 def _report_fields(rep):
     return [np.asarray(value).tolist() for value in dataclasses.astuple(rep)]
+
+
+@pytest.mark.parametrize("change", [{"seed": 2}, {"noise_power_dbm": -90.0}, {"snapshots": 32},
+                                    {"num_rx": 6}, {"num_users": 3}, None])
+def test_monte_carlo_sweep_rejects_mixed_or_empty_noise_keys(change, monkeypatch):
+    # each key field (seed, M_R, N = K + M_T, L, noise power) in turn
+    # differs between two designs, or the list is empty
+    draws = []
+    trial_noise = radar._trial_noise
+    monkeypatch.setattr(radar, "_trial_noise",
+                        lambda *args: draws.append(len(args[-1])) or trial_noise(*args))
+    sizes = dict(num_tx=8, num_rx=8, num_users=2, snapshots=64)
+    designs = []
+    if change is not None:
+        for s in (make_scenario(**sizes), make_scenario(**{**sizes, **change})):
+            w = _random_beamformer(s, np.random.default_rng(0))
+            designs.append((s, SimpleNamespace(w=w, rcrlb=0.0)))
+    with pytest.raises(ValueError, match="one trial-noise key"):
+        monte_carlo_sweep(designs, 3)
+    assert draws == []
 
 
 def test_monte_carlo_blocks_of_one_trial(mc_scenario, mc_design, monkeypatch):
