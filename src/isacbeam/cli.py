@@ -31,8 +31,6 @@ SWEEP_POWER_HEADER = ["p_max_dbm", "mode", "sum_beampattern_gain_db",
 SWEEP_DELTA_HEADER = ["delta", "mode", "sum_crlb", "rmse_deg", "min_rate", "r_min",
                       "degraded_trials"]
 BEAMPATTERN_HEADER = ["theta_deg", "mode", "gain_db"]
-DESIGN_HEADER = ["mode", "sum_crlb", "rcrlb_deg", "min_rate", "wall_time_s",
-                 "sp1_iterations", "sp2_iterations", "rates"]
 
 
 def _fmt(value):
@@ -41,7 +39,7 @@ def _fmt(value):
     return str(value)
 
 
-def write_csv(header, rows, out_path=None, metadata=None):
+def write_csv(header, rows, out_path, metadata=None):
     buf = io.StringIO()
     for key, value in (metadata or []):
         buf.write(f"# {key}={value}\n")
@@ -55,7 +53,6 @@ def write_csv(header, rows, out_path=None, metadata=None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return text
 
 
 def read_csv(text):
@@ -121,10 +118,7 @@ def cmd_design(args):
     for key, value in record.items():
         print(f"{key}={value}")
     if args.out:
-        status = [(key, record[key])
-                  for key in ("sp1_termination", "sp2_termination", "flags")]
-        write_csv(DESIGN_HEADER, [[record[key] for key in DESIGN_HEADER]],
-                  out_path=args.out, metadata=status)
+        write_csv(list(record), [list(record.values())], out_path=args.out)
     return 0
 
 

@@ -165,7 +165,7 @@ def max_min_zf_rate(channels, noise_power, p_max):
     return math.log2(1.0 + gamma)
 
 
-def soc_assemble(channels, r_min, noise_power, num_streams=None):
+def soc_assemble(channels, r_min, noise_power, num_streams):
     """Per-user cone data for the feasibility objective, as ``SocCones``.
 
     x_k(W) stacks [h_k^H w_1, ..., h_k^H w_N, sigma,
@@ -174,11 +174,10 @@ def soc_assemble(channels, r_min, noise_power, num_streams=None):
     that the squared norm reproduces the SINR inequality exactly.
     """
     h = np.asarray(channels)
-    mt, k = h.shape
+    _, k = h.shape
     if k < 1:
         raise ValueError("cone assembly needs at least one user")
-    n = num_streams if num_streams is not None else k + mt
-    if n < k:
+    if num_streams < k:
         raise ValueError("stream count below user count")
     r = np.broadcast_to(np.asarray(r_min, dtype=float), (k,))
     if np.any(r <= 0):
@@ -187,7 +186,7 @@ def soc_assemble(channels, r_min, noise_power, num_streams=None):
     out = []
     for j in range(k):
         gamma = 2.0 ** r[j] - 1.0
-        out.append(SocInstance(matrix=h[:, j].conj(), sigma=sigma, num_streams=n,
+        out.append(SocInstance(matrix=h[:, j].conj(), sigma=sigma, num_streams=num_streams,
                                gamma=float(gamma), big_gamma=float(1.0 + 1.0 / gamma),
                                user=j))
     return SocCones(out)

@@ -87,11 +87,6 @@ def _freeze(values):
         experiment=tuple(sorted(values["experiment"].items())))
 
 
-def default_config():
-    return _freeze({s: {k: d for k, (_, d) in keys.items()}
-                    for s, keys in _SCHEMA.items()})
-
-
 def parse_config(text, source="<config>"):
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -115,9 +110,10 @@ def parse_config(text, source="<config>"):
     return _freeze(values)
 
 
-def load_config(path=None):
+def load_config(path):
+    """The config at ``path``, or the defaults when it is None."""
     if path is None:
-        return default_config()
+        return parse_config("", source="<defaults>")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_config(fh.read(), source=str(path))

@@ -91,14 +91,13 @@ def fisher_matrix(w, coupling):
     return FisherState(matrix=f, inverse=inv, objective=float(np.trace(inv)))
 
 
-def grad_f1(w, coupling, state=None):
-    """Euclidean gradient of tr(F^-1) at W.
+def grad_f1(w, coupling, state):
+    """Euclidean gradient of tr(F^-1) at W, with ``state`` the
+    ``fisher_matrix(w, coupling)`` of the same point.
 
     Scaled so that f1(W + D) - f1(W) ~ Re tr(grad^H D) to first order.
     """
     w = np.asarray(w)
-    if state is None:
-        state = fisher_matrix(w, coupling)
     m = state.inverse
     weights = -(m @ m)      # d tr(F^-1) / dF_ij
     t = m.shape[0]

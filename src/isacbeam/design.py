@@ -49,7 +49,7 @@ def _sensing_block(p_s, num_tx):
     return np.sqrt(p_s / num_tx) * np.eye(num_tx, dtype=complex)
 
 
-def initial_point(scenario, r_min, zero_sensing=False):
+def initial_point(scenario, r_min, zero_sensing):
     """Structured starting beamformer, retracted onto the manifold.
 
     Returns (w0, flags). Communication columns are unit-norm ZF
@@ -126,15 +126,12 @@ def _normalized(value_grad):
     return fg
 
 
-def solve_sp1(scenario, w0, opts=None, coupling=None):
-    """Stage I: minimize the sum-CRLB over the manifold from ``w0``.
+def solve_sp1(scenario, w0, opts, coupling):
+    """Stage I: minimize the sum-CRLB over the manifold from ``w0``;
+    ``coupling`` is ``crlb.coupling_matrices(scenario)``.
 
     Returns (w, trace).
     """
-    opts = opts or rcg.RcgOptions()
-    if coupling is None:
-        coupling = crlb.coupling_matrices(scenario)
-
     def value_grad(w):
         state = crlb.fisher_matrix(w, coupling)
         return state.objective, lambda: crlb.grad_f1(w, coupling, state)
@@ -142,7 +139,7 @@ def solve_sp1(scenario, w0, opts=None, coupling=None):
     return rcg.minimize(_normalized(value_grad), w0, scenario.row_radius, opts)
 
 
-def solve_sp2(scenario, w_start, r_min, opts=None):
+def solve_sp2(scenario, w_start, r_min, opts):
     """Stage II: restore rate feasibility by minimizing f2.
 
     Skipped (input returned unchanged) when the minimum rate already
@@ -150,7 +147,6 @@ def solve_sp2(scenario, w_start, r_min, opts=None):
     solver stalls or exhausts its budget while a rate gap remains, the
     design is reported infeasible with the gap attached.
     """
-    opts = opts or rcg.RcgOptions()
     h = scenario.channel_matrix()
     feasible = lambda w: comm.rates(w, h, scenario.noise_power).min_rate >= r_min - RATE_SLACK
     if r_min <= 0 or feasible(w_start):
@@ -168,7 +164,7 @@ def solve_sp2(scenario, w_start, r_min, opts=None):
                    max_iters=max(opts.max_iters, 4000))
     last_infeasible = w_start
 
-    def guard(w, f):
+    def guard(w):
         nonlocal last_infeasible
         if feasible(w):
             return True
@@ -209,7 +205,7 @@ def rate_target(scenario):
         scenario.channel_matrix(), scenario.noise_power, scenario.power_budget)
 
 
-def run(scenario, mode="sgcdf", opts=None):
+def run(scenario, mode, opts=None):
     """Full design pipeline for one scenario and mode."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode '{mode}' (choose from {', '.join(MODES)})")

@@ -326,22 +326,22 @@ def _kept_groups(basis, grid_deg):
     return groups, np.isfinite(level)
 
 
-def _fine_level(vecs, num_targets, groups, grid_deg, piece):
+def _fine_level(vecs, num_targets, groups, grid_deg):
     """MUSIC's (angles, degraded flags) for a stack of eigenvector
     matrices, from the denominator d on their kept 8-column groups.
 
     d is evaluated on the union of the groups, one stacked product per
-    span of at most ``piece`` columns (a multiple of 8). Each product
-    reads a slice of the cached grid: a gathered copy of the columns
-    changes the bits of a one-target product (a gemv). Each row's columns
-    outside its own groups are set to +inf, so its smallest value and its
-    minima come from its own columns only. Where the signal-subspace form
-    ||a||^2 - ||E_s^H a||^2 falls below CANCEL_TOL * M_R (near-total
-    cancellation at a noiseless target), the row's columns there are
-    re-evaluated on the noise subspace E_n, so d is never negative. The T
-    deepest minima of a row, ranked by (depth, column), are refined; a
-    row with fewer repeats its deepest and is degraded, and a row with
-    none takes the grid angle of its smallest value, unrefined.
+    span of the union. Each product reads a slice of the cached grid: a
+    gathered copy of the columns changes the bits of a one-target product
+    (a gemv). Each row's columns outside its own groups are set to +inf,
+    so its smallest value and its minima come from its own columns only.
+    Where the signal-subspace form ||a||^2 - ||E_s^H a||^2 falls below
+    CANCEL_TOL * M_R (near-total cancellation at a noiseless target), the
+    row's columns there are re-evaluated on the noise subspace E_n, so d
+    is never negative. The T deepest minima of a row, ranked by (depth,
+    column), are refined; a row with fewer repeats its deepest and is
+    degraded, and a row with none takes the grid angle of its smallest
+    value, unrefined.
     """
     m = vecs.shape[-1]
     plan = _grid(m, grid_deg)
@@ -350,10 +350,8 @@ def _fine_level(vecs, num_targets, groups, grid_deg, piece):
     union = padded[1:-1]
     np.any(groups, axis=0, out=union)
     edges = 8 * np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2)
-    piece = max(8, piece // 8 * 8)
-    cuts = [(lo, min(lo + piece, end)) for start, end in edges for lo in range(start, end, piece)]
     d = np.concatenate([plan.a_norm2[lo:hi] - _subspace_power(basis, plan.a[:, lo:hi])
-                        for lo, hi in cuts], axis=1)
+                        for lo, hi in edges], axis=1)
     d[~np.repeat(groups[:, union], 8, axis=1)] = np.inf
     cols = (8 * np.flatnonzero(union)[:, None] + np.arange(8)).ravel()
     for row in np.flatnonzero((d < CANCEL_TOL * m).any(axis=1)):
@@ -393,9 +391,12 @@ def _music(covs, num_targets, grid_deg):
     coarse level could not certify), from one stacked ``eigh``.
 
     The fine level runs on greedy stacks of trials whose count times
-    union width stays within the stack's trials times the width of the
-    plan's coarse columns (the running union only grows), with products
-    at most that wide.
+    union width stays within the cap, the block's trials times the width
+    of the plan's coarse columns (the running union only grows), so a
+    stack's T-row arrays are no larger than the coarse level's. The one
+    exception is a trial whose kept groups alone are wider than the cap:
+    it runs as a stack of one, and its T-row products span at most the
+    padded grid, T/M_R of the cached plan's steering array.
     """
     if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
         raise ValueError("MUSIC needs a square M_R x M_R sample covariance")
@@ -414,8 +415,7 @@ def _music(covs, num_targets, grid_deg):
         width = 8 * np.logical_or.accumulate(groups[rest]).sum(axis=1)
         sel = rest[: max(1, np.count_nonzero(width * np.arange(1, rest.size + 1) <= cap))]
         rest = rest[sel.size:]
-        angles[sel], degraded[sel] = _fine_level(vecs[sel], num_targets, groups[sel], grid_deg,
-                                                 cap // sel.size)
+        angles[sel], degraded[sel] = _fine_level(vecs[sel], num_targets, groups[sel], grid_deg)
     return angles, degraded, ~certified
 
 
@@ -426,9 +426,12 @@ def _block_trials(m_r, num_streams, num_targets, grid_deg):
     most), N Q and sigma^2 T T^H, which stay while each design runs
     (M_R (N + M_R)), five M_R x M_R products, covariances and
     eigenvectors, and two T-row arrays as wide as the plan's coarse
-    columns. The fine level adds nothing: it runs after the coarse arrays are
-    released, and ``_music`` caps each of its stacks at the trials times
-    those columns, so its T-row arrays fit where the coarse ones were."""
+    columns. The fine level adds nothing: it runs after the coarse arrays
+    are released, and ``_music`` caps each of its stacks at the trials
+    times those columns, so its T-row arrays fit where the coarse ones
+    were. The exception is a one-trial stack wider than that cap, whose
+    T-row arrays span at most the padded grid, T/M_R of the cached
+    plan's steering array."""
     entries = (4 * m_r * (num_streams + m_r) + 5 * m_r * m_r
                + 2 * num_targets * _grid(m_r, grid_deg).coarse_a.shape[1])
     return max(1, BLOCK_BYTES // (16 * entries))
@@ -456,7 +459,7 @@ def monte_carlo(scenario, result, trials, grid_deg=MUSIC_GRID_DEG):
     return monte_carlo_sweep([(scenario, result)], trials, grid_deg)[0]
 
 
-def monte_carlo_sweep(designs, trials, grid_deg=MUSIC_GRID_DEG):
+def monte_carlo_sweep(designs, trials, grid_deg):
     """``monte_carlo`` of each (scenario, result) pair of ``designs``: one
     EstimationReport per pair, each equal to that pair's own call.
 

@@ -12,9 +12,11 @@ every later search tries twice the step the previous one accepted
 (Nocedal & Wright, Numerical Optimization, 3.5), both within the step
 cap. The solver is objective-agnostic and applies the dual
 stopping rule (gradient norm below eps*(1+|f|), or objective change
-below eps) to whatever scale the callback reports. The start is the one
-point a caller hands the solver, so it alone is checked for manifold
-membership; every later point is a retraction output.
+below eps) to whatever scale the callback reports; an optional
+predicate ``stop_when(w)`` on the iterate (stage II's rate guard),
+checked before that rule, ends a solve with 'target_met'. The start is
+the one point a caller hands the solver, so it alone is checked for
+manifold membership; every later point is a retraction output.
 
 The callback ``fg(w)`` returns ``(value, egrad)``: the objective value
 at w and a zero-argument callable that returns the Euclidean gradient
@@ -93,10 +95,6 @@ class SolverTrace:
         return len(self.records)
 
     @property
-    def final_objective(self):
-        return self.records[-1].objective if self.records else self.initial_objective
-
-    @property
     def final_grad_norm(self):
         return self.records[-1].grad_norm if self.records else self.initial_grad_norm
 
@@ -144,19 +142,20 @@ def _probe(fg, w, d, alpha, radius):
     return _Eval(alpha, point, value, egrad)
 
 
-def wolfe_linesearch(fg, w, d, f0, slope0, radius, opts, first_step=None):
+def wolfe_linesearch(fg, w, d, f0, slope0, radius, opts, first_step):
     """Strong Wolfe step along d from w.
 
     Sufficient decrease: f(R(w + a d)) <= f0 + C1 a slope0.
     Curvature: |<grad f at the new point, transported d>| <= C2 |slope0|.
     The first trial step is ``first_step`` (``minimize`` passes twice the
-    previous search's accepted step), or 1/||d|| when it is None, capped
-    at the step cap. One bracketing search over [a_lo, a_hi]: the trial
-    step doubles (up to the step cap) until an upper end is found, then
-    bisects. It makes at most MAX_LINESEARCH_EVALS probes. If none
-    meets both conditions, returns the best probe that met sufficient
-    decrease (wolfe_ok False), or None if no probe decreased enough. A
-    probe's gradient is computed on its first read (module docstring).
+    previous search's accepted step), or 1/||d|| when it is None (the
+    first search of a solve), capped at the step cap. One bracketing
+    search over [a_lo, a_hi]: the trial step doubles (up to the step cap)
+    until an upper end is found, then bisects. It makes at most
+    MAX_LINESEARCH_EVALS probes. If none meets both conditions, returns
+    the best probe that met sufficient decrease (wolfe_ok False), or None
+    if no probe decreased enough. A probe's gradient is computed on its
+    first read (module docstring).
     """
     if slope0 >= 0.0:
         raise ValueError(f"line search needs a descent direction, got slope {slope0}")
@@ -218,7 +217,7 @@ def _counting(fg, trace):
     return counted
 
 
-def minimize(fg, w0, radius, opts=None, stop_when=None):
+def minimize(fg, w0, radius, opts, stop_when=None):
     """Minimize fg over the fixed-row-norm manifold starting at w0.
 
     Parameters
@@ -234,7 +233,7 @@ def minimize(fg, w0, radius, opts=None, stop_when=None):
         Row radius of the manifold.
     opts : RcgOptions
     stop_when : callable, optional
-        Predicate on (w, objective); when true the solver stops with
+        Predicate on the iterate w; when true the solver stops with
         termination 'target_met'. Checked on every iterate including w0.
 
     Returns
@@ -243,7 +242,6 @@ def minimize(fg, w0, radius, opts=None, stop_when=None):
         The trace counts every objective value and gradient computed,
         those of a failed line search too.
     """
-    opts = opts or RcgOptions()
     w = np.asarray(w0)
     if not is_on_manifold(w, radius):
         gap = np.abs(row_norms(w) - radius).max() / radius
@@ -260,7 +258,7 @@ def minimize(fg, w0, radius, opts=None, stop_when=None):
     first_step = None
 
     for it in range(opts.max_iters):
-        if stop_when is not None and stop_when(w, f):
+        if stop_when is not None and stop_when(w):
             trace.termination = "target_met"
             return w, trace
         if math.sqrt(gnorm2) <= opts.eps * (1.0 + abs(f)):

@@ -260,7 +260,7 @@ def eager_minimize(fg, w0, radius, opts, stop_when=None):
     trace = SolverTrace(initial_objective=f)
     first_step = None
     for it in range(opts.max_iters):
-        if stop_when is not None and stop_when(w, f):
+        if stop_when is not None and stop_when(w):
             trace.termination = "target_met"
             return w, trace
         if math.sqrt(gnorm2) <= opts.eps * (1.0 + abs(f)):

@@ -55,7 +55,7 @@ def test_gradients_match_finite_differences():
         d = rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape)
         d /= np.linalg.norm(d)
 
-        g1 = crlb.grad_f1(w, coupling)
+        g1 = crlb.grad_f1(w, coupling, crlb.fisher_matrix(w, coupling))
         fd1 = (crlb.fisher_matrix(w + step * d, coupling).objective
                - crlb.fisher_matrix(w - step * d, coupling).objective) \
             / (2.0 * step)
@@ -95,7 +95,7 @@ def test_iterates_stay_on_manifold_and_projection_laws(monkeypatch):
         state = crlb.fisher_matrix(w, coupling)
         return state.objective, crlb.grad_f1(w, coupling, state)
 
-    w0, _ = design.initial_point(s, 0.0)
+    w0, _ = design.initial_point(s, 0.0, False)
     minimize(deferred(fg), w0, s.row_radius, RcgOptions(eps=1e-4))
     # both stages of the pipeline, stage II with its step cap
     for mode in ("sgcdf", "no_dedicated_stream"):
@@ -130,7 +130,7 @@ def test_line_search_wolfe_and_monotone_descent():
                           snapshots=64, seed=100 + i)
         w0 = random_point(8, s.num_streams, s.row_radius,
                           substream(s.seed, "w0"))
-        _, trace = design.solve_sp1(s, w0=w0)
+        _, trace = design.solve_sp1(s, w0, RcgOptions(), crlb.coupling_matrices(s))
         assert trace.iterations >= 1
         assert all(r.wolfe_ok for r in trace.records)
         assert np.all(np.diff(trace.objectives()) <= 0.0)

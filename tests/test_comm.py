@@ -249,11 +249,11 @@ def test_soc_assemble_stacks_expected_entries():
 def test_soc_assemble_guards():
     h = np.ones((4, 2), dtype=complex)
     with pytest.raises(ValueError):
-        soc_assemble(h, 0.0, 0.1)
+        soc_assemble(h, 0.0, 0.1, 6)
     with pytest.raises(ValueError):
         soc_assemble(h, 1.0, 0.1, num_streams=1)
     with pytest.raises(ValueError):
-        soc_assemble(np.zeros((4, 0)), 1.0, 0.1)
+        soc_assemble(np.zeros((4, 0)), 1.0, 0.1, 4)
 
 
 def test_cone_membership_matches_sinr_threshold():
@@ -314,7 +314,7 @@ def test_f2_zero_with_gradient_zero_on_feasible_point():
     noise, r = 0.1, 1.0
     p = equal_rate_power(h, v, w_s, noise, r + 0.5)   # strict interior
     w = np.hstack([v * np.sqrt(p), w_s])
-    value, grad = f2_and_grad(w, soc_assemble(h, r, noise))
+    value, grad = f2_and_grad(w, soc_assemble(h, r, noise, w.shape[1]))
     assert value == 0.0
     assert np.array_equal(grad(), np.zeros_like(w))
 

@@ -9,7 +9,6 @@ from isacbeam.config import (
     _SCHEMA,
     build_options,
     build_scenario,
-    default_config,
     load_config,
     parse_config,
 )
@@ -30,7 +29,7 @@ seed = 3
 
 
 def test_default_config_values():
-    cfg = default_config()
+    cfg = load_config(None)
     assert cfg.get("scenario", "num_tx") == 32
     assert cfg.get("scenario", "noise_power_dbm") == -96.0
     assert cfg.get("scenario", "target_angles_deg") == (-45.0, 30.0, 60.0)
@@ -84,7 +83,8 @@ def test_parse_rejects_malformed_text():
 
 
 def test_load_config_paths(tmp_path):
-    assert load_config(None) == default_config()
+    assert all(load_config(None).section(s) == {k: d for k, (_, d) in keys.items()}
+               for s, keys in _SCHEMA.items())
     path = tmp_path / "exp.ini"
     path.write_text(SMALL, encoding="utf-8")
     cfg = load_config(path)
@@ -104,7 +104,7 @@ def test_default_config_builds_the_default_scenario():
     params = inspect.signature(make_scenario).parameters
     assert {key: p.default for key, p in params.items()} == \
         {key: default for key, (_, default) in _SCHEMA["scenario"].items()}
-    built = build_scenario(default_config())
+    built = build_scenario(load_config(None))
     ref = make_scenario()
     assert (built.array, built.targets) == (ref.array, ref.targets)
     assert np.array_equal(built.channel_matrix(), ref.channel_matrix())
@@ -136,7 +136,7 @@ def test_build_scenario_wraps_validation_errors():
 
 
 def test_build_options_defaults_and_restart():
-    opts = build_options(default_config())
+    opts = build_options(load_config(None))
     assert opts.eps == 3e-4
     assert opts.max_iters == 2000
 

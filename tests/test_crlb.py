@@ -148,7 +148,7 @@ def test_grad_matches_directional_differences():
         a = coupling_matrices(s)
         rng = np.random.default_rng(seed)
         w = random_point(s.array.num_tx, num_cols, 1.0, rng)
-        g = grad_f1(w, a)
+        g = grad_f1(w, a, fisher_matrix(w, a))
         h = 1e-6
         for _ in range(20):
             d = rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape)
@@ -173,13 +173,15 @@ def test_gradient_phase_equivariance():
     a = coupling_matrices(_toy_scenario())
     w = random_point(4, 6, 1.0, np.random.default_rng(11))
     phase = np.exp(0.7j)
-    assert np.allclose(grad_f1(phase * w, a), phase * grad_f1(w, a), rtol=1e-9)
+    assert np.allclose(grad_f1(phase * w, a, fisher_matrix(phase * w, a)),
+                       phase * grad_f1(w, a, fisher_matrix(w, a)), rtol=1e-9)
     # per-column phases, W diag(d), leave W W^H, hence the Fisher matrix, unchanged,
     # so re-phasing columns can never repair a singular Fisher matrix
     d = np.exp(2j * np.pi * np.random.default_rng(12).uniform(size=w.shape[1]))
     f = fisher_matrix(w, a).matrix
     assert np.linalg.norm(fisher_matrix(w * d, a).matrix - f) <= 1e-12 * np.linalg.norm(f)
-    assert np.allclose(grad_f1(w * d, a), grad_f1(w, a) * d, rtol=1e-9)
+    assert np.allclose(grad_f1(w * d, a, fisher_matrix(w * d, a)),
+                       grad_f1(w, a, fisher_matrix(w, a)) * d, rtol=1e-9)
 
 
 def test_inverse_diagonal_matches_determinant_ratio():

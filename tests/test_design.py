@@ -32,7 +32,7 @@ def test_initial_point_without_users_is_scaled_identity():
     s = make_scenario(num_tx=8, num_rx=8, num_users=0,
                       target_angles_deg=(-40.0, 25.0),
                       target_ranges_m=(50.0, 60.0), snapshots=64, seed=2)
-    w0, flags = design.initial_point(s, 0.0)
+    w0, flags = design.initial_point(s, 0.0, False)
     assert flags == ()
     expected = np.sqrt(s.power_budget / 8.0) * np.eye(8, dtype=complex)
     assert np.array_equal(w0, expected)
@@ -43,7 +43,7 @@ def test_initial_point_shape_and_active_users(small):
     # retraction reshuffles the exact equal-rate powers, and stage II
     # restores the floor later
     r_min = design.rate_target(small)
-    w0, flags = design.initial_point(small, r_min)
+    w0, flags = design.initial_point(small, r_min, False)
     assert flags == ()
     assert w0.shape == (8, small.num_streams)
     assert manifold.is_on_manifold(w0, small.row_radius)
@@ -52,7 +52,7 @@ def test_initial_point_shape_and_active_users(small):
 
 
 def test_initial_point_clips_unpayable_rate_demand(small):
-    w0, flags = design.initial_point(small, 30.0)
+    w0, flags = design.initial_point(small, 30.0, False)
     assert flags == ("comm_power_clipped",)
     assert manifold.is_on_manifold(w0, small.row_radius)
 
@@ -61,7 +61,7 @@ def test_initial_point_falls_back_when_zf_impossible():
     s = make_scenario(num_tx=4, num_rx=4, num_users=6,
                       target_angles_deg=(-40.0, 25.0),
                       target_ranges_m=(50.0, 60.0), snapshots=64, seed=2)
-    w0, flags = design.initial_point(s, 1.0)
+    w0, flags = design.initial_point(s, 1.0, False)
     assert flags == ("zf_infeasible_fallback",)
     assert manifold.is_on_manifold(w0, s.row_radius)
 
@@ -249,8 +249,8 @@ def test_stage_times_match_pipeline_shape(small_results):
 
 def test_solve_sp2_returns_feasible_start_unchanged(small):
     r_min = design.rate_target(small)
-    w0, _ = design.initial_point(small, r_min)
-    w, trace = design.solve_sp2(small, w0, 0.5 * r_min)
+    w0, _ = design.initial_point(small, r_min, False)
+    w, trace = design.solve_sp2(small, w0, 0.5 * r_min, RcgOptions())
     assert w is w0
     assert trace.termination == "target_met"
     assert trace.iterations == 0
@@ -260,9 +260,9 @@ def test_solve_sp2_reports_unreachable_rate():
     s = make_scenario(num_tx=4, num_rx=4, num_users=1,
                       target_angles_deg=(-40.0, 25.0),
                       target_ranges_m=(50.0, 60.0), snapshots=64, seed=3)
-    w_start, _ = design.initial_point(s, 0.0)
+    w_start, _ = design.initial_point(s, 0.0, False)
     with pytest.raises(InfeasibleError) as exc:
-        design.solve_sp2(s, w_start, 30.0)
+        design.solve_sp2(s, w_start, 30.0, RcgOptions())
     assert exc.value.detail["r_min"] == 30.0
     assert exc.value.detail["gap"] > 0
 
@@ -270,7 +270,7 @@ def test_solve_sp2_reports_unreachable_rate():
 def test_sp1_normalizes_and_descends(small_results):
     trace = small_results["sensing_only"].traces["sp1"]
     assert trace.initial_objective == pytest.approx(1.0, rel=1e-12)
-    assert trace.final_objective <= 1.0
+    assert trace.objectives()[-1] <= 1.0
     assert np.all(np.diff(trace.objectives()) <= 0.0)
 
 

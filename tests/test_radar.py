@@ -538,7 +538,7 @@ def test_monte_carlo_sweep_rejects_mixed_or_empty_noise_keys(change, monkeypatch
             w = _random_beamformer(s, np.random.default_rng(0))
             designs.append((s, SimpleNamespace(w=w, rcrlb=0.0)))
     with pytest.raises(ValueError, match="one trial-noise key"):
-        monte_carlo_sweep(designs, 3)
+        monte_carlo_sweep(designs, 3, radar.MUSIC_GRID_DEG)
     assert draws == []
 
 
@@ -565,7 +565,7 @@ def test_monte_carlo_memory_is_flat_in_trials():
     designs = [(s, design.run(s, mode))
                for s in (make_scenario(power_budget_dbm=p) for p in (0.0, 10.0, 20.0))
                for mode in ("sgcdf", "omnidirectional")]
-    monte_carlo_sweep(designs, 1)
+    monte_carlo_sweep(designs, 1, radar.MUSIC_GRID_DEG)
 
     def peak(run, trials):
         tracemalloc.start()
@@ -576,8 +576,8 @@ def test_monte_carlo_memory_is_flat_in_trials():
             tracemalloc.stop()
 
     res = design.run(single, "omnidirectional")
-    for run, count in ((functools.partial(monte_carlo, single, res), 1),
-                       (functools.partial(monte_carlo_sweep, designs), len(designs))):
+    sweep = functools.partial(monte_carlo_sweep, designs, grid_deg=radar.MUSIC_GRID_DEG)
+    for run, count in ((functools.partial(monte_carlo, single, res), 1), (sweep, len(designs))):
         small, large = peak(run, 10), peak(run, 1000)
         assert large - small <= count * 1000 * 128 + radar.BLOCK_BYTES
 
@@ -727,7 +727,7 @@ def test_music_ranks_tied_minima_by_column(monkeypatch):
                         lambda m, grid_deg: SimpleNamespace(theta_deg=theta_deg, a=a, a_norm2=d))
     vecs = np.eye(4, dtype=complex)[None]
     groups = np.ones((1, 16), dtype=bool)
-    angles, degraded = radar._fine_level(vecs, 3, groups, 1.0, 128)
+    angles, degraded = radar._fine_level(vecs, 3, groups, 1.0)
     assert np.array_equal(angles[0], np.deg2rad([1.0, 3.0, 101.0])) and not degraded[0]
 
 
@@ -801,7 +801,7 @@ def test_music_fine_level_runs_once_per_block_on_the_paper_geometry(monkeypatch)
     designs = [(s, design.run(s, mode))
                for s in (make_scenario(power_budget_dbm=p) for p in (0.0, 10.0, 20.0))
                for mode in ("sgcdf", "omnidirectional")]
-    reps = monte_carlo_sweep(designs, 40)
+    reps = monte_carlo_sweep(designs, 40, radar.MUSIC_GRID_DEG)
     assert all(rep.full_scans == 0 for rep in reps)
     assert [size for size, _ in per_block] == [15] * 12 + [10] * 6
     for size, stacks in per_block:
