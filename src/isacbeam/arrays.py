@@ -33,6 +33,13 @@ def _check_angle(theta):
     return theta
 
 
+def _degree_grid(step_deg):
+    """Angles from -90 to 90 degrees in ``step_deg`` steps, rounded to a
+    whole number of steps; both ends are grid points. The MUSIC scan
+    and the beampattern CSV share it."""
+    return np.linspace(-90.0, 90.0, int(round(180.0 / step_deg)) + 1)
+
+
 def steering(theta, n):
     """Steering vector of an n-element half-wavelength ULA.
 

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import design, radar
-from .arrays import beampattern_gain, beampattern_trace
+from .arrays import _degree_grid, beampattern_gain, beampattern_trace
 from .config import build_options, build_scenario, load_config
 from .errors import ConfigError, InfeasibleError, NumericalError
 
@@ -49,8 +49,11 @@ def write_csv(header, rows, out_path, metadata=None):
         writer.writerow([_fmt(cell) for cell in row])
     text = buf.getvalue()
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -103,6 +106,8 @@ def cmd_design(args):
         "min_rate": _fmt(res.rates.min_rate),
         "r_min": _fmt(res.r_min),
         "wall_time_s": _fmt(res.wall_time),
+        "sp1_time_s": _fmt(res.stage_times.get("sp1", "")),
+        "sp2_time_s": _fmt(res.stage_times.get("sp2", "")),
         "sp1_iterations": _stage(res.traces["sp1"], "iterations"),
         "sp2_iterations": _stage(res.traces["sp2"], "iterations"),
         "rates": ";".join(_fmt(r) for r in res.rates.rate),
@@ -174,9 +179,7 @@ def cmd_sweep_delta(args):
 def cmd_beampattern(args):
     cfg = load_config(args.config)
     modes = _modes(args.mode)
-    step = cfg.get("experiment", "grid_deg")
-    points = int(round(180.0 / step)) + 1
-    theta_deg = np.linspace(-90.0, 90.0, points)
+    theta_deg = _degree_grid(cfg.get("experiment", "grid_deg"))
     traces = {}
     metadata = []
     for mode in modes:

@@ -1,16 +1,18 @@
 """Communication side: rates, precoding, and the rate-feasibility cone.
 
 With P = H^H W (K x N), user k's minimum-rate constraint is membership
-of its cone vector x_k = [P[k, :], sigma, sqrt(Gamma_k) P[k, k]] in a
+of its cone vector x_k = [P[k, :], sigma, sqrt(Gamma) P[k, k]] in a
 second-order cone: the head collects every beam seen by user k plus the
-noise standard deviation, the tail carries sqrt(Gamma_k) times the
-user's own beam, and the constraint is head-norm <= tail-modulus. f2
-sums the squared distances to the cones; driving it to zero restores
-all rate targets. Both f2 and its gradient are evaluated from P for all
-users at once, the gradient only when the solver asks for it.
+noise standard deviation, the tail carries sqrt(Gamma) times the user's
+own beam, and the constraint is head-norm <= tail-modulus. Every user
+has the same rate floor R_min, so Gamma = 1 + 1/(2^R_min - 1) is one
+number. f2 sums the squared distances to the cones; driving it to zero
+restores every user's rate floor. Both f2 and its gradient are
+evaluated from P for all users at once, the gradient only when the
+solver asks for it.
 
 Also here: zero-forcing directions, the equal-rate power allocation
-(all users exactly at the target rate given sensing interference), and
+(all users exactly at the rate floor given sensing interference), and
 the max-min ZF rate in closed form.
 """
 
@@ -34,29 +36,17 @@ class RateReport:
 @dataclass(frozen=True)
 class SocInstance:
     matrix: np.ndarray      # h_k^H, the user's row of H^H, shape (M_T,)
-    sigma: float            # noise standard deviation, the head's last slot
-    num_streams: int        # N, the beamformer column count
-    gamma: float            # SINR target 2^r_min - 1
-    big_gamma: float        # 1 + 1/gamma
     user: int
 
 
 class SocCones(tuple):
-    """The ``SocInstance``s of one rate target, one per user, with their
-    data stacked once for ``f2_and_grad``: the users' rows of H^H and
-    their conjugate transpose, the user indices 0..K-1 (``soc_assemble``
-    numbers the users in order), sigma^2 and sqrt(Gamma_k), and the
-    beamformer shape (M_T, N) they fit."""
-
-    def __new__(cls, instances):
-        self = super().__new__(cls, instances)
-        self.rows = np.array([inst.matrix for inst in self])
-        self.rows_h = self.rows.conj().T
-        self.idx = np.arange(len(self))
-        self.sigma2 = np.array([inst.sigma for inst in self]) ** 2
-        self.root_gamma = np.sqrt([inst.big_gamma for inst in self])
-        self.w_shape = (self.rows.shape[1], self[0].num_streams)
-        return self
+    """The cones of one rate floor, one ``SocInstance`` per user in user
+    order, and what ``f2_and_grad`` reads, stacked once by
+    ``soc_assemble``: ``rows`` (H^H, K x M_T, C-contiguous), ``rows_h``
+    (its conjugate transpose), ``idx`` (the users 0..K-1), ``w_shape``
+    (the beamformer shape (M_T, N)) and the scalars every user shares:
+    ``sigma``, ``gamma`` = 2^r_min - 1, ``big_gamma`` = 1 + 1/gamma,
+    ``sigma2`` and ``root_gamma`` = sqrt(big_gamma)."""
 
 
 def rates(w, channels, noise_power):
@@ -98,52 +88,47 @@ def zf_precoder(channels):
     return v / np.linalg.norm(v, axis=0)
 
 
-def _sensing_interference(channels, w_sensing):
-    h = np.asarray(channels)
-    if w_sensing is None or np.size(w_sensing) == 0:
+def _sensing_interference(h, w_sensing):
+    if w_sensing is None:
         return np.zeros(h.shape[1])
     return (np.abs(h.conj().T @ np.asarray(w_sensing)) ** 2).sum(axis=1)
 
 
 def equal_rate_power(channels, directions, w_sensing, noise_power, r_min):
-    """Powers putting every user exactly at its target rate.
+    """Powers putting every user exactly at the rate floor ``r_min``.
 
     With columns w_k = sqrt(p_k) v_k / ||v_k|| and fixed sensing block,
     rate_k = r_min for all k is a linear system in p. Componentwise
     nonnegativity of the solution is the feasibility test; a negative
-    entry raises with the offending user index.
+    entry raises with the offending user index. A zero floor needs no
+    power.
     """
     h = np.asarray(channels)
-    v = np.asarray(directions)
     k = h.shape[1]
-    r = np.broadcast_to(np.asarray(r_min, dtype=float), (k,))
-    if np.any(r < 0):
-        raise ValueError("rate targets must be nonnegative")
-    gamma = 2.0 ** r - 1.0
-    s = _sensing_interference(channels, w_sensing)
-    p = np.zeros(k)
-    active = gamma > 0.0
-    if not np.any(active):
-        return p
-    idx = np.flatnonzero(active)
-    vn2 = np.linalg.norm(v[:, idx], axis=0) ** 2
-    g = np.abs(h.conj().T @ v[:, idx]) ** 2 / vn2[None, :]   # g[j, i] = |h_j^H v_i|^2/||v_i||^2
-    g = g[idx, :]
+    if r_min < 0:
+        raise ValueError("the rate floor must be nonnegative")
+    # numpy's power ufunc: libm pow differs from it in the last bit on some floors
+    gamma = 2.0 ** np.asarray(r_min, dtype=float) - 1.0
+    if not gamma > 0.0:
+        return np.zeros(k)
+    # Fortran order: norms summed over C-ordered columns differ in the last bit
+    v = np.asfortranarray(directions)
+    vn2 = np.linalg.norm(v, axis=0) ** 2
+    g = np.abs(h.conj().T @ v) ** 2 / vn2[None, :]   # g[j, i] = |h_j^H v_i|^2/||v_i||^2
     delta = -g
-    delta[np.arange(idx.size), np.arange(idx.size)] = np.diag(g) / gamma[idx]
+    delta[np.arange(k), np.arange(k)] = np.diag(g) / gamma
     try:
-        sol = np.linalg.solve(delta, noise_power + s[idx])
+        p = np.linalg.solve(delta, noise_power + _sensing_interference(h, w_sensing))
     except np.linalg.LinAlgError as exc:
         raise InfeasibleError(
             "equal-rate system is singular: interference exactly balances "
             "the signal at the requested rates") from exc
-    bad = np.flatnonzero(sol < 0)
+    bad = np.flatnonzero(p < 0)
     if bad.size:
-        user = int(idx[bad[0]])
+        user = int(bad[0])
         raise InfeasibleError(
             f"equal-rate allocation needs negative power for user {user}",
-            detail={"user": user, "power": float(sol[bad[0]])})
-    p[idx] = sol
+            detail={"user": user, "power": float(p[user])})
     return p
 
 
@@ -166,30 +151,30 @@ def max_min_zf_rate(channels, noise_power, p_max):
 
 
 def soc_assemble(channels, r_min, noise_power, num_streams):
-    """Per-user cone data for the feasibility objective, as ``SocCones``.
+    """The cones of the rate floor ``r_min`` for every user, as ``SocCones``.
 
     x_k(W) stacks [h_k^H w_1, ..., h_k^H w_N, sigma,
-    sqrt(Gamma_k) h_k^H w_k]; the rate constraint of user k is
+    sqrt(Gamma) h_k^H w_k]; the rate constraint of user k is
     ||head|| <= |tail|. The noise slot carries sigma, not sigma^2, so
     that the squared norm reproduces the SINR inequality exactly.
     """
     h = np.asarray(channels)
-    _, k = h.shape
+    mt, k = h.shape
     if k < 1:
         raise ValueError("cone assembly needs at least one user")
     if num_streams < k:
         raise ValueError("stream count below user count")
-    r = np.broadcast_to(np.asarray(r_min, dtype=float), (k,))
-    if np.any(r <= 0):
-        raise ValueError("rate targets must be positive for cone assembly")
+    gamma = 2.0 ** float(r_min) - 1.0
+    if not gamma > 0.0:
+        raise ValueError("the rate floor must be positive for cone assembly")
+    rows = np.ascontiguousarray(h.conj().T)
+    cones = SocCones(SocInstance(matrix=row, user=j) for j, row in enumerate(rows))
     sigma = float(np.sqrt(noise_power))
-    out = []
-    for j in range(k):
-        gamma = 2.0 ** r[j] - 1.0
-        out.append(SocInstance(matrix=h[:, j].conj(), sigma=sigma, num_streams=num_streams,
-                               gamma=float(gamma), big_gamma=float(1.0 + 1.0 / gamma),
-                               user=j))
-    return SocCones(out)
+    big_gamma = 1.0 + 1.0 / gamma
+    vars(cones).update(rows=rows, rows_h=rows.conj().T, idx=np.arange(k),
+                       w_shape=(mt, num_streams), sigma=sigma, sigma2=sigma * sigma,
+                       gamma=gamma, big_gamma=big_gamma, root_gamma=math.sqrt(big_gamma))
+    return cones
 
 
 def f2_and_grad(w, cones):
@@ -200,7 +185,7 @@ def f2_and_grad(w, cones):
     rate target. Outside its cone user k's residual has head part
     P[k, :] (hn - tm) / (2 hn) and tail part -phase (hn - tm) / 2, so
     f2 = sum_k (hn - tm)^2 / 2 and grad = 2 H R, where R holds the head
-    residuals with sqrt(Gamma_k) times the tail residual added at
+    residuals with sqrt(Gamma) times the tail residual added at
     (k, k). Returns (f2, grad) with ``grad()`` the gradient at W; the
     gradient-only work runs when it is called.
     """

@@ -72,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import steering_matrix, target_channel
+from .arrays import _degree_grid, steering_matrix, target_channel
 from .scenario import substream
 
 MUSIC_GRID_DEG = 0.02
@@ -201,8 +201,8 @@ def _grid(num_rx, grid_deg):
     """
     if not grid_deg > 0:
         raise ValueError(f"MUSIC grid step must be positive, got {grid_deg}")
-    points = int(round(180.0 / grid_deg)) + 1
-    theta_deg = np.linspace(-90.0, 90.0, points)
+    theta_deg = _degree_grid(grid_deg)
+    points = theta_deg.size
     a = steering_matrix(np.append(np.deg2rad(theta_deg), np.full(-points % 8, np.pi / 2)),
                         num_rx)
     a[:, points:] = 0.0

@@ -42,14 +42,14 @@ def random_tangent(w, radius, rng):
     return project_tangent(w, z, radius)
 
 
-def x_of(inst, w):
-    """Cone vector [h_k^H W, sigma, sqrt(Gamma_k) h_k^H w_k] of one
-    ``comm.SocInstance``."""
+def x_of(cones, inst, w):
+    """Cone vector [h_k^H W, sigma, sqrt(Gamma) h_k^H w_k] of the
+    ``comm.SocInstance`` ``inst`` of ``cones``."""
     w = np.asarray(w)
-    if w.shape[1] != inst.num_streams:
+    if w.shape[1] != cones.w_shape[1]:
         raise ValueError("cone instance does not match beamformer size")
     p = inst.matrix @ w
-    return np.concatenate([p, [inst.sigma, np.sqrt(inst.big_gamma) * p[inst.user]]])
+    return np.concatenate([p, [cones.sigma, np.sqrt(cones.big_gamma) * p[inst.user]]])
 
 
 def soc_project(x):

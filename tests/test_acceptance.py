@@ -153,7 +153,7 @@ def test_soc_membership_matches_sinr_constraints():
                       + 1j * rng.standard_normal((8, n)))
         rep = comm.rates(w, h, noise)
         for inst in instances:
-            x = x_of(inst, w)
+            x = x_of(instances, inst, w)
             member = np.linalg.norm(x - soc_project(x)) <= 1e-9
             sinr = rep.sinr[inst.user]
             if abs(sinr - gamma) <= 1e-9 * gamma:

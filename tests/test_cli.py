@@ -54,7 +54,8 @@ def test_design_prints_key_value_record(cfg_path, capsys):
     assert cli.main(["design", "--config", cfg_path, "--mode", "sgcdf"]) == 0
     rec = _record(capsys)
     assert list(rec) == ["mode", "sum_crlb", "rcrlb_deg", "min_rate", "r_min",
-                        "wall_time_s", "sp1_iterations", "sp2_iterations",
+                        "wall_time_s", "sp1_time_s", "sp2_time_s",
+                        "sp1_iterations", "sp2_iterations",
                         "rates", "sp1_termination", "sp2_termination", "flags",
                         "sp1_objective_evals", "sp1_gradient_evals", "sp1_final_grad_norm",
                         "sp2_objective_evals", "sp2_gradient_evals", "sp2_final_grad_norm",
@@ -63,6 +64,8 @@ def test_design_prints_key_value_record(cfg_path, capsys):
     assert float(rec["sum_crlb"]) > 0
     assert float(rec["min_rate"]) >= float(rec["r_min"]) - 1e-6
     assert int(rec["sp1_iterations"]) >= 0
+    assert 0.0 < float(rec["sp1_time_s"]) + float(rec["sp2_time_s"]) \
+        <= float(rec["wall_time_s"])
     assert len(rec["rates"].split(";")) == 2
     assert rec["sp1_termination"] in ("grad_tol", "obj_tol", "max_iters",
                                       "linesearch_fail")
@@ -77,7 +80,8 @@ def test_design_sensing_only_leaves_sp2_blank(cfg_path, capsys):
     assert rec["sp2_iterations"] == ""
     assert rec["sp2_termination"] == ""
     assert int(rec["sp1_iterations"]) >= 1
-    for name in ("objective_evals", "gradient_evals", "final_grad_norm", "wolfe_fallbacks"):
+    for name in ("time_s", "objective_evals", "gradient_evals", "final_grad_norm",
+                 "wolfe_fallbacks"):
         assert rec[f"sp2_{name}"] == ""
         assert rec[f"sp1_{name}"] != ""
 
@@ -117,6 +121,14 @@ def test_design_writes_single_row_csv(cfg_path, tmp_path, capsys):
     assert meta == []
     assert header == list(rec)
     assert rows == [list(rec.values())]
+    assert float(rows[0][header.index("sp2_time_s")]) > 0
+
+
+def test_design_omnidirectional_leaves_stage_times_blank(cfg_path, capsys):
+    assert cli.main(["design", "--config", cfg_path, "--mode", "omnidirectional"]) == 0
+    rec = _record(capsys)
+    assert float(rec["wall_time_s"]) > 0
+    assert rec["sp1_time_s"] == rec["sp2_time_s"] == ""
 
 
 def test_design_reports_init_flags(tmp_path, capsys):
@@ -161,6 +173,16 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
 
 def test_missing_config_exits_2(tmp_path, capsys):
     assert cli.main(["design", "--config", str(tmp_path / "nope.ini")]) == 2
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    for command in ("design", "beampattern"):
+        assert cli.main([command, "--mode", "omnidirectional", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot write {out}" in err
+        assert "Traceback" not in err
+    assert not out.parent.exists()
 
 
 def test_unusable_sizes_exit_2(tmp_path, capsys):

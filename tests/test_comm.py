@@ -119,12 +119,12 @@ def test_equal_rate_allocation_hits_targets_with_sensing():
     v = zf_precoder(h)
     w_s = _cgauss(rng, (8, 4), scale=0.2)
     noise = 0.05
-    for r_min in (1.2, np.array([1.0, 0.5, 2.0])):
-        p = equal_rate_power(h, v, w_s, noise, r_min)
-        assert np.all(p > 0)
-        w = np.hstack([v * np.sqrt(p), w_s])
-        achieved = rates(w, h, noise).rate
-        assert np.allclose(achieved, np.broadcast_to(r_min, (3,)), atol=1e-8)
+    r_min = 1.2
+    p = equal_rate_power(h, v, w_s, noise, r_min)
+    assert np.all(p > 0)
+    w = np.hstack([v * np.sqrt(p), w_s])
+    achieved = rates(w, h, noise).rate
+    assert np.allclose(achieved, r_min, atol=1e-8)
 
 
 def test_equal_rate_infeasible_reports_offending_user():
@@ -194,19 +194,20 @@ def test_max_min_rejects_unbounded_or_negative_sinr():
 
 # ------------------------------------------------------------------ cone
 
-def _dense_cone(h, inst):
+def _dense_cone(h, cones, inst):
     """Reference cone map H_k, (N+2) x M_T N, acting on vec(W)."""
-    mt, n = h.shape[0], inst.num_streams
+    mt, n = cones.w_shape
     head = np.kron(np.eye(n), h[:, inst.user].conj()[None, :])
     tail = np.zeros((1, mt * n), dtype=complex)
     tail[0, inst.user * mt:(inst.user + 1) * mt] = \
-        np.sqrt(inst.big_gamma) * h[:, inst.user].conj()
+        np.sqrt(cones.big_gamma) * h[:, inst.user].conj()
     return np.vstack([head, np.zeros((1, mt * n)), tail])
 
 
-def _dense_offset(inst):
-    z = np.zeros(inst.num_streams + 2, dtype=complex)
-    z[inst.num_streams] = inst.sigma
+def _dense_offset(cones):
+    n = cones.w_shape[1]
+    z = np.zeros(n + 2, dtype=complex)
+    z[n] = cones.sigma
     return z
 
 
@@ -214,8 +215,8 @@ def _dense_f2_and_grad(w, h, instances):
     vec = np.reshape(w, -1, order="F")
     total, acc = 0.0, np.zeros(vec.size, dtype=complex)
     for inst in instances:
-        mat = _dense_cone(h, inst)
-        x = mat @ vec + _dense_offset(inst)
+        mat = _dense_cone(h, instances, inst)
+        x = mat @ vec + _dense_offset(instances)
         resid = x - soc_project(x)
         total += float(np.vdot(resid, resid).real)
         acc += mat.conj().T @ resid
@@ -231,18 +232,27 @@ def test_soc_assemble_stacks_expected_entries():
     assert len(instances) == 2
     w = _cgauss(rng, (4, n))
     gamma = 2.0 ** r - 1.0
+    # every user shares one floor: sigma, gamma and Gamma are scalars
+    assert instances.w_shape == (4, n)
+    assert instances.gamma == pytest.approx(gamma, rel=1e-14)
+    assert instances.big_gamma == pytest.approx(1.0 + 1.0 / gamma, rel=1e-14)
+    assert instances.root_gamma == pytest.approx(np.sqrt(1.0 + 1.0 / gamma), rel=1e-14)
+    assert instances.sigma == pytest.approx(np.sqrt(noise), rel=1e-14)
+    assert instances.sigma2 == pytest.approx(noise, rel=1e-14)
+    assert np.array_equal(instances.rows, h.conj().T)
+    assert instances.rows.flags.c_contiguous
+    # iterating the cones yields user k's row of H^H as .matrix, in user order
+    assert [inst.user for inst in instances] == [0, 1]
     for k, inst in enumerate(instances):
         assert inst.user == k
-        assert inst.gamma == pytest.approx(gamma, rel=1e-14)
-        assert inst.big_gamma == pytest.approx(1.0 + 1.0 / gamma, rel=1e-14)
         assert np.array_equal(inst.matrix, h[:, k].conj())
-        assert inst.num_streams == n
-        x = x_of(inst, w)
-        assert np.allclose(x, _dense_cone(h, inst) @ np.reshape(w, -1, order="F")
-                           + _dense_offset(inst), rtol=1e-12, atol=1e-12)
+        assert inst.matrix.nbytes == h[:, k].nbytes
+        x = x_of(instances, inst, w)
+        assert np.allclose(x, _dense_cone(h, instances, inst) @ np.reshape(w, -1, order="F")
+                           + _dense_offset(instances), rtol=1e-12, atol=1e-12)
         assert np.allclose(x[:n], h[:, k].conj() @ w, atol=1e-12)
         assert x[n] == pytest.approx(np.sqrt(noise), rel=1e-14)
-        tail = np.sqrt(inst.big_gamma) * np.vdot(h[:, k], w[:, k])
+        tail = np.sqrt(instances.big_gamma) * np.vdot(h[:, k], w[:, k])
         assert abs(x[n + 1] - tail) <= 1e-12
 
 
@@ -268,7 +278,7 @@ def test_cone_membership_matches_sinr_threshold():
         w = _cgauss(rng, (8, n), scale=rng.uniform(0.5, 2.0))
         rep = rates(w, h, noise)
         for inst in instances:
-            x = x_of(inst, w)
+            x = x_of(instances, inst, w)
             member = np.linalg.norm(x - soc_project(x)) <= 1e-9
             sinr = rep.sinr[inst.user]
             if abs(sinr - gamma) <= 1e-9 * gamma:
@@ -345,7 +355,7 @@ def test_f2_and_gradient_match_dense_reference():
         for scale in (0.3, 1.0):
             w = _cgauss(rng, (mt, n), scale=scale)
             w[:, 0] = 3.0 * h[:, 0]           # user 0 inside its cone
-            assert rates(w, h, 0.3).sinr[0] > instances[0].gamma
+            assert rates(w, h, 0.3).sinr[0] > instances.gamma
             value, grad = f2_and_grad(w, instances)
             ref_value, ref_grad = _dense_f2_and_grad(w, h, instances)
             assert ref_value > 0
