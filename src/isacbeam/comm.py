@@ -13,7 +13,9 @@ solver asks for it.
 
 Also here: zero-forcing directions, the equal-rate power allocation
 (all users exactly at the rate floor given sensing interference), and
-the max-min ZF rate in closed form.
+the max-min ZF rate in closed form. One SVD of H serves the ZF rank
+test and the pseudo-inverse, and a design forms the ZF directions once
+and hands them to both the rate floor and the warm start.
 """
 
 import math
@@ -66,7 +68,7 @@ def rates(w, channels, noise_power):
     if w.shape[1] < k:
         raise ValueError("fewer beamformer columns than users")
     p = np.abs(h.conj().T @ w) ** 2          # K x columns
-    sig = p[np.arange(k), np.arange(k)]
+    sig = p.diagonal()
     interf = p.sum(axis=1) - sig
     sinr = sig / (interf + noise_power)
     rate = np.log2(1.0 + sinr)
@@ -74,17 +76,24 @@ def rates(w, channels, noise_power):
 
 
 def zf_precoder(channels):
-    """Unit-norm zero-forcing directions, h_j^H v_k = 0 for j != k."""
+    """Unit-norm zero-forcing directions, h_j^H v_k = 0 for j != k.
+
+    The columns of pinv(H^H) satisfy h_j^H v_k = delta_jk. One SVD of
+    conj(H^H) = H^T serves the rank test and the pseudo-inverse
+    vt^T (s^-1 u^T), formed step for step as ``np.linalg.pinv`` forms
+    it, so its bits are pinv's.
+    """
     h = np.asarray(channels)
     k = h.shape[1]
     if k < 1:
         raise ValueError("zero-forcing needs at least one user")
     if k > h.shape[0]:
         raise NumericalError("more users than transmit antennas: ZF impossible")
-    s = np.linalg.svd(h, compute_uv=False)
+    u, s, vt = np.linalg.svd(h.T, full_matrices=False)
     if s[-1] <= RANK_TOL * s[0]:
         raise NumericalError("rank-deficient user channels: ZF impossible")
-    v = np.linalg.pinv(h.conj().T)           # columns satisfy h_j^H v_k = delta_jk
+    # past the rank test no singular value is below pinv's 1e-15 s_max cutoff
+    v = vt.T @ ((1.0 / s)[:, None] * u.T)
     return v / np.linalg.norm(v, axis=0)
 
 
@@ -132,16 +141,18 @@ def equal_rate_power(channels, directions, w_sensing, noise_power, r_min):
     return p
 
 
-def max_min_zf_rate(channels, noise_power, p_max):
+def max_min_zf_rate(channels, directions, noise_power, p_max):
     """Largest common rate a ZF design can give every user under p_max.
 
-    Zero forcing removes every cross gain, so along the unit-norm ZF
-    direction v_k user k needs power gamma sigma^2 / |h_k^H v_k|^2 for
-    SINR gamma, and the budget is used up at
-    gamma = p_max / (sigma^2 sum_k 1 / |h_k^H v_k|^2). No sensing block.
+    ``directions`` are the unit-norm ZF directions of ``channels``,
+    ``zf_precoder(channels)``. Zero forcing removes every cross gain, so
+    along the direction v_k user k needs power
+    gamma sigma^2 / |h_k^H v_k|^2 for SINR gamma, and the budget is used
+    up at gamma = p_max / (sigma^2 sum_k 1 / |h_k^H v_k|^2). No sensing
+    block.
     """
     h = np.asarray(channels)
-    own = np.abs((h.conj() * zf_precoder(h)).sum(axis=0)) ** 2   # |h_k^H v_k|^2
+    own = np.abs((h.conj() * directions).sum(axis=0)) ** 2   # |h_k^H v_k|^2
     denom = noise_power * float(np.sum(1.0 / own))
     gamma = p_max / denom if denom > 0 else math.inf
     if not 0.0 <= gamma < math.inf:

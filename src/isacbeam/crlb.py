@@ -17,7 +17,9 @@ One symmetric eigendecomposition F = U diag(lam) U^T serves both the
 positivity and condition checks (on lam) and the inverse,
 F^-1 = (U / lam) U^T. The Euclidean gradient of f1 is
 -2 sum_ij [F^-2]_ij A_ij W, which in factored form is 2 B^H (M V) with
-M the blocks of Q scaled by -F^-2.
+M the blocks of Q scaled by -F^-2. ``FisherState`` carries the V that
+F was formed from, so the gradient at the same point reads it instead
+of forming B W again.
 """
 
 from dataclasses import dataclass
@@ -35,6 +37,7 @@ class FisherState:
     matrix: np.ndarray      # F, real symmetric T x T
     inverse: np.ndarray
     objective: float        # tr(F^-1), the sum-CRLB
+    v: np.ndarray           # V = B W (2T x N), the product F was formed from
 
 
 @dataclass(frozen=True)
@@ -88,18 +91,17 @@ def fisher_matrix(w, coupling):
                              "targets not resolvable with this beamformer")
     inv = (vecs / eigs) @ vecs.T
     inv = 0.5 * (inv + inv.T)
-    return FisherState(matrix=f, inverse=inv, objective=float(np.trace(inv)))
+    return FisherState(matrix=f, inverse=inv, objective=float(np.trace(inv)), v=v)
 
 
-def grad_f1(w, coupling, state):
-    """Euclidean gradient of tr(F^-1) at W, with ``state`` the
-    ``fisher_matrix(w, coupling)`` of the same point.
+def grad_f1(coupling, state):
+    """Euclidean gradient of tr(F^-1) at the W of ``state``, a
+    ``fisher_matrix(w, coupling)``.
 
     Scaled so that f1(W + D) - f1(W) ~ Re tr(grad^H D) to first order.
     """
-    w = np.asarray(w)
     m = state.inverse
     weights = -(m @ m)      # d tr(F^-1) / dF_ij
     t = m.shape[0]
     blocks = (coupling.q.reshape(t, 2, t, 2) * weights.T[:, None, :, None]).reshape(2 * t, 2 * t)
-    return 2.0 * coupling.b.conj().T @ (blocks @ (coupling.b @ w))
+    return 2.0 * coupling.b.conj().T @ (blocks @ state.v)

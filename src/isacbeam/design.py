@@ -9,6 +9,10 @@ the target again. Both stages run the same conjugate-gradient solver on
 the objective normalized by its starting value, so the stopping
 thresholds are scale-free.
 
+``run`` builds the user channel matrix H and its zero-forcing
+directions once and hands them to the rate floor (``rate_target``),
+the warm start (``initial_point``) and stage II.
+
 Modes: 'sgcdf' is the full two-stage design; 'sensing_only' stops after
 stage I; 'no_dedicated_stream' keeps the sensing columns identically
 zero (they stay zero under both gradients and the retraction);
@@ -49,15 +53,19 @@ def _sensing_block(p_s, num_tx):
     return np.sqrt(p_s / num_tx) * np.eye(num_tx, dtype=complex)
 
 
-def initial_point(scenario, r_min, zero_sensing):
+def initial_point(scenario, r_min, zero_sensing, channels, directions):
     """Structured starting beamformer, retracted onto the manifold.
 
-    Returns (w0, flags). Communication columns are unit-norm ZF
+    Returns (w0, flags). ``channels`` is ``scenario.channel_matrix()``
+    and ``directions`` its ``comm.zf_precoder`` directions, or None when
+    no ZF design exists. Communication columns are the unit-norm ZF
     directions at the equal-rate powers for ``r_min``; the sensing block
     is sqrt(p_s/M_T) I with p_s the leftover budget, solved jointly with
     the powers since the sensing block interferes with the users. With
     ``zero_sensing`` the sensing block is identically zero and the
-    communication columns keep their ZF powers. Raises ConfigError for
+    communication columns keep their ZF powers. Without ZF directions,
+    or when the equal-rate powers are infeasible, the start is pure
+    sensing, flagged 'zf_infeasible_fallback'. Raises ConfigError for
     ``zero_sensing`` without users, where every column would be zero and
     no point of the manifold exists.
     """
@@ -72,12 +80,11 @@ def initial_point(scenario, r_min, zero_sensing):
         w = np.sqrt(p_max / mt) * np.eye(mt, dtype=complex)
         return w, tuple(flags)
 
-    h = scenario.channel_matrix()
+    h, v = channels, directions
     p = np.zeros(k)
     p_s = 0.0 if zero_sensing else p_max
-    try:
-        v = comm.zf_precoder(h)
-        if r_min > 0:
+    if v is not None and r_min > 0:
+        try:
             p = comm.equal_rate_power(h, v, None, scenario.noise_power, r_min)
             if p.sum() > p_max:
                 p *= 0.9 * p_max / p.sum()
@@ -93,7 +100,9 @@ def initial_point(scenario, r_min, zero_sensing):
                 p = comm.equal_rate_power(h, v, _sensing_block(p_s, mt),
                                           scenario.noise_power, r_min)
                 p_s = max(p_max - p.sum(), 0.0)
-    except (NumericalError, InfeasibleError):
+        except InfeasibleError:
+            v = None
+    if v is None:
         # cannot place the users: start from pure sensing
         flags.append("zf_infeasible_fallback")
         v = np.zeros((mt, k))
@@ -134,20 +143,21 @@ def solve_sp1(scenario, w0, opts, coupling):
     """
     def value_grad(w):
         state = crlb.fisher_matrix(w, coupling)
-        return state.objective, lambda: crlb.grad_f1(w, coupling, state)
+        return state.objective, lambda: crlb.grad_f1(coupling, state)
 
     return rcg.minimize(_normalized(value_grad), w0, scenario.row_radius, opts)
 
 
-def solve_sp2(scenario, w_start, r_min, opts):
-    """Stage II: restore rate feasibility by minimizing f2.
+def solve_sp2(scenario, w_start, r_min, opts, channels):
+    """Stage II: restore rate feasibility by minimizing f2; ``channels``
+    is ``scenario.channel_matrix()``.
 
     Skipped (input returned unchanged) when the minimum rate already
     meets ``r_min``. The stopping rule is the rate guard itself; if the
     solver stalls or exhausts its budget while a rate gap remains, the
     design is reported infeasible with the gap attached.
     """
-    h = scenario.channel_matrix()
+    h = channels
     feasible = lambda w: comm.rates(w, h, scenario.noise_power).min_rate >= r_min - RATE_SLACK
     if r_min <= 0 or feasible(w_start):
         return w_start, rcg.SolverTrace(initial_objective=0.0, termination="target_met")
@@ -197,12 +207,14 @@ def _first_crossing(w_bad, w_good, radius, feasible):
     return manifold.retract((1.0 - hi) * w_bad + hi * w_good, radius)
 
 
-def rate_target(scenario):
-    """R_min = overload factor times the max-min ZF rate (0 if no users)."""
+def rate_target(scenario, channels, directions):
+    """R_min = overload factor times the max-min ZF rate of the unit-norm
+    ZF ``directions`` of ``channels`` (``scenario.channel_matrix()``);
+    0 without users or at overload 0, where ``directions`` is not read."""
     if scenario.num_users == 0 or scenario.overload == 0.0:
         return 0.0
     return scenario.overload * comm.max_min_zf_rate(
-        scenario.channel_matrix(), scenario.noise_power, scenario.power_budget)
+        channels, directions, scenario.noise_power, scenario.power_budget)
 
 
 def run(scenario, mode, opts=None):
@@ -211,12 +223,17 @@ def run(scenario, mode, opts=None):
         raise ConfigError(f"unknown mode '{mode}' (choose from {', '.join(MODES)})")
     opts = opts or rcg.RcgOptions()
     t_start = time.perf_counter()
+    h = scenario.channel_matrix()
+    zf = None
     try:
-        r_min = rate_target(scenario)
+        if scenario.num_users:
+            zf = comm.zf_precoder(h)
+        r_min = rate_target(scenario, h, zf)
     except NumericalError:
-        if mode not in FLOORLESS_MODES:
+        # a floor needs a ZF design with a finite max-min rate; the
+        # floorless modes and a zero overload need no floor
+        if mode not in FLOORLESS_MODES and scenario.overload != 0.0:
             raise
-        # no ZF design exists to set a floor; these modes need none
         r_min = 0.0
 
     mt = scenario.array.num_tx
@@ -228,18 +245,17 @@ def run(scenario, mode, opts=None):
         w = np.concatenate([np.zeros((mt, scenario.num_users)),
                             _sensing_block(scenario.power_budget, mt)], axis=1)
     else:
-        w0, flags = initial_point(scenario, r_min,
-                                  zero_sensing=(mode == "no_dedicated_stream"))
+        w0, flags = initial_point(scenario, r_min, mode == "no_dedicated_stream", h, zf)
         t0 = time.perf_counter()
         w, traces["sp1"] = solve_sp1(scenario, w0, opts, coupling=coupling)
         stage_times["sp1"] = time.perf_counter() - t0
         if mode not in FLOORLESS_MODES:
             t0 = time.perf_counter()
-            w, traces["sp2"] = solve_sp2(scenario, w, r_min, opts)
+            w, traces["sp2"] = solve_sp2(scenario, w, r_min, opts, h)
             stage_times["sp2"] = time.perf_counter() - t0
 
     state = crlb.fisher_matrix(w, coupling)
-    report = comm.rates(w, scenario.channel_matrix(), scenario.noise_power)
+    report = comm.rates(w, h, scenario.noise_power)
     return DesignResult(
         w=w, r_x=w @ w.conj().T,
         sum_crlb=state.objective, rcrlb=float(np.sqrt(state.objective)),

@@ -30,7 +30,15 @@ objective value and no gradient.
 The slope along d at a probe is ``inner(rgrad, d)``: the tangent
 projection P is self-adjoint and ``rgrad`` is tangent, so this equals
 ``inner(rgrad, P d)``, and d is transported only for the accepted step
-of a conjugate (beta != 0) update.
+of a conjugate (beta != 0) update. The line search reports the
+``<d, d>`` it scales its first step by, and the Zoutendijk term of the
+step reuses it, so each step forms it once.
+
+A step is ``capped`` when its accepted step norm ``step * ||d||`` sits
+at the step cap (to 1e-12 relative). Stage II's cap makes such steps
+common, and a capped step that meets sufficient decrease but not the
+curvature test ends its search as a fallback (``wolfe_ok`` False)
+without any trouble in the search, so the trace counts them apart.
 """
 
 import csv
@@ -49,6 +57,7 @@ _TINY = 1e-300
 C1 = 1e-4
 C2 = 0.4
 MAX_LINESEARCH_EVALS = 30   # probes per line search, that is per step
+CAP_RTOL = 1e-12            # relative distance to the step cap of a capped step
 
 
 @dataclass
@@ -68,7 +77,7 @@ class RcgOptions:
             raise ValueError("step cap must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterRecord:
     iteration: int
     objective: float
@@ -78,6 +87,7 @@ class IterRecord:
     wolfe_ok: bool
     evals: int          # line-search probes of this step
     grads: int          # gradients those probes computed, at most evals
+    capped: bool        # step norm at the step cap, to CAP_RTOL
 
 
 @dataclass
@@ -103,6 +113,11 @@ class SolverTrace:
         """Steps that took the best sufficient-decrease probe, not a Wolfe point."""
         return sum(not r.wolfe_ok for r in self.records)
 
+    @property
+    def capped_steps(self):
+        """Steps whose norm sits at the step cap (module docstring)."""
+        return sum(r.capped for r in self.records)
+
     def objectives(self):
         return np.array([self.initial_objective] + [r.objective for r in self.records])
 
@@ -114,7 +129,7 @@ class SolverTrace:
                              repr(r.step), repr(r.beta), int(r.wolfe_ok), r.evals, r.grads])
 
 
-@dataclass
+@dataclass(slots=True)
 class _Eval:
     """One line-search probe: retracted point, value, and the Riemannian
     gradient once it has been read."""
@@ -125,13 +140,14 @@ class _Eval:
     rgrad: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineSearchResult:
     step: float
     evals: int
     grads: int          # probes whose gradient was computed
     wolfe_ok: bool
     at: _Eval           # its rgrad is set
+    d_norm2: float      # <d, d> of the search direction
 
 
 def _probe(fg, w, d, alpha, radius):
@@ -159,7 +175,8 @@ def wolfe_linesearch(fg, w, d, f0, slope0, radius, opts, first_step):
     """
     if slope0 >= 0.0:
         raise ValueError(f"line search needs a descent direction, got slope {slope0}")
-    d_norm = math.sqrt(inner(d, d))
+    d_norm2 = inner(d, d)
+    d_norm = math.sqrt(d_norm2)
     a_cap = math.inf if opts.max_step_norm is None else opts.max_step_norm / d_norm
     a = min(1.0 / d_norm if first_step is None else first_step, a_cap)
     a_lo, f_lo, a_hi = 0.0, f0, None
@@ -184,7 +201,7 @@ def wolfe_linesearch(fg, w, d, f0, slope0, radius, opts, first_step):
         else:
             dslope = inner(gradient(ev), d)
             if abs(dslope) <= -C2 * slope0:
-                return LineSearchResult(a, evals, grads, True, ev)
+                return LineSearchResult(a, evals, grads, True, ev, d_norm2)
             # with no upper end yet the interval counts as positive
             if dslope * (1.0 if a_hi is None else a_hi - a_lo) >= 0.0:
                 a_hi = a_lo
@@ -200,7 +217,7 @@ def wolfe_linesearch(fg, w, d, f0, slope0, radius, opts, first_step):
     if best is None:
         return None
     gradient(best)
-    return LineSearchResult(best.step, evals, grads, False, best)
+    return LineSearchResult(best.step, evals, grads, False, best, d_norm2)
 
 
 def _counting(fg, trace):
@@ -256,6 +273,7 @@ def minimize(fg, w0, radius, opts, stop_when=None):
     d = -rgrad
     trace.initial_objective, trace.initial_grad_norm = f, math.sqrt(gnorm2)
     first_step = None
+    cap = opts.max_step_norm
 
     for it in range(opts.max_iters):
         if stop_when is not None and stop_when(w):
@@ -271,7 +289,7 @@ def minimize(fg, w0, radius, opts, stop_when=None):
             return w, trace
         ev = ls.at
         first_step = 2.0 * ls.step
-        trace.zoutendijk.append(slope * slope / max(inner(d, d), _TINY))
+        trace.zoutendijk.append(slope * slope / max(ls.d_norm2, _TINY))
         gnorm2_new = inner(ev.rgrad, ev.rgrad)
         if (it + 1) % w.shape[1] == 0:
             beta = 0.0
@@ -283,8 +301,10 @@ def minimize(fg, w0, radius, opts, stop_when=None):
             if inner(ev.rgrad, d_new) >= 0.0:
                 d_new = -ev.rgrad
                 beta = 0.0
-        trace.records.append(IterRecord(it, ev.value, math.sqrt(gnorm2_new),
-                                        ls.step, beta, ls.wolfe_ok, ls.evals, ls.grads))
+        capped = (cap is not None
+                  and abs(ls.step * math.sqrt(ls.d_norm2) - cap) <= CAP_RTOL * cap)
+        trace.records.append(IterRecord(it, ev.value, math.sqrt(gnorm2_new), ls.step, beta,
+                                        ls.wolfe_ok, ls.evals, ls.grads, capped))
         df = abs(f - ev.value)
         w, f, rgrad, d, gnorm2 = ev.point, ev.value, ev.rgrad, d_new, gnorm2_new
         if df < opts.eps:

@@ -4,8 +4,11 @@ Each is a direct, unoptimised form of something the library computes
 another way (the explicit transmit frame, the per-user cone vector and
 its projection, the dense channel derivative, the MUSIC scan of every
 grid column, the solver with every probe's gradient computed at once,
-the echo covariance and the Monte-Carlo trials one at a time), or a
-generator of test inputs on the manifold.
+the echo covariance and the Monte-Carlo trials one at a time; the row
+norms, tangent projection, zero-forcing directions and sum-CRLB
+gradient through the numpy wrappers and repeated products the library
+skips, which must give the library's bits), or a generator of test
+inputs on the manifold.
 """
 
 import math
@@ -15,6 +18,8 @@ import numpy as np
 
 from isacbeam import radar
 from isacbeam.arrays import steering, steering_derivative
+from isacbeam.comm import RANK_TOL
+from isacbeam.errors import NumericalError
 from isacbeam.manifold import inner, project_tangent, retract
 from isacbeam.rcg import (C1, C2, MAX_LINESEARCH_EVALS, IterRecord, LineSearchResult,
                           SolverTrace)
@@ -40,6 +45,38 @@ def random_point(num_rows, num_cols, radius, rng):
 def random_tangent(w, radius, rng):
     z = rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape)
     return project_tangent(w, z, radius)
+
+
+def linalg_row_norms(w):
+    """``manifold.row_norms`` through ``np.linalg.norm``."""
+    return np.linalg.norm(w, axis=1)
+
+
+def summed_projection(w, x, radius):
+    """``manifold.project_tangent`` reducing with ``np.sum``."""
+    coef = np.sum(w.real * x.real + w.imag * x.imag, axis=1) / radius**2
+    return x - coef[:, None] * w
+
+
+def pinv_zf_precoder(channels):
+    """``comm.zf_precoder`` from two SVDs: one for the rank test, one
+    inside ``np.linalg.pinv``."""
+    h = np.asarray(channels)
+    s = np.linalg.svd(h, compute_uv=False)
+    if s[-1] <= RANK_TOL * s[0]:
+        raise NumericalError("rank-deficient user channels: ZF impossible")
+    v = np.linalg.pinv(h.conj().T)
+    return v / np.linalg.norm(v, axis=0)
+
+
+def reformed_grad_f1(w, coupling, state):
+    """``crlb.grad_f1`` forming V = B W again instead of reading
+    ``state.v``."""
+    m = state.inverse
+    weights = -(m @ m)
+    t = m.shape[0]
+    blocks = (coupling.q.reshape(t, 2, t, 2) * weights.T[:, None, :, None]).reshape(2 * t, 2 * t)
+    return 2.0 * coupling.b.conj().T @ (blocks @ (coupling.b @ np.asarray(w)))
 
 
 def x_of(cones, inst, w):
@@ -210,7 +247,8 @@ def eager_wolfe_linesearch(fg, w, d, f0, slope0, radius, opts, first_step=None):
     ``grads`` counts the probes whose gradient the search read, and the
     indices of those probes, the returned one included.
     """
-    d_norm = math.sqrt(inner(d, d))
+    d_norm2 = inner(d, d)
+    d_norm = math.sqrt(d_norm2)
     a_cap = math.inf if opts.max_step_norm is None else opts.max_step_norm / d_norm
     a = min(1.0 / d_norm if first_step is None else first_step, a_cap)
     a_lo, f_lo, a_hi = 0.0, f0, None
@@ -227,7 +265,7 @@ def eager_wolfe_linesearch(fg, w, d, f0, slope0, radius, opts, first_step=None):
             read.append(ev.index)
             dslope = inner(ev.rgrad, d)
             if abs(dslope) <= -C2 * slope0:
-                return LineSearchResult(a, evals, len(read), True, ev), read
+                return LineSearchResult(a, evals, len(read), True, ev, d_norm2), read
             if dslope * (1.0 if a_hi is None else a_hi - a_lo) >= 0.0:
                 a_hi = a_lo
             a_lo, f_lo = a, ev.value
@@ -243,7 +281,7 @@ def eager_wolfe_linesearch(fg, w, d, f0, slope0, radius, opts, first_step=None):
         return None, read
     if best.index not in read:
         read.append(best.index)
-    return LineSearchResult(best.step, evals, len(read), False, best), read
+    return LineSearchResult(best.step, evals, len(read), False, best, d_norm2), read
 
 
 def eager_minimize(fg, w0, radius, opts, stop_when=None):
@@ -280,8 +318,10 @@ def eager_minimize(fg, w0, radius, opts, stop_when=None):
         if inner(ev.rgrad, d_new) >= 0.0:
             d_new = -ev.rgrad
             beta = 0.0
+        cap = opts.max_step_norm
+        capped = cap is not None and abs(ls.step * math.sqrt(inner(d, d)) - cap) <= 1e-12 * cap
         trace.records.append(IterRecord(it, ev.value, math.sqrt(gnorm2_new), ls.step,
-                                        beta, ls.wolfe_ok, ls.evals, ls.grads))
+                                        beta, ls.wolfe_ok, ls.evals, ls.grads, capped))
         df = abs(f - ev.value)
         w, f, rgrad, d, gnorm2 = ev.point, ev.value, ev.rgrad, d_new, gnorm2_new
         if df < opts.eps:

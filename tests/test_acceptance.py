@@ -55,7 +55,7 @@ def test_gradients_match_finite_differences():
         d = rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape)
         d /= np.linalg.norm(d)
 
-        g1 = crlb.grad_f1(w, coupling, crlb.fisher_matrix(w, coupling))
+        g1 = crlb.grad_f1(coupling, crlb.fisher_matrix(w, coupling))
         fd1 = (crlb.fisher_matrix(w + step * d, coupling).objective
                - crlb.fisher_matrix(w - step * d, coupling).objective) \
             / (2.0 * step)
@@ -93,9 +93,10 @@ def test_iterates_stay_on_manifold_and_projection_laws(monkeypatch):
 
     def fg(w):
         state = crlb.fisher_matrix(w, coupling)
-        return state.objective, crlb.grad_f1(w, coupling, state)
+        return state.objective, crlb.grad_f1(coupling, state)
 
-    w0, _ = design.initial_point(s, 0.0, False)
+    h = s.channel_matrix()
+    w0, _ = design.initial_point(s, 0.0, False, h, comm.zf_precoder(h))
     minimize(deferred(fg), w0, s.row_radius, RcgOptions(eps=1e-4))
     # both stages of the pipeline, stage II with its step cap
     for mode in ("sgcdf", "no_dedicated_stream"):

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isacbeam.comm import (
+    RANK_TOL,
     equal_rate_power,
     f2_and_grad,
     max_min_zf_rate,
@@ -12,7 +15,7 @@ from isacbeam.comm import (
     zf_precoder,
 )
 from isacbeam.errors import InfeasibleError, NumericalError
-from reference import soc_project, x_of
+from reference import pinv_zf_precoder, soc_project, x_of
 
 
 def _cgauss(rng, shape, scale=1.0):
@@ -98,6 +101,36 @@ def test_zf_precoder_guards():
         zf_precoder(np.zeros((4, 0)))
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 64).flatmap(lambda mt: st.tuples(st.just(mt), st.integers(1, mt))),
+       st.integers(0, 2**32 - 1))
+def test_zf_precoder_keeps_the_bits_of_pinv(size, seed):
+    # one SVD for the rank test and the pseudo-inverse, same bits as two
+    mt, k = size
+    h = _cgauss(np.random.default_rng(seed), (mt, k))
+    assert np.array_equal(zf_precoder(h), pinv_zf_precoder(h))
+
+
+@pytest.mark.parametrize("mt, k", [(4, 2), (8, 3), (32, 6), (64, 64)])
+def test_zf_rank_test_boundary(mt, k):
+    # H = U diag(s) V^H with s_min / s_max on either side of RANK_TOL
+    rng = np.random.default_rng(mt + k)
+    u = np.linalg.qr(_cgauss(rng, (mt, k)))[0]
+    vh = np.linalg.qr(_cgauss(rng, (k, k)))[0].conj().T
+    for ratio in (0.5 * RANK_TOL, 2.0 * RANK_TOL):
+        h = (u * np.geomspace(1.0, ratio, k)) @ vh
+        if ratio < RANK_TOL:
+            with pytest.raises(NumericalError, match="rank-deficient"):
+                zf_precoder(h)
+            continue
+        v = zf_precoder(h)
+        assert np.all(np.isfinite(v))
+        assert np.abs(np.linalg.norm(v, axis=0) - 1.0).max() <= 1e-14
+        cross = h.conj().T @ v
+        off = cross - np.diag(np.diag(cross))
+        assert np.abs(off).max() <= 64 * np.finfo(float).eps
+
+
 # ------------------------------------------------------ power allocation
 
 def test_equal_rate_single_user_closed_form():
@@ -161,7 +194,7 @@ def test_max_min_single_user_closed_form():
     rng = np.random.default_rng(5)
     h = _cgauss(rng, (4, 1))
     noise, p_max = 0.2, 1.7
-    r = max_min_zf_rate(h, noise, p_max)
+    r = max_min_zf_rate(h, zf_precoder(h), noise, p_max)
     expected = np.log2(1.0 + p_max * np.linalg.norm(h) ** 2 / noise)
     assert r == pytest.approx(expected, rel=1e-6)
 
@@ -170,8 +203,8 @@ def test_max_min_monotone_and_consumes_budget():
     rng = np.random.default_rng(6)
     h = _cgauss(rng, (8, 3))
     noise = 0.1
-    r1 = max_min_zf_rate(h, noise, 1.0)
-    r2 = max_min_zf_rate(h, noise, 2.0)
+    r1 = max_min_zf_rate(h, zf_precoder(h), noise, 1.0)
+    r2 = max_min_zf_rate(h, zf_precoder(h), noise, 2.0)
     assert r2 > r1 > 0
     v = zf_precoder(h)
     used = equal_rate_power(h, v, None, noise, r1).sum()
@@ -181,15 +214,15 @@ def test_max_min_monotone_and_consumes_budget():
 def test_max_min_high_snr_closed_form():
     # far beyond any bisection bracket: SINR 1e200, about 664 b/s/Hz
     h = np.array([[1.0], [0.0]], dtype=complex)
-    assert max_min_zf_rate(h, 1e-200, 1.0) == pytest.approx(np.log2(1.0 + 1e200),
-                                                            rel=1e-15)
+    assert max_min_zf_rate(h, zf_precoder(h), 1e-200, 1.0) \
+        == pytest.approx(np.log2(1.0 + 1e200), rel=1e-15)
 
 
 def test_max_min_rejects_unbounded_or_negative_sinr():
     h = np.array([[1.0], [0.0]], dtype=complex)
     for noise, p_max in ((0.0, 1.0), (1e-320, 1.0), (0.1, -1.0)):
         with pytest.raises(NumericalError):
-            max_min_zf_rate(h, noise, p_max)
+            max_min_zf_rate(h, zf_precoder(h), noise, p_max)
 
 
 # ------------------------------------------------------------------ cone

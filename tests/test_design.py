@@ -1,5 +1,7 @@
 """Two-stage design pipeline: sensing descent then rate restoration."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,12 @@ def small():
                          snapshots=64, seed=2)
 
 
+def _zf(scenario):
+    """(H, its ZF directions): what ``design.run`` hands the stages."""
+    h = scenario.channel_matrix()
+    return h, comm.zf_precoder(h)
+
+
 @pytest.fixture(scope="module")
 def small_results(small):
     return {mode: design.run(small, mode) for mode in design.MODES}
@@ -32,7 +40,7 @@ def test_initial_point_without_users_is_scaled_identity():
     s = make_scenario(num_tx=8, num_rx=8, num_users=0,
                       target_angles_deg=(-40.0, 25.0),
                       target_ranges_m=(50.0, 60.0), snapshots=64, seed=2)
-    w0, flags = design.initial_point(s, 0.0, False)
+    w0, flags = design.initial_point(s, 0.0, False, s.channel_matrix(), None)
     assert flags == ()
     expected = np.sqrt(s.power_budget / 8.0) * np.eye(8, dtype=complex)
     assert np.array_equal(w0, expected)
@@ -42,8 +50,8 @@ def test_initial_point_shape_and_active_users(small):
     # the warm start is structured, not rate-feasible: the row
     # retraction reshuffles the exact equal-rate powers, and stage II
     # restores the floor later
-    r_min = design.rate_target(small)
-    w0, flags = design.initial_point(small, r_min, False)
+    r_min = design.rate_target(small, *_zf(small))
+    w0, flags = design.initial_point(small, r_min, False, *_zf(small))
     assert flags == ()
     assert w0.shape == (8, small.num_streams)
     assert manifold.is_on_manifold(w0, small.row_radius)
@@ -52,7 +60,7 @@ def test_initial_point_shape_and_active_users(small):
 
 
 def test_initial_point_clips_unpayable_rate_demand(small):
-    w0, flags = design.initial_point(small, 30.0, False)
+    w0, flags = design.initial_point(small, 30.0, False, *_zf(small))
     assert flags == ("comm_power_clipped",)
     assert manifold.is_on_manifold(w0, small.row_radius)
 
@@ -61,7 +69,7 @@ def test_initial_point_falls_back_when_zf_impossible():
     s = make_scenario(num_tx=4, num_rx=4, num_users=6,
                       target_angles_deg=(-40.0, 25.0),
                       target_ranges_m=(50.0, 60.0), snapshots=64, seed=2)
-    w0, flags = design.initial_point(s, 1.0, False)
+    w0, flags = design.initial_point(s, 1.0, False, s.channel_matrix(), None)
     assert flags == ("zf_infeasible_fallback",)
     assert manifold.is_on_manifold(w0, s.row_radius)
 
@@ -70,14 +78,14 @@ def test_initial_point_fallback_keeps_sensing_columns_zero():
     # ZF impossible (K > M_T): the dead-row nudge must stay in the
     # communication columns
     s = make_scenario(num_tx=4, num_rx=8, num_users=6)
-    w0, flags = design.initial_point(s, 0.5, zero_sensing=True)
+    w0, flags = design.initial_point(s, 0.5, True, s.channel_matrix(), None)
     assert flags == ("zf_infeasible_fallback",)
     assert np.array_equal(w0[:, 6:], np.zeros((4, 4)))
     assert manifold.is_on_manifold(w0, s.row_radius)
 
 
 def test_initial_point_zero_sensing_block(small):
-    w0, flags = design.initial_point(small, 0.5, zero_sensing=True)
+    w0, flags = design.initial_point(small, 0.5, True, *_zf(small))
     assert flags == ()
     assert np.array_equal(w0[:, 2:], np.zeros((8, 8)))
     assert manifold.is_on_manifold(w0, small.row_radius)
@@ -93,7 +101,7 @@ def test_run_rejects_unknown_mode(small):
 def test_floorless_modes_run_when_zf_impossible():
     s = make_scenario(num_tx=4, num_rx=8, num_users=6)
     with pytest.raises(NumericalError, match="ZF impossible"):
-        design.rate_target(s)
+        comm.zf_precoder(s.channel_matrix())
     for mode in design.FLOORLESS_MODES:
         res = design.run(s, mode)
         assert res.r_min == 0.0
@@ -101,6 +109,16 @@ def test_floorless_modes_run_when_zf_impossible():
         assert np.isfinite(res.sum_crlb) and res.sum_crlb > 0
     with pytest.raises(NumericalError, match="ZF impossible"):
         design.run(s, "sgcdf")
+
+
+def test_zero_overload_runs_when_zf_impossible():
+    # no floor to set, so the constrained modes start from pure sensing
+    s = make_scenario(num_tx=4, num_rx=8, num_users=6, overload=0.0)
+    for mode in ("sgcdf", "no_dedicated_stream"):
+        res = design.run(s, mode)
+        assert res.r_min == 0.0
+        assert res.flags == ("zf_infeasible_fallback",)
+        assert res.traces["sp2"].iterations == 0
 
 
 def test_no_dedicated_stream_needs_a_user():
@@ -167,7 +185,7 @@ def test_sensing_only_is_the_crlb_floor(small_results):
 
 def test_rate_floor_met_by_constrained_modes(small, small_results):
     target = small.overload * comm.max_min_zf_rate(
-        small.channel_matrix(), small.noise_power, small.power_budget)
+        *_zf(small), small.noise_power, small.power_budget)
     for mode in ("sgcdf", "no_dedicated_stream"):
         res = small_results[mode]
         assert res.r_min == pytest.approx(target, rel=1e-12)
@@ -248,9 +266,9 @@ def test_stage_times_match_pipeline_shape(small_results):
 # ---------------------------------------------------------------- stages
 
 def test_solve_sp2_returns_feasible_start_unchanged(small):
-    r_min = design.rate_target(small)
-    w0, _ = design.initial_point(small, r_min, False)
-    w, trace = design.solve_sp2(small, w0, 0.5 * r_min, RcgOptions())
+    r_min = design.rate_target(small, *_zf(small))
+    w0, _ = design.initial_point(small, r_min, False, *_zf(small))
+    w, trace = design.solve_sp2(small, w0, 0.5 * r_min, RcgOptions(), small.channel_matrix())
     assert w is w0
     assert trace.termination == "target_met"
     assert trace.iterations == 0
@@ -260,9 +278,9 @@ def test_solve_sp2_reports_unreachable_rate():
     s = make_scenario(num_tx=4, num_rx=4, num_users=1,
                       target_angles_deg=(-40.0, 25.0),
                       target_ranges_m=(50.0, 60.0), snapshots=64, seed=3)
-    w_start, _ = design.initial_point(s, 0.0, False)
+    w_start, _ = design.initial_point(s, 0.0, False, *_zf(s))
     with pytest.raises(InfeasibleError) as exc:
-        design.solve_sp2(s, w_start, 30.0, RcgOptions())
+        design.solve_sp2(s, w_start, 30.0, RcgOptions(), s.channel_matrix())
     assert exc.value.detail["r_min"] == 30.0
     assert exc.value.detail["gap"] > 0
 
@@ -300,12 +318,45 @@ def test_line_searches_start_from_the_last_accepted_step(monkeypatch):
     assert len(caps) == len(probes["sp2"]) and max(caps) <= 1.0 + 1e-12
 
 
+def test_stage_two_fallbacks_are_capped_steps():
+    # on the paper geometry's overload-0.7 scenarios every stage-II step
+    # that ends its search without a Wolfe point sits at the step cap
+    for seed in (2, 4, 6, 8):
+        res = design.run(make_scenario(seed=seed, overload=0.7), "sgcdf")
+        sp1, sp2 = res.traces["sp1"], res.traces["sp2"]
+        assert sp2.wolfe_fallbacks > 0
+        assert all(r.capped for r in sp2.records if not r.wolfe_ok)
+        assert sp2.capped_steps >= sp2.wolfe_fallbacks
+        assert sp1.capped_steps == 0
+
+
+def test_run_forms_zero_forcing_once(small, monkeypatch):
+    # one ZF design, from one SVD, serves the rate floor and the warm start
+    counts = {"zf": 0, "svd": 0}
+
+    def counted(key, func):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return func(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(comm, "zf_precoder", counted("zf", comm.zf_precoder))
+    svd = counted("svd", np.linalg.svd)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    # np.linalg.pinv calls the svd of its own module, which counts too
+    monkeypatch.setitem(inspect.unwrap(np.linalg.pinv).__globals__, "svd", svd)
+    for mode in ("sgcdf", "sensing_only", "no_dedicated_stream"):
+        counts.update(zf=0, svd=0)
+        design.run(small, mode)
+        assert counts == {"zf": 1, "svd": 1}, mode
+
+
 def test_rate_target_values(small):
     direct = small.overload * comm.max_min_zf_rate(
-        small.channel_matrix(), small.noise_power, small.power_budget)
-    assert design.rate_target(small) == pytest.approx(direct, rel=1e-12)
+        *_zf(small), small.noise_power, small.power_budget)
+    assert design.rate_target(small, *_zf(small)) == pytest.approx(direct, rel=1e-12)
     no_users = make_scenario(num_tx=8, num_rx=8, num_users=0,
                              target_angles_deg=(-40.0, 25.0),
                              target_ranges_m=(50.0, 60.0),
                              snapshots=64, seed=2)
-    assert design.rate_target(no_users) == 0.0
+    assert design.rate_target(no_users, no_users.channel_matrix(), None) == 0.0

@@ -8,10 +8,12 @@ from hypothesis.extra import numpy as hnp
 
 from isacbeam.errors import NumericalError
 from isacbeam.manifold import inner, is_on_manifold, project_tangent, retract, row_norms
-from reference import random_point, random_tangent
+from reference import linalg_row_norms, random_point, random_tangent, summed_projection
 
 _ELEMS = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False, width=64)
 _SHAPES = st.tuples(st.integers(1, 5), st.integers(2, 6))
+# M_T antennas and K users, 1 <= K <= M_T; beamformers are M_T x (K + M_T)
+_SIZES = st.integers(1, 64).flatmap(lambda mt: st.tuples(st.just(mt), st.integers(1, mt)))
 
 
 def _complex_matrix(shape):
@@ -198,3 +200,16 @@ def test_random_point_and_tangent_contracts():
     d = random_tangent(w, 0.3, rng)
     overlaps = np.sum(w.real * d.real + w.imag * d.imag, axis=1)
     assert np.abs(overlaps).max() <= 1e-10
+
+
+@settings(deadline=None, max_examples=60)
+@given(_SIZES, st.integers(0, 2**32 - 1))
+def test_helpers_keep_the_bits_of_their_numpy_wrapper_forms(size, seed):
+    mt, k = size
+    rng = np.random.default_rng(seed)
+    shape = (mt, k + mt)
+    w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    radius = rng.uniform(0.1, 3.0)
+    assert np.array_equal(row_norms(w), linalg_row_norms(w))
+    assert np.array_equal(project_tangent(w, x, radius), summed_projection(w, x, radius))
