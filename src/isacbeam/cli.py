@@ -97,7 +97,9 @@ def _run_one(cfg, mode, **overrides):
 
 def cmd_design(args):
     cfg = load_config(args.config)
-    mode = _modes(args.mode)[0]
+    mode, *rest = _modes(args.mode)
+    if rest:
+        raise ConfigError(f"design takes one mode, got '{args.mode}'")
     scenario, res = _run_one(cfg, mode, seed=args.seed)
     record = {
         "mode": res.mode,
@@ -217,7 +219,7 @@ def _parser():
                        help="override the config seed")
         p.add_argument("--out", default=None, help="output CSV path")
         p.add_argument("--mode", default="sgcdf",
-                       help="mode name, or comma-separated list for sweeps")
+                       help="mode name; sweeps and beampattern take a comma-separated list")
         p.set_defaults(func=func)
     return parser
 

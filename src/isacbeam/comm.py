@@ -103,6 +103,12 @@ def _sensing_interference(h, w_sensing):
     return (np.abs(h.conj().T @ np.asarray(w_sensing)) ** 2).sum(axis=1)
 
 
+def _sinr_floor(r_min):
+    """The SINR gamma = 2^r_min - 1 of the rate floor ``r_min``."""
+    # numpy's power ufunc: libm pow differs from it in the last bit on some floors
+    return float(2.0 ** np.asarray(r_min, dtype=float) - 1.0)
+
+
 def equal_rate_power(channels, directions, w_sensing, noise_power, r_min):
     """Powers putting every user exactly at the rate floor ``r_min``.
 
@@ -116,8 +122,7 @@ def equal_rate_power(channels, directions, w_sensing, noise_power, r_min):
     k = h.shape[1]
     if r_min < 0:
         raise ValueError("the rate floor must be nonnegative")
-    # numpy's power ufunc: libm pow differs from it in the last bit on some floors
-    gamma = 2.0 ** np.asarray(r_min, dtype=float) - 1.0
+    gamma = _sinr_floor(r_min)
     if not gamma > 0.0:
         return np.zeros(k)
     # Fortran order: norms summed over C-ordered columns differ in the last bit
@@ -175,7 +180,7 @@ def soc_assemble(channels, r_min, noise_power, num_streams):
         raise ValueError("cone assembly needs at least one user")
     if num_streams < k:
         raise ValueError("stream count below user count")
-    gamma = 2.0 ** float(r_min) - 1.0
+    gamma = _sinr_floor(r_min)
     if not gamma > 0.0:
         raise ValueError("the rate floor must be positive for cone assembly")
     rows = np.ascontiguousarray(h.conj().T)

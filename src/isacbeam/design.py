@@ -153,9 +153,11 @@ def solve_sp2(scenario, w_start, r_min, opts, channels):
     is ``scenario.channel_matrix()``.
 
     Skipped (input returned unchanged) when the minimum rate already
-    meets ``r_min``. The stopping rule is the rate guard itself; if the
-    solver stalls or exhausts its budget while a rate gap remains, the
-    design is reported infeasible with the gap attached.
+    meets ``r_min``. The stopping rule is the rate guard itself, so the
+    result is the first iterate that meets the floor: at most one capped
+    step past the feasibility boundary. If the solver stalls or exhausts
+    its budget while a rate gap remains, the design is reported
+    infeasible with the gap attached.
     """
     h = channels
     feasible = lambda w: comm.rates(w, h, scenario.noise_power).min_rate >= r_min - RATE_SLACK
@@ -172,39 +174,13 @@ def solve_sp2(scenario, w_start, r_min, opts, channels):
     # eps = 0: the rate guard, not a gradient tolerance, ends stage II.
     opts = replace(opts, eps=0.0, max_step_norm=cap,
                    max_iters=max(opts.max_iters, 4000))
-    last_infeasible = w_start
-
-    def guard(w):
-        nonlocal last_infeasible
-        if feasible(w):
-            return True
-        last_infeasible = w
-        return False
-
-    w, trace = rcg.minimize(fg, w_start, scenario.row_radius, opts, stop_when=guard)
+    w, trace = rcg.minimize(fg, w_start, scenario.row_radius, opts, stop_when=feasible)
     if trace.termination != "target_met" and not feasible(w):
         gap = r_min - comm.rates(w, h, scenario.noise_power).min_rate
         raise InfeasibleError(
             f"rate projection stalled ({trace.termination}) with min-rate gap "
             f"{gap:.3e} b/s/Hz", detail={"gap": float(gap), "r_min": float(r_min)})
-    return _first_crossing(last_infeasible, w, scenario.row_radius, feasible), trace
-
-
-def _first_crossing(w_bad, w_good, radius, feasible):
-    """Pull the accepted stage-II point back to the rate boundary.
-
-    The last solver step can jump deep into the feasible region; bisect
-    the retracted segment between the last infeasible iterate and the
-    accepted one down to the first point that still passes the guard.
-    """
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-6:     # as a fraction of the segment
-        mid = 0.5 * (lo + hi)
-        if feasible(manifold.retract((1.0 - mid) * w_bad + mid * w_good, radius)):
-            hi = mid
-        else:
-            lo = mid
-    return manifold.retract((1.0 - hi) * w_bad + hi * w_good, radius)
+    return w, trace
 
 
 def rate_target(scenario, channels, directions):

@@ -163,7 +163,8 @@ def test_import_loads_no_scipy():
 
 
 def test_unknown_mode_exits_2(cfg_path, capsys):
-    for mode, message in (("bogus", "unknown mode 'bogus'"), (",", "no mode given")):
+    for mode, message in (("bogus", "unknown mode 'bogus'"), (",", "no mode given"),
+                          ("sgcdf,sensing_only", "design takes one mode")):
         assert cli.main(["design", "--config", cfg_path, "--mode", mode]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isacbeam.comm import (
@@ -287,6 +287,21 @@ def test_soc_assemble_stacks_expected_entries():
         assert x[n] == pytest.approx(np.sqrt(noise), rel=1e-14)
         tail = np.sqrt(instances.big_gamma) * np.vdot(h[:, k], w[:, k])
         assert abs(x[n + 1] - tail) <= 1e-12
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.floats(0.0, 40.0, exclude_min=True))
+@example(11.988475621495391)   # libm pow and numpy's power ufunc differ here
+def test_soc_assemble_gamma_is_the_equal_rate_floor(r_min):
+    # the cones and equal_rate_power share one SINR floor, to the bit
+    h = np.ones((2, 1), dtype=complex)
+    gamma = float(2.0 ** np.asarray(r_min) - 1.0)
+    if gamma == 0.0:     # 2^r_min rounds to 1: no positive floor
+        with pytest.raises(ValueError):
+            soc_assemble(h, r_min, 0.1, num_streams=3)
+        assert not equal_rate_power(h, h, None, 0.1, r_min).any()
+    else:
+        assert soc_assemble(h, r_min, 0.1, num_streams=3).gamma == gamma
 
 
 def test_soc_assemble_guards():

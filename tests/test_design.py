@@ -274,6 +274,46 @@ def test_solve_sp2_returns_feasible_start_unchanged(small):
     assert trace.iterations == 0
 
 
+def _stage_two(small, small_results):
+    """Stage II of the sgcdf design of ``small``, from its stage-I point
+    (the sensing_only design)."""
+    return design.solve_sp2(small, small_results["sensing_only"].w,
+                            small_results["sgcdf"].r_min, RcgOptions(),
+                            small.channel_matrix())
+
+
+def test_solve_sp2_returns_its_first_feasible_iterate(small, small_results, monkeypatch):
+    calls = []
+    minimize = rcg.minimize
+
+    def spied(fg, w0, radius, opts, stop_when=None):
+        def stop(w):
+            calls.append((w, stop_when(w)))
+            return calls[-1][1]
+        return minimize(fg, w0, radius, opts, stop_when=stop)
+
+    monkeypatch.setattr(rcg, "minimize", spied)
+    w, trace = _stage_two(small, small_results)
+    assert trace.termination == "target_met" and trace.iterations > 0
+    assert [met for _, met in calls] == [False] * trace.iterations + [True]
+    assert w is calls[-1][0]
+
+
+def test_solve_sp2_reads_the_rates_once_per_iterate(small, small_results, monkeypatch):
+    # the skip test at the start, then the stop test on each iterate
+    count = 0
+    rates = comm.rates
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return rates(*args)
+
+    monkeypatch.setattr(comm, "rates", counted)
+    _, trace = _stage_two(small, small_results)
+    assert count == trace.iterations + 2
+
+
 def test_solve_sp2_reports_unreachable_rate():
     s = make_scenario(num_tx=4, num_rx=4, num_users=1,
                       target_angles_deg=(-40.0, 25.0),

@@ -1,0 +1,57 @@
+"""Source hygiene: every module-level private name of the library is read."""
+
+import ast
+from pathlib import Path
+
+import isacbeam
+
+SRC = Path(isacbeam.__file__).resolve().parent
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_definitions(tree):
+    """Names bound at module level by def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id
+
+
+def _references(tree):
+    """Names read, attributes taken and names imported anywhere in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_private_module_name_is_referenced():
+    trees = _trees()
+    used = {name for tree in trees.values() for name in _references(tree)}
+    unused = sorted(f"{module}:{name}" for module, tree in trees.items()
+                    for name in _private_definitions(tree)
+                    if _is_private(name) and name not in used)
+    assert unused == []
+
+
+def test_private_name_check_sees_definitions_and_uses():
+    tree = ast.parse("import m\nfrom m import _imp\n_A = 1\ndef _f():\n    return _A\n"
+                     "class _C:\n    pass\nm._g()\n")
+    assert set(_private_definitions(tree)) == {"_A", "_f", "_C"}
+    assert {"_A", "_imp", "_g"} <= set(_references(tree))
+    assert "_f" not in set(_references(tree)) and "_C" not in set(_references(tree))
