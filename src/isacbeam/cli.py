@@ -165,7 +165,7 @@ def _power_row(p_dbm, mode, scenario, res, report):
             report.degraded_trials]
 
 
-def _delta_row(delta, mode, scenario, res, report):
+def _delta_row(delta, mode, _scenario, res, report):
     return [delta, mode, res.sum_crlb, float(np.rad2deg(report.rmse)),
             res.rates.min_rate, res.r_min, report.degraded_trials]
 

@@ -153,7 +153,7 @@ def solve_sp2(scenario, w_start, r_min, opts, channels):
     is ``scenario.channel_matrix()``.
 
     Skipped (input returned unchanged) when the minimum rate already
-    meets ``r_min``. The stopping rule is the rate guard itself, so the
+    meets ``r_min``. f2 is zero exactly on the rate-feasible set, so the
     result is the first iterate that meets the floor: at most one capped
     step past the feasibility boundary. If the solver stalls or exhausts
     its budget while a rate gap remains, the design is reported
@@ -168,18 +168,19 @@ def solve_sp2(scenario, w_start, r_min, opts, channels):
                                   num_streams=scenario.num_streams)
     fg = _normalized(lambda w: comm.f2_and_grad(w, instances))
     # Small bounded steps keep the descent path close to the continuous
-    # projection flow, so the guard fires near the feasibility boundary
-    # instead of deep inside the feasible set.
+    # projection flow, so f2 vanishes near the feasibility boundary, not
+    # deep inside the feasible set; at eps = 0 its zero gradient stops it.
     cap = SP2_STEP_FRACTION * float(np.linalg.norm(w_start))
-    # eps = 0: the rate guard, not a gradient tolerance, ends stage II.
     opts = replace(opts, eps=0.0, max_step_norm=cap,
                    max_iters=max(opts.max_iters, 4000))
-    w, trace = rcg.minimize(fg, w_start, scenario.row_radius, opts, stop_when=feasible)
-    if trace.termination != "target_met" and not feasible(w):
+    w, trace = rcg.minimize(fg, w_start, scenario.row_radius, opts)
+    if not feasible(w):
         gap = r_min - comm.rates(w, h, scenario.noise_power).min_rate
         raise InfeasibleError(
             f"rate projection stalled ({trace.termination}) with min-rate gap "
             f"{gap:.3e} b/s/Hz", detail={"gap": float(gap), "r_min": float(r_min)})
+    if trace.termination == "grad_tol":
+        trace.termination = "target_met"
     return w, trace
 
 

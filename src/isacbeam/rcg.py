@@ -10,13 +10,13 @@ sufficient decrease, and the solver stops with 'linesearch_fail' when
 none did. The first search of a solve tries the step 1/||d|| first;
 every later search tries twice the step the previous one accepted
 (Nocedal & Wright, Numerical Optimization, 3.5), both within the step
-cap. The solver is objective-agnostic and applies the dual
-stopping rule (gradient norm below eps*(1+|f|), or objective change
-below eps) to whatever scale the callback reports; an optional
-predicate ``stop_when(w)`` on the iterate (stage II's rate guard),
-checked before that rule, ends a solve with 'target_met'. The start is
-the one point a caller hands the solver, so it alone is checked for
-manifold membership; every later point is a retraction output.
+cap. The solver is objective-agnostic and applies the dual stopping
+rule (gradient norm below eps*(1+|f|), or objective change below eps)
+to whatever scale the callback reports. At eps = 0 only an exactly
+zero gradient stops a solve early: stage II stops where f2 vanishes.
+The start is the one point a caller hands the solver, so it alone is
+checked for manifold membership; every later point is a retraction
+output.
 
 The callback ``fg(w)`` returns ``(value, egrad)``: the objective value
 at w and a zero-argument callable that returns the Euclidean gradient
@@ -68,7 +68,7 @@ class RcgOptions:
     max_step_norm: float | None = None  # ambient cap on ||step||_F per iterate
 
     def __post_init__(self):
-        # eps = 0 is valid: stage II stops on its rate guard instead
+        # eps = 0 is valid: stage II stops on an exactly zero gradient
         if not (0.0 <= self.eps < math.inf):
             raise ValueError("eps must be finite and nonnegative")
         if self.max_iters < 1:
@@ -234,7 +234,7 @@ def _counting(fg, trace):
     return counted
 
 
-def minimize(fg, w0, radius, opts, stop_when=None):
+def minimize(fg, w0, radius, opts):
     """Minimize fg over the fixed-row-norm manifold starting at w0.
 
     Parameters
@@ -249,9 +249,6 @@ def minimize(fg, w0, radius, opts, stop_when=None):
     radius : float
         Row radius of the manifold.
     opts : RcgOptions
-    stop_when : callable, optional
-        Predicate on the iterate w; when true the solver stops with
-        termination 'target_met'. Checked on every iterate including w0.
 
     Returns
     -------
@@ -276,9 +273,6 @@ def minimize(fg, w0, radius, opts, stop_when=None):
     cap = opts.max_step_norm
 
     for it in range(opts.max_iters):
-        if stop_when is not None and stop_when(w):
-            trace.termination = "target_met"
-            return w, trace
         if math.sqrt(gnorm2) <= opts.eps * (1.0 + abs(f)):
             trace.termination = "grad_tol"
             return w, trace

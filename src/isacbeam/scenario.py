@@ -160,6 +160,10 @@ def make_user_channels(num_users, num_tx, rician_k, rng, *, range_m, sector_deg,
     """
     if num_users < 0 or rician_k < 0:
         raise ValueError("user count and Rician factor must be nonnegative")
+    if not -90.0 <= sector_deg[0] <= sector_deg[1] <= 90.0:
+        raise ValueError(f"user sector {sector_deg} deg is not an interval in [-90, 90]")
+    if not d0 <= range_m[0] <= range_m[1]:
+        raise ValueError(f"user ranges {range_m} m are not an interval from {d0} m up")
     users = []
     for _ in range(num_users):
         theta = np.deg2rad(rng.uniform(*sector_deg))

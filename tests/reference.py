@@ -284,7 +284,7 @@ def eager_wolfe_linesearch(fg, w, d, f0, slope0, radius, opts, first_step=None):
     return LineSearchResult(best.step, evals, len(read), False, best, d_norm2), read
 
 
-def eager_minimize(fg, w0, radius, opts, stop_when=None):
+def eager_minimize(fg, w0, radius, opts):
     """``rcg.minimize`` on ``eager_wolfe_linesearch``, transporting the
     direction as ``-rgrad + beta * moved`` on every step, beta = 0
     included. Every search after the first starts at twice the step the
@@ -298,9 +298,6 @@ def eager_minimize(fg, w0, radius, opts, stop_when=None):
     trace = SolverTrace(initial_objective=f)
     first_step = None
     for it in range(opts.max_iters):
-        if stop_when is not None and stop_when(w):
-            trace.termination = "target_met"
-            return w, trace
         if math.sqrt(gnorm2) <= opts.eps * (1.0 + abs(f)):
             trace.termination = "grad_tol"
             return w, trace

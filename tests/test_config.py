@@ -212,3 +212,18 @@ def test_parse_accepts_range_edges():
 def test_build_scenario_maps_overflow_and_negative_counts(old, new):
     with pytest.raises(ConfigError, match="invalid scenario"):
         build_scenario(parse_config(SMALL.replace(old, new)))
+
+
+@pytest.mark.parametrize("keys", [
+    "user_angle_min_deg = -100.0\n",
+    "user_range_min_m = 0.2\nuser_range_max_m = 2.0\n",
+])
+def test_user_sector_and_annulus_fail_on_every_seed(keys):
+    # a draw can land inside such a sector or annulus, so only a check
+    # made before the draws fails on every seed
+    cfg = parse_config(SMALL.replace("num_tx = 8", "num_tx = 4")
+                       .replace("num_rx = 8", "num_rx = 4")
+                       .replace("num_users = 2", "num_users = 3") + keys)
+    for seed in range(1, 61):
+        with pytest.raises(ConfigError, match="invalid scenario"):
+            build_scenario(cfg, seed=seed)

@@ -181,37 +181,31 @@ def test_minimize_is_deterministic():
     assert t1.termination == t2.termination
 
 
-def test_step_cap_bounds_iterate_moves():
+def test_step_cap_bounds_iterate_moves(monkeypatch):
     rng = np.random.default_rng(3)
     target = 50.0 * (rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)))
     fg = _quadratic(target)
     w0 = random_point(3, 5, 1.0, rng)
 
     def collect(opts):
-        seen = [np.asarray(w0)]
+        moves = []
 
-        def observer(w):
-            seen.append(w)
-            return False
+        def spied(fg, w, *args):
+            ls = wolfe_linesearch(fg, w, *args)
+            if ls is not None:
+                moves.append(np.linalg.norm(ls.at.point - w))
+            return ls
 
-        minimize(deferred(fg), w0, 1.0, opts, stop_when=observer)
-        return [np.linalg.norm(b - a) for a, b in zip(seen, seen[1:])
-                if b is not a]
+        monkeypatch.setattr(rcg, "wolfe_linesearch", spied)
+        trace = minimize(deferred(fg), w0, 1.0, opts)[1]
+        monkeypatch.undo()
+        assert len(moves) == trace.iterations > 0
+        return moves
 
     capped = collect(RcgOptions(eps=1e-6, max_step_norm=0.05))
     free = collect(RcgOptions(eps=1e-6))
     assert max(capped) <= 0.05 * 1.05
     assert max(free) > 0.05
-
-
-def test_stop_when_fires_at_the_start():
-    w0 = random_point(2, 3, 1.0, np.random.default_rng(10))
-    target = np.ones((2, 3), dtype=complex)
-    w, trace = minimize(deferred(_quadratic(target)), w0, 1.0, RcgOptions(),
-                        stop_when=lambda w: True)
-    assert trace.termination == "target_met"
-    assert trace.iterations == 0
-    assert np.array_equal(w, w0)
 
 
 def test_minimize_rejects_an_off_manifold_start():
@@ -335,10 +329,10 @@ def _assert_same_search(fg, w, radius, opts, d=None, f0=None, slope0=None):
     return res
 
 
-def _assert_same_solve(fg, w0, radius, opts, stop_when=None):
+def _assert_same_solve(fg, w0, radius, opts):
     counted, grads = _counting(fg)
-    w, trace = minimize(counted, w0, radius, opts, stop_when)
-    w_ref, ref = eager_minimize(fg, w0, radius, opts, stop_when)
+    w, trace = minimize(counted, w0, radius, opts)
+    w_ref, ref = eager_minimize(fg, w0, radius, opts)
     assert w.tobytes() == w_ref.tobytes()
     assert trace.records == ref.records
     assert trace.termination == ref.termination
@@ -349,17 +343,17 @@ def _assert_same_solve(fg, w0, radius, opts, stop_when=None):
 
 
 def _stage_problems(monkeypatch):
-    """(fg, w0, radius, opts, stop_when) of stages I and II of an sgcdf
-    design on the small acceptance scenario, as ``design`` builds them."""
+    """(fg, w0, radius, opts) of stages I and II of an sgcdf design on
+    the small acceptance scenario, as ``design`` builds them."""
     s = make_scenario(num_tx=8, num_rx=8, num_users=2,
                       target_angles_deg=(-40.0, 25.0),
                       target_ranges_m=(50.0, 60.0), snapshots=64, seed=2)
     problems = []
     solve = rcg.minimize
 
-    def capture(fg, w0, radius, opts=None, stop_when=None):
-        problems.append((fg, w0, radius, opts, stop_when))
-        return solve(fg, w0, radius, opts, stop_when)
+    def capture(fg, w0, radius, opts):
+        problems.append((fg, w0, radius, opts))
+        return solve(fg, w0, radius, opts)
 
     monkeypatch.setattr(rcg, "minimize", capture)
     design.run(s, "sgcdf")
@@ -412,14 +406,15 @@ def test_deferred_gradients_match_eager_solver_on_quadratic():
 
 
 def test_deferred_gradients_match_eager_solver_on_both_stages(monkeypatch):
-    (fg1, w1, radius, opts1, _), (fg2, w2, _, opts2, guard) = _stage_problems(monkeypatch)
+    (fg1, w1, radius, opts1), (fg2, w2, _, opts2) = _stage_problems(monkeypatch)
     assert opts2.max_step_norm is not None
     _assert_same_search(fg1, w1, radius, opts1)
     _assert_same_solve(fg1, w1, radius, opts1)
     for opts in (opts2, dataclasses.replace(opts2, max_step_norm=None)):
         _assert_same_search(fg2, w2, radius, opts)
-        trace = _assert_same_solve(fg2, w2, radius, opts, stop_when=guard)
-        assert trace.termination == "target_met" and trace.iterations >= 1
+        trace = _assert_same_solve(fg2, w2, radius, opts)
+        assert trace.termination == "grad_tol" and trace.iterations >= 1
+        assert trace.objectives()[-1] == 0.0
 
 
 def test_deferred_gradients_match_eager_solver_through_a_descent_reset():

@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level private name of the library is read."""
+"""Source hygiene: every module-level private name and every parameter
+of the library is read."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,33 @@ def test_private_name_check_sees_definitions_and_uses():
     assert set(_private_definitions(tree)) == {"_A", "_f", "_C"}
     assert {"_A", "_imp", "_g"} <= set(_references(tree))
     assert "_f" not in set(_references(tree)) and "_C" not in set(_references(tree))
+
+
+def _unread_parameters(tree):
+    """(function, parameter) for each parameter of a def or lambda in
+    ``tree`` that its body never reads; names starting with ``_`` are
+    exempt, the way to keep a slot that a caller's signature fixes."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        yield from ((name, p) for p in params if not p.startswith("_") and p not in read)
+
+
+def test_every_parameter_is_read():
+    unread = sorted(f"{module}:{function}({param})" for module, tree in _trees().items()
+                    for function, param in _unread_parameters(tree))
+    assert unread == []
+
+
+def test_unread_parameter_check_sees_every_kind_of_parameter():
+    tree = ast.parse("def f(a, b=1, *c, d, _e, **g):\n    return a + (lambda x, y: x)(d, 0)\n"
+                     "def h(u):\n    def inner():\n        return u\n    return inner\n")
+    assert sorted(_unread_parameters(tree)) == [
+        ("<lambda>", "y"), ("f", "b"), ("f", "c"), ("f", "g")]
