@@ -90,9 +90,12 @@ def _stage(trace, name):
     return "" if trace is None else _fmt(getattr(trace, name))
 
 
-def _run_one(cfg, mode, **overrides):
+def _designs(cfg, modes, **overrides):
+    """(scenario, result) of each mode, all on one scenario built from
+    ``cfg`` with ``overrides``."""
     scenario = build_scenario(cfg, **overrides)
-    return scenario, design.run(scenario, mode=mode, opts=build_options(cfg))
+    opts = build_options(cfg)
+    return [(scenario, design.run(scenario, mode=mode, opts=opts)) for mode in modes]
 
 
 def cmd_design(args):
@@ -100,7 +103,7 @@ def cmd_design(args):
     mode, *rest = _modes(args.mode)
     if rest:
         raise ConfigError(f"design takes one mode, got '{args.mode}'")
-    scenario, res = _run_one(cfg, mode, seed=args.seed)
+    [(scenario, res)] = _designs(cfg, [mode], seed=args.seed)
     record = {
         "mode": res.mode,
         "sum_crlb": _fmt(res.sum_crlb),
@@ -135,6 +138,7 @@ def _sweep(args, grid_key, override, header, row):
 
     ``override`` names the [scenario] key that the grid value replaces;
     ``row(value, mode, scenario, result, report)`` builds the row.
+    Each grid value's scenario is built once and shared by its modes.
     Every design runs before any Monte-Carlo trial, so a typed error
     from any of them ends the command with no trial run and no CSV. The
     trials of all designs then run in one ``radar.monte_carlo_sweep``
@@ -147,8 +151,9 @@ def _sweep(args, grid_key, override, header, row):
     cfg = load_config(args.config)
     modes = _modes(args.mode)
     exp = cfg.section("experiment")
-    cells = [(value, mode, *_run_one(cfg, mode, seed=args.seed, **{override: value}))
-             for value in exp[grid_key] for mode in modes]
+    cells = [(value, mode, *pair) for value in exp[grid_key]
+             for mode, pair in zip(modes, _designs(cfg, modes, seed=args.seed,
+                                                   **{override: value}))]
     reports = radar.monte_carlo_sweep([(scenario, res) for _, _, scenario, res in cells],
                                       exp["trials"], grid_deg=exp["music_grid_deg"])
     write_csv(header, [row(*cell, report) for cell, report in zip(cells, reports)],
@@ -185,8 +190,7 @@ def cmd_beampattern(args):
     theta_deg = _degree_grid(cfg.get("experiment", "grid_deg"))
     traces = {}
     metadata = []
-    for mode in modes:
-        scenario, res = _run_one(cfg, mode, seed=args.seed)
+    for mode, (scenario, res) in zip(modes, _designs(cfg, modes, seed=args.seed)):
         gains = beampattern_trace(res.r_x, np.deg2rad(theta_deg))
         traces[mode] = 10.0 * np.log10(np.maximum(gains, 1e-300))
     metadata.append(("target_angles_deg", ";".join(

@@ -25,28 +25,33 @@ Y that ``synthesize_echo`` returns for the frame W Xt
 (``synthesize_probe``), which remain as the reference, but not the same
 realisation.
 
-MUSIC scans the grid on two levels, by the one cached plan that
-``_grid`` builds for each (M_R, step). The grid's steering vectors are
-padded with zero columns to whole 8-column groups, and ||a||^2 with
-NaN, so d(theta) = ||E_n^H a||^2 is NaN at a pad and never a minimum
-there. d is first evaluated on the plan's coarse columns, every w-th
-grid column and the last, w the largest multiple of 8 steps within
-1 / (4 M_R) rad (16 steps at 32 elements and 0.02 deg). From the
-absolute entries of the signal eigenvectors, |d''| <= C, so
+MUSIC evaluates the denominator d(theta) = ||a||^2 - ||E_s^H a||^2, which
+equals ||E_n^H a||^2, as a real trigonometric polynomial of degree
+M_R - 1 in pi sin(theta): its 2 M_R - 1 coefficients are the diagonal
+sums of E_s E_s^H (``_coefficients``, the form Root-MUSIC factors), so a
+trial is one real row, whatever T is. The one cached plan that ``_grid``
+builds for each (M_R, step) holds a read-only table of cos(pi k sin
+theta) and sin(pi k sin theta), k = 1..M_R-1, on the grid, padded with
+NaN columns to whole 8-column groups, so d is NaN at a pad and never a
+minimum there. The grid is scanned on two levels. d is first evaluated
+on the plan's coarse columns, every w-th grid column and the last, w the
+largest multiple of 8 steps within 1 / (4 M_R) rad (16 steps at 32
+elements and 0.02 deg). From the coefficients, |d''| <= C, so
 min(ends) - h^2 C / 8 bounds d on each coarse interval of h rad; the
 fine level evaluates only the 8-column groups of the intervals whose
 bound does not rule out the T deepest minima. A trial that the coarse
 level cannot certify (w < 8, or fewer than T interior coarse minima,
-which every degraded trial has) keeps every group. In
-the benchmark's 32-element sweep a trial keeps 425 of the 9001 columns
-on average, and the 10 or 15 trials of a block keep 416-512 together,
-which the fine level evaluates once for all of them. Each fine product
-covers whole 8-column groups, because OpenBLAS computes the last
-(count mod 4) columns of a product on another path, so every value has
-the bits of one product over the whole padded grid, whatever the stack
-and its union. That holds with single-threaded BLAS; threaded OpenBLAS
-splits a one-target product (a gemv) mid-grid, so there the last bits
-depend on the thread count.
+which every degraded trial has) keeps every group. In the benchmark's
+32-element sweep a trial keeps 202 of the 9001 columns on average, and
+the 16 or 8 trials of a block keep 192-352 together, which the fine
+level evaluates once for all of them. Each product has at least two
+rows and covers whole 8-column groups: numpy runs a one-row product as
+a gemv, and OpenBLAS computes the last (count mod 4) columns of a
+product on another path, while a gemm's rows do not depend on how many
+there are. So every value has the bits of one product over the whole
+padded grid, whatever the stack and its union. That holds with
+single-threaded BLAS; threaded OpenBLAS may split a product elsewhere,
+so there the last bits depend on the thread count.
 
 ``monte_carlo_sweep`` runs the trials of designs that share one noise
 key: the scenario seed, M_R, N = K + M_T, L and the noise power. Every
@@ -58,10 +63,11 @@ its own substream, so every design sees the same trial noise (common
 random numbers) and the differences in RMSE between modes and powers
 are paired. Each block draws its noise, N Q and sigma^2 T T^H, once;
 each design then forms its covariances with one stacked product,
-eigendecomposes them with one stacked ``eigh``, and evaluates the
-coarse level, the interval floors and the levels of all of its trials
-at once, then the fine level, the peak pick and the refinement once per
-stack of trials (one stack per block in the benchmark's sweep).
+eigendecomposes them with one stacked ``eigh``, and turns them into
+coefficients, the coarse level and the interval floors of all of its
+trials at once, then runs the fine level, the peak pick and the
+refinement once per stack of trials (one stack per block in the
+benchmark's sweep).
 ``music_estimate`` and the one-trial covariance of ``tests/reference.py``
 are stacks of one over the same code, so with single-threaded BLAS
 every trial's estimate is theirs bit for bit.
@@ -181,21 +187,21 @@ def _hermitian(x):
 
 @dataclass(frozen=True)
 class _ScanPlan:
-    theta_deg: np.ndarray     # grid points, degrees
-    a: np.ndarray             # steering vectors, zero-padded to whole 8-column groups
-    a_norm2: np.ndarray       # ||a||^2, NaN at the pads
-    stride: int               # coarse stride w in grid steps; below 8, no coarse level
-    coarse_a: np.ndarray      # every w-th column of a and the last, or a itself when w < 8
-    coarse_norm2: np.ndarray  # ||a||^2 on those columns
+    theta_deg: np.ndarray  # grid points, degrees
+    table: np.ndarray      # cos(pi k sin theta) for k = 1..M_R-1, then sin; NaN at the pads
+    stride: int            # coarse stride w in grid steps; below 8, no coarse level
+    coarse: np.ndarray     # every w-th column of the table and the last, or the table when w < 8
 
 
 @functools.lru_cache(maxsize=4)
 def _grid(num_rx, grid_deg):
     """The read-only ``_ScanPlan`` of the MUSIC grid, shared by every caller.
 
-    The steering vectors are padded with zero columns to whole 8-column
-    groups and ||a||^2 with NaN, so the denominator is NaN at a pad and
-    never a minimum. The pads are steered to +90 deg and then zeroed, so
+    The table's 2 (M_R - 1) rows evaluate the denominator's trigonometric
+    polynomial (``_coefficients``) at every grid point. It is padded
+    with NaN columns to whole 8-column groups, so the denominator is NaN
+    at a pad and never a minimum. The phases pi k sin(theta) are written
+    into the sine rows, then turned into cosines and sines in place, so
     the build allocates no second grid-sized array. w is the largest
     multiple of 8 steps within 1 / (4 M_R) rad.
     """
@@ -203,23 +209,49 @@ def _grid(num_rx, grid_deg):
         raise ValueError(f"MUSIC grid step must be positive, got {grid_deg}")
     theta_deg = _degree_grid(grid_deg)
     points = theta_deg.size
-    a = steering_matrix(np.append(np.deg2rad(theta_deg), np.full(-points % 8, np.pi / 2)),
-                        num_rx)
-    a[:, points:] = 0.0
-    a_norm2 = (a.real ** 2 + a.imag ** 2).sum(axis=0)
-    a_norm2[points:] = np.nan
+    table = np.empty((2 * (num_rx - 1), points + -points % 8))
+    phase = table[num_rx - 1:, :points]
+    np.multiply.outer(np.pi * np.arange(1, num_rx), np.sin(np.deg2rad(theta_deg)), out=phase)
+    np.cos(phase, out=table[: num_rx - 1, :points])
+    np.sin(phase, out=phase)
+    table[:, points:] = np.nan
     w = 8 * int(np.rad2deg(0.25 / num_rx) * (points - 1) / (8 * 180.0))
-    cols = np.append(np.arange(0, points - 1, w), points - 1) if w >= 8 else slice(None)
-    plan = _ScanPlan(theta_deg, a, a_norm2, w, a[:, cols], a_norm2[cols])
-    for x in (theta_deg, a, a_norm2, plan.coarse_a, plan.coarse_norm2):
+    coarse = table[:, np.append(np.arange(0, points - 1, w), points - 1)] if w >= 8 else table
+    plan = _ScanPlan(theta_deg, table, w, coarse)
+    for x in (theta_deg, table, coarse):
         x.flags.writeable = False
     return plan
 
 
-def _subspace_power(basis, a):
-    """||basis^H a||^2 on every column of ``a``, for one basis or a stack."""
-    p = _hermitian(basis) @ a
-    return (p.real ** 2 + p.imag ** 2).sum(axis=-2)
+def _coefficients(basis):
+    """The denominator d = ||a||^2 - ||E_s^H a||^2 of a stack of signal
+    bases (B x M_R x T) as B rows (c_0, a_1..a_{M_R-1}, b_1..b_{M_R-1}):
+    d(theta) = c_0 + sum_k a_k cos(pi k u) + b_k sin(pi k u), u = sin(theta).
+
+    With a_m = exp(j pi m u), ||E_s^H a||^2 = sum_k r_k exp(j pi k u) over
+    |k| < M_R, r_k = sum_m (E_s E_s^H)_{m, m+k} the diagonal sums and
+    r_{-k} = conj(r_k), so c_0 = M_R - r_0, a_k = -2 Re r_k and
+    b_k = 2 Im r_k (the form Root-MUSIC factors; Barabell, ICASSP 1983).
+    The r_k are the FFT autocorrelation of the T eigenvectors: with S the
+    summed |FFT|^2 of the columns zero-padded to 2 M_R, r_k = FFT(S)_k / (2 M_R).
+    r_0 is computed, not taken as T.
+    """
+    m = basis.shape[-2]
+    spectrum = np.fft.fft(basis, n=2 * m, axis=-2)
+    r = np.fft.rfft((spectrum.real ** 2 + spectrum.imag ** 2).sum(axis=-1))[..., :m] / (2 * m)
+    return np.concatenate([m - r[..., :1].real, -2.0 * r[..., 1:].real, 2.0 * r[..., 1:].imag],
+                          axis=-1)
+
+
+def _denominators(coeffs, table):
+    """d = c_0 + (a, b) . table on every column of ``table``, one row per
+    coefficient row. The product always has at least two rows: numpy runs
+    a one-row product as a gemv, whose bits differ from a gemm's, and a
+    gemm's rows do not depend on how many rows it has."""
+    rows = coeffs[:, 1:] if len(coeffs) > 1 else np.repeat(coeffs[:, 1:], 2, axis=0)
+    d = (rows @ table)[: len(coeffs)]
+    d += coeffs[:, :1]
+    return d
 
 
 def _local_maxima(x):
@@ -257,23 +289,22 @@ def _refined(theta_deg, denom, picked, columns):
     return np.sort(np.deg2rad(theta_deg[columns] + np.clip(shift, -1.0, 1.0) * step), axis=1)
 
 
-def _interval_floors(basis, ends, h):
-    """Lower bounds of d = ||a||^2 - ||E_s^H a||^2 on consecutive intervals.
+def _interval_floors(coeffs, ends, h):
+    """Lower bounds of d on consecutive intervals, from its ``_coefficients``.
 
-    ``ends`` holds d at the interval ends, at most h rad apart. With
-    a_m = exp(j pi m sin theta) and g_i = e_i^H a, |g_i| <= P_i,
-    |g_i'| <= pi D1_i and |g_i''| <= pi^2 D2_i + pi D1_i, where P_i, D1_i
-    and D2_i sum |e_im| weighted by 1, m and m^2. As
-    (|g_i|^2)'' = 2 Re(g_i'' conj(g_i)) + 2 |g_i'|^2,
-    |d''| <= C = 2 pi^2 sum_i (D1_i^2 + P_i D2_i) + 2 pi sum_i P_i D1_i,
-    and d >= min(ends) - h^2 C / 8 on each interval. Takes one basis and
-    its ``ends`` or a stack of each.
+    ``ends`` holds d at the interval ends, at most h rad apart. Each term
+    of d is rho_k cos(pi k sin(theta) - phi_k), rho_k = hypot(a_k, b_k),
+    whose second derivative in theta is at most rho_k (pi^2 k^2 + pi k)
+    in magnitude, so |d''| <= C = sum_k rho_k (pi^2 k^2 + pi k) and
+    d >= min(ends) - h^2 C / 8 on each interval. C never exceeds the
+    bound from the absolute eigenvector entries |e_im| that it replaces,
+    pi^2 sum |e_im| |e_in| (m + n)^2 + 2 pi sum |e_im| |e_in| (m + n)
+    over i, m, n: the lag form sums (m - n)^2 and |m - n| instead. Takes
+    one coefficient row and its ``ends`` or a stack of each.
     """
-    mag = np.abs(basis)
-    m = np.arange(mag.shape[-2])
-    p, d1, d2 = mag.sum(axis=-2), m @ mag, (m * m) @ mag
-    curv = (2.0 * np.pi**2 * np.sum(d1 * d1 + p * d2, axis=-1)
-            + 2.0 * np.pi * np.sum(p * d1, axis=-1))
+    half = coeffs.shape[-1] // 2
+    k = np.pi * np.arange(1, half + 1)
+    curv = np.hypot(coeffs[..., 1: half + 1], coeffs[..., half + 1:]) @ (k * k + k)
     return np.minimum(ends[..., :-1], ends[..., 1:]) - h * h * curv[..., None] / 8.0
 
 
@@ -291,9 +322,9 @@ def _row_minima(x):
     return minima
 
 
-def _kept_groups(basis, grid_deg):
-    """The coarse level of the scan for a stack of signal bases: (B x G
-    flags of the padded grid's 8-column groups that the fine level
+def _kept_groups(coeffs, num_targets, grid_deg):
+    """The coarse level of the scan for a stack of ``_coefficients`` rows:
+    (B x G flags of the padded grid's 8-column groups that the fine level
     evaluates, B flags of the trials it certified).
 
     Let v be the T-th smallest interior minimum of the coarse values c.
@@ -307,15 +338,15 @@ def _kept_groups(basis, grid_deg):
     trial with fewer than T coarse minima has v = +inf and keeps every
     group, as does every trial when w < 8; the others are certified.
     """
-    b, m, num_targets = basis.shape
+    b, m = len(coeffs), coeffs.shape[1] // 2 + 1
     plan = _grid(m, grid_deg)
     w = plan.stride
-    groups = np.zeros((b, plan.a.shape[1] // 8), dtype=bool)
+    groups = np.zeros((b, plan.table.shape[1] // 8), dtype=bool)
     if w < 8:
         groups[:] = True
         return groups, np.zeros(b, dtype=bool)
-    coarse = plan.coarse_norm2 - _subspace_power(basis, plan.coarse_a)
-    floors = _interval_floors(basis, coarse,
+    coarse = _denominators(coeffs, plan.coarse)
+    floors = _interval_floors(coeffs, coarse,
                               np.deg2rad(w * (plan.theta_deg[1] - plan.theta_deg[0])))
     level = np.partition(_row_minima(coarse), num_targets - 1, axis=1)[:, num_targets - 1]
     # the intervals' groups cover the grid, give or take its last group
@@ -326,37 +357,39 @@ def _kept_groups(basis, grid_deg):
     return groups, np.isfinite(level)
 
 
-def _fine_level(vecs, num_targets, groups, grid_deg):
+def _fine_level(vecs, coeffs, num_targets, groups, grid_deg):
     """MUSIC's (angles, degraded flags) for a stack of eigenvector
-    matrices, from the denominator d on their kept 8-column groups.
+    matrices and their signal bases' ``_coefficients``, from the
+    denominator d on their kept 8-column groups.
 
-    d is evaluated on the union of the groups, one stacked product per
-    span of the union. Each product reads a slice of the cached grid: a
-    gathered copy of the columns changes the bits of a one-target product
-    (a gemv). Each row's columns outside its own groups are set to +inf,
-    so its smallest value and its minima come from its own columns only.
-    Where the signal-subspace form ||a||^2 - ||E_s^H a||^2 falls below
-    CANCEL_TOL * M_R (near-total cancellation at a noiseless target), the
-    row's columns there are re-evaluated on the noise subspace E_n, so d
-    is never negative. The T deepest minima of a row, ranked by (depth,
-    column), are refined; a row with fewer repeats its deepest and is
-    degraded, and a row with none takes the grid angle of its smallest
-    value, unrefined.
+    d is evaluated on the union of the groups, one product per span of
+    the union with a row per trial. Each product reads a slice of the
+    cached table, whole 8-column groups wide: the last (count mod 4)
+    columns of a product are computed on another path. Each row's
+    columns outside its own groups are set to +inf, so its smallest
+    value and its minima come from its own columns only. Where the
+    signal-subspace form falls below CANCEL_TOL * M_R (near-total
+    cancellation at a noiseless target), the row's columns there are
+    re-evaluated on the noise subspace E_n, with steering vectors built
+    for those columns only, so d is never negative. The T deepest minima
+    of a row, ranked by (depth, column), are refined; a row with fewer
+    repeats its deepest and is degraded, and a row with none takes the
+    grid angle of its smallest value, unrefined.
     """
     m = vecs.shape[-1]
     plan = _grid(m, grid_deg)
-    basis = vecs[..., m - num_targets:]
     padded = np.zeros(groups.shape[1] + 2, dtype=bool)
     union = padded[1:-1]
     np.any(groups, axis=0, out=union)
     edges = 8 * np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2)
-    d = np.concatenate([plan.a_norm2[lo:hi] - _subspace_power(basis, plan.a[:, lo:hi])
-                        for lo, hi in edges], axis=1)
+    d = np.concatenate([_denominators(coeffs, plan.table[:, lo:hi]) for lo, hi in edges], axis=1)
     d[~np.repeat(groups[:, union], 8, axis=1)] = np.inf
     cols = (8 * np.flatnonzero(union)[:, None] + np.arange(8)).ravel()
     for row in np.flatnonzero((d < CANCEL_TOL * m).any(axis=1)):
         close = np.flatnonzero(d[row] < CANCEL_TOL * m)
-        d[row, close] = _subspace_power(vecs[row, :, : m - num_targets], plan.a[:, cols[close]])
+        p = (_hermitian(vecs[row, :, : m - num_targets])
+             @ steering_matrix(np.deg2rad(plan.theta_deg[cols[close]]), m))
+        d[row, close] = (p.real ** 2 + p.imag ** 2).sum(axis=0)
     minima = _row_minima(d)
     count = np.count_nonzero(np.isfinite(minima), axis=1)
     slots = np.where(np.arange(num_targets) < count[:, None], np.arange(num_targets), 0)
@@ -393,10 +426,10 @@ def _music(covs, num_targets, grid_deg):
     The fine level runs on greedy stacks of trials whose count times
     union width stays within the cap, the block's trials times the width
     of the plan's coarse columns (the running union only grows), so a
-    stack's T-row arrays are no larger than the coarse level's. The one
-    exception is a trial whose kept groups alone are wider than the cap:
-    it runs as a stack of one, and its T-row products span at most the
-    padded grid, T/M_R of the cached plan's steering array.
+    stack's arrays, one real row per trial, are no larger than the coarse
+    level's. The one exception is a trial whose kept groups alone are
+    wider than the cap: it runs as a stack of one, and its rows span at
+    most the padded grid, 1 / (2 M_R - 2) of the cached table.
     """
     if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
         raise ValueError("MUSIC needs a square M_R x M_R sample covariance")
@@ -406,35 +439,39 @@ def _music(covs, num_targets, grid_deg):
         raise ValueError("need more receive antennas than targets")
     b, m = covs.shape[:2]
     vecs = np.linalg.eigh(covs)[1]
-    groups, certified = _kept_groups(vecs[..., m - num_targets:], grid_deg)
+    coeffs = _coefficients(vecs[..., m - num_targets:])
+    groups, certified = _kept_groups(coeffs, num_targets, grid_deg)
     angles = np.empty((b, num_targets))
     degraded = np.empty(b, dtype=bool)
-    cap = b * _grid(m, grid_deg).coarse_a.shape[1]
+    cap = b * _grid(m, grid_deg).coarse.shape[1]
     rest = np.arange(b)
     while rest.size:
         width = 8 * np.logical_or.accumulate(groups[rest]).sum(axis=1)
         sel = rest[: max(1, np.count_nonzero(width * np.arange(1, rest.size + 1) <= cap))]
         rest = rest[sel.size:]
-        angles[sel], degraded[sel] = _fine_level(vecs[sel], num_targets, groups[sel], grid_deg)
+        angles[sel], degraded[sel] = _fine_level(vecs[sel], coeffs[sel], num_targets,
+                                                  groups[sel], grid_deg)
     return angles, degraded, ~certified
 
 
-def _block_trials(m_r, num_streams, num_targets, grid_deg):
+def _block_trials(m_r, num_streams, grid_deg):
     """Monte-Carlo trials per block: as many as BLOCK_BYTES holds, at
-    least one. A trial's working set is counted in complex entries: its
-    draws, N Q, T and their conjugates or S and S^H (3 M_R (N + M_R) at
-    most), N Q and sigma^2 T T^H, which stay while each design runs
-    (M_R (N + M_R)), five M_R x M_R products, covariances and
-    eigenvectors, and two T-row arrays as wide as the plan's coarse
-    columns. The fine level adds nothing: it runs after the coarse arrays
-    are released, and ``_music`` caps each of its stacks at the trials
-    times those columns, so its T-row arrays fit where the coarse ones
-    were. The exception is a one-trial stack wider than that cap, whose
-    T-row arrays span at most the padded grid, T/M_R of the cached
-    plan's steering array."""
-    entries = (4 * m_r * (num_streams + m_r) + 5 * m_r * m_r
-               + 2 * num_targets * _grid(m_r, grid_deg).coarse_a.shape[1])
-    return max(1, BLOCK_BYTES // (16 * entries))
+    least one. A trial's working set is counted in complex entries
+    (16 bytes): its draws, N Q, T and their conjugates or S and S^H
+    (3 M_R (N + M_R) at most), N Q and sigma^2 T T^H, which stay while
+    each design runs (M_R (N + M_R)), and five M_R x M_R products,
+    covariances and eigenvectors, whose room the FFTs behind the
+    coefficients reuse.
+    Its coarse level adds six real rows (8 bytes an entry) as wide as
+    the plan's coarse columns: the values, their interval floors and the
+    copies of the minima search. The fine level adds nothing: it runs
+    after the coarse arrays are released, and ``_music`` caps each of
+    its stacks at the trials times those columns, so its rows fit where
+    the coarse ones were. The exception is a one-trial stack wider than
+    that cap, whose rows span at most the padded grid. The count does
+    not depend on T: from its coefficients on, a trial is one real row."""
+    entries = 4 * m_r * (num_streams + m_r) + 5 * m_r * m_r
+    return max(1, BLOCK_BYTES // (16 * entries + 8 * 6 * _grid(m_r, grid_deg).coarse.shape[1]))
 
 
 def monte_carlo(scenario, result, trials, grid_deg=MUSIC_GRID_DEG):
@@ -467,9 +504,9 @@ def monte_carlo_sweep(designs, trials, grid_deg):
     as those of a sweep command do; any other list, the empty one
     included, raises ValueError before any noise is drawn. Each block of
     trials draws its noise once; each design then forms its covariances
-    and runs its own ``eigh`` and scan. The block size is the smallest
-    that any design asks for, so memory stays flat in the trial count
-    and in the number of designs.
+    and runs its own ``eigh`` and scan. The block size depends only on
+    the shared sizes and the grid, so memory stays flat in the trial
+    count and in the number of designs.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -482,7 +519,7 @@ def monte_carlo_sweep(designs, trials, grid_deg):
     targets = [scenario.num_targets for scenario, _ in designs]
     found = [(np.empty((trials, t)), np.empty(trials, dtype=bool), np.empty(trials, dtype=bool))
              for t in targets]
-    block = min(_block_trials(m_r, num_streams, t, grid_deg) for t in targets)
+    block = _block_trials(m_r, num_streams, grid_deg)
     for lo in range(0, trials, block):
         hi = min(lo + block, trials)
         noise, wishart = _trial_noise(m_r, num_streams, snapshots, noise_power,

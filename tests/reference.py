@@ -3,12 +3,14 @@
 Each is a direct, unoptimised form of something the library computes
 another way (the explicit transmit frame, the per-user cone vector and
 its projection, the dense channel derivative, the MUSIC scan of every
-grid column, the solver with every probe's gradient computed at once,
-the echo covariance and the Monte-Carlo trials one at a time; the row
-norms, tangent projection, zero-forcing directions and sum-CRLB
-gradient through the numpy wrappers and repeated products the library
-skips, which must give the library's bits), or a generator of test
-inputs on the manifold.
+grid column, MUSIC and its denominator from steering vectors alone,
+the solver with every probe's gradient computed at once, the echo
+covariance and the Monte-Carlo trials one at a time; the row norms,
+tangent projection, zero-forcing directions and sum-CRLB gradient
+through the numpy wrappers and repeated products the library skips,
+which must give the library's bits), the looser MUSIC curvature bound
+that the library's must never exceed, or a generator of test inputs on
+the manifold.
 """
 
 import math
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from isacbeam import radar
-from isacbeam.arrays import steering, steering_derivative
+from isacbeam.arrays import steering, steering_derivative, steering_matrix
 from isacbeam.comm import RANK_TOL
 from isacbeam.errors import NumericalError
 from isacbeam.manifold import inner, project_tangent, retract
@@ -133,20 +135,64 @@ def synthesize_waveform(w, snapshots, rng):
     return w @ radar.synthesize_probe(w.shape[1], snapshots, rng)
 
 
+def plan_denominator(cov, num_targets, table):
+    """(eigenvectors, signal-subspace denominator c_0 + (a, b) . table)
+    of an M_R x M_R covariance on every column of ``table`` (a scan
+    plan's table or its coarse columns), from its signal basis's
+    ``radar._coefficients``. The product has the row and a zero row:
+    numpy runs a one-row product as a gemv, whose bits differ from the
+    rows of a gemm."""
+    vecs = np.linalg.eigh(cov)[1]
+    row = radar._coefficients(vecs[None, :, vecs.shape[0] - num_targets:])[0]
+    return vecs, row[0] + (np.stack([row[1:], np.zeros_like(row[1:])]) @ table)[0]
+
+
 def music_denominator(cov, num_targets, grid_deg):
     """(grid in degrees, ||E_n^H a||^2 on it) for an M_R x M_R covariance,
-    from one product over the whole padded grid: ||a||^2 - ||E_s^H a||^2
-    on the T-column signal subspace E_s, re-evaluated on the noise
-    subspace E_n in one product over the columns where it falls below
-    CANCEL_TOL * M_R. The pad columns are cut off."""
-    vecs = np.linalg.eigh(cov)[1]
-    m = vecs.shape[0]
+    from one product over the scan plan's whole padded table: the
+    signal-subspace form of ``plan_denominator``, re-evaluated on the
+    noise subspace E_n, from steering vectors of those columns, where it
+    falls below CANCEL_TOL * M_R. The pad columns are cut off."""
+    m = cov.shape[0]
     plan = radar._grid(m, grid_deg)
-    denom = plan.a_norm2 - radar._subspace_power(vecs[:, m - num_targets:], plan.a)
+    vecs, denom = plan_denominator(cov, num_targets, plan.table)
     close = np.flatnonzero(denom < radar.CANCEL_TOL * m)
     if close.size:
-        denom[close] = radar._subspace_power(vecs[:, : m - num_targets], plan.a[:, close])
+        p = vecs[:, : m - num_targets].conj().T @ steering_matrix(
+            np.deg2rad(plan.theta_deg[close]), m)
+        denom[close] = (p.real ** 2 + p.imag ** 2).sum(axis=0)
     return plan.theta_deg, denom[: plan.theta_deg.size]
+
+
+def steering_denominator(basis, thetas):
+    """||a||^2 - ||E_s^H a||^2 of a signal basis E_s (M_R x T) at the
+    angles ``thetas`` (radians), from the steering vectors of
+    ``arrays.steering_matrix`` alone."""
+    a = steering_matrix(thetas, basis.shape[0])
+    return (np.abs(a) ** 2).sum(axis=0) - (np.abs(basis.conj().T @ a) ** 2).sum(axis=0)
+
+
+def steering_music(cov, num_targets, grid_deg):
+    """MUSIC of one covariance on the noise-subspace denominator
+    ||E_n^H a||^2, from the steering vectors of ``arrays.steering_matrix``
+    at every angle of the grid: (angles, degraded)."""
+    m = cov.shape[0]
+    vecs = np.linalg.eigh(cov)[1]
+    theta_deg = np.linspace(-90.0, 90.0, int(round(180.0 / grid_deg)) + 1)
+    a = steering_matrix(np.deg2rad(theta_deg), m)
+    denom = (np.abs(vecs[:, : m - num_targets].conj().T @ a) ** 2).sum(axis=0)
+    return pick_peaks(theta_deg, denom, num_targets)
+
+
+def magnitude_curvature(basis):
+    """The bound on |d''| that came from the absolute entries of a
+    signal basis (M_R x T): with P_i, D1_i and D2_i the sums of |e_im|
+    weighted by 1, m and m^2,
+    C = 2 pi^2 sum_i (D1_i^2 + P_i D2_i) + 2 pi sum_i P_i D1_i."""
+    mag = np.abs(basis)
+    m = np.arange(mag.shape[0])
+    p, d1, d2 = mag.sum(axis=0), m @ mag, (m * m) @ mag
+    return 2.0 * np.pi**2 * np.sum(d1 * d1 + p * d2) + 2.0 * np.pi * np.sum(p * d1)
 
 
 def pick_peaks(theta_deg, denom, num_targets):
@@ -199,13 +245,11 @@ def one_trial_music(cov, num_targets, grid_deg):
     the full scan's angles and flag, and whether the coarse level leaves
     the trial uncertified, w < 8 or fewer than T interior minima among
     the values on the plan's coarse columns."""
-    vecs = np.linalg.eigh(cov)[1]
-    m = vecs.shape[0]
-    plan = radar._grid(m, grid_deg)
+    plan = radar._grid(cov.shape[0], grid_deg)
     uncertified = plan.stride < 8
     if not uncertified:
-        c = plan.coarse_norm2 - radar._subspace_power(vecs[:, m - num_targets:], plan.coarse_a)
-        uncertified = radar._local_maxima(-c).size < num_targets
+        coarse = plan_denominator(cov, num_targets, plan.coarse)[1]
+        uncertified = radar._local_maxima(-coarse).size < num_targets
     return (*full_scan(cov, num_targets, grid_deg), uncertified)
 
 

@@ -244,6 +244,30 @@ def test_sweep_runs_no_trial_when_its_last_design_fails(cfg_path, tmp_path, caps
     assert len(designs) == 4 and trials == [] and not out.exists()
 
 
+@pytest.mark.parametrize("command, values", [("sweep-power", 2), ("sweep-delta", 2),
+                                             ("beampattern", 1)])
+def test_commands_build_each_scenario_once_for_all_modes(command, values, cfg_path, tmp_path,
+                                                        monkeypatch):
+    # one scenario per grid value, handed to every mode's design
+    built, seen = [], []
+    build, run = cli.build_scenario, isacbeam.design.run
+
+    def counting_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def recording_run(scenario, mode, **kwargs):
+        seen.append(scenario)
+        return run(scenario, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "build_scenario", counting_build)
+    monkeypatch.setattr(isacbeam.design, "run", recording_run)
+    assert cli.main([command, "--config", cfg_path, "--mode", "sgcdf,omnidirectional",
+                     "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(built) == values
+    assert [id(s) for s in seen] == [id(s) for s in built for _ in range(2)]
+
+
 def test_sweep_power_schema_and_trends(cfg_path, tmp_path, capsys):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"

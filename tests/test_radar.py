@@ -22,8 +22,9 @@ from isacbeam.radar import (
     synthesize_probe,
 )
 from isacbeam.scenario import make_scenario, substream
-from reference import (echo_covariance, full_scan, music_denominator, one_trial_monte_carlo,
-                       one_trial_music, pick_peaks, synthesize_waveform)
+from reference import (echo_covariance, full_scan, magnitude_curvature, music_denominator,
+                       one_trial_monte_carlo, one_trial_music, plan_denominator,
+                       steering_denominator, steering_music, synthesize_waveform)
 
 
 def _sensing_scenario(noise_dbm, angles=(20.0,), ranges=(50.0,), snapshots=256):
@@ -213,9 +214,7 @@ def test_music_noiseless_on_grid_target_keeps_denominator_nonnegative():
     theta_deg, denom = music_denominator(cov, 1, radar.MUSIC_GRID_DEG)
     i = int(np.argmin(np.abs(theta_deg - 20.0)))
     assert theta_deg[i] == pytest.approx(20.0, abs=1e-9)
-    plan = radar._grid(8, radar.MUSIC_GRID_DEG)
-    _, vecs = np.linalg.eigh(cov)
-    signal_form = plan.a_norm2[i] - np.linalg.norm(vecs[:, -1:].conj().T @ plan.a[:, i]) ** 2
+    signal_form = plan_denominator(cov, 1, radar._grid(8, radar.MUSIC_GRID_DEG).table)[1][i]
     assert abs(signal_form) < radar.CANCEL_TOL * 8
     assert np.all(denom >= 0.0)
     assert np.argmin(denom) == i
@@ -373,27 +372,11 @@ def _recorded_sweep(monkeypatch, designs, trials, grid_deg):
     return reps, blocks
 
 
-@functools.lru_cache(maxsize=2)
-def _reference_grid(m, grid_deg):
-    theta_deg = np.linspace(-90.0, 90.0, int(round(180.0 / grid_deg)) + 1)
-    a = np.exp(1j * np.pi * np.outer(np.arange(m), np.sin(np.deg2rad(theta_deg))))
-    return theta_deg, a
-
-
-def _reference_music(cov, num_targets, grid_deg):
-    """MUSIC on the noise-subspace denominator ||E_n^H a||^2."""
-    m = cov.shape[0]
-    _, vecs = np.linalg.eigh(cov)
-    theta_deg, a = _reference_grid(m, grid_deg)
-    denom = (np.abs(vecs[:, : m - num_targets].conj().T @ a) ** 2).sum(axis=0)
-    return pick_peaks(theta_deg, denom, num_targets)
-
-
 def _reference_trial(scenario, w, num_targets, grid_deg, rng):
     """Explicit frame, then the noise-subspace MUSIC reference."""
     cov = _sample_covariance(synthesize_echo(
         scenario, synthesize_waveform(w, scenario.snapshots, rng), rng))
-    return _reference_music(cov, num_targets, grid_deg)
+    return steering_music(cov, num_targets, grid_deg)
 
 
 @pytest.fixture(scope="module")
@@ -415,7 +398,7 @@ def test_monte_carlo_music_matches_noise_subspace_reference(case, grid_deg, mc_s
             for cov, est, bad in zip(covs, ests, bads)]
     t = len(s.targets)
     assert len(seen) == trials
-    ref = [_reference_music(cov, t, grid_deg) for cov, _ in seen]
+    ref = [steering_music(cov, t, grid_deg) for cov, _ in seen]
     for (_, (est, bad)), (ref_est, ref_bad) in zip(seen, ref):
         assert bad == ref_bad
         assert np.max(np.abs(est - ref_est)) <= 1e-12
@@ -454,7 +437,7 @@ def _stacking_case(case):
              for mode in ("sgcdf", "omnidirectional")]
     four = make_scenario(num_tx=4, num_rx=4, num_users=0, power_budget_dbm=-40.0)
     if case.startswith("paper"):
-        # the benchmark's sweep: 40 trials, the last block shorter (15, 15, 10)
+        # the benchmark's sweep: 40 trials, the last block shorter (16, 16, 8)
         p_dbm, mode = case.split()[1:]
         return [(make_scenario(power_budget_dbm=float(p_dbm)), mode)], 40
     return {
@@ -494,8 +477,8 @@ def test_monte_carlo_blocks_match_one_trial_at_a_time(case, monkeypatch):
     sizes = [len(covs) for covs, _, _ in per_design[0]]
     # one draw of the noise per block, shared by every design
     assert draws == sizes
-    block = min(radar._block_trials(s.array.num_rx, np.shape(res.w)[1], len(s.targets),
-                                    radar.MUSIC_GRID_DEG) for s, res in designs)
+    block = min(radar._block_trials(s.array.num_rx, np.shape(res.w)[1], radar.MUSIC_GRID_DEG)
+                for s, res in designs)
     assert sum(sizes) == trials and set(sizes[:-1]) <= {block} and sizes[-1] <= block
     if "paper" in case:
         assert len(sizes) > 1 and sizes[-1] < block
@@ -715,19 +698,20 @@ def test_music_ranks_tied_minima_by_column(monkeypatch):
     # a denominator with 63 equal minima and one deeper: numpy's default
     # argsort puts the equal ones out of column order, and the fine level
     # must take the deepest, then the lowest columns. On a fake 4-element
-    # grid the signal basis (eigenvectors 1-3) sees nothing, so d is
-    # ||a||^2 exactly.
+    # grid the coefficients (c_0 = 0, a_1 = 1) pick the table's first
+    # row, so d is that row exactly.
     theta_deg = np.arange(128.0)
-    a = np.zeros((4, 128), dtype=complex)
-    a[0] = 1.0
-    d = np.ones(128)
+    table = np.zeros((6, 128))
+    d = table[0]
+    d[:] = 1.0
     d[1:127:2] = 0.5
     d[101] = 0.25
     monkeypatch.setattr(radar, "_grid",
-                        lambda m, grid_deg: SimpleNamespace(theta_deg=theta_deg, a=a, a_norm2=d))
+                        lambda m, grid_deg: SimpleNamespace(theta_deg=theta_deg, table=table))
     vecs = np.eye(4, dtype=complex)[None]
+    coeffs = np.array([[0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
     groups = np.ones((1, 16), dtype=bool)
-    angles, degraded = radar._fine_level(vecs, 3, groups, 1.0)
+    angles, degraded = radar._fine_level(vecs, coeffs, 3, groups, 1.0)
     assert np.array_equal(angles[0], np.deg2rad([1.0, 3.0, 101.0])) and not degraded[0]
 
 
@@ -745,15 +729,15 @@ def _assert_stack_matches_one_trial(covs, t, grid_deg):
 
 @pytest.mark.parametrize("grid_deg", [radar.MUSIC_GRID_DEG, 0.07, 0.5])
 def test_music_stacks_match_one_trial_bitwise(grid_deg, scan_corpus):
-    # the corpus in stacks of up to 15 trials of one (M_R, T), the block
+    # the corpus in stacks of up to 16 trials of one (M_R, T), the block
     # size of the benchmark's sweep; each stack shares one fine level
     by_shape = {}
     for _, cov, t in scan_corpus:
         by_shape.setdefault((len(cov), t), []).append(cov)
     full = []
     for (_, t), covs in by_shape.items():
-        for lo in range(0, len(covs), 15):
-            full.extend(_assert_stack_matches_one_trial(covs[lo:lo + 15], t, grid_deg))
+        for lo in range(0, len(covs), 16):
+            full.extend(_assert_stack_matches_one_trial(covs[lo:lo + 16], t, grid_deg))
     # at 0.5 deg no array here has a coarse level, so every trial keeps
     # the whole grid
     assert 0 < sum(full) <= len(full) and (sum(full) == len(full)) == (grid_deg == 0.5)
@@ -784,11 +768,11 @@ def test_music_fine_level_runs_once_per_block_on_the_paper_geometry(monkeypatch)
     # lose the time: each block makes one coarse product and one stacked
     # fine product per union span, far fewer than its trials
     calls, per_block = [], []
-    power, music = radar._subspace_power, radar._music
+    denominators, music = radar._denominators, radar._music
 
-    def counting_power(basis, a):
-        calls.append(len(basis))
-        return power(basis, a)
+    def counting_denominators(coeffs, table):
+        calls.append(len(coeffs))
+        return denominators(coeffs, table)
 
     def counting_music(covs, num_targets, grid_deg):
         del calls[:]
@@ -796,14 +780,14 @@ def test_music_fine_level_runs_once_per_block_on_the_paper_geometry(monkeypatch)
         per_block.append((len(covs), list(calls)))
         return out
 
-    monkeypatch.setattr(radar, "_subspace_power", counting_power)
+    monkeypatch.setattr(radar, "_denominators", counting_denominators)
     monkeypatch.setattr(radar, "_music", counting_music)
     designs = [(s, design.run(s, mode))
                for s in (make_scenario(power_budget_dbm=p) for p in (0.0, 10.0, 20.0))
                for mode in ("sgcdf", "omnidirectional")]
     reps = monte_carlo_sweep(designs, 40, radar.MUSIC_GRID_DEG)
     assert all(rep.full_scans == 0 for rep in reps)
-    assert [size for size, _ in per_block] == [15] * 12 + [10] * 6
+    assert [size for size, _ in per_block] == [16] * 12 + [8] * 6
     for size, stacks in per_block:
         # the coarse product, then each union span with every trial stacked
         assert stacks[0] == size and set(stacks[1:]) == {size}
@@ -811,9 +795,9 @@ def test_music_fine_level_runs_once_per_block_on_the_paper_geometry(monkeypatch)
 
 
 def test_music_fine_level_memory_stays_within_a_block():
-    # at -30 dBm, omnidirectional, the kept groups of a block's trials
-    # cover 8,300-8,600 of the 9,001 columns; one stack over that union
-    # peaks at about 6.3 MB, so the fine level runs in stacks of trials
+    # at -30 dBm, omnidirectional, a trial keeps 224-848 of the 9,001
+    # columns and the block's trials 5,248 together; one stack over that
+    # union peaks at about 2.1 MB, so the fine level runs in stacks of trials
     # whose count times union width fits the coarse product. At 64
     # elements and 0.07 deg, w < 8 and every trial keeps the whole grid,
     # so the stacks are capped by the padded grid's width instead.
@@ -822,8 +806,7 @@ def test_music_fine_level_memory_stays_within_a_block():
                                      (make_scenario(num_tx=64, num_rx=64, num_users=2), 0.07,
                                       True)):
         res = design.run(s, "omnidirectional")
-        block = radar._block_trials(s.array.num_rx, np.shape(res.w)[1], len(s.targets),
-                                    grid_deg)
+        block = radar._block_trials(s.array.num_rx, np.shape(res.w)[1], grid_deg)
         monte_carlo(s, res, 1, grid_deg)
         tracemalloc.start()
         try:
@@ -836,9 +819,10 @@ def test_music_fine_level_memory_stays_within_a_block():
 
 
 def test_music_grid_pads_in_place():
-    # the 32 x 9,008 steering vectors take 4.6 MB and the plan's build,
-    # the 564 coarse columns gathered from them included, about 9.4 MB at
-    # its peak; padding a finished grid into a zeroed one took 14 MB
+    # the 62 x 9,008 table takes 4.47 MB and the plan's build, the 564
+    # coarse columns gathered from it (0.28 MB) included, about 4.83 MB at
+    # its peak: the phases are written into the sine rows and turned into
+    # cosines and sines in place.
     radar._grid.cache_clear()
     tracemalloc.start()
     try:
@@ -846,11 +830,13 @@ def test_music_grid_pads_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    theta_deg, a = plan.theta_deg, plan.a
-    assert theta_deg.size == 9001 and a.shape == (32, 9008)
-    assert not a[:, 9001:].any() and np.isnan(plan.a_norm2[9001:]).all()
-    assert np.array_equal(a[:, :9001], steering_matrix(np.deg2rad(theta_deg), 32))
-    assert peak <= 9.4e6
+    theta_deg, table = plan.theta_deg, plan.table
+    assert theta_deg.size == 9001 and table.shape == (62, 9008)
+    assert np.isnan(table[:, 9001:]).all() and np.isfinite(table[:, :9001]).all()
+    a = steering_matrix(np.deg2rad(theta_deg), 32)[1:]
+    assert np.allclose(table[:31, :9001], a.real, rtol=0.0, atol=1e-12)
+    assert np.allclose(table[31:, :9001], a.imag, rtol=0.0, atol=1e-12)
+    assert peak <= 4.9e6
 
 
 @pytest.mark.parametrize("grid_deg, stride", [(radar.MUSIC_GRID_DEG, 16), (0.1, 0)])
@@ -861,10 +847,9 @@ def test_music_scan_plan_is_one_read_only_record(grid_deg, stride):
     points = plan.theta_deg.size
     assert plan.stride == stride
     cols = (np.append(np.arange(0, points - 1, stride), points - 1) if stride
-            else np.arange(plan.a.shape[1]))
-    assert np.array_equal(plan.coarse_a, plan.a[:, cols])
-    assert np.array_equal(plan.coarse_norm2, plan.a_norm2[cols], equal_nan=True)
-    for x in (plan.theta_deg, plan.a, plan.a_norm2, plan.coarse_a, plan.coarse_norm2):
+            else np.arange(plan.table.shape[1]))
+    assert np.array_equal(plan.coarse, plan.table[:, cols], equal_nan=True)
+    for x in (plan.theta_deg, plan.table, plan.coarse):
         with pytest.raises(ValueError, match="read-only"):
             x[..., 0] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -872,30 +857,62 @@ def test_music_scan_plan_is_one_read_only_record(grid_deg, stride):
     # a noiseless three-target subspace: certified with a coarse level,
     # and with none every group kept and no trial certified
     basis = np.linalg.qr(steering_matrix(np.deg2rad([-45.0, 30.0, 60.0]), 32))[0]
-    groups, certified = radar._kept_groups(basis[None], grid_deg)
-    assert groups.shape == (1, plan.a.shape[1] // 8)
+    groups, certified = radar._kept_groups(radar._coefficients(basis[None]), 3, grid_deg)
+    assert groups.shape == (1, plan.table.shape[1] // 8)
     assert groups.all() == (not stride) and certified.tolist() == [bool(stride)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(m=st.integers(2, 64), data=st.data())
-def test_interval_floors_bound_the_fine_denominator(m, data):
-    # random orthonormal signal bases, or orthonormalised steering vectors
-    # (a noiseless echo's subspace); the bound is loose: over 300 such bases
-    # the deepest dip below an interval's lower end used 14% of h^2 C / 8,
-    # so this catches a curvature bound several times too small
+def _signal_basis(data, m):
+    """An orthonormal M_R x T signal basis drawn by hypothesis: random,
+    or orthonormalised steering vectors (a noiseless echo's subspace)."""
     t = data.draw(st.integers(1, min(m - 1, 6)), label="targets")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     if data.draw(st.booleans(), label="steered"):
         z = steering_matrix(rng.uniform(-np.pi / 2, np.pi / 2, t), m)
     else:
         z = rng.standard_normal((m, t)) + 1j * rng.standard_normal((m, t))
-    basis = np.linalg.qr(z)[0]
+    return np.linalg.qr(z)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 64), data=st.data())
+def test_coefficients_match_the_steering_vector_denominator(m, data):
+    # the trigonometric polynomial of the coefficients, on the plan's
+    # table, against ||a||^2 - ||E_s^H a||^2 from steering vectors
+    basis = _signal_basis(data, m)
+    plan = radar._grid(m, 0.25)
+    points = plan.theta_deg.size
+    d = radar._denominators(radar._coefficients(basis[None]), plan.table)[0, :points]
+    ref = steering_denominator(basis, np.deg2rad(plan.theta_deg))
+    assert np.max(np.abs(d - ref)) <= 1e-12 * m
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 64), data=st.data())
+def test_interval_floors_bound_the_fine_denominator(m, data):
+    # random orthonormal signal bases, or orthonormalised steering vectors
+    # (a noiseless echo's subspace); the bound is loose, so this catches a
+    # curvature bound several times too small
+    basis = _signal_basis(data, m)
+    coeffs = radar._coefficients(basis[None])
     plan = radar._grid(m, radar.MUSIC_GRID_DEG)
     step = plan.theta_deg[1] - plan.theta_deg[0]
     w = plan.stride
-    d = (plan.a_norm2 - radar._subspace_power(basis, plan.a))[: plan.theta_deg.size]
+    d = radar._denominators(coeffs, plan.table)[0, : plan.theta_deg.size]
     ends = np.append(np.arange(0, d.size - 1, w), d.size - 1)
-    floors = radar._interval_floors(basis, d[ends], np.deg2rad(w * step))
+    floors = radar._interval_floors(coeffs[0], d[ends], np.deg2rad(w * step))
     # fine minimum over [ends[j], ends[j + 1]); each right end is an end too
     assert np.all(np.minimum.reduceat(d, ends[:-1]) >= floors - 1e-9 * m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(2, 64), data=st.data())
+def test_coefficient_curvature_never_exceeds_the_magnitude_bound(m, data):
+    # the lag form sums (m - n)^2 where the magnitude bound sums
+    # (m + n)^2, so no trial keeps more fine columns than under it; over
+    # 3,000 bases drawn like these the largest ratio was 0.65. With zero
+    # ends and h^2 = 8 the floor is -C.
+    basis = _signal_basis(data, m)
+    curv = -radar._interval_floors(radar._coefficients(basis[None])[0], np.zeros(2),
+                                   np.sqrt(8.0))[0]
+    assert 0.0 <= curv <= magnitude_curvature(basis) * (1.0 + 1e-12)
