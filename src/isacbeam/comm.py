@@ -9,7 +9,9 @@ has the same rate floor R_min, so Gamma = 1 + 1/(2^R_min - 1) is one
 number. f2 sums the squared distances to the cones; driving it to zero
 restores every user's rate floor. Both f2 and its gradient are
 evaluated from P for all users at once, the gradient only when the
-solver asks for it.
+solver asks for it. f2 is half the summed squares of the K residuals
+hn_k - tm_k, each with a rank-one gradient, so the minimum-norm
+Gauss-Newton step on the manifold needs only their K x K Gram matrix.
 
 Also here: zero-forcing directions, the equal-rate power allocation
 (all users exactly at the rate floor given sensing interference), and
@@ -193,6 +195,18 @@ def soc_assemble(channels, r_min, noise_power, num_streams):
     return cones
 
 
+def _cone_gaps(w, cones):
+    """P = H^H W, the head norms hn, the tails sqrt(Gamma) P_kk and their
+    moduli tm of every user's cone vector under W."""
+    w = np.asarray(w)
+    if w.shape != cones.w_shape:
+        raise ValueError("cone instance does not match beamformer size")
+    p = cones.rows @ w
+    hn = np.sqrt((np.abs(p) ** 2).sum(axis=1) + cones.sigma2)
+    tail = cones.root_gamma * p[cones.idx, cones.idx]
+    return p, hn, tail, np.abs(tail)
+
+
 def f2_and_grad(w, cones):
     """Sum of squared cone distances and a thunk for its Euclidean gradient.
 
@@ -205,13 +219,7 @@ def f2_and_grad(w, cones):
     (k, k). Returns (f2, grad) with ``grad()`` the gradient at W; the
     gradient-only work runs when it is called.
     """
-    w = np.asarray(w)
-    if w.shape != cones.w_shape:
-        raise ValueError("cone instance does not match beamformer size")
-    p = cones.rows @ w
-    hn = np.sqrt((np.abs(p) ** 2).sum(axis=1) + cones.sigma2)
-    tail = cones.root_gamma * p[cones.idx, cones.idx]
-    tm = np.abs(tail)
+    p, hn, tail, tm = _cone_gaps(w, cones)
     excess = np.where(hn > tm, hn - tm, 0.0)
 
     def grad():
@@ -221,3 +229,61 @@ def f2_and_grad(w, cones):
         return 2.0 * cones.rows_h @ resid
 
     return float(0.5 * (excess @ excess)), grad
+
+
+def _tangent_gram(w, cones, radius, gaps, users):
+    """(C, coef, Gram) of the residuals e_k = hn_k - tm_k of ``users``.
+
+    ``gaps`` is ``_cone_gaps(w, cones)``. The Euclidean gradient of e_k is
+    the rank-one h_k c_k, with the row c_k = P[k, :] / hn_k - sqrt(Gamma)
+    phase_k u_k (u_k the k-th unit row, phase_k = 1 where tm_k = 0, as in
+    ``f2_and_grad``); C stacks the rows. On the manifold of row radius
+    ``radius`` its tangent projection is h_k c_k - diag(coef_k) W with
+    coef = Re(conj(H^H) o (C W^H)) / rho^2, and the Gram matrix of these
+    projections is Re[(H^H H) o conj(C C^H)] - rho^2 coef coef^T. No
+    M_T x M_T matrix and no per-user M_T x N matrix is formed.
+    """
+    p, hn, tail, tm = gaps
+    phase = np.divide(tail, tm, out=np.ones_like(tail), where=tm > 0)
+    c = p / hn[:, None]
+    c[cones.idx, cones.idx] -= cones.root_gamma * phase
+    c, rows = c[users], cones.rows[users]
+    coef = (rows.conj() * (c @ w.conj().T)).real / radius**2
+    gram = ((rows @ rows.conj().T) * (c @ c.conj().T).conj()).real \
+        - radius**2 * (coef @ coef.T)
+    return c, coef, gram
+
+
+def f2_and_gauss_newton(w, cones, radius, margin):
+    """f2 at W, as ``f2_and_grad`` has it, and a thunk for the minimum-norm
+    Gauss-Newton step on the manifold of row radius ``radius``.
+
+    f2 = sum_k max(e_k, 0)^2 / 2 with the residuals e_k = hn_k - tm_k.
+    Over the active users A = {k : e_k > -margin hn_k}, with C, coef and
+    the Gram matrix of ``_tangent_gram``, the tangent step D of least norm
+    with e_A + <grad e_A, D> = -margin hn_A is
+    diag(lambda^T coef) W - H_A diag(lambda) C, Gram lambda =
+    e_A + margin hn_A. Returns (f2, step) with ``step()`` giving
+    (D, Riemannian gradient norm of f2 at W), or None when the Gram solve
+    is singular or not finite; the step-only work runs when it is called.
+    """
+    w = np.asarray(w)
+    gaps = _cone_gaps(w, cones)
+    hn, tm = gaps[1], gaps[3]
+    excess = np.where(hn > tm, hn - tm, 0.0)
+
+    def step():
+        e = hn - tm
+        act = np.flatnonzero(e > -margin * hn)
+        c, coef, gram = _tangent_gram(w, cones, radius, gaps, act)
+        try:
+            lam = np.linalg.solve(gram, e[act] + margin * hn[act])
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(lam).all():
+            return None
+        d = (lam @ coef)[:, None] * w - cones.rows_h[:, act] @ (lam[:, None] * c)
+        x = excess[act]
+        return d, math.sqrt(max(float(x @ gram @ x), 0.0))
+
+    return float(0.5 * (excess @ excess)), step

@@ -2,12 +2,18 @@
 
 Stage I minimizes the sum-CRLB f1 over the oblique manifold from a
 structured start (zero-forcing communication columns at equal-rate
-powers, identity sensing block on the leftover power). Stage II, when
-the minimum user rate falls short of the target, minimizes the cone
-feasibility objective f2 from the stage-I point until every rate meets
-the target again. Both stages run the same conjugate-gradient solver on
-the objective normalized by its starting value, so the stopping
-thresholds are scale-free.
+powers, identity sensing block on the leftover power), with the
+conjugate-gradient solver on f1 normalized by its starting value, so
+the stopping thresholds are scale-free. Stage II, when the minimum user
+rate falls short of the target, projects the stage-I point onto the
+rate-feasible set: f2, the summed squared cone distances, is a
+least-squares problem in the K residuals hn_k - tm_k, so a Riemannian
+Gauss-Newton step (Absil, Mahony & Sepulchre, Optimization Algorithms
+on Matrix Manifolds, 2008, 8.4) costs one solve with the K x K Gram
+matrix of the residuals' gradients, and a few such steps drive f2 to
+zero. Where that phase stalls, the conjugate-gradient solver minimizes
+f2 from the stage-I point instead, and the design carries the flag
+'sp2_cg_fallback'.
 
 ``run`` builds the user channel matrix H and its zero-forcing
 directions once and hands them to the rate floor (``rate_target``),
@@ -19,6 +25,7 @@ zero (they stay zero under both gradients and the retraction);
 'omnidirectional' is the equal-power benchmark with no optimization.
 """
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -30,8 +37,13 @@ from .scenario import substream
 
 MODES = ("sgcdf", "sensing_only", "no_dedicated_stream", "omnidirectional")
 FLOORLESS_MODES = ("sensing_only", "omnidirectional")   # no rate floor enforced
-RATE_SLACK = 1e-6      # absorbs rounding at the rate boundary
-SP2_STEP_FRACTION = 0.02   # stage-II step cap relative to ||W||_F
+RATE_SLACK = 1e-6      # rate-check slack, times min(1, r_min): absorbs rounding at the floor
+SP2_STEP_FRACTION = 0.02   # stage-II CG step cap relative to ||W||_F
+GN_STEP_FRACTION = 0.1     # Gauss-Newton step cap relative to ||W_start||_F
+GN_MARGIN = 1e-9           # Gauss-Newton target hn_k - tm_k = -GN_MARGIN hn_k
+GN_MAX_STEPS = 60
+# the smallest positive rate log2(1 + SINR) takes, the spacing of doubles at 1
+_RATE_RESOLUTION = math.log2(1.0 + np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -148,24 +160,82 @@ def solve_sp1(scenario, w0, opts, coupling):
     return rcg.minimize(_normalized(value_grad), w0, scenario.row_radius, opts)
 
 
+def _gauss_newton(cones, w_start, radius):
+    """Stage II's Gauss-Newton phase from ``w_start``: (w, trace) at the
+    first iterate where f2 = 0, or None when the phase stalls.
+
+    Each step is ``comm.f2_and_gauss_newton``'s minimum-norm step toward
+    hn_k - tm_k = -GN_MARGIN hn_k on the active users, its norm capped at
+    GN_STEP_FRACTION ||W_start||_F, then retracted. The phase stalls on
+    a singular or non-finite solve, an uncapped step that does not halve
+    f2, a capped step that does not lower it, or GN_MAX_STEPS steps. The
+    trace has one record per step, with f2 and its Riemannian gradient
+    norm over their start value, the step's fraction of the full
+    Gauss-Newton step and whether it was capped.
+    """
+    cap = GN_STEP_FRACTION * float(np.linalg.norm(w_start))
+    w = w_start
+    f, step = comm.f2_and_gauss_newton(w, cones, radius, GN_MARGIN)
+    base = f
+    trace = rcg.SolverTrace(initial_objective=1.0, objective_evals=1)
+    while f > 0.0:
+        if trace.iterations == GN_MAX_STEPS:
+            return None
+        direction = step()
+        trace.gradient_evals += 1
+        if direction is None:
+            return None
+        d, gnorm = direction
+        if trace.records:
+            trace.records[-1] = replace(trace.records[-1], grad_norm=gnorm / base, grads=1)
+        else:
+            trace.initial_grad_norm = gnorm / base
+        scale = min(1.0, cap / math.sqrt(manifold.inner(d, d)))
+        w_new = manifold.retract(w + scale * d, radius)
+        f_new, step = comm.f2_and_gauss_newton(w_new, cones, radius, GN_MARGIN)
+        trace.objective_evals += 1
+        if not f_new < (f if scale < 1.0 else 0.5 * f):
+            return None
+        trace.records.append(rcg.IterRecord(
+            iteration=trace.iterations, objective=f_new / base, grad_norm=0.0, step=scale,
+            beta=0.0, wolfe_ok=True, evals=1, grads=0, capped=scale < 1.0))
+        w, f = w_new, f_new
+    trace.termination = "target_met"
+    return w, trace
+
+
 def solve_sp2(scenario, w_start, r_min, opts, channels):
-    """Stage II: restore rate feasibility by minimizing f2; ``channels``
+    """Stage II: restore rate feasibility by driving f2 to zero; ``channels``
     is ``scenario.channel_matrix()``.
 
-    Skipped (input returned unchanged) when the minimum rate already
-    meets ``r_min``. f2 is zero exactly on the rate-feasible set, so the
-    result is the first iterate that meets the floor: at most one capped
-    step past the feasibility boundary. If the solver stalls or exhausts
-    its budget while a rate gap remains, the design is reported
-    infeasible with the gap attached.
+    Returns (w, trace, flags). Skipped (input returned unchanged) when the
+    minimum rate already meets ``r_min`` up to RATE_SLACK * min(1, r_min).
+    Otherwise a Gauss-Newton phase (``_gauss_newton``) projects the start
+    onto the rate-feasible set in a few minimum-norm steps. f2 is zero
+    exactly on that set, so the result is the first iterate that meets
+    the floor. When the phase stalls, or its point fails the rate check,
+    the conjugate-gradient solver minimizes f2 from the start instead,
+    flagged 'sp2_cg_fallback'; its result is the first iterate that meets
+    the floor, at most one capped step past the feasibility boundary. If that
+    solver stalls or exhausts its budget while a rate gap remains, the
+    design is reported infeasible with the gap attached. A floor whose
+    slack is below the resolution of log2(1 + SINR) cannot be checked
+    and raises NumericalError.
     """
     h = channels
-    feasible = lambda w: comm.rates(w, h, scenario.noise_power).min_rate >= r_min - RATE_SLACK
+    floor = r_min - RATE_SLACK * min(1.0, r_min)
+    feasible = lambda w: comm.rates(w, h, scenario.noise_power).min_rate >= floor
     if r_min <= 0 or feasible(w_start):
-        return w_start, rcg.SolverTrace(initial_objective=0.0, termination="target_met")
+        return w_start, rcg.SolverTrace(initial_objective=0.0, termination="target_met"), ()
+    if RATE_SLACK * r_min < _RATE_RESOLUTION:
+        raise NumericalError(f"rate floor {r_min:.3e} b/s/Hz is below the resolution "
+                             "of the rate check")
 
     instances = comm.soc_assemble(h, r_min, scenario.noise_power,
                                   num_streams=scenario.num_streams)
+    projected = _gauss_newton(instances, w_start, scenario.row_radius)
+    if projected is not None and feasible(projected[0]):
+        return (*projected, ())
     fg = _normalized(lambda w: comm.f2_and_grad(w, instances))
     # Small bounded steps keep the descent path close to the continuous
     # projection flow, so f2 vanishes near the feasibility boundary, not
@@ -181,7 +251,7 @@ def solve_sp2(scenario, w_start, r_min, opts, channels):
             f"{gap:.3e} b/s/Hz", detail={"gap": float(gap), "r_min": float(r_min)})
     if trace.termination == "grad_tol":
         trace.termination = "target_met"
-    return w, trace
+    return w, trace, ("sp2_cg_fallback",)
 
 
 def rate_target(scenario, channels, directions):
@@ -228,7 +298,8 @@ def run(scenario, mode, opts=None):
         stage_times["sp1"] = time.perf_counter() - t0
         if mode not in FLOORLESS_MODES:
             t0 = time.perf_counter()
-            w, traces["sp2"] = solve_sp2(scenario, w, r_min, opts, h)
+            w, traces["sp2"], sp2_flags = solve_sp2(scenario, w, r_min, opts, h)
+            flags += sp2_flags
             stage_times["sp2"] = time.perf_counter() - t0
 
     state = crlb.fisher_matrix(w, coupling)

@@ -12,6 +12,8 @@ is first imported, which happens after this file loads.
 
 import os
 
+import pytest
+
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -39,6 +41,14 @@ _ACCEPTANCE_LABELS = {
     "test_omnidirectional_trace_is_flat":
         "omnidirectional beampattern flat below 1e-9 dB",
 }
+
+
+@pytest.fixture
+def cg_stage_two(monkeypatch):
+    """Stage II on its conjugate-gradient path: the Gauss-Newton phase
+    stalls at once, so ``design.solve_sp2`` runs ``rcg.minimize``."""
+    from isacbeam import design
+    monkeypatch.setattr(design, "_gauss_newton", lambda *_: None)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -72,7 +72,7 @@ def test_gradients_match_finite_differences():
     assert time.perf_counter() - t0 < 10.0
 
 
-def test_iterates_stay_on_manifold_and_projection_laws(monkeypatch):
+def test_iterates_stay_on_manifold_and_projection_laws(monkeypatch, cg_stage_two):
     t0 = time.perf_counter()
     s = make_scenario(num_tx=8, num_rx=8, num_users=2,
                       target_angles_deg=(-40.0, 25.0),

@@ -1,13 +1,17 @@
 """Rates, precoding, power allocation, and the rate-feasibility cone."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isacbeam import comm
 from isacbeam.comm import (
     RANK_TOL,
     equal_rate_power,
+    f2_and_gauss_newton,
     f2_and_grad,
     max_min_zf_rate,
     rates,
@@ -15,7 +19,8 @@ from isacbeam.comm import (
     zf_precoder,
 )
 from isacbeam.errors import InfeasibleError, NumericalError
-from reference import pinv_zf_precoder, soc_project, x_of
+from isacbeam.manifold import inner, project_tangent
+from reference import pinv_zf_precoder, random_point, soc_project, x_of
 
 
 def _cgauss(rng, shape, scale=1.0):
@@ -430,3 +435,92 @@ def test_f2_rejects_mismatched_beamformer():
     instances = soc_assemble(h, 1.0, 0.1, num_streams=6)
     with pytest.raises(ValueError):
         f2_and_grad(np.ones((4, 5), dtype=complex), instances)
+
+
+# ---------------------------------------------------------- Gauss-Newton
+
+def _residual_gradients(w, h, cones, radius):
+    """(e, dense Euclidean gradients h_k c_k of e_k = hn_k - tm_k, their
+    tangent projections), user by user, one M_T x N matrix each."""
+    e, grads = [], []
+    for k in range(h.shape[1]):
+        p = h[:, k].conj() @ w
+        hn = np.sqrt(np.vdot(p, p).real + cones.sigma2)
+        tail = cones.root_gamma * p[k]
+        phase = tail / abs(tail) if abs(tail) > 0 else 1.0
+        c = p / hn
+        c[k] -= cones.root_gamma * phase
+        e.append(hn - abs(tail))
+        grads.append(np.outer(h[:, k], c))
+    return np.array(e), grads, [project_tangent(w, g, radius) for g in grads]
+
+
+@settings(max_examples=60, deadline=None)
+@given(mt=st.integers(1, 8), k=st.integers(1, 5), extra=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_gauss_newton_gram_is_the_projected_gradients_gram(mt, k, extra, seed):
+    rng = np.random.default_rng(seed)
+    h = _cgauss(rng, (mt, k))
+    radius = rng.uniform(0.5, 2.0)
+    w = random_point(mt, k + extra, radius, rng)
+    cones = soc_assemble(h, rng.uniform(0.1, 4.0), rng.uniform(0.01, 1.0), num_streams=k + extra)
+    e, grads, xi = _residual_gradients(w, h, cones, radius)
+    # the rows are those of the f2 gradient: sum_k max(e_k, 0) h_k c_k
+    dense = sum(max(ek, 0.0) * g for ek, g in zip(e, grads))
+    assert np.linalg.norm(f2_and_grad(w, cones)[1]() - dense) <= 1e-12 * np.linalg.norm(dense)
+    users = np.arange(k)
+    gram = comm._tangent_gram(w, cones, radius, comm._cone_gaps(w, cones), users)[2]
+    ref = np.array([[inner(a, b) for b in xi] for a in xi])
+    # relative to the Euclidean gradients' squared norms, which the
+    # projection's two terms share (at M_T = N = 1 every projection is 0)
+    assert np.abs(gram - ref).max() <= 1e-12 * max(inner(g, g) for g in grads)
+
+
+def test_gauss_newton_step_solves_the_linearised_residuals():
+    rng = np.random.default_rng(21)
+    mt, k, n, radius, margin = 8, 5, 13, 1.3, 1e-9
+    h = _cgauss(rng, (mt, k))
+    w = random_point(mt, n, radius, rng)
+    # a floor between the users' rates leaves some of them inside their cones
+    r_min = float(np.median(rates(w, h, 0.2).rate))
+    cones = soc_assemble(h, r_min, 0.2, num_streams=n)
+    e, _, xi = _residual_gradients(w, h, cones, radius)
+    hn = np.sqrt((np.abs(h.conj().T @ w) ** 2).sum(axis=1) + 0.2)
+    act = np.flatnonzero(e > -margin * hn)
+    assert 0 < act.size < k
+    f2, step = f2_and_gauss_newton(w, cones, radius, margin)
+    assert f2 == f2_and_grad(w, cones)[0]
+    d, gnorm = step()
+    assert np.linalg.norm(project_tangent(w, d, radius) - d) <= 1e-12 * np.linalg.norm(d)
+    # e_A + <grad e_A, D> = -margin hn_A, and D has the least norm: it lies
+    # in the span of the active users' projected gradients
+    lin = e[act] + np.array([inner(xi[j], d) for j in act])
+    assert np.abs(lin + margin * hn[act]).max() <= 1e-10 * hn[act].max()
+    basis = np.array([xi[j].ravel() for j in act]).T
+    coeffs = np.linalg.lstsq(np.vstack([basis.real, basis.imag]),
+                             np.concatenate([d.ravel().real, d.ravel().imag]), rcond=None)[0]
+    assert np.linalg.norm(basis @ coeffs - d.ravel()) <= 1e-10 * np.linalg.norm(d)
+    rgrad = project_tangent(w, f2_and_grad(w, cones)[1](), radius)
+    assert gnorm == pytest.approx(np.sqrt(inner(rgrad, rgrad)), rel=1e-10)
+
+
+def test_gauss_newton_takes_phase_one_at_a_zero_tail():
+    # user 0 sees only antenna 0, which sends nothing on its beam: P_00 = 0
+    rng = np.random.default_rng(22)
+    h = _cgauss(rng, (4, 2))
+    h[:, 0] = [1.0, 0.0, 0.0, 0.0]
+    w = random_point(4, 6, 1.0, rng)
+    w[0, 0] = 0.0
+    w[0] *= 1.0 / np.linalg.norm(w[0])
+    cones = soc_assemble(h, 1.0, 0.1, num_streams=6)
+    e, _, xi = _residual_gradients(w, h, cones, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gaps = comm._cone_gaps(w, cones)
+        assert gaps[3][0] == 0.0
+        c, _, gram = comm._tangent_gram(w, cones, 1.0, gaps, np.arange(2))
+        f2, step = f2_and_gauss_newton(w, cones, 1.0, 1e-9)
+        assert step() is not None
+    assert c[0, 0] == -cones.root_gamma
+    ref = np.array([[inner(a, b) for b in xi] for a in xi])
+    assert np.abs(gram - ref).max() <= 1e-12 * np.abs(ref).max()

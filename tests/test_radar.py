@@ -818,6 +818,39 @@ def test_music_fine_level_memory_stays_within_a_block():
         assert peak <= radar.BLOCK_BYTES
 
 
+def test_music_fine_level_stacks_stay_within_the_coarse_level(monkeypatch):
+    # at -30 to -50 dBm a 32-element trial's kept union is far wider than
+    # its share of the coarse columns, so the 16 trials of a block run in
+    # stacks (4 of 4 here), each of whose working arrays is within a small
+    # multiple of the coarse level's 16 x 564 values. One stack of all 16
+    # trials peaks at about 28 times those values.
+    fine = radar._fine_level
+    peaks = []
+
+    def measured(vecs, *args):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fine(vecs, *args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return out
+
+    monkeypatch.setattr(radar, "_fine_level", measured)
+    coarse = 16 * radar._grid(32, radar.MUSIC_GRID_DEG).coarse.shape[1] * 8
+    for dbm in (-30.0, -40.0, -50.0):
+        s = make_scenario(power_budget_dbm=dbm)
+        res = design.run(s, "omnidirectional")
+        assert radar._block_trials(32, np.shape(res.w)[1], radar.MUSIC_GRID_DEG) == 16
+        monte_carlo(s, res, 1)
+        peaks.clear()
+        tracemalloc.start()
+        try:
+            rep = monte_carlo(s, res, 16)
+        finally:
+            tracemalloc.stop()
+        assert rep.full_scans == 0 and len(peaks) > 1
+        assert max(peaks) <= 8 * coarse
+
+
 def test_music_grid_pads_in_place():
     # the 62 x 9,008 table takes 4.47 MB and the plan's build, the 564
     # coarse columns gathered from it (0.28 MB) included, about 4.83 MB at

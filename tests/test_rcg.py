@@ -405,7 +405,7 @@ def test_deferred_gradients_match_eager_solver_on_quadratic():
         assert sum(r.grads for r in trace.records) < sum(r.evals for r in trace.records)
 
 
-def test_deferred_gradients_match_eager_solver_on_both_stages(monkeypatch):
+def test_deferred_gradients_match_eager_solver_on_both_stages(monkeypatch, cg_stage_two):
     (fg1, w1, radius, opts1), (fg2, w2, _, opts2) = _stage_problems(monkeypatch)
     assert opts2.max_step_norm is not None
     _assert_same_search(fg1, w1, radius, opts1)
