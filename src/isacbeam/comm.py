@@ -197,14 +197,17 @@ def soc_assemble(channels, r_min, noise_power, num_streams):
 
 def _cone_gaps(w, cones):
     """P = H^H W, the head norms hn, the tails sqrt(Gamma) P_kk and their
-    moduli tm of every user's cone vector under W."""
+    moduli tm of every user's cone vector under W, the excesses
+    max(hn - tm, 0) and f2, half their summed squares."""
     w = np.asarray(w)
     if w.shape != cones.w_shape:
         raise ValueError("cone instance does not match beamformer size")
     p = cones.rows @ w
     hn = np.sqrt((np.abs(p) ** 2).sum(axis=1) + cones.sigma2)
     tail = cones.root_gamma * p[cones.idx, cones.idx]
-    return p, hn, tail, np.abs(tail)
+    tm = np.abs(tail)
+    excess = np.where(hn > tm, hn - tm, 0.0)
+    return p, hn, tail, tm, excess, float(0.5 * (excess @ excess))
 
 
 def f2_and_grad(w, cones):
@@ -219,8 +222,7 @@ def f2_and_grad(w, cones):
     (k, k). Returns (f2, grad) with ``grad()`` the gradient at W; the
     gradient-only work runs when it is called.
     """
-    p, hn, tail, tm = _cone_gaps(w, cones)
-    excess = np.where(hn > tm, hn - tm, 0.0)
+    p, hn, tail, tm, excess, f2 = _cone_gaps(w, cones)
 
     def grad():
         phase = np.divide(tail, tm, out=np.ones_like(tail), where=tm > 0)
@@ -228,7 +230,7 @@ def f2_and_grad(w, cones):
         resid[cones.idx, cones.idx] -= cones.root_gamma * phase * (0.5 * excess)
         return 2.0 * cones.rows_h @ resid
 
-    return float(0.5 * (excess @ excess)), grad
+    return f2, grad
 
 
 def _tangent_gram(w, cones, radius, gaps, users):
@@ -243,7 +245,7 @@ def _tangent_gram(w, cones, radius, gaps, users):
     projections is Re[(H^H H) o conj(C C^H)] - rho^2 coef coef^T. No
     M_T x M_T matrix and no per-user M_T x N matrix is formed.
     """
-    p, hn, tail, tm = gaps
+    p, hn, tail, tm = gaps[:4]
     phase = np.divide(tail, tm, out=np.ones_like(tail), where=tm > 0)
     c = p / hn[:, None]
     c[cones.idx, cones.idx] -= cones.root_gamma * phase
@@ -269,8 +271,7 @@ def f2_and_gauss_newton(w, cones, radius, margin):
     """
     w = np.asarray(w)
     gaps = _cone_gaps(w, cones)
-    hn, tm = gaps[1], gaps[3]
-    excess = np.where(hn > tm, hn - tm, 0.0)
+    hn, tm, excess, f2 = gaps[1], gaps[3], gaps[4], gaps[5]
 
     def step():
         e = hn - tm
@@ -286,4 +287,4 @@ def f2_and_gauss_newton(w, cones, radius, margin):
         x = excess[act]
         return d, math.sqrt(max(float(x @ gram @ x), 0.0))
 
-    return float(0.5 * (excess @ excess)), step
+    return f2, step

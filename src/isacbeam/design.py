@@ -161,7 +161,7 @@ def solve_sp1(scenario, w0, opts, coupling):
 
 
 def _gauss_newton(cones, w_start, radius):
-    """Stage II's Gauss-Newton phase from ``w_start``: (w, trace) at the
+    """Stage II's Gauss-Newton phase from ``w_start``: (w, trace), w the
     first iterate where f2 = 0, or None when the phase stalls.
 
     Each step is ``comm.f2_and_gauss_newton``'s minimum-norm step toward
@@ -179,23 +179,23 @@ def _gauss_newton(cones, w_start, radius):
     base = f
     trace = rcg.SolverTrace(initial_objective=1.0, objective_evals=1)
     while f > 0.0:
-        if trace.iterations == GN_MAX_STEPS:
-            return None
         direction = step()
         trace.gradient_evals += 1
         if direction is None:
-            return None
+            return None, trace
         d, gnorm = direction
         if trace.records:
             trace.records[-1] = replace(trace.records[-1], grad_norm=gnorm / base, grads=1)
         else:
             trace.initial_grad_norm = gnorm / base
+        if trace.iterations == GN_MAX_STEPS:
+            return None, trace
         scale = min(1.0, cap / math.sqrt(manifold.inner(d, d)))
         w_new = manifold.retract(w + scale * d, radius)
         f_new, step = comm.f2_and_gauss_newton(w_new, cones, radius, GN_MARGIN)
         trace.objective_evals += 1
         if not f_new < (f if scale < 1.0 else 0.5 * f):
-            return None
+            return None, trace
         trace.records.append(rcg.IterRecord(
             iteration=trace.iterations, objective=f_new / base, grad_norm=0.0, step=scale,
             beta=0.0, wolfe_ok=True, evals=1, grads=0, capped=scale < 1.0))
@@ -216,7 +216,8 @@ def solve_sp2(scenario, w_start, r_min, opts, channels):
     the floor. When the phase stalls, or its point fails the rate check,
     the conjugate-gradient solver minimizes f2 from the start instead,
     flagged 'sp2_cg_fallback'; its result is the first iterate that meets
-    the floor, at most one capped step past the feasibility boundary. If that
+    the floor, at most one capped step past the feasibility boundary, and
+    its trace holds the Gauss-Newton steps and evaluations first. If that
     solver stalls or exhausts its budget while a rate gap remains, the
     design is reported infeasible with the gap attached. A floor whose
     slack is below the resolution of log2(1 + SINR) cannot be checked
@@ -233,9 +234,9 @@ def solve_sp2(scenario, w_start, r_min, opts, channels):
 
     instances = comm.soc_assemble(h, r_min, scenario.noise_power,
                                   num_streams=scenario.num_streams)
-    projected = _gauss_newton(instances, w_start, scenario.row_radius)
-    if projected is not None and feasible(projected[0]):
-        return (*projected, ())
+    w, gn_trace = _gauss_newton(instances, w_start, scenario.row_radius)
+    if w is not None and feasible(w):
+        return w, gn_trace, ()
     fg = _normalized(lambda w: comm.f2_and_grad(w, instances))
     # Small bounded steps keep the descent path close to the continuous
     # projection flow, so f2 vanishes near the feasibility boundary, not
@@ -244,6 +245,11 @@ def solve_sp2(scenario, w_start, r_min, opts, channels):
     opts = replace(opts, eps=0.0, max_step_norm=cap,
                    max_iters=max(opts.max_iters, 4000))
     w, trace = rcg.minimize(fg, w_start, scenario.row_radius, opts)
+    # the trace counts the Gauss-Newton phase's work too, its steps first,
+    # each phase numbering its own; both normalise f2 by its value at w_start
+    trace.records = gn_trace.records + trace.records
+    trace.objective_evals += gn_trace.objective_evals
+    trace.gradient_evals += gn_trace.gradient_evals
     if not feasible(w):
         gap = r_min - comm.rates(w, h, scenario.noise_power).min_rate
         raise InfeasibleError(

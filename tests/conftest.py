@@ -47,8 +47,9 @@ _ACCEPTANCE_LABELS = {
 def cg_stage_two(monkeypatch):
     """Stage II on its conjugate-gradient path: the Gauss-Newton phase
     stalls at once, so ``design.solve_sp2`` runs ``rcg.minimize``."""
-    from isacbeam import design
-    monkeypatch.setattr(design, "_gauss_newton", lambda *_: None)
+    from isacbeam import design, rcg
+    monkeypatch.setattr(design, "_gauss_newton",
+                        lambda *_: (None, rcg.SolverTrace(initial_objective=1.0)))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

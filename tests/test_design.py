@@ -404,14 +404,57 @@ def test_gauss_newton_meets_the_paper_floors_in_a_few_steps():
                 assert res.rates.min_rate >= res.r_min
 
 
+def _counted_rates(monkeypatch):
+    """A list that grows by one at each call of ``comm.rates``."""
+    calls = []
+    rates = comm.rates
+
+    def counted(*args):
+        calls.append(args)
+        return rates(*args)
+
+    monkeypatch.setattr(comm, "rates", counted)
+    return calls
+
+
+def test_gauss_newton_reads_the_rates_twice(small, small_results, monkeypatch):
+    # the skip test at the start and the floor check at the Gauss-Newton point
+    reads = _counted_rates(monkeypatch)
+    _, trace = _stage_two(small, small_results)
+    assert trace.iterations > 1 and len(reads) == 2
+
+
 def test_gauss_newton_stall_falls_back_to_the_cg_design(monkeypatch):
     # at overload 0.95 the Gauss-Newton phase stalls, and the design is
-    # the conjugate-gradient one, bit for bit
+    # the conjugate-gradient one, bit for bit. Its trace holds the
+    # Gauss-Newton steps and evaluations, then the CG ones, and stage II
+    # reads the rates twice: at the start and at the CG point
     s = make_scenario(seed=1, overload=0.95)
     res = design.run(s, "sgcdf")
-    assert res.flags == ("sp2_cg_fallback",)
-    monkeypatch.setattr(design, "_gauss_newton", lambda *_: None)
-    assert np.array_equal(res.w, design.run(s, "sgcdf").w)
+    args = (s, design.run(s, "sensing_only").w, res.r_min, RcgOptions(), s.channel_matrix())
+    phases = []
+    gauss_newton = design._gauss_newton
+
+    def recorded(*a):
+        phases.append(gauss_newton(*a))
+        return phases[-1]
+
+    monkeypatch.setattr(design, "_gauss_newton", recorded)
+    reads = _counted_rates(monkeypatch)
+    w, trace, flags = design.solve_sp2(*args)
+    assert len(reads) == 2
+    (gn_w, gn), = phases
+    assert gn_w is None and gn.iterations > 0
+    assert np.array_equal(w, res.w) and flags == res.flags == ("sp2_cg_fallback",)
+    monkeypatch.setattr(design, "_gauss_newton",
+                        lambda *_: (None, rcg.SolverTrace(initial_objective=1.0)))
+    cg_w, cg, _ = design.solve_sp2(*args)
+    assert np.array_equal(cg_w, w)
+    assert trace.iterations == gn.iterations + cg.iterations
+    assert trace.objective_evals == gn.objective_evals + cg.objective_evals
+    assert trace.gradient_evals == gn.gradient_evals + cg.gradient_evals
+    assert trace.records[:gn.iterations] == gn.records
+    assert trace.records[gn.iterations:] == cg.records
 
 
 def test_solve_sp2_reports_unreachable_rate():
