@@ -219,16 +219,19 @@ def f2_and_grad(w, cones):
     P[k, :] (hn - tm) / (2 hn) and tail part -phase (hn - tm) / 2, so
     f2 = sum_k (hn - tm)^2 / 2 and grad = 2 H R, where R holds the head
     residuals with sqrt(Gamma) times the tail residual added at
-    (k, k). Returns (f2, grad) with ``grad()`` the gradient at W; the
-    gradient-only work runs when it is called.
+    (k, k). Returns (f2, grad) with ``grad(scale)`` the gradient at W
+    times ``scale`` (default 1); the gradient-only work runs when it is
+    called. The factor 2 and ``scale`` go into the K x N residual block,
+    not the M_T x N result.
     """
     p, hn, tail, tm, excess, f2 = _cone_gaps(w, cones)
 
-    def grad():
+    def grad(scale=1.0):
         phase = np.divide(tail, tm, out=np.ones_like(tail), where=tm > 0)
-        resid = p * (0.5 * excess / hn)[:, None]
-        resid[cones.idx, cones.idx] -= cones.root_gamma * phase * (0.5 * excess)
-        return 2.0 * cones.rows_h @ resid
+        scaled = scale * excess     # the gradient's 2 times the residuals' excess / 2
+        resid = p * (scaled / hn)[:, None]
+        resid[cones.idx, cones.idx] -= cones.root_gamma * phase * scaled
+        return cones.rows_h @ resid
 
     return f2, grad
 
@@ -250,7 +253,8 @@ def _tangent_gram(w, cones, radius, gaps, users):
     c = p / hn[:, None]
     c[cones.idx, cones.idx] -= cones.root_gamma * phase
     c, rows = c[users], cones.rows[users]
-    coef = (rows.conj() * (c @ w.conj().T)).real / radius**2
+    # Re(conj(a) b) = Re(a conj(b)): conjugate the K x N factor C, not W
+    coef = (rows * (c.conj() @ w.T)).real / radius**2
     gram = ((rows @ rows.conj().T) * (c @ c.conj().T).conj()).real \
         - radius**2 * (coef @ coef.T)
     return c, coef, gram

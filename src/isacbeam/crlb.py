@@ -13,16 +13,20 @@ coupling Q_ij. With V = B W (2T x N) and C = V V^H, F is the real part
 of the 2 x 2 block sums of Q o C^T; no M_T x M_T matrix is formed.
 
 The design objective is f1 = tr(F^-1), the sum of the per-target CRLBs.
-One symmetric eigendecomposition F = U diag(lam) U^T serves both the
-positivity and condition checks (on lam) and the inverse,
-F^-1 = (U / lam) U^T. The Euclidean gradient of f1 is
--2 sum_ij [F^-2]_ij A_ij W, which in factored form is 2 B^H (M V) with
-M the blocks of Q scaled by -F^-2. ``FisherState`` carries the V that
-F was formed from, so the gradient at the same point reads it instead
-of forming B W again.
+One symmetric eigendecomposition F = U diag(lam) U^T serves the
+positivity and condition checks (on lam) and the objective,
+sum_i 1 / lam_i. The Euclidean gradient of f1 is
+-2 sum_ij [F^-2]_ij A_ij W, which in factored form is B^H (M V) with
+M the blocks of Q scaled by -2 F^-2. ``FisherState`` keeps the
+eigenpairs and the V that F was formed from. Its inverse
+F^-1 = (U / lam) U^T is formed the first time the gradient reads it,
+so a line-search probe whose gradient is never read pays for F and its
+eigenvalues only, and the gradient reads V instead of forming B W
+again.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,9 +39,16 @@ COND_LIMIT = 1e12   # beyond this the target geometry is unresolvable
 @dataclass(frozen=True)
 class FisherState:
     matrix: np.ndarray      # F, real symmetric T x T
-    inverse: np.ndarray
-    objective: float        # tr(F^-1), the sum-CRLB
+    eigs: np.ndarray        # its eigenvalues, ascending
+    vecs: np.ndarray        # its orthonormal eigenvectors, as columns
+    objective: float        # tr(F^-1) = sum 1 / eigs, the sum-CRLB
     v: np.ndarray           # V = B W (2T x N), the product F was formed from
+
+    @cached_property
+    def inverse(self):
+        """F^-1 from the eigenpairs, symmetrised, formed on first read."""
+        inv = (self.vecs / self.eigs) @ self.vecs.T
+        return 0.5 * (inv + inv.T)
 
 
 @dataclass(frozen=True)
@@ -71,7 +82,7 @@ def coupling_matrices(scenario):
 
 
 def fisher_matrix(w, coupling):
-    """Evaluate F, F^-1 and the sum-CRLB at a beamformer W.
+    """Evaluate F, its eigenpairs and the sum-CRLB at a beamformer W.
 
     Raises NumericalError when F is not positive definite or its
     eigenvalue ratio exceeds COND_LIMIT.
@@ -89,19 +100,21 @@ def fisher_matrix(w, coupling):
     if eigs[0] <= 0 or eigs[-1] / eigs[0] > COND_LIMIT:
         raise NumericalError("Fisher matrix singular or near-singular: "
                              "targets not resolvable with this beamformer")
-    inv = (vecs / eigs) @ vecs.T
-    inv = 0.5 * (inv + inv.T)
-    return FisherState(matrix=f, inverse=inv, objective=float(np.trace(inv)), v=v)
+    return FisherState(matrix=f, eigs=eigs, vecs=vecs,
+                       objective=float(np.add.reduce(1.0 / eigs)), v=v)
 
 
-def grad_f1(coupling, state):
-    """Euclidean gradient of tr(F^-1) at the W of ``state``, a
+def grad_f1(coupling, state, scale=1.0):
+    """Euclidean gradient of ``scale`` tr(F^-1) at the W of ``state``, a
     ``fisher_matrix(w, coupling)``.
 
     Scaled so that f1(W + D) - f1(W) ~ Re tr(grad^H D) to first order.
+    The gradient's factor 2 and ``scale`` go into the T x T weights, not
+    the M_T x N result; at scale 1 doubling is exact, so the bits are
+    those of doubling the result.
     """
     m = state.inverse
-    weights = -(m @ m)      # d tr(F^-1) / dF_ij
+    weights = (m @ m) * (-2.0 * scale)     # 2 scale d tr(F^-1) / dF_ij
     t = m.shape[0]
     blocks = (coupling.q.reshape(t, 2, t, 2) * weights.T[:, None, :, None]).reshape(2 * t, 2 * t)
-    return 2.0 * coupling.b.conj().T @ (blocks @ state.v)
+    return coupling.b.conj().T @ (blocks @ state.v)

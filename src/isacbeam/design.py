@@ -135,7 +135,12 @@ def initial_point(scenario, r_min, zero_sensing, channels, directions):
 
 
 def _normalized(value_grad):
-    """``value_grad`` over its value at the first call, the solver's start."""
+    """``value_grad`` over its value at the first call, the solver's start.
+
+    ``value_grad(w)`` returns the value at w and ``egrad(scale)``, scale
+    times the Euclidean gradient there, which folds the scale into a
+    small factor of the gradient rather than the M_T x N result.
+    """
     base = None
 
     def fg(w):
@@ -143,7 +148,7 @@ def _normalized(value_grad):
         f, egrad = value_grad(w)
         if base is None:
             base = f
-        return f / base, lambda: egrad() / base
+        return f / base, lambda: egrad(1.0 / base)
     return fg
 
 
@@ -155,7 +160,7 @@ def solve_sp1(scenario, w0, opts, coupling):
     """
     def value_grad(w):
         state = crlb.fisher_matrix(w, coupling)
-        return state.objective, lambda: crlb.grad_f1(coupling, state)
+        return state.objective, lambda scale: crlb.grad_f1(coupling, state, scale)
 
     return rcg.minimize(_normalized(value_grad), w0, scenario.row_radius, opts)
 
@@ -178,28 +183,35 @@ def _gauss_newton(cones, w_start, radius):
     f, step = comm.f2_and_gauss_newton(w, cones, radius, GN_MARGIN)
     base = f
     trace = rcg.SolverTrace(initial_objective=1.0, objective_evals=1)
-    while f > 0.0:
-        direction = step()
+
+    def direction_at(f2, step_thunk):
+        """The step and gradient norm at a point with value f2, or None
+        where f2 vanishes or the solve fails."""
+        if not f2 > 0.0:
+            return None
         trace.gradient_evals += 1
-        if direction is None:
-            return None, trace
-        d, gnorm = direction
-        if trace.records:
-            trace.records[-1] = replace(trace.records[-1], grad_norm=gnorm / base, grads=1)
-        else:
-            trace.initial_grad_norm = gnorm / base
-        if trace.iterations == GN_MAX_STEPS:
-            return None, trace
+        return step_thunk()
+
+    direction = direction_at(f, step)
+    if direction is not None:
+        trace.initial_grad_norm = direction[1] / base
+    while direction is not None and trace.iterations < GN_MAX_STEPS:
+        d = direction[0]
         scale = min(1.0, cap / math.sqrt(manifold.inner(d, d)))
         w_new = manifold.retract(w + scale * d, radius)
         f_new, step = comm.f2_and_gauss_newton(w_new, cones, radius, GN_MARGIN)
         trace.objective_evals += 1
         if not f_new < (f if scale < 1.0 else 0.5 * f):
             return None, trace
-        trace.records.append(rcg.IterRecord(
-            iteration=trace.iterations, objective=f_new / base, grad_norm=0.0, step=scale,
-            beta=0.0, wolfe_ok=True, evals=1, grads=0, capped=scale < 1.0))
         w, f = w_new, f_new
+        direction = direction_at(f, step)
+        trace.records.append(rcg.IterRecord(
+            iteration=trace.iterations, objective=f / base,
+            grad_norm=0.0 if direction is None else direction[1] / base, step=scale,
+            beta=0.0, wolfe_ok=True, evals=1, grads=int(direction is not None),
+            capped=scale < 1.0))
+    if f > 0.0:
+        return None, trace
     trace.termination = "target_met"
     return w, trace
 

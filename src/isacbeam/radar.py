@@ -423,13 +423,14 @@ def _music(covs, num_targets, grid_deg):
     (B x T angles, B degraded flags, B flags of the trials that the
     coarse level could not certify), from one stacked ``eigh``.
 
-    The fine level runs on greedy stacks of trials whose count times
-    union width stays within the cap, the block's trials times the width
-    of the plan's coarse columns (the running union only grows), so a
-    stack's arrays, one real row per trial, are no larger than the coarse
-    level's. The one exception is a trial whose kept groups alone are
-    wider than the cap: it runs as a stack of one, and its rows span at
-    most the padded grid, 1 / (2 M_R - 2) of the cached table.
+    The fine level runs on greedy stacks of trials (``_stacks``) whose
+    count times union width stays within the cap, the block's trials
+    times the width of the plan's coarse columns (the running union only
+    grows), so a stack's arrays, one real row per trial, are no larger
+    than the coarse level's. The one exception is a trial whose kept
+    groups alone are wider than the cap: it runs as a stack of one, and
+    its rows span at most the padded grid, 1 / (2 M_R - 2) of the cached
+    table.
     """
     if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
         raise ValueError("MUSIC needs a square M_R x M_R sample covariance")
@@ -443,15 +444,33 @@ def _music(covs, num_targets, grid_deg):
     groups, certified = _kept_groups(coeffs, num_targets, grid_deg)
     angles = np.empty((b, num_targets))
     degraded = np.empty(b, dtype=bool)
-    cap = b * _grid(m, grid_deg).coarse.shape[1]
-    rest = np.arange(b)
-    while rest.size:
-        width = 8 * np.logical_or.accumulate(groups[rest]).sum(axis=1)
-        sel = rest[: max(1, np.count_nonzero(width * np.arange(1, rest.size + 1) <= cap))]
-        rest = rest[sel.size:]
-        angles[sel], degraded[sel] = _fine_level(vecs[sel], coeffs[sel], num_targets,
-                                                  groups[sel], grid_deg)
+    for lo, hi in _stacks(groups, b * _grid(m, grid_deg).coarse.shape[1]):
+        angles[lo:hi], degraded[lo:hi] = _fine_level(vecs[lo:hi], coeffs[lo:hi], num_targets,
+                                                     groups[lo:hi], grid_deg)
     return angles, degraded, ~certified
+
+
+def _stacks(groups, cap):
+    """The greedy stacks (lo, hi) of consecutive trials of a block's
+    B x G kept-group flags: each stack grows while its trial count times
+    the width of its running union (8 columns a group) stays within
+    ``cap``, and holds at least one trial. The union only grows, so a
+    stack ends at the first trial that breaks the cap, and each trial's
+    flags are read once, as the bits of a Python integer.
+    """
+    packed = np.packbits(groups, axis=1)
+    size = packed.shape[1]
+    raw = packed.tobytes()
+    lo, union = 0, 0
+    for i in range(len(groups)):
+        row = int.from_bytes(raw[i * size:(i + 1) * size], "little")
+        grown = union | row
+        if i > lo and 8 * grown.bit_count() * (i + 1 - lo) > cap:
+            yield lo, i
+            lo, grown = i, row
+        union = grown
+    if len(groups):
+        yield lo, len(groups)
 
 
 def _block_trials(m_r, num_streams, grid_deg):

@@ -25,14 +25,17 @@ calls it only on the first read of a probe's gradient, which happens
 at the probes that pass both the sufficient-decrease test and the
 bracket's low end (for the curvature and bracket-sign tests) and at
 the probe it returns. A probe that fails either test costs one
-objective value and no gradient.
+objective value, no gradient and, in stage I, no Fisher inverse
+(``crlb.FisherState`` forms it when the gradient is read).
 
 The slope along d at a probe is ``inner(rgrad, d)``: the tangent
 projection P is self-adjoint and ``rgrad`` is tangent, so this equals
 ``inner(rgrad, P d)``, and d is transported only for the accepted step
 of a conjugate (beta != 0) update. The line search reports the
 ``<d, d>`` it scales its first step by, and the Zoutendijk term of the
-step reuses it, so each step forms it once.
+step reuses it, so each step forms it once. Likewise the descent check
+of a new direction forms ``<rgrad, d>``, which is the next step's
+slope.
 
 A step is ``capped`` when its accepted step norm ``step * ||d||`` sits
 at the step cap (to 1e-12 relative). Stage II's cap makes such steps
@@ -268,6 +271,7 @@ def minimize(fg, w0, radius, opts):
     rgrad = project_tangent(w, egrad(), radius)
     gnorm2 = inner(rgrad, rgrad)
     d = -rgrad
+    slope = inner(rgrad, d)
     trace.initial_objective, trace.initial_grad_norm = f, math.sqrt(gnorm2)
     first_step = None
     cap = opts.max_step_norm
@@ -276,7 +280,6 @@ def minimize(fg, w0, radius, opts):
         if math.sqrt(gnorm2) <= opts.eps * (1.0 + abs(f)):
             trace.termination = "grad_tol"
             return w, trace
-        slope = inner(rgrad, d)
         ls = wolfe_linesearch(fg, w, d, f, slope, radius, opts, first_step)
         if ls is None:
             trace.termination = "linesearch_fail"
@@ -289,18 +292,20 @@ def minimize(fg, w0, radius, opts):
             beta = 0.0
         else:
             beta = gnorm2_new / gnorm2
-        d_new = -ev.rgrad
         if beta != 0.0:
-            d_new = d_new + beta * project_tangent(ev.point, d, radius)
-            if inner(ev.rgrad, d_new) >= 0.0:
-                d_new = -ev.rgrad
+            d_new = beta * project_tangent(ev.point, d, radius) - ev.rgrad
+            slope_new = inner(ev.rgrad, d_new)
+            if slope_new >= 0.0:
                 beta = 0.0
+        if beta == 0.0:
+            d_new = -ev.rgrad
+            slope_new = inner(ev.rgrad, d_new)
         capped = (cap is not None
                   and abs(ls.step * math.sqrt(ls.d_norm2) - cap) <= CAP_RTOL * cap)
         trace.records.append(IterRecord(it, ev.value, math.sqrt(gnorm2_new), ls.step, beta,
                                         ls.wolfe_ok, ls.evals, ls.grads, capped))
         df = abs(f - ev.value)
-        w, f, rgrad, d, gnorm2 = ev.point, ev.value, ev.rgrad, d_new, gnorm2_new
+        w, f, d, gnorm2, slope = ev.point, ev.value, d_new, gnorm2_new, slope_new
         if df < opts.eps:
             trace.termination = "obj_tol"
             return w, trace

@@ -215,6 +215,20 @@ def full_scan(cov, num_targets, grid_deg):
     return pick_peaks(*music_denominator(cov, num_targets, grid_deg), num_targets)
 
 
+def accumulated_stacks(groups, cap):
+    """``radar._stacks`` as a stack loop that forms the running union of
+    every remaining trial's flags for each stack it cuts: [(lo, hi)]."""
+    stacks, lo = [], 0
+    rest = np.arange(len(groups))
+    while rest.size:
+        width = 8 * np.logical_or.accumulate(groups[rest]).sum(axis=1)
+        sel = rest[: max(1, np.count_nonzero(width * np.arange(1, rest.size + 1) <= cap))]
+        rest = rest[sel.size:]
+        stacks.append((lo, lo + sel.size))
+        lo += sel.size
+    return stacks
+
+
 def echo_covariance(scenario, gw, rng):
     """Sample covariance Y Y^H / L of one echo, without forming X or Y:
     the Monte-Carlo trial of ``rng`` as a stack of one over

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -248,3 +249,32 @@ def test_grad_f1_reading_v_keeps_the_bits_of_forming_it(size, t, seed):
     except NumericalError:
         assume(False)   # a singular draw (more targets than one antenna resolves)
     assert np.array_equal(grad_f1(coupling, state), reformed_grad_f1(w, coupling, state))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 64).flatmap(lambda mt: st.tuples(st.just(mt), st.integers(1, mt))),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_lazy_inverse_and_gradient_keep_the_bits_of_the_eager_formula(size, t, seed):
+    # F^-1 formed on first read, from the kept eigenpairs, and the
+    # gradient with its factor 2 in the weights give the bits of forming
+    # F^-1 with F and doubling the gradient's result
+    mt, k = size
+    rng = np.random.default_rng(seed)
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    r = cn(4, 2 * t)
+    coupling = Coupling(b=cn(2 * t, mt), q=r.conj().T @ r)
+    w = cn(mt, k + mt)
+    try:
+        state = fisher_matrix(w, coupling)
+    except NumericalError:
+        assume(False)   # a singular draw (more targets than one antenna resolves)
+    assert "inverse" not in vars(state)
+    eigs, vecs = np.linalg.eigh(state.matrix)
+    inv = (vecs / eigs) @ vecs.T
+    inv = 0.5 * (inv + inv.T)
+    assert np.array_equal(grad_f1(coupling, state),
+                          reformed_grad_f1(w, coupling, SimpleNamespace(inverse=inv)))
+    assert np.array_equal(state.inverse, inv)

@@ -1,5 +1,6 @@
 """Two-stage design pipeline: sensing descent then rate restoration."""
 
+import functools
 import inspect
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isacbeam import comm, design, manifold, rcg
+from isacbeam import comm, crlb, design, manifold, rcg
 from isacbeam.arrays import beampattern_trace
 from isacbeam.config import build_scenario, parse_config
 from isacbeam.errors import ConfigError, InfeasibleError, NumericalError
@@ -473,6 +474,27 @@ def test_sp1_normalizes_and_descends(small_results):
     assert trace.initial_objective == pytest.approx(1.0, rel=1e-12)
     assert trace.objectives()[-1] <= 1.0
     assert np.all(np.diff(trace.objectives()) <= 0.0)
+
+
+def test_stage_one_forms_the_fisher_inverse_once_per_gradient(monkeypatch):
+    # a line-search probe whose gradient is never read pays for its value
+    # only: F^-1 is formed at the points whose gradient the solver reads
+    s = make_scenario(seed=1, overload=0.7)
+    formed = []
+    lazy = crlb.FisherState.inverse
+
+    def counted(state):
+        formed.append(state)
+        return lazy.func(state)
+
+    inverse = functools.cached_property(counted)
+    inverse.__set_name__(crlb.FisherState, "inverse")
+    monkeypatch.setattr(crlb.FisherState, "inverse", inverse)
+    h, zf = _zf(s)
+    w0, _ = design.initial_point(s, design.rate_target(s, h, zf), False, h, zf)
+    _, trace = design.solve_sp1(s, w0, RcgOptions(), crlb.coupling_matrices(s))
+    assert len(formed) == trace.gradient_evals < trace.objective_evals
+    assert len({id(state) for state in formed}) == len(formed)
 
 
 def test_line_searches_start_from_the_last_accepted_step(monkeypatch, cg_stage_two):

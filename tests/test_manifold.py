@@ -202,14 +202,40 @@ def test_random_point_and_tangent_contracts():
     assert np.abs(overlaps).max() <= 1e-10
 
 
+# the beamformer shapes of _SIZES, plus K = 0 (M_T x M_T) and one column
+_HELPER_SHAPES = _SIZES.flatmap(
+    lambda s: st.sampled_from([(s[0], s[1] + s[0]), (s[0], s[0]), (s[0], 1)]))
+
+
 @settings(deadline=None, max_examples=60)
-@given(_SIZES, st.integers(0, 2**32 - 1))
-def test_helpers_keep_the_bits_of_their_numpy_wrapper_forms(size, seed):
-    mt, k = size
+@given(_HELPER_SHAPES, st.integers(0, 2**32 - 1))
+def test_helpers_agree_with_their_numpy_wrapper_forms(shape, seed):
+    # a reduction over the real view sums in another order than
+    # np.linalg.norm and np.sum do, so the helpers agree to rounding
     rng = np.random.default_rng(seed)
-    shape = (mt, k + mt)
     w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     radius = rng.uniform(0.1, 3.0)
-    assert np.array_equal(row_norms(w), linalg_row_norms(w))
-    assert np.array_equal(project_tangent(w, x, radius), summed_projection(w, x, radius))
+    ref = linalg_row_norms(w)
+    assert np.all(np.abs(row_norms(w) - ref) <= 1e-13 * ref)
+    ref = summed_projection(w, x, radius)
+    assert np.linalg.norm(project_tangent(w, x, radius) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_helpers_take_a_contiguous_last_axis_or_raise():
+    # the real view needs a contiguous last axis: a transposed or
+    # column-strided input raises ValueError, a row slice or a column
+    # offset gives the bits of its contiguous copy
+    rng = np.random.default_rng(21)
+    w = random_point(6, 6, 1.3, rng)
+    x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    calls = (row_norms, lambda a: project_tangent(a, x[: len(a), : a.shape[1]], 1.3),
+             lambda a: project_tangent(w[: len(a), : a.shape[1]], a, 1.3),
+             lambda a: retract(a, 1.3))
+    for view in (w.T, w[:, ::2]):
+        for call in calls:
+            with pytest.raises(ValueError):
+                call(view)
+    for view in (w[::2], w[:, 1:]):
+        for call in calls:
+            assert np.array_equal(call(view), call(np.ascontiguousarray(view)))

@@ -22,9 +22,10 @@ from isacbeam.radar import (
     synthesize_probe,
 )
 from isacbeam.scenario import make_scenario, substream
-from reference import (echo_covariance, full_scan, magnitude_curvature, music_denominator,
-                       one_trial_monte_carlo, one_trial_music, plan_denominator,
-                       steering_denominator, steering_music, synthesize_waveform)
+from reference import (accumulated_stacks, echo_covariance, full_scan, magnitude_curvature,
+                       music_denominator, one_trial_monte_carlo, one_trial_music,
+                       plan_denominator, steering_denominator, steering_music,
+                       synthesize_waveform)
 
 
 def _sensing_scenario(noise_dbm, angles=(20.0,), ranges=(50.0,), snapshots=256):
@@ -792,6 +793,42 @@ def test_music_fine_level_runs_once_per_block_on_the_paper_geometry(monkeypatch)
         # the coarse product, then each union span with every trial stacked
         assert stacks[0] == size and set(stacks[1:]) == {size}
         assert len(stacks) - 1 < size
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 40), st.integers(1, 200), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_stacks_match_the_accumulated_union_loop(trials, num_groups, density, seed):
+    # one pass over the trials cuts the stacks that forming the running
+    # union of every remaining trial, stack after stack, cuts
+    rng = np.random.default_rng(seed)
+    groups = rng.random((trials, num_groups)) < density
+    for cap in (0, 8, 8 * num_groups, int(rng.integers(1, 8 * num_groups * max(trials, 1) + 1))):
+        assert list(radar._stacks(groups, cap)) == accumulated_stacks(groups, cap)
+
+
+@pytest.mark.parametrize("s, mode, trials, min_stacks", [
+    # 8 x 8 at -30 dBm: a block of 64 trials cut into 47 stacks
+    (make_scenario(num_tx=8, num_rx=8, num_users=2, power_budget_dbm=-30.0),
+     "omnidirectional", 64, 40),
+    # one sweep_mc block: the paper geometry at 0 dBm, 16 trials in one stack
+    (make_scenario(power_budget_dbm=0.0), "sgcdf", 16, 1),
+])
+def test_stacks_keep_the_monte_carlo_bits(monkeypatch, s, mode, trials, min_stacks):
+    res = design.run(s, mode)
+    assert radar._block_trials(s.array.num_rx, np.shape(res.w)[1],
+                               radar.MUSIC_GRID_DEG) >= trials
+    cut, stacks = [], radar._stacks
+
+    def recorded(groups, cap):
+        cut.append(list(stacks(groups, cap)))
+        assert cut[-1] == accumulated_stacks(groups, cap)
+        return cut[-1]
+
+    monkeypatch.setattr(radar, "_stacks", recorded)
+    rep = monte_carlo(s, res, trials)
+    assert len(cut) == 1 and len(cut[0]) >= min_stacks
+    monkeypatch.setattr(radar, "_stacks", accumulated_stacks)
+    assert _report_fields(monte_carlo(s, res, trials)) == _report_fields(rep)
 
 
 def test_music_fine_level_memory_stays_within_a_block():
