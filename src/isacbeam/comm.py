@@ -11,11 +11,15 @@ restores every user's rate floor. Both f2 and its gradient are
 evaluated from P for all users at once, the gradient only when the
 solver asks for it. f2 is half the summed squares of the K residuals
 hn_k - tm_k, each with a rank-one gradient, so the minimum-norm
-Gauss-Newton step on the manifold needs only their K x K Gram matrix.
+Gauss-Newton step on the manifold needs only their K x K Gram matrix,
+whose H^H H factor the cones stack once. N is the width the solver
+carries: K + M_T, or K for a design without sensing streams.
 
 Also here: zero-forcing directions, the equal-rate power allocation
-(all users exactly at the rate floor given sensing interference), and
-the max-min ZF rate in closed form. One SVD of H serves the ZF rank
+(all users exactly at the rate floor given sensing interference; under
+the warm start's sensing block sqrt(p_s/M_T) I it is affine in p_s, and
+one two-column solve gives both terms), and the max-min ZF rate in
+closed form. One SVD of H serves the ZF rank
 test and the pseudo-inverse, and a design forms the ZF directions once
 and hands them to both the rate floor and the warm start.
 """
@@ -47,7 +51,8 @@ class SocCones(tuple):
     """The cones of one rate floor, one ``SocInstance`` per user in user
     order, and what ``f2_and_grad`` reads, stacked once by
     ``soc_assemble``: ``rows`` (H^H, K x M_T, C-contiguous), ``rows_h``
-    (its conjugate transpose), ``idx`` (the users 0..K-1), ``w_shape``
+    (its conjugate transpose), ``gram`` (the users' K x K Gram matrix
+    H^H H), ``idx`` (the users 0..K-1), ``w_shape``
     (the beamformer shape (M_T, N)) and the scalars every user shares:
     ``sigma``, ``gamma`` = 2^r_min - 1, ``big_gamma`` = 1 + 1/gamma,
     ``sigma2`` and ``root_gamma`` = sqrt(big_gamma)."""
@@ -111,6 +116,31 @@ def _sinr_floor(r_min):
     return float(2.0 ** np.asarray(r_min, dtype=float) - 1.0)
 
 
+def _equal_rate_solve(h, directions, r_min, rhs):
+    """Solve the equal-rate system of the floor ``r_min`` for ``rhs``, one
+    right-hand side per column, each user's noise plus sensing
+    interference; zeros for a zero floor. Raises InfeasibleError when
+    the system is singular."""
+    if r_min < 0:
+        raise ValueError("the rate floor must be nonnegative")
+    gamma = _sinr_floor(r_min)
+    if not gamma > 0.0:
+        return np.zeros(np.shape(rhs))
+    # Fortran order: norms summed over C-ordered columns differ in the last bit
+    v = np.asfortranarray(directions)
+    vn2 = np.linalg.norm(v, axis=0) ** 2
+    g = np.abs(h.conj().T @ v) ** 2 / vn2[None, :]   # g[j, i] = |h_j^H v_i|^2/||v_i||^2
+    k = g.shape[0]
+    delta = -g
+    delta[np.arange(k), np.arange(k)] = np.diag(g) / gamma
+    try:
+        return np.linalg.solve(delta, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise InfeasibleError(
+            "equal-rate system is singular: interference exactly balances "
+            "the signal at the requested rates") from exc
+
+
 def equal_rate_power(channels, directions, w_sensing, noise_power, r_min):
     """Powers putting every user exactly at the rate floor ``r_min``.
 
@@ -121,24 +151,8 @@ def equal_rate_power(channels, directions, w_sensing, noise_power, r_min):
     power.
     """
     h = np.asarray(channels)
-    k = h.shape[1]
-    if r_min < 0:
-        raise ValueError("the rate floor must be nonnegative")
-    gamma = _sinr_floor(r_min)
-    if not gamma > 0.0:
-        return np.zeros(k)
-    # Fortran order: norms summed over C-ordered columns differ in the last bit
-    v = np.asfortranarray(directions)
-    vn2 = np.linalg.norm(v, axis=0) ** 2
-    g = np.abs(h.conj().T @ v) ** 2 / vn2[None, :]   # g[j, i] = |h_j^H v_i|^2/||v_i||^2
-    delta = -g
-    delta[np.arange(k), np.arange(k)] = np.diag(g) / gamma
-    try:
-        p = np.linalg.solve(delta, noise_power + _sensing_interference(h, w_sensing))
-    except np.linalg.LinAlgError as exc:
-        raise InfeasibleError(
-            "equal-rate system is singular: interference exactly balances "
-            "the signal at the requested rates") from exc
+    p = _equal_rate_solve(h, directions, r_min,
+                          noise_power + _sensing_interference(h, w_sensing))
     bad = np.flatnonzero(p < 0)
     if bad.size:
         user = int(bad[0])
@@ -146,6 +160,23 @@ def equal_rate_power(channels, directions, w_sensing, noise_power, r_min):
             f"equal-rate allocation needs negative power for user {user}",
             detail={"user": user, "power": float(p[user])})
     return p
+
+
+def sensing_equal_rate_power(channels, directions, noise_power, r_min):
+    """(p0, slope): the ``equal_rate_power`` of the sensing block
+    sqrt(p_s / M_T) I is p0 + p_s slope.
+
+    That block puts p_s ||h_j||^2 / M_T of interference on user j, so the
+    powers are affine in p_s and one solve of the equal-rate system with
+    the two right-hand sides sigma^2 and ||h_j||^2 / M_T gives both
+    terms. Their signs are not checked. Raises InfeasibleError when the
+    system is singular.
+    """
+    h = np.asarray(channels)
+    mt, k = h.shape
+    rhs = np.stack([np.full(k, noise_power), (np.abs(h) ** 2).sum(axis=0) / mt], axis=1)
+    x = _equal_rate_solve(h, directions, r_min, rhs)
+    return x[:, 0], x[:, 1]
 
 
 def max_min_zf_rate(channels, directions, noise_power, p_max):
@@ -189,7 +220,8 @@ def soc_assemble(channels, r_min, noise_power, num_streams):
     cones = SocCones(SocInstance(matrix=row, user=j) for j, row in enumerate(rows))
     sigma = float(np.sqrt(noise_power))
     big_gamma = 1.0 + 1.0 / gamma
-    vars(cones).update(rows=rows, rows_h=rows.conj().T, idx=np.arange(k),
+    rows_h = rows.conj().T
+    vars(cones).update(rows=rows, rows_h=rows_h, gram=rows @ rows_h, idx=np.arange(k),
                        w_shape=(mt, num_streams), sigma=sigma, sigma2=sigma * sigma,
                        gamma=gamma, big_gamma=big_gamma, root_gamma=math.sqrt(big_gamma))
     return cones
@@ -237,7 +269,8 @@ def f2_and_grad(w, cones):
 
 
 def _tangent_gram(w, cones, radius, gaps, users):
-    """(C, coef, Gram) of the residuals e_k = hn_k - tm_k of ``users``.
+    """(C, coef, Gram) of the residuals e_k = hn_k - tm_k of ``users``, an
+    index array or, for every user, ``slice(None)``, which copies nothing.
 
     ``gaps`` is ``_cone_gaps(w, cones)``. The Euclidean gradient of e_k is
     the rank-one h_k c_k, with the row c_k = P[k, :] / hn_k - sqrt(Gamma)
@@ -245,7 +278,8 @@ def _tangent_gram(w, cones, radius, gaps, users):
     ``f2_and_grad``); C stacks the rows. On the manifold of row radius
     ``radius`` its tangent projection is h_k c_k - diag(coef_k) W with
     coef = Re(conj(H^H) o (C W^H)) / rho^2, and the Gram matrix of these
-    projections is Re[(H^H H) o conj(C C^H)] - rho^2 coef coef^T. No
+    projections is Re[(H^H H) o conj(C C^H)] - rho^2 coef coef^T, with
+    H^H H read from ``cones.gram`` when every user is active. No
     M_T x M_T matrix and no per-user M_T x N matrix is formed.
     """
     p, hn, tail, tm = gaps[:4]
@@ -255,8 +289,9 @@ def _tangent_gram(w, cones, radius, gaps, users):
     c, rows = c[users], cones.rows[users]
     # Re(conj(a) b) = Re(a conj(b)): conjugate the K x N factor C, not W
     coef = (rows * (c.conj() @ w.T)).real / radius**2
-    gram = ((rows @ rows.conj().T) * (c @ c.conj().T).conj()).real \
-        - radius**2 * (coef @ coef.T)
+    # a subset's own product: indexing the users' Gram matrix changes its bits
+    hgram = cones.gram if isinstance(users, slice) else rows @ rows.conj().T
+    gram = (hgram * (c @ c.conj().T).conj()).real - radius**2 * (coef @ coef.T)
     return c, coef, gram
 
 
@@ -279,7 +314,8 @@ def f2_and_gauss_newton(w, cones, radius, margin):
 
     def step():
         e = hn - tm
-        act = np.flatnonzero(e > -margin * hn)
+        act = e > -margin * hn
+        act = slice(None) if act.all() else np.flatnonzero(act)
         c, coef, gram = _tangent_gram(w, cones, radius, gaps, act)
         try:
             lam = np.linalg.solve(gram, e[act] + margin * hn[act])

@@ -64,7 +64,11 @@ class Coupling:
 
 
 def coupling_matrices(scenario):
-    """Transmit factors B and receive coupling Q of every target."""
+    """Transmit factors B and receive coupling Q of every target.
+
+    Each target's a_t and da_t are formed once, and serve as its a_r and
+    da_r too when M_R = M_T (the same bits as forming them again).
+    """
     angles = scenario.target_angles()
     t = angles.size
     if np.min(np.abs(angles[:, None] - angles[None, :]) + np.eye(t)) < 1e-9:
@@ -73,10 +77,12 @@ def coupling_matrices(scenario):
     b = np.empty((2 * t, cfg.num_tx), dtype=complex)
     r = np.empty((cfg.num_rx, 2 * t), dtype=complex)
     for i, tg in enumerate(scenario.targets):
-        b[2 * i] = steering(tg.angle, cfg.num_tx).conj()
-        b[2 * i + 1] = steering_derivative(tg.angle, cfg.num_tx).conj()
-        r[:, 2 * i] = tg.rcs * steering_derivative(tg.angle, cfg.num_rx)
-        r[:, 2 * i + 1] = tg.rcs * steering(tg.angle, cfg.num_rx)
+        a_t = steering(tg.angle, cfg.num_tx)
+        da_t = steering_derivative(tg.angle, cfg.num_tx)
+        a_r, da_r = (a_t, da_t) if cfg.num_rx == cfg.num_tx else (
+            steering(tg.angle, cfg.num_rx), steering_derivative(tg.angle, cfg.num_rx))
+        b[2 * i], b[2 * i + 1] = a_t.conj(), da_t.conj()
+        r[:, 2 * i], r[:, 2 * i + 1] = tg.rcs * da_r, tg.rcs * a_r
     scale = 2.0 * scenario.snapshots / scenario.noise_power
     return Coupling(b=b, q=scale * (r.conj().T @ r))
 

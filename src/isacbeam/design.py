@@ -20,9 +20,11 @@ directions once and hands them to the rate floor (``rate_target``),
 the warm start (``initial_point``) and stage II.
 
 Modes: 'sgcdf' is the full two-stage design; 'sensing_only' stops after
-stage I; 'no_dedicated_stream' keeps the sensing columns identically
-zero (they stay zero under both gradients and the retraction);
-'omnidirectional' is the equal-power benchmark with no optimization.
+stage I; 'no_dedicated_stream' has no sensing streams, so both stages
+run on its M_T x K communication block and the result is zero-padded to
+K + M_T columns; 'omnidirectional' is the equal-power benchmark with no
+optimization. Every solve restarts its conjugate directions every
+K + M_T steps, the design's stream count, whatever width it carries.
 """
 
 import math
@@ -65,6 +67,39 @@ def _sensing_block(p_s, num_tx):
     return np.sqrt(p_s / num_tx) * np.eye(num_tx, dtype=complex)
 
 
+def _power_split(scenario, r_min, zero_sensing, channels, directions):
+    """(p, p_s, flags): the users' equal-rate powers for ``r_min`` along
+    ``directions`` and the sensing power p_s of the leftover budget, or
+    None when a power would be negative or the equal-rate system is
+    singular.
+
+    The powers without sensing interference are p(0); when they exceed
+    the budget they are scaled to 90% of it, flagged
+    'comm_power_clipped', and p_s is the other 10%. With ``zero_sensing``
+    p(0) is the answer (p_s is unread).
+    Otherwise p(p_s) = p0 + p_s slope (``comm.sensing_equal_rate_power``)
+    is affine in p_s, so p_s + sum p(p_s) = P_max solves in closed form,
+    and p(0), p(P_max) and p(p_s) must be nonnegative.
+    """
+    p_max = scenario.power_budget
+    try:
+        p0, slope = comm.sensing_equal_rate_power(channels, directions,
+                                                  scenario.noise_power, r_min)
+    except InfeasibleError:
+        return None
+    if (p0 < 0).any():
+        return None
+    if p0.sum() > p_max:
+        return p0 * (0.9 * p_max / p0.sum()), 0.1 * p_max, ("comm_power_clipped",)
+    if zero_sensing:
+        return p0, 0.0, ()
+    p_s = (p_max - p0.sum()) / (1.0 + slope.sum())
+    p = p0 + p_s * slope
+    if (p0 + p_max * slope < 0).any() or (p < 0).any():
+        return None
+    return p, max(p_max - p.sum(), 0.0), ()
+
+
 def initial_point(scenario, r_min, zero_sensing, channels, directions):
     """Structured starting beamformer, retracted onto the manifold.
 
@@ -72,66 +107,47 @@ def initial_point(scenario, r_min, zero_sensing, channels, directions):
     and ``directions`` its ``comm.zf_precoder`` directions, or None when
     no ZF design exists. Communication columns are the unit-norm ZF
     directions at the equal-rate powers for ``r_min``; the sensing block
-    is sqrt(p_s/M_T) I with p_s the leftover budget, solved jointly with
-    the powers since the sensing block interferes with the users. With
-    ``zero_sensing`` the sensing block is identically zero and the
-    communication columns keep their ZF powers. Without ZF directions,
-    or when the equal-rate powers are infeasible, the start is pure
-    sensing, flagged 'zf_infeasible_fallback'. Raises ConfigError for
-    ``zero_sensing`` without users, where every column would be zero and
-    no point of the manifold exists.
+    is sqrt(p_s/M_T) I with p_s the leftover budget, split jointly with
+    the powers since the sensing block interferes with the users
+    (``_power_split``). With ``zero_sensing`` there is no sensing block:
+    w0 is the M_T x K communication block, at the powers without sensing
+    interference. Without ZF directions, or when the equal-rate powers
+    are infeasible, the start is pure sensing, flagged
+    'zf_infeasible_fallback'. Raises ConfigError for ``zero_sensing``
+    without users, where every column would be zero and no point of the
+    manifold exists.
     """
     mt = scenario.array.num_tx
     k = scenario.num_users
     p_max = scenario.power_budget
-    flags = []
     if k == 0:
         if zero_sensing:
             raise ConfigError("no_dedicated_stream needs at least one user: "
                               "without users and sensing streams the beamformer is zero")
-        w = np.sqrt(p_max / mt) * np.eye(mt, dtype=complex)
-        return w, tuple(flags)
+        return _sensing_block(p_max, mt), ()
 
-    h, v = channels, directions
-    p = np.zeros(k)
-    p_s = 0.0 if zero_sensing else p_max
+    v, p, p_s, flags = directions, np.zeros(k), p_max, ()
     if v is not None and r_min > 0:
-        try:
-            p = comm.equal_rate_power(h, v, None, scenario.noise_power, r_min)
-            if p.sum() > p_max:
-                p *= 0.9 * p_max / p.sum()
-                p_s = 0.0 if zero_sensing else 0.1 * p_max
-                flags.append("comm_power_clipped")
-            elif not zero_sensing:
-                # the required comm power is affine in the sensing power,
-                # so the leftover-budget split solves in closed form
-                p1 = comm.equal_rate_power(h, v, _sensing_block(p_max, mt),
-                                           scenario.noise_power, r_min)
-                slope = (p1.sum() - p.sum()) / p_max
-                p_s = (p_max - p.sum()) / (1.0 + slope)
-                p = comm.equal_rate_power(h, v, _sensing_block(p_s, mt),
-                                          scenario.noise_power, r_min)
-                p_s = max(p_max - p.sum(), 0.0)
-        except InfeasibleError:
+        split = _power_split(scenario, r_min, zero_sensing, channels, v)
+        if split is None:
             v = None
+        else:
+            p, p_s, flags = split
     if v is None:
         # cannot place the users: start from pure sensing
-        flags.append("zf_infeasible_fallback")
-        v = np.zeros((mt, k))
-        p = np.zeros(k)
-        p_s = 0.0 if zero_sensing else p_max
+        v, p, p_s, flags = np.zeros((mt, k)), np.zeros(k), p_max, ("zf_infeasible_fallback",)
 
-    w_c = v * np.sqrt(p)[None, :]
-    w = np.concatenate([w_c, _sensing_block(p_s, mt)], axis=1).astype(complex)
+    w = v * np.sqrt(p)[None, :]
+    if not zero_sensing:
+        w = np.concatenate([w, _sensing_block(p_s, mt)], axis=1)
+    w = w.astype(complex)
     dead = manifold.row_norms(w) == 0.0
     if np.any(dead):
-        # zero rows cannot be retracted; nudge them with unit phases,
-        # leaving pinned-zero sensing columns untouched
-        cols = k if zero_sensing else w.shape[1]
+        # zero rows cannot be retracted; nudge them with unit phases
         rng = substream(scenario.seed, "init")
-        phases = np.exp(2j * np.pi * rng.uniform(size=(int(dead.sum()), cols)))
-        w[dead, :cols] += 1e-12 * scenario.row_radius * phases
-    return manifold.retract(w, scenario.row_radius), tuple(flags)
+        phases = np.exp(2j * np.pi * rng.uniform(size=(int(dead.sum()), w.shape[1])))
+        w[dead] += 1e-12 * scenario.row_radius * phases
+    return manifold.retract(w, scenario.row_radius), flags
 
 
 def _normalized(value_grad):
@@ -156,13 +172,16 @@ def solve_sp1(scenario, w0, opts, coupling):
     """Stage I: minimize the sum-CRLB over the manifold from ``w0``;
     ``coupling`` is ``crlb.coupling_matrices(scenario)``.
 
-    Returns (w, trace).
+    ``w0`` has M_T rows and any number of columns (no_dedicated_stream
+    passes its K communication columns); the restart period is the
+    design's stream count K + M_T whatever that width. Returns (w, trace).
     """
     def value_grad(w):
         state = crlb.fisher_matrix(w, coupling)
         return state.objective, lambda scale: crlb.grad_f1(coupling, state, scale)
 
-    return rcg.minimize(_normalized(value_grad), w0, scenario.row_radius, opts)
+    return rcg.minimize(_normalized(value_grad), w0, scenario.row_radius, opts,
+                        restart_period=scenario.num_streams)
 
 
 def _gauss_newton(cones, w_start, radius):
@@ -220,10 +239,12 @@ def solve_sp2(scenario, w_start, r_min, opts, channels):
     """Stage II: restore rate feasibility by driving f2 to zero; ``channels``
     is ``scenario.channel_matrix()``.
 
-    Returns (w, trace, flags). Skipped (input returned unchanged) when the
-    minimum rate already meets ``r_min`` up to RATE_SLACK * min(1, r_min).
-    Otherwise a Gauss-Newton phase (``_gauss_newton``) projects the start
-    onto the rate-feasible set in a few minimum-norm steps. f2 is zero
+    ``w_start`` may be narrower than K + M_T, as in ``solve_sp1``, and
+    the cones are built for its width. Returns (w, trace, flags). Skipped
+    (input returned unchanged) when the minimum rate already meets
+    ``r_min`` up to RATE_SLACK * min(1, r_min). Otherwise a Gauss-Newton
+    phase (``_gauss_newton``) projects the start onto the rate-feasible
+    set in a few minimum-norm steps. f2 is zero
     exactly on that set, so the result is the first iterate that meets
     the floor. When the phase stalls, or its point fails the rate check,
     the conjugate-gradient solver minimizes f2 from the start instead,
@@ -245,7 +266,7 @@ def solve_sp2(scenario, w_start, r_min, opts, channels):
                              "of the rate check")
 
     instances = comm.soc_assemble(h, r_min, scenario.noise_power,
-                                  num_streams=scenario.num_streams)
+                                  num_streams=w_start.shape[1])
     w, gn_trace = _gauss_newton(instances, w_start, scenario.row_radius)
     if w is not None and feasible(w):
         return w, gn_trace, ()
@@ -256,7 +277,8 @@ def solve_sp2(scenario, w_start, r_min, opts, channels):
     cap = SP2_STEP_FRACTION * float(np.linalg.norm(w_start))
     opts = replace(opts, eps=0.0, max_step_norm=cap,
                    max_iters=max(opts.max_iters, 4000))
-    w, trace = rcg.minimize(fg, w_start, scenario.row_radius, opts)
+    w, trace = rcg.minimize(fg, w_start, scenario.row_radius, opts,
+                            restart_period=scenario.num_streams)
     # the trace counts the Gauss-Newton phase's work too, its steps first,
     # each phase numbering its own; both normalise f2 by its value at w_start
     trace.records = gn_trace.records + trace.records
@@ -310,6 +332,7 @@ def run(scenario, mode, opts=None):
         w = np.concatenate([np.zeros((mt, scenario.num_users)),
                             _sensing_block(scenario.power_budget, mt)], axis=1)
     else:
+        # no_dedicated_stream solves on its K communication columns
         w0, flags = initial_point(scenario, r_min, mode == "no_dedicated_stream", h, zf)
         t0 = time.perf_counter()
         w, traces["sp1"] = solve_sp1(scenario, w0, opts, coupling=coupling)
@@ -319,6 +342,8 @@ def run(scenario, mode, opts=None):
             w, traces["sp2"], sp2_flags = solve_sp2(scenario, w, r_min, opts, h)
             flags += sp2_flags
             stage_times["sp2"] = time.perf_counter() - t0
+        if mode == "no_dedicated_stream":
+            w = np.concatenate([w, np.zeros((mt, mt))], axis=1)
 
     state = crlb.fisher_matrix(w, coupling)
     report = comm.rates(w, h, scenario.noise_power)

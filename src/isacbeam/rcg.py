@@ -2,9 +2,11 @@
 
 Fletcher-Reeves directions, retraction after every update,
 projection-based transport, and a steepest-descent restart every
-column-count iterations. Each step runs one bracketing strong Wolfe
-search with the fixed constants C1 and C2 (curvature measured against
-the transported direction) and at most MAX_LINESEARCH_EVALS probes;
+``restart_period`` iterations, a period the caller passes (the design
+passes its stream count, whatever width the variable has). Each step
+runs one bracketing strong Wolfe search with the fixed constants C1 and
+C2 (curvature measured against the transported direction) and at most
+MAX_LINESEARCH_EVALS probes;
 when no probe meets both conditions it takes the best probe that met
 sufficient decrease, and the solver stops with 'linesearch_fail' when
 none did. The first search of a solve tries the step 1/||d|| first;
@@ -65,7 +67,8 @@ CAP_RTOL = 1e-12            # relative distance to the step cap of a capped step
 
 @dataclass
 class RcgOptions:
-    """Stopping rule and step cap; the line search and restarts are fixed."""
+    """Stopping rule and step cap; the line search is fixed and the restart
+    period is ``minimize``'s argument."""
     eps: float = 3e-4
     max_iters: int = 2000
     max_step_norm: float | None = None  # ambient cap on ||step||_F per iterate
@@ -237,7 +240,7 @@ def _counting(fg, trace):
     return counted
 
 
-def minimize(fg, w0, radius, opts):
+def minimize(fg, w0, radius, opts, restart_period):
     """Minimize fg over the fixed-row-norm manifold starting at w0.
 
     Parameters
@@ -252,6 +255,10 @@ def minimize(fg, w0, radius, opts):
     radius : float
         Row radius of the manifold.
     opts : RcgOptions
+    restart_period : int
+        Every ``restart_period``-th direction is steepest descent. It is
+        the caller's, not the variable's width, so a solve on a subset of
+        the columns can keep the restarts of the full-width one.
 
     Returns
     -------
@@ -259,6 +266,8 @@ def minimize(fg, w0, radius, opts):
         The trace counts every objective value and gradient computed,
         those of a failed line search too.
     """
+    if restart_period < 1:
+        raise ValueError("restart period must be positive")
     w = np.asarray(w0)
     if not is_on_manifold(w, radius):
         gap = np.abs(row_norms(w) - radius).max() / radius
@@ -288,7 +297,7 @@ def minimize(fg, w0, radius, opts):
         first_step = 2.0 * ls.step
         trace.zoutendijk.append(slope * slope / max(ls.d_norm2, _TINY))
         gnorm2_new = inner(ev.rgrad, ev.rgrad)
-        if (it + 1) % w.shape[1] == 0:
+        if (it + 1) % restart_period == 0:
             beta = 0.0
         else:
             beta = gnorm2_new / gnorm2

@@ -5,12 +5,14 @@ another way (the explicit transmit frame, the per-user cone vector and
 its projection, the dense channel derivative, the MUSIC scan of every
 grid column, MUSIC and its denominator from steering vectors alone,
 the solver with every probe's gradient computed at once, the echo
-covariance and the Monte-Carlo trials one at a time; the row norms,
-tangent projection, zero-forcing directions and sum-CRLB gradient
-through the numpy wrappers and repeated products the library skips,
-which must give the library's bits), the looser MUSIC curvature bound
-that the library's must never exceed, or a generator of test inputs on
-the manifold.
+covariance and the Monte-Carlo trials one at a time, the warm start's
+power split from three equal-rate solves, no_dedicated_stream's stages
+on the full-width variable; the row norms, tangent projection,
+zero-forcing directions, sum-CRLB gradient, Fisher coupling and
+Gauss-Newton step through the numpy wrappers and repeated products the
+library skips, which must give the library's bits), the looser MUSIC
+curvature bound that the library's must never exceed, or a generator of
+test inputs on the manifold.
 """
 
 import math
@@ -18,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from isacbeam import radar
+from isacbeam import comm, crlb, design, radar
 from isacbeam.arrays import steering, steering_derivative, steering_matrix
 from isacbeam.comm import RANK_TOL
-from isacbeam.errors import NumericalError
+from isacbeam.errors import InfeasibleError, NumericalError
 from isacbeam.manifold import inner, project_tangent, retract
 from isacbeam.rcg import (C1, C2, MAX_LINESEARCH_EVALS, IterRecord, LineSearchResult,
                           SolverTrace)
@@ -79,6 +81,108 @@ def reformed_grad_f1(w, coupling, state):
     t = m.shape[0]
     blocks = (coupling.q.reshape(t, 2, t, 2) * weights.T[:, None, :, None]).reshape(2 * t, 2 * t)
     return 2.0 * coupling.b.conj().T @ (blocks @ (coupling.b @ np.asarray(w)))
+
+
+def per_slot_coupling(scenario):
+    """``crlb.coupling_matrices`` with one ``steering`` or
+    ``steering_derivative`` call for each slot of B and of the receive
+    factors, also where M_R = M_T."""
+    cfg = scenario.array
+    t = len(scenario.targets)
+    b = np.empty((2 * t, cfg.num_tx), dtype=complex)
+    r = np.empty((cfg.num_rx, 2 * t), dtype=complex)
+    for i, tg in enumerate(scenario.targets):
+        b[2 * i] = steering(tg.angle, cfg.num_tx).conj()
+        b[2 * i + 1] = steering_derivative(tg.angle, cfg.num_tx).conj()
+        r[:, 2 * i] = tg.rcs * steering_derivative(tg.angle, cfg.num_rx)
+        r[:, 2 * i + 1] = tg.rcs * steering(tg.angle, cfg.num_rx)
+    scale = 2.0 * scenario.snapshots / scenario.noise_power
+    return crlb.Coupling(b=b, q=scale * (r.conj().T @ r))
+
+
+def three_solve_initial_point(scenario, r_min, zero_sensing, channels, directions):
+    """``design.initial_point`` splitting the budget with three
+    ``comm.equal_rate_power`` solves: without sensing, under the full
+    budget's sensing block (for the slope of the total power in p_s) and
+    under the split's block. Any of them with a negative power, or a
+    singular system, gives the pure-sensing fallback."""
+    mt, k, p_max = scenario.array.num_tx, scenario.num_users, scenario.power_budget
+    block = lambda p_s: np.sqrt(p_s / mt) * np.eye(mt, dtype=complex)
+    h, v, noise = channels, directions, scenario.noise_power
+    p, p_s, flags = np.zeros(k), (0.0 if zero_sensing else p_max), []
+    if v is not None and r_min > 0:
+        try:
+            p = comm.equal_rate_power(h, v, None, noise, r_min)
+            if p.sum() > p_max:
+                p *= 0.9 * p_max / p.sum()
+                p_s = 0.0 if zero_sensing else 0.1 * p_max
+                flags.append("comm_power_clipped")
+            elif not zero_sensing:
+                p1 = comm.equal_rate_power(h, v, block(p_max), noise, r_min)
+                slope = (p1.sum() - p.sum()) / p_max
+                p_s = (p_max - p.sum()) / (1.0 + slope)
+                p = comm.equal_rate_power(h, v, block(p_s), noise, r_min)
+                p_s = max(p_max - p.sum(), 0.0)
+        except InfeasibleError:
+            v = None
+    if v is None:
+        flags.append("zf_infeasible_fallback")
+        v, p, p_s = np.zeros((mt, k)), np.zeros(k), (0.0 if zero_sensing else p_max)
+    w = v * np.sqrt(p)[None, :]
+    if not zero_sensing:
+        w = np.concatenate([w, block(p_s)], axis=1)
+    w = w.astype(complex)
+    dead = np.linalg.norm(w, axis=1) == 0.0
+    if np.any(dead):
+        rng = substream(scenario.seed, "init")
+        phases = np.exp(2j * np.pi * rng.uniform(size=(int(dead.sum()), w.shape[1])))
+        w[dead] += 1e-12 * scenario.row_radius * phases
+    return retract(w, scenario.row_radius), tuple(flags)
+
+
+def full_width_no_dedicated_stream(scenario, opts):
+    """``design.run(scenario, 'no_dedicated_stream')``'s two stages on the
+    full M_T x (K + M_T) variable, its M_T sensing columns zero:
+    (w, stage-I trace, stage-II trace, sum-CRLB)."""
+    h = scenario.channel_matrix()
+    zf = comm.zf_precoder(h)
+    r_min = design.rate_target(scenario, h, zf)
+    w0, _ = design.initial_point(scenario, r_min, True, h, zf)
+    mt = scenario.array.num_tx
+    w0 = np.concatenate([w0, np.zeros((mt, mt))], axis=1)
+    coupling = crlb.coupling_matrices(scenario)
+    w, sp1 = design.solve_sp1(scenario, w0, opts, coupling)
+    w, sp2, _ = design.solve_sp2(scenario, w, r_min, opts, h)
+    return w, sp1, sp2, crlb.fisher_matrix(w, coupling).objective
+
+
+def indexed_gauss_newton(w, cones, radius, margin):
+    """``comm.f2_and_gauss_newton`` forming the active users' H^H H on
+    every call and indexing C, H^H and the residuals by the active users'
+    index array, all of them included."""
+    p, hn, tail, tm, excess, f2 = comm._cone_gaps(w, cones)
+
+    def step():
+        e = hn - tm
+        act = np.flatnonzero(e > -margin * hn)
+        phase = np.divide(tail, tm, out=np.ones_like(tail), where=tm > 0)
+        c = p / hn[:, None]
+        c[cones.idx, cones.idx] -= cones.root_gamma * phase
+        c, rows = c[act], cones.rows[act]
+        coef = (rows * (c.conj() @ w.T)).real / radius**2
+        gram = ((rows @ rows.conj().T) * (c @ c.conj().T).conj()).real \
+            - radius**2 * (coef @ coef.T)
+        try:
+            lam = np.linalg.solve(gram, e[act] + margin * hn[act])
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(lam).all():
+            return None
+        d = (lam @ coef)[:, None] * w - cones.rows_h[:, act] @ (lam[:, None] * c)
+        x = excess[act]
+        return d, math.sqrt(max(float(x @ gram @ x), 0.0))
+
+    return f2, step
 
 
 def x_of(cones, inst, w):
@@ -342,7 +446,7 @@ def eager_wolfe_linesearch(fg, w, d, f0, slope0, radius, opts, first_step=None):
     return LineSearchResult(best.step, evals, len(read), False, best, d_norm2), read
 
 
-def eager_minimize(fg, w0, radius, opts):
+def eager_minimize(fg, w0, radius, opts, restart_period):
     """``rcg.minimize`` on ``eager_wolfe_linesearch``, transporting the
     direction as ``-rgrad + beta * moved`` on every step, beta = 0
     included. Every search after the first starts at twice the step the
@@ -368,7 +472,7 @@ def eager_minimize(fg, w0, radius, opts):
         first_step = 2.0 * ls.step
         trace.zoutendijk.append(slope * slope / max(inner(d, d), 1e-300))
         gnorm2_new = inner(ev.rgrad, ev.rgrad)
-        beta = 0.0 if (it + 1) % w.shape[1] == 0 else gnorm2_new / gnorm2
+        beta = 0.0 if (it + 1) % restart_period == 0 else gnorm2_new / gnorm2
         d_new = -ev.rgrad + beta * ev.moved
         if inner(ev.rgrad, d_new) >= 0.0:
             d_new = -ev.rgrad

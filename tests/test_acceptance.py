@@ -97,7 +97,7 @@ def test_iterates_stay_on_manifold_and_projection_laws(monkeypatch, cg_stage_two
 
     h = s.channel_matrix()
     w0, _ = design.initial_point(s, 0.0, False, h, comm.zf_precoder(h))
-    minimize(deferred(fg), w0, s.row_radius, RcgOptions(eps=1e-4))
+    minimize(deferred(fg), w0, s.row_radius, RcgOptions(eps=1e-4), restart_period=w0.shape[1])
     # both stages of the pipeline, stage II with its step cap
     for mode in ("sgcdf", "no_dedicated_stream"):
         before = len(seen["sp2"])

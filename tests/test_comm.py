@@ -20,7 +20,8 @@ from isacbeam.comm import (
 )
 from isacbeam.errors import InfeasibleError, NumericalError
 from isacbeam.manifold import inner, project_tangent
-from reference import pinv_zf_precoder, random_point, soc_project, x_of
+from reference import (indexed_gauss_newton, pinv_zf_precoder, random_point, soc_project,
+                       x_of)
 
 
 def _cgauss(rng, shape, scale=1.0):
@@ -193,6 +194,25 @@ def test_equal_rate_total_power_affine_in_sensing_power():
 
     resid = abs(total(0.5) - 0.5 * (total(0.0) + total(1.0)))
     assert resid <= 1e-9 * max(1.0, total(1.0))
+
+
+def test_sensing_equal_rate_power_is_the_affine_form_of_equal_rate_power():
+    rng = np.random.default_rng(12)
+    noise = 0.05
+    h1, h2 = _cgauss(rng, (8, 3)), _cgauss(rng, (8, 3))
+    # ZF directions, and matched ones whose users interfere
+    for h, v in ((h1, zf_precoder(h1)), (h2, h2 / np.linalg.norm(h2, axis=0))):
+        p0, slope = comm.sensing_equal_rate_power(h, v, noise, 0.3)
+        for p_s in (0.0, 0.7, 2.0):
+            w_s = np.sqrt(p_s / 8.0) * np.eye(8, dtype=complex)
+            ref = equal_rate_power(h, v, w_s, noise, 0.3)
+            assert np.abs(p0 + p_s * slope - ref).max() <= 1e-12 * ref.max()
+    p0, slope = comm.sensing_equal_rate_power(h, v, noise, 0.0)
+    assert not p0.any() and not slope.any()
+    h = np.zeros((3, 2), dtype=complex)
+    h[0, :] = 1.0                        # identical channels and directions
+    with pytest.raises(InfeasibleError, match="singular"):
+        comm.sensing_equal_rate_power(h, h, 0.1, 1.0)
 
 
 def test_max_min_single_user_closed_form():
@@ -502,6 +522,34 @@ def test_gauss_newton_step_solves_the_linearised_residuals():
     assert np.linalg.norm(basis @ coeffs - d.ravel()) <= 1e-10 * np.linalg.norm(d)
     rgrad = project_tangent(w, f2_and_grad(w, cones)[1](), radius)
     assert gnorm == pytest.approx(np.sqrt(inner(rgrad, rgrad)), rel=1e-10)
+
+
+def test_gauss_newton_keeps_the_bits_of_its_indexed_form():
+    # the users' stacked Gram matrix and the copy-free all-active path
+    # change no bit of f2 or the step, with every user active or a subset
+    rng = np.random.default_rng(23)
+    active = set()
+    for _ in range(200):
+        mt = int(rng.integers(1, 40))
+        k = int(rng.integers(1, mt + 1))
+        n = k + int(rng.integers(0, mt + 1))
+        h = _cgauss(rng, (mt, k))
+        radius, noise = rng.uniform(0.2, 2.0), rng.uniform(0.01, 1.0)
+        w = random_point(mt, n, radius, rng)
+        # a floor among the users' rates leaves some of them inside their cones
+        r_min = rng.uniform(0.1, 6.0) if rng.uniform() < 0.5 \
+            else max(float(np.quantile(rates(w, h, noise).rate, rng.uniform())), 1e-3)
+        cones = soc_assemble(h, r_min, noise, num_streams=n)
+        f2, step = f2_and_gauss_newton(w, cones, radius, 1e-9)
+        f2_ref, step_ref = indexed_gauss_newton(w, cones, radius, 1e-9)
+        assert f2 == f2_ref
+        got, ref = step(), step_ref()
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert got[0].tobytes() == ref[0].tobytes() and got[1] == ref[1]
+        gaps = comm._cone_gaps(w, cones)
+        active.add(int(np.count_nonzero(gaps[1] - gaps[3] > -1e-9 * gaps[1])) == k)
+    assert active == {True, False}
 
 
 def test_gauss_newton_takes_phase_one_at_a_zero_tail():

@@ -13,8 +13,9 @@ from isacbeam.arrays import ArrayConfig
 from isacbeam.crlb import Coupling, coupling_matrices, fisher_matrix, grad_f1
 from isacbeam.errors import NumericalError
 from isacbeam.manifold import inner
-from isacbeam.scenario import Scenario, Target
-from reference import random_point, reformed_grad_f1, target_channel_derivative
+from isacbeam.scenario import Scenario, Target, make_scenario
+from reference import (per_slot_coupling, random_point, reformed_grad_f1,
+                       target_channel_derivative)
 
 
 def _toy_scenario(angles_deg=(30.0, -30.0), snapshots=16, num_tx=4):
@@ -50,6 +51,14 @@ def _rel(x, ref):
 
 
 ANGLE_SETS = {1: (30.0,), 2: (30.0, -30.0), 3: (-45.0, 10.0, 60.0)}
+
+
+@pytest.mark.parametrize("num_tx, num_rx", [(32, 32), (8, 8), (8, 12), (16, 5)])
+def test_coupling_keeps_the_bits_of_one_steering_call_per_slot(num_tx, num_rx):
+    # a_t and da_t serve the receive side too where M_R = M_T
+    s = make_scenario(num_tx=num_tx, num_rx=num_rx, num_users=2, seed=num_rx)
+    c, ref = coupling_matrices(s), per_slot_coupling(s)
+    assert np.array_equal(c.b, ref.b) and np.array_equal(c.q, ref.q)
 
 
 def test_coupling_matches_direct_formula():

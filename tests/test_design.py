@@ -5,7 +5,7 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isacbeam import comm, crlb, design, manifold, rcg
@@ -14,6 +14,7 @@ from isacbeam.config import build_scenario, parse_config
 from isacbeam.errors import ConfigError, InfeasibleError, NumericalError
 from isacbeam.rcg import RcgOptions
 from isacbeam.scenario import make_scenario
+from reference import full_width_no_dedicated_stream, three_solve_initial_point
 
 
 @pytest.fixture(scope="module")
@@ -76,20 +77,67 @@ def test_initial_point_falls_back_when_zf_impossible():
 
 
 def test_initial_point_fallback_keeps_sensing_columns_zero():
-    # ZF impossible (K > M_T): the dead-row nudge must stay in the
-    # communication columns
+    # ZF impossible (K > M_T): the dead-row nudge stays in the
+    # communication columns, the only ones a zero-sensing start carries
     s = make_scenario(num_tx=4, num_rx=8, num_users=6)
     w0, flags = design.initial_point(s, 0.5, True, s.channel_matrix(), None)
     assert flags == ("zf_infeasible_fallback",)
-    assert np.array_equal(w0[:, 6:], np.zeros((4, 4)))
+    assert w0.shape == (4, 6)
     assert manifold.is_on_manifold(w0, s.row_radius)
 
 
 def test_initial_point_zero_sensing_block(small):
+    # no sensing block at all: the start is the M_T x K communication block
     w0, flags = design.initial_point(small, 0.5, True, *_zf(small))
     assert flags == ()
-    assert np.array_equal(w0[:, 2:], np.zeros((8, 8)))
+    assert w0.shape == (8, 2)
     assert manifold.is_on_manifold(w0, small.row_radius)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mt=st.integers(2, 12), k=st.integers(1, 8), seed=st.integers(0, 10**6),
+       power=st.floats(-20.0, 40.0), factor=st.floats(0.0, 1.5),
+       matched=st.booleans(), zero_sensing=st.booleans())
+@example(mt=8, k=3, seed=1, power=20.0, factor=1.3, matched=False,
+         zero_sensing=False).via("clipped: the rate demand exceeds the budget")
+@example(mt=8, k=6, seed=2, power=20.0, factor=1.0, matched=True,
+         zero_sensing=False).via("fallback: matched beams cannot reach the floor")
+def test_closed_form_power_split_matches_three_solves(
+        mt, k, seed, power, factor, matched, zero_sensing):
+    # p(p_s) = p0 + p_s slope from one two-column solve gives the three-solve
+    # start within rounding and the same flags. Near factor 1 the ZF powers
+    # use up the budget: rounding decides between clipping and splitting in
+    # either form, and the square root of the leftover p_s magnifies it.
+    assume(matched or abs(factor - 1.0) > 1e-3)
+    s = make_scenario(num_tx=mt, num_rx=mt, num_users=k, target_angles_deg=(-40.0, 25.0),
+                      target_ranges_m=(50.0, 60.0), power_budget_dbm=power,
+                      snapshots=64, seed=seed)
+    h = s.channel_matrix()
+    try:
+        zf = comm.zf_precoder(h)
+        r_min = factor * comm.max_min_zf_rate(h, zf, s.noise_power, s.power_budget)
+    except NumericalError:
+        zf, r_min = None, factor
+    v = h / np.linalg.norm(h, axis=0) if matched else zf
+    w0, flags = design.initial_point(s, r_min, zero_sensing, h, v)
+    ref, ref_flags = three_solve_initial_point(s, r_min, zero_sensing, h, v)
+    assert flags == ref_flags
+    assert np.linalg.norm(w0 - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_power_split_covers_its_three_outcomes():
+    # the two pinned examples above clip and fall back; the default floor splits
+    cases = {(8, 3, 1, 1.3, False): ("comm_power_clipped",),
+             (8, 6, 2, 1.0, True): ("zf_infeasible_fallback",),
+             (8, 3, 1, 0.7, False): ()}
+    for (mt, k, seed, factor, matched), expected in cases.items():
+        s = make_scenario(num_tx=mt, num_rx=mt, num_users=k,
+                          target_angles_deg=(-40.0, 25.0), target_ranges_m=(50.0, 60.0),
+                          snapshots=64, seed=seed)
+        h, zf = _zf(s)
+        r_min = factor * comm.max_min_zf_rate(h, zf, s.noise_power, s.power_budget)
+        v = h / np.linalg.norm(h, axis=0) if matched else zf
+        assert design.initial_point(s, r_min, False, h, v)[1] == expected
 
 
 # ------------------------------------------------------------------- run
@@ -247,6 +295,21 @@ def test_no_dedicated_stream_keeps_sensing_columns_zero(small_results):
     assert np.array_equal(res.w[:, 2:], np.zeros((8, 8)))
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_no_dedicated_stream_on_its_comm_columns_keeps_the_full_width_path(seed):
+    # the restart period is the stream count K + M_T, not the K columns
+    # solved on, so both stages make the full-width solve's decisions
+    for overload in (0.3, 0.7):
+        s = make_scenario(seed=seed, overload=overload)
+        res = design.run(s, "no_dedicated_stream")
+        _, sp1, sp2, sum_crlb = full_width_no_dedicated_stream(s, RcgOptions())
+        assert res.traces["sp1"].iterations == sp1.iterations
+        assert res.traces["sp2"].iterations == sp2.iterations
+        assert res.sum_crlb == pytest.approx(sum_crlb, rel=1e-6)
+        assert res.w.shape == (32, s.num_streams)
+        assert np.array_equal(res.w[:, s.num_users:], np.zeros((32, 32)))
+
+
 def test_power_accounting(small, small_results):
     per_row = small.power_budget / 8.0
     for res in small_results.values():
@@ -384,9 +447,12 @@ def test_gauss_newton_iterates_keep_sensing_columns_zero(small, monkeypatch):
     assert res.flags == () and trace.termination == "target_met"
     assert len(points) == trace.objective_evals == 1 + trace.iterations > 1
     assert trace.gradient_evals == trace.iterations
+    # stage II carries the K communication columns only; the design pads
+    # the M_T sensing columns back as zeros
     for w in points:
-        assert np.array_equal(w[:, small.num_users:], np.zeros((8, 8)))
+        assert w.shape == (8, small.num_users)
         assert manifold.is_on_manifold(w, small.row_radius)
+    assert np.array_equal(res.w[:, small.num_users:], np.zeros((8, 8)))
     assert trace.objectives()[-1] == 0.0 and np.all(trace.objectives()[:-1] > 0.0)
     assert trace.final_grad_norm == 0.0
 

@@ -26,7 +26,8 @@ def test_minimize_reaches_row_projected_optimum():
     target = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     w0 = random_point(4, 6, 1.0, rng)
     fg = _quadratic(target)
-    w, trace = minimize(deferred(fg), w0, 1.0, RcgOptions(eps=1e-9, max_iters=200))
+    w, trace = minimize(deferred(fg), w0, 1.0, RcgOptions(eps=1e-9, max_iters=200),
+                        restart_period=w0.shape[1])
     # the constrained minimizer renormalizes each row of the target
     best = retract(target, 1.0)
     f_best = float(np.sum(np.abs(best - target) ** 2))
@@ -40,7 +41,8 @@ def test_minimize_reaches_row_projected_optimum():
 def test_minimize_stops_at_critical_start():
     w0 = random_point(3, 4, 1.0, np.random.default_rng(1))
     # the Euclidean gradient at w0 is normal to the manifold there
-    w, trace = minimize(deferred(_quadratic(2.0 * w0)), w0, 1.0, RcgOptions(eps=1e-8))
+    w, trace = minimize(deferred(_quadratic(2.0 * w0)), w0, 1.0, RcgOptions(eps=1e-8),
+                        restart_period=w0.shape[1])
     assert trace.termination == "grad_tol"
     assert trace.iterations == 0
     assert np.array_equal(w, w0)
@@ -50,7 +52,8 @@ def test_objective_trace_weakly_decreasing_and_wolfe_flagged():
     rng = np.random.default_rng(2)
     target = 3.0 * (rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7)))
     w0 = random_point(5, 7, 1.0, rng)
-    _, trace = minimize(deferred(_quadratic(target)), w0, 1.0, RcgOptions(eps=1e-8))
+    _, trace = minimize(deferred(_quadratic(target)), w0, 1.0, RcgOptions(eps=1e-8),
+                        restart_period=w0.shape[1])
     objectives = trace.objectives()
     assert objectives[0] == trace.initial_objective
     assert np.all(np.diff(objectives) <= 0.0)
@@ -147,7 +150,8 @@ def test_traced_beta_is_fletcher_reeves():
     rng = np.random.default_rng(5)
     target = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     w0 = random_point(4, 6, 1.0, rng)
-    _, trace = minimize(deferred(_quadratic(target)), w0, 1.0, RcgOptions(eps=1e-10))
+    _, trace = minimize(deferred(_quadratic(target)), w0, 1.0, RcgOptions(eps=1e-10),
+                        restart_period=w0.shape[1])
     recs = trace.records
     conjugate = [i for i in range(1, len(recs)) if recs[i].beta != 0.0]
     assert len(conjugate) >= 5
@@ -156,12 +160,30 @@ def test_traced_beta_is_fletcher_reeves():
         assert recs[i].beta == pytest.approx(ratio, rel=1e-12)
 
 
+@pytest.mark.parametrize("period", [1, 3, 6, 50])
+def test_restart_period_is_the_callers_not_the_width(period):
+    # every period-th direction is steepest descent, whatever the width
+    rng = np.random.default_rng(5)
+    target = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+    w0 = random_point(4, 6, 1.0, rng)
+    _, trace = minimize(deferred(_quadratic(target)), w0, 1.0, RcgOptions(eps=1e-10),
+                        restart_period=period)
+    assert trace.iterations > 6
+    for r in trace.records:
+        if (r.iteration + 1) % period == 0:
+            assert r.beta == 0.0
+    assert any(r.beta != 0.0 for r in trace.records) == (period > 1)
+    with pytest.raises(ValueError, match="restart period"):
+        minimize(deferred(_quadratic(target)), w0, 1.0, RcgOptions(), restart_period=0)
+
+
 def test_zoutendijk_increments_finite_with_vanishing_tail():
     rng = np.random.default_rng(0)
     target = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     w0 = random_point(4, 6, 1.0, rng)
     fg = _quadratic(target)
-    w, trace = minimize(deferred(fg), w0, 1.0, RcgOptions(eps=1e-13, max_iters=300))
+    w, trace = minimize(deferred(fg), w0, 1.0, RcgOptions(eps=1e-13, max_iters=300),
+                        restart_period=w0.shape[1])
     z = np.array(trace.zoutendijk)
     assert z.size == trace.iterations
     assert np.isfinite(z).all() and np.all(z >= 0.0)
@@ -174,8 +196,10 @@ def test_minimize_is_deterministic():
     rng = np.random.default_rng(9)
     target = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
     w0 = random_point(4, 5, 1.0, rng)
-    w1, t1 = minimize(deferred(_quadratic(target)), w0, 1.0, RcgOptions(eps=1e-8))
-    w2, t2 = minimize(deferred(_quadratic(target)), w0, 1.0, RcgOptions(eps=1e-8))
+    w1, t1 = minimize(deferred(_quadratic(target)), w0, 1.0, RcgOptions(eps=1e-8),
+                      restart_period=w0.shape[1])
+    w2, t2 = minimize(deferred(_quadratic(target)), w0, 1.0, RcgOptions(eps=1e-8),
+                      restart_period=w0.shape[1])
     assert np.array_equal(w1, w2)
     assert t1.records == t2.records
     assert t1.termination == t2.termination
@@ -197,7 +221,7 @@ def test_step_cap_bounds_iterate_moves(monkeypatch):
             return ls
 
         monkeypatch.setattr(rcg, "wolfe_linesearch", spied)
-        trace = minimize(deferred(fg), w0, 1.0, opts)[1]
+        trace = minimize(deferred(fg), w0, 1.0, opts, restart_period=w0.shape[1])[1]
         monkeypatch.undo()
         assert len(moves) == trace.iterations > 0
         return moves
@@ -221,9 +245,9 @@ def test_minimize_rejects_an_off_manifold_start():
 
     for start in (2.0 * w0, nudged):
         with pytest.raises(ValueError, match="row-norm gap"):
-            minimize(fg, start, 1.0, RcgOptions())
+            minimize(fg, start, 1.0, RcgOptions(), restart_period=start.shape[1])
     assert calls == []
-    _, trace = minimize(fg, w0, 1.0, RcgOptions())
+    _, trace = minimize(fg, w0, 1.0, RcgOptions(), restart_period=w0.shape[1])
     assert trace.iterations >= 1
 
 
@@ -238,7 +262,8 @@ def test_trace_to_csv_layout():
     rng = np.random.default_rng(12)
     target = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     w0 = random_point(3, 4, 1.0, rng)
-    _, trace = minimize(deferred(_quadratic(target)), w0, 1.0, RcgOptions(eps=1e-6))
+    _, trace = minimize(deferred(_quadratic(target)), w0, 1.0, RcgOptions(eps=1e-6),
+                        restart_period=w0.shape[1])
     buf = io.StringIO()
     trace.to_csv(buf)
     lines = buf.getvalue().strip().splitlines()
@@ -260,7 +285,7 @@ def test_trace_totals_count_the_start_point():
     target = 3.0 * (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)))
     w0 = random_point(4, 6, 1.0, rng)
     fg = deferred(_quadratic(target))
-    w, trace = minimize(fg, w0, 1.0, RcgOptions(eps=1e-8))
+    w, trace = minimize(fg, w0, 1.0, RcgOptions(eps=1e-8), restart_period=w0.shape[1])
     assert trace.iterations >= 2
     assert trace.objective_evals == 1 + sum(r.evals for r in trace.records)
     assert trace.gradient_evals == 1 + sum(r.grads for r in trace.records)
@@ -274,13 +299,15 @@ def test_trace_totals_without_a_step():
     rng = np.random.default_rng(18)
     w0 = random_point(3, 4, 1.0, rng)
     # a critical start: no step, and the final norm is the start's
-    _, trace = minimize(deferred(_quadratic(2.0 * w0)), w0, 1.0, RcgOptions(eps=1e-8))
+    _, trace = minimize(deferred(_quadratic(2.0 * w0)), w0, 1.0, RcgOptions(eps=1e-8),
+                        restart_period=w0.shape[1])
     assert (trace.termination, trace.iterations) == ("grad_tol", 0)
     assert (trace.objective_evals, trace.gradient_evals) == (1, 1)
     assert trace.final_grad_norm == trace.initial_grad_norm < 1e-8
     # a failed line search: its probes count, though no record holds them
     g = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    _, trace = minimize(lambda w: (1.0, lambda: g), w0, 1.0, RcgOptions())
+    _, trace = minimize(lambda w: (1.0, lambda: g), w0, 1.0, RcgOptions(),
+                        restart_period=w0.shape[1])
     assert (trace.termination, trace.iterations) == ("linesearch_fail", 0)
     assert (trace.objective_evals, trace.gradient_evals) == (1 + MAX_LINESEARCH_EVALS, 1)
     assert trace.final_grad_norm == trace.initial_grad_norm > 0.0
@@ -329,10 +356,10 @@ def _assert_same_search(fg, w, radius, opts, d=None, f0=None, slope0=None):
     return res
 
 
-def _assert_same_solve(fg, w0, radius, opts):
+def _assert_same_solve(fg, w0, radius, opts, restart_period):
     counted, grads = _counting(fg)
-    w, trace = minimize(counted, w0, radius, opts)
-    w_ref, ref = eager_minimize(fg, w0, radius, opts)
+    w, trace = minimize(counted, w0, radius, opts, restart_period)
+    w_ref, ref = eager_minimize(fg, w0, radius, opts, restart_period)
     assert w.tobytes() == w_ref.tobytes()
     assert trace.records == ref.records
     assert trace.termination == ref.termination
@@ -343,17 +370,18 @@ def _assert_same_solve(fg, w0, radius, opts):
 
 
 def _stage_problems(monkeypatch):
-    """(fg, w0, radius, opts) of stages I and II of an sgcdf design on
-    the small acceptance scenario, as ``design`` builds them."""
+    """(fg, w0, radius, opts, restart_period) of stages I and II of an
+    sgcdf design on the small acceptance scenario, as ``design`` builds
+    them."""
     s = make_scenario(num_tx=8, num_rx=8, num_users=2,
                       target_angles_deg=(-40.0, 25.0),
                       target_ranges_m=(50.0, 60.0), snapshots=64, seed=2)
     problems = []
     solve = rcg.minimize
 
-    def capture(fg, w0, radius, opts):
-        problems.append((fg, w0, radius, opts))
-        return solve(fg, w0, radius, opts)
+    def capture(fg, w0, radius, opts, restart_period):
+        problems.append((fg, w0, radius, opts, restart_period))
+        return solve(fg, w0, radius, opts, restart_period)
 
     monkeypatch.setattr(rcg, "minimize", capture)
     design.run(s, "sgcdf")
@@ -399,20 +427,20 @@ def test_deferred_gradients_match_eager_solver_on_quadratic():
     w0 = random_point(4, 6, 1.0, rng)
     fg = deferred(_quadratic(target))
     for opts in (RcgOptions(eps=1e-10), RcgOptions(eps=1e-8, max_step_norm=0.05)):
-        trace = _assert_same_solve(fg, w0, 1.0, opts)
+        trace = _assert_same_solve(fg, w0, 1.0, opts, w0.shape[1])
         betas = [r.beta for r in trace.records]
         assert 0.0 in betas and any(b != 0.0 for b in betas)
         assert sum(r.grads for r in trace.records) < sum(r.evals for r in trace.records)
 
 
 def test_deferred_gradients_match_eager_solver_on_both_stages(monkeypatch, cg_stage_two):
-    (fg1, w1, radius, opts1), (fg2, w2, _, opts2) = _stage_problems(monkeypatch)
+    (fg1, w1, radius, opts1, period), (fg2, w2, _, opts2, _) = _stage_problems(monkeypatch)
     assert opts2.max_step_norm is not None
     _assert_same_search(fg1, w1, radius, opts1)
-    _assert_same_solve(fg1, w1, radius, opts1)
+    _assert_same_solve(fg1, w1, radius, opts1, period)
     for opts in (opts2, dataclasses.replace(opts2, max_step_norm=None)):
         _assert_same_search(fg2, w2, radius, opts)
-        trace = _assert_same_solve(fg2, w2, radius, opts)
+        trace = _assert_same_solve(fg2, w2, radius, opts, period)
         assert trace.termination == "grad_tol" and trace.iterations >= 1
         assert trace.objectives()[-1] == 0.0
 
@@ -432,6 +460,6 @@ def test_deferred_gradients_match_eager_solver_through_a_descent_reset():
             return s_star - s, lambda: -u
         return 3.0 * (s - s_star), lambda: 3.0 * u
 
-    trace = _assert_same_solve(fg, w0, 1.0, RcgOptions(eps=1e-8, max_iters=40))
+    trace = _assert_same_solve(fg, w0, 1.0, RcgOptions(eps=1e-8, max_iters=40), w0.shape[1])
     first = trace.records[0]
     assert not first.wolfe_ok and first.beta == 0.0 and first.grad_norm > 0.0
