@@ -123,8 +123,7 @@ def cmd_design(args):
     record.update((f"{stage}_{name}", _stage(res.traces[stage], name))
                   for stage in ("sp1", "sp2")
                   for name in ("objective_evals", "gradient_evals", "final_grad_norm"))
-    record.update((f"{stage}_{name}", _stage(res.traces[stage], name))
-                  for name in ("wolfe_fallbacks", "capped_steps")
+    record.update((f"{stage}_wolfe_fallbacks", _stage(res.traces[stage], "wolfe_fallbacks"))
                   for stage in ("sp1", "sp2"))
     for key, value in record.items():
         print(f"{key}={value}")

@@ -12,8 +12,10 @@ evaluated from P for all users at once, the gradient only when the
 solver asks for it. f2 is half the summed squares of the K residuals
 hn_k - tm_k, each with a rank-one gradient, so the minimum-norm
 Gauss-Newton step on the manifold needs only their K x K Gram matrix,
-whose H^H H factor the cones stack once. N is the width the solver
-carries: K + M_T, or K for a design without sensing streams.
+whose H^H H factor the cones stack once. Where Gauss-Newton stalls,
+``sinr_project`` moves one user's row of P into its SINR set, the step
+of stage II's projection sweeps. N is the width the solver carries:
+K + M_T, or K for a design without sensing streams.
 
 Also here: zero-forcing directions, the equal-rate power allocation
 (all users exactly at the rate floor given sensing interference; under
@@ -49,7 +51,7 @@ class SocInstance:
 
 class SocCones(tuple):
     """The cones of one rate floor, one ``SocInstance`` per user in user
-    order, and what ``f2_and_grad`` reads, stacked once by
+    order, and what stage II reads, stacked once by
     ``soc_assemble``: ``rows`` (H^H, K x M_T, C-contiguous), ``rows_h``
     (its conjugate transpose), ``gram`` (the users' K x K Gram matrix
     H^H H), ``idx`` (the users 0..K-1), ``w_shape``
@@ -266,6 +268,32 @@ def f2_and_grad(w, cones):
         return cones.rows_h @ resid
 
     return f2, grad
+
+
+def sinr_project(w, k, cones, margin):
+    """W with user k's row p = h_k^H W moved into its SINR set
+    {||p_-k||^2 + sigma^2 <= c^2 |p_k|^2}, c^2 = 1/(gamma (1 + margin)), by
+    the least-norm update h_k (x - p) / ||h_k||^2; W itself when p is in
+    the set. With room = c^2 |p_k|^2 - sigma^2 positive, the target x
+    scales p's off-diagonal entries onto the set's boundary; otherwise it
+    zeroes them and sets x_k to sigma/c in p_k's phase (1 where p_k = 0).
+    """
+    p = cones.rows[k] @ w
+    power = np.abs(p) ** 2
+    s2 = power[k]
+    power[k] = 0.0      # the interference summed apart: sum - |p_k|^2 cancels
+    z2 = power.sum()
+    c2 = 1.0 / (cones.gamma * (1.0 + margin))
+    room = c2 * s2 - cones.sigma2
+    if z2 <= room:
+        return w
+    if room > 0.0:
+        x = p * math.sqrt(room / z2)
+        x[k] = p[k]
+    else:
+        x = np.zeros_like(p)
+        x[k] = cones.sigma / math.sqrt(c2) * (p[k] / math.sqrt(s2) if s2 > 0.0 else 1.0)
+    return w + np.outer(cones.rows_h[:, k], (x - p) / cones.gram[k, k].real)
 
 
 def _tangent_gram(w, cones, radius, gaps, users):

@@ -11,9 +11,11 @@ least-squares problem in the K residuals hn_k - tm_k, so a Riemannian
 Gauss-Newton step (Absil, Mahony & Sepulchre, Optimization Algorithms
 on Matrix Manifolds, 2008, 8.4) costs one solve with the K x K Gram
 matrix of the residuals' gradients, and a few such steps drive f2 to
-zero. Where that phase stalls, the conjugate-gradient solver minimizes
-f2 from the stage-I point instead, and the design carries the flag
-'sp2_cg_fallback'.
+zero. Where that phase stalls, cyclic projections take over from its
+last iterate, the paper's convex closed-set projection: each sweep
+moves the users' rows of H^H W into their SINR sets one user at a time,
+each by the least-norm update of W, and then retracts. The design then
+carries the flag 'sp2_projection'.
 
 ``run`` builds the user channel matrix H and its zero-forcing
 directions once and hands them to the rate floor (``rate_target``),
@@ -23,13 +25,13 @@ Modes: 'sgcdf' is the full two-stage design; 'sensing_only' stops after
 stage I; 'no_dedicated_stream' has no sensing streams, so both stages
 run on its M_T x K communication block and the result is zero-padded to
 K + M_T columns; 'omnidirectional' is the equal-power benchmark with no
-optimization. Every solve restarts its conjugate directions every
-K + M_T steps, the design's stream count, whatever width it carries.
+optimization. Stage I restarts its conjugate directions every K + M_T
+steps, the design's stream count, whatever width it carries.
 """
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .scenario import substream
 MODES = ("sgcdf", "sensing_only", "no_dedicated_stream", "omnidirectional")
 FLOORLESS_MODES = ("sensing_only", "omnidirectional")   # no rate floor enforced
 RATE_SLACK = 1e-6      # rate-check slack, times min(1, r_min): absorbs rounding at the floor
-SP2_STEP_FRACTION = 0.02   # stage-II CG step cap relative to ||W||_F
+SP2_MARGIN = 0.002         # projection targets SINR gamma (1 + SP2_MARGIN)
 GN_STEP_FRACTION = 0.1     # Gauss-Newton step cap relative to ||W_start||_F
 GN_MARGIN = 1e-9           # Gauss-Newton target hn_k - tm_k = -GN_MARGIN hn_k
 GN_MAX_STEPS = 60
@@ -185,22 +187,21 @@ def solve_sp1(scenario, w0, opts, coupling):
 
 
 def _gauss_newton(cones, w_start, radius):
-    """Stage II's Gauss-Newton phase from ``w_start``: (w, trace), w the
-    first iterate where f2 = 0, or None when the phase stalls.
+    """Stage II's Gauss-Newton phase from ``w_start``: (w, trace, f2 at
+    ``w_start``), w the first iterate where f2 = 0 (termination
+    'target_met') or, where the phase stalls, the last accepted one.
 
     Each step is ``comm.f2_and_gauss_newton``'s minimum-norm step toward
     hn_k - tm_k = -GN_MARGIN hn_k on the active users, its norm capped at
     GN_STEP_FRACTION ||W_start||_F, then retracted. The phase stalls on
     a singular or non-finite solve, an uncapped step that does not halve
-    f2, a capped step that does not lower it, or GN_MAX_STEPS steps. The
-    trace has one record per step, with f2 and its Riemannian gradient
-    norm over their start value, the step's fraction of the full
-    Gauss-Newton step and whether it was capped.
+    f2, a capped step that does not lower it, or GN_MAX_STEPS steps. Each
+    step's record has f2 and its Riemannian gradient norm over their start
+    values and the step's fraction of the full step, below 1 if capped.
     """
     cap = GN_STEP_FRACTION * float(np.linalg.norm(w_start))
-    w = w_start
-    f, step = comm.f2_and_gauss_newton(w, cones, radius, GN_MARGIN)
-    base = f
+    f, step = comm.f2_and_gauss_newton(w_start, cones, radius, GN_MARGIN)
+    w, base = w_start, f
     trace = rcg.SolverTrace(initial_objective=1.0, objective_evals=1)
 
     def direction_at(f2, step_thunk):
@@ -221,18 +222,40 @@ def _gauss_newton(cones, w_start, radius):
         f_new, step = comm.f2_and_gauss_newton(w_new, cones, radius, GN_MARGIN)
         trace.objective_evals += 1
         if not f_new < (f if scale < 1.0 else 0.5 * f):
-            return None, trace
+            break
         w, f = w_new, f_new
         direction = direction_at(f, step)
         trace.records.append(rcg.IterRecord(
             iteration=trace.iterations, objective=f / base,
             grad_norm=0.0 if direction is None else direction[1] / base, step=scale,
-            beta=0.0, wolfe_ok=True, evals=1, grads=int(direction is not None),
-            capped=scale < 1.0))
-    if f > 0.0:
-        return None, trace
-    trace.termination = "target_met"
-    return w, trace
+            beta=0.0, wolfe_ok=True, evals=1, grads=int(direction is not None)))
+    trace.termination = "target_met" if f == 0.0 else "stalled"
+    return w, trace, base
+
+
+def _project(cones, w, radius, max_sweeps, trace, base):
+    """Stage II's projection phase from ``w``: sweeps until f2 = 0, at most
+    ``max_sweeps``; returns the last iterate. A sweep moves each user's
+    row of H^H W into its SINR set in turn (``comm.sinr_project`` at margin
+    SP2_MARGIN) and then retracts. Each sweep appends a record to
+    ``trace``, numbered from 0, with f2 over ``base`` and grad_norm 0 at
+    f2 = 0, NaN before (no gradient is formed).
+    """
+    f2 = comm.f2_and_grad(w, cones)[0]
+    trace.objective_evals += 1
+    for sweep in range(max_sweeps):
+        if f2 == 0.0:
+            break
+        for k in cones.idx:
+            w = comm.sinr_project(w, k, cones, SP2_MARGIN)
+        w = manifold.retract(w, radius)
+        f2 = comm.f2_and_grad(w, cones)[0]
+        trace.objective_evals += 1
+        trace.records.append(rcg.IterRecord(
+            iteration=sweep, objective=f2 / base, grad_norm=0.0 if f2 == 0.0 else math.nan,
+            step=1.0, beta=0.0, wolfe_ok=True, evals=1, grads=0))
+    trace.termination = "target_met" if f2 == 0.0 else "max_iters"
+    return w
 
 
 def solve_sp2(scenario, w_start, r_min, opts, channels):
@@ -242,19 +265,14 @@ def solve_sp2(scenario, w_start, r_min, opts, channels):
     ``w_start`` may be narrower than K + M_T, as in ``solve_sp1``, and
     the cones are built for its width. Returns (w, trace, flags). Skipped
     (input returned unchanged) when the minimum rate already meets
-    ``r_min`` up to RATE_SLACK * min(1, r_min). Otherwise a Gauss-Newton
-    phase (``_gauss_newton``) projects the start onto the rate-feasible
-    set in a few minimum-norm steps. f2 is zero
-    exactly on that set, so the result is the first iterate that meets
-    the floor. When the phase stalls, or its point fails the rate check,
-    the conjugate-gradient solver minimizes f2 from the start instead,
-    flagged 'sp2_cg_fallback'; its result is the first iterate that meets
-    the floor, at most one capped step past the feasibility boundary, and
-    its trace holds the Gauss-Newton steps and evaluations first. If that
-    solver stalls or exhausts its budget while a rate gap remains, the
-    design is reported infeasible with the gap attached. A floor whose
-    slack is below the resolution of log2(1 + SINR) cannot be checked
-    and raises NumericalError.
+    ``r_min`` up to RATE_SLACK * min(1, r_min). Otherwise the Gauss-Newton
+    phase runs, and where it stalls the projection phase takes over from
+    its last iterate, for at most ``opts.max_iters`` sweeps, flagged
+    'sp2_projection'. f2 is zero exactly on the rate-feasible set, so the
+    result is the first iterate that meets the floor; one that fails the
+    rate check raises InfeasibleError with the gap attached. A floor
+    whose slack is below the resolution of log2(1 + SINR) cannot be
+    checked and raises NumericalError.
     """
     h = channels
     floor = r_min - RATE_SLACK * min(1.0, r_min)
@@ -265,33 +283,18 @@ def solve_sp2(scenario, w_start, r_min, opts, channels):
         raise NumericalError(f"rate floor {r_min:.3e} b/s/Hz is below the resolution "
                              "of the rate check")
 
-    instances = comm.soc_assemble(h, r_min, scenario.noise_power,
-                                  num_streams=w_start.shape[1])
-    w, gn_trace = _gauss_newton(instances, w_start, scenario.row_radius)
-    if w is not None and feasible(w):
-        return w, gn_trace, ()
-    fg = _normalized(lambda w: comm.f2_and_grad(w, instances))
-    # Small bounded steps keep the descent path close to the continuous
-    # projection flow, so f2 vanishes near the feasibility boundary, not
-    # deep inside the feasible set; at eps = 0 its zero gradient stops it.
-    cap = SP2_STEP_FRACTION * float(np.linalg.norm(w_start))
-    opts = replace(opts, eps=0.0, max_step_norm=cap,
-                   max_iters=max(opts.max_iters, 4000))
-    w, trace = rcg.minimize(fg, w_start, scenario.row_radius, opts,
-                            restart_period=scenario.num_streams)
-    # the trace counts the Gauss-Newton phase's work too, its steps first,
-    # each phase numbering its own; both normalise f2 by its value at w_start
-    trace.records = gn_trace.records + trace.records
-    trace.objective_evals += gn_trace.objective_evals
-    trace.gradient_evals += gn_trace.gradient_evals
+    cones = comm.soc_assemble(h, r_min, scenario.noise_power, num_streams=w_start.shape[1])
+    w, trace, base = _gauss_newton(cones, w_start, scenario.row_radius)
+    flags = ()
+    if trace.termination != "target_met":
+        w = _project(cones, w, scenario.row_radius, opts.max_iters, trace, base)
+        flags = ("sp2_projection",)
     if not feasible(w):
         gap = r_min - comm.rates(w, h, scenario.noise_power).min_rate
         raise InfeasibleError(
             f"rate projection stalled ({trace.termination}) with min-rate gap "
             f"{gap:.3e} b/s/Hz", detail={"gap": float(gap), "r_min": float(r_min)})
-    if trace.termination == "grad_tol":
-        trace.termination = "target_met"
-    return w, trace, ("sp2_cg_fallback",)
+    return w, trace, flags
 
 
 def rate_target(scenario, channels, directions):

@@ -1,4 +1,4 @@
-"""Riemannian conjugate gradient on the oblique manifold.
+"""Riemannian conjugate gradient on the oblique manifold: stage I's solver.
 
 Fletcher-Reeves directions, retraction after every update,
 projection-based transport, and a steepest-descent restart every
@@ -6,19 +6,17 @@ projection-based transport, and a steepest-descent restart every
 passes its stream count, whatever width the variable has). Each step
 runs one bracketing strong Wolfe search with the fixed constants C1 and
 C2 (curvature measured against the transported direction) and at most
-MAX_LINESEARCH_EVALS probes;
-when no probe meets both conditions it takes the best probe that met
-sufficient decrease, and the solver stops with 'linesearch_fail' when
-none did. The first search of a solve tries the step 1/||d|| first;
-every later search tries twice the step the previous one accepted
-(Nocedal & Wright, Numerical Optimization, 3.5), both within the step
-cap. The solver is objective-agnostic and applies the dual stopping
-rule (gradient norm below eps*(1+|f|), or objective change below eps)
-to whatever scale the callback reports. At eps = 0 only an exactly
-zero gradient stops a solve early: stage II stops where f2 vanishes.
-The start is the one point a caller hands the solver, so it alone is
-checked for manifold membership; every later point is a retraction
-output.
+MAX_LINESEARCH_EVALS probes, so a bisected bracket stays above 2^-30 of
+its first width; when no probe meets both conditions it takes the best
+probe that met sufficient decrease, and the solver stops with
+'linesearch_fail' when none did. The first search of a solve tries the
+step 1/||d|| first; every later search tries twice the step the
+previous one accepted (Nocedal & Wright, Numerical Optimization, 3.5).
+The solver is objective-agnostic and applies the dual stopping rule
+(gradient norm below eps*(1+|f|), or objective change below eps) to
+whatever scale the callback reports. The start is the one point a
+caller hands the solver, so it alone is checked for manifold
+membership; every later point is a retraction output.
 
 The callback ``fg(w)`` returns ``(value, egrad)``: the objective value
 at w and a zero-argument callable that returns the Euclidean gradient
@@ -38,12 +36,6 @@ of a conjugate (beta != 0) update. The line search reports the
 step reuses it, so each step forms it once. Likewise the descent check
 of a new direction forms ``<rgrad, d>``, which is the next step's
 slope.
-
-A step is ``capped`` when its accepted step norm ``step * ||d||`` sits
-at the step cap (to 1e-12 relative). Stage II's cap makes such steps
-common, and a capped step that meets sufficient decrease but not the
-curvature test ends its search as a fallback (``wolfe_ok`` False)
-without any trouble in the search, so the trace counts them apart.
 """
 
 import csv
@@ -62,25 +54,20 @@ _TINY = 1e-300
 C1 = 1e-4
 C2 = 0.4
 MAX_LINESEARCH_EVALS = 30   # probes per line search, that is per step
-CAP_RTOL = 1e-12            # relative distance to the step cap of a capped step
 
 
 @dataclass
 class RcgOptions:
-    """Stopping rule and step cap; the line search is fixed and the restart
-    period is ``minimize``'s argument."""
+    """Stopping rule; the line search is fixed and the restart period is
+    ``minimize``'s argument."""
     eps: float = 3e-4
     max_iters: int = 2000
-    max_step_norm: float | None = None  # ambient cap on ||step||_F per iterate
 
     def __post_init__(self):
-        # eps = 0 is valid: stage II stops on an exactly zero gradient
         if not (0.0 <= self.eps < math.inf):
             raise ValueError("eps must be finite and nonnegative")
         if self.max_iters < 1:
             raise ValueError("iteration budget must be positive")
-        if self.max_step_norm is not None and self.max_step_norm <= 0:
-            raise ValueError("step cap must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,7 +80,6 @@ class IterRecord:
     wolfe_ok: bool
     evals: int          # line-search probes of this step
     grads: int          # gradients those probes computed, at most evals
-    capped: bool        # step norm at the step cap, to CAP_RTOL
 
 
 @dataclass
@@ -118,11 +104,6 @@ class SolverTrace:
     def wolfe_fallbacks(self):
         """Steps that took the best sufficient-decrease probe, not a Wolfe point."""
         return sum(not r.wolfe_ok for r in self.records)
-
-    @property
-    def capped_steps(self):
-        """Steps whose norm sits at the step cap (module docstring)."""
-        return sum(r.capped for r in self.records)
 
     def objectives(self):
         return np.array([self.initial_objective] + [r.objective for r in self.records])
@@ -164,27 +145,24 @@ def _probe(fg, w, d, alpha, radius):
     return _Eval(alpha, point, value, egrad)
 
 
-def wolfe_linesearch(fg, w, d, f0, slope0, radius, opts, first_step):
+def wolfe_linesearch(fg, w, d, f0, slope0, radius, first_step):
     """Strong Wolfe step along d from w.
 
     Sufficient decrease: f(R(w + a d)) <= f0 + C1 a slope0.
     Curvature: |<grad f at the new point, transported d>| <= C2 |slope0|.
     The first trial step is ``first_step`` (``minimize`` passes twice the
     previous search's accepted step), or 1/||d|| when it is None (the
-    first search of a solve), capped at the step cap. One bracketing
-    search over [a_lo, a_hi]: the trial step doubles (up to the step cap)
-    until an upper end is found, then bisects. It makes at most
-    MAX_LINESEARCH_EVALS probes. If none meets both conditions, returns
-    the best probe that met sufficient decrease (wolfe_ok False), or None
-    if no probe decreased enough. A probe's gradient is computed on its
-    first read (module docstring).
+    first search of a solve). One bracketing search over [a_lo, a_hi]:
+    the trial step doubles until an upper end is found, then bisects. It
+    makes at most MAX_LINESEARCH_EVALS probes. If none meets both
+    conditions, returns the best probe that met sufficient decrease
+    (wolfe_ok False), or None if no probe decreased enough. A probe's
+    gradient is computed on its first read (module docstring).
     """
     if slope0 >= 0.0:
         raise ValueError(f"line search needs a descent direction, got slope {slope0}")
     d_norm2 = inner(d, d)
-    d_norm = math.sqrt(d_norm2)
-    a_cap = math.inf if opts.max_step_norm is None else opts.max_step_norm / d_norm
-    a = min(1.0 / d_norm if first_step is None else first_step, a_cap)
+    a = 1.0 / math.sqrt(d_norm2) if first_step is None else first_step
     a_lo, f_lo, a_hi = 0.0, f0, None
     best = None
     evals = grads = 0
@@ -212,14 +190,7 @@ def wolfe_linesearch(fg, w, d, f0, slope0, radius, opts, first_step):
             if dslope * (1.0 if a_hi is None else a_hi - a_lo) >= 0.0:
                 a_hi = a_lo
             a_lo, f_lo = a, ev.value
-            if a_hi is None and a >= a_cap:
-                break  # the capped step already decreases enough
-        if a_hi is None:
-            a = min(2.0 * a, a_cap)
-        elif abs(a_hi - a_lo) <= 1e-14 * max(abs(a_hi), abs(a_lo)):
-            break
-        else:
-            a = 0.5 * (a_lo + a_hi)
+        a = 2.0 * a if a_hi is None else 0.5 * (a_lo + a_hi)
     if best is None:
         return None
     gradient(best)
@@ -283,13 +254,12 @@ def minimize(fg, w0, radius, opts, restart_period):
     slope = inner(rgrad, d)
     trace.initial_objective, trace.initial_grad_norm = f, math.sqrt(gnorm2)
     first_step = None
-    cap = opts.max_step_norm
 
     for it in range(opts.max_iters):
         if math.sqrt(gnorm2) <= opts.eps * (1.0 + abs(f)):
             trace.termination = "grad_tol"
             return w, trace
-        ls = wolfe_linesearch(fg, w, d, f, slope, radius, opts, first_step)
+        ls = wolfe_linesearch(fg, w, d, f, slope, radius, first_step)
         if ls is None:
             trace.termination = "linesearch_fail"
             return w, trace
@@ -309,10 +279,8 @@ def minimize(fg, w0, radius, opts, restart_period):
         if beta == 0.0:
             d_new = -ev.rgrad
             slope_new = inner(ev.rgrad, d_new)
-        capped = (cap is not None
-                  and abs(ls.step * math.sqrt(ls.d_norm2) - cap) <= CAP_RTOL * cap)
         trace.records.append(IterRecord(it, ev.value, math.sqrt(gnorm2_new), ls.step, beta,
-                                        ls.wolfe_ok, ls.evals, ls.grads, capped))
+                                        ls.wolfe_ok, ls.evals, ls.grads))
         df = abs(f - ev.value)
         w, f, d, gnorm2, slope = ev.point, ev.value, d_new, gnorm2_new, slope_new
         if df < opts.eps:

@@ -399,7 +399,7 @@ def _eager_probe(fg, w, d, alpha, radius, index):
                       project_tangent(point, d, radius))
 
 
-def eager_wolfe_linesearch(fg, w, d, f0, slope0, radius, opts, first_step=None):
+def eager_wolfe_linesearch(fg, w, d, f0, slope0, radius, first_step=None):
     """``rcg.wolfe_linesearch`` with every probe's gradient and projected
     direction computed as the probe is made, the same first trial step
     and the same slope ``inner(rgrad, d)``.
@@ -410,9 +410,7 @@ def eager_wolfe_linesearch(fg, w, d, f0, slope0, radius, opts, first_step=None):
     indices of those probes, the returned one included.
     """
     d_norm2 = inner(d, d)
-    d_norm = math.sqrt(d_norm2)
-    a_cap = math.inf if opts.max_step_norm is None else opts.max_step_norm / d_norm
-    a = min(1.0 / d_norm if first_step is None else first_step, a_cap)
+    a = 1.0 / math.sqrt(d_norm2) if first_step is None else first_step
     a_lo, f_lo, a_hi = 0.0, f0, None
     best = None
     read = []
@@ -431,12 +429,8 @@ def eager_wolfe_linesearch(fg, w, d, f0, slope0, radius, opts, first_step=None):
             if dslope * (1.0 if a_hi is None else a_hi - a_lo) >= 0.0:
                 a_hi = a_lo
             a_lo, f_lo = a, ev.value
-            if a_hi is None and a >= a_cap:
-                break
         if a_hi is None:
-            a = min(2.0 * a, a_cap)
-        elif abs(a_hi - a_lo) <= 1e-14 * max(abs(a_hi), abs(a_lo)):
-            break
+            a = 2.0 * a
         else:
             a = 0.5 * (a_lo + a_hi)
     if best is None:
@@ -464,7 +458,7 @@ def eager_minimize(fg, w0, radius, opts, restart_period):
             trace.termination = "grad_tol"
             return w, trace
         slope = inner(rgrad, d)
-        ls, _ = eager_wolfe_linesearch(fg, w, d, f, slope, radius, opts, first_step)
+        ls, _ = eager_wolfe_linesearch(fg, w, d, f, slope, radius, first_step)
         if ls is None:
             trace.termination = "linesearch_fail"
             return w, trace
@@ -477,10 +471,8 @@ def eager_minimize(fg, w0, radius, opts, restart_period):
         if inner(ev.rgrad, d_new) >= 0.0:
             d_new = -ev.rgrad
             beta = 0.0
-        cap = opts.max_step_norm
-        capped = cap is not None and abs(ls.step * math.sqrt(inner(d, d)) - cap) <= 1e-12 * cap
         trace.records.append(IterRecord(it, ev.value, math.sqrt(gnorm2_new), ls.step,
-                                        beta, ls.wolfe_ok, ls.evals, ls.grads, capped))
+                                        beta, ls.wolfe_ok, ls.evals, ls.grads))
         df = abs(f - ev.value)
         w, f, rgrad, d, gnorm2 = ev.point, ev.value, ev.rgrad, d_new, gnorm2_new
         if df < opts.eps:

@@ -72,14 +72,14 @@ def test_gradients_match_finite_differences():
     assert time.perf_counter() - t0 < 10.0
 
 
-def test_iterates_stay_on_manifold_and_projection_laws(monkeypatch, cg_stage_two):
+def test_iterates_stay_on_manifold_and_projection_laws(monkeypatch):
     t0 = time.perf_counter()
     s = make_scenario(num_tx=8, num_rx=8, num_users=2,
                       target_angles_deg=(-40.0, 25.0),
                       target_ranges_m=(50.0, 60.0), snapshots=64, seed=2)
     coupling = crlb.coupling_matrices(s)
-    # every point an objective is evaluated at: each line-search probe,
-    # not only the accepted iterates
+    # every point an objective is evaluated at: each line-search probe of
+    # stage I, and each Gauss-Newton step and projection sweep of stage II
     seen = {"sp1": [], "sp2": []}
 
     def recording(stage, func):
@@ -89,7 +89,8 @@ def test_iterates_stay_on_manifold_and_projection_laws(monkeypatch, cg_stage_two
         return wrapped
 
     monkeypatch.setattr(crlb, "fisher_matrix", recording("sp1", crlb.fisher_matrix))
-    monkeypatch.setattr(comm, "f2_and_grad", recording("sp2", comm.f2_and_grad))
+    for name in ("f2_and_gauss_newton", "f2_and_grad"):
+        monkeypatch.setattr(comm, name, recording("sp2", getattr(comm, name)))
 
     def fg(w):
         state = crlb.fisher_matrix(w, coupling)
@@ -98,17 +99,21 @@ def test_iterates_stay_on_manifold_and_projection_laws(monkeypatch, cg_stage_two
     h = s.channel_matrix()
     w0, _ = design.initial_point(s, 0.0, False, h, comm.zf_precoder(h))
     minimize(deferred(fg), w0, s.row_radius, RcgOptions(eps=1e-4), restart_period=w0.shape[1])
-    # both stages of the pipeline, stage II with its step cap
-    for mode in ("sgcdf", "no_dedicated_stream"):
-        before = len(seen["sp2"])
-        trace = design.run(s, mode).traces["sp2"]
-        # the start (w_start), which also sets the normalizing base, then every probe
-        assert len(seen["sp2"]) - before == 1 + sum(r.evals for r in trace.records) > 1
-    assert len(seen["sp1"]) >= 2
-    rho2 = s.row_radius ** 2
-    for w in seen["sp1"] + seen["sp2"]:
-        gap = np.abs(manifold.row_norms(w) ** 2 - rho2).max()
-        assert gap <= manifold.ROW_TOL * rho2
+    # stage II in both modes: Gauss-Newton alone on the small scenario, and
+    # the projection after it on the paper geometry at overload 0.95
+    tight = make_scenario(seed=1, overload=0.95)
+    for scenario, flags in ((s, ()), (tight, ("sp2_projection",))):
+        for mode in ("sgcdf", "no_dedicated_stream"):
+            res = design.run(scenario, mode)
+            # the start, then every step and sweep
+            assert len(seen["sp2"]) == res.traces["sp2"].objective_evals > 1
+            assert res.flags == flags
+            assert len(seen["sp1"]) >= 2
+            rho2 = scenario.row_radius ** 2
+            for w in seen["sp1"] + seen["sp2"]:
+                gap = np.abs(manifold.row_norms(w) ** 2 - rho2).max()
+                assert gap <= manifold.ROW_TOL * rho2
+            seen["sp1"], seen["sp2"] = [], []
 
     rng = np.random.default_rng(0)
     for _ in range(1000):

@@ -59,8 +59,7 @@ def test_design_prints_key_value_record(cfg_path, capsys):
                         "rates", "sp1_termination", "sp2_termination", "flags",
                         "sp1_objective_evals", "sp1_gradient_evals", "sp1_final_grad_norm",
                         "sp2_objective_evals", "sp2_gradient_evals", "sp2_final_grad_norm",
-                        "sp1_wolfe_fallbacks", "sp2_wolfe_fallbacks",
-                        "sp1_capped_steps", "sp2_capped_steps"]
+                        "sp1_wolfe_fallbacks", "sp2_wolfe_fallbacks"]
     assert rec["mode"] == "sgcdf"
     assert float(rec["sum_crlb"]) > 0
     assert float(rec["min_rate"]) >= float(rec["r_min"]) - 1e-6
@@ -82,7 +81,7 @@ def test_design_sensing_only_leaves_sp2_blank(cfg_path, capsys):
     assert rec["sp2_termination"] == ""
     assert int(rec["sp1_iterations"]) >= 1
     for name in ("time_s", "objective_evals", "gradient_evals", "final_grad_norm",
-                 "wolfe_fallbacks", "capped_steps"):
+                 "wolfe_fallbacks"):
         assert rec[f"sp2_{name}"] == ""
         assert rec[f"sp1_{name}"] != ""
 
@@ -101,8 +100,6 @@ def test_design_record_prints_each_stage_solver_totals(cfg_path, capsys):
         assert rec[f"{stage}_final_grad_norm"] == repr(trace.final_grad_norm)
         fallbacks = int(rec[f"{stage}_wolfe_fallbacks"])
         assert fallbacks == sum(not r.wolfe_ok for r in trace.records) <= trace.iterations
-        capped = int(rec[f"{stage}_capped_steps"])
-        assert capped == sum(r.capped for r in trace.records) <= trace.iterations
 
 
 def test_design_reports_max_iters_termination(tmp_path, capsys):

@@ -572,3 +572,40 @@ def test_gauss_newton_takes_phase_one_at_a_zero_tail():
     assert c[0, 0] == -cones.root_gamma
     ref = np.array([[inner(a, b) for b in xi] for a in xi])
     assert np.abs(gram - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _interference_and_signal(w, cones, k):
+    p = cones.rows[k] @ w
+    return (np.abs(np.delete(p, k)) ** 2).sum(), np.abs(p[k]) ** 2
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sinr_project_lands_each_short_row_on_its_set_boundary(seed):
+    # the least-norm update along h_k puts user k's row exactly on its
+    # target, which lies on the boundary of the margin's SINR set; a row
+    # already in the set is left alone
+    rng = np.random.default_rng(seed)
+    h = _cgauss(rng, (6, 4))
+    w = random_point(6, 9, 1.0, rng)
+    w[:, 0] *= 30.0               # user 0 in its set at the low floor
+    w[:, 1] *= 1e-9               # user 1 without room at the high noise
+    margin = 0.002
+    branches = set()
+    for r_min, noise in ((0.5, 1e-3), (6.0, 1e-3), (6.0, 1e3)):
+        cones = soc_assemble(h, r_min, noise, num_streams=9)
+        c2 = 1.0 / (cones.gamma * (1.0 + margin))
+        for k in range(4):
+            z2, s2 = _interference_and_signal(w, cones, k)
+            moved = comm.sinr_project(w, k, cones, margin)
+            if z2 + cones.sigma2 <= c2 * s2:
+                assert moved is w
+                branches.add("inside")
+                continue
+            branches.add("room" if c2 * s2 > cones.sigma2 else "no room")
+            z2_new, s2_new = _interference_and_signal(moved, cones, k)
+            assert z2_new + cones.sigma2 == pytest.approx(c2 * s2_new, rel=1e-12)
+            step = moved - w
+            # rank one along h_k: the least-norm update for user k's row
+            assert np.allclose(step, np.outer(h[:, k], h[:, k].conj() @ step)
+                               / np.linalg.norm(h[:, k]) ** 2, rtol=0, atol=1e-12 * np.abs(w).max())
+    assert branches == {"inside", "room", "no room"}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from isacbeam import comm, crlb, design, manifold, rcg
+from isacbeam import comm, crlb, design, manifold
 from isacbeam.arrays import beampattern_trace
 from isacbeam.config import build_scenario, parse_config
 from isacbeam.errors import ConfigError, InfeasibleError, NumericalError
@@ -383,32 +383,40 @@ def _stage_two(small, small_results):
                             small.channel_matrix())[:2]
 
 
-def test_solve_sp2_stops_where_f2_vanishes(small, small_results, cg_stage_two):
+@pytest.fixture(scope="module")
+def tight():
+    """(scenario, stage-I point, r_min) of the sgcdf design of the paper
+    geometry at overload 0.95, seed 1, where the Gauss-Newton phase stalls
+    and the projection takes over."""
+    s = make_scenario(seed=1, overload=0.95)
+    return s, design.run(s, "sensing_only").w, design.run(s, "sgcdf").r_min
+
+
+def _tight_stage_two(tight):
+    s, w, r_min = tight
+    return design.solve_sp2(s, w, r_min, RcgOptions(), s.channel_matrix())
+
+
+def test_solve_sp2_stops_where_f2_vanishes(tight):
     # f2 is zero exactly on the rate-feasible set, and only there does
-    # the eps = 0 gradient test stop the solver
-    w, trace = _stage_two(small, small_results)
+    # the projection stop
+    s, _, r_min = tight
+    w, trace, flags = _tight_stage_two(tight)
     f2 = trace.objectives()
+    assert flags == ("sp2_projection",)
     assert trace.termination == "target_met" and trace.iterations > 0
     assert f2[-1] == 0.0 and np.all(f2[:-1] > 0.0)
-    assert comm.rates(w, small.channel_matrix(), small.noise_power).min_rate \
-        >= small_results["sgcdf"].r_min
+    assert trace.final_grad_norm == 0.0
+    assert comm.rates(w, s.channel_matrix(), s.noise_power).min_rate >= r_min
 
 
-def test_solve_sp2_reads_the_rates_twice(small, small_results, monkeypatch, cg_stage_two):
+def test_solve_sp2_reads_the_rates_twice(tight, monkeypatch):
     # the skip test at the start and the floor check at the end, however
-    # many iterations stage II takes
-    count = 0
-    rates = comm.rates
-
-    def counted(*args):
-        nonlocal count
-        count += 1
-        return rates(*args)
-
-    monkeypatch.setattr(comm, "rates", counted)
-    _, trace = _stage_two(small, small_results)
+    # many sweeps the projection takes
+    reads = _counted_rates(monkeypatch)
+    _, trace, _ = _tight_stage_two(tight)
     assert trace.iterations > 1
-    assert count == 2
+    assert len(reads) == 2
 
 
 def test_small_floor_inside_the_slack_is_still_met():
@@ -465,7 +473,7 @@ def test_gauss_newton_meets_the_paper_floors_in_a_few_steps():
             for mode in ("sgcdf", "no_dedicated_stream"):
                 res = design.run(s, mode)
                 trace = res.traces["sp2"]
-                assert "sp2_cg_fallback" not in res.flags
+                assert "sp2_projection" not in res.flags
                 assert trace.termination == "target_met"
                 assert 1 <= trace.iterations <= 15
                 assert res.rates.min_rate >= res.r_min
@@ -491,37 +499,98 @@ def test_gauss_newton_reads_the_rates_twice(small, small_results, monkeypatch):
     assert trace.iterations > 1 and len(reads) == 2
 
 
-def test_gauss_newton_stall_falls_back_to_the_cg_design(monkeypatch):
-    # at overload 0.95 the Gauss-Newton phase stalls, and the design is
-    # the conjugate-gradient one, bit for bit. Its trace holds the
-    # Gauss-Newton steps and evaluations, then the CG ones, and stage II
-    # reads the rates twice: at the start and at the CG point
-    s = make_scenario(seed=1, overload=0.95)
-    res = design.run(s, "sgcdf")
-    args = (s, design.run(s, "sensing_only").w, res.r_min, RcgOptions(), s.channel_matrix())
-    phases = []
-    gauss_newton = design._gauss_newton
+def test_gauss_newton_stall_hands_its_last_iterate_to_the_projection(tight, monkeypatch):
+    # at overload 0.95 the Gauss-Newton phase stalls; the projection
+    # starts at its last accepted iterate, and the trace holds the
+    # Gauss-Newton steps, then the sweeps, each phase numbering its own
+    s, _, _ = tight
+    phases, points = [], []
+    gauss_newton, f2_and_grad = design._gauss_newton, comm.f2_and_grad
 
     def recorded(*a):
-        phases.append(gauss_newton(*a))
-        return phases[-1]
+        w, trace, base = gauss_newton(*a)
+        phases.append((w, list(trace.records), trace.objective_evals, trace.gradient_evals))
+        return w, trace, base
+
+    def evaluated(w, *a):
+        points.append(w)
+        return f2_and_grad(w, *a)
 
     monkeypatch.setattr(design, "_gauss_newton", recorded)
-    reads = _counted_rates(monkeypatch)
-    w, trace, flags = design.solve_sp2(*args)
-    assert len(reads) == 2
-    (gn_w, gn), = phases
-    assert gn_w is None and gn.iterations > 0
-    assert np.array_equal(w, res.w) and flags == res.flags == ("sp2_cg_fallback",)
-    monkeypatch.setattr(design, "_gauss_newton",
-                        lambda *_: (None, rcg.SolverTrace(initial_objective=1.0)))
-    cg_w, cg, _ = design.solve_sp2(*args)
-    assert np.array_equal(cg_w, w)
-    assert trace.iterations == gn.iterations + cg.iterations
-    assert trace.objective_evals == gn.objective_evals + cg.objective_evals
-    assert trace.gradient_evals == gn.gradient_evals + cg.gradient_evals
-    assert trace.records[:gn.iterations] == gn.records
-    assert trace.records[gn.iterations:] == cg.records
+    monkeypatch.setattr(comm, "f2_and_grad", evaluated)
+    w, trace, flags = _tight_stage_two(tight)
+    (gn_w, gn_records, gn_values, gn_grads), = phases
+    assert flags == ("sp2_projection",)
+    assert points[0] is gn_w and len(gn_records) > 0
+    sweeps = trace.records[len(gn_records):]
+    assert trace.records[:len(gn_records)] == gn_records
+    assert [r.iteration for r in sweeps] == list(range(len(sweeps)))
+    assert all(r.grads == 0 and r.evals == 1 and r.step == 1.0 for r in sweeps)
+    assert trace.objective_evals == gn_values + len(points) == gn_values + 1 + len(sweeps)
+    assert trace.gradient_evals == gn_grads
+    assert np.array_equal(w, design.run(s, "sgcdf").w)
+
+
+def test_projection_sweeps_each_user_in_turn(tight, monkeypatch):
+    # a sweep hands every user to comm.sinr_project once, in user order,
+    # each on the point the previous user left, and then retracts
+    s, _, _ = tight
+    calls = []
+    project = comm.sinr_project
+
+    def recorded(w, k, cones, margin):
+        calls.append((w, k, margin, project(w, k, cones, margin)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(comm, "sinr_project", recorded)
+    _, trace, _ = _tight_stage_two(tight)
+    k = s.num_users
+    # the sweeps' records follow the Gauss-Newton ones, numbered from 0 again
+    iterations = [r.iteration for r in trace.records]
+    sweeps = len(iterations) - iterations.index(0, 1)
+    assert len(calls) == k * sweeps > 0
+    assert [c[1] for c in calls] == list(range(k)) * sweeps
+    assert all(c[2] == design.SP2_MARGIN for c in calls)
+    for before, after in zip(calls, calls[1:]):
+        if after[1] != 0:
+            assert after[0] is before[3]
+        else:
+            # a new sweep starts on the retraction of the last one's point
+            assert manifold.is_on_manifold(after[0], s.row_radius)
+
+
+def test_projection_iterates_keep_sensing_columns_zero(tight, monkeypatch):
+    # no_dedicated_stream's sweeps carry the K communication columns only;
+    # the design pads the M_T sensing columns back as zeros
+    s, _, _ = tight
+    points = []
+    f2_and_grad = comm.f2_and_grad
+
+    def recorded(w, *args):
+        points.append(w)
+        return f2_and_grad(w, *args)
+
+    monkeypatch.setattr(comm, "f2_and_grad", recorded)
+    res = design.run(s, "no_dedicated_stream")
+    k, mt = s.num_users, s.array.num_tx
+    assert res.flags == ("sp2_projection",) and len(points) > 1
+    for w in points:
+        assert w.shape == (mt, k)
+        assert manifold.is_on_manifold(w, s.row_radius)
+    assert np.array_equal(res.w[:, k:], np.zeros((mt, mt)))
+    assert res.rates.min_rate >= res.r_min
+
+
+def test_projection_meets_the_tight_floors_in_a_few_sweeps():
+    # iteration counts, not times: Gauss-Newton stalls on every scenario,
+    # and its steps plus the sweeps stay within 40
+    for seed in range(1, 11):
+        res = design.run(make_scenario(seed=seed, overload=0.95), "sgcdf")
+        trace = res.traces["sp2"]
+        assert res.flags == ("sp2_projection",)
+        assert trace.termination == "target_met"
+        assert trace.iterations <= 40
+        assert res.rates.min_rate >= res.r_min
 
 
 def test_solve_sp2_reports_unreachable_rate():
@@ -563,42 +632,16 @@ def test_stage_one_forms_the_fisher_inverse_once_per_gradient(monkeypatch):
     assert len({id(state) for state in formed}) == len(formed)
 
 
-def test_line_searches_start_from_the_last_accepted_step(monkeypatch, cg_stage_two):
+def test_line_searches_start_from_the_last_accepted_step():
     # sgcdf on the paper geometry's overload-0.7 scenarios, the fragile
     # seed 8 included: a search that starts at twice the last accepted
     # step seldom backtracks. Starting every search at 1/||d|| costs 3.5
-    # probes a step in stage I and 3.4 in stage II here.
-    caps = []
-    search = rcg.wolfe_linesearch
-
-    def capped(fg, w, d, f0, slope0, radius, opts, first_step=None):
-        ls = search(fg, w, d, f0, slope0, radius, opts, first_step)
-        if opts.max_step_norm is not None:
-            caps.append(ls.step * np.sqrt(manifold.inner(d, d)) / opts.max_step_norm)
-        return ls
-
-    monkeypatch.setattr(rcg, "wolfe_linesearch", capped)
-    probes = {"sp1": [], "sp2": []}
+    # probes a step here.
+    probes = []
     for seed in (2, 4, 6, 8):
         res = design.run(make_scenario(seed=seed, overload=0.7), "sgcdf")
-        for stage, evals in probes.items():
-            evals += [r.evals for r in res.traces[stage].records]
-    assert np.mean(probes["sp1"]) <= 2.5
-    assert np.mean(probes["sp2"]) <= 1.5
-    # a doubled step stays within stage II's cap, up to rounding of the ratio
-    assert len(caps) == len(probes["sp2"]) and max(caps) <= 1.0 + 1e-12
-
-
-def test_stage_two_fallbacks_are_capped_steps(cg_stage_two):
-    # on the paper geometry's overload-0.7 scenarios every stage-II step
-    # that ends its search without a Wolfe point sits at the step cap
-    for seed in (2, 4, 6, 8):
-        res = design.run(make_scenario(seed=seed, overload=0.7), "sgcdf")
-        sp1, sp2 = res.traces["sp1"], res.traces["sp2"]
-        assert sp2.wolfe_fallbacks > 0
-        assert all(r.capped for r in sp2.records if not r.wolfe_ok)
-        assert sp2.capped_steps >= sp2.wolfe_fallbacks
-        assert sp1.capped_steps == 0
+        probes += [r.evals for r in res.traces["sp1"].records]
+    assert np.mean(probes) <= 2.5
 
 
 def test_run_forms_zero_forcing_once(small, monkeypatch):

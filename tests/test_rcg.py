@@ -1,6 +1,5 @@
 """Conjugate-gradient solver on the fixed-row-norm manifold."""
 
-import dataclasses
 import io
 
 import numpy as np
@@ -70,7 +69,7 @@ def test_wolfe_linesearch_satisfies_both_inequalities():
     g = project_tangent(w, egrad, 1.0)
     d = -g
     slope0 = inner(g, d)
-    res = wolfe_linesearch(deferred(fg), w, d, f0, slope0, 1.0, RcgOptions(), None)
+    res = wolfe_linesearch(deferred(fg), w, d, f0, slope0, 1.0, None)
     assert res is not None and res.wolfe_ok
     # recompute both conditions from scratch at the accepted step
     point = retract(w + res.step * d, 1.0)
@@ -89,7 +88,7 @@ def test_wolfe_step_lands_near_the_line_minimum():
     f0, egrad = fg(w)
     g = project_tangent(w, egrad, 1.0)
     d = -g
-    res = wolfe_linesearch(deferred(fg), w, d, f0, inner(g, d), 1.0, RcgOptions(), None)
+    res = wolfe_linesearch(deferred(fg), w, d, f0, inner(g, d), 1.0, None)
     grid = np.linspace(1e-6, 4.0 * res.step, 400)
     values = [fg(retract(w + a * d, 1.0))[0] for a in grid]
     f_min = min(values)
@@ -104,7 +103,7 @@ def test_wolfe_linesearch_requires_descent_direction():
     f0, egrad = fg(w)
     g = project_tangent(w, egrad, 1.0)
     with pytest.raises(ValueError):
-        wolfe_linesearch(fg, w, g, f0, inner(g, g), 1.0, RcgOptions(), None)
+        wolfe_linesearch(fg, w, g, f0, inner(g, g), 1.0, None)
 
 
 @pytest.mark.parametrize("budget", [MAX_LINESEARCH_EVALS])
@@ -121,7 +120,7 @@ def test_linesearch_budget_bounds_objective_evaluations(budget):
     w = random_point(3, 5, 1.0, rng)
     d = project_tangent(w, rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)), 1.0)
     d /= np.sqrt(inner(d, d))
-    assert wolfe_linesearch(fg, w, d, 0.0, -1.0, 1.0, RcgOptions(), None) is None
+    assert wolfe_linesearch(fg, w, d, 0.0, -1.0, 1.0, None) is None
     assert len(calls) == budget
 
 
@@ -138,7 +137,7 @@ def test_linesearch_is_invariant_to_the_direction_scale():
     moves, probes = [], []
     for scale in (1.0, 1e8, 1e16):
         d = scale * unit
-        res = wolfe_linesearch(deferred(fg), w, d, f0, inner(g, d), 1.0, RcgOptions(), None)
+        res = wolfe_linesearch(deferred(fg), w, d, f0, inner(g, d), 1.0, None)
         assert res is not None and res.wolfe_ok
         moves.append(res.step * np.sqrt(inner(d, d)))
         probes.append(res.evals)
@@ -205,33 +204,6 @@ def test_minimize_is_deterministic():
     assert t1.termination == t2.termination
 
 
-def test_step_cap_bounds_iterate_moves(monkeypatch):
-    rng = np.random.default_rng(3)
-    target = 50.0 * (rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)))
-    fg = _quadratic(target)
-    w0 = random_point(3, 5, 1.0, rng)
-
-    def collect(opts):
-        moves = []
-
-        def spied(fg, w, *args):
-            ls = wolfe_linesearch(fg, w, *args)
-            if ls is not None:
-                moves.append(np.linalg.norm(ls.at.point - w))
-            return ls
-
-        monkeypatch.setattr(rcg, "wolfe_linesearch", spied)
-        trace = minimize(deferred(fg), w0, 1.0, opts, restart_period=w0.shape[1])[1]
-        monkeypatch.undo()
-        assert len(moves) == trace.iterations > 0
-        return moves
-
-    capped = collect(RcgOptions(eps=1e-6, max_step_norm=0.05))
-    free = collect(RcgOptions(eps=1e-6))
-    assert max(capped) <= 0.05 * 1.05
-    assert max(free) > 0.05
-
-
 def test_minimize_rejects_an_off_manifold_start():
     w0 = random_point(3, 4, 1.0, np.random.default_rng(13))
     nudged = w0.copy()
@@ -255,7 +227,7 @@ def test_options_validation():
     with pytest.raises(ValueError):
         RcgOptions(max_iters=0)
     with pytest.raises(ValueError):
-        RcgOptions(max_step_norm=0.0)
+        RcgOptions(eps=-1e-9)
 
 
 def test_trace_to_csv_layout():
@@ -333,7 +305,7 @@ def _counting(fg):
     return wrapped, grads
 
 
-def _assert_same_search(fg, w, radius, opts, d=None, f0=None, slope0=None):
+def _assert_same_search(fg, w, radius, d=None, f0=None, slope0=None):
     """One search from w, by default along -rgrad: the library and the
     eager reference agree bit for bit, and gradients are computed exactly
     at the probes whose gradient the reference reads."""
@@ -343,8 +315,8 @@ def _assert_same_search(fg, w, radius, opts, d=None, f0=None, slope0=None):
         d = -g
         slope0 = inner(g, d)
     counted, grads = _counting(fg)
-    res = wolfe_linesearch(counted, w, d, f0, slope0, radius, opts, None)
-    ref, read = eager_wolfe_linesearch(fg, w, d, f0, slope0, radius, opts)
+    res = wolfe_linesearch(counted, w, d, f0, slope0, radius, None)
+    ref, read = eager_wolfe_linesearch(fg, w, d, f0, slope0, radius)
     assert sorted(grads) == sorted(read)
     assert res is not None and ref is not None
     assert (res.step, res.evals, res.grads, res.wolfe_ok) \
@@ -369,10 +341,10 @@ def _assert_same_solve(fg, w0, radius, opts, restart_period):
     return trace
 
 
-def _stage_problems(monkeypatch):
-    """(fg, w0, radius, opts, restart_period) of stages I and II of an
-    sgcdf design on the small acceptance scenario, as ``design`` builds
-    them."""
+def _stage_one_problem(monkeypatch):
+    """(fg, w0, radius, opts, restart_period) of stage I of an sgcdf design
+    on the small acceptance scenario, as ``design`` builds it: the one
+    ``rcg.minimize`` call of the design."""
     s = make_scenario(num_tx=8, num_rx=8, num_users=2,
                       target_angles_deg=(-40.0, 25.0),
                       target_ranges_m=(50.0, 60.0), snapshots=64, seed=2)
@@ -386,20 +358,19 @@ def _stage_problems(monkeypatch):
     monkeypatch.setattr(rcg, "minimize", capture)
     design.run(s, "sgcdf")
     monkeypatch.undo()
-    assert len(problems) == 2
-    return problems
+    problem, = problems
+    return problem
 
 
 def test_deferred_gradients_match_eager_search_on_quadratic():
     rng = np.random.default_rng(14)
     target = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
     w = random_point(3, 5, 1.0, rng)
-    for opts in (RcgOptions(), RcgOptions(max_step_norm=0.05)):
-        _assert_same_search(deferred(_quadratic(target)), w, 1.0, opts)
+    _assert_same_search(deferred(_quadratic(target)), w, 1.0)
     # the first trial step overshoots the minimizer 0.01 away a hundred-fold
     t = project_tangent(w, rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)), 1.0)
     near = deferred(_quadratic(w + 0.01 * t / np.sqrt(inner(t, t))))
-    res = _assert_same_search(near, w, 1.0, RcgOptions())
+    res = _assert_same_search(near, w, 1.0)
     assert res.wolfe_ok and 1 <= res.grads < res.evals
 
 
@@ -416,7 +387,7 @@ def test_fallback_probe_gets_its_gradient_though_no_test_read_it():
         # the first probe moves w by about 1, the bisected ones by at most 0.5
         return (2.0 if np.linalg.norm(x - w) > 0.75 else 1.0), lambda: g
 
-    res = _assert_same_search(fg, w, 1.0, RcgOptions(), d=d, f0=1.0, slope0=-1e-300)
+    res = _assert_same_search(fg, w, 1.0, d=d, f0=1.0, slope0=-1e-300)
     assert (res.evals, res.grads, res.wolfe_ok) == (MAX_LINESEARCH_EVALS, 1, False)
     assert res.at.value == 1.0 and res.at.step == 0.5 * (1.0 / np.sqrt(inner(d, d)))
 
@@ -426,23 +397,18 @@ def test_deferred_gradients_match_eager_solver_on_quadratic():
     target = 3.0 * (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)))
     w0 = random_point(4, 6, 1.0, rng)
     fg = deferred(_quadratic(target))
-    for opts in (RcgOptions(eps=1e-10), RcgOptions(eps=1e-8, max_step_norm=0.05)):
+    for opts in (RcgOptions(eps=1e-10), RcgOptions(eps=1e-8)):
         trace = _assert_same_solve(fg, w0, 1.0, opts, w0.shape[1])
         betas = [r.beta for r in trace.records]
         assert 0.0 in betas and any(b != 0.0 for b in betas)
         assert sum(r.grads for r in trace.records) < sum(r.evals for r in trace.records)
 
 
-def test_deferred_gradients_match_eager_solver_on_both_stages(monkeypatch, cg_stage_two):
-    (fg1, w1, radius, opts1, period), (fg2, w2, _, opts2, _) = _stage_problems(monkeypatch)
-    assert opts2.max_step_norm is not None
-    _assert_same_search(fg1, w1, radius, opts1)
-    _assert_same_solve(fg1, w1, radius, opts1, period)
-    for opts in (opts2, dataclasses.replace(opts2, max_step_norm=None)):
-        _assert_same_search(fg2, w2, radius, opts)
-        trace = _assert_same_solve(fg2, w2, radius, opts, period)
-        assert trace.termination == "grad_tol" and trace.iterations >= 1
-        assert trace.objectives()[-1] == 0.0
+def test_deferred_gradients_match_eager_solver_on_stage_one(monkeypatch):
+    fg, w0, radius, opts, period = _stage_one_problem(monkeypatch)
+    _assert_same_search(fg, w0, radius)
+    trace = _assert_same_solve(fg, w0, radius, opts, period)
+    assert trace.iterations >= 1
 
 
 def test_deferred_gradients_match_eager_solver_through_a_descent_reset():

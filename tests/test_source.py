@@ -1,5 +1,5 @@
-"""Source hygiene: every module-level private name and every parameter
-of the library is read."""
+"""Source hygiene: every module-level private name, every public
+constant and every parameter of the library is read."""
 
 import ast
 from pathlib import Path
@@ -7,11 +7,12 @@ from pathlib import Path
 import isacbeam
 
 SRC = Path(isacbeam.__file__).resolve().parent
+PERFBENCH = SRC.parents[1] / "perfbench"
 
 
-def _trees():
+def _trees(directory=SRC):
     return {path.name: ast.parse(path.read_text(encoding="utf-8"))
-            for path in sorted(SRC.glob("*.py"))}
+            for path in sorted(directory.glob("*.py"))}
 
 
 def _is_private(name):
@@ -48,6 +49,18 @@ def test_every_private_module_name_is_referenced():
                     for name in _private_definitions(tree)
                     if _is_private(name) and name not in used)
     assert unused == []
+
+
+def test_every_public_constant_is_read_by_the_library_or_the_benchmark():
+    # tests do not count as readers: a constant only a test reads is dead
+    trees = _trees()
+    readers = list(trees.values()) + list(_trees(PERFBENCH).values())
+    used = {name for tree in readers for name in _references(tree)}
+    constants = sorted(f"{module}:{name}" for module, tree in trees.items()
+                       for name in _private_definitions(tree)
+                       if name.isupper() and not name.startswith("_"))
+    assert len(constants) > 10
+    assert [c for c in constants if c.split(":")[1] not in used] == []
 
 
 def test_private_name_check_sees_definitions_and_uses():
