@@ -123,8 +123,8 @@ def cmd_design(args):
     record.update((f"{stage}_{name}", _stage(res.traces[stage], name))
                   for stage in ("sp1", "sp2")
                   for name in ("objective_evals", "gradient_evals", "final_grad_norm"))
-    record.update((f"{stage}_wolfe_fallbacks", _stage(res.traces[stage], "wolfe_fallbacks"))
-                  for stage in ("sp1", "sp2"))
+    # stage II has no line search, so only stage I can fall back
+    record["sp1_wolfe_fallbacks"] = _stage(res.traces["sp1"], "wolfe_fallbacks")
     for key, value in record.items():
         print(f"{key}={value}")
     if args.out:

@@ -18,10 +18,11 @@ of stage II's projection sweeps. N is the width the solver carries:
 K + M_T, or K for a design without sensing streams.
 
 Also here: zero-forcing directions, the equal-rate power allocation
-(all users exactly at the rate floor given sensing interference; under
-the warm start's sensing block sqrt(p_s/M_T) I it is affine in p_s, and
-one two-column solve gives both terms), and the max-min ZF rate in
-closed form. One SVD of H serves the ZF rank
+(all users exactly at the rate floor given sensing interference; one
+linear solve in general, and along ZF directions under the warm
+start's sensing block sqrt(p_s/M_T) I a closed form affine in p_s),
+and the max-min ZF rate in closed form. The ZF forms read each user's
+own gain |h_k^H v_k|^2 from one helper. One SVD of H serves the ZF rank
 test and the pseudo-inverse, and a design forms the ZF directions once
 and hands them to both the rate floor and the warm start.
 """
@@ -118,29 +119,9 @@ def _sinr_floor(r_min):
     return float(2.0 ** np.asarray(r_min, dtype=float) - 1.0)
 
 
-def _equal_rate_solve(h, directions, r_min, rhs):
-    """Solve the equal-rate system of the floor ``r_min`` for ``rhs``, one
-    right-hand side per column, each user's noise plus sensing
-    interference; zeros for a zero floor. Raises InfeasibleError when
-    the system is singular."""
-    if r_min < 0:
-        raise ValueError("the rate floor must be nonnegative")
-    gamma = _sinr_floor(r_min)
-    if not gamma > 0.0:
-        return np.zeros(np.shape(rhs))
-    # Fortran order: norms summed over C-ordered columns differ in the last bit
-    v = np.asfortranarray(directions)
-    vn2 = np.linalg.norm(v, axis=0) ** 2
-    g = np.abs(h.conj().T @ v) ** 2 / vn2[None, :]   # g[j, i] = |h_j^H v_i|^2/||v_i||^2
-    k = g.shape[0]
-    delta = -g
-    delta[np.arange(k), np.arange(k)] = np.diag(g) / gamma
-    try:
-        return np.linalg.solve(delta, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise InfeasibleError(
-            "equal-rate system is singular: interference exactly balances "
-            "the signal at the requested rates") from exc
+def _own_gains(h, directions):
+    """|h_k^H v_k|^2, each user's gain along its own direction v_k."""
+    return np.abs((h.conj() * directions).sum(axis=0)) ** 2
 
 
 def equal_rate_power(channels, directions, w_sensing, noise_power, r_min):
@@ -149,12 +130,28 @@ def equal_rate_power(channels, directions, w_sensing, noise_power, r_min):
     With columns w_k = sqrt(p_k) v_k / ||v_k|| and fixed sensing block,
     rate_k = r_min for all k is a linear system in p. Componentwise
     nonnegativity of the solution is the feasibility test; a negative
-    entry raises with the offending user index. A zero floor needs no
-    power.
+    entry raises with the offending user index, and a singular system
+    raises too. A zero floor needs no power.
     """
     h = np.asarray(channels)
-    p = _equal_rate_solve(h, directions, r_min,
-                          noise_power + _sensing_interference(h, w_sensing))
+    if r_min < 0:
+        raise ValueError("the rate floor must be nonnegative")
+    gamma = _sinr_floor(r_min)
+    if not gamma > 0.0:
+        return np.zeros(h.shape[1])
+    # Fortran order: norms summed over C-ordered columns differ in the last bit
+    v = np.asfortranarray(directions)
+    vn2 = np.linalg.norm(v, axis=0) ** 2
+    g = np.abs(h.conj().T @ v) ** 2 / vn2[None, :]   # g[j, i] = |h_j^H v_i|^2/||v_i||^2
+    k = g.shape[0]
+    delta = -g
+    delta[np.arange(k), np.arange(k)] = np.diag(g) / gamma
+    try:
+        p = np.linalg.solve(delta, noise_power + _sensing_interference(h, w_sensing))
+    except np.linalg.LinAlgError as exc:
+        raise InfeasibleError(
+            "equal-rate system is singular: interference exactly balances "
+            "the signal at the requested rates") from exc
     bad = np.flatnonzero(p < 0)
     if bad.size:
         user = int(bad[0])
@@ -168,17 +165,15 @@ def sensing_equal_rate_power(channels, directions, noise_power, r_min):
     """(p0, slope): the ``equal_rate_power`` of the sensing block
     sqrt(p_s / M_T) I is p0 + p_s slope.
 
-    That block puts p_s ||h_j||^2 / M_T of interference on user j, so the
-    powers are affine in p_s and one solve of the equal-rate system with
-    the two right-hand sides sigma^2 and ||h_j||^2 / M_T gives both
-    terms. Their signs are not checked. Raises InfeasibleError when the
-    system is singular.
+    ``directions`` must be the unit-norm ZF directions of ``channels``,
+    ``zf_precoder(channels)``; this is not checked. Zero forcing removes
+    every cross gain, so user k sees only the noise and the block's
+    p_s ||h_k||^2 / M_T of interference, and SINR gamma = 2^r_min - 1
+    takes the power gamma (sigma^2 + p_s ||h_k||^2 / M_T) / |h_k^H v_k|^2.
     """
     h = np.asarray(channels)
-    mt, k = h.shape
-    rhs = np.stack([np.full(k, noise_power), (np.abs(h) ** 2).sum(axis=0) / mt], axis=1)
-    x = _equal_rate_solve(h, directions, r_min, rhs)
-    return x[:, 0], x[:, 1]
+    scale = _sinr_floor(r_min) / _own_gains(h, directions)
+    return scale * noise_power, scale * (np.abs(h) ** 2).sum(axis=0) / h.shape[0]
 
 
 def max_min_zf_rate(channels, directions, noise_power, p_max):
@@ -192,8 +187,7 @@ def max_min_zf_rate(channels, directions, noise_power, p_max):
     block.
     """
     h = np.asarray(channels)
-    own = np.abs((h.conj() * directions).sum(axis=0)) ** 2   # |h_k^H v_k|^2
-    denom = noise_power * float(np.sum(1.0 / own))
+    denom = noise_power * float(np.sum(1.0 / _own_gains(h, directions)))
     gamma = p_max / denom if denom > 0 else math.inf
     if not 0.0 <= gamma < math.inf:
         raise NumericalError(f"max-min ZF SINR {gamma} is not a finite nonnegative "

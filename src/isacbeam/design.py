@@ -69,39 +69,6 @@ def _sensing_block(p_s, num_tx):
     return np.sqrt(p_s / num_tx) * np.eye(num_tx, dtype=complex)
 
 
-def _power_split(scenario, r_min, zero_sensing, channels, directions):
-    """(p, p_s, flags): the users' equal-rate powers for ``r_min`` along
-    ``directions`` and the sensing power p_s of the leftover budget, or
-    None when a power would be negative or the equal-rate system is
-    singular.
-
-    The powers without sensing interference are p(0); when they exceed
-    the budget they are scaled to 90% of it, flagged
-    'comm_power_clipped', and p_s is the other 10%. With ``zero_sensing``
-    p(0) is the answer (p_s is unread).
-    Otherwise p(p_s) = p0 + p_s slope (``comm.sensing_equal_rate_power``)
-    is affine in p_s, so p_s + sum p(p_s) = P_max solves in closed form,
-    and p(0), p(P_max) and p(p_s) must be nonnegative.
-    """
-    p_max = scenario.power_budget
-    try:
-        p0, slope = comm.sensing_equal_rate_power(channels, directions,
-                                                  scenario.noise_power, r_min)
-    except InfeasibleError:
-        return None
-    if (p0 < 0).any():
-        return None
-    if p0.sum() > p_max:
-        return p0 * (0.9 * p_max / p0.sum()), 0.1 * p_max, ("comm_power_clipped",)
-    if zero_sensing:
-        return p0, 0.0, ()
-    p_s = (p_max - p0.sum()) / (1.0 + slope.sum())
-    p = p0 + p_s * slope
-    if (p0 + p_max * slope < 0).any() or (p < 0).any():
-        return None
-    return p, max(p_max - p.sum(), 0.0), ()
-
-
 def initial_point(scenario, r_min, zero_sensing, channels, directions):
     """Structured starting beamformer, retracted onto the manifold.
 
@@ -109,15 +76,17 @@ def initial_point(scenario, r_min, zero_sensing, channels, directions):
     and ``directions`` its ``comm.zf_precoder`` directions, or None when
     no ZF design exists. Communication columns are the unit-norm ZF
     directions at the equal-rate powers for ``r_min``; the sensing block
-    is sqrt(p_s/M_T) I with p_s the leftover budget, split jointly with
-    the powers since the sensing block interferes with the users
-    (``_power_split``). With ``zero_sensing`` there is no sensing block:
-    w0 is the M_T x K communication block, at the powers without sensing
-    interference. Without ZF directions, or when the equal-rate powers
-    are infeasible, the start is pure sensing, flagged
-    'zf_infeasible_fallback'. Raises ConfigError for ``zero_sensing``
-    without users, where every column would be zero and no point of the
-    manifold exists.
+    is sqrt(p_s/M_T) I with p_s the leftover budget. That block
+    interferes with the users, so their powers p0 + p_s slope are affine
+    in p_s (``comm.sensing_equal_rate_power``) and
+    p_s + sum(p0 + p_s slope) = P_max gives p_s in closed form, at least
+    0. With ``zero_sensing`` there is no sensing block: w0 is the
+    M_T x K communication block at the powers p0 without sensing
+    interference. A floor at most the max-min ZF rate (``rate_target``)
+    keeps sum(p0) within the budget. Without ZF directions the start is
+    pure sensing, flagged 'zf_infeasible_fallback'. Raises ConfigError
+    for ``zero_sensing`` without users, where every column would be zero
+    and no point of the manifold exists.
     """
     mt = scenario.array.num_tx
     k = scenario.num_users
@@ -128,16 +97,14 @@ def initial_point(scenario, r_min, zero_sensing, channels, directions):
                               "without users and sensing streams the beamformer is zero")
         return _sensing_block(p_max, mt), ()
 
-    v, p, p_s, flags = directions, np.zeros(k), p_max, ()
-    if v is not None and r_min > 0:
-        split = _power_split(scenario, r_min, zero_sensing, channels, v)
-        if split is None:
-            v = None
-        else:
-            p, p_s, flags = split
-    if v is None:
+    if directions is None:
         # cannot place the users: start from pure sensing
         v, p, p_s, flags = np.zeros((mt, k)), np.zeros(k), p_max, ("zf_infeasible_fallback",)
+    else:
+        p0, slope = comm.sensing_equal_rate_power(channels, directions,
+                                                  scenario.noise_power, r_min)
+        p_s = 0.0 if zero_sensing else max((p_max - p0.sum()) / (1.0 + slope.sum()), 0.0)
+        v, p, flags = directions, p0 + p_s * slope, ()
 
     w = v * np.sqrt(p)[None, :]
     if not zero_sensing:

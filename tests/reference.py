@@ -23,7 +23,7 @@ import numpy as np
 from isacbeam import comm, crlb, design, radar
 from isacbeam.arrays import steering, steering_derivative, steering_matrix
 from isacbeam.comm import RANK_TOL
-from isacbeam.errors import InfeasibleError, NumericalError
+from isacbeam.errors import NumericalError
 from isacbeam.manifold import inner, project_tangent, retract
 from isacbeam.rcg import (C1, C2, MAX_LINESEARCH_EVALS, IterRecord, LineSearchResult,
                           SolverTrace)
@@ -104,30 +104,23 @@ def three_solve_initial_point(scenario, r_min, zero_sensing, channels, direction
     """``design.initial_point`` splitting the budget with three
     ``comm.equal_rate_power`` solves: without sensing, under the full
     budget's sensing block (for the slope of the total power in p_s) and
-    under the split's block. Any of them with a negative power, or a
-    singular system, gives the pure-sensing fallback."""
+    under the split's block. Without directions, the pure-sensing
+    fallback."""
     mt, k, p_max = scenario.array.num_tx, scenario.num_users, scenario.power_budget
     block = lambda p_s: np.sqrt(p_s / mt) * np.eye(mt, dtype=complex)
     h, v, noise = channels, directions, scenario.noise_power
-    p, p_s, flags = np.zeros(k), (0.0 if zero_sensing else p_max), []
-    if v is not None and r_min > 0:
-        try:
-            p = comm.equal_rate_power(h, v, None, noise, r_min)
-            if p.sum() > p_max:
-                p *= 0.9 * p_max / p.sum()
-                p_s = 0.0 if zero_sensing else 0.1 * p_max
-                flags.append("comm_power_clipped")
-            elif not zero_sensing:
-                p1 = comm.equal_rate_power(h, v, block(p_max), noise, r_min)
-                slope = (p1.sum() - p.sum()) / p_max
-                p_s = (p_max - p.sum()) / (1.0 + slope)
-                p = comm.equal_rate_power(h, v, block(p_s), noise, r_min)
-                p_s = max(p_max - p.sum(), 0.0)
-        except InfeasibleError:
-            v = None
     if v is None:
-        flags.append("zf_infeasible_fallback")
+        flags = ("zf_infeasible_fallback",)
         v, p, p_s = np.zeros((mt, k)), np.zeros(k), (0.0 if zero_sensing else p_max)
+    else:
+        flags = ()
+        p, p_s = comm.equal_rate_power(h, v, None, noise, r_min), 0.0
+        if not zero_sensing:
+            p1 = comm.equal_rate_power(h, v, block(p_max), noise, r_min)
+            slope = (p1.sum() - p.sum()) / p_max
+            p_s = (p_max - p.sum()) / (1.0 + slope)
+            p = comm.equal_rate_power(h, v, block(p_s), noise, r_min)
+            p_s = max(p_max - p.sum(), 0.0)
     w = v * np.sqrt(p)[None, :]
     if not zero_sensing:
         w = np.concatenate([w, block(p_s)], axis=1)
@@ -137,7 +130,7 @@ def three_solve_initial_point(scenario, r_min, zero_sensing, channels, direction
         rng = substream(scenario.seed, "init")
         phases = np.exp(2j * np.pi * rng.uniform(size=(int(dead.sum()), w.shape[1])))
         w[dead] += 1e-12 * scenario.row_radius * phases
-    return retract(w, scenario.row_radius), tuple(flags)
+    return retract(w, scenario.row_radius), flags
 
 
 def full_width_no_dedicated_stream(scenario, opts):

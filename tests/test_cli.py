@@ -1,8 +1,10 @@
 """End-to-end command-line behavior and CSV schemas."""
 
+import ast
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -59,7 +61,7 @@ def test_design_prints_key_value_record(cfg_path, capsys):
                         "rates", "sp1_termination", "sp2_termination", "flags",
                         "sp1_objective_evals", "sp1_gradient_evals", "sp1_final_grad_norm",
                         "sp2_objective_evals", "sp2_gradient_evals", "sp2_final_grad_norm",
-                        "sp1_wolfe_fallbacks", "sp2_wolfe_fallbacks"]
+                        "sp1_wolfe_fallbacks"]
     assert rec["mode"] == "sgcdf"
     assert float(rec["sum_crlb"]) > 0
     assert float(rec["min_rate"]) >= float(rec["r_min"]) - 1e-6
@@ -80,10 +82,10 @@ def test_design_sensing_only_leaves_sp2_blank(cfg_path, capsys):
     assert rec["sp2_iterations"] == ""
     assert rec["sp2_termination"] == ""
     assert int(rec["sp1_iterations"]) >= 1
-    for name in ("time_s", "objective_evals", "gradient_evals", "final_grad_norm",
-                 "wolfe_fallbacks"):
+    for name in ("time_s", "objective_evals", "gradient_evals", "final_grad_norm"):
         assert rec[f"sp2_{name}"] == ""
         assert rec[f"sp1_{name}"] != ""
+    assert rec["sp1_wolfe_fallbacks"] != ""
 
 
 def test_design_record_prints_each_stage_solver_totals(cfg_path, capsys):
@@ -98,8 +100,10 @@ def test_design_record_prints_each_stage_solver_totals(cfg_path, capsys):
         assert evals == trace.objective_evals >= trace.iterations + 1
         assert int(rec[f"{stage}_gradient_evals"]) == trace.gradient_evals <= evals
         assert rec[f"{stage}_final_grad_norm"] == repr(trace.final_grad_norm)
-        fallbacks = int(rec[f"{stage}_wolfe_fallbacks"])
-        assert fallbacks == sum(not r.wolfe_ok for r in trace.records) <= trace.iterations
+    trace = res.traces["sp1"]
+    fallbacks = int(rec["sp1_wolfe_fallbacks"])
+    assert fallbacks == sum(not r.wolfe_ok for r in trace.records) <= trace.iterations
+    assert all(r.wolfe_ok for r in res.traces["sp2"].records)
 
 
 def test_design_reports_max_iters_termination(tmp_path, capsys):
@@ -129,6 +133,42 @@ def test_design_omnidirectional_leaves_stage_times_blank(cfg_path, capsys):
     rec = _record(capsys)
     assert float(rec["wall_time_s"]) > 0
     assert rec["sp1_time_s"] == rec["sp2_time_s"] == ""
+
+
+ROOT = Path(design.__file__).resolve().parents[2]
+
+
+def _design_flags():
+    """The string literals of every value ``design.py`` assigns to a name
+    ``flags``; a tuple assigned to a tuple of names is paired element by
+    element."""
+    tree = ast.parse(Path(design.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = zip(target.elts, node.value.elts)
+            for name, value in pairs:
+                if isinstance(name, ast.Name) and name.id == "flags":
+                    yield from (c.value for c in ast.walk(value)
+                                if isinstance(c, ast.Constant) and isinstance(c.value, str))
+
+
+def test_readme_names_every_record_key_and_flag(cfg_path, capsys):
+    assert cli.main(["design", "--config", cfg_path, "--mode", "sgcdf"]) == 0
+    keys = list(_record(capsys))
+    flags = sorted(set(_design_flags()))
+    assert {"zf_infeasible_fallback", "sp2_projection"} <= set(flags)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert [name for name in keys + flags if f"`{name}`" not in readme] == []
+    # and the other way: no snake_case name in README that the code has dropped
+    code = "".join(path.read_text(encoding="utf-8") for folder in ("src", "tests", "perfbench")
+                   for path in sorted((ROOT / folder).rglob("*.py")))
+    named = set(re.findall(r"`([a-z][a-z0-9]*(?:_[a-z0-9]+)+)`", readme))
+    assert len(named) > 20
+    assert sorted(n for n in named if not re.search(rf"\b{n}\b", code)) == []
 
 
 def test_design_reports_init_flags(tmp_path, capsys):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isacbeam import comm
@@ -20,6 +20,7 @@ from isacbeam.comm import (
 )
 from isacbeam.errors import InfeasibleError, NumericalError
 from isacbeam.manifold import inner, project_tangent
+from isacbeam.scenario import make_scenario
 from reference import (indexed_gauss_newton, pinv_zf_precoder, random_point, soc_project,
                        x_of)
 
@@ -199,20 +200,32 @@ def test_equal_rate_total_power_affine_in_sensing_power():
 def test_sensing_equal_rate_power_is_the_affine_form_of_equal_rate_power():
     rng = np.random.default_rng(12)
     noise = 0.05
-    h1, h2 = _cgauss(rng, (8, 3)), _cgauss(rng, (8, 3))
-    # ZF directions, and matched ones whose users interfere
-    for h, v in ((h1, zf_precoder(h1)), (h2, h2 / np.linalg.norm(h2, axis=0))):
-        p0, slope = comm.sensing_equal_rate_power(h, v, noise, 0.3)
-        for p_s in (0.0, 0.7, 2.0):
-            w_s = np.sqrt(p_s / 8.0) * np.eye(8, dtype=complex)
-            ref = equal_rate_power(h, v, w_s, noise, 0.3)
-            assert np.abs(p0 + p_s * slope - ref).max() <= 1e-12 * ref.max()
+    h = _cgauss(rng, (8, 3))
+    v = zf_precoder(h)
+    p0, slope = comm.sensing_equal_rate_power(h, v, noise, 0.3)
+    for p_s in (0.0, 0.7, 2.0):
+        w_s = np.sqrt(p_s / 8.0) * np.eye(8, dtype=complex)
+        ref = equal_rate_power(h, v, w_s, noise, 0.3)
+        assert np.abs(p0 + p_s * slope - ref).max() <= 1e-12 * ref.max()
     p0, slope = comm.sensing_equal_rate_power(h, v, noise, 0.0)
     assert not p0.any() and not slope.any()
-    h = np.zeros((3, 2), dtype=complex)
-    h[0, :] = 1.0                        # identical channels and directions
-    with pytest.raises(InfeasibleError, match="singular"):
-        comm.sensing_equal_rate_power(h, h, 0.1, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mt=st.integers(1, 12), k=st.integers(1, 8), seed=st.integers(0, 10**6),
+       power=st.floats(-20.0, 40.0))
+def test_zf_powers_at_the_max_min_rate_use_the_budget(mt, k, seed, power):
+    # the rate floor and the warm start read one rule for the ZF powers:
+    # at r_min = the max-min ZF rate the powers without sensing sum to P_max
+    assume(k <= mt)
+    s = make_scenario(num_tx=mt, num_rx=mt, num_users=k, power_budget_dbm=power,
+                      target_angles_deg=(-40.0, 25.0), target_ranges_m=(50.0, 60.0),
+                      snapshots=64, seed=seed)
+    h = s.channel_matrix()
+    v = zf_precoder(h)
+    r_min = max_min_zf_rate(h, v, s.noise_power, s.power_budget)
+    p0 = comm.sensing_equal_rate_power(h, v, s.noise_power, r_min)[0]
+    assert p0.sum() == pytest.approx(s.power_budget, rel=1e-12)
 
 
 def test_max_min_single_user_closed_form():
