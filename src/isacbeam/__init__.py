@@ -8,8 +8,8 @@ distances; evaluate with MUSIC-based Monte-Carlo angle estimation.
 
 from .arrays import (ArrayConfig, beampattern_gain, beampattern_trace, steering,
                      steering_derivative, steering_matrix, target_channel)
-from .comm import (RateReport, SocInstance, equal_rate_power, f2_and_grad,
-                   max_min_zf_rate, rates, soc_assemble, zf_precoder)
+from .comm import (RateReport, SocInstance, f2_and_grad, max_min_zf_rate, rates,
+                   soc_assemble, zf_precoder)
 from .config import (ExperimentConfig, build_options, build_scenario, load_config,
                      parse_config)
 from .crlb import Coupling, FisherState, coupling_matrices, fisher_matrix, grad_f1

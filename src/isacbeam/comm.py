@@ -17,14 +17,13 @@ whose H^H H factor the cones stack once. Where Gauss-Newton stalls,
 of stage II's projection sweeps. N is the width the solver carries:
 K + M_T, or K for a design without sensing streams.
 
-Also here: zero-forcing directions, the equal-rate power allocation
-(all users exactly at the rate floor given sensing interference; one
-linear solve in general, and along ZF directions under the warm
-start's sensing block sqrt(p_s/M_T) I a closed form affine in p_s),
-and the max-min ZF rate in closed form. The ZF forms read each user's
-own gain |h_k^H v_k|^2 from one helper. One SVD of H serves the ZF rank
-test and the pseudo-inverse, and a design forms the ZF directions once
-and hands them to both the rate floor and the warm start.
+Also here: zero-forcing directions, the equal-rate powers along them
+(every user exactly at the rate floor under the warm start's sensing
+block sqrt(p_s/M_T) I, a closed form affine in p_s), and the max-min
+ZF rate in closed form. The ZF forms read each user's own gain
+|h_k^H v_k|^2 from one helper. One SVD of H serves the ZF rank test and
+the pseudo-inverse, and a design forms the ZF directions once and hands
+them to both the rate floor and the warm start.
 """
 
 import math
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, NumericalError
+from .errors import NumericalError
 
 RANK_TOL = 1e-12
 
@@ -57,8 +56,8 @@ class SocCones(tuple):
     (its conjugate transpose), ``gram`` (the users' K x K Gram matrix
     H^H H), ``idx`` (the users 0..K-1), ``w_shape``
     (the beamformer shape (M_T, N)) and the scalars every user shares:
-    ``sigma``, ``gamma`` = 2^r_min - 1, ``big_gamma`` = 1 + 1/gamma,
-    ``sigma2`` and ``root_gamma`` = sqrt(big_gamma)."""
+    ``sigma``, ``gamma`` = 2^r_min - 1, ``sigma2`` and ``root_gamma`` =
+    sqrt(Gamma) = sqrt(1 + 1/gamma)."""
 
 
 def rates(w, channels, noise_power):
@@ -107,12 +106,6 @@ def zf_precoder(channels):
     return v / np.linalg.norm(v, axis=0)
 
 
-def _sensing_interference(h, w_sensing):
-    if w_sensing is None:
-        return np.zeros(h.shape[1])
-    return (np.abs(h.conj().T @ np.asarray(w_sensing)) ** 2).sum(axis=1)
-
-
 def _sinr_floor(r_min):
     """The SINR gamma = 2^r_min - 1 of the rate floor ``r_min``."""
     # numpy's power ufunc: libm pow differs from it in the last bit on some floors
@@ -124,46 +117,10 @@ def _own_gains(h, directions):
     return np.abs((h.conj() * directions).sum(axis=0)) ** 2
 
 
-def equal_rate_power(channels, directions, w_sensing, noise_power, r_min):
-    """Powers putting every user exactly at the rate floor ``r_min``.
-
-    With columns w_k = sqrt(p_k) v_k / ||v_k|| and fixed sensing block,
-    rate_k = r_min for all k is a linear system in p. Componentwise
-    nonnegativity of the solution is the feasibility test; a negative
-    entry raises with the offending user index, and a singular system
-    raises too. A zero floor needs no power.
-    """
-    h = np.asarray(channels)
-    if r_min < 0:
-        raise ValueError("the rate floor must be nonnegative")
-    gamma = _sinr_floor(r_min)
-    if not gamma > 0.0:
-        return np.zeros(h.shape[1])
-    # Fortran order: norms summed over C-ordered columns differ in the last bit
-    v = np.asfortranarray(directions)
-    vn2 = np.linalg.norm(v, axis=0) ** 2
-    g = np.abs(h.conj().T @ v) ** 2 / vn2[None, :]   # g[j, i] = |h_j^H v_i|^2/||v_i||^2
-    k = g.shape[0]
-    delta = -g
-    delta[np.arange(k), np.arange(k)] = np.diag(g) / gamma
-    try:
-        p = np.linalg.solve(delta, noise_power + _sensing_interference(h, w_sensing))
-    except np.linalg.LinAlgError as exc:
-        raise InfeasibleError(
-            "equal-rate system is singular: interference exactly balances "
-            "the signal at the requested rates") from exc
-    bad = np.flatnonzero(p < 0)
-    if bad.size:
-        user = int(bad[0])
-        raise InfeasibleError(
-            f"equal-rate allocation needs negative power for user {user}",
-            detail={"user": user, "power": float(p[user])})
-    return p
-
-
 def sensing_equal_rate_power(channels, directions, noise_power, r_min):
-    """(p0, slope): the ``equal_rate_power`` of the sensing block
-    sqrt(p_s / M_T) I is p0 + p_s slope.
+    """(p0, slope): the powers p0 + p_s slope along ``directions`` put
+    every user exactly at the rate floor ``r_min`` under the sensing
+    block sqrt(p_s / M_T) I.
 
     ``directions`` must be the unit-norm ZF directions of ``channels``,
     ``zf_precoder(channels)``; this is not checked. Zero forcing removes
@@ -215,11 +172,10 @@ def soc_assemble(channels, r_min, noise_power, num_streams):
     rows = np.ascontiguousarray(h.conj().T)
     cones = SocCones(SocInstance(matrix=row, user=j) for j, row in enumerate(rows))
     sigma = float(np.sqrt(noise_power))
-    big_gamma = 1.0 + 1.0 / gamma
     rows_h = rows.conj().T
     vars(cones).update(rows=rows, rows_h=rows_h, gram=rows @ rows_h, idx=np.arange(k),
                        w_shape=(mt, num_streams), sigma=sigma, sigma2=sigma * sigma,
-                       gamma=gamma, big_gamma=big_gamma, root_gamma=math.sqrt(big_gamma))
+                       gamma=gamma, root_gamma=math.sqrt(1.0 + 1.0 / gamma))
     return cones
 
 

@@ -38,7 +38,6 @@ of a new direction forms ``<rgrad, d>``, which is the next step's
 slope.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -107,13 +106,6 @@ class SolverTrace:
 
     def objectives(self):
         return np.array([self.initial_objective] + [r.objective for r in self.records])
-
-    def to_csv(self, stream):
-        writer = csv.writer(stream)
-        writer.writerow(["iter", "f", "gnorm", "step", "beta", "wolfe_ok", "evals", "grads"])
-        for r in self.records:
-            writer.writerow([r.iteration, repr(r.objective), repr(r.grad_norm),
-                             repr(r.step), repr(r.beta), int(r.wolfe_ok), r.evals, r.grads])
 
 
 @dataclass(slots=True)

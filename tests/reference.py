@@ -5,9 +5,10 @@ another way (the explicit transmit frame, the per-user cone vector and
 its projection, the dense channel derivative, the MUSIC scan of every
 grid column, MUSIC and its denominator from steering vectors alone,
 the solver with every probe's gradient computed at once, the echo
-covariance and the Monte-Carlo trials one at a time, the warm start's
-power split from three equal-rate solves, no_dedicated_stream's stages
-on the full-width variable; the row norms, tangent projection,
+covariance and the Monte-Carlo trials one at a time, the equal-rate
+powers of any directions and sensing block from one linear solve, the
+warm start's power split from three such solves, no_dedicated_stream's
+stages on the full-width variable; the row norms, tangent projection,
 zero-forcing directions, sum-CRLB gradient, Fisher coupling and
 Gauss-Newton step through the numpy wrappers and repeated products the
 library skips, which must give the library's bits), the looser MUSIC
@@ -100,9 +101,24 @@ def per_slot_coupling(scenario):
     return crlb.Coupling(b=b, q=scale * (r.conj().T @ r))
 
 
+def equal_rate_power(channels, directions, w_sensing, noise_power, r_min):
+    """Powers along the normalized columns of ``directions`` that put every
+    user exactly at the rate floor ``r_min`` under the sensing block
+    ``w_sensing``: with g[j, i] = |h_j^H v_i|^2, the linear system
+    g_kk p_k - gamma sum_{i != k} g_ki p_i = gamma (sigma^2 + s_k), s_k the
+    block's interference at user k and gamma = 2^r_min - 1."""
+    h = np.asarray(channels)
+    v = directions / np.linalg.norm(directions, axis=0)
+    g = np.abs(h.conj().T @ v) ** 2
+    own = np.diag(np.diag(g))
+    gamma = 2.0 ** r_min - 1.0
+    interference = (np.abs(h.conj().T @ w_sensing) ** 2).sum(axis=1)
+    return np.linalg.solve(own - gamma * (g - own), gamma * (noise_power + interference))
+
+
 def three_solve_initial_point(scenario, r_min, zero_sensing, channels, directions):
     """``design.initial_point`` splitting the budget with three
-    ``comm.equal_rate_power`` solves: without sensing, under the full
+    ``equal_rate_power`` solves: without sensing, under the full
     budget's sensing block (for the slope of the total power in p_s) and
     under the split's block. Without directions, the pure-sensing
     fallback."""
@@ -114,12 +130,12 @@ def three_solve_initial_point(scenario, r_min, zero_sensing, channels, direction
         v, p, p_s = np.zeros((mt, k)), np.zeros(k), (0.0 if zero_sensing else p_max)
     else:
         flags = ()
-        p, p_s = comm.equal_rate_power(h, v, None, noise, r_min), 0.0
+        p, p_s = equal_rate_power(h, v, block(0.0), noise, r_min), 0.0
         if not zero_sensing:
-            p1 = comm.equal_rate_power(h, v, block(p_max), noise, r_min)
+            p1 = equal_rate_power(h, v, block(p_max), noise, r_min)
             slope = (p1.sum() - p.sum()) / p_max
             p_s = (p_max - p.sum()) / (1.0 + slope)
-            p = comm.equal_rate_power(h, v, block(p_s), noise, r_min)
+            p = equal_rate_power(h, v, block(p_s), noise, r_min)
             p_s = max(p_max - p.sum(), 0.0)
     w = v * np.sqrt(p)[None, :]
     if not zero_sensing:
@@ -185,7 +201,7 @@ def x_of(cones, inst, w):
     if w.shape[1] != cones.w_shape[1]:
         raise ValueError("cone instance does not match beamformer size")
     p = inst.matrix @ w
-    return np.concatenate([p, [cones.sigma, np.sqrt(cones.big_gamma) * p[inst.user]]])
+    return np.concatenate([p, [cones.sigma, cones.root_gamma * p[inst.user]]])
 
 
 def soc_project(x):

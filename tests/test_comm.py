@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from isacbeam import comm
 from isacbeam.comm import (
     RANK_TOL,
-    equal_rate_power,
     f2_and_gauss_newton,
     f2_and_grad,
     max_min_zf_rate,
@@ -18,11 +17,11 @@ from isacbeam.comm import (
     soc_assemble,
     zf_precoder,
 )
-from isacbeam.errors import InfeasibleError, NumericalError
+from isacbeam.errors import NumericalError
 from isacbeam.manifold import inner, project_tangent
 from isacbeam.scenario import make_scenario
-from reference import (indexed_gauss_newton, pinv_zf_precoder, random_point, soc_project,
-                       x_of)
+from reference import (equal_rate_power, indexed_gauss_newton, pinv_zf_precoder,
+                       random_point, soc_project, x_of)
 
 
 def _cgauss(rng, shape, scale=1.0):
@@ -145,56 +144,27 @@ def test_equal_rate_single_user_closed_form():
     h = _cgauss(rng, (4, 1))
     noise = 0.7
     r = 1.5
-    p = equal_rate_power(h, h, None, noise, r)
+    p0, slope = comm.sensing_equal_rate_power(h, zf_precoder(h), noise, r)
     gamma = 2.0 ** r - 1.0
-    # beam along the channel itself: p |h|^2 / noise = gamma
-    assert p[0] == pytest.approx(gamma * noise / np.linalg.norm(h) ** 2,
-                                 rel=1e-12)
-    assert np.array_equal(equal_rate_power(h, h, None, noise, 0.0), [0.0])
+    # the one user's ZF direction is its channel: p |h|^2 / noise = gamma,
+    # and the block sqrt(p_s / 4) I adds p_s |h|^2 / 4 of interference
+    assert p0[0] == pytest.approx(gamma * noise / np.linalg.norm(h) ** 2, rel=1e-12)
+    assert slope[0] == pytest.approx(gamma / 4.0, rel=1e-12)
+    p0, slope = comm.sensing_equal_rate_power(h, zf_precoder(h), noise, 0.0)
+    assert np.array_equal(p0, [0.0]) and np.array_equal(slope, [0.0])
 
 
 def test_equal_rate_allocation_hits_targets_with_sensing():
     rng = np.random.default_rng(3)
     h = _cgauss(rng, (8, 3))
     v = zf_precoder(h)
-    w_s = _cgauss(rng, (8, 4), scale=0.2)
-    noise = 0.05
-    r_min = 1.2
-    p = equal_rate_power(h, v, w_s, noise, r_min)
+    noise, r_min, p_s = 0.05, 1.2, 0.6
+    p0, slope = comm.sensing_equal_rate_power(h, v, noise, r_min)
+    p = p0 + p_s * slope
     assert np.all(p > 0)
-    w = np.hstack([v * np.sqrt(p), w_s])
+    w = np.hstack([v * np.sqrt(p), np.sqrt(p_s / 8.0) * np.eye(8)])
     achieved = rates(w, h, noise).rate
     assert np.allclose(achieved, r_min, atol=1e-8)
-
-
-def test_equal_rate_infeasible_reports_offending_user():
-    h = np.array([[1.0, 1.0 / np.sqrt(1.01)],
-                  [0.0, 0.1 / np.sqrt(1.01)]], dtype=complex)
-    with pytest.raises(InfeasibleError) as exc:
-        equal_rate_power(h, h, None, 0.01, 2.0)
-    assert exc.value.detail["user"] == 0
-    assert exc.value.detail["power"] < 0
-
-
-def test_equal_rate_singular_system_is_infeasible():
-    h = np.zeros((3, 2), dtype=complex)
-    h[0, :] = 1.0                        # identical channels and directions
-    with pytest.raises(InfeasibleError, match="singular"):
-        equal_rate_power(h, h, None, 0.1, 1.0)
-
-
-def test_equal_rate_total_power_affine_in_sensing_power():
-    rng = np.random.default_rng(11)
-    h = _cgauss(rng, (8, 3))
-    v = zf_precoder(h)
-    noise = 0.05
-
-    def total(p_s):
-        w_s = np.sqrt(p_s / 8.0) * np.eye(8, dtype=complex)
-        return equal_rate_power(h, v, w_s, noise, 1.3).sum()
-
-    resid = abs(total(0.5) - 0.5 * (total(0.0) + total(1.0)))
-    assert resid <= 1e-9 * max(1.0, total(1.0))
 
 
 def test_sensing_equal_rate_power_is_the_affine_form_of_equal_rate_power():
@@ -245,7 +215,7 @@ def test_max_min_monotone_and_consumes_budget():
     r2 = max_min_zf_rate(h, zf_precoder(h), noise, 2.0)
     assert r2 > r1 > 0
     v = zf_precoder(h)
-    used = equal_rate_power(h, v, None, noise, r1).sum()
+    used = comm.sensing_equal_rate_power(h, v, noise, r1)[0].sum()
     assert abs(used - 1.0) <= 1e-9
 
 
@@ -271,7 +241,7 @@ def _dense_cone(h, cones, inst):
     head = np.kron(np.eye(n), h[:, inst.user].conj()[None, :])
     tail = np.zeros((1, mt * n), dtype=complex)
     tail[0, inst.user * mt:(inst.user + 1) * mt] = \
-        np.sqrt(cones.big_gamma) * h[:, inst.user].conj()
+        cones.root_gamma * h[:, inst.user].conj()
     return np.vstack([head, np.zeros((1, mt * n)), tail])
 
 
@@ -306,7 +276,6 @@ def test_soc_assemble_stacks_expected_entries():
     # every user shares one floor: sigma, gamma and Gamma are scalars
     assert instances.w_shape == (4, n)
     assert instances.gamma == pytest.approx(gamma, rel=1e-14)
-    assert instances.big_gamma == pytest.approx(1.0 + 1.0 / gamma, rel=1e-14)
     assert instances.root_gamma == pytest.approx(np.sqrt(1.0 + 1.0 / gamma), rel=1e-14)
     assert instances.sigma == pytest.approx(np.sqrt(noise), rel=1e-14)
     assert instances.sigma2 == pytest.approx(noise, rel=1e-14)
@@ -323,7 +292,7 @@ def test_soc_assemble_stacks_expected_entries():
                            + _dense_offset(instances), rtol=1e-12, atol=1e-12)
         assert np.allclose(x[:n], h[:, k].conj() @ w, atol=1e-12)
         assert x[n] == pytest.approx(np.sqrt(noise), rel=1e-14)
-        tail = np.sqrt(instances.big_gamma) * np.vdot(h[:, k], w[:, k])
+        tail = instances.root_gamma * np.vdot(h[:, k], w[:, k])
         assert abs(x[n + 1] - tail) <= 1e-12
 
 
@@ -331,13 +300,15 @@ def test_soc_assemble_stacks_expected_entries():
 @given(st.floats(0.0, 40.0, exclude_min=True))
 @example(11.988475621495391)   # libm pow and numpy's power ufunc differ here
 def test_soc_assemble_gamma_is_the_equal_rate_floor(r_min):
-    # the cones and equal_rate_power share one SINR floor, to the bit
+    # the cones and sensing_equal_rate_power share one SINR floor, to the bit
     h = np.ones((2, 1), dtype=complex)
     gamma = float(2.0 ** np.asarray(r_min) - 1.0)
+    # the own gain |h^H h|^2 is 4: the power without sensing is gamma 0.1 / 4
+    p0 = comm.sensing_equal_rate_power(h, h, 0.1, r_min)[0]
+    assert p0[0] == gamma / 4.0 * 0.1
     if gamma == 0.0:     # 2^r_min rounds to 1: no positive floor
         with pytest.raises(ValueError):
             soc_assemble(h, r_min, 0.1, num_streams=3)
-        assert not equal_rate_power(h, h, None, 0.1, r_min).any()
     else:
         assert soc_assemble(h, r_min, 0.1, num_streams=3).gamma == gamma
 

@@ -577,6 +577,32 @@ def test_projection_meets_the_tight_floors_in_a_few_sweeps():
         assert res.rates.min_rate >= res.r_min
 
 
+def test_gauss_newton_step_cap_keeps_the_rate_price():
+    # one user at overload 0.95: uncapped steps (GN_STEP_FRACTION = 1e9)
+    # meet the floor at 48.5 times the stage-I sum-CRLB, capped ones at 1.40
+    s = make_scenario(num_tx=12, num_rx=8, num_users=1,
+                      target_angles_deg=(73.39490243467813, 56.44228638063632),
+                      target_ranges_m=(64.25422967534698, 54.0593550634237),
+                      noise_power_dbm=-138.56550699031965,
+                      power_budget_dbm=25.43915128684548, snapshots=13,
+                      rician_k=0.0, overload=0.95, seed=558124)
+    res = design.run(s, "no_dedicated_stream")
+    assert res.rates.min_rate >= res.r_min
+    assert res.sum_crlb / design.run(s, "sensing_only").sum_crlb < 1.5
+
+
+def test_gauss_newton_step_bound_hands_over_to_the_projection(monkeypatch):
+    # the paper geometry at seed 2, overload 0.7 takes 10 Gauss-Newton steps;
+    # bounded at 2, the projection sweeps finish from the second step's iterate
+    monkeypatch.setattr(design, "GN_MAX_STEPS", 2)
+    res = design.run(make_scenario(seed=2, overload=0.7), "sgcdf")
+    trace = res.traces["sp2"]
+    grads = [r.grads for r in trace.records]
+    assert grads[:2] == [1, 1] and len(grads) > 2 and not any(grads[2:])
+    assert res.flags == ("sp2_projection",) and trace.termination == "target_met"
+    assert res.rates.min_rate >= res.r_min
+
+
 def test_solve_sp2_reports_unreachable_rate():
     s = make_scenario(num_tx=4, num_rx=4, num_users=1,
                       target_angles_deg=(-40.0, 25.0),

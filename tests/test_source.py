@@ -1,13 +1,15 @@
 """Source hygiene: every module-level private name, every public
-constant and every parameter of the library is read."""
+constant, function and class and every parameter of the library is read."""
 
 import ast
+import json
 from pathlib import Path
 
 import isacbeam
 
 SRC = Path(isacbeam.__file__).resolve().parent
 PERFBENCH = SRC.parents[1] / "perfbench"
+BENCHMARK = SRC.parents[1] / "BENCHMARK.json"
 
 
 def _trees(directory=SRC):
@@ -31,15 +33,30 @@ def _private_definitions(tree):
                         yield sub.id
 
 
-def _references(tree):
-    """Names read, attributes taken and names imported anywhere in ``tree``."""
+def _references(tree, imports=True):
+    """Names read, attributes taken and, with ``imports``, names imported
+    anywhere in ``tree``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
-        elif isinstance(node, ast.alias):
+        elif imports and isinstance(node, ast.alias):
             yield node.name
+
+
+def _read_by_library_or_benchmark():
+    """Names read by a library module, by ``perfbench/*.py`` or in a
+    BENCHMARK.json per-layer metric name, which the benchmark's tracer
+    resolves to a function. Tests do not count as readers: a name only a
+    test reads is dead. Nor do the package re-exports, the import
+    aliases of ``__init__.py``."""
+    used = {name for module, tree in _trees().items()
+            for name in _references(tree, imports=module != "__init__.py")}
+    used.update(name for tree in _trees(PERFBENCH).values() for name in _references(tree))
+    metrics = json.loads(BENCHMARK.read_text(encoding="utf-8"))["per_layer"]
+    used.update(part for metric in metrics for part in metric["name"].split("."))
+    return used
 
 
 def test_every_private_module_name_is_referenced():
@@ -52,15 +69,23 @@ def test_every_private_module_name_is_referenced():
 
 
 def test_every_public_constant_is_read_by_the_library_or_the_benchmark():
-    # tests do not count as readers: a constant only a test reads is dead
-    trees = _trees()
-    readers = list(trees.values()) + list(_trees(PERFBENCH).values())
-    used = {name for tree in readers for name in _references(tree)}
-    constants = sorted(f"{module}:{name}" for module, tree in trees.items()
+    used = _read_by_library_or_benchmark()
+    constants = sorted(f"{module}:{name}" for module, tree in _trees().items()
                        for name in _private_definitions(tree)
                        if name.isupper() and not name.startswith("_"))
     assert len(constants) > 10
     assert [c for c in constants if c.split(":")[1] not in used] == []
+
+
+def test_every_public_function_and_class_is_read_by_the_library_or_the_benchmark():
+    # a module calling its own function is a reader
+    used = _read_by_library_or_benchmark()
+    public = sorted(f"{module}:{node.name}" for module, tree in _trees().items()
+                    for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_"))
+    assert len(public) > 40
+    assert [name for name in public if name.split(":")[1] not in used] == []
 
 
 def test_private_name_check_sees_definitions_and_uses():
@@ -69,6 +94,9 @@ def test_private_name_check_sees_definitions_and_uses():
     assert set(_private_definitions(tree)) == {"_A", "_f", "_C"}
     assert {"_A", "_imp", "_g"} <= set(_references(tree))
     assert "_f" not in set(_references(tree)) and "_C" not in set(_references(tree))
+    # a re-export alone is no read
+    assert {"_A", "_g"} <= set(_references(tree, imports=False))
+    assert "_imp" not in set(_references(tree, imports=False))
 
 
 def _unread_parameters(tree):
