@@ -6,12 +6,11 @@ into the set meeting every user's minimum rate via second-order-cone
 distances; evaluate with MUSIC-based Monte-Carlo angle estimation.
 """
 
-from .arrays import (ArrayConfig, beampattern_gain, beampattern_trace, steering,
-                     steering_derivative, steering_matrix, target_channel)
+from .arrays import (beampattern_gain, beampattern_trace, steering, steering_derivative,
+                     steering_matrix, target_channel)
 from .comm import (RateReport, SocInstance, f2_and_grad, max_min_zf_rate, rates,
                    soc_assemble, zf_precoder)
-from .config import (ExperimentConfig, build_options, build_scenario, load_config,
-                     parse_config)
+from .config import build_options, build_scenario, load_config, parse_config
 from .crlb import Coupling, FisherState, coupling_matrices, fisher_matrix, grad_f1
 from .design import (DesignResult, MODES, initial_point, rate_target, run,
                      solve_sp1, solve_sp2)
@@ -21,7 +20,7 @@ from .radar import (EstimationReport, echo_channel, monte_carlo, monte_carlo_swe
                     music_estimate, synthesize_echo, synthesize_probe)
 from .rcg import (IterRecord, LineSearchResult, RcgOptions, SolverTrace, minimize,
                   wolfe_linesearch)
-from .scenario import (Scenario, Target, UserChannel, dbm_to_watts, make_scenario,
-                       make_targets, make_user_channels, pathloss, substream)
+from .scenario import (Scenario, dbm_to_watts, make_scenario, make_targets,
+                       make_user_channels, pathloss, substream)
 
 __version__ = "0.1.0"

@@ -6,23 +6,9 @@ and beampattern gain evaluation. Angles are radians everywhere in the
 library; degrees appear only at the CLI boundary.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 HALF_PLANE = (-np.pi / 2, np.pi / 2)
-
-
-@dataclass(frozen=True)
-class ArrayConfig:
-    """Co-located transmit/receive half-wavelength ULA sizes."""
-
-    num_tx: int
-    num_rx: int
-
-    def __post_init__(self):
-        if self.num_tx < 1 or self.num_rx < 1:
-            raise ValueError("array needs at least one element per side")
 
 
 def _check_angle(theta):
@@ -57,7 +43,7 @@ def steering(theta, n):
     """
     theta = _check_angle(theta)
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"an array side needs at least one element, got n = {n}")
     return np.exp(1j * np.pi * np.sin(theta) * np.arange(n))
 
 
@@ -79,10 +65,11 @@ def steering_matrix(thetas, n):
     return np.exp(1j * np.pi * np.outer(np.arange(n), np.sin(thetas)))
 
 
-def target_channel(theta, cfg):
-    """Round-trip channel a_R(theta) a_T(theta)^H of one point target."""
-    a_r = steering(theta, cfg.num_rx)
-    a_t = steering(theta, cfg.num_tx)
+def target_channel(theta, num_tx, num_rx):
+    """Round-trip channel a_R(theta) a_T(theta)^H of one point target,
+    shape (num_rx, num_tx)."""
+    a_r = steering(theta, num_rx)
+    a_t = steering(theta, num_tx)
     return np.outer(a_r, a_t.conj())
 
 

@@ -149,7 +149,7 @@ def _sweep(args, grid_key, override, header, row):
     """
     cfg = load_config(args.config)
     modes = _modes(args.mode)
-    exp = cfg.section("experiment")
+    exp = cfg["experiment"]
     cells = [(value, mode, *pair) for value in exp[grid_key]
              for mode, pair in zip(modes, _designs(cfg, modes, seed=args.seed,
                                                    **{override: value}))]
@@ -162,7 +162,7 @@ def _sweep(args, grid_key, override, header, row):
 
 
 def _power_row(p_dbm, mode, scenario, res, report):
-    gain = sum(beampattern_gain(res.r_x, t.angle) for t in scenario.targets)
+    gain = sum(beampattern_gain(res.r_x, theta) for theta in scenario.target_angles)
     return [p_dbm, mode, 10.0 * np.log10(max(gain, 1e-300)),
             res.sum_crlb, float(np.rad2deg(res.rcrlb)),
             float(np.rad2deg(report.rmse)), res.rates.min_rate,
@@ -186,16 +186,14 @@ def cmd_sweep_delta(args):
 def cmd_beampattern(args):
     cfg = load_config(args.config)
     modes = _modes(args.mode)
-    theta_deg = _degree_grid(cfg.get("experiment", "grid_deg"))
+    theta_deg = _degree_grid(cfg["experiment"]["grid_deg"])
     traces = {}
-    metadata = []
     for mode, (scenario, res) in zip(modes, _designs(cfg, modes, seed=args.seed)):
         gains = beampattern_trace(res.r_x, np.deg2rad(theta_deg))
         traces[mode] = 10.0 * np.log10(np.maximum(gains, 1e-300))
-    metadata.append(("target_angles_deg", ";".join(
-        _fmt(float(np.rad2deg(t.angle))) for t in scenario.targets)))
-    metadata.append(("user_angles_deg", ";".join(
-        _fmt(float(np.rad2deg(u.angle))) for u in scenario.users)))
+    metadata = [(key, ";".join(_fmt(float(np.rad2deg(a))) for a in angles))
+                for key, angles in (("target_angles_deg", scenario.target_angles),
+                                    ("user_angles_deg", scenario.user_angles))]
     rows = []
     for i, theta in enumerate(theta_deg):
         for mode in modes:

@@ -46,7 +46,6 @@ class RateReport:
 @dataclass(frozen=True)
 class SocInstance:
     matrix: np.ndarray      # h_k^H, the user's row of H^H, shape (M_T,)
-    user: int
 
 
 class SocCones(tuple):
@@ -170,7 +169,7 @@ def soc_assemble(channels, r_min, noise_power, num_streams):
     if not gamma > 0.0:
         raise ValueError("the rate floor must be positive for cone assembly")
     rows = np.ascontiguousarray(h.conj().T)
-    cones = SocCones(SocInstance(matrix=row, user=j) for j, row in enumerate(rows))
+    cones = SocCones(SocInstance(matrix=row) for row in rows)
     sigma = float(np.sqrt(noise_power))
     rows_h = rows.conj().T
     vars(cones).update(rows=rows, rows_h=rows_h, gram=rows @ rows_h, idx=np.arange(k),
@@ -203,18 +202,16 @@ def f2_and_grad(w, cones):
     P[k, :] (hn - tm) / (2 hn) and tail part -phase (hn - tm) / 2, so
     f2 = sum_k (hn - tm)^2 / 2 and grad = 2 H R, where R holds the head
     residuals with sqrt(Gamma) times the tail residual added at
-    (k, k). Returns (f2, grad) with ``grad(scale)`` the gradient at W
-    times ``scale`` (default 1); the gradient-only work runs when it is
-    called. The factor 2 and ``scale`` go into the K x N residual block,
-    not the M_T x N result.
+    (k, k). Returns (f2, grad) with ``grad()`` the gradient at W; the
+    gradient-only work runs when it is called. The factor 2 cancels the
+    residuals' 1/2 in the K x N residual block.
     """
     p, hn, tail, tm, excess, f2 = _cone_gaps(w, cones)
 
-    def grad(scale=1.0):
+    def grad():
         phase = np.divide(tail, tm, out=np.ones_like(tail), where=tm > 0)
-        scaled = scale * excess     # the gradient's 2 times the residuals' excess / 2
-        resid = p * (scaled / hn)[:, None]
-        resid[cones.idx, cones.idx] -= cones.root_gamma * phase * scaled
+        resid = p * (excess / hn)[:, None]
+        resid[cones.idx, cones.idx] -= cones.root_gamma * phase * excess
         return cones.rows_h @ resid
 
     return f2, grad

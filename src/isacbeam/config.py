@@ -12,7 +12,7 @@ for the solver and experiment keys, in range.
 import configparser
 import inspect
 import math
-from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import scenario as sc
 from .errors import ConfigError
@@ -67,27 +67,10 @@ _SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    scenario: tuple     # frozen (key, value) pairs per section
-    solver: tuple
-    experiment: tuple
-
-    def section(self, name):
-        return dict(getattr(self, name))
-
-    def get(self, section, key):
-        return self.section(section)[key]
-
-
-def _freeze(values):
-    return ExperimentConfig(
-        scenario=tuple(sorted(values["scenario"].items())),
-        solver=tuple(sorted(values["solver"].items())),
-        experiment=tuple(sorted(values["experiment"].items())))
-
-
 def parse_config(text, source="<config>"):
+    """The config in ``text``, a read-only mapping from each section name
+    to a read-only mapping of its keys, every key present (an omitted
+    one takes its default)."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=source)
@@ -107,7 +90,7 @@ def parse_config(text, source="<config>"):
                 raise ConfigError(
                     f"{source}: bad value for '{key}' in [{section}]: {raw!r} ({exc})"
                 ) from exc
-    return _freeze(values)
+    return MappingProxyType({name: MappingProxyType(keys) for name, keys in values.items()})
 
 
 def load_config(path):
@@ -124,7 +107,7 @@ def load_config(path):
 def build_scenario(cfg, **overrides):
     """Scenario from the config's scenario section; each override that
     is not None replaces that key's value."""
-    s = cfg.section("scenario")
+    s = dict(cfg["scenario"])
     s.update((key, value) for key, value in overrides.items() if value is not None)
     if len(s["target_angles_deg"]) != len(s["target_ranges_m"]):
         raise ConfigError("target_angles_deg and target_ranges_m lengths differ")
@@ -143,5 +126,5 @@ def build_scenario(cfg, **overrides):
 
 
 def build_options(cfg):
-    s = cfg.section("solver")
+    s = cfg["solver"]
     return RcgOptions(eps=s["eps"], max_iters=s["max_iters"])

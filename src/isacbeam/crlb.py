@@ -69,20 +69,20 @@ def coupling_matrices(scenario):
     Each target's a_t and da_t are formed once, and serve as its a_r and
     da_r too when M_R = M_T (the same bits as forming them again).
     """
-    angles = scenario.target_angles()
+    angles = scenario.target_angles
     t = angles.size
     if np.min(np.abs(angles[:, None] - angles[None, :]) + np.eye(t)) < 1e-9:
         raise NumericalError("duplicate target angles make the Fisher matrix singular")
-    cfg = scenario.array
-    b = np.empty((2 * t, cfg.num_tx), dtype=complex)
-    r = np.empty((cfg.num_rx, 2 * t), dtype=complex)
-    for i, tg in enumerate(scenario.targets):
-        a_t = steering(tg.angle, cfg.num_tx)
-        da_t = steering_derivative(tg.angle, cfg.num_tx)
-        a_r, da_r = (a_t, da_t) if cfg.num_rx == cfg.num_tx else (
-            steering(tg.angle, cfg.num_rx), steering_derivative(tg.angle, cfg.num_rx))
+    mt, mr = scenario.num_tx, scenario.num_rx
+    b = np.empty((2 * t, mt), dtype=complex)
+    r = np.empty((mr, 2 * t), dtype=complex)
+    for i, (theta, rcs) in enumerate(zip(angles, scenario.target_rcs)):
+        a_t = steering(theta, mt)
+        da_t = steering_derivative(theta, mt)
+        a_r, da_r = (a_t, da_t) if mr == mt else (
+            steering(theta, mr), steering_derivative(theta, mr))
         b[2 * i], b[2 * i + 1] = a_t.conj(), da_t.conj()
-        r[:, 2 * i], r[:, 2 * i + 1] = tg.rcs * da_r, tg.rcs * a_r
+        r[:, 2 * i], r[:, 2 * i + 1] = rcs * da_r, rcs * a_r
     scale = 2.0 * scenario.snapshots / scenario.noise_power
     return Coupling(b=b, q=scale * (r.conj().T @ r))
 
@@ -110,7 +110,7 @@ def fisher_matrix(w, coupling):
                        objective=float(np.add.reduce(1.0 / eigs)), v=v)
 
 
-def grad_f1(coupling, state, scale=1.0):
+def grad_f1(coupling, state, scale):
     """Euclidean gradient of ``scale`` tr(F^-1) at the W of ``state``, a
     ``fisher_matrix(w, coupling)``.
 

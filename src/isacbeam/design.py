@@ -17,9 +17,9 @@ moves the users' rows of H^H W into their SINR sets one user at a time,
 each by the least-norm update of W, and then retracts. The design then
 carries the flag 'sp2_projection'.
 
-``run`` builds the user channel matrix H and its zero-forcing
-directions once and hands them to the rate floor (``rate_target``),
-the warm start (``initial_point``) and stage II.
+``run`` forms the zero-forcing directions of the scenario's channels H
+once and hands them to the rate floor (``rate_target``) and the warm
+start (``initial_point``).
 
 Modes: 'sgcdf' is the full two-stage design; 'sensing_only' stops after
 stage I; 'no_dedicated_stream' has no sensing streams, so both stages
@@ -69,13 +69,13 @@ def _sensing_block(p_s, num_tx):
     return np.sqrt(p_s / num_tx) * np.eye(num_tx, dtype=complex)
 
 
-def initial_point(scenario, r_min, zero_sensing, channels, directions):
+def initial_point(scenario, r_min, zero_sensing, directions):
     """Structured starting beamformer, retracted onto the manifold.
 
-    Returns (w0, flags). ``channels`` is ``scenario.channel_matrix()``
-    and ``directions`` its ``comm.zf_precoder`` directions, or None when
-    no ZF design exists. Communication columns are the unit-norm ZF
-    directions at the equal-rate powers for ``r_min``; the sensing block
+    Returns (w0, flags). ``directions`` are the ``comm.zf_precoder``
+    directions of ``scenario.channels``, or None when no ZF design
+    exists. Communication columns are the unit-norm ZF directions at
+    the equal-rate powers for ``r_min``; the sensing block
     is sqrt(p_s/M_T) I with p_s the leftover budget. That block
     interferes with the users, so their powers p0 + p_s slope are affine
     in p_s (``comm.sensing_equal_rate_power``) and
@@ -88,7 +88,7 @@ def initial_point(scenario, r_min, zero_sensing, channels, directions):
     for ``zero_sensing`` without users, where every column would be zero
     and no point of the manifold exists.
     """
-    mt = scenario.array.num_tx
+    mt = scenario.num_tx
     k = scenario.num_users
     p_max = scenario.power_budget
     if k == 0:
@@ -101,7 +101,7 @@ def initial_point(scenario, r_min, zero_sensing, channels, directions):
         # cannot place the users: start from pure sensing
         v, p, p_s, flags = np.zeros((mt, k)), np.zeros(k), p_max, ("zf_infeasible_fallback",)
     else:
-        p0, slope = comm.sensing_equal_rate_power(channels, directions,
+        p0, slope = comm.sensing_equal_rate_power(scenario.channels, directions,
                                                   scenario.noise_power, r_min)
         p_s = 0.0 if zero_sensing else max((p_max - p0.sum()) / (1.0 + slope.sum()), 0.0)
         v, p, flags = directions, p0 + p_s * slope, ()
@@ -225,9 +225,8 @@ def _project(cones, w, radius, max_sweeps, trace, base):
     return w
 
 
-def solve_sp2(scenario, w_start, r_min, opts, channels):
-    """Stage II: restore rate feasibility by driving f2 to zero; ``channels``
-    is ``scenario.channel_matrix()``.
+def solve_sp2(scenario, w_start, r_min, opts):
+    """Stage II: restore rate feasibility by driving f2 to zero.
 
     ``w_start`` may be narrower than K + M_T, as in ``solve_sp1``, and
     the cones are built for its width. Returns (w, trace, flags). Skipped
@@ -241,7 +240,7 @@ def solve_sp2(scenario, w_start, r_min, opts, channels):
     whose slack is below the resolution of log2(1 + SINR) cannot be
     checked and raises NumericalError.
     """
-    h = channels
+    h = scenario.channels
     floor = r_min - RATE_SLACK * min(1.0, r_min)
     feasible = lambda w: comm.rates(w, h, scenario.noise_power).min_rate >= floor
     if r_min <= 0 or feasible(w_start):
@@ -264,14 +263,14 @@ def solve_sp2(scenario, w_start, r_min, opts, channels):
     return w, trace, flags
 
 
-def rate_target(scenario, channels, directions):
+def rate_target(scenario, directions):
     """R_min = overload factor times the max-min ZF rate of the unit-norm
-    ZF ``directions`` of ``channels`` (``scenario.channel_matrix()``);
-    0 without users or at overload 0, where ``directions`` is not read."""
+    ZF ``directions`` of ``scenario.channels``; 0 without users or at
+    overload 0, where ``directions`` is not read."""
     if scenario.num_users == 0 or scenario.overload == 0.0:
         return 0.0
     return scenario.overload * comm.max_min_zf_rate(
-        channels, directions, scenario.noise_power, scenario.power_budget)
+        scenario.channels, directions, scenario.noise_power, scenario.power_budget)
 
 
 def run(scenario, mode, opts=None):
@@ -280,12 +279,11 @@ def run(scenario, mode, opts=None):
         raise ConfigError(f"unknown mode '{mode}' (choose from {', '.join(MODES)})")
     opts = opts or rcg.RcgOptions()
     t_start = time.perf_counter()
-    h = scenario.channel_matrix()
     zf = None
     try:
         if scenario.num_users:
-            zf = comm.zf_precoder(h)
-        r_min = rate_target(scenario, h, zf)
+            zf = comm.zf_precoder(scenario.channels)
+        r_min = rate_target(scenario, zf)
     except NumericalError:
         # a floor needs a ZF design with a finite max-min rate; the
         # floorless modes and a zero overload need no floor
@@ -293,7 +291,7 @@ def run(scenario, mode, opts=None):
             raise
         r_min = 0.0
 
-    mt = scenario.array.num_tx
+    mt = scenario.num_tx
     coupling = crlb.coupling_matrices(scenario)
     traces = {"sp1": None, "sp2": None}
     stage_times = {}
@@ -303,20 +301,20 @@ def run(scenario, mode, opts=None):
                             _sensing_block(scenario.power_budget, mt)], axis=1)
     else:
         # no_dedicated_stream solves on its K communication columns
-        w0, flags = initial_point(scenario, r_min, mode == "no_dedicated_stream", h, zf)
+        w0, flags = initial_point(scenario, r_min, mode == "no_dedicated_stream", zf)
         t0 = time.perf_counter()
         w, traces["sp1"] = solve_sp1(scenario, w0, opts, coupling=coupling)
         stage_times["sp1"] = time.perf_counter() - t0
         if mode not in FLOORLESS_MODES:
             t0 = time.perf_counter()
-            w, traces["sp2"], sp2_flags = solve_sp2(scenario, w, r_min, opts, h)
+            w, traces["sp2"], sp2_flags = solve_sp2(scenario, w, r_min, opts)
             flags += sp2_flags
             stage_times["sp2"] = time.perf_counter() - t0
         if mode == "no_dedicated_stream":
             w = np.concatenate([w, np.zeros((mt, mt))], axis=1)
 
     state = crlb.fisher_matrix(w, coupling)
-    report = comm.rates(w, h, scenario.noise_power)
+    report = comm.rates(w, scenario.channels, scenario.noise_power)
     return DesignResult(
         w=w, r_x=w @ w.conj().T,
         sum_crlb=state.objective, rcrlb=float(np.sqrt(state.objective)),

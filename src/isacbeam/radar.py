@@ -115,9 +115,9 @@ def _check_snapshots(num_streams, snapshots):
 
 def echo_channel(scenario):
     """Summed target channel G = sum_t alpha_t a_r(theta_t) a_t(theta_t)^H."""
-    channel = np.zeros((scenario.array.num_rx, scenario.array.num_tx), dtype=complex)
-    for tg in scenario.targets:
-        channel += tg.rcs * target_channel(tg.angle, scenario.array)
+    channel = np.zeros((scenario.num_rx, scenario.num_tx), dtype=complex)
+    for theta, rcs in zip(scenario.target_angles, scenario.target_rcs):
+        channel += rcs * target_channel(theta, scenario.num_tx, scenario.num_rx)
     return channel
 
 
@@ -132,9 +132,9 @@ def synthesize_echo(scenario, x, rng):
     """Receive-side echo Y = G X + N (M_R x L): summed target reflections
     of the frame X plus white noise."""
     x = np.asarray(x)
-    if x.shape[0] != scenario.array.num_tx:
+    if x.shape[0] != scenario.num_tx:
         raise ValueError("waveform row count does not match the transmit array")
-    noise = _cgauss(rng, (scenario.array.num_rx, x.shape[1]),
+    noise = _cgauss(rng, (scenario.num_rx, x.shape[1]),
                     np.sqrt(scenario.noise_power / 2.0))
     return echo_channel(scenario) @ x + noise
 
@@ -554,7 +554,7 @@ def monte_carlo_sweep(designs, trials, grid_deg):
 def _report(scenario, result, estimates, degraded, full):
     """EstimationReport of one design from its per-trial estimates,
     degraded flags and full-scan flags."""
-    truth = np.sort(scenario.target_angles())
+    truth = np.sort(scenario.target_angles)
     err = estimates - truth
     sq_sums = np.array([float(e @ e) for e in err])
     return EstimationReport(

@@ -1,11 +1,13 @@
 """Problem-instance construction.
 
-A Scenario bundles the array, the radar targets (angle, range, complex
-reflection coefficient absorbing round-trip path loss), the downlink
-user channels (Rician fading with a distance path loss), the noise and
-power budget, and a seed. All randomness flows through named Philox
-substreams of the scenario seed so that every module draws independently
-and reproducibly.
+A Scenario holds, as read-only arrays, what the design and the radar
+read: the target angles and their complex reflection coefficients
+(which absorb the round-trip path loss), the downlink user channels H
+(Rician fading with a distance path loss) as columns and the users'
+angles; beside them the array sizes, the noise power, the power budget
+and a seed. All randomness flows through named Philox substreams of the
+scenario seed so that every module draws independently and
+reproducibly.
 
 The standard deployment is declared once, as make_scenario's keyword
 defaults; the helpers it calls take every geometry and path-loss value
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import HALF_PLANE, ArrayConfig, steering
+from .arrays import HALF_PLANE, steering
 
 
 def dbm_to_watts(p_dbm):
@@ -52,108 +54,97 @@ def pathloss(distance, *, exponent, c0_db, d0):
 
 
 @dataclass(frozen=True)
-class Target:
-    angle: float          # radians
-    range_m: float
-    rcs: complex          # includes round-trip path loss
-
-    def __post_init__(self):
-        if not HALF_PLANE[0] <= self.angle <= HALF_PLANE[1]:
-            raise ValueError(f"target angle {self.angle} rad outside [-pi/2, pi/2]")
-        if not self.range_m > 0:
-            raise ValueError("target range must be positive")
-        if not 0 < abs(self.rcs) < np.inf:
-            raise ValueError("target reflection coefficient must be finite and nonzero")
-
-
-@dataclass(frozen=True)
-class UserChannel:
-    vector: np.ndarray    # length M_T
-    angle: float          # radians
-    pathloss: float       # linear
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.vector)):
-            raise ValueError("channel entries must be finite")
-        if self.pathloss <= 0:
-            raise ValueError("path loss gain must be positive")
-
-
-@dataclass(frozen=True)
 class Scenario:
-    array: ArrayConfig
-    targets: tuple
-    users: tuple
+    """One problem instance, built by ``make_scenario`` or by hand.
+
+    Either way the four arrays are copied as float or complex and made
+    read-only, and every check of the instance runs here.
+    """
+
+    num_tx: int                 # M_T
+    num_rx: int                 # M_R
+    target_angles: np.ndarray   # radians, shape (T,)
+    target_rcs: np.ndarray      # complex, shape (T,), includes round-trip path loss
+    channels: np.ndarray        # H, shape (M_T, K), users as columns
+    user_angles: np.ndarray     # radians, shape (K,)
     noise_power: float    # watts
     power_budget: float   # watts
     snapshots: int        # L
-    rician_k: float
     overload: float       # delta in [0, 1]
     seed: int
 
     def __post_init__(self):
-        if len(self.targets) < 1:
+        for name, dtype in (("target_angles", float), ("target_rcs", complex),
+                            ("channels", complex), ("user_angles", float)):
+            value = np.array(getattr(self, name), dtype=dtype)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        if self.num_tx < 1 or self.num_rx < 1:
+            raise ValueError("array needs at least one element per side")
+        if self.target_angles.ndim != 1 or self.target_rcs.shape != self.target_angles.shape:
+            raise ValueError("target angles and reflection coefficients must be "
+                             "vectors of one length")
+        if self.target_angles.size < 1:
             raise ValueError("need at least one target")
+        # NaN fails each comparison
+        if not np.all(np.abs(np.concatenate([self.target_angles, self.user_angles]))
+                      <= HALF_PLANE[1]):
+            raise ValueError("target and user angles must lie in [-pi/2, pi/2]")
+        if not np.all(np.isfinite(self.target_rcs) & (self.target_rcs != 0)):
+            raise ValueError("target reflection coefficients must be finite and nonzero")
+        if self.channels.shape != (self.num_tx, self.user_angles.size):
+            raise ValueError(f"channels have shape {self.channels.shape}, not "
+                             f"M_T x K = {(self.num_tx, self.user_angles.size)}")
+        if not np.all(np.isfinite(self.channels)):
+            raise ValueError("channel entries must be finite")
         if not (0.0 < self.noise_power < np.inf and 0.0 < self.power_budget < np.inf):
             raise ValueError("noise power and power budget must be positive and finite")
         if self.snapshots < 1:
             raise ValueError("need at least one snapshot")
         if not (0.0 <= self.overload <= 1.0):
             raise ValueError("overload factor must lie in [0, 1]")
-        if self.rician_k < 0:
-            raise ValueError("Rician factor must be nonnegative")
 
     @property
     def num_users(self):
-        return len(self.users)
+        return self.user_angles.size
 
     @property
     def num_targets(self):
-        return len(self.targets)
+        return self.target_angles.size
 
     @property
     def num_streams(self):
         # total beamformer columns: K communication + M_T sensing
-        return self.num_users + self.array.num_tx
+        return self.num_users + self.num_tx
 
     @property
     def row_radius(self):
-        return float(np.sqrt(self.power_budget / self.array.num_tx))
-
-    def channel_matrix(self):
-        """User channels as columns, shape (M_T, K)."""
-        if not self.users:
-            return np.zeros((self.array.num_tx, 0), dtype=complex)
-        return np.stack([u.vector for u in self.users], axis=1)
-
-    def target_angles(self):
-        return np.array([t.angle for t in self.targets])
+        return float(np.sqrt(self.power_budget / self.num_tx))
 
 
 def make_targets(angles, ranges, rng, *, exponent, c0_db, d0):
-    """Targets with path-loss-derived reflection amplitudes.
+    """(angles, rcs): target angles and path-loss-derived reflection
+    coefficients.
 
     The reflection power |alpha|^2 at range rho is the round-trip path
     loss 10^(c0_db/10) * (d0/rho)^(2*exponent), so the amplitude itself
     is sqrt of the reference loss times the one-way decay. Phases are
-    uniform, drawn once from ``rng`` and frozen in the returned targets.
+    uniform, drawn once from ``rng``.
     """
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     ranges = np.atleast_1d(np.asarray(ranges, dtype=float))
     if angles.shape != ranges.shape:
         raise ValueError("angles and ranges must have equal length")
     phases = rng.uniform(0.0, 2.0 * np.pi, size=angles.size)
-    out = []
-    for theta, rho, phi in zip(angles, ranges, phases):
-        amp = np.sqrt(pathloss(rho, exponent=2.0 * exponent, c0_db=c0_db, d0=d0))
-        out.append(Target(angle=float(theta), range_m=float(rho),
-                          rcs=amp * np.exp(1j * phi)))
-    return out
+    rcs = np.array([np.sqrt(pathloss(rho, exponent=2.0 * exponent, c0_db=c0_db, d0=d0))
+                    * np.exp(1j * phi) for rho, phi in zip(ranges, phases)], dtype=complex)
+    return angles, rcs
 
 
 def make_user_channels(num_users, num_tx, rician_k, rng, *, range_m, sector_deg,
                        exponent, c0_db, d0):
-    """Rician user channels in an annular sector.
+    """(channels, angles): Rician user channels in an annular sector, as
+    the columns of an M_T x K matrix, and the users' angles in radians.
 
     h_k = sqrt(beta_k kappa/(kappa+1)) a_T(theta_k)
         + sqrt(beta_k/(kappa+1)) g_k,  g_k ~ CN(0, I).
@@ -164,17 +155,20 @@ def make_user_channels(num_users, num_tx, rician_k, rng, *, range_m, sector_deg,
         raise ValueError(f"user sector {sector_deg} deg is not an interval in [-90, 90]")
     if not d0 <= range_m[0] <= range_m[1]:
         raise ValueError(f"user ranges {range_m} m are not an interval from {d0} m up")
-    users = []
-    for _ in range(num_users):
-        theta = np.deg2rad(rng.uniform(*sector_deg))
+    channels = np.empty((num_tx, num_users), dtype=complex)
+    angles = np.empty(num_users)
+    for k in range(num_users):
+        angles[k] = np.deg2rad(rng.uniform(*sector_deg))
         rho = rng.uniform(*range_m)
         beta = pathloss(rho, exponent=exponent, c0_db=c0_db, d0=d0)
-        los = steering(theta, num_tx)
+        if beta <= 0:
+            # a range far enough out underflows the gain
+            raise ValueError("path loss gain must be positive")
+        los = steering(angles[k], num_tx)
         nlos = (rng.standard_normal(num_tx) + 1j * rng.standard_normal(num_tx)) / np.sqrt(2.0)
-        h = np.sqrt(beta * rician_k / (rician_k + 1.0)) * los \
+        channels[:, k] = np.sqrt(beta * rician_k / (rician_k + 1.0)) * los \
             + np.sqrt(beta / (rician_k + 1.0)) * nlos
-        users.append(UserChannel(vector=h, angle=float(theta), pathloss=float(beta)))
-    return users
+    return channels, angles
 
 
 def make_scenario(num_tx=32, num_rx=32, num_users=6,
@@ -193,19 +187,16 @@ def make_scenario(num_tx=32, num_rx=32, num_users=6,
     enter in dBm and angles in degrees here (the config boundary); the
     stored scenario uses watts and radians.
     """
-    array = ArrayConfig(num_tx=num_tx, num_rx=num_rx)
-    targets = make_targets(np.deg2rad(target_angles_deg), target_ranges_m,
-                           substream(seed, "rcs"),
-                           exponent=pathloss_exponent,
-                           c0_db=pathloss_ref_db, d0=pathloss_ref_m)
-    users = make_user_channels(num_users, num_tx, rician_k,
-                               substream(seed, "channels"),
-                               range_m=(user_range_min_m, user_range_max_m),
-                               sector_deg=(user_angle_min_deg, user_angle_max_deg),
-                               exponent=pathloss_exponent,
-                               c0_db=pathloss_ref_db, d0=pathloss_ref_m)
-    return Scenario(array=array, targets=tuple(targets), users=tuple(users),
+    target_angles, target_rcs = make_targets(
+        np.deg2rad(target_angles_deg), target_ranges_m, substream(seed, "rcs"),
+        exponent=pathloss_exponent, c0_db=pathloss_ref_db, d0=pathloss_ref_m)
+    channels, user_angles = make_user_channels(
+        num_users, num_tx, rician_k, substream(seed, "channels"),
+        range_m=(user_range_min_m, user_range_max_m),
+        sector_deg=(user_angle_min_deg, user_angle_max_deg),
+        exponent=pathloss_exponent, c0_db=pathloss_ref_db, d0=pathloss_ref_m)
+    return Scenario(num_tx=num_tx, num_rx=num_rx, target_angles=target_angles,
+                    target_rcs=target_rcs, channels=channels, user_angles=user_angles,
                     noise_power=dbm_to_watts(noise_power_dbm),
                     power_budget=dbm_to_watts(power_budget_dbm),
-                    snapshots=snapshots, rician_k=rician_k,
-                    overload=overload, seed=int(seed))
+                    snapshots=snapshots, overload=overload, seed=int(seed))

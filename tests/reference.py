@@ -88,15 +88,15 @@ def per_slot_coupling(scenario):
     """``crlb.coupling_matrices`` with one ``steering`` or
     ``steering_derivative`` call for each slot of B and of the receive
     factors, also where M_R = M_T."""
-    cfg = scenario.array
-    t = len(scenario.targets)
-    b = np.empty((2 * t, cfg.num_tx), dtype=complex)
-    r = np.empty((cfg.num_rx, 2 * t), dtype=complex)
-    for i, tg in enumerate(scenario.targets):
-        b[2 * i] = steering(tg.angle, cfg.num_tx).conj()
-        b[2 * i + 1] = steering_derivative(tg.angle, cfg.num_tx).conj()
-        r[:, 2 * i] = tg.rcs * steering_derivative(tg.angle, cfg.num_rx)
-        r[:, 2 * i + 1] = tg.rcs * steering(tg.angle, cfg.num_rx)
+    mt, mr = scenario.num_tx, scenario.num_rx
+    t = scenario.num_targets
+    b = np.empty((2 * t, mt), dtype=complex)
+    r = np.empty((mr, 2 * t), dtype=complex)
+    for i, (theta, rcs) in enumerate(zip(scenario.target_angles, scenario.target_rcs)):
+        b[2 * i] = steering(theta, mt).conj()
+        b[2 * i + 1] = steering_derivative(theta, mt).conj()
+        r[:, 2 * i] = rcs * steering_derivative(theta, mr)
+        r[:, 2 * i + 1] = rcs * steering(theta, mr)
     scale = 2.0 * scenario.snapshots / scenario.noise_power
     return crlb.Coupling(b=b, q=scale * (r.conj().T @ r))
 
@@ -116,15 +116,15 @@ def equal_rate_power(channels, directions, w_sensing, noise_power, r_min):
     return np.linalg.solve(own - gamma * (g - own), gamma * (noise_power + interference))
 
 
-def three_solve_initial_point(scenario, r_min, zero_sensing, channels, directions):
+def three_solve_initial_point(scenario, r_min, zero_sensing, directions):
     """``design.initial_point`` splitting the budget with three
     ``equal_rate_power`` solves: without sensing, under the full
     budget's sensing block (for the slope of the total power in p_s) and
     under the split's block. Without directions, the pure-sensing
     fallback."""
-    mt, k, p_max = scenario.array.num_tx, scenario.num_users, scenario.power_budget
+    mt, k, p_max = scenario.num_tx, scenario.num_users, scenario.power_budget
     block = lambda p_s: np.sqrt(p_s / mt) * np.eye(mt, dtype=complex)
-    h, v, noise = channels, directions, scenario.noise_power
+    h, v, noise = scenario.channels, directions, scenario.noise_power
     if v is None:
         flags = ("zf_infeasible_fallback",)
         v, p, p_s = np.zeros((mt, k)), np.zeros(k), (0.0 if zero_sensing else p_max)
@@ -153,15 +153,14 @@ def full_width_no_dedicated_stream(scenario, opts):
     """``design.run(scenario, 'no_dedicated_stream')``'s two stages on the
     full M_T x (K + M_T) variable, its M_T sensing columns zero:
     (w, stage-I trace, stage-II trace, sum-CRLB)."""
-    h = scenario.channel_matrix()
-    zf = comm.zf_precoder(h)
-    r_min = design.rate_target(scenario, h, zf)
-    w0, _ = design.initial_point(scenario, r_min, True, h, zf)
-    mt = scenario.array.num_tx
+    zf = comm.zf_precoder(scenario.channels)
+    r_min = design.rate_target(scenario, zf)
+    w0, _ = design.initial_point(scenario, r_min, True, zf)
+    mt = scenario.num_tx
     w0 = np.concatenate([w0, np.zeros((mt, mt))], axis=1)
     coupling = crlb.coupling_matrices(scenario)
     w, sp1 = design.solve_sp1(scenario, w0, opts, coupling)
-    w, sp2, _ = design.solve_sp2(scenario, w, r_min, opts, h)
+    w, sp2, _ = design.solve_sp2(scenario, w, r_min, opts)
     return w, sp1, sp2, crlb.fisher_matrix(w, coupling).objective
 
 
@@ -194,14 +193,14 @@ def indexed_gauss_newton(w, cones, radius, margin):
     return f2, step
 
 
-def x_of(cones, inst, w):
-    """Cone vector [h_k^H W, sigma, sqrt(Gamma) h_k^H w_k] of the
-    ``comm.SocInstance`` ``inst`` of ``cones``."""
+def x_of(cones, k, w):
+    """Cone vector [h_k^H W, sigma, sqrt(Gamma) h_k^H w_k] of user k, the
+    ``comm.SocInstance`` ``cones[k]``."""
     w = np.asarray(w)
     if w.shape[1] != cones.w_shape[1]:
         raise ValueError("cone instance does not match beamformer size")
-    p = inst.matrix @ w
-    return np.concatenate([p, [cones.sigma, cones.root_gamma * p[inst.user]]])
+    p = cones[k].matrix @ w
+    return np.concatenate([p, [cones.sigma, cones.root_gamma * p[k]]])
 
 
 def soc_project(x):
@@ -227,12 +226,12 @@ def soc_project(x):
     return y
 
 
-def target_channel_derivative(theta, cfg):
+def target_channel_derivative(theta, num_tx, num_rx):
     """Angle derivative of ``arrays.target_channel`` (product rule)."""
-    a_r = steering(theta, cfg.num_rx)
-    a_t = steering(theta, cfg.num_tx)
-    da_r = steering_derivative(theta, cfg.num_rx)
-    da_t = steering_derivative(theta, cfg.num_tx)
+    a_r = steering(theta, num_rx)
+    a_t = steering(theta, num_tx)
+    da_r = steering_derivative(theta, num_rx)
+    da_t = steering_derivative(theta, num_tx)
     return np.outer(da_r, a_t.conj()) + np.outer(a_r, da_t.conj())
 
 
@@ -386,7 +385,7 @@ def one_trial_monte_carlo(scenario, result, trials, grid_deg):
     gw = radar.echo_channel(scenario) @ np.asarray(result.w)
     out = [one_trial_music(one_trial_echo_covariance(scenario, gw,
                                                      substream(scenario.seed, "trial", i)),
-                           len(scenario.targets), grid_deg)
+                           scenario.num_targets, grid_deg)
            for i in range(trials)]
     return tuple(np.array(column) for column in zip(*out))
 

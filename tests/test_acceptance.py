@@ -12,38 +12,28 @@ import numpy as np
 from scipy.signal import find_peaks
 
 from isacbeam import comm, crlb, design, manifold, radar
-from isacbeam.arrays import ArrayConfig, beampattern_trace
+from isacbeam.arrays import beampattern_trace
 from isacbeam.cli import main as cli_main, read_csv
 from isacbeam.rcg import RcgOptions, minimize
-from isacbeam.scenario import (
-    Scenario,
-    Target,
-    UserChannel,
-    make_scenario,
-    substream,
-)
+from isacbeam.scenario import Scenario, make_scenario, substream
 from reference import deferred, random_point, soc_project, x_of
 
 
 def _hand_scenario():
     """Unit-noise, unit-reflectivity scenario with CN(0, I) channels."""
     rng = np.random.default_rng(0)
-    targets = (Target(angle=np.deg2rad(-35.0), range_m=50.0, rcs=1.0 + 0.0j),
-               Target(angle=np.deg2rad(40.0), range_m=60.0, rcs=1.0 + 0.0j))
-    users = tuple(
-        UserChannel(vector=rng.standard_normal(8) + 1j * rng.standard_normal(8),
-                    angle=0.0, pathloss=1.0)
-        for _ in range(2))
-    return Scenario(array=ArrayConfig(num_tx=8, num_rx=8), targets=targets,
-                    users=users, noise_power=1.0, power_budget=8.0,
-                    snapshots=64, rician_k=0.0, overload=0.0, seed=0)
+    users = [rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(2)]
+    return Scenario(num_tx=8, num_rx=8, target_angles=np.deg2rad([-35.0, 40.0]),
+                    target_rcs=[1.0, 1.0], channels=np.stack(users, axis=1),
+                    user_angles=[0.0, 0.0], noise_power=1.0, power_budget=8.0,
+                    snapshots=64, overload=0.0, seed=0)
 
 
 def test_gradients_match_finite_differences():
     t0 = time.perf_counter()
     s = _hand_scenario()
     coupling = crlb.coupling_matrices(s)
-    instances = comm.soc_assemble(s.channel_matrix(), 2.0, s.noise_power,
+    instances = comm.soc_assemble(s.channels, 2.0, s.noise_power,
                                   num_streams=s.num_streams)
     rng = np.random.default_rng(1)
     step = 1e-6
@@ -53,7 +43,7 @@ def test_gradients_match_finite_differences():
         d = rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape)
         d /= np.linalg.norm(d)
 
-        g1 = crlb.grad_f1(coupling, crlb.fisher_matrix(w, coupling))
+        g1 = crlb.grad_f1(coupling, crlb.fisher_matrix(w, coupling), 1.0)
         fd1 = (crlb.fisher_matrix(w + step * d, coupling).objective
                - crlb.fisher_matrix(w - step * d, coupling).objective) \
             / (2.0 * step)
@@ -92,10 +82,9 @@ def test_iterates_stay_on_manifold_and_projection_laws(monkeypatch):
 
     def fg(w):
         state = crlb.fisher_matrix(w, coupling)
-        return state.objective, crlb.grad_f1(coupling, state)
+        return state.objective, crlb.grad_f1(coupling, state, 1.0)
 
-    h = s.channel_matrix()
-    w0, _ = design.initial_point(s, 0.0, False, h, comm.zf_precoder(h))
+    w0, _ = design.initial_point(s, 0.0, False, comm.zf_precoder(s.channels))
     minimize(deferred(fg), w0, s.row_radius, RcgOptions(eps=1e-4), restart_period=w0.shape[1])
     # stage II in both modes: Gauss-Newton alone on the small scenario, and
     # the projection after it on the paper geometry at overload 0.95
@@ -156,10 +145,10 @@ def test_soc_membership_matches_sinr_constraints():
         w = radius * (rng.standard_normal((8, n))
                       + 1j * rng.standard_normal((8, n)))
         rep = comm.rates(w, h, noise)
-        for inst in instances:
-            x = x_of(instances, inst, w)
+        for k in range(len(instances)):
+            x = x_of(instances, k, w)
             member = np.linalg.norm(x - soc_project(x)) <= 1e-9
-            sinr = rep.sinr[inst.user]
+            sinr = rep.sinr[k]
             if abs(sinr - gamma) <= 1e-9 * gamma:
                 continue
             checked += 1
@@ -253,7 +242,7 @@ def test_beampattern_peaks_at_targets():
         res = design.run(s, mode)
         traces[mode] = 10.0 * np.log10(np.maximum(
             beampattern_trace(res.r_x, grid), 1e-300))
-    for angle in np.rad2deg(np.sort(s.target_angles())):
+    for angle in np.rad2deg(np.sort(s.target_angles)):
         matched = {}
         for mode, trace in traces.items():
             peaks, _ = find_peaks(trace)

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 import isacbeam.design
 from isacbeam import cli, config, design, radar
-from isacbeam.config import (_SCHEMA, ExperimentConfig, build_options, build_scenario,
-                             load_config)
+from isacbeam.config import _SCHEMA, build_options, build_scenario, load_config
 from isacbeam.errors import InfeasibleError
 
 SMALL_INI = """
@@ -361,7 +360,7 @@ def test_sweeps_declare_full_scans_in_row_order(command, music_grid, tmp_path):
     text = out.read_text(encoding="utf-8")
     meta, _, rows = cli.read_csv(text)
     cfg = load_config(str(ini))
-    exp = cfg.section("experiment")
+    exp = cfg["experiment"]
     grid_key, override, header = {
         "sweep-power": ("power_grid_dbm", "power_budget_dbm", cli.SWEEP_POWER_HEADER),
         "sweep-delta": ("delta_grid", "overload", cli.SWEEP_DELTA_HEADER)}[command]
@@ -479,8 +478,9 @@ def test_every_config_key_is_read(tmp_path, monkeypatch):
             read.add((self.name, key))
             return super().__getitem__(key)
 
-    monkeypatch.setattr(ExperimentConfig, "section",
-                        lambda cfg, name: Recording(name, getattr(cfg, name)))
+    load = cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda path: {
+        name: Recording(name, keys) for name, keys in load(path).items()})
     make_scenario = config.sc.make_scenario
 
     def recording_make_scenario(**kwargs):

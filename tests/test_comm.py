@@ -191,7 +191,7 @@ def test_zf_powers_at_the_max_min_rate_use_the_budget(mt, k, seed, power):
     s = make_scenario(num_tx=mt, num_rx=mt, num_users=k, power_budget_dbm=power,
                       target_angles_deg=(-40.0, 25.0), target_ranges_m=(50.0, 60.0),
                       snapshots=64, seed=seed)
-    h = s.channel_matrix()
+    h = s.channels
     v = zf_precoder(h)
     r_min = max_min_zf_rate(h, v, s.noise_power, s.power_budget)
     p0 = comm.sensing_equal_rate_power(h, v, s.noise_power, r_min)[0]
@@ -235,13 +235,12 @@ def test_max_min_rejects_unbounded_or_negative_sinr():
 
 # ------------------------------------------------------------------ cone
 
-def _dense_cone(h, cones, inst):
-    """Reference cone map H_k, (N+2) x M_T N, acting on vec(W)."""
+def _dense_cone(h, cones, k):
+    """Reference cone map H_k of user k, (N+2) x M_T N, acting on vec(W)."""
     mt, n = cones.w_shape
-    head = np.kron(np.eye(n), h[:, inst.user].conj()[None, :])
+    head = np.kron(np.eye(n), h[:, k].conj()[None, :])
     tail = np.zeros((1, mt * n), dtype=complex)
-    tail[0, inst.user * mt:(inst.user + 1) * mt] = \
-        cones.root_gamma * h[:, inst.user].conj()
+    tail[0, k * mt:(k + 1) * mt] = cones.root_gamma * h[:, k].conj()
     return np.vstack([head, np.zeros((1, mt * n)), tail])
 
 
@@ -255,8 +254,8 @@ def _dense_offset(cones):
 def _dense_f2_and_grad(w, h, instances):
     vec = np.reshape(w, -1, order="F")
     total, acc = 0.0, np.zeros(vec.size, dtype=complex)
-    for inst in instances:
-        mat = _dense_cone(h, instances, inst)
+    for k in range(len(instances)):
+        mat = _dense_cone(h, instances, k)
         x = mat @ vec + _dense_offset(instances)
         resid = x - soc_project(x)
         total += float(np.vdot(resid, resid).real)
@@ -282,13 +281,11 @@ def test_soc_assemble_stacks_expected_entries():
     assert np.array_equal(instances.rows, h.conj().T)
     assert instances.rows.flags.c_contiguous
     # iterating the cones yields user k's row of H^H as .matrix, in user order
-    assert [inst.user for inst in instances] == [0, 1]
     for k, inst in enumerate(instances):
-        assert inst.user == k
         assert np.array_equal(inst.matrix, h[:, k].conj())
         assert inst.matrix.nbytes == h[:, k].nbytes
-        x = x_of(instances, inst, w)
-        assert np.allclose(x, _dense_cone(h, instances, inst) @ np.reshape(w, -1, order="F")
+        x = x_of(instances, k, w)
+        assert np.allclose(x, _dense_cone(h, instances, k) @ np.reshape(w, -1, order="F")
                            + _dense_offset(instances), rtol=1e-12, atol=1e-12)
         assert np.allclose(x[:n], h[:, k].conj() @ w, atol=1e-12)
         assert x[n] == pytest.approx(np.sqrt(noise), rel=1e-14)
@@ -334,10 +331,10 @@ def test_cone_membership_matches_sinr_threshold():
     for _ in range(50):
         w = _cgauss(rng, (8, n), scale=rng.uniform(0.5, 2.0))
         rep = rates(w, h, noise)
-        for inst in instances:
-            x = x_of(instances, inst, w)
+        for k in range(len(instances)):
+            x = x_of(instances, k, w)
             member = np.linalg.norm(x - soc_project(x)) <= 1e-9
-            sinr = rep.sinr[inst.user]
+            sinr = rep.sinr[k]
             if abs(sinr - gamma) <= 1e-9 * gamma:
                 continue                      # boundary dead zone
             assert member == (sinr >= gamma)

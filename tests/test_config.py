@@ -30,15 +30,15 @@ seed = 3
 
 def test_default_config_values():
     cfg = load_config(None)
-    assert cfg.get("scenario", "num_tx") == 32
-    assert cfg.get("scenario", "noise_power_dbm") == -96.0
-    assert cfg.get("scenario", "target_angles_deg") == (-45.0, 30.0, 60.0)
-    assert cfg.get("scenario", "overload") == 0.7
-    assert cfg.get("solver", "eps") == 3e-4
-    assert set(cfg.section("solver")) == {"eps", "max_iters"}
+    assert cfg["scenario"]["num_tx"] == 32
+    assert cfg["scenario"]["noise_power_dbm"] == -96.0
+    assert cfg["scenario"]["target_angles_deg"] == (-45.0, 30.0, 60.0)
+    assert cfg["scenario"]["overload"] == 0.7
+    assert cfg["solver"]["eps"] == 3e-4
+    assert set(cfg["solver"]) == {"eps", "max_iters"}
     assert build_options(cfg) == RcgOptions()
-    assert cfg.get("experiment", "trials") == 30
-    assert cfg.get("experiment", "power_grid_dbm") == (10.0, 15.0, 20.0)
+    assert cfg["experiment"]["trials"] == 30
+    assert cfg["experiment"]["power_grid_dbm"] == (10.0, 15.0, 20.0)
 
 
 def test_dump_and_parse_roundtrip_custom():
@@ -52,12 +52,12 @@ trials = 5
 delta_grid = 0.0, 0.25, 0.9
 """
     cfg = parse_config(text)
-    assert cfg.get("scenario", "num_tx") == 8
-    assert cfg.get("scenario", "target_angles_deg") == (-40.0, 25.0)
-    assert cfg.get("solver", "eps") == 1e-5
-    assert cfg.get("experiment", "delta_grid") == (0.0, 0.25, 0.9)
+    assert cfg["scenario"]["num_tx"] == 8
+    assert cfg["scenario"]["target_angles_deg"] == (-40.0, 25.0)
+    assert cfg["solver"]["eps"] == 1e-5
+    assert cfg["experiment"]["delta_grid"] == (0.0, 0.25, 0.9)
     # untouched keys keep their defaults
-    assert cfg.get("scenario", "rician_k") == 0.1
+    assert cfg["scenario"]["rician_k"] == 0.1
 
 
 def test_parse_rejects_unknown_section():
@@ -83,12 +83,12 @@ def test_parse_rejects_malformed_text():
 
 
 def test_load_config_paths(tmp_path):
-    assert all(load_config(None).section(s) == {k: d for k, (_, d) in keys.items()}
+    assert all(load_config(None)[s] == {k: d for k, (_, d) in keys.items()}
                for s, keys in _SCHEMA.items())
     path = tmp_path / "exp.ini"
     path.write_text(SMALL, encoding="utf-8")
     cfg = load_config(path)
-    assert cfg.get("scenario", "seed") == 3
+    assert cfg["scenario"]["seed"] == 3
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "missing.ini")
 
@@ -106,8 +106,9 @@ def test_default_config_builds_the_default_scenario():
         {key: default for key, (_, default) in _SCHEMA["scenario"].items()}
     built = build_scenario(load_config(None))
     ref = make_scenario()
-    assert (built.array, built.targets) == (ref.array, ref.targets)
-    assert np.array_equal(built.channel_matrix(), ref.channel_matrix())
+    assert (built.num_tx, built.num_rx) == (ref.num_tx, ref.num_rx)
+    for name in ("target_angles", "target_rcs", "channels", "user_angles"):
+        assert np.array_equal(getattr(built, name), getattr(ref, name)), name
     assert (built.noise_power, built.power_budget) == (ref.noise_power, ref.power_budget)
     assert (built.snapshots, built.overload, built.seed) == \
         (ref.snapshots, ref.overload, ref.seed)
@@ -198,10 +199,10 @@ def test_parse_accepts_range_edges():
     cfg = parse_config("[experiment]\ntrials = 1\ndelta_grid = 0, 1\n"
                        "grid_deg = 0.001\nmusic_grid_deg = 0.001\n"
                        "[solver]\neps = 0\n")
-    assert cfg.get("experiment", "trials") == 1
-    assert cfg.get("experiment", "delta_grid") == (0.0, 1.0)
-    assert cfg.get("experiment", "grid_deg") == 0.001
-    assert cfg.get("experiment", "music_grid_deg") == 0.001
+    assert cfg["experiment"]["trials"] == 1
+    assert cfg["experiment"]["delta_grid"] == (0.0, 1.0)
+    assert cfg["experiment"]["grid_deg"] == 0.001
+    assert cfg["experiment"]["music_grid_deg"] == 0.001
 
 
 @pytest.mark.parametrize("old, new", [

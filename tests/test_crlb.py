@@ -9,31 +9,28 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from isacbeam.arrays import ArrayConfig
 from isacbeam.crlb import Coupling, coupling_matrices, fisher_matrix, grad_f1
 from isacbeam.errors import NumericalError
 from isacbeam.manifold import inner
-from isacbeam.scenario import Scenario, Target, make_scenario
+from isacbeam.scenario import Scenario, make_scenario
 from reference import (per_slot_coupling, random_point, reformed_grad_f1,
                        target_channel_derivative)
 
 
 def _toy_scenario(angles_deg=(30.0, -30.0), snapshots=16, num_tx=4):
-    targets = tuple(Target(angle=np.deg2rad(a), range_m=50.0, rcs=1.0 + 0.0j)
-                    for a in angles_deg)
-    return Scenario(array=ArrayConfig(num_tx=num_tx, num_rx=num_tx),
-                    targets=targets, users=(), noise_power=1.0,
-                    power_budget=float(num_tx), snapshots=snapshots,
-                    rician_k=0.0, overload=0.0, seed=0)
+    return Scenario(num_tx=num_tx, num_rx=num_tx, target_angles=np.deg2rad(angles_deg),
+                    target_rcs=np.ones(len(angles_deg)), channels=np.zeros((num_tx, 0)),
+                    user_angles=[], noise_power=1.0, power_budget=float(num_tx),
+                    snapshots=snapshots, overload=0.0, seed=0)
 
 
 def _dense_coupling(s):
     """Reference A_ij grid, shape (T, T, M_T, M_T), from the full Gdot."""
-    gdots = [target_channel_derivative(tg.angle, s.array) for tg in s.targets]
+    gdots = [target_channel_derivative(theta, s.num_tx, s.num_rx) for theta in s.target_angles]
     scale = 2.0 * s.snapshots / s.noise_power
-    return np.array([[scale * np.conj(ti.rcs) * tj.rcs * (gi.conj().T @ gj)
-                      for tj, gj in zip(s.targets, gdots)]
-                     for ti, gi in zip(s.targets, gdots)])
+    return np.array([[scale * np.conj(ri) * rj * (gi.conj().T @ gj)
+                      for rj, gj in zip(s.target_rcs, gdots)]
+                     for ri, gi in zip(s.target_rcs, gdots)])
 
 
 def _dense_fisher(w, a):
@@ -124,7 +121,7 @@ def test_fisher_and_gradient_match_dense_reference():
             w = random_point(num_tx, num_tx + 3, 1.0, rng)
             state = fisher_matrix(w, c)
             assert _rel(state.matrix, _dense_fisher(w, a)) <= 1e-12
-            assert _rel(grad_f1(c, state), _dense_grad(w, a)) <= 1e-12
+            assert _rel(grad_f1(c, state, 1.0), _dense_grad(w, a)) <= 1e-12
 
 
 def test_fisher_symmetric_for_random_beamformers():
@@ -159,8 +156,8 @@ def test_grad_matches_directional_differences():
                               (_toy_scenario(ANGLE_SETS[3], num_tx=8), 10, 4)):
         a = coupling_matrices(s)
         rng = np.random.default_rng(seed)
-        w = random_point(s.array.num_tx, num_cols, 1.0, rng)
-        g = grad_f1(a, fisher_matrix(w, a))
+        w = random_point(s.num_tx, num_cols, 1.0, rng)
+        g = grad_f1(a, fisher_matrix(w, a), 1.0)
         h = 1e-6
         for _ in range(20):
             d = rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape)
@@ -178,22 +175,22 @@ def test_single_target_gradient_reduction():
     state = fisher_matrix(w, a)
     f = state.matrix[0, 0]
     expected = -2.0 * (_dense_coupling(s)[0, 0] @ w) / f ** 2
-    assert np.allclose(grad_f1(a, state), expected, rtol=1e-10, atol=0.0)
+    assert np.allclose(grad_f1(a, state, 1.0), expected, rtol=1e-10, atol=0.0)
 
 
 def test_gradient_phase_equivariance():
     a = coupling_matrices(_toy_scenario())
     w = random_point(4, 6, 1.0, np.random.default_rng(11))
     phase = np.exp(0.7j)
-    assert np.allclose(grad_f1(a, fisher_matrix(phase * w, a)),
-                       phase * grad_f1(a, fisher_matrix(w, a)), rtol=1e-9)
+    assert np.allclose(grad_f1(a, fisher_matrix(phase * w, a), 1.0),
+                       phase * grad_f1(a, fisher_matrix(w, a), 1.0), rtol=1e-9)
     # per-column phases, W diag(d), leave W W^H, hence the Fisher matrix, unchanged,
     # so re-phasing columns can never repair a singular Fisher matrix
     d = np.exp(2j * np.pi * np.random.default_rng(12).uniform(size=w.shape[1]))
     f = fisher_matrix(w, a).matrix
     assert np.linalg.norm(fisher_matrix(w * d, a).matrix - f) <= 1e-12 * np.linalg.norm(f)
-    assert np.allclose(grad_f1(a, fisher_matrix(w * d, a)),
-                       grad_f1(a, fisher_matrix(w, a)) * d, rtol=1e-9)
+    assert np.allclose(grad_f1(a, fisher_matrix(w * d, a), 1.0),
+                       grad_f1(a, fisher_matrix(w, a), 1.0) * d, rtol=1e-9)
 
 
 def test_inverse_diagonal_matches_determinant_ratio():
@@ -230,11 +227,7 @@ def test_fisher_guards_degenerate_inputs():
 
 def test_fisher_rejects_unresolvable_geometry():
     # separation above the duplicate threshold but condition past the limit
-    targets = (Target(angle=0.5, range_m=50.0, rcs=1.0 + 0.0j),
-               Target(angle=0.5 + 1e-7, range_m=50.0, rcs=1.0 + 0.0j))
-    s = Scenario(array=ArrayConfig(num_tx=4, num_rx=4), targets=targets,
-                 users=(), noise_power=1.0, power_budget=4.0, snapshots=16,
-                 rician_k=0.0, overload=0.0, seed=0)
+    s = dataclasses.replace(_toy_scenario(), target_angles=[0.5, 0.5 + 1e-7])
     a = coupling_matrices(s)
     with pytest.raises(NumericalError):
         fisher_matrix(random_point(4, 4, 1.0, np.random.default_rng(0)), a)
@@ -257,7 +250,7 @@ def test_grad_f1_reading_v_keeps_the_bits_of_forming_it(size, t, seed):
         state = fisher_matrix(w, coupling)
     except NumericalError:
         assume(False)   # a singular draw (more targets than one antenna resolves)
-    assert np.array_equal(grad_f1(coupling, state), reformed_grad_f1(w, coupling, state))
+    assert np.array_equal(grad_f1(coupling, state, 1.0), reformed_grad_f1(w, coupling, state))
 
 
 @settings(deadline=None, max_examples=60)
@@ -284,6 +277,6 @@ def test_lazy_inverse_and_gradient_keep_the_bits_of_the_eager_formula(size, t, s
     eigs, vecs = np.linalg.eigh(state.matrix)
     inv = (vecs / eigs) @ vecs.T
     inv = 0.5 * (inv + inv.T)
-    assert np.array_equal(grad_f1(coupling, state),
+    assert np.array_equal(grad_f1(coupling, state, 1.0),
                           reformed_grad_f1(w, coupling, SimpleNamespace(inverse=inv)))
     assert np.array_equal(state.inverse, inv)

@@ -26,9 +26,9 @@ def small():
 
 
 def _zf(scenario):
-    """(H, its ZF directions): what ``design.run`` hands the stages."""
-    h = scenario.channel_matrix()
-    return h, comm.zf_precoder(h)
+    """The ZF directions of the scenario's channels: what ``design.run``
+    hands the rate floor and the warm start."""
+    return comm.zf_precoder(scenario.channels)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +42,7 @@ def test_initial_point_without_users_is_scaled_identity():
     s = make_scenario(num_tx=8, num_rx=8, num_users=0,
                       target_angles_deg=(-40.0, 25.0),
                       target_ranges_m=(50.0, 60.0), snapshots=64, seed=2)
-    w0, flags = design.initial_point(s, 0.0, False, s.channel_matrix(), None)
+    w0, flags = design.initial_point(s, 0.0, False, None)
     assert flags == ()
     expected = np.sqrt(s.power_budget / 8.0) * np.eye(8, dtype=complex)
     assert np.array_equal(w0, expected)
@@ -52,12 +52,12 @@ def test_initial_point_shape_and_active_users(small):
     # the warm start is structured, not rate-feasible: the row
     # retraction reshuffles the exact equal-rate powers, and stage II
     # restores the floor later
-    r_min = design.rate_target(small, *_zf(small))
-    w0, flags = design.initial_point(small, r_min, False, *_zf(small))
+    r_min = design.rate_target(small, _zf(small))
+    w0, flags = design.initial_point(small, r_min, False, _zf(small))
     assert flags == ()
     assert w0.shape == (8, small.num_streams)
     assert manifold.is_on_manifold(w0, small.row_radius)
-    rep = comm.rates(w0, small.channel_matrix(), small.noise_power)
+    rep = comm.rates(w0, small.channels, small.noise_power)
     assert rep.min_rate > 0.5 * r_min
 
 
@@ -65,7 +65,7 @@ def test_initial_point_falls_back_when_zf_impossible():
     s = make_scenario(num_tx=4, num_rx=4, num_users=6,
                       target_angles_deg=(-40.0, 25.0),
                       target_ranges_m=(50.0, 60.0), snapshots=64, seed=2)
-    w0, flags = design.initial_point(s, 1.0, False, s.channel_matrix(), None)
+    w0, flags = design.initial_point(s, 1.0, False, None)
     assert flags == ("zf_infeasible_fallback",)
     assert manifold.is_on_manifold(w0, s.row_radius)
 
@@ -74,7 +74,7 @@ def test_initial_point_fallback_keeps_sensing_columns_zero():
     # ZF impossible (K > M_T): the dead-row nudge stays in the
     # communication columns, the only ones a zero-sensing start carries
     s = make_scenario(num_tx=4, num_rx=8, num_users=6)
-    w0, flags = design.initial_point(s, 0.5, True, s.channel_matrix(), None)
+    w0, flags = design.initial_point(s, 0.5, True, None)
     assert flags == ("zf_infeasible_fallback",)
     assert w0.shape == (4, 6)
     assert manifold.is_on_manifold(w0, s.row_radius)
@@ -82,7 +82,7 @@ def test_initial_point_fallback_keeps_sensing_columns_zero():
 
 def test_initial_point_zero_sensing_block(small):
     # no sensing block at all: the start is the M_T x K communication block
-    w0, flags = design.initial_point(small, 0.5, True, *_zf(small))
+    w0, flags = design.initial_point(small, 0.5, True, _zf(small))
     assert flags == ()
     assert w0.shape == (8, 2)
     assert manifold.is_on_manifold(w0, small.row_radius)
@@ -100,14 +100,13 @@ def test_closed_form_power_split_matches_three_solves(mt, k, seed, power, factor
     s = make_scenario(num_tx=mt, num_rx=mt, num_users=k, target_angles_deg=(-40.0, 25.0),
                       target_ranges_m=(50.0, 60.0), power_budget_dbm=power,
                       snapshots=64, seed=seed)
-    h = s.channel_matrix()
     try:
-        zf = comm.zf_precoder(h)
-        r_min = factor * comm.max_min_zf_rate(h, zf, s.noise_power, s.power_budget)
+        zf = _zf(s)
+        r_min = factor * comm.max_min_zf_rate(s.channels, zf, s.noise_power, s.power_budget)
     except NumericalError:
         zf, r_min = None, factor
-    w0, flags = design.initial_point(s, r_min, zero_sensing, h, zf)
-    ref, ref_flags = three_solve_initial_point(s, r_min, zero_sensing, h, zf)
+    w0, flags = design.initial_point(s, r_min, zero_sensing, zf)
+    ref, ref_flags = three_solve_initial_point(s, r_min, zero_sensing, zf)
     assert flags == ref_flags
     assert np.linalg.norm(w0 - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -117,10 +116,10 @@ def test_initial_point_is_continuous_at_full_overload():
     # the start there is the limit of the starts below it
     for seed in range(1, 11):
         s = make_scenario(seed=seed)
-        h, zf = _zf(s)
-        rate = comm.max_min_zf_rate(h, zf, s.noise_power, s.power_budget)
-        w1 = design.initial_point(s, rate, False, h, zf)[0]
-        w_below = design.initial_point(s, (1.0 - 1e-12) * rate, False, h, zf)[0]
+        zf = _zf(s)
+        rate = comm.max_min_zf_rate(s.channels, zf, s.noise_power, s.power_budget)
+        w1 = design.initial_point(s, rate, False, zf)[0]
+        w_below = design.initial_point(s, (1.0 - 1e-12) * rate, False, zf)[0]
         assert np.linalg.norm(w1 - w_below) <= 1e-6 * np.linalg.norm(w_below), seed
 
 
@@ -134,7 +133,7 @@ def test_run_rejects_unknown_mode(small):
 def test_floorless_modes_run_when_zf_impossible():
     s = make_scenario(num_tx=4, num_rx=8, num_users=6)
     with pytest.raises(NumericalError, match="ZF impossible"):
-        comm.zf_precoder(s.channel_matrix())
+        _zf(s)
     for mode in design.FLOORLESS_MODES:
         res = design.run(s, mode)
         assert res.r_min == 0.0
@@ -255,7 +254,7 @@ def test_sensing_only_is_the_crlb_floor(small_results):
 
 def test_rate_floor_met_by_constrained_modes(small, small_results):
     target = small.overload * comm.max_min_zf_rate(
-        *_zf(small), small.noise_power, small.power_budget)
+        small.channels, _zf(small), small.noise_power, small.power_budget)
     for mode in ("sgcdf", "no_dedicated_stream"):
         res = small_results[mode]
         assert res.r_min == pytest.approx(target, rel=1e-12)
@@ -349,10 +348,9 @@ def test_stage_times_match_pipeline_shape(small_results):
 # ---------------------------------------------------------------- stages
 
 def test_solve_sp2_returns_feasible_start_unchanged(small):
-    r_min = design.rate_target(small, *_zf(small))
-    w0, _ = design.initial_point(small, r_min, False, *_zf(small))
-    w, trace, flags = design.solve_sp2(small, w0, 0.5 * r_min, RcgOptions(),
-                                       small.channel_matrix())
+    r_min = design.rate_target(small, _zf(small))
+    w0, _ = design.initial_point(small, r_min, False, _zf(small))
+    w, trace, flags = design.solve_sp2(small, w0, 0.5 * r_min, RcgOptions())
     assert w is w0
     assert trace.termination == "target_met"
     assert trace.iterations == 0
@@ -363,8 +361,7 @@ def _stage_two(small, small_results):
     """(w, trace) of stage II of the sgcdf design of ``small``, from its
     stage-I point (the sensing_only design)."""
     return design.solve_sp2(small, small_results["sensing_only"].w,
-                            small_results["sgcdf"].r_min, RcgOptions(),
-                            small.channel_matrix())[:2]
+                            small_results["sgcdf"].r_min, RcgOptions())[:2]
 
 
 @pytest.fixture(scope="module")
@@ -378,7 +375,7 @@ def tight():
 
 def _tight_stage_two(tight):
     s, w, r_min = tight
-    return design.solve_sp2(s, w, r_min, RcgOptions(), s.channel_matrix())
+    return design.solve_sp2(s, w, r_min, RcgOptions())
 
 
 def test_solve_sp2_stops_where_f2_vanishes(tight):
@@ -391,7 +388,7 @@ def test_solve_sp2_stops_where_f2_vanishes(tight):
     assert trace.termination == "target_met" and trace.iterations > 0
     assert f2[-1] == 0.0 and np.all(f2[:-1] > 0.0)
     assert trace.final_grad_norm == 0.0
-    assert comm.rates(w, s.channel_matrix(), s.noise_power).min_rate >= r_min
+    assert comm.rates(w, s.channels, s.noise_power).min_rate >= r_min
 
 
 def test_solve_sp2_reads_the_rates_twice(tight, monkeypatch):
@@ -556,7 +553,7 @@ def test_projection_iterates_keep_sensing_columns_zero(tight, monkeypatch):
 
     monkeypatch.setattr(comm, "f2_and_grad", recorded)
     res = design.run(s, "no_dedicated_stream")
-    k, mt = s.num_users, s.array.num_tx
+    k, mt = s.num_users, s.num_tx
     assert res.flags == ("sp2_projection",) and len(points) > 1
     for w in points:
         assert w.shape == (mt, k)
@@ -607,9 +604,9 @@ def test_solve_sp2_reports_unreachable_rate():
     s = make_scenario(num_tx=4, num_rx=4, num_users=1,
                       target_angles_deg=(-40.0, 25.0),
                       target_ranges_m=(50.0, 60.0), snapshots=64, seed=3)
-    w_start, _ = design.initial_point(s, 0.0, False, *_zf(s))
+    w_start, _ = design.initial_point(s, 0.0, False, _zf(s))
     with pytest.raises(InfeasibleError) as exc:
-        design.solve_sp2(s, w_start, 30.0, RcgOptions(), s.channel_matrix())
+        design.solve_sp2(s, w_start, 30.0, RcgOptions())
     assert exc.value.detail["r_min"] == 30.0
     assert exc.value.detail["gap"] > 0
 
@@ -635,8 +632,8 @@ def test_stage_one_forms_the_fisher_inverse_once_per_gradient(monkeypatch):
     inverse = functools.cached_property(counted)
     inverse.__set_name__(crlb.FisherState, "inverse")
     monkeypatch.setattr(crlb.FisherState, "inverse", inverse)
-    h, zf = _zf(s)
-    w0, _ = design.initial_point(s, design.rate_target(s, h, zf), False, h, zf)
+    zf = _zf(s)
+    w0, _ = design.initial_point(s, design.rate_target(s, zf), False, zf)
     _, trace = design.solve_sp1(s, w0, RcgOptions(), crlb.coupling_matrices(s))
     assert len(formed) == trace.gradient_evals < trace.objective_evals
     assert len({id(state) for state in formed}) == len(formed)
@@ -677,10 +674,10 @@ def test_run_forms_zero_forcing_once(small, monkeypatch):
 
 def test_rate_target_values(small):
     direct = small.overload * comm.max_min_zf_rate(
-        *_zf(small), small.noise_power, small.power_budget)
-    assert design.rate_target(small, *_zf(small)) == pytest.approx(direct, rel=1e-12)
+        small.channels, _zf(small), small.noise_power, small.power_budget)
+    assert design.rate_target(small, _zf(small)) == pytest.approx(direct, rel=1e-12)
     no_users = make_scenario(num_tx=8, num_rx=8, num_users=0,
                              target_angles_deg=(-40.0, 25.0),
                              target_ranges_m=(50.0, 60.0),
                              snapshots=64, seed=2)
-    assert design.rate_target(no_users, no_users.channel_matrix(), None) == 0.0
+    assert design.rate_target(no_users, None) == 0.0

@@ -36,7 +36,7 @@ def _sensing_scenario(noise_dbm, angles=(20.0,), ranges=(50.0,), snapshots=256):
 
 
 def _identity_beamformer(scenario):
-    mt = scenario.array.num_tx
+    mt = scenario.num_tx
     return np.sqrt(scenario.power_budget / mt) * np.eye(mt, dtype=complex)
 
 
@@ -82,7 +82,7 @@ def test_echo_lives_in_the_target_steering_subspace():
     x = synthesize_waveform(_identity_beamformer(s), s.snapshots,
                             np.random.default_rng(0))
     y = synthesize_echo(s, x, np.random.default_rng(1))
-    a = steering(s.targets[0].angle, 8)
+    a = steering(s.target_angles[0], 8)
     proj = np.outer(a, a.conj()) / 8.0
     resid = y - proj @ y
     ratio = np.linalg.norm(resid) / np.linalg.norm(y)
@@ -100,8 +100,8 @@ def test_echo_noise_second_moment():
     x = synthesize_waveform(_identity_beamformer(s), 1024,
                             np.random.default_rng(3))
     y = synthesize_echo(s, x, np.random.default_rng(3))
-    channel = sum(tg.rcs * target_channel(tg.angle, s.array)
-                  for tg in s.targets)
+    channel = sum(rcs * target_channel(theta, s.num_tx, s.num_rx)
+                  for theta, rcs in zip(s.target_angles, s.target_rcs))
     noise = y - channel @ x
     measured = np.mean(np.abs(noise) ** 2)
     assert measured == pytest.approx(s.noise_power, rel=0.03)
@@ -114,8 +114,8 @@ def test_echoes_superpose_over_targets():
                          target_angles_deg=(-40.0, 25.0),
                          target_ranges_m=(50.0, 60.0),
                          noise_power_dbm=-2000.0, snapshots=64, seed=0)
-    s_a = dataclasses.replace(s_ab, targets=(s_ab.targets[0],))
-    s_b = dataclasses.replace(s_ab, targets=(s_ab.targets[1],))
+    s_a, s_b = (dataclasses.replace(s_ab, target_angles=s_ab.target_angles[i:i + 1],
+                                    target_rcs=s_ab.target_rcs[i:i + 1]) for i in (0, 1))
     x = synthesize_waveform(_identity_beamformer(s_ab), 64,
                             np.random.default_rng(4))
     rec = {}
@@ -147,7 +147,7 @@ def test_music_resolves_three_targets_from_a_design_echo():
     y = synthesize_echo(s, x, rng)
     est, degraded = music_estimate(_sample_covariance(y), 3)
     assert not degraded
-    truth = np.sort(s.target_angles())
+    truth = np.sort(s.target_angles)
     assert np.max(np.abs(np.rad2deg(est - truth))) <= 1.0
 
 
@@ -227,7 +227,7 @@ def test_music_noiseless_on_grid_target_keeps_denominator_nonnegative():
 # ------------------------------------------------- covariance-domain echo
 
 def _random_beamformer(scenario, rng):
-    mt = scenario.array.num_tx
+    mt = scenario.num_tx
     n = scenario.num_users + mt
     w = rng.standard_normal((mt, n)) + 1j * rng.standard_normal((mt, n))
     return w * np.sqrt(scenario.power_budget / mt) / np.linalg.norm(w, axis=1)[:, None]
@@ -397,14 +397,14 @@ def test_monte_carlo_music_matches_noise_subspace_reference(case, grid_deg, mc_s
     rep, blocks = _recorded_monte_carlo(monkeypatch, s, res, trials, grid_deg)
     seen = [(cov, (est, bad)) for covs, ests, bads in blocks
             for cov, est, bad in zip(covs, ests, bads)]
-    t = len(s.targets)
+    t = s.num_targets
     assert len(seen) == trials
     ref = [steering_music(cov, t, grid_deg) for cov, _ in seen]
     for (_, (est, bad)), (ref_est, ref_bad) in zip(seen, ref):
         assert bad == ref_bad
         assert np.max(np.abs(est - ref_est)) <= 1e-12
     assert rep.degraded_trials == sum(bad for _, bad in ref)
-    truth = np.sort(s.target_angles())
+    truth = np.sort(s.target_angles)
     sq = [float((est - truth) @ (est - truth)) for est, _ in ref]
     assert rep.rmse == pytest.approx(np.sqrt(np.mean(sq)), rel=1e-9)
 
@@ -414,7 +414,7 @@ def test_monte_carlo_rmse_matches_explicit_frame(mc_scenario, mc_design):
     # has a standard error of about 2%, so 10% is ~4.5 of them
     trials, grid_deg = 1000, 0.1
     rep = monte_carlo(mc_scenario, mc_design, trials, grid_deg=grid_deg)
-    truth = np.sort(mc_scenario.target_angles())
+    truth = np.sort(mc_scenario.target_angles)
     sq, degraded = [], 0
     for i in range(trials):
         est, bad = _reference_trial(mc_scenario, mc_design.w, truth.size, grid_deg,
@@ -478,7 +478,7 @@ def test_monte_carlo_blocks_match_one_trial_at_a_time(case, monkeypatch):
     sizes = [len(covs) for covs, _, _ in per_design[0]]
     # one draw of the noise per block, shared by every design
     assert draws == sizes
-    block = min(radar._block_trials(s.array.num_rx, np.shape(res.w)[1], radar.MUSIC_GRID_DEG)
+    block = min(radar._block_trials(s.num_rx, np.shape(res.w)[1], radar.MUSIC_GRID_DEG)
                 for s, res in designs)
     assert sum(sizes) == trials and set(sizes[:-1]) <= {block} and sizes[-1] <= block
     if "paper" in case:
@@ -493,7 +493,7 @@ def test_monte_carlo_blocks_match_one_trial_at_a_time(case, monkeypatch):
         if "4x4" in case:
             assert len(sizes) == 1 and 0 < bad.sum() < trials
             assert rep.full_scans >= rep.degraded_trials > 0
-        truth = np.sort(s.target_angles())
+        truth = np.sort(s.target_angles)
         assert rep.degraded_trials == ref_bad.sum()
         assert rep.rmse == np.sqrt(np.mean([float(e @ e) for e in ref_est - truth]))
     if len(designs) > 1:
@@ -588,7 +588,7 @@ def scan_corpus():
     corpus = []
 
     def add(label, scenario, mode, trials):
-        t = len(scenario.targets)
+        t = scenario.num_targets
         corpus.extend((label, cov, t) for cov in _trial_covariances(scenario, mode, trials))
 
     # the benchmark's sweep: default 32 x 32 geometry, K = 6, three targets
@@ -815,7 +815,7 @@ def test_stacks_match_the_accumulated_union_loop(trials, num_groups, density, se
 ])
 def test_stacks_keep_the_monte_carlo_bits(monkeypatch, s, mode, trials, min_stacks):
     res = design.run(s, mode)
-    assert radar._block_trials(s.array.num_rx, np.shape(res.w)[1],
+    assert radar._block_trials(s.num_rx, np.shape(res.w)[1],
                                radar.MUSIC_GRID_DEG) >= trials
     cut, stacks = [], radar._stacks
 
@@ -843,7 +843,7 @@ def test_music_fine_level_memory_stays_within_a_block():
                                      (make_scenario(num_tx=64, num_rx=64, num_users=2), 0.07,
                                       True)):
         res = design.run(s, "omnidirectional")
-        block = radar._block_trials(s.array.num_rx, np.shape(res.w)[1], grid_deg)
+        block = radar._block_trials(s.num_rx, np.shape(res.w)[1], grid_deg)
         monte_carlo(s, res, 1, grid_deg)
         tracemalloc.start()
         try:

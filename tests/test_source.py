@@ -127,3 +127,11 @@ def test_unread_parameter_check_sees_every_kind_of_parameter():
                      "def h(u):\n    def inner():\n        return u\n    return inner\n")
     assert sorted(_unread_parameters(tree)) == [
         ("<lambda>", "y"), ("f", "b"), ("f", "c"), ("f", "g")]
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
