@@ -1,9 +1,11 @@
 """Uniform linear array geometry.
 
 Steering vectors and their angle derivatives for a half-wavelength ULA,
-the rank-1 transmit-to-receive target channel of a mono-static setup,
-and beampattern gain evaluation. Angles are radians everywhere in the
-library; degrees appear only at the CLI boundary.
+from one formula for one angle or many (one column per angle), the
+rank-1 transmit-to-receive target channel of a mono-static setup, and
+the transmit beampattern ||W^H a||^2 read from the beamformer W. Angles
+are radians everywhere in the library; degrees appear only at the CLI
+boundary.
 """
 
 import numpy as np
@@ -11,12 +13,12 @@ import numpy as np
 HALF_PLANE = (-np.pi / 2, np.pi / 2)
 
 
-def _check_angle(theta):
-    theta = float(theta)
-    if not (HALF_PLANE[0] <= theta <= HALF_PLANE[1]):
-        # model only valid in the front half-plane; reject, do not wrap
-        raise ValueError(f"angle {theta} rad outside [-pi/2, pi/2]")
-    return theta
+def _check_angles(thetas):
+    thetas = np.asarray(thetas, dtype=float)
+    # model only valid in the front half-plane; reject, do not wrap (NaN fails too)
+    if not (np.abs(thetas) <= HALF_PLANE[1]).all():
+        raise ValueError(f"angle outside [-pi/2, pi/2] rad in {thetas}")
+    return thetas
 
 
 def _degree_grid(step_deg):
@@ -26,43 +28,37 @@ def _degree_grid(step_deg):
     return np.linspace(-90.0, 90.0, int(round(180.0 / step_deg)) + 1)
 
 
-def steering(theta, n):
-    """Steering vector of an n-element half-wavelength ULA.
+def steering(thetas, n):
+    """Steering vectors of an n-element half-wavelength ULA.
 
     Parameters
     ----------
-    theta : float
-        Azimuth in radians, inside [-pi/2, pi/2].
+    thetas : float or array_like
+        Azimuths in radians, each inside [-pi/2, pi/2].
     n : int
         Number of elements.
 
     Returns
     -------
-    ndarray, shape (n,), complex
-        Entry m is exp(j*pi*m*sin(theta)); entry 0 is exactly 1.
+    ndarray, complex
+        Shape (n,) for one angle, (n, len(thetas)) with one column per
+        angle for an array. Entry m is exp(j*pi*m*sin(theta)); entry 0
+        is exactly 1. A column has the bits of the one-angle call.
     """
-    theta = _check_angle(theta)
+    thetas = _check_angles(thetas)
     if n < 1:
         raise ValueError(f"an array side needs at least one element, got n = {n}")
-    return np.exp(1j * np.pi * np.sin(theta) * np.arange(n))
+    return np.exp(np.multiply.outer(np.arange(n), 1j * np.pi * np.sin(thetas)))
 
 
-def steering_derivative(theta, n):
-    """Derivative of ``steering`` with respect to the angle.
+def steering_derivative(thetas, n):
+    """Derivative of ``steering`` with respect to the angle, in its shape.
 
     Equals j*pi*cos(theta) * (0, 1, ..., n-1) elementwise times the
     steering vector; entry 0 is exactly 0.
     """
-    theta = _check_angle(theta)
-    return 1j * np.pi * np.cos(theta) * np.arange(n) * steering(theta, n)
-
-
-def steering_matrix(thetas, n):
-    """Stack steering vectors for a grid of angles, shape (n, len(thetas))."""
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.size and (thetas.min() < HALF_PLANE[0] or thetas.max() > HALF_PLANE[1]):
-        raise ValueError("grid angle outside [-pi/2, pi/2]")
-    return np.exp(1j * np.pi * np.outer(np.arange(n), np.sin(thetas)))
+    a = steering(thetas, n)
+    return np.multiply.outer(np.arange(n), 1j * np.pi * np.cos(thetas)) * a
 
 
 def target_channel(theta, num_tx, num_rx):
@@ -73,26 +69,9 @@ def target_channel(theta, num_tx, num_rx):
     return np.outer(a_r, a_t.conj())
 
 
-def beampattern_gain(r_x, theta):
-    """Transmit beampattern gain a^H R_X a at one angle, linear power.
-
-    ``r_x`` must be Hermitian; the (numerically tiny) imaginary residue
-    of the quadratic form is discarded.
-    """
-    r_x = np.asarray(r_x)
-    if r_x.ndim != 2 or r_x.shape[0] != r_x.shape[1]:
-        raise ValueError("covariance must be square")
-    herm_gap = np.abs(r_x - r_x.conj().T).max()
-    scale = max(np.abs(r_x).max(), 1.0)
-    if herm_gap > 1e-9 * scale:
-        raise ValueError("covariance is not Hermitian")
-    a = steering(theta, r_x.shape[0])
-    val = a.conj() @ r_x @ a
-    return float(val.real)
-
-
-def beampattern_trace(r_x, thetas):
-    """Vectorized ``beampattern_gain`` over an angle grid."""
-    r_x = np.asarray(r_x)
-    a = steering_matrix(thetas, r_x.shape[0])
-    return np.einsum("mi,mn,ni->i", a.conj(), r_x, a).real
+def beampattern(w, thetas):
+    """Transmit beampattern a^H W W^H a = ||W^H a||^2 of beamformer W
+    (M_T x N), linear power: a float for one angle, an array for many."""
+    w = np.asarray(w)
+    p = w.conj().T @ steering(thetas, w.shape[0])
+    return (p.real ** 2 + p.imag ** 2).sum(axis=0)

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import design, radar
-from .arrays import _degree_grid, beampattern_gain, beampattern_trace
+from .arrays import _degree_grid, beampattern
 from .config import build_options, build_scenario, load_config
 from .errors import ConfigError, InfeasibleError, NumericalError
 
@@ -162,7 +162,7 @@ def _sweep(args, grid_key, override, header, row):
 
 
 def _power_row(p_dbm, mode, scenario, res, report):
-    gain = sum(beampattern_gain(res.r_x, theta) for theta in scenario.target_angles)
+    gain = beampattern(res.w, scenario.target_angles).sum()
     return [p_dbm, mode, 10.0 * np.log10(max(gain, 1e-300)),
             res.sum_crlb, float(np.rad2deg(res.rcrlb)),
             float(np.rad2deg(report.rmse)), res.rates.min_rate,
@@ -189,7 +189,7 @@ def cmd_beampattern(args):
     theta_deg = _degree_grid(cfg["experiment"]["grid_deg"])
     traces = {}
     for mode, (scenario, res) in zip(modes, _designs(cfg, modes, seed=args.seed)):
-        gains = beampattern_trace(res.r_x, np.deg2rad(theta_deg))
+        gains = beampattern(res.w, np.deg2rad(theta_deg))
         traces[mode] = 10.0 * np.log10(np.maximum(gains, 1e-300))
     metadata = [(key, ";".join(_fmt(float(np.rad2deg(a))) for a in angles))
                 for key, angles in (("target_angles_deg", scenario.target_angles),

@@ -11,11 +11,11 @@ restores every user's rate floor. Both f2 and its gradient are
 evaluated from P for all users at once, the gradient only when the
 solver asks for it. f2 is half the summed squares of the K residuals
 hn_k - tm_k, each with a rank-one gradient, so the minimum-norm
-Gauss-Newton step on the manifold needs only their K x K Gram matrix,
-whose H^H H factor the cones stack once. Where Gauss-Newton stalls,
-``sinr_project`` moves one user's row of P into its SINR set, the step
-of stage II's projection sweeps. N is the width the solver carries:
-K + M_T, or K for a design without sensing streams.
+Gauss-Newton step on the manifold needs only their K x K Gram matrix.
+Where Gauss-Newton stalls, ``sinr_project`` moves one user's row of P
+into its SINR set, the step of stage II's projection sweeps. N is the
+width the solver carries: K + M_T, or K for a design without sensing
+streams.
 
 Also here: zero-forcing directions, the equal-rate powers along them
 (every user exactly at the rate floor under the warm start's sensing
@@ -53,7 +53,9 @@ class SocCones(tuple):
     order, and what stage II reads, stacked once by
     ``soc_assemble``: ``rows`` (H^H, K x M_T, C-contiguous), ``rows_h``
     (its conjugate transpose), ``gram`` (the users' K x K Gram matrix
-    H^H H), ``idx`` (the users 0..K-1), ``w_shape``
+    H^H H, whose diagonal ||h_k||^2 ``sinr_project`` reads; a Gauss-Newton
+    step forms its active users' Gram matrix itself), ``idx`` (the users
+    0..K-1), ``w_shape``
     (the beamformer shape (M_T, N)) and the scalars every user shares:
     ``sigma``, ``gamma`` = 2^r_min - 1, ``sigma2`` and ``root_gamma`` =
     sqrt(Gamma) = sqrt(1 + 1/gamma)."""
@@ -245,7 +247,7 @@ def sinr_project(w, k, cones, margin):
 
 def _tangent_gram(w, cones, radius, gaps, users):
     """(C, coef, Gram) of the residuals e_k = hn_k - tm_k of ``users``, an
-    index array or, for every user, ``slice(None)``, which copies nothing.
+    index array.
 
     ``gaps`` is ``_cone_gaps(w, cones)``. The Euclidean gradient of e_k is
     the rank-one h_k c_k, with the row c_k = P[k, :] / hn_k - sqrt(Gamma)
@@ -253,9 +255,9 @@ def _tangent_gram(w, cones, radius, gaps, users):
     ``f2_and_grad``); C stacks the rows. On the manifold of row radius
     ``radius`` its tangent projection is h_k c_k - diag(coef_k) W with
     coef = Re(conj(H^H) o (C W^H)) / rho^2, and the Gram matrix of these
-    projections is Re[(H^H H) o conj(C C^H)] - rho^2 coef coef^T, with
-    H^H H read from ``cones.gram`` when every user is active. No
-    M_T x M_T matrix and no per-user M_T x N matrix is formed.
+    projections is Re[(H_u^H H_u) o conj(C C^H)] - rho^2 coef coef^T, with
+    H_u the channels of ``users``. No M_T x M_T matrix and no per-user
+    M_T x N matrix is formed.
     """
     p, hn, tail, tm = gaps[:4]
     phase = np.divide(tail, tm, out=np.ones_like(tail), where=tm > 0)
@@ -264,9 +266,8 @@ def _tangent_gram(w, cones, radius, gaps, users):
     c, rows = c[users], cones.rows[users]
     # Re(conj(a) b) = Re(a conj(b)): conjugate the K x N factor C, not W
     coef = (rows * (c.conj() @ w.T)).real / radius**2
-    # a subset's own product: indexing the users' Gram matrix changes its bits
-    hgram = cones.gram if isinstance(users, slice) else rows @ rows.conj().T
-    gram = (hgram * (c @ c.conj().T).conj()).real - radius**2 * (coef @ coef.T)
+    gram = (((rows @ rows.conj().T) * (c @ c.conj().T).conj()).real
+            - radius**2 * (coef @ coef.T))
     return c, coef, gram
 
 
@@ -289,8 +290,7 @@ def f2_and_gauss_newton(w, cones, radius, margin):
 
     def step():
         e = hn - tm
-        act = e > -margin * hn
-        act = slice(None) if act.all() else np.flatnonzero(act)
+        act = np.flatnonzero(e > -margin * hn)
         c, coef, gram = _tangent_gram(w, cones, radius, gaps, act)
         try:
             lam = np.linalg.solve(gram, e[act] + margin * hn[act])

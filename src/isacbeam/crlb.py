@@ -64,25 +64,17 @@ class Coupling:
 
 
 def coupling_matrices(scenario):
-    """Transmit factors B and receive coupling Q of every target.
-
-    Each target's a_t and da_t are formed once, and serve as its a_r and
-    da_r too when M_R = M_T (the same bits as forming them again).
-    """
+    """Transmit factors B and receive coupling Q of every target, from one
+    ``steering`` and one ``steering_derivative`` call per array side."""
     angles = scenario.target_angles
     t = angles.size
     if np.min(np.abs(angles[:, None] - angles[None, :]) + np.eye(t)) < 1e-9:
         raise NumericalError("duplicate target angles make the Fisher matrix singular")
-    mt, mr = scenario.num_tx, scenario.num_rx
+    mt, mr, rcs = scenario.num_tx, scenario.num_rx, scenario.target_rcs
     b = np.empty((2 * t, mt), dtype=complex)
+    b[0::2], b[1::2] = steering(angles, mt).T.conj(), steering_derivative(angles, mt).T.conj()
     r = np.empty((mr, 2 * t), dtype=complex)
-    for i, (theta, rcs) in enumerate(zip(angles, scenario.target_rcs)):
-        a_t = steering(theta, mt)
-        da_t = steering_derivative(theta, mt)
-        a_r, da_r = (a_t, da_t) if mr == mt else (
-            steering(theta, mr), steering_derivative(theta, mr))
-        b[2 * i], b[2 * i + 1] = a_t.conj(), da_t.conj()
-        r[:, 2 * i], r[:, 2 * i + 1] = rcs * da_r, rcs * a_r
+    r[:, 0::2], r[:, 1::2] = rcs * steering_derivative(angles, mr), rcs * steering(angles, mr)
     scale = 2.0 * scenario.snapshots / scenario.noise_power
     return Coupling(b=b, q=scale * (r.conj().T @ r))
 

@@ -53,7 +53,6 @@ _RATE_RESOLUTION = math.log2(1.0 + np.finfo(float).eps)
 @dataclass(frozen=True)
 class DesignResult:
     w: np.ndarray
-    r_x: np.ndarray
     sum_crlb: float
     rcrlb: float                  # sqrt(sum_crlb), radians
     rates: comm.RateReport
@@ -316,8 +315,7 @@ def run(scenario, mode, opts=None):
     state = crlb.fisher_matrix(w, coupling)
     report = comm.rates(w, scenario.channels, scenario.noise_power)
     return DesignResult(
-        w=w, r_x=w @ w.conj().T,
-        sum_crlb=state.objective, rcrlb=float(np.sqrt(state.objective)),
+        w=w, sum_crlb=state.objective, rcrlb=float(np.sqrt(state.objective)),
         rates=report, traces=traces, mode=mode, r_min=float(r_min),
         wall_time=time.perf_counter() - t_start,
         stage_times=stage_times, flags=flags)

@@ -78,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import _degree_grid, steering_matrix, target_channel
+from .arrays import _degree_grid, steering, target_channel
 from .scenario import substream
 
 MUSIC_GRID_DEG = 0.02
@@ -388,7 +388,7 @@ def _fine_level(vecs, coeffs, num_targets, groups, grid_deg):
     for row in np.flatnonzero((d < CANCEL_TOL * m).any(axis=1)):
         close = np.flatnonzero(d[row] < CANCEL_TOL * m)
         p = (_hermitian(vecs[row, :, : m - num_targets])
-             @ steering_matrix(np.deg2rad(plan.theta_deg[cols[close]]), m))
+             @ steering(np.deg2rad(plan.theta_deg[cols[close]]), m))
         d[row, close] = (p.real ** 2 + p.imag ** 2).sum(axis=0)
     minima = _row_minima(d)
     count = np.count_nonzero(np.isfinite(minima), axis=1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from isacbeam import comm, crlb, design, radar
-from isacbeam.arrays import steering, steering_derivative, steering_matrix
+from isacbeam.arrays import steering, steering_derivative
 from isacbeam.comm import RANK_TOL
 from isacbeam.errors import NumericalError
 from isacbeam.manifold import inner, project_tangent, retract
@@ -85,9 +85,9 @@ def reformed_grad_f1(w, coupling, state):
 
 
 def per_slot_coupling(scenario):
-    """``crlb.coupling_matrices`` with one ``steering`` or
+    """``crlb.coupling_matrices`` with a one-angle ``steering`` or
     ``steering_derivative`` call for each slot of B and of the receive
-    factors, also where M_R = M_T."""
+    factors."""
     mt, mr = scenario.num_tx, scenario.num_rx
     t = scenario.num_targets
     b = np.empty((2 * t, mt), dtype=complex)
@@ -134,9 +134,9 @@ def three_solve_initial_point(scenario, r_min, zero_sensing, directions):
         if not zero_sensing:
             p1 = equal_rate_power(h, v, block(p_max), noise, r_min)
             slope = (p1.sum() - p.sum()) / p_max
-            p_s = (p_max - p.sum()) / (1.0 + slope)
+            # the affine split itself: P_max - sum p cancels where p_s is tiny
+            p_s = max((p_max - p.sum()) / (1.0 + slope), 0.0)
             p = equal_rate_power(h, v, block(p_s), noise, r_min)
-            p_s = max(p_max - p.sum(), 0.0)
     w = v * np.sqrt(p)[None, :]
     if not zero_sensing:
         w = np.concatenate([w, block(p_s)], axis=1)
@@ -162,35 +162,6 @@ def full_width_no_dedicated_stream(scenario, opts):
     w, sp1 = design.solve_sp1(scenario, w0, opts, coupling)
     w, sp2, _ = design.solve_sp2(scenario, w, r_min, opts)
     return w, sp1, sp2, crlb.fisher_matrix(w, coupling).objective
-
-
-def indexed_gauss_newton(w, cones, radius, margin):
-    """``comm.f2_and_gauss_newton`` forming the active users' H^H H on
-    every call and indexing C, H^H and the residuals by the active users'
-    index array, all of them included."""
-    p, hn, tail, tm, excess, f2 = comm._cone_gaps(w, cones)
-
-    def step():
-        e = hn - tm
-        act = np.flatnonzero(e > -margin * hn)
-        phase = np.divide(tail, tm, out=np.ones_like(tail), where=tm > 0)
-        c = p / hn[:, None]
-        c[cones.idx, cones.idx] -= cones.root_gamma * phase
-        c, rows = c[act], cones.rows[act]
-        coef = (rows * (c.conj() @ w.T)).real / radius**2
-        gram = ((rows @ rows.conj().T) * (c @ c.conj().T).conj()).real \
-            - radius**2 * (coef @ coef.T)
-        try:
-            lam = np.linalg.solve(gram, e[act] + margin * hn[act])
-        except np.linalg.LinAlgError:
-            return None
-        if not np.isfinite(lam).all():
-            return None
-        d = (lam @ coef)[:, None] * w - cones.rows_h[:, act] @ (lam[:, None] * c)
-        x = excess[act]
-        return d, math.sqrt(max(float(x @ gram @ x), 0.0))
-
-    return f2, step
 
 
 def x_of(cones, k, w):
@@ -270,7 +241,7 @@ def music_denominator(cov, num_targets, grid_deg):
     vecs, denom = plan_denominator(cov, num_targets, plan.table)
     close = np.flatnonzero(denom < radar.CANCEL_TOL * m)
     if close.size:
-        p = vecs[:, : m - num_targets].conj().T @ steering_matrix(
+        p = vecs[:, : m - num_targets].conj().T @ steering(
             np.deg2rad(plan.theta_deg[close]), m)
         denom[close] = (p.real ** 2 + p.imag ** 2).sum(axis=0)
     return plan.theta_deg, denom[: plan.theta_deg.size]
@@ -279,19 +250,19 @@ def music_denominator(cov, num_targets, grid_deg):
 def steering_denominator(basis, thetas):
     """||a||^2 - ||E_s^H a||^2 of a signal basis E_s (M_R x T) at the
     angles ``thetas`` (radians), from the steering vectors of
-    ``arrays.steering_matrix`` alone."""
-    a = steering_matrix(thetas, basis.shape[0])
+    ``arrays.steering`` alone."""
+    a = steering(thetas, basis.shape[0])
     return (np.abs(a) ** 2).sum(axis=0) - (np.abs(basis.conj().T @ a) ** 2).sum(axis=0)
 
 
 def steering_music(cov, num_targets, grid_deg):
     """MUSIC of one covariance on the noise-subspace denominator
-    ||E_n^H a||^2, from the steering vectors of ``arrays.steering_matrix``
+    ||E_n^H a||^2, from the steering vectors of ``arrays.steering``
     at every angle of the grid: (angles, degraded)."""
     m = cov.shape[0]
     vecs = np.linalg.eigh(cov)[1]
     theta_deg = np.linspace(-90.0, 90.0, int(round(180.0 / grid_deg)) + 1)
-    a = steering_matrix(np.deg2rad(theta_deg), m)
+    a = steering(np.deg2rad(theta_deg), m)
     denom = (np.abs(vecs[:, : m - num_targets].conj().T @ a) ** 2).sum(axis=0)
     return pick_peaks(theta_deg, denom, num_targets)
 

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.signal import find_peaks
 
 from isacbeam import comm, crlb, design, manifold, radar
-from isacbeam.arrays import beampattern_trace
+from isacbeam.arrays import beampattern
 from isacbeam.cli import main as cli_main, read_csv
 from isacbeam.rcg import RcgOptions, minimize
 from isacbeam.scenario import Scenario, make_scenario, substream
@@ -241,7 +241,7 @@ def test_beampattern_peaks_at_targets():
     for mode in ("sensing_only", "sgcdf"):
         res = design.run(s, mode)
         traces[mode] = 10.0 * np.log10(np.maximum(
-            beampattern_trace(res.r_x, grid), 1e-300))
+            beampattern(res.w, grid), 1e-300))
     for angle in np.rad2deg(np.sort(s.target_angles)):
         matched = {}
         for mode, trace in traces.items():

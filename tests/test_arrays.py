@@ -2,15 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isacbeam.arrays import (
-    beampattern_gain,
-    beampattern_trace,
-    steering,
-    steering_derivative,
-    steering_matrix,
-    target_channel,
-)
+from isacbeam.arrays import beampattern, steering, steering_derivative, target_channel
 from reference import target_channel_derivative
 
 
@@ -96,18 +91,19 @@ def test_target_channel_derivative_matches_central_differences():
 
 
 def test_beampattern_identity_covariance_gain():
+    # W = I: W W^H = I, the flat pattern of M_T
     for theta in (-1.0, 0.0, 0.5):
-        assert beampattern_gain(np.eye(7), theta) == pytest.approx(7.0, rel=1e-12)
+        assert beampattern(np.eye(7), theta) == pytest.approx(7.0, rel=1e-12)
 
 
 def test_beampattern_matched_rank_one_peak():
     m, theta0 = 6, 0.4
     a = steering(theta0, m)
-    assert beampattern_gain(np.outer(a, a.conj()), theta0) == pytest.approx(
-        m * m, rel=1e-10)
+    assert beampattern(a[:, None], theta0) == pytest.approx(m * m, rel=1e-10)
 
 
 def test_beampattern_matches_double_sum():
+    # ||W^H a||^2 is the quadratic form a^H R_X a of R_X = W W^H
     rng = np.random.default_rng(9)
     m = 5
     b = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
@@ -118,7 +114,7 @@ def test_beampattern_matches_double_sum():
     for p in range(m):
         for q in range(m):
             acc += (np.conj(a[p]) * r[p, q] * a[q]).real
-    assert beampattern_gain(r, theta) == pytest.approx(acc, rel=1e-10)
+    assert beampattern(b, theta) == pytest.approx(acc, rel=1e-10)
 
 
 def test_beampattern_nonnegative_for_psd_covariances():
@@ -127,37 +123,63 @@ def test_beampattern_nonnegative_for_psd_covariances():
     for _ in range(100):
         b = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         theta = rng.uniform(-np.pi / 2, np.pi / 2)
-        assert beampattern_gain(b @ b.conj().T, theta) >= -1e-9
-
-
-def test_beampattern_rejects_non_hermitian():
-    r = np.eye(3, dtype=complex)
-    r[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        beampattern_gain(r, 0.0)
-    with pytest.raises(ValueError):
-        beampattern_gain(np.ones((2, 3)), 0.0)
+        assert beampattern(b, theta) >= 0.0
 
 
 def test_beampattern_trace_matches_pointwise_gain():
+    # one call over an angle grid gives the one-angle values to rounding
+    # (a matrix product in place of matrix-vector products)
     rng = np.random.default_rng(2)
     m = 4
-    b = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    r = b @ b.conj().T
+    b = rng.standard_normal((m, m + 2)) + 1j * rng.standard_normal((m, m + 2))
     thetas = np.linspace(-np.pi / 2, np.pi / 2, 61)
-    direct = np.array([beampattern_gain(r, t) for t in thetas])
-    assert np.allclose(beampattern_trace(r, thetas), direct,
-                       rtol=1e-10, atol=1e-9)
+    direct = np.array([beampattern(b, t) for t in thetas])
+    assert np.allclose(beampattern(b, thetas), direct, rtol=1e-10, atol=1e-9)
 
 
-def test_steering_matrix_stacks_columns():
-    thetas = np.array([-0.3, 0.0, 0.9])
-    a = steering_matrix(thetas, 5)
-    assert a.shape == (5, 3)
-    for i, theta in enumerate(thetas):
-        assert np.allclose(a[:, i], steering(theta, 5), atol=1e-12)
-    with pytest.raises(ValueError):
-        steering_matrix(np.array([0.0, 1.8]), 5)
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 16), n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+def test_beampattern_is_the_covariance_quadratic_form(m, n, seed):
+    # ||W^H a||^2 equals a^H (W W^H) a within 1e-12 relative and is never negative
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    w *= 10.0 ** rng.uniform(-6.0, 6.0)
+    thetas = rng.uniform(-np.pi / 2, np.pi / 2, 25)
+    a = steering(thetas, m)
+    quad = np.einsum("mi,mn,ni->i", a.conj(), w @ w.conj().T, a).real
+    gains = beampattern(w, thetas)
+    assert (gains >= 0.0).all()
+    # relative to a^H a tr(W W^H), the bound the quadratic form's rounding scales with
+    assert np.abs(gains - quad).max() <= 1e-12 * m * np.vdot(w, w).real
+
+
+def test_steering_of_many_angles_stacks_one_angle_columns():
+    # every column of the array form has the bits of the one-angle call,
+    # and both those of the one-angle formula exp(j pi sin(theta) m)
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(1, 129))
+        thetas = rng.uniform(-np.pi / 2, np.pi / 2, int(rng.integers(1, 20)))
+        thetas[rng.uniform(size=thetas.size) < 0.1] = rng.choice([-np.pi / 2, 0.0, np.pi / 2])
+        a, d = steering(thetas, n), steering_derivative(thetas, n)
+        assert a.shape == d.shape == (n, thetas.size)
+        for i, theta in enumerate(thetas):
+            ref = np.exp(1j * np.pi * np.sin(float(theta)) * np.arange(n))
+            assert a[:, i].tobytes() == steering(theta, n).tobytes() == ref.tobytes()
+            assert d[:, i].tobytes() == steering_derivative(theta, n).tobytes()
+    assert steering([], 3).shape == (3, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1.8, -1.6, np.inf])
+def test_steering_of_many_angles_rejects_any_bad_angle(bad):
+    for thetas in ([bad, 0.1], [0.2, 0.3, bad], [bad]):
+        for call in (steering, steering_derivative):
+            with pytest.raises(ValueError, match="outside"):
+                call(np.array(thetas), 3)
+        with pytest.raises(ValueError, match="outside"):
+            beampattern(np.eye(3), thetas)
+    with pytest.raises(ValueError, match="outside"):
+        steering(bad, 3)
 
 
 def test_array_config_validation():

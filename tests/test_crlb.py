@@ -52,7 +52,7 @@ ANGLE_SETS = {1: (30.0,), 2: (30.0, -30.0), 3: (-45.0, 10.0, 60.0)}
 
 @pytest.mark.parametrize("num_tx, num_rx", [(32, 32), (8, 8), (8, 12), (16, 5)])
 def test_coupling_keeps_the_bits_of_one_steering_call_per_slot(num_tx, num_rx):
-    # a_t and da_t serve the receive side too where M_R = M_T
+    # one call per array side keeps the bits of one-angle calls, slot by slot
     s = make_scenario(num_tx=num_tx, num_rx=num_rx, num_users=2, seed=num_rx)
     c, ref = coupling_matrices(s), per_slot_coupling(s)
     assert np.array_equal(c.b, ref.b) and np.array_equal(c.q, ref.q)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from isacbeam import design, radar
-from isacbeam.arrays import steering, steering_matrix, target_channel
+from isacbeam.arrays import steering, target_channel
 from isacbeam.radar import (
     echo_channel,
     monte_carlo,
@@ -903,7 +903,7 @@ def test_music_grid_pads_in_place():
     theta_deg, table = plan.theta_deg, plan.table
     assert theta_deg.size == 9001 and table.shape == (62, 9008)
     assert np.isnan(table[:, 9001:]).all() and np.isfinite(table[:, :9001]).all()
-    a = steering_matrix(np.deg2rad(theta_deg), 32)[1:]
+    a = steering(np.deg2rad(theta_deg), 32)[1:]
     assert np.allclose(table[:31, :9001], a.real, rtol=0.0, atol=1e-12)
     assert np.allclose(table[31:, :9001], a.imag, rtol=0.0, atol=1e-12)
     assert peak <= 4.9e6
@@ -926,7 +926,7 @@ def test_music_scan_plan_is_one_read_only_record(grid_deg, stride):
         plan.stride = 8
     # a noiseless three-target subspace: certified with a coarse level,
     # and with none every group kept and no trial certified
-    basis = np.linalg.qr(steering_matrix(np.deg2rad([-45.0, 30.0, 60.0]), 32))[0]
+    basis = np.linalg.qr(steering(np.deg2rad([-45.0, 30.0, 60.0]), 32))[0]
     groups, certified = radar._kept_groups(radar._coefficients(basis[None]), 3, grid_deg)
     assert groups.shape == (1, plan.table.shape[1] // 8)
     assert groups.all() == (not stride) and certified.tolist() == [bool(stride)]
@@ -938,7 +938,7 @@ def _signal_basis(data, m):
     t = data.draw(st.integers(1, min(m - 1, 6)), label="targets")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     if data.draw(st.booleans(), label="steered"):
-        z = steering_matrix(rng.uniform(-np.pi / 2, np.pi / 2, t), m)
+        z = steering(rng.uniform(-np.pi / 2, np.pi / 2, t), m)
     else:
         z = rng.standard_normal((m, t)) + 1j * rng.standard_normal((m, t))
     return np.linalg.qr(z)[0]

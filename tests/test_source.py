@@ -1,8 +1,11 @@
 """Source hygiene: every module-level private name, every public
-constant, function and class and every parameter of the library is read."""
+constant, function and class and every parameter of the library is read,
+and every library name the README cites exists."""
 
 import ast
+import importlib
 import json
+import re
 from pathlib import Path
 
 import isacbeam
@@ -135,3 +138,25 @@ def test_readme_library_example_runs(capsys):
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def _module_names(markdown, modules):
+    """(module, name) of every ``module.name`` inside a code span of
+    ``markdown`` (fenced blocks skipped) whose module is in ``modules``;
+    a ``.py`` filename and a dotted attribute chain's tail are no such name."""
+    text = re.sub(r"```.*?```", "", markdown, flags=re.S)
+    return [(module, name) for span in re.findall(r"`([^`]+)`", text)
+            for module, name in re.findall(r"(?<![\w.])([a-z_]+)\.([A-Za-z_]\w*)", span)
+            if module in modules and name != "py"]
+
+
+def test_every_library_name_the_readme_cites_exists():
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    assert _module_names("`arrays.steering_matrix`, `cli.py`, `res.rates.min_rate`, "
+                         "`design.RATE_SLACK * 2`\n```python\ncomm.gone()\n```",
+                         modules) == [("arrays", "steering_matrix"), ("design", "RATE_SLACK")]
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    cited = _module_names(readme, modules)
+    assert len(cited) >= 8
+    assert [f"{module}.{name}" for module, name in cited
+            if not hasattr(importlib.import_module(f"isacbeam.{module}"), name)] == []
