@@ -6,7 +6,7 @@ into the set meeting every user's minimum rate via second-order-cone
 distances; evaluate with MUSIC-based Monte-Carlo angle estimation.
 """
 
-from .arrays import beampattern, steering, steering_derivative, target_channel
+from .arrays import beampattern, steering, steering_and_derivative, target_channel
 from .comm import (RateReport, SocInstance, f2_and_grad, max_min_zf_rate, rates,
                    soc_assemble, zf_precoder)
 from .config import build_options, build_scenario, load_config, parse_config

@@ -51,14 +51,15 @@ def steering(thetas, n):
     return np.exp(np.multiply.outer(np.arange(n), 1j * np.pi * np.sin(thetas)))
 
 
-def steering_derivative(thetas, n):
-    """Derivative of ``steering`` with respect to the angle, in its shape.
+def steering_and_derivative(thetas, n):
+    """(a, da): ``steering`` and its derivative with respect to the
+    angle, in its shape, from one steering call.
 
-    Equals j*pi*cos(theta) * (0, 1, ..., n-1) elementwise times the
-    steering vector; entry 0 is exactly 0.
+    da equals j*pi*cos(theta) * (0, 1, ..., n-1) elementwise times a;
+    its entry 0 is exactly 0.
     """
     a = steering(thetas, n)
-    return np.multiply.outer(np.arange(n), 1j * np.pi * np.cos(thetas)) * a
+    return a, np.multiply.outer(np.arange(n), 1j * np.pi * np.cos(thetas)) * a
 
 
 def target_channel(theta, num_tx, num_rx):

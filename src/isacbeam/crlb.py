@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import steering, steering_derivative
+from .arrays import steering_and_derivative
 from .errors import NumericalError
 
 COND_LIMIT = 1e12   # beyond this the target geometry is unresolvable
@@ -65,16 +65,18 @@ class Coupling:
 
 def coupling_matrices(scenario):
     """Transmit factors B and receive coupling Q of every target, from one
-    ``steering`` and one ``steering_derivative`` call per array side."""
+    ``steering_and_derivative`` call per array side."""
     angles = scenario.target_angles
     t = angles.size
     if np.min(np.abs(angles[:, None] - angles[None, :]) + np.eye(t)) < 1e-9:
         raise NumericalError("duplicate target angles make the Fisher matrix singular")
     mt, mr, rcs = scenario.num_tx, scenario.num_rx, scenario.target_rcs
+    a_t, da_t = steering_and_derivative(angles, mt)
     b = np.empty((2 * t, mt), dtype=complex)
-    b[0::2], b[1::2] = steering(angles, mt).T.conj(), steering_derivative(angles, mt).T.conj()
+    b[0::2], b[1::2] = a_t.T.conj(), da_t.T.conj()
+    a_r, da_r = steering_and_derivative(angles, mr)
     r = np.empty((mr, 2 * t), dtype=complex)
-    r[:, 0::2], r[:, 1::2] = rcs * steering_derivative(angles, mr), rcs * steering(angles, mr)
+    r[:, 0::2], r[:, 1::2] = rcs * da_r, rcs * a_r
     scale = 2.0 * scenario.snapshots / scenario.noise_power
     return Coupling(b=b, q=scale * (r.conj().T @ r))
 

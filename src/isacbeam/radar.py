@@ -8,7 +8,9 @@ Gaussian noise, and estimates the angles with classical MUSIC (no
 forward-backward averaging, no diagonal loading) from the sample
 covariance Y Y^H / L: signal subspace of that covariance, the
 denominator ||E_n^H a||^2 of the pseudospectrum on a grid, its deepest
-interior minima as the peaks, one parabolic refinement per peak.
+minima as the peaks, one parabolic refinement per peak. A minimum is an
+interior grid sample strictly below both of its neighbours, so a flat
+bottom of two or more equal samples has none.
 
 The Monte-Carlo trials never form the L-column frame. With the probe
 Xt = sqrt(L) Q^H (Q an L x N orthonormal basis) and P_perp = I - Q Q^H,
@@ -254,27 +256,6 @@ def _denominators(coeffs, table):
     return d
 
 
-def _local_maxima(x):
-    """Indices of the local maxima of a 1-D array, in ascending order.
-
-    A maximum is a run of equal samples (one sample or a flat top) with
-    a strictly smaller neighbour on each side; a flat top reports its
-    middle index, (left + right) // 2, and edge samples never qualify.
-    Neighbours are compared, never subtracted, so runs of inf are flat
-    tops and NaN is no maximum. Same indices as
-    ``scipy.signal.find_peaks(x)``.
-    """
-    x = np.asarray(x)
-    if x.size < 3:
-        return np.empty(0, dtype=np.intp)
-    starts = np.concatenate(([0], np.flatnonzero(x[1:] != x[:-1]) + 1))
-    level = x[starts]
-    # run i is a maximum when runs i - 1 and i + 1 both lie below it;
-    # it ends where run i + 1 starts
-    top = (level[:-2] < level[1:-1]) & (level[2:] < level[1:-1])
-    return (starts[1:-1][top] + starts[2:][top] - 1) // 2
-
-
 def _refined(theta_deg, denom, picked, columns):
     """Sorted radians of the minima ``picked`` (a row of column indices
     per row of ``denom``, at the grid columns ``columns``), each moved to
@@ -309,16 +290,15 @@ def _interval_floors(coeffs, ends, h):
 
 
 def _row_minima(x):
-    """x at the interior local minima of each row of x, +inf elsewhere.
+    """x at the interior samples of each row strictly below both of their
+    row neighbours, +inf elsewhere.
 
-    The rows are searched as one array with a NaN column after each row,
-    which ends every run and is never a maximum, so each row gets the
-    minima it would alone."""
-    flat = np.full((len(x), x.shape[1] + 1), np.nan)
-    np.negative(x, out=flat[:, :-1])
-    rows, cols = np.divmod(_local_maxima(flat.ravel()), x.shape[1] + 1)
+    Neighbours are compared, so a NaN, and each neighbour of one, is no
+    minimum, and the edge samples never are. Adjacent equal samples are
+    no minimum either: a flat bottom reports none."""
+    mid = x[:, 1:-1]
     minima = np.full(x.shape, np.inf)
-    minima[rows, cols] = x[rows, cols]
+    minima[:, 1:-1] = np.where((mid < x[:, :-2]) & (mid < x[:, 2:]), mid, np.inf)
     return minima
 
 

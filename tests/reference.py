@@ -5,7 +5,8 @@ another way (the explicit transmit frame, the per-user cone vector and
 its projection, the dense channel derivative, the MUSIC scan of every
 grid column, MUSIC and its denominator from steering vectors alone,
 the solver with every probe's gradient computed at once, the echo
-covariance and the Monte-Carlo trials one at a time, the equal-rate
+covariance and the Monte-Carlo trials one at a time, MUSIC's large-L
+error target by target, the equal-rate
 powers of any directions and sensing block from one linear solve, the
 warm start's power split from three such solves, no_dedicated_stream's
 stages on the full-width variable; the row norms, tangent projection,
@@ -20,9 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import find_peaks
 
 from isacbeam import comm, crlb, design, radar
-from isacbeam.arrays import steering, steering_derivative
+from isacbeam.arrays import steering, steering_and_derivative
 from isacbeam.comm import RANK_TOL
 from isacbeam.errors import NumericalError
 from isacbeam.manifold import inner, project_tangent, retract
@@ -86,16 +88,16 @@ def reformed_grad_f1(w, coupling, state):
 
 def per_slot_coupling(scenario):
     """``crlb.coupling_matrices`` with a one-angle ``steering`` or
-    ``steering_derivative`` call for each slot of B and of the receive
-    factors."""
+    ``steering_and_derivative`` call for each slot of B and of the
+    receive factors."""
     mt, mr = scenario.num_tx, scenario.num_rx
     t = scenario.num_targets
     b = np.empty((2 * t, mt), dtype=complex)
     r = np.empty((mr, 2 * t), dtype=complex)
     for i, (theta, rcs) in enumerate(zip(scenario.target_angles, scenario.target_rcs)):
         b[2 * i] = steering(theta, mt).conj()
-        b[2 * i + 1] = steering_derivative(theta, mt).conj()
-        r[:, 2 * i] = rcs * steering_derivative(theta, mr)
+        b[2 * i + 1] = steering_and_derivative(theta, mt)[1].conj()
+        r[:, 2 * i] = rcs * steering_and_derivative(theta, mr)[1]
         r[:, 2 * i + 1] = rcs * steering(theta, mr)
     scale = 2.0 * scenario.snapshots / scenario.noise_power
     return crlb.Coupling(b=b, q=scale * (r.conj().T @ r))
@@ -201,8 +203,8 @@ def target_channel_derivative(theta, num_tx, num_rx):
     """Angle derivative of ``arrays.target_channel`` (product rule)."""
     a_r = steering(theta, num_rx)
     a_t = steering(theta, num_tx)
-    da_r = steering_derivative(theta, num_rx)
-    da_t = steering_derivative(theta, num_tx)
+    da_r = steering_and_derivative(theta, num_rx)[1]
+    da_t = steering_and_derivative(theta, num_tx)[1]
     return np.outer(da_r, a_t.conj()) + np.outer(a_r, da_t.conj())
 
 
@@ -267,6 +269,36 @@ def steering_music(cov, num_targets, grid_deg):
     return pick_peaks(theta_deg, denom, num_targets)
 
 
+def music_rmse_prediction(scenario, w):
+    """MUSIC's large-L RMSE for the beamformer ``w`` (Stoica & Nehorai,
+    IEEE TASSP 37(5), 1989), one target at a time:
+    sqrt(sum_i sigma^2 / (2 L) U_ii / h_i), with
+    U = P^-1 + sigma^2 P^-1 (A_r^H A_r)^-1 P^-1, P = S S^H the exact
+    source covariance, S = diag(alpha) A_t^H W, and h_i = d_i^H Pi_perp
+    d_i, d_i the angle derivative of a_r(theta_i) and Pi_perp the
+    projector onto the complement of the columns of A_r."""
+    w = np.asarray(w)
+    m_t, m_r = np.arange(scenario.num_tx), np.arange(scenario.num_rx)
+    t = scenario.num_targets
+    a_r = np.empty((m_r.size, t), dtype=complex)
+    d_r = np.empty((m_r.size, t), dtype=complex)
+    s = np.empty((t, w.shape[1]), dtype=complex)
+    for i, (theta, rcs) in enumerate(zip(scenario.target_angles, scenario.target_rcs)):
+        a_r[:, i] = np.exp(1j * np.pi * np.sin(theta) * m_r)
+        d_r[:, i] = 1j * np.pi * np.cos(theta) * m_r * a_r[:, i]
+        s[i] = rcs * (np.exp(1j * np.pi * np.sin(theta) * m_t).conj() @ w)
+    sigma2 = scenario.noise_power
+    gram_inv = np.linalg.inv(a_r.conj().T @ a_r)
+    p_inv = np.linalg.inv(s @ s.conj().T)
+    u = p_inv + sigma2 * p_inv @ gram_inv @ p_inv
+    perp = np.eye(m_r.size) - a_r @ gram_inv @ a_r.conj().T
+    var = 0.0
+    for i in range(t):
+        h = (d_r[:, i].conj() @ perp @ d_r[:, i]).real
+        var += sigma2 / (2.0 * scenario.snapshots) * u[i, i].real / h
+    return math.sqrt(var)
+
+
 def magnitude_curvature(basis):
     """The bound on |d''| that came from the absolute entries of a
     signal basis (M_R x T): with P_i, D1_i and D2_i the sums of |e_im|
@@ -280,10 +312,11 @@ def magnitude_curvature(basis):
 
 def pick_peaks(theta_deg, denom, num_targets):
     """(angles, degraded) of the pseudospectrum 1 / denom on the grid
-    ``theta_deg``: its interior minima ranked by (depth, column), the T
-    deepest refined, the deepest repeated when fewer; with none, the grid
-    angle of the smallest value, unrefined."""
-    idx = radar._local_maxima(-denom)
+    ``theta_deg``: its interior minima, the peaks that
+    ``scipy.signal.find_peaks`` finds in -denom, ranked by (depth,
+    column), the T deepest refined, the deepest repeated when fewer; with
+    none, the grid angle of the smallest value, unrefined."""
+    idx = find_peaks(-denom)[0]
     if idx.size == 0:
         return np.full(num_targets, np.deg2rad(theta_deg[np.argmin(denom)])), True
     idx = idx[np.argsort(denom[idx], kind="stable")]
@@ -340,13 +373,14 @@ def one_trial_echo_covariance(scenario, gw, rng):
 def one_trial_music(cov, num_targets, grid_deg):
     """``radar._music`` of one covariance, (angles, degraded, uncertified):
     the full scan's angles and flag, and whether the coarse level leaves
-    the trial uncertified, w < 8 or fewer than T interior minima among
-    the values on the plan's coarse columns."""
+    the trial uncertified, w < 8 or fewer than T interior minima
+    (``scipy.signal.find_peaks`` of the negated values) among the values
+    on the plan's coarse columns."""
     plan = radar._grid(cov.shape[0], grid_deg)
     uncertified = plan.stride < 8
     if not uncertified:
         coarse = plan_denominator(cov, num_targets, plan.coarse)[1]
-        uncertified = radar._local_maxima(-coarse).size < num_targets
+        uncertified = find_peaks(-coarse)[0].size < num_targets
     return (*full_scan(cov, num_targets, grid_deg), uncertified)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isacbeam.arrays import beampattern, steering, steering_derivative, target_channel
+from isacbeam.arrays import beampattern, steering, steering_and_derivative, target_channel
 from reference import target_channel_derivative
 
 
@@ -39,9 +39,9 @@ def test_steering_rejects_angles_outside_half_plane():
 
 
 def test_steering_derivative_examples():
-    assert np.allclose(steering_derivative(0.0, 2), [0.0, 1j * np.pi], atol=1e-12)
+    assert np.allclose(steering_and_derivative(0.0, 2)[1], [0.0, 1j * np.pi], atol=1e-12)
     # cos(pi/2) only vanishes to machine precision, hence the loose floor
-    assert np.abs(steering_derivative(np.pi / 2, 5)).max() <= 1e-9
+    assert np.abs(steering_and_derivative(np.pi / 2, 5)[1]).max() <= 1e-9
 
 
 def test_steering_derivative_matches_central_differences():
@@ -49,7 +49,7 @@ def test_steering_derivative_matches_central_differences():
     n, h = 8, 1e-6
     for theta in rng.uniform(-1.4, 1.4, size=100):
         fd = (steering(theta + h, n) - steering(theta - h, n)) / (2.0 * h)
-        d = steering_derivative(theta, n)
+        d = steering_and_derivative(theta, n)[1]
         assert np.linalg.norm(d - fd) <= 1e-5 * max(np.linalg.norm(d), 1.0)
 
 
@@ -161,19 +161,20 @@ def test_steering_of_many_angles_stacks_one_angle_columns():
         n = int(rng.integers(1, 129))
         thetas = rng.uniform(-np.pi / 2, np.pi / 2, int(rng.integers(1, 20)))
         thetas[rng.uniform(size=thetas.size) < 0.1] = rng.choice([-np.pi / 2, 0.0, np.pi / 2])
-        a, d = steering(thetas, n), steering_derivative(thetas, n)
+        a, d = steering_and_derivative(thetas, n)
+        assert a.tobytes() == steering(thetas, n).tobytes()
         assert a.shape == d.shape == (n, thetas.size)
         for i, theta in enumerate(thetas):
             ref = np.exp(1j * np.pi * np.sin(float(theta)) * np.arange(n))
             assert a[:, i].tobytes() == steering(theta, n).tobytes() == ref.tobytes()
-            assert d[:, i].tobytes() == steering_derivative(theta, n).tobytes()
+            assert d[:, i].tobytes() == steering_and_derivative(theta, n)[1].tobytes()
     assert steering([], 3).shape == (3, 0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, 1.8, -1.6, np.inf])
 def test_steering_of_many_angles_rejects_any_bad_angle(bad):
     for thetas in ([bad, 0.1], [0.2, 0.3, bad], [bad]):
-        for call in (steering, steering_derivative):
+        for call in (steering, steering_and_derivative):
             with pytest.raises(ValueError, match="outside"):
                 call(np.array(thetas), 3)
         with pytest.raises(ValueError, match="outside"):

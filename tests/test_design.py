@@ -8,12 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isacbeam import comm, crlb, design, manifold
+from isacbeam import comm, crlb, design, manifold, radar
 from isacbeam.arrays import beampattern
 from isacbeam.config import build_scenario, parse_config
 from isacbeam.errors import ConfigError, InfeasibleError, NumericalError
 from isacbeam.rcg import RcgOptions
 from isacbeam.scenario import make_scenario
+import fuzz_corpus
 from reference import full_width_no_dedicated_stream, three_solve_initial_point
 
 
@@ -163,6 +164,27 @@ def test_no_dedicated_stream_needs_a_user():
         assert manifold.is_on_manifold(design.run(s, mode).w, s.row_radius)
 
 
+def _assert_mode_invariants(s, res):
+    """The invariants of a design of ``res.mode`` for the scenario ``s``."""
+    assert manifold.is_on_manifold(res.w, s.row_radius)
+    assert np.isfinite(res.sum_crlb) and res.sum_crlb > 0
+    if res.mode in ("sgcdf", "no_dedicated_stream"):
+        assert res.rates.min_rate >= res.r_min - design.RATE_SLACK * min(1.0, res.r_min)
+    if res.mode == "no_dedicated_stream":
+        assert not np.any(res.w[:, s.num_users:])
+
+
+def _assert_invariants_or_typed_error(text, mode):
+    """The design of ``mode`` from the config ``text`` keeps the mode's
+    invariants, or parsing, building or designing raises a typed error."""
+    try:
+        s = build_scenario(parse_config(text))
+        res = design.run(s, mode)
+    except (ConfigError, InfeasibleError, NumericalError):
+        return
+    _assert_mode_invariants(s, res)
+
+
 _INI = """
 [scenario]
 num_tx = {mt}
@@ -185,25 +207,10 @@ seed = {seed}
        mode=st.sampled_from(design.MODES))
 def test_every_mode_keeps_its_invariants_or_raises_typed_error(
         mt, mr, k, angles, power, overload, slack, seed, mode):
-    text = _INI.format(mt=mt, mr=mr, k=k, angles=", ".join(map(repr, angles)),
-                       ranges=", ".join("50.0" for _ in angles), power=power,
-                       overload=overload, snapshots=k + mt + slack, seed=seed)
-    try:
-        s = build_scenario(parse_config(text))
-        res = design.run(s, mode)
-    except (ConfigError, InfeasibleError, NumericalError):
-        return
-    assert manifold.is_on_manifold(res.w, s.row_radius)
-    assert np.isfinite(res.sum_crlb) and res.sum_crlb > 0
-    if mode in ("sgcdf", "no_dedicated_stream"):
-        assert res.rates.min_rate >= res.r_min - design.RATE_SLACK
-    if mode == "no_dedicated_stream":
-        assert not np.any(res.w[:, k:])
-
-
-_JOINT_INI = _INI + """noise_power_dbm = {noise!r}
-rician_k = {rician!r}
-"""
+    _assert_invariants_or_typed_error(
+        _INI.format(mt=mt, mr=mr, k=k, angles=", ".join(map(repr, angles)),
+                    ranges=", ".join("50.0" for _ in angles), power=power,
+                    overload=overload, snapshots=k + mt + slack, seed=seed), mode)
 
 
 @st.composite
@@ -212,7 +219,7 @@ def _joint_configs(draw):
     mt = draw(st.integers(2, 8))
     k = draw(st.integers(0, mt + 1))
     angles = draw(st.lists(st.floats(-85.0, 85.0), min_size=1, max_size=3, unique=True))
-    return _JOINT_INI.format(
+    return fuzz_corpus.TEMPLATE.format(
         mt=mt, mr=draw(st.integers(2, 8)), k=k, angles=", ".join(map(repr, angles)),
         ranges=", ".join("50.0" for _ in angles), noise=draw(st.floats(-160.0, -40.0)),
         power=draw(st.floats(-20.0, 50.0)), overload=draw(st.floats(0.0, 1.0)),
@@ -225,17 +232,37 @@ def _joint_configs(draw):
 def test_joint_draws_keep_the_invariants_or_raise_typed_errors(text, mode):
     # noise and budget move together with the array, the users, L and the
     # overload, which one-key-at-a-time draws cannot reach
-    try:
-        s = build_scenario(parse_config(text))
+    _assert_invariants_or_typed_error(text, mode)
+
+
+def test_fuzz_corpus_keeps_the_invariants_or_raises_typed_errors():
+    for text, mode in fuzz_corpus.configs():
+        _assert_invariants_or_typed_error(text, mode)
+
+
+# the close geometries: (angles in degrees, ranges in metres) on the
+# 32 x 32, K = 6, 20 dBm scenario
+_CLOSE_GEOMETRIES = {
+    "3 at 4 deg": ((10.0, 14.0, 18.0), (50.0, 60.0, 70.0)),
+    "3 at 2 deg": ((10.0, 12.0, 14.0), (50.0, 60.0, 70.0)),
+    "6 at 10 deg": (tuple(np.arange(-25.0, 26.0, 10.0)), tuple(50.0 + 5.0 * np.arange(6))),
+    "8 at 6 deg": (tuple(np.arange(-21.0, 22.0, 6.0)), tuple(50.0 + 3.0 * np.arange(8))),
+    "12 at 8 deg": (tuple(np.arange(-44.0, 45.0, 8.0)), tuple(50.0 + 2.0 * np.arange(12))),
+}
+
+
+@pytest.mark.parametrize("geometry", list(_CLOSE_GEOMETRIES))
+@pytest.mark.parametrize("overload", [0.3, 0.9])
+def test_every_mode_designs_and_evaluates_close_targets(geometry, overload):
+    # no RMSE bound: the CRLB-optimal designs correlate close echoes and
+    # read far above their root-CRLB there; every design must still keep
+    # its invariants and give a finite Monte-Carlo RMSE
+    angles, ranges = _CLOSE_GEOMETRIES[geometry]
+    s = make_scenario(target_angles_deg=angles, target_ranges_m=ranges, overload=overload)
+    for mode in design.MODES:
         res = design.run(s, mode)
-    except (ConfigError, InfeasibleError, NumericalError):
-        return
-    assert manifold.is_on_manifold(res.w, s.row_radius)
-    assert np.isfinite(res.sum_crlb) and res.sum_crlb > 0
-    if mode in ("sgcdf", "no_dedicated_stream"):
-        assert res.rates.min_rate >= res.r_min - design.RATE_SLACK * min(1.0, res.r_min)
-    if mode == "no_dedicated_stream":
-        assert not np.any(res.w[:, s.num_users:])
+        _assert_mode_invariants(s, res)
+        assert np.isfinite(radar.monte_carlo(s, res, 8).rmse)
 
 
 def test_omnidirectional_covariance_is_scaled_identity(small, small_results):

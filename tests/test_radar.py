@@ -23,9 +23,9 @@ from isacbeam.radar import (
 )
 from isacbeam.scenario import make_scenario, substream
 from reference import (accumulated_stacks, echo_covariance, full_scan, magnitude_curvature,
-                       music_denominator, one_trial_monte_carlo, one_trial_music,
-                       plan_denominator, steering_denominator, steering_music,
-                       synthesize_waveform)
+                       music_denominator, music_rmse_prediction, one_trial_monte_carlo,
+                       one_trial_music, plan_denominator, steering_denominator,
+                       steering_music, synthesize_waveform)
 
 
 def _sensing_scenario(noise_dbm, angles=(20.0,), ranges=(50.0,), snapshots=256):
@@ -177,17 +177,32 @@ def test_music_on_exact_two_antenna_covariances(cov, angle, degraded):
     assert bad is degraded
 
 
-# samples from a few levels, so flat tops, edge runs and runs of inf occur often
-_levels = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0, np.inf, -np.inf])
-
-
 @settings(max_examples=300, deadline=None)
-@given(x=st.lists(st.one_of(_levels, st.floats(allow_nan=False)), max_size=40))
-def test_local_maxima_match_scipy_find_peaks(x):
-    x = np.array(x, dtype=float)
-    idx = radar._local_maxima(x)
-    assert np.array_equal(idx, find_peaks(x)[0])
-    assert np.array_equal(idx[x[idx] >= 0.0], find_peaks(x, height=0.0)[0])
+@given(row=st.lists(st.floats(-1e6, 1e6), max_size=40, unique=True))
+def test_row_minima_match_scipy_find_peaks_on_tie_free_rows(row):
+    # a row and its mirror image as one stack: each row gets its own minima
+    x = np.array([row, row[::-1]], dtype=float).reshape(2, len(row))
+    minima = radar._row_minima(x)
+    for values, found in zip(x, minima):
+        idx = find_peaks(-values)[0]
+        assert np.flatnonzero(np.isfinite(found)).tolist() == idx.tolist()
+        assert np.array_equal(found[idx], values[idx])
+
+
+@pytest.mark.parametrize("row, expected", [
+    ([3.0, 1.0, 1.0, 2.0], []),                    # flat bottom: no minimum
+    ([3.0, 2.0, 2.0, 1.0, 4.0], [3]),              # a shelf on the way down
+    ([2.0, 1.0, 3.0, 0.0, np.nan, np.nan], [1]),   # a NaN pad and its neighbour
+    ([np.inf, 1.0, np.inf, 2.0, 3.0, np.inf], [1, 3]),  # a +inf mask
+    ([0.0, 1.0, 0.5, 1.0, 0.0], [2]),              # the lower edges never qualify
+    ([1.0, 0.0], []),
+    ([], []),
+])
+def test_row_minima_on_ties_pads_masks_and_edges(row, expected):
+    x = np.array([row], dtype=float).reshape(1, len(row))
+    minima = radar._row_minima(x)[0]
+    assert np.flatnonzero(np.isfinite(minima)).tolist() == expected
+    assert np.array_equal(minima[expected], x[0, expected])
 
 
 def test_music_rejects_too_many_targets():
@@ -423,6 +438,22 @@ def test_monte_carlo_rmse_matches_explicit_frame(mc_scenario, mc_design):
         degraded += bad
     assert rep.degraded_trials == degraded == 0
     assert rep.rmse == pytest.approx(np.sqrt(np.mean(sq)), rel=0.1)
+
+
+@pytest.mark.parametrize("angles, power_dbm", [((-45.0, 30.0, 60.0), 0.0),
+                                                ((-45.0, 30.0, 60.0), 20.0),
+                                                ((10.0, 14.0, 18.0), 20.0)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_monte_carlo_rmse_matches_the_large_snapshot_prediction(angles, power_dbm, seed):
+    # above MUSIC's threshold the RMSE of 200 trials lies within 3 sd,
+    # 3 sqrt(1 / (2 * 200)) = 0.15, of the Stoica-Nehorai prediction; the
+    # 4 deg geometry at 0 dBm is in the threshold region and is left out
+    s = make_scenario(target_angles_deg=angles, power_budget_dbm=power_dbm, overload=0.3,
+                      seed=seed)
+    results = [design.run(s, mode) for mode in design.MODES]
+    reports = monte_carlo_sweep([(s, res) for res in results], 200, radar.MUSIC_GRID_DEG)
+    for res, rep in zip(results, reports):
+        assert abs(rep.rmse / music_rmse_prediction(s, res.w) - 1.0) <= 0.15, res.mode
 
 
 def test_monte_carlo_rejects_zero_trials(mc_scenario, mc_design):
