@@ -5,9 +5,11 @@ Each reads an optional INI config (an omitted [scenario] key takes its
 make_scenario default), applies --seed/--mode/--out overrides, and
 emits CSV with a fixed column schema. Rows are ordered by (grid index,
 mode) and float cells use repr, so output for a fixed seed is
-byte-stable at a fixed BLAS thread count: with one target, threaded
-OpenBLAS splits MUSIC's grid product (a gemv) mid-grid, so the last
-bits of an estimate can change with the thread count.
+byte-stable at a fixed BLAS thread count, on any number of CPUs: a
+sweep's Monte-Carlo trials run on several threads, but no estimate
+depends on the thread that computes it. Threaded OpenBLAS may split
+MUSIC's grid products elsewhere, so the last bits of an estimate can
+change with the BLAS thread count.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible design,
 4 numerical failure.

@@ -45,7 +45,7 @@ bound does not rule out the T deepest minima. A trial that the coarse
 level cannot certify (w < 8, or fewer than T interior coarse minima,
 which every degraded trial has) keeps every group. In the benchmark's
 32-element sweep a trial keeps 202 of the 9001 columns on average, and
-the 16 or 8 trials of a block keep 192-352 together, which the fine
+the 26 or 14 trials of a block keep 192-352 together, which the fine
 level evaluates once for all of them. Each product has at least two
 rows and covers whole 8-column groups: numpy runs a one-row product as
 a gemv, and OpenBLAS computes the last (count mod 4) columns of a
@@ -58,24 +58,36 @@ so there the last bits depend on the thread count.
 ``monte_carlo_sweep`` runs the trials of designs that share one noise
 key: the scenario seed, M_R, N = K + M_T, L and the noise power. Every
 design of one sweep command shares it, and any other list raises
-ValueError; ``monte_carlo`` is the call with one design. Trials run in
-blocks of as many as BLOCK_BYTES of working memory holds (at least
-one), so memory stays flat in the trial count. Each trial draws from
-its own substream, so every design sees the same trial noise (common
-random numbers) and the differences in RMSE between modes and powers
-are paired. Each block draws its noise, N Q and sigma^2 T T^H, once;
-each design then forms its covariances with one stacked product,
-eigendecomposes them with one stacked ``eigh``, and turns them into
-coefficients, the coarse level and the interval floors of all of its
-trials at once, then runs the fine level, the peak pick and the
-refinement once per stack of trials (one stack per block in the
-benchmark's sweep).
+ValueError; ``monte_carlo`` is the call with one design. Each trial
+draws from its own substream, so every design sees the same trial noise
+(common random numbers) and the differences in RMSE between modes and
+powers are paired. Each block of trials draws its noise, N Q and
+sigma^2 T T^H, once on the calling thread; each design then forms its
+covariances with one stacked product, eigendecomposes them with one
+stacked ``eigh``, and turns them into coefficients, the coarse level and
+the interval floors of all of its trials at once, then runs the fine
+level, the peak pick and the refinement once per stack of trials (one
+stack per block in the benchmark's sweep).
+
+The designs of a block run on min(CPUs available, designs) threads:
+the calling thread and a pool, which lives for the call, take them from
+one queue. numpy releases the GIL in ``eigh``, the products and the
+FFTs. With one design or one CPU no thread starts, so ``monte_carlo``
+runs on the calling thread alone. A block holds as many trials as
+BLOCK_BYTES of working memory holds (at least one), counting the
+working set of every design in flight, so memory stays flat in the
+trial count whatever the thread count. Each design writes only its own
+rows of the results, and a trial's estimate does not depend on its
+stack or its thread, so no result depends on the CPU count.
 ``music_estimate`` and the one-trial covariance of ``tests/reference.py``
 are stacks of one over the same code, so with single-threaded BLAS
 every trial's estimate is theirs bit for bit.
 """
 
 import functools
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -453,24 +465,66 @@ def _stacks(groups, cap):
         yield lo, len(groups)
 
 
-def _block_trials(m_r, num_streams, grid_deg):
+def _block_trials(m_r, num_streams, num_targets, grid_deg, lanes):
     """Monte-Carlo trials per block: as many as BLOCK_BYTES holds, at
-    least one. A trial's working set is counted in complex entries
-    (16 bytes): its draws, N Q, T and their conjugates or S and S^H
-    (3 M_R (N + M_R) at most), N Q and sigma^2 T T^H, which stay while
-    each design runs (M_R (N + M_R)), and five M_R x M_R products,
-    covariances and eigenvectors, whose room the FFTs behind the
-    coefficients reuse.
-    Its coarse level adds six real rows (8 bytes an entry) as wide as
-    the plan's coarse columns: the values, their interval floors and the
-    copies of the minima search. The fine level adds nothing: it runs
-    after the coarse arrays are released, and ``_music`` caps each of
-    its stacks at the trials times those columns, so its rows fit where
-    the coarse ones were. The exception is a one-trial stack wider than
-    that cap, whose rows span at most the padded grid. The count does
-    not depend on T: from its coefficients on, a trial is one real row."""
-    entries = 4 * m_r * (num_streams + m_r) + 5 * m_r * m_r
-    return max(1, BLOCK_BYTES // (16 * entries + 8 * 6 * _grid(m_r, grid_deg).coarse.shape[1]))
+    least one, while ``lanes`` designs of at most T targets run at once,
+    so that the cap holds across every thread.
+
+    A trial's working set is counted in complex entries (16 bytes). N Q
+    and sigma^2 T T^H stay while the designs run: M_R (N + M_R). Before
+    any design runs, the draw adds at most 3 M_R (N + M_R). Each design
+    in flight then holds the larger of its two phases:
+    - S, S^H and S S^H, or S, S S^H and its sum:
+      M_R N + M_R^2 + M_R max(N, M_R);
+    - the covariances and eigenvectors (2 M_R^2), the eigenvalues and
+      the coefficient row (2 M_R at most), and either the FFT behind the
+      coefficients, 2 M_R x T with its squared parts and their sum
+      (5 M_R T), or the coarse level's six real rows as wide as the
+      plan's C coarse columns: the values, their interval floors and the
+      copies of the minima search (3 C).
+    The fine level adds nothing: ``_music`` caps each of its stacks at
+    the trials times the coarse columns, so its rows fit where the coarse
+    ones were. The exception is a one-trial stack wider than that cap,
+    whose rows span at most the padded grid.
+    """
+    noise = m_r * (num_streams + m_r)
+    covariances = m_r * num_streams + m_r * m_r + m_r * max(num_streams, m_r)
+    scan = 2 * m_r * m_r + 2 * m_r + max(5 * m_r * num_targets,
+                                         3 * _grid(m_r, grid_deg).coarse.shape[1])
+    entries = noise + max(3 * noise, lanes * max(covariances, scan))
+    return max(1, BLOCK_BYTES // (16 * entries))
+
+
+def _cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_in_lanes(jobs, pool, lanes):
+    """Run each of ``jobs`` once: this thread and ``lanes - 1`` tasks on
+    ``pool`` take them from one queue, so a lane that finishes early
+    takes the next job. Returns, or raises a failed job's exception with
+    its own type, once every lane has stopped."""
+    shared = queue.SimpleQueue()
+    for job in jobs:
+        shared.put(job)
+
+    def drain():
+        while True:
+            try:
+                job = shared.get_nowait()
+            except queue.Empty:
+                return
+            job()
+
+    tasks = [pool.submit(drain) for _ in range(lanes - 1)]
+    try:
+        drain()
+    finally:
+        for task in tasks:
+            task.result()
 
 
 def monte_carlo(scenario, result, trials, grid_deg=MUSIC_GRID_DEG):
@@ -502,10 +556,15 @@ def monte_carlo_sweep(designs, trials, grid_deg):
     The designs must share one noise key (seed, M_R, N, L, noise power),
     as those of a sweep command do; any other list, the empty one
     included, raises ValueError before any noise is drawn. Each block of
-    trials draws its noise once; each design then forms its covariances
-    and runs its own ``eigh`` and scan. The block size depends only on
-    the shared sizes and the grid, so memory stays flat in the trial
-    count and in the number of designs.
+    trials draws its noise once, on the calling thread; each design then
+    forms its covariances, runs its own ``eigh`` and scan and writes its
+    own rows of the results. The designs of a block run on as many
+    threads as there are CPUs available and designs, the calling thread
+    included; a pool of the others lives for the call, and with one
+    design or one CPU none starts. The block size depends only on the
+    shared sizes, the largest target count, the grid and that thread
+    count, so memory stays flat in the trial count and in the number of
+    designs.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -518,16 +577,23 @@ def monte_carlo_sweep(designs, trials, grid_deg):
     targets = [scenario.num_targets for scenario, _ in designs]
     found = [(np.empty((trials, t)), np.empty(trials, dtype=bool), np.empty(trials, dtype=bool))
              for t in targets]
-    block = _block_trials(m_r, num_streams, grid_deg)
-    for lo in range(0, trials, block):
-        hi = min(lo + block, trials)
-        noise, wishart = _trial_noise(m_r, num_streams, snapshots, noise_power,
-                                      [substream(seed, "trial", i) for i in range(lo, hi)])
-        for gw, t, out in zip(gws, targets, found):
-            for whole, values in zip(out, _music(_covariances(gw, snapshots, noise, wishart),
-                                                 t, grid_deg)):
-                whole[lo:hi] = values
-        del noise, wishart   # released before the next block draws
+    lanes = min(_cpus(), len(designs))
+    block = _block_trials(m_r, num_streams, max(targets), grid_deg, lanes)
+
+    def estimate(i, lo, hi, noise, wishart):
+        for whole, values in zip(found[i], _music(_covariances(gws[i], snapshots, noise, wishart),
+                                                  targets[i], grid_deg)):
+            whole[lo:hi] = values
+
+    # a pool starts its threads at its first task, so with one lane none starts
+    with ThreadPoolExecutor(max(1, lanes - 1)) as pool:
+        for lo in range(0, trials, block):
+            hi = min(lo + block, trials)
+            noise, wishart = _trial_noise(m_r, num_streams, snapshots, noise_power,
+                                          [substream(seed, "trial", i) for i in range(lo, hi)])
+            _run_in_lanes([functools.partial(estimate, i, lo, hi, noise, wishart)
+                           for i in range(len(designs))], pool, lanes)
+            del noise, wishart   # released before the next block draws
     return [_report(scenario, result, *out) for (scenario, result), out in zip(designs, found)]
 
 

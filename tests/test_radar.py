@@ -2,7 +2,14 @@
 
 import dataclasses
 import functools
+import importlib.util
+import itertools
+import os
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
-from isacbeam import design, radar
+from isacbeam import cli, design, radar
 from isacbeam.arrays import steering, target_channel
 from isacbeam.radar import (
     echo_channel,
@@ -364,26 +371,41 @@ def _recorded_monte_carlo(monkeypatch, scenario, result, trials, grid_deg):
     """``monte_carlo``'s report and, per block, the (covariances,
     estimates, degraded flags) that reach its stacked MUSIC entry point."""
     reps, blocks = _recorded_sweep(monkeypatch, [(scenario, result)], trials, grid_deg)
-    return reps[0], blocks
+    return reps[0], blocks[0]
 
 
 def _recorded_sweep(monkeypatch, designs, trials, grid_deg):
-    """``monte_carlo_sweep``'s reports and the (covariances, estimates,
-    degraded flags) of every call of the stacked MUSIC entry point, in
-    call order."""
-    blocks = []
-    music = radar._music
+    """``monte_carlo_sweep``'s reports and, for each design, the
+    (covariances, estimates, degraded flags) of each of its calls of the
+    stacked MUSIC entry point, in block order.
 
-    def recording(covs, num_targets, grid_deg):
+    The designs of a block may run on several threads, so a call is
+    attributed to the design whose G W formed its covariances, not by
+    call order; every design's G W differs from the others'. A design's
+    calls keep block order: a block's designs all finish before the next
+    block draws its noise."""
+    gws = [echo_channel(s) @ np.asarray(res.w) for s, res in designs]
+    assert not any(np.array_equal(a, b) for a, b in itertools.combinations(gws, 2))
+    owner, blocks = {}, [[] for _ in designs]
+    covariances, music = radar._covariances, radar._music
+
+    def recording_covariances(gw, *args):
+        covs = covariances(gw, *args)
+        [owner[id(covs)]] = [i for i, g in enumerate(gws) if np.array_equal(g, gw)]
+        return covs
+
+    def recording_music(covs, num_targets, grid_deg):
         out = music(covs, num_targets, grid_deg)
-        blocks.append((covs, *out[:2]))
+        blocks[owner[id(covs)]].append((covs, *out[:2]))
         return out
 
-    monkeypatch.setattr(radar, "_music", recording)
+    monkeypatch.setattr(radar, "_covariances", recording_covariances)
+    monkeypatch.setattr(radar, "_music", recording_music)
     if len(designs) == 1:
         reps = [monte_carlo(*designs[0], trials, grid_deg=grid_deg)]
     else:
         reps = monte_carlo_sweep(designs, trials, grid_deg=grid_deg)
+    monkeypatch.setattr(radar, "_covariances", covariances)
     monkeypatch.setattr(radar, "_music", music)
     return reps, blocks
 
@@ -469,7 +491,7 @@ def _stacking_case(case):
              for mode in ("sgcdf", "omnidirectional")]
     four = make_scenario(num_tx=4, num_rx=4, num_users=0, power_budget_dbm=-40.0)
     if case.startswith("paper"):
-        # the benchmark's sweep: 40 trials, the last block shorter (16, 16, 8)
+        # the benchmark's sweep: 40 trials, the last block shorter (29, 11)
         p_dbm, mode = case.split()[1:]
         return [(make_scenario(power_budget_dbm=float(p_dbm)), mode)], 40
     return {
@@ -496,21 +518,22 @@ def _stacking_case(case):
                             "one trial", "sweep paper", "sweep one trial", "sweep one target",
                             "sweep 4x4 -40 dBm"])
 def test_monte_carlo_blocks_match_one_trial_at_a_time(case, monkeypatch):
+    # two CPUs on any host: a sweep's designs run on two threads, 26
+    # trials a block for "sweep paper" (26, 14)
+    monkeypatch.setattr(radar, "_cpus", lambda: 2)
     specs, trials = _stacking_case(case)
     designs = [(s, design.run(s, mode)) for s, mode in specs]
     draws = []
     trial_noise = radar._trial_noise
     monkeypatch.setattr(radar, "_trial_noise",
                         lambda *args: draws.append(len(args[-1])) or trial_noise(*args))
-    reps, blocks = _recorded_sweep(monkeypatch, designs, trials, radar.MUSIC_GRID_DEG)
-    # blocks outside, designs inside, in list order
-    assert len(blocks) % len(designs) == 0
-    per_design = [blocks[i::len(designs)] for i in range(len(designs))]
+    reps, per_design = _recorded_sweep(monkeypatch, designs, trials, radar.MUSIC_GRID_DEG)
     sizes = [len(covs) for covs, _, _ in per_design[0]]
     # one draw of the noise per block, shared by every design
     assert draws == sizes
-    block = min(radar._block_trials(s.num_rx, np.shape(res.w)[1], radar.MUSIC_GRID_DEG)
-                for s, res in designs)
+    most = max(s.num_targets for s, _ in designs)
+    block = min(radar._block_trials(s.num_rx, np.shape(res.w)[1], most, radar.MUSIC_GRID_DEG,
+                                    min(2, len(designs))) for s, res in designs)
     assert sum(sizes) == trials and set(sizes[:-1]) <= {block} and sizes[-1] <= block
     if "paper" in case:
         assert len(sizes) > 1 and sizes[-1] < block
@@ -555,6 +578,153 @@ def test_monte_carlo_sweep_rejects_mixed_or_empty_noise_keys(change, monkeypatch
     with pytest.raises(ValueError, match="one trial-noise key"):
         monte_carlo_sweep(designs, 3, radar.MUSIC_GRID_DEG)
     assert draws == []
+
+
+@pytest.fixture(scope="module")
+def paper_sweep():
+    """The benchmark's sweep command: 0/10/20 dBm, sgcdf and omnidirectional."""
+    return [(s, design.run(s, mode))
+            for s in (make_scenario(power_budget_dbm=p) for p in (0.0, 10.0, 20.0))
+            for mode in ("sgcdf", "omnidirectional")]
+
+
+def _thread_starts(monkeypatch):
+    """The threads started from now on, recorded as they start."""
+    started, start = [], threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
+def test_monte_carlo_sweep_is_independent_of_the_cpu_count(paper_sweep, monkeypatch):
+    # the designs of a block run on min(CPUs, designs) threads, the
+    # calling one included; every report keeps its bits, and the pool is
+    # gone when the call returns
+    reports, before, cpus_available = [], threading.active_count(), radar._cpus
+    started = _thread_starts(monkeypatch)
+    for cpus in (1, 2, 4, None):
+        if cpus is None:
+            # without the affinity call the count is os.cpu_count()
+            monkeypatch.setattr(radar, "_cpus", cpus_available)
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            assert radar._cpus() == (os.cpu_count() or 1)
+        else:
+            monkeypatch.setattr(radar, "_cpus", lambda cpus=cpus: cpus)
+        started.clear()
+        reports.append([_report_fields(rep)
+                        for rep in monte_carlo_sweep(paper_sweep, 40, radar.MUSIC_GRID_DEG)])
+        # the first task starts a pool thread; a later task may go to a
+        # pool thread already idle instead of a new one
+        lanes = min(radar._cpus(), len(paper_sweep))
+        assert (lanes > 1) <= len(started) <= lanes - 1
+        assert threading.active_count() == before
+    assert all(fields == reports[0] for fields in reports[1:])
+
+
+def test_monte_carlo_of_one_design_starts_no_thread(mc_scenario, mc_design, monkeypatch):
+    monkeypatch.setattr(radar, "_cpus", lambda: 4)
+    started = _thread_starts(monkeypatch)
+    rep = monte_carlo(mc_scenario, mc_design, 5, grid_deg=0.5)
+    assert started == [] and rep.trials == 5
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_monte_carlo_sweep_raises_a_design_error_from_any_thread(cpus, monkeypatch):
+    # one target on two receive antennas, then two: MUSIC needs T < M_R.
+    # Whichever thread runs the second design, its ValueError propagates
+    # and no thread outlives the call.
+    monkeypatch.setattr(radar, "_cpus", lambda: cpus)
+    designs = []
+    for angles in ((20.0,), (20.0, -30.0), (20.0,)):
+        s = make_scenario(num_tx=4, num_rx=2, num_users=0, target_angles_deg=angles,
+                          target_ranges_m=(50.0,) * len(angles), seed=0)
+        designs.append((s, SimpleNamespace(w=_identity_beamformer(s), rcrlb=0.0)))
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="more receive antennas than targets"):
+        monte_carlo_sweep(designs, 3, 0.5)
+    assert threading.active_count() == before
+
+
+def test_run_in_lanes_raises_a_helper_thread_error():
+    # the calling thread's job waits until a pool thread has taken the
+    # other job, which fails: its exception reaches the caller
+    taken = threading.Event()
+    main = threading.current_thread()
+
+    def job():
+        if threading.current_thread() is main:
+            assert taken.wait(timeout=60)
+        else:
+            taken.set()
+            raise KeyError("helper")
+
+    with ThreadPoolExecutor(1) as pool:
+        with pytest.raises(KeyError, match="helper"):
+            radar._run_in_lanes([job, job], pool, 2)
+
+
+def test_run_in_lanes_runs_each_job_once_under_contention():
+    # more lanes than cores and a short switch interval: a job that the
+    # shared queue lost or handed out twice would leave a count other than 1
+    counts = [0] * 2000
+
+    def job(i):
+        counts[i] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(7) as pool:
+            radar._run_in_lanes([functools.partial(job, i) for i in range(len(counts))], pool, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts == [1] * len(counts)
+
+
+def _perfbench_tracer():
+    """The benchmark's tracer module, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class _ThreadRecorder:
+    """Stands in for the benchmark's Tracer: each wrapped call records
+    its name and the thread it runs on."""
+
+    def __init__(self):
+        self.calls = []
+
+    def wrap(self, name, func, _on_return=None):
+        def recorded(*args, **kwargs):
+            self.calls.append((name, threading.current_thread()))
+            return func(*args, **kwargs)
+        return recorded
+
+
+def test_traced_functions_run_on_the_calling_thread(tmp_path, monkeypatch):
+    # the benchmark's tracer keeps one span stack, so no public function
+    # of a traced layer may run on a pool thread: there only the private
+    # MUSIC helpers run
+    monkeypatch.setattr(radar, "_cpus", lambda: 2)
+    started = _thread_starts(monkeypatch)
+    ini = tmp_path / "sweep.ini"
+    ini.write_text("[experiment]\npower_grid_dbm = 0.0, 10.0, 20.0\ntrials = 40\n",
+                   encoding="utf-8")
+    recorder = _ThreadRecorder()
+    with _perfbench_tracer().instrumented(recorder):
+        assert cli.main(["sweep-power", "--config", str(ini), "--mode", "sgcdf,omnidirectional",
+                         "--out", str(tmp_path / "sweep.csv")]) == 0
+    names = {name for name, _ in recorder.calls}
+    assert {"cli.main", "design.run", "radar.monte_carlo_sweep", "crlb.fisher_matrix"} <= names
+    assert {thread for _, thread in recorder.calls} == {threading.main_thread()}
+    assert len(started) == 1
 
 
 def test_monte_carlo_blocks_of_one_trial(mc_scenario, mc_design, monkeypatch):
@@ -795,31 +965,31 @@ def test_music_stacks_with_fallbacks_match_one_trial_bitwise(case, normal):
         assert full.tolist() == [False] * i + [case == "degraded"] + [False] * (6 - i)
 
 
-def test_music_fine_level_runs_once_per_block_on_the_paper_geometry(monkeypatch):
+def test_music_fine_level_runs_once_per_block_on_the_paper_geometry(paper_sweep, monkeypatch):
     # a silent return to per-trial fine products would keep every bit and
     # lose the time: each block makes one coarse product and one stacked
-    # fine product per union span, far fewer than its trials
-    calls, per_block = [], []
+    # fine product per union span, far fewer than its trials. Two CPUs
+    # on any host: the designs of a block run on two threads, and each
+    # thread counts its own calls.
+    monkeypatch.setattr(radar, "_cpus", lambda: 2)
+    lane, per_block = threading.local(), []
     denominators, music = radar._denominators, radar._music
 
     def counting_denominators(coeffs, table):
-        calls.append(len(coeffs))
+        lane.calls.append(len(coeffs))
         return denominators(coeffs, table)
 
     def counting_music(covs, num_targets, grid_deg):
-        del calls[:]
+        lane.calls = []
         out = music(covs, num_targets, grid_deg)
-        per_block.append((len(covs), list(calls)))
+        per_block.append((len(covs), lane.calls))
         return out
 
     monkeypatch.setattr(radar, "_denominators", counting_denominators)
     monkeypatch.setattr(radar, "_music", counting_music)
-    designs = [(s, design.run(s, mode))
-               for s in (make_scenario(power_budget_dbm=p) for p in (0.0, 10.0, 20.0))
-               for mode in ("sgcdf", "omnidirectional")]
-    reps = monte_carlo_sweep(designs, 40, radar.MUSIC_GRID_DEG)
+    reps = monte_carlo_sweep(paper_sweep, 40, radar.MUSIC_GRID_DEG)
     assert all(rep.full_scans == 0 for rep in reps)
-    assert [size for size, _ in per_block] == [16] * 12 + [8] * 6
+    assert [size for size, _ in per_block] == [26] * 6 + [14] * 6
     for size, stacks in per_block:
         # the coarse product, then each union span with every trial stacked
         assert stacks[0] == size and set(stacks[1:]) == {size}
@@ -841,13 +1011,13 @@ def test_stacks_match_the_accumulated_union_loop(trials, num_groups, density, se
     # 8 x 8 at -30 dBm: a block of 64 trials cut into 47 stacks
     (make_scenario(num_tx=8, num_rx=8, num_users=2, power_budget_dbm=-30.0),
      "omnidirectional", 64, 40),
-    # one sweep_mc block: the paper geometry at 0 dBm, 16 trials in one stack
+    # the paper geometry at 0 dBm: 16 trials, one block and one stack
     (make_scenario(power_budget_dbm=0.0), "sgcdf", 16, 1),
 ])
 def test_stacks_keep_the_monte_carlo_bits(monkeypatch, s, mode, trials, min_stacks):
     res = design.run(s, mode)
-    assert radar._block_trials(s.num_rx, np.shape(res.w)[1],
-                               radar.MUSIC_GRID_DEG) >= trials
+    assert radar._block_trials(s.num_rx, np.shape(res.w)[1], s.num_targets,
+                               radar.MUSIC_GRID_DEG, 1) >= trials
     cut, stacks = [], radar._stacks
 
     def recorded(groups, cap):
@@ -864,8 +1034,8 @@ def test_stacks_keep_the_monte_carlo_bits(monkeypatch, s, mode, trials, min_stac
 
 def test_music_fine_level_memory_stays_within_a_block():
     # at -30 dBm, omnidirectional, a trial keeps 224-848 of the 9,001
-    # columns and the block's trials 5,248 together; one stack over that
-    # union peaks at about 2.1 MB, so the fine level runs in stacks of trials
+    # columns and the block's 29 trials 6,848 together; one stack over that
+    # union peaks at about 5.0 MB, so the fine level runs in stacks of trials
     # whose count times union width fits the coarse product. At 64
     # elements and 0.07 deg, w < 8 and every trial keeps the whole grid,
     # so the stacks are capped by the padded grid's width instead.
@@ -874,7 +1044,7 @@ def test_music_fine_level_memory_stays_within_a_block():
                                      (make_scenario(num_tx=64, num_rx=64, num_users=2), 0.07,
                                       True)):
         res = design.run(s, "omnidirectional")
-        block = radar._block_trials(s.num_rx, np.shape(res.w)[1], grid_deg)
+        block = radar._block_trials(s.num_rx, np.shape(res.w)[1], s.num_targets, grid_deg, 1)
         monte_carlo(s, res, 1, grid_deg)
         tracemalloc.start()
         try:
@@ -886,12 +1056,32 @@ def test_music_fine_level_memory_stays_within_a_block():
         assert peak <= radar.BLOCK_BYTES
 
 
+@pytest.mark.parametrize("cpus, block", [(2, 26), (4, 15)])
+def test_monte_carlo_sweep_memory_stays_within_a_block_across_threads(cpus, block, paper_sweep,
+                                                                      monkeypatch):
+    # a block counts the working set of every design in flight, so the
+    # benchmark's sweep of 40 trials on 2 or 4 threads keeps all of them
+    # together within BLOCK_BYTES
+    monkeypatch.setattr(radar, "_cpus", lambda: cpus)
+    s, res = paper_sweep[0]
+    assert radar._block_trials(s.num_rx, np.shape(res.w)[1], s.num_targets,
+                               radar.MUSIC_GRID_DEG, cpus) == block
+    monte_carlo_sweep(paper_sweep, 1, radar.MUSIC_GRID_DEG)
+    tracemalloc.start()
+    try:
+        monte_carlo_sweep(paper_sweep, 40, radar.MUSIC_GRID_DEG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= radar.BLOCK_BYTES
+
+
 def test_music_fine_level_stacks_stay_within_the_coarse_level(monkeypatch):
     # at -30 to -50 dBm a 32-element trial's kept union is far wider than
-    # its share of the coarse columns, so the 16 trials of a block run in
-    # stacks (4 of 4 here), each of whose working arrays is within a small
-    # multiple of the coarse level's 16 x 564 values. One stack of all 16
-    # trials peaks at about 28 times those values.
+    # its share of the coarse columns, so the 29 trials of a block run in
+    # stacks (5 here), each of whose working arrays is within a small
+    # multiple of the coarse level's 29 x 564 values. One stack of all 29
+    # trials peaks at about 38 times those values.
     fine = radar._fine_level
     peaks = []
 
@@ -903,16 +1093,17 @@ def test_music_fine_level_stacks_stay_within_the_coarse_level(monkeypatch):
         return out
 
     monkeypatch.setattr(radar, "_fine_level", measured)
-    coarse = 16 * radar._grid(32, radar.MUSIC_GRID_DEG).coarse.shape[1] * 8
+    coarse = 29 * radar._grid(32, radar.MUSIC_GRID_DEG).coarse.shape[1] * 8
     for dbm in (-30.0, -40.0, -50.0):
         s = make_scenario(power_budget_dbm=dbm)
         res = design.run(s, "omnidirectional")
-        assert radar._block_trials(32, np.shape(res.w)[1], radar.MUSIC_GRID_DEG) == 16
+        assert radar._block_trials(32, np.shape(res.w)[1], s.num_targets,
+                                   radar.MUSIC_GRID_DEG, 1) == 29
         monte_carlo(s, res, 1)
         peaks.clear()
         tracemalloc.start()
         try:
-            rep = monte_carlo(s, res, 16)
+            rep = monte_carlo(s, res, 29)
         finally:
             tracemalloc.stop()
         assert rep.full_scans == 0 and len(peaks) > 1
