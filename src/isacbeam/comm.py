@@ -11,7 +11,8 @@ restores every user's rate floor. Both f2 and its gradient are
 evaluated from P for all users at once, the gradient only when the
 solver asks for it. f2 is half the summed squares of the K residuals
 hn_k - tm_k, each with a rank-one gradient, so the minimum-norm
-Gauss-Newton step on the manifold needs only their K x K Gram matrix.
+Gauss-Newton step on the manifold needs only their K x K Gram matrix,
+whose H^H H factor the cones stack once.
 Where Gauss-Newton stalls, ``sinr_project`` moves one user's row of P
 into its SINR set, the step of stage II's projection sweeps. N is the
 width the solver carries: K + M_T, or K for a design without sensing
@@ -53,8 +54,9 @@ class SocCones(tuple):
     order, and what stage II reads, stacked once by
     ``soc_assemble``: ``rows`` (H^H, K x M_T, C-contiguous), ``rows_h``
     (its conjugate transpose), ``gram`` (the users' K x K Gram matrix
-    H^H H, whose diagonal ||h_k||^2 ``sinr_project`` reads; a Gauss-Newton
-    step forms its active users' Gram matrix itself), ``idx`` (the users
+    H^H H, whose diagonal ||h_k||^2 ``sinr_project`` reads, and which a
+    Gauss-Newton step with every user active reads whole; a step on a
+    subset forms its users' Gram matrix itself), ``idx`` (the users
     0..K-1), ``w_shape``
     (the beamformer shape (M_T, N)) and the scalars every user shares:
     ``sigma``, ``gamma`` = 2^r_min - 1, ``sigma2`` and ``root_gamma`` =
@@ -189,7 +191,7 @@ def _cone_gaps(w, cones):
         raise ValueError("cone instance does not match beamformer size")
     p = cones.rows @ w
     hn = np.sqrt((np.abs(p) ** 2).sum(axis=1) + cones.sigma2)
-    tail = cones.root_gamma * p[cones.idx, cones.idx]
+    tail = cones.root_gamma * p.diagonal()
     tm = np.abs(tail)
     excess = np.where(hn > tm, hn - tm, 0.0)
     return p, hn, tail, tm, excess, float(0.5 * (excess @ excess))
@@ -247,7 +249,8 @@ def sinr_project(w, k, cones, margin):
 
 def _tangent_gram(w, cones, radius, gaps, users):
     """(C, coef, Gram) of the residuals e_k = hn_k - tm_k of ``users``, an
-    index array.
+    index array or, for every user, ``slice(None)``, which reads the
+    cones' stacked arrays and copies nothing.
 
     ``gaps`` is ``_cone_gaps(w, cones)``. The Euclidean gradient of e_k is
     the rank-one h_k c_k, with the row c_k = P[k, :] / hn_k - sqrt(Gamma)
@@ -256,18 +259,19 @@ def _tangent_gram(w, cones, radius, gaps, users):
     ``radius`` its tangent projection is h_k c_k - diag(coef_k) W with
     coef = Re(conj(H^H) o (C W^H)) / rho^2, and the Gram matrix of these
     projections is Re[(H_u^H H_u) o conj(C C^H)] - rho^2 coef coef^T, with
-    H_u the channels of ``users``. No M_T x M_T matrix and no per-user
-    M_T x N matrix is formed.
+    H_u the channels of ``users``; for every user H^H H is ``cones.gram``,
+    the product a subset forms for its own rows, so both forms agree to
+    the bit. No M_T x M_T matrix and no per-user M_T x N matrix is formed.
     """
     p, hn, tail, tm = gaps[:4]
     phase = np.divide(tail, tm, out=np.ones_like(tail), where=tm > 0)
     c = p / hn[:, None]
     c[cones.idx, cones.idx] -= cones.root_gamma * phase
     c, rows = c[users], cones.rows[users]
+    hgram = cones.gram if isinstance(users, slice) else rows @ rows.conj().T
     # Re(conj(a) b) = Re(a conj(b)): conjugate the K x N factor C, not W
     coef = (rows * (c.conj() @ w.T)).real / radius**2
-    gram = (((rows @ rows.conj().T) * (c @ c.conj().T).conj()).real
-            - radius**2 * (coef @ coef.T))
+    gram = (hgram * (c @ c.conj().T).conj()).real - radius**2 * (coef @ coef.T)
     return c, coef, gram
 
 
@@ -290,7 +294,8 @@ def f2_and_gauss_newton(w, cones, radius, margin):
 
     def step():
         e = hn - tm
-        act = np.flatnonzero(e > -margin * hn)
+        act = e > -margin * hn
+        act = slice(None) if act.all() else np.flatnonzero(act)
         c, coef, gram = _tangent_gram(w, cones, radius, gaps, act)
         try:
             lam = np.linalg.solve(gram, e[act] + margin * hn[act])

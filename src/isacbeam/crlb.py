@@ -13,8 +13,9 @@ coupling Q_ij. With V = B W (2T x N) and C = V V^H, F is the real part
 of the 2 x 2 block sums of Q o C^T; no M_T x M_T matrix is formed.
 
 The design objective is f1 = tr(F^-1), the sum of the per-target CRLBs.
-One symmetric eigendecomposition F = U diag(lam) U^T serves the
-positivity and condition checks (on lam) and the objective,
+One symmetric eigendecomposition F = U diag(lam) U^T, from the LAPACK
+kernel behind np.linalg.eigh called directly, serves the positivity and
+condition checks (on lam, as Python floats) and the objective,
 sum_i 1 / lam_i. The Euclidean gradient of f1 is
 -2 sum_ij [F^-2]_ij A_ij W, which in factored form is B^H (M V) with
 M the blocks of Q scaled by -2 F^-2. ``FisherState`` keeps the
@@ -22,13 +23,19 @@ eigenpairs and the V that F was formed from. Its inverse
 F^-1 = (U / lam) U^T is formed the first time the gradient reads it,
 so a line-search probe whose gradient is never read pays for F and its
 eigenvalues only, and the gradient reads V instead of forming B W
-again.
+again. ``Coupling`` derives B^H and Q's (T, 2, T, 2) block view once,
+so no gradient forms them again.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+# The LAPACK kernel (syevd) behind np.linalg.eigh. Every line-search
+# probe eigendecomposes one T x T Fisher matrix, and the public wrapper's
+# dtype checks, error-state context and result wrapping take longer than
+# the decomposition; a test holds its output to np.linalg.eigh's bits.
+from numpy.linalg._umath_linalg import eigh_lo as _eigh
 
 from .arrays import steering_and_derivative
 from .errors import NumericalError
@@ -36,30 +43,50 @@ from .errors import NumericalError
 COND_LIMIT = 1e12   # beyond this the target geometry is unresolvable
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FisherState:
+    """One ``fisher_matrix`` evaluation. Every line-search probe makes
+    one, so it is a slotted record, cheaper to build than a frozen one;
+    its inverse has a slot of its own, filled on first read."""
+
     matrix: np.ndarray      # F, real symmetric T x T
     eigs: np.ndarray        # its eigenvalues, ascending
     vecs: np.ndarray        # its orthonormal eigenvectors, as columns
     objective: float        # tr(F^-1) = sum 1 / eigs, the sum-CRLB
     v: np.ndarray           # V = B W (2T x N), the product F was formed from
+    _inverse: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
-    @cached_property
+    @property
     def inverse(self):
         """F^-1 from the eigenpairs, symmetrised, formed on first read."""
-        inv = (self.vecs / self.eigs) @ self.vecs.T
-        return 0.5 * (inv + inv.T)
+        if self._inverse is None:
+            inv = (self.vecs / self.eigs) @ self.vecs.T
+            self._inverse = 0.5 * (inv + inv.T)
+        return self._inverse
 
 
 @dataclass(frozen=True)
 class Coupling:
-    """Factored A_ij = B_i^H Q_ij B_j of every target pair."""
+    """Factored A_ij = B_i^H Q_ij B_j of every target pair, with the
+    forms of B and Q the gradient reads derived once, on first read."""
 
     b: np.ndarray           # (2T, M_T): rows a_t^H, da_t^H per target
     q: np.ndarray           # (2T, 2T): (2L/sigma^2) conj(alpha_i) alpha_j R_i^H R_j
 
+    @cached_property
+    def b_h(self):
+        """B^H (M_T x 2T)."""
+        return self.b.conj().T
+
+    @cached_property
+    def q_blocks(self):
+        """Q viewed as (T, 2, T, 2): block (i, j) is Q_ij."""
+        t = self.q.shape[0] // 2
+        return self.q.reshape(t, 2, t, 2)
+
     @property
     def nbytes(self):
+        """Bytes of B and Q; the derived forms are not counted."""
         return self.b.nbytes + self.q.nbytes
 
 
@@ -96,8 +123,9 @@ def fisher_matrix(w, coupling):
     f = (coupling.q * (v @ v.conj().T).T).reshape(t, 2, t, 2).sum(axis=(1, 3)).real
     # symmetric up to rounding (Q and C are Hermitian); eigh reads one triangle
     f = 0.5 * (f + f.T)
-    eigs, vecs = np.linalg.eigh(f)
-    if eigs[0] <= 0 or eigs[-1] / eigs[0] > COND_LIMIT:
+    eigs, vecs = _eigh(f)
+    lo, hi = eigs[0].item(), eigs[-1].item()
+    if lo <= 0 or hi / lo > COND_LIMIT:
         raise NumericalError("Fisher matrix singular or near-singular: "
                              "targets not resolvable with this beamformer")
     return FisherState(matrix=f, eigs=eigs, vecs=vecs,
@@ -116,5 +144,5 @@ def grad_f1(coupling, state, scale):
     m = state.inverse
     weights = (m @ m) * (-2.0 * scale)     # 2 scale d tr(F^-1) / dF_ij
     t = m.shape[0]
-    blocks = (coupling.q.reshape(t, 2, t, 2) * weights.T[:, None, :, None]).reshape(2 * t, 2 * t)
-    return coupling.b.conj().T @ (blocks @ state.v)
+    blocks = (coupling.q_blocks * weights.T[:, None, :, None]).reshape(2 * t, 2 * t)
+    return coupling.b_h @ (blocks @ state.v)

@@ -4,7 +4,9 @@ Stage I minimizes the sum-CRLB f1 over the oblique manifold from a
 structured start (zero-forcing communication columns at equal-rate
 powers, identity sensing block on the leftover power), with the
 conjugate-gradient solver on f1 normalized by its starting value, so
-the stopping thresholds are scale-free. Stage II, when the minimum user
+the stopping thresholds are scale-free. Its one callback evaluates the
+Fisher matrix and returns the normalized value and the gradient as one
+deferred ``crlb.grad_f1`` call. Stage II, when the minimum user
 rate falls short of the target, projects the stage-I point onto the
 rate-feasible set: f2, the summed squared cone distances, is a
 least-squares problem in the K residuals hn_k - tm_k, so a Riemannian
@@ -118,38 +120,27 @@ def initial_point(scenario, r_min, zero_sensing, directions):
     return manifold.retract(w, scenario.row_radius), flags
 
 
-def _normalized(value_grad):
-    """``value_grad`` over its value at the first call, the solver's start.
+def solve_sp1(scenario, w0, opts, coupling):
+    """Stage I: minimize the sum-CRLB over the manifold from ``w0``;
+    ``coupling`` is ``crlb.coupling_matrices(scenario)``.
 
-    ``value_grad(w)`` returns the value at w and ``egrad(scale)``, scale
-    times the Euclidean gradient there, which folds the scale into a
-    small factor of the gradient rather than the M_T x N result.
+    The solver sees f1 over its value at the start, its first
+    evaluation; the scale 1 / f1(w0) reaches the gradient as
+    ``crlb.grad_f1``'s factor. ``w0`` has M_T rows and any number of
+    columns (no_dedicated_stream passes its K communication columns);
+    the restart period is the design's stream count K + M_T whatever
+    that width. Returns (w, trace).
     """
     base = None
 
     def fg(w):
         nonlocal base
-        f, egrad = value_grad(w)
-        if base is None:
-            base = f
-        return f / base, lambda: egrad(1.0 / base)
-    return fg
-
-
-def solve_sp1(scenario, w0, opts, coupling):
-    """Stage I: minimize the sum-CRLB over the manifold from ``w0``;
-    ``coupling`` is ``crlb.coupling_matrices(scenario)``.
-
-    ``w0`` has M_T rows and any number of columns (no_dedicated_stream
-    passes its K communication columns); the restart period is the
-    design's stream count K + M_T whatever that width. Returns (w, trace).
-    """
-    def value_grad(w):
         state = crlb.fisher_matrix(w, coupling)
-        return state.objective, lambda scale: crlb.grad_f1(coupling, state, scale)
+        if base is None:
+            base = state.objective
+        return state.objective / base, lambda: crlb.grad_f1(coupling, state, 1.0 / base)
 
-    return rcg.minimize(_normalized(value_grad), w0, scenario.row_radius, opts,
-                        restart_period=scenario.num_streams)
+    return rcg.minimize(fg, w0, scenario.row_radius, opts, restart_period=scenario.num_streams)
 
 
 def _gauss_newton(cones, w_start, radius):

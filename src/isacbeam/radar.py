@@ -72,22 +72,23 @@ stack per block in the benchmark's sweep).
 The designs of a block run on min(CPUs available, designs) threads:
 the calling thread and a pool, which lives for the call, take them from
 one queue. numpy releases the GIL in ``eigh``, the products and the
-FFTs. With one design or one CPU no thread starts, so ``monte_carlo``
-runs on the calling thread alone. A block holds as many trials as
-BLOCK_BYTES of working memory holds (at least one), counting the
-working set of every design in flight, so memory stays flat in the
-trial count whatever the thread count. Each design writes only its own
-rows of the results, and a trial's estimate does not depend on its
-stack or its thread, so no result depends on the CPU count.
+FFTs. With one design or one CPU no thread starts and the thread-pool
+module is not imported, so ``monte_carlo`` runs on the calling thread
+alone. A block holds as many trials as BLOCK_BYTES of working memory
+holds (at least one), counting the working set of every design in
+flight, so memory stays flat in the trial count whatever the thread
+count. Each design writes only its own rows of the results, and a
+trial's estimate does not depend on its stack or its thread, so no
+result depends on the CPU count.
 ``music_estimate`` and the one-trial covariance of ``tests/reference.py``
 are stacks of one over the same code, so with single-threaded BLAS
 every trial's estimate is theirs bit for bit.
 """
 
+import contextlib
 import functools
 import os
 import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -502,6 +503,17 @@ def _cpus():
     return os.cpu_count() or 1
 
 
+def _pool(lanes):
+    """Context of the pool of ``lanes - 1`` threads beside the calling one,
+    or of None with one lane. ``concurrent.futures``, which loads
+    ``logging``, is imported only here, so a call that needs no pool never
+    pays for it."""
+    if lanes == 1:
+        return contextlib.nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(lanes - 1)
+
+
 def _run_in_lanes(jobs, pool, lanes):
     """Run each of ``jobs`` once: this thread and ``lanes - 1`` tasks on
     ``pool`` take them from one queue, so a lane that finishes early
@@ -585,8 +597,7 @@ def monte_carlo_sweep(designs, trials, grid_deg):
                                                   targets[i], grid_deg)):
             whole[lo:hi] = values
 
-    # a pool starts its threads at its first task, so with one lane none starts
-    with ThreadPoolExecutor(max(1, lanes - 1)) as pool:
+    with _pool(lanes) as pool:
         for lo in range(0, trials, block):
             hi = min(lo + block, trials)
             noise, wishart = _trial_noise(m_r, num_streams, snapshots, noise_power,

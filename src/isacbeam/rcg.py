@@ -26,7 +26,11 @@ at the probes that pass both the sufficient-decrease test and the
 bracket's low end (for the curvature and bracket-sign tests) and at
 the probe it returns. A probe that fails either test costs one
 objective value, no gradient and, in stage I, no Fisher inverse
-(``crlb.FisherState`` forms it when the gradient is read).
+(``crlb.FisherState`` forms it when the gradient is read). A probe
+calls ``fg`` directly, and ``minimize`` sums the trace's totals from
+the searches: the start's value and gradient, then each search's
+``evals`` and ``grads``. A search that returns None has made
+MAX_LINESEARCH_EVALS probes and read no gradient.
 
 The slope along d at a probe is ``inner(rgrad, d)``: the tangent
 projection P is self-adjoint and ``rgrad`` is tangent, so this equals
@@ -40,6 +44,7 @@ slope.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +74,9 @@ class RcgOptions:
             raise ValueError("iteration budget must be positive")
 
 
-@dataclass(frozen=True, slots=True)
-class IterRecord:
+class IterRecord(NamedTuple):
+    """One step of a solve. A named tuple: immutable, and cheaper to
+    build each step than a frozen dataclass."""
     iteration: int
     objective: float
     grad_norm: float
@@ -119,22 +125,13 @@ class _Eval:
     rgrad: np.ndarray | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class LineSearchResult:
+class LineSearchResult(NamedTuple):
     step: float
     evals: int
     grads: int          # probes whose gradient was computed
     wolfe_ok: bool
     at: _Eval           # its rgrad is set
     d_norm2: float      # <d, d> of the search direction
-
-
-def _probe(fg, w, d, alpha, radius):
-    point = retract(w + alpha * d, radius)
-    value, egrad = fg(point)
-    if not math.isfinite(value):
-        raise NumericalError(f"objective returned non-finite value {value}")
-    return _Eval(alpha, point, value, egrad)
 
 
 def wolfe_linesearch(fg, w, d, f0, slope0, radius, first_step):
@@ -167,12 +164,16 @@ def wolfe_linesearch(fg, w, d, f0, slope0, radius, first_step):
         return ev.rgrad
 
     while evals < MAX_LINESEARCH_EVALS:
-        ev = _probe(fg, w, d, a, radius)
+        point = retract(w + a * d, radius)
+        value, egrad = fg(point)
+        if not math.isfinite(value):
+            raise NumericalError(f"objective returned non-finite value {value}")
+        ev = _Eval(a, point, value, egrad)
         evals += 1
-        armijo = ev.value <= f0 + C1 * a * slope0
-        if armijo and (best is None or ev.value < best.value):
+        armijo = value <= f0 + C1 * a * slope0
+        if armijo and (best is None or value < best.value):
             best = ev
-        if not armijo or (evals > 1 and ev.value >= f_lo):
+        if not armijo or (evals > 1 and value >= f_lo):
             a_hi = a
         else:
             dslope = inner(gradient(ev), d)
@@ -181,26 +182,12 @@ def wolfe_linesearch(fg, w, d, f0, slope0, radius, first_step):
             # with no upper end yet the interval counts as positive
             if dslope * (1.0 if a_hi is None else a_hi - a_lo) >= 0.0:
                 a_hi = a_lo
-            a_lo, f_lo = a, ev.value
+            a_lo, f_lo = a, value
         a = 2.0 * a if a_hi is None else 0.5 * (a_lo + a_hi)
     if best is None:
         return None
     gradient(best)
     return LineSearchResult(best.step, evals, grads, False, best, d_norm2)
-
-
-def _counting(fg, trace):
-    """``fg`` that adds each objective value and gradient it computes to
-    the trace's totals."""
-    def counted(w):
-        trace.objective_evals += 1
-        value, egrad = fg(w)
-
-        def gradient():
-            trace.gradient_evals += 1
-            return egrad()
-        return value, gradient
-    return counted
 
 
 def minimize(fg, w0, radius, opts, restart_period):
@@ -235,8 +222,6 @@ def minimize(fg, w0, radius, opts, restart_period):
     if not is_on_manifold(w, radius):
         gap = np.abs(row_norms(w) - radius).max() / radius
         raise ValueError(f"start off manifold (relative row-norm gap {gap:.2e})")
-    trace = SolverTrace(initial_objective=math.nan)
-    fg = _counting(fg, trace)
     f, egrad = fg(w)
     if not math.isfinite(f):
         raise NumericalError("objective non-finite at the starting point")
@@ -244,7 +229,9 @@ def minimize(fg, w0, radius, opts, restart_period):
     gnorm2 = inner(rgrad, rgrad)
     d = -rgrad
     slope = inner(rgrad, d)
-    trace.initial_objective, trace.initial_grad_norm = f, math.sqrt(gnorm2)
+    # the start's value and gradient count in the totals
+    trace = SolverTrace(initial_objective=f, initial_grad_norm=math.sqrt(gnorm2),
+                        objective_evals=1, gradient_evals=1)
     first_step = None
 
     for it in range(opts.max_iters):
@@ -253,8 +240,14 @@ def minimize(fg, w0, radius, opts, restart_period):
             return w, trace
         ls = wolfe_linesearch(fg, w, d, f, slope, radius, first_step)
         if ls is None:
+            # a search returns None only after its last probe, having
+            # read no gradient: one is read only where a probe met
+            # sufficient decrease, and that probe would be returned
+            trace.objective_evals += MAX_LINESEARCH_EVALS
             trace.termination = "linesearch_fail"
             return w, trace
+        trace.objective_evals += ls.evals
+        trace.gradient_evals += ls.grads
         ev = ls.at
         first_step = 2.0 * ls.step
         trace.zoutendijk.append(slope * slope / max(ls.d_norm2, _TINY))

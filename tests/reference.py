@@ -176,6 +176,32 @@ def x_of(cones, k, w):
     return np.concatenate([p, [cones.sigma, cones.root_gamma * p[k]]])
 
 
+def indexed_gauss_newton_step(w, cones, radius, margin):
+    """``comm.f2_and_gauss_newton``'s step as an index array over its active
+    users forms it, also when every user is active: C, the users' rows of
+    H^H and the columns of ``rows_h`` copied by index, and their K x K
+    Gram matrix formed from the copies. Returns (D, gradient norm, Gram
+    matrix, active users)."""
+    p = cones.rows @ w
+    hn = np.sqrt((np.abs(p) ** 2).sum(axis=1) + cones.sigma2)
+    tail = cones.root_gamma * p[cones.idx, cones.idx]
+    tm = np.abs(tail)
+    excess = np.where(hn > tm, hn - tm, 0.0)
+    e = hn - tm
+    act = np.flatnonzero(e > -margin * hn)
+    phase = np.divide(tail, tm, out=np.ones_like(tail), where=tm > 0)
+    c = p / hn[:, None]
+    c[cones.idx, cones.idx] -= cones.root_gamma * phase
+    c, rows = c[act], cones.rows[act]
+    coef = (rows * (c.conj() @ w.T)).real / radius**2
+    gram = (((rows @ rows.conj().T) * (c @ c.conj().T).conj()).real
+            - radius**2 * (coef @ coef.T))
+    lam = np.linalg.solve(gram, e[act] + margin * hn[act])
+    d = (lam @ coef)[:, None] * w - cones.rows_h[:, act] @ (lam[:, None] * c)
+    x = excess[act]
+    return d, math.sqrt(max(float(x @ gram @ x), 0.0)), gram, act
+
+
 def soc_project(x):
     """Closed-form projection onto the cone {||head|| <= |tail|}.
 

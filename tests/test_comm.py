@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from isacbeam import comm
+from isacbeam import comm, design
 from isacbeam.comm import (
     RANK_TOL,
     f2_and_gauss_newton,
@@ -20,7 +20,8 @@ from isacbeam.comm import (
 from isacbeam.errors import NumericalError
 from isacbeam.manifold import inner, project_tangent
 from isacbeam.scenario import make_scenario
-from reference import equal_rate_power, pinv_zf_precoder, random_point, soc_project, x_of
+from reference import (equal_rate_power, indexed_gauss_newton_step, pinv_zf_precoder,
+                       random_point, soc_project, x_of)
 
 
 def _cgauss(rng, shape, scale=1.0):
@@ -502,6 +503,74 @@ def test_gauss_newton_step_solves_the_linearised_residuals():
     assert np.linalg.norm(basis @ coeffs - d.ravel()) <= 1e-10 * np.linalg.norm(d)
     rgrad = project_tangent(w, f2_and_grad(w, cones)[1](), radius)
     assert gnorm == pytest.approx(np.sqrt(inner(rgrad, rgrad)), rel=1e-10)
+
+
+def _recorded_users(monkeypatch):
+    """The ``users`` argument of each ``comm._tangent_gram`` call."""
+    users, tangent_gram = [], comm._tangent_gram
+
+    def recorded(w, cones, radius, gaps, which):
+        users.append(which)
+        return tangent_gram(w, cones, radius, gaps, which)
+
+    monkeypatch.setattr(comm, "_tangent_gram", recorded)
+    return users
+
+
+def _paper_stage_two_start(seed, overload):
+    """(stage-I point, cones, row radius) of an sgcdf design at the paper
+    geometry, where its stage II starts."""
+    s = make_scenario(seed=seed, overload=overload)
+    res = design.run(s, "sensing_only")
+    r_min = design.rate_target(s, comm.zf_precoder(s.channels))
+    return res.w, soc_assemble(s.channels, r_min, s.noise_power, num_streams=s.num_streams), \
+        s.row_radius
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gauss_newton_step_of_every_user_keeps_the_bits_of_the_indexed_form(seed, monkeypatch):
+    # with every user active the step reads the cones' stacked arrays,
+    # H^H H included, and copies nothing; D, the Gram matrix and the
+    # gradient norm keep the bits of copying every user by index
+    rng = np.random.default_rng(seed)
+    if seed < 2:
+        w, cones, radius = _paper_stage_two_start(seed + 1, (0.3, 0.7)[seed])
+    else:
+        mt, k, n, radius = 8, 5, 13, rng.uniform(0.5, 2.0)
+        h = _cgauss(rng, (mt, k))
+        w = random_point(mt, n, radius, rng)
+        # a floor above every user's rate leaves all of them short of it
+        cones = soc_assemble(h, float(rates(w, h, 0.2).rate.max()) + 1.0, 0.2, num_streams=n)
+    users = _recorded_users(monkeypatch)
+    d, gnorm = f2_and_gauss_newton(w, cones, radius, 1e-9)[1]()
+    ref_d, ref_gnorm, ref_gram, act = indexed_gauss_newton_step(w, cones, radius, 1e-9)
+    assert act.size == cones.idx.size
+    assert users == [slice(None)]
+    gram = comm._tangent_gram(w, cones, radius, comm._cone_gaps(w, cones), slice(None))[2]
+    assert gram.tobytes() == ref_gram.tobytes()
+    assert d.tobytes() == ref_d.tobytes()
+    assert gnorm == ref_gnorm
+
+
+def test_gauss_newton_step_with_an_inactive_user_solves_on_the_subset(monkeypatch):
+    # a floor between the users' rates leaves some users inside their
+    # cones; the step indexes the others and forms their own Gram matrix
+    rng = np.random.default_rng(23)
+    mt, k, n, radius = 8, 5, 13, 1.3
+    h = _cgauss(rng, (mt, k))
+    w = random_point(mt, n, radius, rng)
+    cones = soc_assemble(h, float(np.median(rates(w, h, 0.2).rate)), 0.2, num_streams=n)
+    users = _recorded_users(monkeypatch)
+    d, gnorm = f2_and_gauss_newton(w, cones, radius, 1e-9)[1]()
+    ref_d, ref_gnorm, ref_gram, act = indexed_gauss_newton_step(w, cones, radius, 1e-9)
+    assert 0 < act.size < k
+    [subset] = users
+    assert np.array_equal(subset, act)
+    gram = comm._tangent_gram(w, cones, radius, comm._cone_gaps(w, cones), act)[2]
+    assert gram.shape == (act.size, act.size)
+    assert gram.tobytes() == ref_gram.tobytes()
+    assert d.tobytes() == ref_d.tobytes()
+    assert gnorm == ref_gnorm
 
 
 def test_gauss_newton_takes_phase_one_at_a_zero_tail():

@@ -273,10 +273,32 @@ def test_lazy_inverse_and_gradient_keep_the_bits_of_the_eager_formula(size, t, s
         state = fisher_matrix(w, coupling)
     except NumericalError:
         assume(False)   # a singular draw (more targets than one antenna resolves)
-    assert "inverse" not in vars(state)
+    assert state._inverse is None
     eigs, vecs = np.linalg.eigh(state.matrix)
     inv = (vecs / eigs) @ vecs.T
     inv = 0.5 * (inv + inv.T)
     assert np.array_equal(grad_f1(coupling, state, 1.0),
                           reformed_grad_f1(w, coupling, SimpleNamespace(inverse=inv)))
     assert np.array_equal(state.inverse, inv)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_fisher_eigenpairs_keep_the_bits_of_numpys_eigh(t, seed):
+    # fisher_matrix calls the LAPACK kernel behind np.linalg.eigh
+    # directly; on the same F both give the same eigenpairs, bit for bit
+    rng = np.random.default_rng(seed)
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    mt = 2 * t + 2
+    r = cn(2 * t, 2 * t)
+    coupling = Coupling(b=cn(2 * t, mt), q=r.conj().T @ r)
+    try:
+        state = fisher_matrix(cn(mt, mt + 1), coupling)
+    except NumericalError:
+        assume(False)   # an ill-conditioned draw
+    eigs, vecs = np.linalg.eigh(state.matrix)
+    assert state.eigs.tobytes() == eigs.tobytes()
+    assert state.vecs.tobytes() == vecs.tobytes()

@@ -1,6 +1,5 @@
 """Two-stage design pipeline: sensing descent then rate restoration."""
 
-import functools
 import inspect
 
 import numpy as np
@@ -654,17 +653,41 @@ def test_stage_one_forms_the_fisher_inverse_once_per_gradient(monkeypatch):
     lazy = crlb.FisherState.inverse
 
     def counted(state):
-        formed.append(state)
-        return lazy.func(state)
+        if state._inverse is None:
+            formed.append(state)
+        return lazy.fget(state)
 
-    inverse = functools.cached_property(counted)
-    inverse.__set_name__(crlb.FisherState, "inverse")
-    monkeypatch.setattr(crlb.FisherState, "inverse", inverse)
+    monkeypatch.setattr(crlb.FisherState, "inverse", property(counted))
     zf = _zf(s)
     w0, _ = design.initial_point(s, design.rate_target(s, zf), False, zf)
     _, trace = design.solve_sp1(s, w0, RcgOptions(), crlb.coupling_matrices(s))
     assert len(formed) == trace.gradient_evals < trace.objective_evals
     assert len({id(state) for state in formed}) == len(formed)
+
+
+@pytest.mark.parametrize("seed, overload, zero_sensing",
+                         [(1, 0.7, False), (2, 0.3, False), (3, 0.7, True)])
+def test_stage_one_trace_totals_are_its_kernel_calls(seed, overload, zero_sensing, monkeypatch):
+    # the solver sums its totals from the line searches; the design
+    # record and the CSV print them, so they must equal the Fisher
+    # evaluations and gradients that stage I computes
+    s = make_scenario(seed=seed, overload=overload)
+    calls = {"fisher_matrix": 0, "grad_f1": 0}
+
+    def counted(name, func):
+        def wrapped(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(crlb, name, counted(name, getattr(crlb, name)))
+    zf = _zf(s)
+    w0, _ = design.initial_point(s, design.rate_target(s, zf), zero_sensing, zf)
+    _, trace = design.solve_sp1(s, w0, RcgOptions(), crlb.coupling_matrices(s))
+    assert trace.iterations > 1
+    assert trace.objective_evals == calls["fisher_matrix"]
+    assert trace.gradient_evals == calls["grad_f1"] < trace.objective_evals
 
 
 def test_line_searches_start_from_the_last_accepted_step():

@@ -5,6 +5,7 @@ import functools
 import importlib.util
 import itertools
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -630,6 +631,36 @@ def test_monte_carlo_of_one_design_starts_no_thread(mc_scenario, mc_design, monk
     started = _thread_starts(monkeypatch)
     rep = monte_carlo(mc_scenario, mc_design, 5, grid_deg=0.5)
     assert started == [] and rep.trials == 5
+
+
+def test_thread_pool_module_loads_only_for_a_pool():
+    # concurrent.futures loads logging: importing the package, a design
+    # and a one-design Monte-Carlo need neither; a sweep of two designs
+    # on two CPUs makes a pool and loads both
+    code = """
+import sys
+import isacbeam
+from isacbeam import design, radar
+from isacbeam.scenario import make_scenario
+
+def loaded():
+    return sorted(m for m in ("concurrent.futures", "logging") if m in sys.modules)
+
+print(loaded())
+radar._cpus = lambda: 2
+s = make_scenario(num_tx=4, num_rx=4, num_users=1, target_angles_deg=(-40.0, 25.0),
+                  target_ranges_m=(50.0, 60.0), snapshots=64, seed=3)
+designs = [(s, design.run(s, mode)) for mode in ("sgcdf", "sensing_only")]
+radar.monte_carlo(*designs[0], 3, 0.5)
+print(loaded())
+radar.monte_carlo_sweep(designs, 3, 0.5)
+print(loaded())
+"""
+    src = str(Path(radar.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.splitlines() == ["[]", "[]", "['concurrent.futures', 'logging']"]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
