@@ -31,14 +31,20 @@ MUSIC evaluates the denominator d(theta) = ||a||^2 - ||E_s^H a||^2, which
 equals ||E_n^H a||^2, as a real trigonometric polynomial of degree
 M_R - 1 in pi sin(theta): its 2 M_R - 1 coefficients are the diagonal
 sums of E_s E_s^H (``_coefficients``, the form Root-MUSIC factors), so a
-trial is one real row, whatever T is. The one cached plan that ``_grid``
-builds for each (M_R, step) holds a read-only table of cos(pi k sin
-theta) and sin(pi k sin theta), k = 1..M_R-1, on the grid, padded with
-NaN columns to whole 8-column groups, so d is NaN at a pad and never a
-minimum there. The grid is scanned on two levels. d is first evaluated
-on the plan's coarse columns, every w-th grid column and the last, w the
-largest multiple of 8 steps within 1 / (4 M_R) rad (16 steps at 32
-elements and 0.02 deg). From the coefficients, |d''| <= C, so
+trial is one real row, whatever T is, and d is that row times a table of
+cos(pi k sin theta) and sin(pi k sin theta), k = 1..M_R-1, on the grid,
+padded with NaN columns to whole 8-column groups, so d is NaN at a pad
+and never a minimum there. The one cached plan that ``_grid`` builds
+for each (M_R, step) keeps sin theta on the padded grid and the table
+at the coarse columns alone. The fine level reads the rest from
+read-only chunks of 16 groups that the plan makes on their first read
+and keeps, so a plan holds the table columns that scans read: 0.66 MB
+of the 4.5 MB table in the benchmark's 32-element sweep, and the whole
+table only when trials keep the whole grid. The grid is scanned on two
+levels. d is first evaluated on the plan's coarse columns, every w-th
+grid column and the last, w the largest multiple of 8 steps within
+1 / (4 M_R) rad (16 steps at 32 elements and 0.02 deg). From the
+coefficients, |d''| <= C, so
 min(ends) - h^2 C / 8 bounds d on each coarse interval of h rad; the
 fine level evaluates only the 8-column groups of the intervals whose
 bound does not rule out the T deepest minima. A trial that the coarse
@@ -46,14 +52,16 @@ level cannot certify (w < 8, or fewer than T interior coarse minima,
 which every degraded trial has) keeps every group. In the benchmark's
 32-element sweep a trial keeps 202 of the 9001 columns on average, and
 the 26 or 14 trials of a block keep 192-352 together, which the fine
-level evaluates once for all of them. Each product has at least two
-rows and covers whole 8-column groups: numpy runs a one-row product as
-a gemv, and OpenBLAS computes the last (count mod 4) columns of a
-product on another path, while a gemm's rows do not depend on how many
-there are. So every value has the bits of one product over the whole
-padded grid, whatever the stack and its union. That holds with
-single-threaded BLAS; threaded OpenBLAS may split a product elsewhere,
-so there the last bits depend on the thread count.
+level evaluates once for all of them, one product per chunk that each
+span of their union crosses. Each product has at least two rows and
+covers whole 8-column groups: numpy runs a one-row product as a gemv,
+and OpenBLAS computes the last (count mod 4) columns of a product on
+another path, while a gemm's rows do not depend on how many there are.
+A chunk's columns have the bits of the whole table's, whatever its
+width. So every value has the bits of one product over the whole
+padded grid, whatever the stack, its union and the chunks. That holds
+with single-threaded BLAS; threaded OpenBLAS may split a product
+elsewhere, so there the last bits depend on the thread count.
 
 ``monte_carlo_sweep`` runs the trials of designs that share one noise
 key: the scenario seed, M_R, N = K + M_T, L and the noise power. Every
@@ -200,42 +208,74 @@ def _hermitian(x):
     return x.conj().swapaxes(-1, -2)
 
 
+_CHUNK = 128  # columns of a table chunk: whole 8-column groups
+
+
+def _table(num_rx, sin):
+    """Read-only cos(pi k sin theta) for k = 1..M_R-1, then sin, at each of
+    ``sin``. The phases are written into the sine rows, then turned into
+    cosines and sines in place, so the build allocates no second table."""
+    table = np.empty((2 * (num_rx - 1), sin.size))
+    phase = table[num_rx - 1:]
+    np.multiply.outer(np.pi * np.arange(1, num_rx), sin, out=phase)
+    np.cos(phase, out=table[: num_rx - 1])
+    np.sin(phase, out=phase)
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class _ScanPlan:
-    theta_deg: np.ndarray  # grid points, degrees
-    table: np.ndarray      # cos(pi k sin theta) for k = 1..M_R-1, then sin; NaN at the pads
-    stride: int            # coarse stride w in grid steps; below 8, no coarse level
-    coarse: np.ndarray     # every w-th column of the table and the last, or the table when w < 8
+    num_rx: int           # M_R
+    sin: np.ndarray       # sin(theta) on the grid, padded with NaN to whole 8-column groups
+    stride: int           # coarse stride w in grid steps; below 8, no coarse level
+    interval: float       # w grid steps in radians, the coarse level's interval
+    coarse: np.ndarray    # the table at every w-th grid column and the last; None when w < 8
+    chunks: dict          # chunk index -> its read-only table columns, made on first read
+
+    @property
+    def coarse_width(self):
+        """Columns of the coarse level, or of the padded grid when w < 8."""
+        return self.sin.size if self.coarse is None else self.coarse.shape[1]
+
+    def tables(self, lo, hi):
+        """The table's columns lo..hi-1 of the padded grid, as one slice of
+        each chunk that the span crosses. A chunk is made on its first read
+        and published with ``dict.setdefault``, so every thread reads the
+        same array; a span of whole 8-column groups cuts whole groups."""
+        for i in range(lo // _CHUNK, -(-hi // _CHUNK)):
+            chunk = self.chunks.get(i)
+            if chunk is None:
+                chunk = self.chunks.setdefault(
+                    i, _table(self.num_rx, self.sin[i * _CHUNK:(i + 1) * _CHUNK]))
+            yield chunk[:, max(lo - i * _CHUNK, 0): hi - i * _CHUNK]
 
 
 @functools.lru_cache(maxsize=4)
 def _grid(num_rx, grid_deg):
-    """The read-only ``_ScanPlan`` of the MUSIC grid, shared by every caller.
+    """The ``_ScanPlan`` of the MUSIC grid, shared by every caller.
 
     The table's 2 (M_R - 1) rows evaluate the denominator's trigonometric
-    polynomial (``_coefficients``) at every grid point. It is padded
-    with NaN columns to whole 8-column groups, so the denominator is NaN
-    at a pad and never a minimum. The phases pi k sin(theta) are written
-    into the sine rows, then turned into cosines and sines in place, so
-    the build allocates no second grid-sized array. w is the largest
-    multiple of 8 steps within 1 / (4 M_R) rad.
+    polynomial (``_coefficients``) at the grid points. The plan keeps sin
+    theta on the grid, padded with NaN to whole 8-column groups, so the
+    denominator is NaN at a pad and never a minimum there. It keeps the
+    table only at the coarse columns, and makes the rest in read-only
+    chunks of _CHUNK columns as the fine level first reads them, so a
+    plan holds the columns that scans read, not the whole table. w is
+    the largest multiple of 8 steps within 1 / (4 M_R) rad.
     """
     if not grid_deg > 0:
         raise ValueError(f"MUSIC grid step must be positive, got {grid_deg}")
     theta_deg = _degree_grid(grid_deg)
     points = theta_deg.size
-    table = np.empty((2 * (num_rx - 1), points + -points % 8))
-    phase = table[num_rx - 1:, :points]
-    np.multiply.outer(np.pi * np.arange(1, num_rx), np.sin(np.deg2rad(theta_deg)), out=phase)
-    np.cos(phase, out=table[: num_rx - 1, :points])
-    np.sin(phase, out=phase)
-    table[:, points:] = np.nan
+    sin = np.full(points + -points % 8, np.nan)
+    np.sin(np.deg2rad(theta_deg, out=sin[:points]), out=sin[:points])
+    sin.flags.writeable = False
     w = 8 * int(np.rad2deg(0.25 / num_rx) * (points - 1) / (8 * 180.0))
-    coarse = table[:, np.append(np.arange(0, points - 1, w), points - 1)] if w >= 8 else table
-    plan = _ScanPlan(theta_deg, table, w, coarse)
-    for x in (theta_deg, table, coarse):
-        x.flags.writeable = False
-    return plan
+    if w < 8:
+        return _ScanPlan(num_rx, sin, w, np.nan, None, {})
+    coarse = _table(num_rx, sin[np.append(np.arange(0, points - 1, w), points - 1)])
+    return _ScanPlan(num_rx, sin, w, np.deg2rad(w * (theta_deg[1] - theta_deg[0])), coarse, {})
 
 
 def _coefficients(basis):
@@ -334,13 +374,12 @@ def _kept_groups(coeffs, num_targets, grid_deg):
     b, m = len(coeffs), coeffs.shape[1] // 2 + 1
     plan = _grid(m, grid_deg)
     w = plan.stride
-    groups = np.zeros((b, plan.table.shape[1] // 8), dtype=bool)
+    groups = np.zeros((b, plan.sin.size // 8), dtype=bool)
     if w < 8:
         groups[:] = True
         return groups, np.zeros(b, dtype=bool)
     coarse = _denominators(coeffs, plan.coarse)
-    floors = _interval_floors(coeffs, coarse,
-                              np.deg2rad(w * (plan.theta_deg[1] - plan.theta_deg[0])))
+    floors = _interval_floors(coeffs, coarse, plan.interval)
     level = np.partition(_row_minima(coarse), num_targets - 1, axis=1)[:, num_targets - 1]
     # the intervals' groups cover the grid, give or take its last group
     kept = np.repeat(floors <= level[:, None] + 1e-9 * m, w // 8, axis=1)[:, : groups.shape[1]]
@@ -355,13 +394,14 @@ def _fine_level(vecs, coeffs, num_targets, groups, grid_deg):
     matrices and their signal bases' ``_coefficients``, from the
     denominator d on their kept 8-column groups.
 
-    d is evaluated on the union of the groups, one product per span of
-    the union with a row per trial. Each product reads a slice of the
-    cached table, whole 8-column groups wide: the last (count mod 4)
-    columns of a product are computed on another path. Each row's
-    columns outside its own groups are set to +inf, so its smallest
-    value and its minima come from its own columns only. Where the
-    signal-subspace form falls below CANCEL_TOL * M_R (near-total
+    d is evaluated on the union of the groups, with a row per trial, one
+    product per plan chunk that each span of the union crosses, each
+    copied into d as it is made. Each product reads a slice of that
+    chunk, whole 8-column groups wide: the last (count mod 4) columns of
+    a product are computed on another path. Each row's columns outside
+    its own groups are set to +inf, so its smallest value and its minima
+    come from its own columns only. Where the signal-subspace form falls
+    below CANCEL_TOL * M_R (near-total
     cancellation at a noiseless target), the row's columns there are
     re-evaluated on the noise subspace E_n, with steering vectors built
     for those columns only, so d is never negative. The T deepest minima
@@ -371,17 +411,23 @@ def _fine_level(vecs, coeffs, num_targets, groups, grid_deg):
     """
     m = vecs.shape[-1]
     plan = _grid(m, grid_deg)
+    theta_deg = _degree_grid(grid_deg)
     padded = np.zeros(groups.shape[1] + 2, dtype=bool)
     union = padded[1:-1]
     np.any(groups, axis=0, out=union)
     edges = 8 * np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2)
-    d = np.concatenate([_denominators(coeffs, plan.table[:, lo:hi]) for lo, hi in edges], axis=1)
+    d = np.empty((len(coeffs), 8 * np.count_nonzero(union)))
+    at = 0
+    for lo, hi in edges:
+        for table in plan.tables(lo, hi):
+            d[:, at:at + table.shape[1]] = _denominators(coeffs, table)
+            at += table.shape[1]
     d[~np.repeat(groups[:, union], 8, axis=1)] = np.inf
     cols = (8 * np.flatnonzero(union)[:, None] + np.arange(8)).ravel()
     for row in np.flatnonzero((d < CANCEL_TOL * m).any(axis=1)):
         close = np.flatnonzero(d[row] < CANCEL_TOL * m)
         p = (_hermitian(vecs[row, :, : m - num_targets])
-             @ steering(np.deg2rad(plan.theta_deg[cols[close]]), m))
+             @ steering(np.deg2rad(theta_deg[cols[close]]), m))
         d[row, close] = (p.real ** 2 + p.imag ** 2).sum(axis=0)
     minima = _row_minima(d)
     count = np.count_nonzero(np.isfinite(minima), axis=1)
@@ -390,9 +436,9 @@ def _fine_level(vecs, coeffs, num_targets, groups, grid_deg):
     angles = np.empty(picked.shape)
     found = count > 0
     if found.any():
-        angles[found] = _refined(plan.theta_deg, d[found], picked[found], cols[picked[found]])
+        angles[found] = _refined(theta_deg, d[found], picked[found], cols[picked[found]])
     if not found.all():
-        angles[~found] = np.deg2rad(plan.theta_deg[cols[np.nanargmin(d[~found], axis=1)]])[:, None]
+        angles[~found] = np.deg2rad(theta_deg[cols[np.nanargmin(d[~found], axis=1)]])[:, None]
     return angles, count < num_targets
 
 
@@ -418,12 +464,13 @@ def _music(covs, num_targets, grid_deg):
 
     The fine level runs on greedy stacks of trials (``_stacks``) whose
     count times union width stays within the cap, the block's trials
-    times the width of the plan's coarse columns (the running union only
-    grows), so a stack's arrays, one real row per trial, are no larger
-    than the coarse level's. The one exception is a trial whose kept
-    groups alone are wider than the cap: it runs as a stack of one, and
-    its rows span at most the padded grid, 1 / (2 M_R - 2) of the cached
-    table.
+    times the coarse level's width, the padded grid's width when w < 8
+    (the running union only grows), so a stack's arrays, one real row
+    per trial, are no larger than the coarse level's. The one exception
+    is a trial whose kept groups alone are wider than the cap: it runs
+    as a stack of one, and its rows span at most the padded grid, 8
+    bytes a grid point. The table chunks that a stack reads stay in the
+    plan, a cache bounded by the grid.
     """
     if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
         raise ValueError("MUSIC needs a square M_R x M_R sample covariance")
@@ -437,7 +484,7 @@ def _music(covs, num_targets, grid_deg):
     groups, certified = _kept_groups(coeffs, num_targets, grid_deg)
     angles = np.empty((b, num_targets))
     degraded = np.empty(b, dtype=bool)
-    for lo, hi in _stacks(groups, b * _grid(m, grid_deg).coarse.shape[1]):
+    for lo, hi in _stacks(groups, b * _grid(m, grid_deg).coarse_width):
         angles[lo:hi], degraded[lo:hi] = _fine_level(vecs[lo:hi], coeffs[lo:hi], num_targets,
                                                      groups[lo:hi], grid_deg)
     return angles, degraded, ~certified
@@ -480,18 +527,19 @@ def _block_trials(m_r, num_streams, num_targets, grid_deg, lanes):
     - the covariances and eigenvectors (2 M_R^2), the eigenvalues and
       the coefficient row (2 M_R at most), and either the FFT behind the
       coefficients, 2 M_R x T with its squared parts and their sum
-      (5 M_R T), or the coarse level's six real rows as wide as the
-      plan's C coarse columns: the values, their interval floors and the
-      copies of the minima search (3 C).
+      (5 M_R T), or the coarse level's six real rows as wide as its C
+      columns, C the padded grid's width when w < 8: the values, their
+      interval floors and the copies of the minima search (3 C).
     The fine level adds nothing: ``_music`` caps each of its stacks at
-    the trials times the coarse columns, so its rows fit where the coarse
-    ones were. The exception is a one-trial stack wider than that cap,
-    whose rows span at most the padded grid.
+    the trials times C, so its rows fit where the coarse ones were. The
+    exception is a one-trial stack wider than that cap, whose rows span
+    at most the padded grid. The plan's table chunks are a cache, not
+    working memory.
     """
     noise = m_r * (num_streams + m_r)
     covariances = m_r * num_streams + m_r * m_r + m_r * max(num_streams, m_r)
     scan = 2 * m_r * m_r + 2 * m_r + max(5 * m_r * num_targets,
-                                         3 * _grid(m_r, grid_deg).coarse.shape[1])
+                                         3 * _grid(m_r, grid_deg).coarse_width)
     entries = noise + max(3 * noise, lanes * max(covariances, scan))
     return max(1, BLOCK_BYTES // (16 * entries))
 

@@ -17,6 +17,7 @@ curvature bound that the library's must never exceed, or a generator of
 test inputs on the manifold.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -246,10 +247,25 @@ def synthesize_waveform(w, snapshots, rng):
     return w @ radar.synthesize_probe(w.shape[1], snapshots, rng)
 
 
+@functools.lru_cache(maxsize=2)
+def grid_table(num_rx, grid_deg):
+    """(grid in degrees, table) of the MUSIC scan: the table is
+    cos(pi k sin theta) for k = 1..M_R-1, then sin, on the whole grid,
+    padded with NaN columns to whole 8-column groups, from one
+    ``np.cos`` and one ``np.sin`` of every phase. Read-only."""
+    theta_deg = np.linspace(-90.0, 90.0, int(round(180.0 / grid_deg)) + 1)
+    phase = np.outer(np.pi * np.arange(1, num_rx), np.sin(np.deg2rad(theta_deg)))
+    table = np.pad(np.vstack([np.cos(phase), np.sin(phase)]), ((0, 0), (0, -theta_deg.size % 8)),
+                   constant_values=np.nan)
+    for x in (theta_deg, table):
+        x.flags.writeable = False
+    return theta_deg, table
+
+
 def plan_denominator(cov, num_targets, table):
     """(eigenvectors, signal-subspace denominator c_0 + (a, b) . table)
-    of an M_R x M_R covariance on every column of ``table`` (a scan
-    plan's table or its coarse columns), from its signal basis's
+    of an M_R x M_R covariance on every column of ``table`` (a
+    ``grid_table`` or its coarse columns), from its signal basis's
     ``radar._coefficients``. The product has the row and a zero row:
     numpy runs a one-row product as a gemv, whose bits differ from the
     rows of a gemm."""
@@ -260,19 +276,18 @@ def plan_denominator(cov, num_targets, table):
 
 def music_denominator(cov, num_targets, grid_deg):
     """(grid in degrees, ||E_n^H a||^2 on it) for an M_R x M_R covariance,
-    from one product over the scan plan's whole padded table: the
+    from one product over the whole padded ``grid_table``: the
     signal-subspace form of ``plan_denominator``, re-evaluated on the
     noise subspace E_n, from steering vectors of those columns, where it
     falls below CANCEL_TOL * M_R. The pad columns are cut off."""
     m = cov.shape[0]
-    plan = radar._grid(m, grid_deg)
-    vecs, denom = plan_denominator(cov, num_targets, plan.table)
+    theta_deg, table = grid_table(m, grid_deg)
+    vecs, denom = plan_denominator(cov, num_targets, table)
     close = np.flatnonzero(denom < radar.CANCEL_TOL * m)
     if close.size:
-        p = vecs[:, : m - num_targets].conj().T @ steering(
-            np.deg2rad(plan.theta_deg[close]), m)
+        p = vecs[:, : m - num_targets].conj().T @ steering(np.deg2rad(theta_deg[close]), m)
         denom[close] = (p.real ** 2 + p.imag ** 2).sum(axis=0)
-    return plan.theta_deg, denom[: plan.theta_deg.size]
+    return theta_deg, denom[: theta_deg.size]
 
 
 def steering_denominator(basis, thetas):
@@ -401,11 +416,14 @@ def one_trial_music(cov, num_targets, grid_deg):
     the full scan's angles and flag, and whether the coarse level leaves
     the trial uncertified, w < 8 or fewer than T interior minima
     (``scipy.signal.find_peaks`` of the negated values) among the values
-    on the plan's coarse columns."""
-    plan = radar._grid(cov.shape[0], grid_deg)
-    uncertified = plan.stride < 8
+    on the coarse columns, every w-th grid column and the last, of the
+    ``grid_table``."""
+    w = radar._grid(cov.shape[0], grid_deg).stride
+    uncertified = w < 8
     if not uncertified:
-        coarse = plan_denominator(cov, num_targets, plan.coarse)[1]
+        theta_deg, table = grid_table(cov.shape[0], grid_deg)
+        cols = np.append(np.arange(0, theta_deg.size - 1, w), theta_deg.size - 1)
+        coarse = plan_denominator(cov, num_targets, table[:, cols])[1]
         uncertified = find_peaks(-coarse)[0].size < num_targets
     return (*full_scan(cov, num_targets, grid_deg), uncertified)
 

@@ -30,10 +30,10 @@ from isacbeam.radar import (
     synthesize_probe,
 )
 from isacbeam.scenario import make_scenario, substream
-from reference import (accumulated_stacks, echo_covariance, full_scan, magnitude_curvature,
-                       music_denominator, music_rmse_prediction, one_trial_monte_carlo,
-                       one_trial_music, plan_denominator, steering_denominator,
-                       steering_music, synthesize_waveform)
+from reference import (accumulated_stacks, echo_covariance, full_scan, grid_table,
+                       magnitude_curvature, music_denominator, music_rmse_prediction,
+                       one_trial_monte_carlo, one_trial_music, plan_denominator,
+                       steering_denominator, steering_music, synthesize_waveform)
 
 
 def _sensing_scenario(noise_dbm, angles=(20.0,), ranges=(50.0,), snapshots=256):
@@ -238,7 +238,7 @@ def test_music_noiseless_on_grid_target_keeps_denominator_nonnegative():
     theta_deg, denom = music_denominator(cov, 1, radar.MUSIC_GRID_DEG)
     i = int(np.argmin(np.abs(theta_deg - 20.0)))
     assert theta_deg[i] == pytest.approx(20.0, abs=1e-9)
-    signal_form = plan_denominator(cov, 1, radar._grid(8, radar.MUSIC_GRID_DEG).table)[1][i]
+    signal_form = plan_denominator(cov, 1, grid_table(8, radar.MUSIC_GRID_DEG)[1])[1][i]
     assert abs(signal_form) < radar.CANCEL_TOL * 8
     assert np.all(denom >= 0.0)
     assert np.argmin(denom) == i
@@ -776,12 +776,15 @@ def test_monte_carlo_memory_is_flat_in_trials():
     # 128 B a trial at three targets) and at most one block's BLOCK_BYTES.
     # A sweep keeps every design's results to the end, and one noise
     # key's draws at a time: holding a key's draws for every block would
-    # add over 70 kB a trial.
+    # add over 70 kB a trial. The warm-up sweep runs every measured trial
+    # of both calls (the single design is one of the sweep's), so the scan
+    # plan's table chunks, a cache bounded by the grid, exist before the
+    # measurement.
     single = make_scenario(power_budget_dbm=10.0)
     designs = [(s, design.run(s, mode))
                for s in (make_scenario(power_budget_dbm=p) for p in (0.0, 10.0, 20.0))
                for mode in ("sgcdf", "omnidirectional")]
-    monte_carlo_sweep(designs, 1, radar.MUSIC_GRID_DEG)
+    monte_carlo_sweep(designs, 1000, radar.MUSIC_GRID_DEG)
 
     def peak(run, trials):
         tracemalloc.start()
@@ -939,8 +942,9 @@ def test_music_ranks_tied_minima_by_column(monkeypatch):
     d[:] = 1.0
     d[1:127:2] = 0.5
     d[101] = 0.25
-    monkeypatch.setattr(radar, "_grid",
-                        lambda m, grid_deg: SimpleNamespace(theta_deg=theta_deg, table=table))
+    plan = SimpleNamespace(tables=lambda lo, hi: [table[:, lo:hi]])
+    monkeypatch.setattr(radar, "_grid", lambda m, grid_deg: plan)
+    monkeypatch.setattr(radar, "_degree_grid", lambda grid_deg: theta_deg)
     vecs = np.eye(4, dtype=complex)[None]
     coeffs = np.array([[0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
     groups = np.ones((1, 16), dtype=bool)
@@ -1069,14 +1073,16 @@ def test_music_fine_level_memory_stays_within_a_block():
     # union peaks at about 5.0 MB, so the fine level runs in stacks of trials
     # whose count times union width fits the coarse product. At 64
     # elements and 0.07 deg, w < 8 and every trial keeps the whole grid,
-    # so the stacks are capped by the padded grid's width instead.
+    # so the stacks are capped by the padded grid's width instead. The
+    # warm-up runs the measured trials, so the scan plan's table chunks, a
+    # cache bounded by the grid, exist before the measurement.
     for s, grid_deg, uncertified in ((make_scenario(power_budget_dbm=-30.0),
                                       radar.MUSIC_GRID_DEG, False),
                                      (make_scenario(num_tx=64, num_rx=64, num_users=2), 0.07,
                                       True)):
         res = design.run(s, "omnidirectional")
         block = radar._block_trials(s.num_rx, np.shape(res.w)[1], s.num_targets, grid_deg, 1)
-        monte_carlo(s, res, 1, grid_deg)
+        monte_carlo(s, res, block, grid_deg)
         tracemalloc.start()
         try:
             rep = monte_carlo(s, res, block, grid_deg)
@@ -1092,12 +1098,13 @@ def test_monte_carlo_sweep_memory_stays_within_a_block_across_threads(cpus, bloc
                                                                       monkeypatch):
     # a block counts the working set of every design in flight, so the
     # benchmark's sweep of 40 trials on 2 or 4 threads keeps all of them
-    # together within BLOCK_BYTES
+    # together within BLOCK_BYTES; the warm-up runs the measured trials,
+    # so the scan plan's table chunks exist before the measurement
     monkeypatch.setattr(radar, "_cpus", lambda: cpus)
     s, res = paper_sweep[0]
     assert radar._block_trials(s.num_rx, np.shape(res.w)[1], s.num_targets,
                                radar.MUSIC_GRID_DEG, cpus) == block
-    monte_carlo_sweep(paper_sweep, 1, radar.MUSIC_GRID_DEG)
+    monte_carlo_sweep(paper_sweep, 40, radar.MUSIC_GRID_DEG)
     tracemalloc.start()
     try:
         monte_carlo_sweep(paper_sweep, 40, radar.MUSIC_GRID_DEG)
@@ -1112,7 +1119,9 @@ def test_music_fine_level_stacks_stay_within_the_coarse_level(monkeypatch):
     # its share of the coarse columns, so the 29 trials of a block run in
     # stacks (5 here), each of whose working arrays is within a small
     # multiple of the coarse level's 29 x 564 values. One stack of all 29
-    # trials peaks at about 38 times those values.
+    # trials peaks at about 38 times those values. The warm-up runs the
+    # measured trials, so the scan plan's table chunks exist before the
+    # measurement.
     fine = radar._fine_level
     peaks = []
 
@@ -1130,7 +1139,7 @@ def test_music_fine_level_stacks_stay_within_the_coarse_level(monkeypatch):
         res = design.run(s, "omnidirectional")
         assert radar._block_trials(32, np.shape(res.w)[1], s.num_targets,
                                    radar.MUSIC_GRID_DEG, 1) == 29
-        monte_carlo(s, res, 1)
+        monte_carlo(s, res, 29)
         peaks.clear()
         tracemalloc.start()
         try:
@@ -1141,48 +1150,163 @@ def test_music_fine_level_stacks_stay_within_the_coarse_level(monkeypatch):
         assert max(peaks) <= 8 * coarse
 
 
-def test_music_grid_pads_in_place():
-    # the 62 x 9,008 table takes 4.47 MB and the plan's build, the 564
-    # coarse columns gathered from it (0.28 MB) included, about 4.83 MB at
-    # its peak: the phases are written into the sine rows and turned into
-    # cosines and sines in place.
-    radar._grid.cache_clear()
-    tracemalloc.start()
-    try:
-        plan = radar._grid(32, radar.MUSIC_GRID_DEG)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    theta_deg, table = plan.theta_deg, plan.table
-    assert theta_deg.size == 9001 and table.shape == (62, 9008)
-    assert np.isnan(table[:, 9001:]).all() and np.isfinite(table[:, :9001]).all()
-    a = steering(np.deg2rad(theta_deg), 32)[1:]
-    assert np.allclose(table[:31, :9001], a.real, rtol=0.0, atol=1e-12)
-    assert np.allclose(table[31:, :9001], a.imag, rtol=0.0, atol=1e-12)
-    assert peak <= 4.9e6
+def _table_bytes(plan):
+    """Bytes of the table columns that a scan plan holds: its coarse
+    columns and every chunk it has published."""
+    coarse = 0 if plan.coarse is None else plan.coarse.nbytes
+    return coarse + sum(chunk.nbytes for chunk in plan.chunks.values())
 
 
 @pytest.mark.parametrize("grid_deg, stride", [(radar.MUSIC_GRID_DEG, 16), (0.1, 0)])
-def test_music_scan_plan_is_one_read_only_record(grid_deg, stride):
+def test_music_scan_plan_builds_only_its_coarse_columns(grid_deg, stride):
     # 32 elements: 1 / (4 M_R) rad is 0.45 deg, 22 steps of 0.02 deg but
-    # under 8 steps of 0.1 deg, which leaves no coarse level
-    plan = radar._grid(32, grid_deg)
-    points = plan.theta_deg.size
-    assert plan.stride == stride
-    cols = (np.append(np.arange(0, points - 1, stride), points - 1) if stride
-            else np.arange(plan.table.shape[1]))
-    assert np.array_equal(plan.coarse, plan.table[:, cols], equal_nan=True)
-    for x in (plan.theta_deg, plan.table, plan.coarse):
-        with pytest.raises(ValueError, match="read-only"):
-            x[..., 0] = 0.0
+    # under 8 steps of 0.1 deg, which leaves no coarse level. At 0.02 deg
+    # the whole 62 x 9,008 table would take 4.47 MB; the plan keeps sin
+    # theta on the padded grid (72 kB) and the 564 coarse columns
+    # (0.28 MB), and its build, with the grid in degrees and the ufunc's
+    # buffers, allocates at most twice that (0.56 MB) and a few small
+    # Python objects.
+    radar._grid.cache_clear()
+    tracemalloc.start()
+    try:
+        plan = radar._grid(32, grid_deg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    theta_deg, table = grid_table(32, grid_deg)
+    points = theta_deg.size
+    assert plan.stride == stride and plan.chunks == {}
+    assert plan.sin.size == table.shape[1] == points + -points % 8
+    assert np.isnan(plan.sin[points:]).all() and np.isfinite(plan.sin[:points]).all()
+    assert peak <= 2 * (plan.sin.nbytes + _table_bytes(plan)) + 4096
+    a = steering(np.deg2rad(theta_deg), 32)[1:]
+    assert np.allclose(table[:31, :points], a.real, rtol=0.0, atol=1e-12)
+    assert np.allclose(table[31:, :points], a.imag, rtol=0.0, atol=1e-12)
+    if stride:
+        cols = np.append(np.arange(0, points - 1, stride), points - 1)
+        assert np.array_equal(plan.coarse, table[:, cols])
+        assert plan.coarse_width == cols.size == 564
+    else:
+        assert plan.coarse is None and plan.coarse_width == plan.sin.size
+    for x in (plan.sin, plan.coarse):
+        if x is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                x[..., 0] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.stride = 8
     # a noiseless three-target subspace: certified with a coarse level,
     # and with none every group kept and no trial certified
     basis = np.linalg.qr(steering(np.deg2rad([-45.0, 30.0, 60.0]), 32))[0]
     groups, certified = radar._kept_groups(radar._coefficients(basis[None]), 3, grid_deg)
-    assert groups.shape == (1, plan.table.shape[1] // 8)
+    assert groups.shape == (1, plan.sin.size // 8)
     assert groups.all() == (not stride) and certified.tolist() == [bool(stride)]
+
+
+@pytest.mark.parametrize("grid_deg, limit", [(radar.MUSIC_GRID_DEG, 1e6), (0.001, 4e6)])
+def test_music_scan_plan_holds_the_columns_scans_read(grid_deg, limit, paper_sweep):
+    # after the benchmark's sweep of 40 trials the plan's table columns
+    # take 0.66 MB at 0.02 deg and 3.4 MB at 0.001 deg, where the whole
+    # table would take 4.47 MB and 89 MB; besides them the plan keeps sin
+    # theta, 8 bytes a grid point. Every published chunk is read-only.
+    radar._grid.cache_clear()
+    monte_carlo_sweep(paper_sweep, 40, grid_deg)
+    plan = radar._grid(32, grid_deg)
+    assert 0 < len(plan.chunks) < plan.sin.size / radar._CHUNK / 2
+    assert _table_bytes(plan) <= limit
+    for chunk in plan.chunks.values():
+        with pytest.raises(ValueError, match="read-only"):
+            chunk[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("m, grid_deg", [(32, radar.MUSIC_GRID_DEG), (32, 0.1),
+                                         (8, radar.MUSIC_GRID_DEG), (16, 0.001)])
+def test_music_scan_plan_chunks_match_the_whole_table_bitwise(m, grid_deg):
+    # every chunk that scans publish has the bits of the whole grid's
+    # table, the last one's pads included, whatever its width: numpy's
+    # SIMD cos and sin must not depend on the slice length. A target at
+    # -89.99 deg nulls the denominator at both ends of the grid (the
+    # steering vector is 2-periodic in sin theta), so the scans read the
+    # first and the last chunk; at 0.1 deg w < 8 and they read every one.
+    radar._grid.cache_clear()
+    a = steering(np.deg2rad([-89.99, -20.0, 35.0]), m)
+    covs = np.stack([a @ np.diag([1.0, p, 2.0 - p]) @ a.conj().T + 0.01 * np.eye(m)
+                     for p in (0.5, 1.0, 1.5)])
+    radar._music(covs, 3, grid_deg)
+    plan = radar._grid(m, grid_deg)
+    table = grid_table(m, grid_deg)[1]
+    last = (table.shape[1] - 1) // radar._CHUNK
+    assert {0, last} <= plan.chunks.keys()
+    assert (len(plan.chunks) == last + 1) == (grid_deg == 0.1)
+    for i, chunk in plan.chunks.items():
+        lo = i * radar._CHUNK
+        assert chunk.shape[1] == min(radar._CHUNK, table.shape[1] - lo)
+        assert np.array_equal(chunk, table[:, lo:lo + chunk.shape[1]], equal_nan=True)
+
+
+def test_music_scan_plan_fills_from_both_lanes_with_one_array_per_chunk(paper_sweep,
+                                                                       monkeypatch):
+    # two designs scan a fresh plan on two lanes at once, and their first
+    # block's designs wait for each other, so both lanes run: every fine
+    # product reads a slice of the one chunk published for its index, and
+    # the estimates keep the one-lane bits
+    designs = paper_sweep[:2]
+    monkeypatch.setattr(radar, "_cpus", lambda: 1)
+    one_lane = [_report_fields(rep) for rep in monte_carlo_sweep(designs, 40,
+                                                                  radar.MUSIC_GRID_DEG)]
+    radar._grid.cache_clear()
+    monkeypatch.setattr(radar, "_cpus", lambda: 2)
+    meet, met, reads = threading.Barrier(2, timeout=60), set(), []
+    music, denominators = radar._music, radar._denominators
+
+    def meeting_music(covs, num_targets, grid_deg):
+        if threading.current_thread() not in met:
+            met.add(threading.current_thread())
+            meet.wait()
+        return music(covs, num_targets, grid_deg)
+
+    def reading_denominators(coeffs, table):
+        reads.append((threading.current_thread(), table))
+        return denominators(coeffs, table)
+
+    monkeypatch.setattr(radar, "_music", meeting_music)
+    monkeypatch.setattr(radar, "_denominators", reading_denominators)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reps = monte_carlo_sweep(designs, 40, radar.MUSIC_GRID_DEG)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [_report_fields(rep) for rep in reps] == one_lane
+    plan = radar._grid(32, radar.MUSIC_GRID_DEG)
+    fine = [(thread, table.base) for thread, table in reads if table is not plan.coarse]
+    assert len(met) == len({thread for thread, _ in fine}) == 2
+    assert {id(base) for _, base in fine} == {id(chunk) for chunk in plan.chunks.values()}
+
+
+def test_music_scan_plan_publishes_each_chunk_once_under_contention():
+    # eight threads read every chunk of a fresh plan at once, with a short
+    # switch interval: a chunk published twice would hand two threads
+    # different arrays for one index
+    radar._grid.cache_clear()
+    plan = radar._grid(16, radar.MUSIC_GRID_DEG)
+    start = threading.Barrier(8, timeout=60)
+
+    def read():
+        start.wait()
+        return [table.base for table in plan.tables(0, plan.sin.size)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            seen = [task.result(timeout=60) for task in [pool.submit(read) for _ in range(8)]]
+    finally:
+        sys.setswitchinterval(interval)
+    published = [plan.chunks[i] for i in range(-(-plan.sin.size // radar._CHUNK))]
+    assert len(plan.chunks) == len(published)
+    for bases in seen:
+        assert len(bases) == len(published)
+        assert all(base is chunk for base, chunk in zip(bases, published))
 
 
 def _signal_basis(data, m):
@@ -1203,10 +1327,9 @@ def test_coefficients_match_the_steering_vector_denominator(m, data):
     # the trigonometric polynomial of the coefficients, on the plan's
     # table, against ||a||^2 - ||E_s^H a||^2 from steering vectors
     basis = _signal_basis(data, m)
-    plan = radar._grid(m, 0.25)
-    points = plan.theta_deg.size
-    d = radar._denominators(radar._coefficients(basis[None]), plan.table)[0, :points]
-    ref = steering_denominator(basis, np.deg2rad(plan.theta_deg))
+    theta_deg, table = grid_table(m, 0.25)
+    d = radar._denominators(radar._coefficients(basis[None]), table)[0, : theta_deg.size]
+    ref = steering_denominator(basis, np.deg2rad(theta_deg))
     assert np.max(np.abs(d - ref)) <= 1e-12 * m
 
 
@@ -1218,11 +1341,11 @@ def test_interval_floors_bound_the_fine_denominator(m, data):
     # curvature bound several times too small
     basis = _signal_basis(data, m)
     coeffs = radar._coefficients(basis[None])
-    plan = radar._grid(m, radar.MUSIC_GRID_DEG)
-    step = plan.theta_deg[1] - plan.theta_deg[0]
-    w = plan.stride
-    d = radar._denominators(coeffs, plan.table)[0, : plan.theta_deg.size]
+    w = radar._grid(m, radar.MUSIC_GRID_DEG).stride
+    theta_deg, table = grid_table(m, radar.MUSIC_GRID_DEG)
+    d = radar._denominators(coeffs, table)[0, : theta_deg.size]
     ends = np.append(np.arange(0, d.size - 1, w), d.size - 1)
+    step = theta_deg[1] - theta_deg[0]
     floors = radar._interval_floors(coeffs[0], d[ends], np.deg2rad(w * step))
     # fine minimum over [ends[j], ends[j + 1]); each right end is an end too
     assert np.all(np.minimum.reduceat(d, ends[:-1]) >= floors - 1e-9 * m)
