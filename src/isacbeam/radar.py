@@ -43,13 +43,12 @@ of the 4.5 MB table in the benchmark's 32-element sweep, and the whole
 table only when trials keep the whole grid. The grid is scanned on two
 levels. d is first evaluated on the plan's coarse columns, every w-th
 grid column and the last, w the largest multiple of 8 steps within
-1 / (4 M_R) rad (16 steps at 32 elements and 0.02 deg). From the
-coefficients, |d''| <= C, so
-min(ends) - h^2 C / 8 bounds d on each coarse interval of h rad; the
-fine level evaluates only the 8-column groups of the intervals whose
-bound does not rule out the T deepest minima. A trial that the coarse
-level cannot certify (w < 8, or fewer than T interior coarse minima,
-which every degraded trial has) keeps every group. In the benchmark's
+1 / (4 M_R) rad and at least 8 (16 steps at 32 elements and 0.02 deg).
+From the coefficients, |d''| <= C, so min(ends) - h^2 C / 8 bounds d
+on each coarse interval of h rad, whatever h; the fine level evaluates
+only the 8-column groups of the intervals whose bound does not rule
+out the T deepest minima. A trial with fewer than T interior coarse
+minima (every degraded trial) keeps every group. In the benchmark's
 32-element sweep a trial keeps 202 of the 9001 columns on average, and
 the 26 or 14 trials of a block keep 192-352 together, which the fine
 level evaluates once for all of them, one product per chunk that each
@@ -228,15 +227,10 @@ def _table(num_rx, sin):
 class _ScanPlan:
     num_rx: int           # M_R
     sin: np.ndarray       # sin(theta) on the grid, padded with NaN to whole 8-column groups
-    stride: int           # coarse stride w in grid steps; below 8, no coarse level
+    stride: int           # coarse stride w in grid steps, a multiple of 8
     interval: float       # w grid steps in radians, the coarse level's interval
-    coarse: np.ndarray    # the table at every w-th grid column and the last; None when w < 8
+    coarse: np.ndarray    # the table at every w-th grid column and the last
     chunks: dict          # chunk index -> its read-only table columns, made on first read
-
-    @property
-    def coarse_width(self):
-        """Columns of the coarse level, or of the padded grid when w < 8."""
-        return self.sin.size if self.coarse is None else self.coarse.shape[1]
 
     def tables(self, lo, hi):
         """The table's columns lo..hi-1 of the padded grid, as one slice of
@@ -262,7 +256,7 @@ def _grid(num_rx, grid_deg):
     table only at the coarse columns, and makes the rest in read-only
     chunks of _CHUNK columns as the fine level first reads them, so a
     plan holds the columns that scans read, not the whole table. w is
-    the largest multiple of 8 steps within 1 / (4 M_R) rad.
+    the largest multiple of 8 steps within 1 / (4 M_R) rad, and at least 8.
     """
     if not grid_deg > 0:
         raise ValueError(f"MUSIC grid step must be positive, got {grid_deg}")
@@ -271,11 +265,11 @@ def _grid(num_rx, grid_deg):
     sin = np.full(points + -points % 8, np.nan)
     np.sin(np.deg2rad(theta_deg, out=sin[:points]), out=sin[:points])
     sin.flags.writeable = False
-    w = 8 * int(np.rad2deg(0.25 / num_rx) * (points - 1) / (8 * 180.0))
-    if w < 8:
-        return _ScanPlan(num_rx, sin, w, np.nan, None, {})
+    w = 8 * max(1, int(np.rad2deg(0.25 / num_rx) * (points - 1) / (8 * 180.0)))
     coarse = _table(num_rx, sin[np.append(np.arange(0, points - 1, w), points - 1)])
-    return _ScanPlan(num_rx, sin, w, np.deg2rad(w * (theta_deg[1] - theta_deg[0])), coarse, {})
+    # one grid step; a one-point grid has one coarse column and no interval
+    step = theta_deg[min(1, points - 1)] - theta_deg[0]
+    return _ScanPlan(num_rx, sin, w, np.deg2rad(w * step), coarse, {})
 
 
 def _coefficients(basis):
@@ -355,7 +349,7 @@ def _row_minima(x):
     return minima
 
 
-def _kept_groups(coeffs, num_targets, grid_deg):
+def _kept_groups(coeffs, num_targets, plan):
     """The coarse level of the scan for a stack of ``_coefficients`` rows:
     (B x G flags of the padded grid's 8-column groups that the fine level
     evaluates, B flags of the trials it certified).
@@ -369,30 +363,31 @@ def _kept_groups(coeffs, num_targets, grid_deg):
     that every minimum there has both neighbours; a minimum found at the
     end of a kept span lies above v and is never among the T deepest. A
     trial with fewer than T coarse minima has v = +inf and keeps every
-    group, as does every trial when w < 8; the others are certified.
+    group, also on a level of one column (a one-point grid), which has
+    no interval; the others are certified.
     """
-    b, m = len(coeffs), coeffs.shape[1] // 2 + 1
-    plan = _grid(m, grid_deg)
-    w = plan.stride
-    groups = np.zeros((b, plan.sin.size // 8), dtype=bool)
-    if w < 8:
-        groups[:] = True
-        return groups, np.zeros(b, dtype=bool)
+    m = coeffs.shape[1] // 2 + 1
+    groups = np.zeros((len(coeffs), plan.sin.size // 8), dtype=bool)
     coarse = _denominators(coeffs, plan.coarse)
     floors = _interval_floors(coeffs, coarse, plan.interval)
-    level = np.partition(_row_minima(coarse), num_targets - 1, axis=1)[:, num_targets - 1]
+    # a level narrower than T columns has fewer than T minima: v = +inf
+    kth = min(num_targets, coarse.shape[1]) - 1
+    level = np.partition(_row_minima(coarse), kth, axis=1)[:, kth]
     # the intervals' groups cover the grid, give or take its last group
-    kept = np.repeat(floors <= level[:, None] + 1e-9 * m, w // 8, axis=1)[:, : groups.shape[1]]
-    groups[:, : kept.shape[1]] = kept
+    kept = np.repeat(floors <= level[:, None] + 1e-9 * m, plan.stride // 8, axis=1)
+    groups[:, : kept.shape[1]] = kept[:, : groups.shape[1]]
     groups[:, 1:] |= groups[:, :-1]
     groups[:, :-1] |= groups[:, 1:]
-    return groups, np.isfinite(level)
+    certified = np.isfinite(level)
+    groups[~certified] = True
+    return groups, certified
 
 
-def _fine_level(vecs, coeffs, num_targets, groups, grid_deg):
+def _fine_level(vecs, coeffs, num_targets, groups, plan, theta_deg):
     """MUSIC's (angles, degraded flags) for a stack of eigenvector
     matrices and their signal bases' ``_coefficients``, from the
-    denominator d on their kept 8-column groups.
+    denominator d on their kept 8-column groups of the ``plan``'s grid,
+    ``theta_deg`` in degrees.
 
     d is evaluated on the union of the groups, with a row per trial, one
     product per plan chunk that each span of the union crosses, each
@@ -410,8 +405,6 @@ def _fine_level(vecs, coeffs, num_targets, groups, grid_deg):
     grid angle of its smallest value, unrefined.
     """
     m = vecs.shape[-1]
-    plan = _grid(m, grid_deg)
-    theta_deg = _degree_grid(grid_deg)
     padded = np.zeros(groups.shape[1] + 2, dtype=bool)
     union = padded[1:-1]
     np.any(groups, axis=0, out=union)
@@ -464,13 +457,13 @@ def _music(covs, num_targets, grid_deg):
 
     The fine level runs on greedy stacks of trials (``_stacks``) whose
     count times union width stays within the cap, the block's trials
-    times the coarse level's width, the padded grid's width when w < 8
-    (the running union only grows), so a stack's arrays, one real row
-    per trial, are no larger than the coarse level's. The one exception
-    is a trial whose kept groups alone are wider than the cap: it runs
-    as a stack of one, and its rows span at most the padded grid, 8
-    bytes a grid point. The table chunks that a stack reads stay in the
-    plan, a cache bounded by the grid.
+    times the coarse level's width (the running union only grows), so a
+    stack's arrays, one real row per trial, are no larger than the
+    coarse level's. The one exception is a trial whose kept groups
+    alone are wider than the cap: it runs as a stack of one, and its
+    rows span at most the padded grid, 8 bytes a grid point. The table
+    chunks that a stack reads stay in the plan, a cache bounded by the
+    grid; every stack reads the grid in degrees formed once per call.
     """
     if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
         raise ValueError("MUSIC needs a square M_R x M_R sample covariance")
@@ -481,12 +474,14 @@ def _music(covs, num_targets, grid_deg):
     b, m = covs.shape[:2]
     vecs = np.linalg.eigh(covs)[1]
     coeffs = _coefficients(vecs[..., m - num_targets:])
-    groups, certified = _kept_groups(coeffs, num_targets, grid_deg)
+    plan = _grid(m, grid_deg)
+    groups, certified = _kept_groups(coeffs, num_targets, plan)
+    theta_deg = _degree_grid(grid_deg)
     angles = np.empty((b, num_targets))
     degraded = np.empty(b, dtype=bool)
-    for lo, hi in _stacks(groups, b * _grid(m, grid_deg).coarse_width):
+    for lo, hi in _stacks(groups, b * plan.coarse.shape[1]):
         angles[lo:hi], degraded[lo:hi] = _fine_level(vecs[lo:hi], coeffs[lo:hi], num_targets,
-                                                     groups[lo:hi], grid_deg)
+                                                     groups[lo:hi], plan, theta_deg)
     return angles, degraded, ~certified
 
 
@@ -528,8 +523,8 @@ def _block_trials(m_r, num_streams, num_targets, grid_deg, lanes):
       the coefficient row (2 M_R at most), and either the FFT behind the
       coefficients, 2 M_R x T with its squared parts and their sum
       (5 M_R T), or the coarse level's six real rows as wide as its C
-      columns, C the padded grid's width when w < 8: the values, their
-      interval floors and the copies of the minima search (3 C).
+      columns: the values, their interval floors and the copies of the
+      minima search (3 C).
     The fine level adds nothing: ``_music`` caps each of its stacks at
     the trials times C, so its rows fit where the coarse ones were. The
     exception is a one-trial stack wider than that cap, whose rows span
@@ -539,7 +534,7 @@ def _block_trials(m_r, num_streams, num_targets, grid_deg, lanes):
     noise = m_r * (num_streams + m_r)
     covariances = m_r * num_streams + m_r * m_r + m_r * max(num_streams, m_r)
     scan = 2 * m_r * m_r + 2 * m_r + max(5 * m_r * num_targets,
-                                         3 * _grid(m_r, grid_deg).coarse_width)
+                                         3 * _grid(m_r, grid_deg).coarse.shape[1])
     entries = noise + max(3 * noise, lanes * max(covariances, scan))
     return max(1, BLOCK_BYTES // (16 * entries))
 

@@ -252,11 +252,14 @@ def grid_table(num_rx, grid_deg):
     """(grid in degrees, table) of the MUSIC scan: the table is
     cos(pi k sin theta) for k = 1..M_R-1, then sin, on the whole grid,
     padded with NaN columns to whole 8-column groups, from one
-    ``np.cos`` and one ``np.sin`` of every phase. Read-only."""
+    ``np.cos`` and one ``np.sin`` of every phase, written into the
+    NaN-filled table. Read-only."""
     theta_deg = np.linspace(-90.0, 90.0, int(round(180.0 / grid_deg)) + 1)
+    points = theta_deg.size
     phase = np.outer(np.pi * np.arange(1, num_rx), np.sin(np.deg2rad(theta_deg)))
-    table = np.pad(np.vstack([np.cos(phase), np.sin(phase)]), ((0, 0), (0, -theta_deg.size % 8)),
-                   constant_values=np.nan)
+    table = np.full((2 * (num_rx - 1), points + -points % 8), np.nan)
+    np.cos(phase, out=table[: num_rx - 1, :points])
+    np.sin(phase, out=table[num_rx - 1:, :points])
     for x in (theta_deg, table):
         x.flags.writeable = False
     return theta_deg, table
@@ -414,17 +417,15 @@ def one_trial_echo_covariance(scenario, gw, rng):
 def one_trial_music(cov, num_targets, grid_deg):
     """``radar._music`` of one covariance, (angles, degraded, uncertified):
     the full scan's angles and flag, and whether the coarse level leaves
-    the trial uncertified, w < 8 or fewer than T interior minima
+    the trial uncertified, with fewer than T interior minima
     (``scipy.signal.find_peaks`` of the negated values) among the values
     on the coarse columns, every w-th grid column and the last, of the
     ``grid_table``."""
     w = radar._grid(cov.shape[0], grid_deg).stride
-    uncertified = w < 8
-    if not uncertified:
-        theta_deg, table = grid_table(cov.shape[0], grid_deg)
-        cols = np.append(np.arange(0, theta_deg.size - 1, w), theta_deg.size - 1)
-        coarse = plan_denominator(cov, num_targets, table[:, cols])[1]
-        uncertified = find_peaks(-coarse)[0].size < num_targets
+    theta_deg, table = grid_table(cov.shape[0], grid_deg)
+    cols = np.append(np.arange(0, theta_deg.size - 1, w), theta_deg.size - 1)
+    coarse = plan_denominator(cov, num_targets, table[:, cols])[1]
+    uncertified = find_peaks(-coarse)[0].size < num_targets
     return (*full_scan(cov, num_targets, grid_deg), uncertified)
 
 

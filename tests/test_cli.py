@@ -19,6 +19,7 @@ import isacbeam.design
 from isacbeam import cli, config, design, radar
 from isacbeam.config import _SCHEMA, build_options, build_scenario, load_config
 from isacbeam.errors import InfeasibleError
+from reference import one_trial_monte_carlo
 
 SMALL_INI = """
 [scenario]
@@ -348,9 +349,10 @@ def test_sweep_delta_schema_and_zero_delta(cfg_path, tmp_path):
 @pytest.mark.parametrize("command", ["sweep-power", "sweep-delta"])
 @pytest.mark.parametrize("music_grid", ["0.5", "0.02"])
 def test_sweeps_declare_full_scans_in_row_order(command, music_grid, tmp_path):
-    # one count of uncertified trials per row, ahead of the header; at
-    # 0.5 deg the 8-element grid has no coarse level, so all 3 trials
-    # of every row scan in full
+    # one count of uncertified trials per row, ahead of the header, each
+    # the count that the one-trial reference leaves uncertified; at 0.5
+    # deg the 8-element grid's coarse stride of 8 steps, 4 deg, is wider
+    # than 1 / (4 M_R) rad, and it certifies every trial
     ini = tmp_path / "grid.ini"
     ini.write_text(SMALL_INI.replace("music_grid_deg = 0.5", f"music_grid_deg = {music_grid}"),
                    encoding="utf-8")
@@ -372,8 +374,21 @@ def test_sweeps_declare_full_scans_in_row_order(command, music_grid, tmp_path):
     assert meta == [("full_scans", ";".join(map(str, counts)))] and len(counts) == len(rows)
     # the metadata line is the only addition ahead of the header row
     assert text.startswith(f"# full_scans={meta[0][1]}\n{','.join(header)}\n")
-    if music_grid == "0.5":
-        assert counts == [3] * len(rows)
+    assert counts == [one_trial_monte_carlo(s, res, exp["trials"], exp["music_grid_deg"])[2].sum()
+                      for s, res in designs]
+
+
+def test_sweep_power_runs_on_a_one_point_music_grid(tmp_path):
+    # a MUSIC step above 360 deg leaves the one grid point -90 deg: one
+    # coarse column, fewer than the two targets, and no interval, so every
+    # trial keeps the whole grid
+    ini = tmp_path / "point.ini"
+    ini.write_text(SMALL_INI.replace("music_grid_deg = 0.5", "music_grid_deg = 400"),
+                   encoding="utf-8")
+    out = tmp_path / "point.csv"
+    assert cli.main(["sweep-power", "--config", str(ini), "--out", str(out)]) == 0
+    meta, _, rows = cli.read_csv(out.read_text(encoding="utf-8"))
+    assert meta == [("full_scans", ";".join(["3"] * len(rows)))] and len(rows) == 2
 
 
 def test_sweep_delta_rejects_out_of_range_grid(tmp_path, capsys):

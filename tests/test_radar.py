@@ -500,6 +500,8 @@ def _stacking_case(case):
         # degraded trials fall back to the full scan inside a block
         "4x4 -40 dBm": ([(four, "omnidirectional")], 16),
         "64x64": ([(make_scenario(num_tx=64, num_rx=64, num_users=2), "omnidirectional")], 11),
+        # a coarse stride of 8 steps, wider than 1 / (4 M_R) rad; one trial a block
+        "128x128": ([(make_scenario(num_tx=128, num_rx=128, num_users=2), "omnidirectional")], 3),
         # L = N: the Bartlett block has no columns
         "snapshots == streams": ([(make_scenario(num_tx=8, num_rx=8, num_users=2, snapshots=10),
                                    "omnidirectional")], 5),
@@ -515,7 +517,7 @@ def _stacking_case(case):
 
 @pytest.mark.parametrize("case", [f"paper {p} {mode}" for p in (0, 10, 20)
                                   for mode in ("sgcdf", "omnidirectional")]
-                         + ["one target", "4x4 -40 dBm", "64x64", "snapshots == streams",
+                         + ["one target", "4x4 -40 dBm", "64x64", "128x128", "snapshots == streams",
                             "one trial", "sweep paper", "sweep one trial", "sweep one target",
                             "sweep 4x4 -40 dBm"])
 def test_monte_carlo_blocks_match_one_trial_at_a_time(case, monkeypatch):
@@ -548,6 +550,8 @@ def test_monte_carlo_blocks_match_one_trial_at_a_time(case, monkeypatch):
         if "4x4" in case:
             assert len(sizes) == 1 and 0 < bad.sum() < trials
             assert rep.full_scans >= rep.degraded_trials > 0
+        if case == "128x128":
+            assert rep.full_scans == 0
         truth = np.sort(s.target_angles)
         assert rep.degraded_trials == ref_bad.sum()
         assert rep.rmse == np.sqrt(np.mean([float(e @ e) for e in ref_est - truth]))
@@ -846,9 +850,10 @@ def scan_corpus():
 
 
 # 0.07 deg gives 2573 points, a step of 180 / 2572 deg; at 0.5 deg every
-# array here has a coarse stride below 8 grid steps
+# array here has a coarse stride of 8 grid steps, wider than 1 / (4 M_R)
+# rad, and 204 of the 209 trials are certified
 @pytest.mark.parametrize("grid_deg, fast_share", [(radar.MUSIC_GRID_DEG, 0.75), (0.07, 0.2),
-                                                  (0.5, 0.0)])
+                                                  (0.5, 0.97)])
 def test_music_scan_matches_full_scan_bitwise(grid_deg, fast_share, scan_corpus):
     # every trial gets the bits of the scan of every grid column: the ones
     # the coarse level certifies (at least fast_share of them) and the
@@ -883,11 +888,12 @@ def test_music_takes_the_two_level_scan_on_the_paper_geometry():
 
 def _fallback_case(case):
     """(covariance, targets, grid step) of a trial at an edge of the
-    two-level scan: one the coarse level cannot certify (the first three
-    cases), or one whose fine level meets the grid end, tied minima or a
-    cancelled denominator."""
+    two-level scan: a coarse interval wider than 1 / (4 M_R) rad, one the
+    coarse level cannot certify (one point, degraded), or one whose fine
+    level meets the grid end, tied minima or a cancelled denominator."""
     if case == "coarse grid":
-        # 32 elements: 1 / (4 M_R) rad is 0.45 deg, under 8 steps of 0.5 deg
+        # 32 elements: 1 / (4 M_R) rad is 0.45 deg, under the coarse
+        # level's 8 steps of 0.5 deg; the bound still certifies the trial
         s = make_scenario(power_budget_dbm=10.0)
         return _trial_covariances(s, "omnidirectional", 1)[0], 3, 0.5
     if case == "one-point grid":
@@ -924,13 +930,13 @@ def test_music_falls_back_to_the_full_scan(case):
     assert np.array_equal(est, ref_est) and bad == ref_bad
     assert bad == (case in ("one-point grid", "degraded"))
     uncertified = radar._music(np.asarray(cov)[None], t, grid_deg)[2]
-    assert uncertified.tolist() == [case in ("coarse grid", "one-point grid", "degraded")]
+    assert uncertified.tolist() == [case in ("one-point grid", "degraded")]
     if case == "tied minima":
         # the lower grid column of the two mirror-image nulls
         assert est[0] < 0.0
 
 
-def test_music_ranks_tied_minima_by_column(monkeypatch):
+def test_music_ranks_tied_minima_by_column():
     # a denominator with 63 equal minima and one deeper: numpy's default
     # argsort puts the equal ones out of column order, and the fine level
     # must take the deepest, then the lowest columns. On a fake 4-element
@@ -943,13 +949,32 @@ def test_music_ranks_tied_minima_by_column(monkeypatch):
     d[1:127:2] = 0.5
     d[101] = 0.25
     plan = SimpleNamespace(tables=lambda lo, hi: [table[:, lo:hi]])
-    monkeypatch.setattr(radar, "_grid", lambda m, grid_deg: plan)
-    monkeypatch.setattr(radar, "_degree_grid", lambda grid_deg: theta_deg)
     vecs = np.eye(4, dtype=complex)[None]
     coeffs = np.array([[0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
     groups = np.ones((1, 16), dtype=bool)
-    angles, degraded = radar._fine_level(vecs, coeffs, 3, groups, 1.0)
+    angles, degraded = radar._fine_level(vecs, coeffs, 3, groups, plan, theta_deg)
     assert np.array_equal(angles[0], np.deg2rad([1.0, 3.0, 101.0])) and not degraded[0]
+
+
+@pytest.mark.parametrize("grid_deg, points", [(400.0, 1), (45.0, 5)])
+def test_music_keeps_every_group_on_a_grid_without_coarse_intervals(grid_deg, points):
+    # a step above 360 deg leaves one grid point, one coarse column and no
+    # interval; 45 deg leaves five points and two coarse columns, so no
+    # interior coarse minimum. With one target or three, more than the
+    # coarse columns, every group is kept and the full scan's bits hold.
+    plan = radar._grid(4, grid_deg)
+    assert np.count_nonzero(np.isfinite(plan.sin)) == points
+    assert plan.coarse.shape[1] == min(points, 2)
+    s = make_scenario(num_tx=4, num_rx=4, num_users=0)
+    cov = _trial_covariances(s, "omnidirectional", 1)[0]
+    vecs = np.linalg.eigh(cov)[1]
+    for t in (1, 3):
+        groups, certified = radar._kept_groups(radar._coefficients(vecs[None, :, 4 - t:]), t,
+                                               plan)
+        assert groups.all() and certified.tolist() == [False]
+        ref_est, ref_bad = full_scan(cov, t, grid_deg)
+        est, bad = music_estimate(cov, t, grid_deg)
+        assert np.array_equal(est, ref_est) and bad == ref_bad
 
 
 def _assert_stack_matches_one_trial(covs, t, grid_deg):
@@ -975,9 +1000,9 @@ def test_music_stacks_match_one_trial_bitwise(grid_deg, scan_corpus):
     for (_, t), covs in by_shape.items():
         for lo in range(0, len(covs), 16):
             full.extend(_assert_stack_matches_one_trial(covs[lo:lo + 16], t, grid_deg))
-    # at 0.5 deg no array here has a coarse level, so every trial keeps
-    # the whole grid
-    assert 0 < sum(full) <= len(full) and (sum(full) == len(full)) == (grid_deg == 0.5)
+    # at every step, 0.5 deg included, the coarse level certifies all but
+    # the 5 trials with fewer than T coarse minima
+    assert sum(full) == 5 and len(full) == 209
 
 
 @pytest.mark.parametrize("case, normal", [
@@ -1071,25 +1096,28 @@ def test_music_fine_level_memory_stays_within_a_block():
     # at -30 dBm, omnidirectional, a trial keeps 224-848 of the 9,001
     # columns and the block's 29 trials 6,848 together; one stack over that
     # union peaks at about 5.0 MB, so the fine level runs in stacks of trials
-    # whose count times union width fits the coarse product. At 64
-    # elements and 0.07 deg, w < 8 and every trial keeps the whole grid,
-    # so the stacks are capped by the padded grid's width instead. The
-    # warm-up runs the measured trials, so the scan plan's table chunks, a
-    # cache bounded by the grid, exist before the measurement.
-    for s, grid_deg, uncertified in ((make_scenario(power_budget_dbm=-30.0),
-                                      radar.MUSIC_GRID_DEG, False),
-                                     (make_scenario(num_tx=64, num_rx=64, num_users=2), 0.07,
-                                      True)):
+    # whose count times union width fits the coarse product. With 28
+    # targets at -40 dBm every trial of the 30-trial block has fewer than
+    # T coarse minima and keeps the whole grid, so each runs as a stack of
+    # one whose row spans the padded grid. The warm-up runs the measured
+    # trials, so the scan plan's table chunks, a cache bounded by the
+    # grid, exist before the measurement.
+    crowded = make_scenario(num_users=0, power_budget_dbm=-40.0,
+                            target_angles_deg=tuple(np.linspace(-60.0, 60.0, 28).round(1)),
+                            target_ranges_m=(50.0,) * 28)
+    for s in (make_scenario(power_budget_dbm=-30.0), crowded):
         res = design.run(s, "omnidirectional")
-        block = radar._block_trials(s.num_rx, np.shape(res.w)[1], s.num_targets, grid_deg, 1)
-        monte_carlo(s, res, block, grid_deg)
+        block = radar._block_trials(s.num_rx, np.shape(res.w)[1], s.num_targets,
+                                    radar.MUSIC_GRID_DEG, 1)
+        monte_carlo(s, res, block)
         tracemalloc.start()
         try:
-            rep = monte_carlo(s, res, block, grid_deg)
+            rep = monte_carlo(s, res, block)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.full_scans == (block if uncertified else 0)
+        full = one_trial_monte_carlo(s, res, block, radar.MUSIC_GRID_DEG)[2].sum()
+        assert rep.full_scans == full == (block if s is crowded else 0)
         assert peak <= radar.BLOCK_BYTES
 
 
@@ -1153,8 +1181,7 @@ def test_music_fine_level_stacks_stay_within_the_coarse_level(monkeypatch):
 def _table_bytes(plan):
     """Bytes of the table columns that a scan plan holds: its coarse
     columns and every chunk it has published."""
-    coarse = 0 if plan.coarse is None else plan.coarse.nbytes
-    return coarse + sum(chunk.nbytes for chunk in plan.chunks.values())
+    return plan.coarse.nbytes + sum(chunk.nbytes for chunk in plan.chunks.values())
 
 
 def test_music_grid_pads_in_place():
@@ -1185,15 +1212,15 @@ def test_music_grid_pads_in_place():
     assert np.allclose(table[31:, :points], a.imag, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("grid_deg, stride", [(radar.MUSIC_GRID_DEG, 16), (0.1, 0)])
+@pytest.mark.parametrize("grid_deg, stride", [(radar.MUSIC_GRID_DEG, 16), (0.1, 8)])
 def test_music_scan_plan_is_one_read_only_record(grid_deg, stride):
     # 32 elements: 1 / (4 M_R) rad is 0.45 deg, 22 steps of 0.02 deg but
-    # under 8 steps of 0.1 deg, which leaves no coarse level. At 0.02 deg
-    # the whole 62 x 9,008 table would take 4.47 MB; the plan keeps sin
-    # theta on the padded grid (72 kB) and the 564 coarse columns
-    # (0.28 MB), and its build, with the grid in degrees and the ufunc's
-    # buffers, allocates at most twice that (0.56 MB) and a few small
-    # Python objects.
+    # under 8 steps of 0.1 deg, where the coarse stride is 8 steps. At
+    # 0.02 deg the whole 62 x 9,008 table would take 4.47 MB; the plan
+    # keeps sin theta on the padded grid (72 kB) and the 564 coarse
+    # columns (0.28 MB), and its build, with the grid in degrees and the
+    # ufunc's buffers, allocates at most twice that (0.56 MB) and a few
+    # small Python objects.
     radar._grid.cache_clear()
     tracemalloc.start()
     try:
@@ -1206,24 +1233,20 @@ def test_music_scan_plan_is_one_read_only_record(grid_deg, stride):
     assert plan.stride == stride and plan.chunks == {}
     assert plan.sin.size == table.shape[1] == points + -points % 8
     assert peak <= 2 * (plan.sin.nbytes + _table_bytes(plan)) + 4096
-    if stride:
-        cols = np.append(np.arange(0, points - 1, stride), points - 1)
-        assert np.array_equal(plan.coarse, table[:, cols])
-        assert plan.coarse_width == cols.size == 564
-    else:
-        assert plan.coarse is None and plan.coarse_width == plan.sin.size
+    cols = np.append(np.arange(0, points - 1, stride), points - 1)
+    assert np.array_equal(plan.coarse, table[:, cols])
+    assert plan.coarse.shape[1] == cols.size == {16: 564, 8: 226}[stride]
     for x in (plan.sin, plan.coarse):
-        if x is not None:
-            with pytest.raises(ValueError, match="read-only"):
-                x[..., 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            x[..., 0] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.stride = 8
-    # a noiseless three-target subspace: certified with a coarse level,
-    # and with none every group kept and no trial certified
+    # a noiseless three-target subspace: certified at either stride, with
+    # only part of the grid kept
     basis = np.linalg.qr(steering(np.deg2rad([-45.0, 30.0, 60.0]), 32))[0]
-    groups, certified = radar._kept_groups(radar._coefficients(basis[None]), 3, grid_deg)
+    groups, certified = radar._kept_groups(radar._coefficients(basis[None]), 3, plan)
     assert groups.shape == (1, plan.sin.size // 8)
-    assert groups.all() == (not stride) and certified.tolist() == [bool(stride)]
+    assert not groups.all() and certified.tolist() == [True]
 
 
 @pytest.mark.parametrize("grid_deg, limit", [(radar.MUSIC_GRID_DEG, 1e6), (0.001, 4e6)])
@@ -1250,7 +1273,7 @@ def test_music_scan_plan_chunks_match_the_whole_table_bitwise(m, grid_deg):
     # SIMD cos and sin must not depend on the slice length. A target at
     # -89.99 deg nulls the denominator at both ends of the grid (the
     # steering vector is 2-periodic in sin theta), so the scans read the
-    # first and the last chunk; at 0.1 deg w < 8 and they read every one.
+    # first and the last chunk; at 0.1 deg their kept groups cross every one.
     radar._grid.cache_clear()
     a = steering(np.deg2rad([-89.99, -20.0, 35.0]), m)
     covs = np.stack([a @ np.diag([1.0, p, 2.0 - p]) @ a.conj().T + 0.01 * np.eye(m)
